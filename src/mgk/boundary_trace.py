@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deformation import GKSignature, solve_complete, varsigma_derivatives
+from .deformation import GKSignature, edge_cosh, solve_complete, varsigma_derivatives
 from .hyptrig import DomainError
 
 
@@ -119,8 +119,7 @@ def varsigma_trace_data(sig: GKSignature, delta: int, r0: float) -> TraceInput:
     a = cs.alpha_bar
     # boundary edge length: arccosh(cos(beta)/(1-cos(beta))); the compact
     # edge (return path) is the hexagon-rule composition of three of them
-    cb = math.cos(cs.beta_bar)
-    lam = math.exp(math.acosh(cb / (1.0 - cb)))
+    lam = math.exp(math.acosh(edge_cosh(cs.beta_bar)))
     eta0 = 2.0 * a
     zeta0 = 4.0 * a + delta * 2.0 * a + r0
     if not 0.0 < zeta0 < 2.0 * math.pi:

@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .deformation import GKSignature, cusps_of, gamma_index, uv
+from .deformation import GKSignature, cusps_of, edge_cosh, gamma_index, uv
 from .hyptrig import DomainError
 
 HEXAGONAL_MODULUS = complex(0.5, math.sqrt(3.0) / 2.0)
@@ -136,7 +136,7 @@ def return_path_length(x) -> float:
     beta = float(x[-1])
     if not 0.0 < beta < math.pi / 3.0:
         raise DomainError("beta=%r outside (0, pi/3): no compact edge" % beta)
-    c = math.cos(beta) / (1.0 - math.cos(beta))
+    c = edge_cosh(beta)
     return math.acosh(c / (c - 1.0))
 
 

@@ -26,6 +26,25 @@ Their common zero set is smooth of dimension 2k near the symmetric
 complete solution; completeness or filling conditions on the per-cusp
 log-holonomies (u, v) cut it down to isolated points, which a damped
 Newton iteration with coefficient continuation locates.
+
+Newton works on the square system: the structure rows plus two cusp
+rows per cusp (Re, Im of p*u + q*v - 2*pi*i filled, of u complete).
+Ordered by cusp it is block-arrow.  Block c takes the cusp's 12
+coordinates x[12c:12c+12] (alpha, gamma of tetrahedron 2c, then 2c+1)
+and 12 rows:
+
+    0-5    length rows of tetrahedra 2c (0-2) and 2c+1 (3-5), by apex;
+    6-7    ideal-vertex sums of 2c and 2c+1;
+    8-9    sine-product rows Pi^0 - Pi^1, Pi^1 - Pi^2;
+    10-11  the two cusp rows.
+
+The blocks couple only through beta: a border column d/dbeta, nonzero
+only on the length rows, and a border row, the total angle (ones on the
+alphas, corner 6(g-k)).  A step is one batched solve of the k 12x12
+blocks with two right-hand sides (the residual and the border column)
+and a scalar Schur complement for beta, O(k) work instead of the O(k^3)
+of the dense (12k+1)^2 system.  `jacobian` scatters the same entries
+into the dense (10k+1) x (12k+1) public form.
 """
 
 import math
@@ -101,7 +120,7 @@ def check_coords(sig: GKSignature, x: np.ndarray) -> np.ndarray:
         raise DomainError(
             "expected %d coordinates, got %r" % (sig.n_coords, x.shape)
         )
-    if not (np.all(x > 0.0) and np.all(x < math.pi)):
+    if not (0.0 < x.min() and x.max() < math.pi):
         raise DomainError("coordinates must lie in (0, pi)")
     return x
 
@@ -139,7 +158,7 @@ def solve_complete(sig: GKSignature) -> CompleteSolution:
         # the actual matching residual at the symmetric point; its scale
         # grows like 2/beta^2 for small beta, so polishing against it
         # (not against f) puts the assembled residual at the noise floor
-        return (math.cos(a) ** 2 + 0.5) / math.sin(a) ** 2 - _edge_rhs(
+        return (math.cos(a) ** 2 + 0.5) / math.sin(a) ** 2 - edge_cosh(
             _beta_of_alpha(sig, a)
         )
 
@@ -165,7 +184,7 @@ def solve_complete(sig: GKSignature) -> CompleteSolution:
     sol = CompleteSolution(alpha_bar=a, beta_bar=b, x0=x0)
     res = residuals(sig, x0)
     # the length rows cannot beat the evaluation noise of their own scale
-    gate = max(1e-12, 64.0 * np.finfo(float).eps * abs(_edge_rhs(b)))
+    gate = max(1e-12, 64.0 * np.finfo(float).eps * abs(edge_cosh(b)))
     if np.max(np.abs(res)) > gate:
         raise ConvergenceError("complete solution residual %g" % np.max(np.abs(res)))
     if not (a < b < 2.0 * a <= math.pi / 3.0 + 1e-15):
@@ -174,113 +193,122 @@ def solve_complete(sig: GKSignature) -> CompleteSolution:
 
 
 # ---------------------------------------------------------------------------
-# residual system
+# residual system: one vectorised kernel over the cusp blocks of x
+
+# block-local columns: the alphas (the border row), and per length row
+# 3t + j those of alpha_t^{j+1}, alpha_t^{j+2} and gamma_t^j
+_ALPHA_COLS = np.array([0, 1, 2, 6, 7, 8])
+_LENGTH_COLS = np.array(
+    [[6 * t + (j + 1) % 3, 6 * t + (j + 2) % 3, 6 * t + 3 + j] for t in (0, 1) for j in range(3)]
+).T
+# as 0/1 selectors: index assignment there made `fill --batch` at k = 1 ~10% slower
+# under its thread pool
+_LENGTH_SEL = (_LENGTH_COLS[:, :, None] == np.arange(12)).astype(float)
+_LENGTH_MASK = np.repeat([1.0, 0.0], 6)
+_SINE_SIGNS = np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]]).reshape(2, 1, 1, 3)
 
 
-def _edge_rhs(beta: float) -> float:
-    return math.cos(beta) / (1.0 - math.cos(beta))
+def _versine(beta: float) -> float:
+    # 1 - cos(beta) without the cancellation that costs ~1/beta^2 ulps
+    return 2.0 * math.sin(0.5 * beta) ** 2
+
+
+def edge_cosh(beta: float) -> float:
+    """cosh of the edge length of the compact regular tetrahedron with
+    dihedral angle beta: cos(beta) / (1 - cos(beta))."""
+    return math.cos(beta) / _versine(beta)
+
+
+def _linear_rows(targets):
+    """The block rows that are linear in x or in log sin x, per cusp
+    L x_c + S log(sin x_c) - o: the ideal-vertex sums (rows 6, 7) and the
+    cusp rows (10, 11).  With gA, gB the gammas of tetrahedra 2c, 2c+1,
+
+        u = log(sin gA^0 sin gB^1 / (sin gA^1 sin gB^0)) + i (gA^2 - gB^2),
+        v = log(sin gA^1 sin gB^2 / (sin gA^2 sin gB^1)) + i (gA^0 - gB^0),
+
+    a filled cusp's rows are Re and Im of p u + q v - 2 pi i; a complete
+    cusp's are those of u, i.e. (p, q) = (1, 0) without the 2 pi i."""
+    k = len(targets)
+    L, S, o = np.zeros((k, 12, 12)), np.zeros((k, 12, 12)), np.zeros((k, 12))
+    L[:, 6, 3:6] = L[:, 7, 9:12] = 1.0
+    o[:, 6:8] = math.pi
+    for c, t in enumerate(targets):
+        p, q = (1.0, 0.0) if t is None else t
+        S[c, 10, 3:6], S[c, 10, 9:12] = (p, q - p, -q), (-p, p - q, q)
+        L[c, 11, 3:6], L[c, 11, 9:12] = (q, 0.0, p), (-q, 0.0, -p)
+        o[c, 11] = 0.0 if t is None else 2.0 * math.pi
+    return L, S, o
+
+
+def _evaluate(sig: GKSignature, x, rows):
+    """Residuals of the square system at x in block order (12 rows per
+    cusp, then the total angle; `rows` from `_linear_rows`) and a function
+    returning the Newton blocks (A, dbeta) from the same sin/cos pass."""
+    x = check_coords(sig, x)
+    k = sig.k
+    L, S, o = rows
+    beta = x[-1]
+    xb = x[:-1].reshape(k, 12, 1)
+    s, c = np.sin(xb), np.cos(xb)
+    # (k, 3, 6): sin/cos of alpha^{j+1}, alpha^{j+2}, gamma^j per length row
+    sl, cl = s[:, _LENGTH_COLS, 0], c[:, _LENGTH_COLS, 0]
+    den = sl[:, 0] * sl[:, 1]
+    prods = s.reshape(k, 2, 2, 3).prod(axis=(1, 2))
+    r = np.empty(12 * k + 1)
+    R = r[:-1].reshape(k, 12)
+    np.subtract((L @ xb + S @ np.log(s))[:, :, 0], o, out=R)
+    R[:, :6] = (cl[:, 0] * cl[:, 1] + cl[:, 2]) / den - edge_cosh(beta)
+    R[:, 8:10] = prods[:, :2] - prods[:, 1:]
+    r[-1] = 6.0 * (sig.g - k) * beta + xb[:, _ALPHA_COLS].sum() - 2.0 * math.pi
+
+    def blocks():
+        cot = c / s
+        A = L + S * cot.reshape(k, 1, 12)
+        q = -1.0 / den
+        # d/d alpha^{j+1}, alpha^{j+2}: -(cos a_other + cos a_self cos g) / (den sin a_self)
+        d = (cl[:, 1::-1] + cl[:, :2] * cl[:, 2:3]) * (q[:, None] / sl[:, :2])
+        dg = (sl[:, 2] * q)[..., None] * _LENGTH_SEL[2]
+        A[:, :6] = (d[..., None] * _LENGTH_SEL[:2]).sum(axis=1) + dg
+        # d Pi^j / d x = Pi^j cot x over the four angles at apex j
+        A.reshape(k, 12, 2, 2, 3)[:, 8:10] = (
+            prods.reshape(k, 1, 1, 1, 3) * _SINE_SIGNS * cot.reshape(k, 1, 2, 2, 3)
+        )
+        return A, math.sin(beta) / _versine(beta) ** 2
+
+    return r, blocks
+
+
+def _structure_rows(a: np.ndarray, k: int) -> np.ndarray:
+    """The 10k+1 structure rows of `a` (rows in block order) as `residuals` orders them."""
+    rest = a.shape[1:]
+    blocks = a[:-1].reshape((k, 12) + rest)
+    parts = [blocks[:, i:j].reshape((-1,) + rest) for i, j in ((0, 6), (6, 8), (8, 10))]
+    return np.concatenate(parts + [a[-1:]])
+
+
+def _dense(sig: GKSignature, A: np.ndarray, dbeta: float) -> np.ndarray:
+    """The square (12k+1)^2 Jacobian in block order, blocks and border."""
+    k = sig.k
+    idx = np.arange(12 * k).reshape(k, 12)
+    J = np.zeros((sig.n_coords, sig.n_coords))
+    J[idx[:, :, None], idx[:, None, :]] = A
+    J[idx[:, :6], -1] = dbeta
+    J[-1, idx[:, _ALPHA_COLS]] = 1.0
+    J[-1, -1] = 6.0 * (sig.g - k)
+    return J
 
 
 def residuals(sig: GKSignature, x) -> np.ndarray:
     """The 10k+1 structure residuals at x (layout in the module docstring)."""
-    x = check_coords(sig, x)
-    k = sig.k
-    beta = x[beta_index(k)]
-    rhs = _edge_rhs(beta)
-    out = np.empty(sig.n_residuals)
-    pos = 0
-    # boundary-edge length matching, indexed by (tetrahedron l, gamma apex c)
-    for l in range(2 * k):
-        for c in range(3):
-            a1 = x[alpha_index(l, (c + 1) % 3)]
-            a2 = x[alpha_index(l, (c + 2) % 3)]
-            g = x[gamma_index(l, c)]
-            out[pos] = (math.cos(a1) * math.cos(a2) + math.cos(g)) / (
-                math.sin(a1) * math.sin(a2)
-            ) - rhs
-            pos += 1
-    # ideal-vertex angle sums
-    for l in range(2 * k):
-        out[pos] = (
-            x[gamma_index(l, 0)] + x[gamma_index(l, 1)] + x[gamma_index(l, 2)] - math.pi
-        )
-        pos += 1
-    # sine-product matching per cusp
-    for c in range(k):
-        pi_j = [_sine_product(x, c, j) for j in range(3)]
-        out[pos] = pi_j[0] - pi_j[1]
-        out[pos + 1] = pi_j[1] - pi_j[2]
-        pos += 2
-    # total angle along the compact edge
-    alpha_sum = sum(
-        x[alpha_index(l, j)] for l in range(2 * k) for j in range(3)
-    )
-    out[pos] = 6.0 * (sig.g - k) * beta + alpha_sum - 2.0 * math.pi
-    return out
-
-
-def _sine_product(x, c: int, j: int) -> float:
-    lA, lB = 2 * c, 2 * c + 1
-    return (
-        math.sin(x[alpha_index(lA, j)])
-        * math.sin(x[alpha_index(lB, j)])
-        * math.sin(x[gamma_index(lA, j)])
-        * math.sin(x[gamma_index(lB, j)])
-    )
+    r, _ = _evaluate(sig, x, _linear_rows([None] * sig.k))
+    return _structure_rows(r, sig.k)
 
 
 def jacobian(sig: GKSignature, x) -> np.ndarray:
-    """Analytic Jacobian of `residuals` (elementary trig derivatives)."""
-    x = check_coords(sig, x)
-    k = sig.k
-    n = sig.n_coords
-    bidx = beta_index(k)
-    beta = x[bidx]
-    J = np.zeros((sig.n_residuals, n))
-    row = 0
-    for l in range(2 * k):
-        for c in range(3):
-            i1 = alpha_index(l, (c + 1) % 3)
-            i2 = alpha_index(l, (c + 2) % 3)
-            ig = gamma_index(l, c)
-            a1, a2, g = x[i1], x[i2], x[ig]
-            s1, s2 = math.sin(a1), math.sin(a2)
-            J[row, i1] = -(math.cos(a2) + math.cos(a1) * math.cos(g)) / (s1 * s1 * s2)
-            J[row, i2] = -(math.cos(a1) + math.cos(a2) * math.cos(g)) / (s2 * s2 * s1)
-            J[row, ig] = -math.sin(g) / (s1 * s2)
-            J[row, bidx] = math.sin(beta) / (1.0 - math.cos(beta)) ** 2
-            row += 1
-    for l in range(2 * k):
-        for j in range(3):
-            J[row, gamma_index(l, j)] = 1.0
-        row += 1
-    for c in range(k):
-        lA, lB = 2 * c, 2 * c + 1
-        grads = []
-        for j in range(3):
-            idx = [
-                alpha_index(lA, j),
-                alpha_index(lB, j),
-                gamma_index(lA, j),
-                gamma_index(lB, j),
-            ]
-            vals = [x[i] for i in idx]
-            prod = math.prod(math.sin(v) for v in vals)
-            grads.append({i: prod / math.tan(v) for i, v in zip(idx, vals)})
-        for i, d in grads[0].items():
-            J[row, i] += d
-        for i, d in grads[1].items():
-            J[row, i] -= d
-        for i, d in grads[1].items():
-            J[row + 1, i] += d
-        for i, d in grads[2].items():
-            J[row + 1, i] -= d
-        row += 2
-    for l in range(2 * k):
-        for j in range(3):
-            J[row, alpha_index(l, j)] = 1.0
-    J[row, bidx] = 6.0 * (sig.g - k)
-    return J
+    """Analytic Jacobian of `residuals`: the Newton blocks, scattered dense."""
+    _, blocks = _evaluate(sig, x, _linear_rows([None] * sig.k))
+    return _structure_rows(_dense(sig, *blocks()), sig.k)
 
 
 # ---------------------------------------------------------------------------
@@ -417,87 +445,58 @@ class FillingSpec:
 # Newton solver with coefficient continuation
 
 
-def _extended_residuals(sig: GKSignature, x, targets) -> np.ndarray:
-    base = residuals(sig, x)
-    extra = np.empty(2 * sig.k)
-    for c, pq in enumerate(targets):
-        u, v = uv(x, c)
-        if pq is None:
-            extra[2 * c] = u.real
-            extra[2 * c + 1] = u.imag
-        else:
-            p, q = pq
-            w = p * u + q * v
-            extra[2 * c] = w.real
-            extra[2 * c + 1] = w.imag - 2.0 * math.pi
-    return np.concatenate([base, extra])
-
-
-def _uv_gradient_rows(x, cusp: int, n: int):
-    """Gradients of (Re u, Im u, Re v, Im v) at `cusp` as dense rows."""
-    lA, lB = 2 * cusp, 2 * cusp + 1
-    rows = np.zeros((4, n))
-    gA = [gamma_index(lA, j) for j in range(3)]
-    gB = [gamma_index(lB, j) for j in range(3)]
-    cot = lambda i: 1.0 / math.tan(x[i])
-    # Re u
-    rows[0, gA[0]] += cot(gA[0]); rows[0, gB[1]] += cot(gB[1])
-    rows[0, gA[1]] -= cot(gA[1]); rows[0, gB[0]] -= cot(gB[0])
-    # Im u
-    rows[1, gA[2]] += 1.0; rows[1, gB[2]] -= 1.0
-    # Re v
-    rows[2, gA[1]] += cot(gA[1]); rows[2, gB[2]] += cot(gB[2])
-    rows[2, gA[2]] -= cot(gA[2]); rows[2, gB[1]] -= cot(gB[1])
-    # Im v
-    rows[3, gA[0]] += 1.0; rows[3, gB[0]] -= 1.0
-    return rows
-
-
-def _extended_jacobian(sig: GKSignature, x, targets) -> np.ndarray:
-    n = sig.n_coords
-    Jbase = jacobian(sig, x)
-    Jext = np.zeros((2 * sig.k, n))
-    for c, pq in enumerate(targets):
-        rows = _uv_gradient_rows(x, c, n)
-        if pq is None:
-            Jext[2 * c] = rows[0]
-            Jext[2 * c + 1] = rows[1]
-        else:
-            p, q = pq
-            Jext[2 * c] = p * rows[0] + q * rows[2]
-            Jext[2 * c + 1] = p * rows[1] + q * rows[3]
-    return np.vstack([Jbase, Jext])
-
-
 def _clip(x: np.ndarray) -> np.ndarray:
-    return np.clip(x, _CLIP, math.pi - _CLIP)
+    return np.minimum(np.maximum(x, _CLIP), math.pi - _CLIP)
+
+
+def _block_step(sig: GKSignature, r: np.ndarray, A: np.ndarray, dbeta: float) -> np.ndarray:
+    """Solve the block-arrow system J step = r: per cusp
+    A_c s_c + dbeta e s_beta = r_c (e marks the length rows) and
+    sum(alpha steps) + 6(g-k) s_beta = r_total.  One batched solve for
+    the two right-hand sides r_c and dbeta e, then the scalar Schur
+    complement for s_beta: O(k) work."""
+    k = sig.k
+    rhs = np.empty((k, 12, 2))
+    rhs[:, :, 0] = r[:-1].reshape(k, 12)
+    rhs[:, :, 1] = dbeta * _LENGTH_MASK
+    y = np.linalg.solve(A, rhs)
+    ya = y[:, _ALPHA_COLS].sum(axis=(0, 1))
+    schur = 6.0 * (sig.g - k) - ya[1]
+    if schur == 0.0:
+        raise np.linalg.LinAlgError("Singular matrix")
+    sb = (r[-1] - ya[0]) / schur
+    step = np.empty_like(r)
+    step[:-1] = (y[:, :, 0] - sb * y[:, :, 1]).ravel()
+    step[-1] = sb
+    return step
 
 
 def _newton(sig: GKSignature, x0: np.ndarray, targets, tol: float, max_iter: int = 25):
-    """Damped Newton on the square system; backtracks on the residual
-    sup-norm and clips iterates into the open angle box."""
+    """Damped Newton on the square system with block-arrow steps;
+    backtracks on the residual sup-norm and clips iterates into the open
+    angle box."""
+    rows = _linear_rows(targets)
     x = _clip(np.array(x0, dtype=float))
-    r = _extended_residuals(sig, x, targets)
-    norm = np.max(np.abs(r))
+    r, blocks = _evaluate(sig, x, rows)
+    norm = np.abs(r).max()
     for _ in range(max_iter):
         if norm < tol:
             return x
-        J = _extended_jacobian(sig, x, targets)
         try:
-            step = np.linalg.solve(J, r)
+            step = _block_step(sig, r, *blocks())
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError("singular Jacobian: %s" % exc) from None
         lam = 1.0
         for _ in range(30):
             xn = _clip(x - lam * step)
-            rn = _extended_residuals(sig, xn, targets)
-            nn = np.max(np.abs(rn))
+            rn, bn = _evaluate(sig, xn, rows)
+            nn = np.abs(rn).max()
             if nn < norm or nn < tol:
                 break
             lam *= 0.5
         else:
             raise ConvergenceError("line search stalled at residual %g" % norm)
-        x, r, norm = xn, rn, nn
+        x, r, blocks, norm = xn, rn, bn, nn
     if norm < tol:
         return x
     raise ConvergenceError("no convergence: residual %g after %d iterations" % (norm, max_iter))

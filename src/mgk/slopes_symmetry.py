@@ -25,10 +25,8 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .deformation import FillingSpec, alpha_index, cusps_of, gamma_index
+from .deformation import SQRT7, FillingSpec, alpha_index, cusps_of, gamma_index
 from .hyptrig import DomainError
-
-SQRT7 = math.sqrt(7.0)
 
 MAX_BRUTE_FORCE_K = 8
 

@@ -9,18 +9,21 @@ def solved_point(sig: GKSignature, pairs):
     return solve_filling(sig, FillingSpec.from_pairs(sig.k, pairs))
 
 
+def random_pairs(rng, k, min_len=12.0, max_len=40.0):
+    """k random real coefficient pairs, uniformly spread in direction
+    with slope length in range."""
+    pairs = []
+    for _ in range(k):
+        ang = rng.uniform(0.0, 2.0 * np.pi)
+        ln = rng.uniform(min_len, max_len)
+        p, q = np.cos(ang), np.sin(ang)
+        scale = ln / np.sqrt(p * p + q * q - p * q)
+        pairs.append((p * scale, q * scale))
+    return pairs
+
+
 def random_filled_points(sig: GKSignature, count, seed, min_len=12.0, max_len=40.0):
     """Solved structures with random real coefficient pairs on every
-    cusp, uniformly spread in direction with slope length in range."""
+    cusp (see `random_pairs`)."""
     rng = np.random.default_rng(seed)
-    out = []
-    while len(out) < count:
-        pairs = []
-        for _ in range(sig.k):
-            ang = rng.uniform(0.0, 2.0 * np.pi)
-            ln = rng.uniform(min_len, max_len)
-            p, q = np.cos(ang), np.sin(ang)
-            scale = ln / np.sqrt(p * p + q * q - p * q)
-            pairs.append((p * scale, q * scale))
-        out.append(solved_point(sig, pairs))
-    return out
+    return [solved_point(sig, random_pairs(rng, sig.k, min_len, max_len)) for _ in range(count)]

@@ -91,6 +91,15 @@ def test_cli_fill_isolated_cusp(capsys):
     assert doc["homology_rank"] == 4
 
 
+def test_cli_small_beta_signatures(capsys):
+    # beta ~ 0.05 here; both exited 3 while 1 - cos(beta) cancelled
+    code, _, _ = run(capsys, ["complete", "--g", "10", "--k", "3"])
+    assert code == 0
+    code, out, _ = run(capsys, ["--json", "fill", "--g", "13", "--k", "1", "--coeffs", "5/1"])
+    assert code == 0
+    assert json.loads(out)["cusps"][0]["coefficients"] == pytest.approx([5.0, 1.0], abs=1e-9)
+
+
 def test_cli_fill_short_slope_rejected(capsys):
     code, _, err = run(capsys, ["fill", "--g", "2", "--k", "1", "--coeffs", "2/1"])
     assert code == 2

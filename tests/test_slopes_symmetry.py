@@ -214,7 +214,10 @@ def test_symmetries_preserve_residuals():
     # permutations permute every entry except the two sigma difference
     # rows, which transform unimodularly because the underlying
     # sine-product triple is what gets permuted.
-    from mgk.deformation import _sine_product
+    def sine_product(x, c, j):
+        # Pi^j = sin a_2c^j sin a_2c+1^j sin g_2c^j sin g_2c+1^j
+        idx = [12 * c + 6 * t + 3 * kind + j for t in (0, 1) for kind in (0, 1)]
+        return math.prod(math.sin(x[i]) for i in idx)
 
     sig = GKSignature(3, 2)
     x = solved_point(sig, [(5.0, 1.0), (8.0, 3.0)]) + 1e-3  # push off the variety too
@@ -231,8 +234,8 @@ def test_symmetries_preserve_residuals():
     ):
         assert np.allclose(np.sort(np.abs(residuals(sig, y)[non_sigma])), base_ns, atol=1e-13)
         for c in range(k):
-            before = sorted(_sine_product(x, c, j) for j in range(3))
-            after = sorted(_sine_product(y, c, j) for j in range(3))
+            before = sorted(sine_product(x, c, j) for j in range(3))
+            after = sorted(sine_product(y, c, j) for j in range(3))
             assert np.allclose(before, after, atol=1e-15)
 
 
