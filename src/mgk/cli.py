@@ -10,7 +10,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -48,6 +47,22 @@ def _emit(args, text: str) -> None:
             fh.write(text + "\n")
     else:
         print(text)
+
+
+# what a command may raise on bad input or a failed solve, see _failure
+_FAILURES = (DomainError, ConvergenceError)
+
+
+def _failure(exc):
+    """Exit code and one-line message for one of _FAILURES."""
+    if isinstance(exc, DomainError):
+        return EXIT_INPUT, "input error: %s" % exc
+    if isinstance(exc, ContinuationError):
+        return EXIT_NUMERIC, "numerical failure: %s (last good multiplier %.6g)" % (
+            exc,
+            exc.last_good_t,
+        )
+    return EXIT_NUMERIC, "numerical failure: %s" % exc
 
 
 def _fmt_c(z) -> str:
@@ -126,19 +141,36 @@ def _solve_one(sig, coeffs, args):
     return build_report(sig, spec, x, residual_tol=args.tol_residual)
 
 
+def _batch_entry(sig, coeffs, args):
+    """One list of a batch: (exit code, its report or its error record)."""
+    try:
+        return EXIT_OK, _solve_one(sig, coeffs, args)
+    except _FAILURES as exc:
+        code, message = _failure(exc)
+        return code, {"schema": "mgk/1", "coeffs": coeffs, "error": {"exit": code, "message": message}}
+
+
 def cmd_fill(args) -> int:
     sig = GKSignature(args.g, args.k)
-    if args.batch:
-        jobs = [c.strip() for c in args.coeffs.split(";") if c.strip()]
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            reports = list(pool.map(lambda c: _solve_one(sig, c, args), jobs))
-        if args.json:
-            _emit(args, json.dumps([report_to_dict(r) for r in reports], indent=2))
-        else:
-            _emit(args, "\n\n".join(_report_lines(r) for r in reports))
-    else:
+    if not args.batch:
         _emit_report(args, _solve_one(sig, args.coeffs, args))
-    return EXIT_OK
+        return EXIT_OK
+    jobs = [c.strip() for c in args.coeffs.split(";") if c.strip()]
+    # one after another on this thread: the GIL would serialise threaded
+    # solves, adding only hand-off cost and scheduling jitter
+    entries = [_batch_entry(sig, c, args) for c in jobs]
+    if args.json:
+        docs = [e if code else report_to_dict(e) for code, e in entries]
+        _emit(args, json.dumps(docs, indent=2))
+    else:
+        blocks = [
+            "error           %s: %s" % (e["coeffs"], e["error"]["message"])
+            if code
+            else _report_lines(e)
+            for code, e in entries
+        ]
+        _emit(args, "\n\n".join(blocks))
+    return max((code for code, _ in entries), default=EXIT_OK)
 
 
 def cmd_slopes(args) -> int:
@@ -360,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--coeffs", required=True, help='e.g. "inf,5/1"; with --batch, ";"-separated lists')
     p.add_argument("--batch", action="store_true", help="solve several coefficient lists")
-    p.add_argument("--threads", type=int, default=4)
     p.add_argument("--allow-short", action="store_true", help="skip the sqrt(7) slope-length check")
     _add_common(p, top_level=False)
     p.set_defaults(func=cmd_fill)
@@ -411,22 +442,22 @@ def main(argv=None) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except DomainError as exc:
-        print("input error: %s" % exc, file=sys.stderr)
-        return EXIT_INPUT
-    except ContinuationError as exc:
-        print(
-            "numerical failure: %s (last good multiplier %.6g)" % (exc, exc.last_good_t),
-            file=sys.stderr,
-        )
-        return EXIT_NUMERIC
-    except ConvergenceError as exc:
-        print("numerical failure: %s" % exc, file=sys.stderr)
-        return EXIT_NUMERIC
+    except _FAILURES as exc:
+        code, message = _failure(exc)
+        print(message, file=sys.stderr)
+        return code
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (`mgk ... | head`): point stdout at
+        # devnull so the flush at interpreter exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -11,6 +11,15 @@ pairs these act by the integer matrices
 
     r: (p, q) -> (p - q, p),      s: (p, q) -> (p - q, -q).
 
+Slope sets on k marked tori are compared under the wreath product of S_k
+with a local factor L per torus: the rotations, acting on unoriented
+slopes through their order-3 quotient, or all of D6 (six classes) when
+reflections are allowed.  An element permutes the tori and moves each
+slope within its L-orbit independently, so two sets are equivalent
+exactly when their sorted lists of per-torus L-orbits (an empty torus its
+own class, orbits ordered by their least slopes) agree; pairing the two
+sorted orders gives the permutation of a witness.
+
 On the variety side, each cusp carries symmetries generated by apex
 permutations of its tetrahedron pair and the swap of the pair; `phi_r`
 and `phi_s` are the two generators whose transported action on Dehn
@@ -18,17 +27,15 @@ coefficients is exactly r and s above, and cusp permutations transport
 to relabelling of the tori.
 """
 
-import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .deformation import SQRT7, FillingSpec, alpha_index, cusps_of, gamma_index
+from .deformation import FillingSpec, alpha_index, cusps_of, gamma_index
 from .hyptrig import DomainError
-
-MAX_BRUTE_FORCE_K = 8
 
 
 # ---------------------------------------------------------------------------
@@ -102,21 +109,32 @@ class D6Element:
 
 
 def d6_act(e: D6Element, s: Slope) -> Slope:
-    p, q = e.matrix() @ (s.p, s.q)
-    return Slope.of(int(p), int(q))
+    p, q = (s.p - s.q, -s.q) if e.refl else (s.p, s.q)
+    for _ in range(e.rot % 3):  # r^3 = -1 fixes every unoriented slope
+        p, q = p - q, p
+    return Slope.of(p, q)
+
+
+# the distinct actions on unoriented slopes, without and with reflections
+_ROTATIONS = tuple(D6Element(m) for m in range(3))
+_ISOMETRIES = _ROTATIONS + tuple(D6Element(m, True) for m in range(3))
+
+
+def _orbit(s: Optional[Slope], group) -> Tuple[Slope, ...]:
+    """Sorted orbit of a slope under `group`; () for an empty torus."""
+    return () if s is None else tuple(sorted({d6_act(e, s) for e in group}))
 
 
 def d6_orbit(s: Slope):
     """The full dihedral orbit of a slope, as a sorted tuple."""
-    out = {d6_act(D6Element(m, refl), s) for m in range(6) for refl in (False, True)}
-    return tuple(sorted(out))
+    return _orbit(s, _ISOMETRIES)
 
 
 def c6_orbit(s: Slope):
     """Orbit under rotations only (the orientation-preserving classes);
     on unoriented slopes rotations act through their quotient by the
     half-turn, so the orbit has at most 3 elements."""
-    return tuple(sorted({d6_act(D6Element(m), s) for m in range(6)}))
+    return _orbit(s, _ROTATIONS)
 
 
 def classify_slopes(max_len_sq: int):
@@ -129,14 +147,11 @@ def classify_slopes(max_len_sq: int):
     slopes = set()
     for p in range(0, bound + 1):
         for q in range(-bound, bound + 1):
-            if p == 0 and q != 1:
+            if (p == 0 and q != 1) or math.gcd(p, abs(q)) != 1:
                 continue
-            if p > 0 or (p == 0 and q > 0):
-                if math.gcd(abs(p), abs(q)) != 1:
-                    continue
-                s = Slope(p, q)
-                if s.length_sq <= max_len_sq:
-                    slopes.add(s)
+            s = Slope(p, q)
+            if s.length_sq <= max_len_sq:
+                slopes.add(s)
     by_len = {}
     seen = set()
     for s in sorted(slopes):
@@ -209,68 +224,52 @@ class SlopeSetIsometry:
         return tuple(out)
 
     def inverse(self) -> "SlopeSetIsometry":
-        k = len(self.perm)
-        inv_perm = [0] * k
-        for i, p in enumerate(self.perm):
-            inv_perm[p] = i
-        inv_local = tuple(self.local[inv_perm[j]].inverse() for j in range(k))
-        return SlopeSetIsometry(tuple(inv_perm), inv_local)
-
-
-def _local_candidates(orientation_preserving: bool):
-    # rotations act on unoriented slopes through the order-3 quotient;
-    # with reflections there are six effective classes
-    rots = [D6Element(m) for m in range(3)]
-    if orientation_preserving:
-        return rots
-    return rots + [D6Element(m, True) for m in range(3)]
+        inv_perm = _inverse_perm(self.perm)
+        return SlopeSetIsometry(inv_perm, tuple(self.local[i].inverse() for i in inv_perm))
 
 
 def slope_sets_equivalent(
     a: SlopeSet, b: SlopeSet, orientation_preserving: bool = True
 ) -> Optional[SlopeSetIsometry]:
-    """Search the marked-torus isometry group (permutations semidirect
-    local dihedral/rotation factors) for a witness taking `a` onto `b`.
-    Exhaustive and exact; returns None if no witness exists."""
+    """A witness of the marked-torus isometry group taking `a` onto `b`,
+    or None if there is none; exact, in O(k log k) (module docstring)."""
     k = len(a)
     if len(b) != k:
         raise DomainError("slope sets live on different numbers of tori")
-    if k > MAX_BRUTE_FORCE_K:
-        raise DomainError("brute-force search capped at k=%d" % MAX_BRUTE_FORCE_K)
-    cands = _local_candidates(orientation_preserving)
-    for perm in itertools.permutations(range(k)):
-        locals_per_torus = []
-        ok = True
-        for i in range(k):
-            src, dst = a[i], b[perm[i]]
-            if (src is None) != (dst is None):
-                ok = False
-                break
-            if src is None:
-                locals_per_torus.append(D6Element.identity())
-                continue
-            match = next((e for e in cands if d6_act(e, src) == dst), None)
-            if match is None:
-                ok = False
-                break
-            locals_per_torus.append(match)
-        if ok:
-            return SlopeSetIsometry(perm, tuple(locals_per_torus))
-    return None
+    group = _ROTATIONS if orientation_preserving else _ISOMETRIES
+    ka = [_orbit(s, group) for s in a]
+    kb = [_orbit(s, group) for s in b]
+    order_a = sorted(range(k), key=ka.__getitem__)
+    order_b = sorted(range(k), key=kb.__getitem__)
+    if [ka[i] for i in order_a] != [kb[j] for j in order_b]:
+        return None
+    perm = dict(zip(order_a, order_b))
+    # an empty torus takes the first candidate, the identity
+    local = tuple(
+        next(e for e in group if src is None or d6_act(e, src) == b[perm[i]])
+        for i, src in enumerate(a)
+    )
+    return SlopeSetIsometry(tuple(perm[i] for i in range(k)), local)
 
 
 def enumerate_equivalent_sets(a: SlopeSet):
-    """Full orbit of a slope set under the orientation-preserving group,
-    by brute force; sorted for reproducibility."""
-    k = len(a)
-    if k > MAX_BRUTE_FORCE_K:
-        raise DomainError("brute-force enumeration capped at k=%d" % MAX_BRUTE_FORCE_K)
-    rots = _local_candidates(orientation_preserving=True)
-    orbit = set()
-    for perm in itertools.permutations(range(k)):
-        for locs in itertools.product(rots, repeat=k):
-            orbit.add(SlopeSetIsometry(perm, locs).apply(a))
-    return sorted(orbit, key=lambda ss: tuple((s.p, s.q) if s else (0, 0) for s in ss))
+    """Full orbit of a slope set under the orientation-preserving group:
+    every distinct arrangement of its per-torus rotation orbits over the
+    tori, times every choice of a slope in each orbit; sorted for
+    reproducibility."""
+    level = [((), Counter(_orbit(s, _ROTATIONS) for s in a))]
+    for _ in a:
+        # extend each prefix by a slope of each orbit it has not used up
+        level = [
+            (prefix + (s,), left - Counter([orbit]))
+            for prefix, left in level
+            for orbit in left
+            for s in orbit or (None,)
+        ]
+    return sorted(
+        (prefix for prefix, _ in level),
+        key=lambda ss: tuple((s.p, s.q) if s else (0, 0) for s in ss),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mgk import cli
+from mgk import slopes_symmetry as ss
 from mgk.deformation import FillingSpec, GKSignature, solve_filling
 from mgk.report import (
     build_report,
@@ -133,14 +138,33 @@ def test_cli_fill_batch(capsys):
             "--coeffs",
             "5/1;7/2",
             "--batch",
-            "--threads",
-            "2",
         ],
     )
     assert code == 0
     docs = json.loads(out)
     assert len(docs) == 2
     assert docs[0]["filling"] == [[5.0, 1.0]]
+
+
+def test_cli_fill_batch_errors_per_entry(capsys):
+    argv = ["fill", "--g", "2", "--k", "1", "--coeffs", "5/1;2/1;10/2", "--batch"]
+    code, out, _ = run(capsys, ["--json"] + argv)
+    assert code == 2
+    good, short, bad = json.loads(out)
+    _, single, _ = run(capsys, ["--json", "fill", "--g", "2", "--k", "1", "--coeffs", "5/1"])
+    assert good == json.loads(single)
+    assert short["schema"] == "mgk/1" and short["coeffs"] == "2/1"
+    assert short["error"]["exit"] == 2 and "sqrt(7)" in short["error"]["message"]
+    assert bad["coeffs"] == "10/2" and bad["error"]["exit"] == 2
+    # a numerical failure outranks an input error in the exit code
+    code, out, _ = run(capsys, ["--json"] + argv + ["--allow-short"])
+    assert code == 3
+    assert [d.get("error", {}).get("exit") for d in json.loads(out)] == [None, 3, 2]
+    code, out, _ = run(capsys, argv)
+    assert code == 2
+    assert out.startswith("signature       g=2 k=1")
+    assert "\n\nerror           2/1: input error: " in out
+    assert "\n\nerror           10/2: input error: " in out
 
 
 def test_cli_fill_equal_invariants_inequivalent_slopes(capsys):
@@ -190,6 +214,55 @@ def test_cli_similar(capsys):
         capsys, ["similar", "--k", "1", "19/11@1", "8/-11@1", "--reflections"]
     )
     assert code == 0 and out.startswith("equivalent")
+
+
+def _set_text(sset):
+    return ",".join("%d/%d@%d" % (s.p, s.q, i + 1) for i, s in enumerate(sset) if s is not None)
+
+
+@pytest.mark.parametrize("reflections", [False, True])
+def test_cli_similar_k12(capsys, reflections):
+    # beyond any exhaustive search over 12! permutations
+    a = ss.make_slope_set(
+        12, [(3, 1), None, (19, 11), (3, 1), (16, -1), None, (5, 1), (1, 0), (3, 1), None, (7, 2), (8, 3)]
+    )
+    perm = (4, 11, 0, 7, 2, 9, 1, 3, 10, 5, 8, 6)
+    local = tuple(ss.D6Element(i, reflections and i % 2 == 1) for i in range(12))
+    b = ss.SlopeSetIsometry(perm, local).apply(a)
+    argv = ["--json", "similar", "--k", "12", _set_text(a), _set_text(b)]
+    code, out, _ = run(capsys, argv + (["--reflections"] if reflections else []))
+    assert code == 0
+    w = json.loads(out)["witness"]
+    found = ss.SlopeSetIsometry(tuple(w["perm"]), tuple(ss.D6Element(r, bool(f)) for r, f in w["local"]))
+    assert found.apply(a) == b
+    assert w["orientation_preserving"] == found.orientation_preserving
+    if not reflections:
+        assert found.orientation_preserving
+        # the mirror image of one torus is out of reach of rotations
+        c = list(b)
+        c[perm[0]] = ss.d6_act(ss.D6Element(0, True), c[perm[0]])
+        code, out, _ = run(capsys, ["--json", "similar", "--k", "12", _set_text(a), _set_text(c)])
+        assert code == 0 and json.loads(out) == {"schema": "mgk/1", "equivalent": False, "witness": None}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["complete", "--g", "10", "--k", "3"], ["slopes", "--max-len-sq", "2000"]],
+)
+def test_cli_closed_pipe_exits_quietly(argv):
+    # the reader closes the pipe before the command writes anything
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mgk.cli"] + argv,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err
+    assert proc.returncode == 1
 
 
 def test_cli_commensurable_rotated(capsys):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mgk import slopes_symmetry as ss
 from mgk.deformation import (
@@ -80,6 +82,18 @@ def test_length_preserved_exactly():
             for m in mats:
                 pp, qq = m @ (p, q)
                 assert pp * pp + qq * qq - pp * qq == lsq
+
+
+def test_d6_act_matches_matrices():
+    elems = [ss.D6Element(m, f) for m in range(6) for f in (False, True)]
+    for p in range(0, 21):
+        for q in range(-20, 21):
+            if (p == 0 and q != 1) or math.gcd(p, abs(q)) != 1:
+                continue
+            s = ss.Slope(p, q)
+            for e in elems:
+                pp, qq = e.matrix() @ (p, q)
+                assert ss.d6_act(e, s) == ss.Slope.of(int(pp), int(qq))
 
 
 def test_classify_short_slopes():
@@ -187,6 +201,119 @@ def test_enumerate_single_cusp_count():
     assert len(ss.enumerate_equivalent_sets(a)) == 3
     empty = ss.make_slope_set(1, {})
     assert ss.enumerate_equivalent_sets(empty) == [empty]
+
+
+def test_mismatched_tori_counts_raise():
+    # slope sets on different numbers of tori are an input error
+    with pytest.raises(DomainError):
+        ss.slope_sets_equivalent(ss.make_slope_set(2, {}), ss.make_slope_set(3, {}))
+
+
+# --- the canonical form against the exhaustive search -----------------------
+
+
+def _oracle_candidates(orientation_preserving):
+    # rotations act on unoriented slopes through the order-3 quotient;
+    # with reflections there are six effective classes
+    rots = [ss.D6Element(m) for m in range(3)]
+    if orientation_preserving:
+        return rots
+    return rots + [ss.D6Element(m, True) for m in range(3)]
+
+
+def brute_force_equivalent(a, b, orientation_preserving=True):
+    """Search the marked-torus isometry group (permutations semidirect
+    local dihedral/rotation factors) for a witness taking `a` onto `b`.
+    Exhaustive and exact; returns None if no witness exists."""
+    k = len(a)
+    cands = _oracle_candidates(orientation_preserving)
+    for perm in itertools.permutations(range(k)):
+        locals_per_torus = []
+        ok = True
+        for i in range(k):
+            src, dst = a[i], b[perm[i]]
+            if (src is None) != (dst is None):
+                ok = False
+                break
+            if src is None:
+                locals_per_torus.append(ss.D6Element.identity())
+                continue
+            match = next((e for e in cands if ss.d6_act(e, src) == dst), None)
+            if match is None:
+                ok = False
+                break
+            locals_per_torus.append(match)
+        if ok:
+            return ss.SlopeSetIsometry(perm, tuple(locals_per_torus))
+    return None
+
+
+def brute_force_orbit(a):
+    """Full orbit of a slope set under the orientation-preserving group,
+    by brute force; sorted for reproducibility."""
+    k = len(a)
+    rots = _oracle_candidates(orientation_preserving=True)
+    orbit = set()
+    for perm in itertools.permutations(range(k)):
+        for locs in itertools.product(rots, repeat=k):
+            orbit.add(ss.SlopeSetIsometry(perm, locs).apply(a))
+    return sorted(orbit, key=lambda sset: tuple((s.p, s.q) if s else (0, 0) for s in sset))
+
+
+# empty tori, the short orbit of 1/0, both rotation classes of 3/1 (mirror
+# images of each other) and the two dihedral orbits of length sqrt(273), so
+# that draws repeat orbits and meet reflected and equal-length rivals
+_POOL = [None, None] + [
+    s for base in ((1, 0), (3, 1), (19, 11), (16, -1)) for s in ss.d6_orbit(ss.Slope.of(*base))
+]
+_ENTRY = st.sampled_from(_POOL)
+_D6 = st.builds(ss.D6Element, st.integers(0, 5), st.booleans())
+
+
+@st.composite
+def _slope_set_pairs(draw):
+    k = draw(st.integers(1, 5))
+    a = tuple(draw(st.lists(_ENTRY, min_size=k, max_size=k)))
+    if draw(st.booleans()):
+        b = tuple(draw(st.lists(_ENTRY, min_size=k, max_size=k)))
+    else:
+        # an image of `a`, perhaps with one torus redrawn
+        perm = tuple(draw(st.permutations(range(k))))
+        local = tuple(draw(st.lists(_D6, min_size=k, max_size=k)))
+        b = list(ss.SlopeSetIsometry(perm, local).apply(a))
+        if draw(st.booleans()):
+            b[draw(st.integers(0, k - 1))] = draw(_ENTRY)
+        b = tuple(b)
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=_slope_set_pairs(), reflections=st.booleans())
+def test_canonical_form_matches_brute_force(pair, reflections):
+    a, b = pair
+    w = ss.slope_sets_equivalent(a, b, orientation_preserving=not reflections)
+    oracle = brute_force_equivalent(a, b, orientation_preserving=not reflections)
+    assert (w is None) == (oracle is None)
+    if w is not None:
+        assert w.apply(a) == b
+        assert reflections or w.orientation_preserving
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=st.lists(_ENTRY, min_size=1, max_size=4))
+def test_enumerate_matches_brute_force_orbit(a):
+    assert ss.enumerate_equivalent_sets(tuple(a)) == brute_force_orbit(tuple(a))
+
+
+@pytest.mark.parametrize("k,h", [(1, 1), (2, 1), (2, 2), (3, 2), (4, 2), (5, 3), (6, 6), (8, 4)])
+def test_enumerate_count_formula(k, h):
+    # h filled tori carrying one rotation class, the rest empty
+    cls = ss.c6_orbit(ss.Slope(3, 1))
+    a = ss.make_slope_set(k, {i: cls[i % 3] for i in range(h)})
+    orbit = ss.enumerate_equivalent_sets(a)
+    assert len(set(orbit)) == len(orbit)
+    expected = math.factorial(k) * 3**h // (math.factorial(h) * math.factorial(k - h))
+    assert len(orbit) == expected
 
 
 # --- symmetries acting on the variety ---------------------------------------
