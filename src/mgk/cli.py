@@ -71,20 +71,23 @@ def _fmt_c(z) -> str:
 
 def _parse_slope_set(text: str, k: int) -> ss.SlopeSet:
     """Parse "p/q@torus" entries (tori numbered 1..k), comma-separated."""
+    if k < 1:
+        raise DomainError("k must be >= 1, got %d" % k)
     entries = {}
     if text.strip():
         for item in text.split(","):
             item = item.strip()
-            if "@" not in item:
-                raise DomainError("cannot parse slope entry %r (want p/q@i)" % item)
-            pq, at = item.rsplit("@", 1)
-            torus = int(at)
+            try:
+                pq, at = item.rsplit("@", 1)
+                ps, qs = pq.split("/", 1)
+                torus, p, q = int(at), int(ps), int(qs)
+            except ValueError:
+                raise DomainError("cannot parse slope entry %r (want p/q@i)" % item) from None
             if not 1 <= torus <= k:
                 raise DomainError("torus index %d outside 1..%d" % (torus, k))
             if torus - 1 in entries:
                 raise DomainError("torus %d given two slopes" % torus)
-            ps, qs = pq.split("/", 1)
-            entries[torus - 1] = ss.Slope.of(int(ps), int(qs))
+            entries[torus - 1] = ss.Slope.of(p, q)
     return ss.make_slope_set(k, entries)
 
 

@@ -52,7 +52,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .hyptrig import DomainError
 
@@ -147,40 +146,42 @@ def solve_complete(sig: GKSignature) -> CompleteSolution:
         cos(beta) = (2 cos^2(alpha) + 1)/3,
         6 (g-k) beta + 6 k alpha = 2 pi.
 
-    The reduced scalar equation is strictly monotone on (0, pi/(3g)], so
-    bracketing cannot fail; the root is polished to machine precision.
+    Newton solves the length residual side(a) - edge_cosh(beta(a)), with
+    side(a) = (cos^2 a + 1/2)/sin^2 a and beta(a) from the angle sum, using
+    its analytic derivative.  That residual falls strictly from +inf on
+    (0, pi/(3g)], so a bisection bracket kept alongside catches every step
+    that leaves it and the solve cannot fail.  beta(a) carries the rounding
+    of 2pi - 6ka amplified k/(g-k) times, so one final Newton step on the
+    2x2 system (length row, angle-sum row) in (alpha, beta) jointly takes
+    that error out.
     """
+    k, m = sig.k, sig.g - sig.k
 
-    def f(a):
-        return math.cos(_beta_of_alpha(sig, a)) - (2.0 * math.cos(a) ** 2 + 1.0) / 3.0
+    def length(a, b):
+        # the length row at the symmetric point and its d/dalpha, d/dbeta
+        s, c = math.sin(a), math.cos(a)
+        r = (c * c + 0.5) / (s * s) - edge_cosh(b)
+        return r, -3.0 * c / s**3, math.sin(b) / _versine(b) ** 2
 
-    def length_residual(a):
-        # the actual matching residual at the symmetric point; its scale
-        # grows like 2/beta^2 for small beta, so polishing against it
-        # (not against f) puts the assembled residual at the noise floor
-        return (math.cos(a) ** 2 + 0.5) / math.sin(a) ** 2 - edge_cosh(
-            _beta_of_alpha(sig, a)
-        )
-
-    hi = math.pi / (3.0 * sig.g)
-    a = brentq(f, 1e-12, hi, xtol=1e-15, rtol=8.8817841970012523e-16)
-    h = 1e-7
-    for _ in range(4):
-        r = length_residual(a)
-        dr = (length_residual(a + h) - length_residual(a - h)) / (2.0 * h)
-        step = r / dr
-        if not abs(step) < 1e-8:
+    # small-angle start: 3/(2 a^2) = 2/b^2 gives b = 2a/sqrt(3), inside the bracket
+    lo, hi = 0.0, math.pi / (3.0 * sig.g)
+    a = 2.0 * math.pi / (6.0 * k + 12.0 * m / math.sqrt(3.0))
+    for _ in range(100):
+        r, da, db = length(a, _beta_of_alpha(sig, a))
+        if r > 0.0:
+            lo = a
+        else:
+            hi = a
+        step = r / (da - db * k / m)
+        if abs(step) <= 2.0 * np.finfo(float).eps * a:
             break
-        a -= step
-        if step == 0.0:
-            break
+        a = a - step if lo < a - step < hi else 0.5 * (lo + hi)
     b = _beta_of_alpha(sig, a)
-    x0 = np.empty(sig.n_coords)
-    for l in range(2 * sig.k):
-        for j in range(3):
-            x0[alpha_index(l, j)] = a
-            x0[gamma_index(l, j)] = math.pi / 3.0
-    x0[beta_index(sig.k)] = b
+    r, da, db = length(a, b)
+    angle = 6.0 * k * a + 6.0 * m * b - 2.0 * math.pi
+    det = da * 6.0 * m - db * 6.0 * k
+    a, b = a - (6.0 * m * r - db * angle) / det, b - (da * angle - 6.0 * k * r) / det
+    x0 = np.append(np.tile([a, a, a] + [math.pi / 3.0] * 3, 2 * k), b)
     sol = CompleteSolution(alpha_bar=a, beta_bar=b, x0=x0)
     res = residuals(sig, x0)
     # the length rows cannot beat the evaluation noise of their own scale

@@ -74,7 +74,7 @@ def test_solve_complete_against_bisection(g, k):
 @pytest.mark.parametrize("g,k", [(9, 2), (12, 1), (20, 3)])
 def test_solve_complete_wide_signatures(g, k):
     # the matching equation's scale grows like 2/beta^2, so the root must
-    # be polished against the length residual itself to stay certified
+    # be solved against the length residual itself to stay certified
     sig = GKSignature(g, k)
     sol = solve_complete(sig)
     assert np.max(np.abs(residuals(sig, sol.x0))) < 1e-12
@@ -299,10 +299,6 @@ def test_filling_spec_parsing():
 # ---------------------------------------------------------------------------
 # the stable edge kernel and the complete solution over a signature range
 
-# the finite-difference polish of alpha still misses the gate here
-POLISH_FAILURES = [(54, 53), (55, 54), (58, 57), (60, 59)]
-
-
 @pytest.mark.parametrize("g,k", [(10, 3), (13, 1), (33, 32), (65, 64)])
 def test_solve_complete_small_beta_signatures(g, k):
     # beta is small here, and evaluated as 1 - cos(beta) the edge cosh
@@ -317,8 +313,6 @@ def test_solve_complete_sweep():
     failed = []
     for g in range(2, 80):
         for k in range(1, g):
-            if (g, k) in POLISH_FAILURES:
-                continue
             try:
                 solve_complete(GKSignature(g, k))
             except ConvergenceError:
@@ -326,10 +320,48 @@ def test_solve_complete_sweep():
     assert failed == []
 
 
-@pytest.mark.xfail(strict=True, raises=ConvergenceError, reason="finite-difference polish")
-@pytest.mark.parametrize("g,k", POLISH_FAILURES)
-def test_solve_complete_polish_failures(g, k):
-    solve_complete(GKSignature(g, k))
+def test_solve_complete_spot_checks_to_200():
+    # the edges and the middle of every row g <= 200; the near-diagonal
+    # signatures amplify the rounding of beta(alpha) by k/(g-k)
+    sigs = {(g, k) for g in range(2, 201) for k in (1, g - 1, g // 2)} | {(129, 128)}
+    for g, k in sorted(sigs):
+        sig = GKSignature(g, k)
+        sol = solve_complete(sig)
+        gate = max(1e-12, 64 * np.finfo(float).eps * deformation.edge_cosh(sol.beta_bar))
+        assert np.max(np.abs(residuals(sig, sol.x0))) <= gate, (g, k)
+
+
+def mp_complete(g, k):
+    """(alpha_bar, beta_bar) to 50 digits: the length residual at the
+    symmetric point, with beta from the angle sum, solved by mpmath."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        def beta(a):
+            return (2 * mpmath.pi - 6 * k * a) / (6 * (g - k))
+
+        def length(a):
+            b = beta(a)
+            side = (mpmath.cos(a) ** 2 + mpmath.mpf(1) / 2) / mpmath.sin(a) ** 2
+            return side - mpmath.cos(b) / (1 - mpmath.cos(b))
+
+        # the residual falls from +inf on (0, pi/(3g)]; bracket its root
+        hi = mpmath.pi / (3 * g)
+        a = mpmath.findroot(length, (hi / 10, hi), solver="anderson")
+        assert hi / 10 < a < hi
+        return a, beta(a)
+
+
+@pytest.mark.parametrize(
+    "g,k",
+    [(2, 1), (3, 2), (10, 3), (13, 1), (54, 53), (55, 54), (58, 57), (60, 59),
+     (92, 91), (129, 128), (200, 1), (200, 100), (200, 199)],
+)
+def test_solve_complete_matches_high_precision(g, k):
+    sol = solve_complete(GKSignature(g, k))
+    a, b = mp_complete(g, k)
+    assert abs(sol.alpha_bar - a) <= 1e-15 * a
+    assert abs(sol.beta_bar - b) <= 1e-15 * b
 
 
 def test_edge_cosh_matches_high_precision():

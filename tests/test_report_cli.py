@@ -216,6 +216,20 @@ def test_cli_similar(capsys):
     assert code == 0 and out.startswith("equivalent")
 
 
+@pytest.mark.parametrize("entry", ["x/1@1", "3/1@x", "3@1"])
+def test_cli_similar_rejects_malformed_entry(capsys, entry):
+    code, out, err = run(capsys, ["similar", "--k", "2", entry, "3/1@1"])
+    assert code == 2
+    assert out == "" and err.startswith("input error") and repr(entry) in err
+
+
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_cli_similar_rejects_k_below_one(capsys, k):
+    code, out, err = run(capsys, ["similar", "--k", k, "", ""])
+    assert code == 2
+    assert out == "" and err.startswith("input error")
+
+
 def _set_text(sset):
     return ",".join("%d/%d@%d" % (s.p, s.q, i + 1) for i, s in enumerate(sset) if s is not None)
 
@@ -263,6 +277,20 @@ def test_cli_closed_pipe_exits_quietly(argv):
     _, err = proc.communicate(timeout=120)
     assert b"Traceback" not in err and b"BrokenPipeError" not in err
     assert proc.returncode == 1
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy is not a dependency; importing it would dominate CLI start-up
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", "import mgk.cli, sys; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    ).stdout
+    assert out.strip() == "False"
 
 
 def test_cli_commensurable_rotated(capsys):
