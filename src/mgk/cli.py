@@ -133,14 +133,7 @@ def cmd_complete(args) -> int:
 
 def _solve_one(sig, coeffs, args):
     spec = FillingSpec.parse(coeffs, sig.k)
-    if args.allow_short:
-        x = solve_filling(sig, spec, check_length=False)
-    else:
-        if not ss.hyperbolic_filling_check(spec):
-            raise DomainError(
-                "a filled slope is shorter than sqrt(7): filling is not hyperbolic"
-            )
-        x = solve_filling(sig, spec)
+    x = solve_filling(sig, spec, check_length=not args.allow_short)
     return build_report(sig, spec, x, residual_tol=args.tol_residual)
 
 
@@ -158,10 +151,10 @@ def cmd_fill(args) -> int:
     if not args.batch:
         _emit_report(args, _solve_one(sig, args.coeffs, args))
         return EXIT_OK
-    jobs = [c.strip() for c in args.coeffs.split(";") if c.strip()]
+    # every entry is a list, an empty one too (an error record like any other);
     # one after another on this thread: the GIL would serialise threaded
     # solves, adding only hand-off cost and scheduling jitter
-    entries = [_batch_entry(sig, c, args) for c in jobs]
+    entries = [_batch_entry(sig, c.strip(), args) for c in args.coeffs.split(";")]
     if args.json:
         docs = [e if code else report_to_dict(e) for code, e in entries]
         _emit(args, json.dumps(docs, indent=2))

@@ -202,8 +202,8 @@ _ALPHA_COLS = np.array([0, 1, 2, 6, 7, 8])
 _LENGTH_COLS = np.array(
     [[6 * t + (j + 1) % 3, 6 * t + (j + 2) % 3, 6 * t + 3 + j] for t in (0, 1) for j in range(3)]
 ).T
-# as 0/1 selectors: index assignment there made `fill --batch` at k = 1 ~10% slower
-# under its thread pool
+# as 0/1 selectors: one broadcast product scatters the three derivatives of
+# each length row into the block's 12 columns
 _LENGTH_SEL = (_LENGTH_COLS[:, :, None] == np.arange(12)).astype(float)
 _LENGTH_MASK = np.repeat([1.0, 0.0], 6)
 _SINE_SIGNS = np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]]).reshape(2, 1, 1, 3)
@@ -517,21 +517,26 @@ def solve_filling(
 
     Filled coefficients are continued from the far-filled regime: the
     scaled targets (t*p, t*q) are solved for t stepping geometrically
-    down from T0 = max(1, l_safe / min slope length) to 1, warm-starting
-    each step, with the step ratio relaxed on Newton failure.  Fails
-    loudly (ContinuationError) if the path cannot reach t = 1.
+    down from T0 = max(1, l_safe / min slope length) to 1, with the step
+    ratio relaxed on Newton failure.  The targets are linear in s = 1/t
+    and the path leaves the complete structure at s = 0, so each Newton
+    starts at the secant prediction through the last two points of the
+    path (for the first step, the complete structure and the T0
+    solution).  The last point alone is off by the order of the step in
+    s, which at large k cost many line-search halvings per iteration.
+    Fails loudly (ContinuationError) if the path cannot reach t = 1.
     """
     if len(spec.pairs) != sig.k:
         raise DomainError("spec has %d cusps, signature has %d" % (len(spec.pairs), sig.k))
     spec = spec.canonicalized()
-    complete = solve_complete(sig)
-    if spec.filled_count == 0:
-        return complete.x0.copy()
     lmin = spec.min_filled_length()
-    if check_length and lmin < min_length - 1e-12:
+    if check_length and lmin is not None and lmin < min_length - 1e-12:
         raise DomainError(
             "slope of length %.6g below the hyperbolicity threshold sqrt(7)" % lmin
         )
+    complete = solve_complete(sig)
+    if lmin is None:
+        return complete.x0.copy()
 
     def targets_at(t):
         return [None if pq is None else (t * pq[0], t * pq[1]) for pq in spec.pairs]
@@ -539,11 +544,16 @@ def solve_filling(
     t0 = max(1.0, l_safe / lmin)
     x = _newton(sig, complete.x0, targets_at(t0), tol)
     t_good = t0
+    # the last two points of the path in s = 1/t, where the targets are
+    # linear; it leaves the complete structure at s = 0
+    s_prev, x_prev = 0.0, complete.x0
     rho = 1.5
     while t_good > 1.0:
         t_next = max(1.0, t_good / rho)
+        s_good = 1.0 / t_good
+        guess = x + (x - x_prev) * ((1.0 / t_next - s_good) / (s_good - s_prev))
         try:
-            x_next = _newton(sig, x, targets_at(t_next), tol)
+            x_next = _newton(sig, guess, targets_at(t_next), tol)
         except ConvergenceError:
             rho = 1.0 + (rho - 1.0) / 2.0
             if t_good - max(1.0, t_good / rho) < 1e-4:
@@ -551,6 +561,7 @@ def solve_filling(
                     "continuation step underflow at t=%g" % t_good, t_good
                 ) from None
             continue
+        s_prev, x_prev = s_good, x
         x, t_good = x_next, t_next
     return x
 

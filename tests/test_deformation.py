@@ -459,3 +459,83 @@ def test_filling_property_random_long_slopes(seed, k, extra):
     for c, (p, q) in enumerate(FillingSpec.from_pairs(k, pairs).canonicalized().pairs):
         pc, qc = dehn_coefficients(x, c)
         assert abs(pc - p) < 1e-9 and abs(qc - q) < 1e-9
+
+
+SQRT7_SLOPES = [(3.0, 1.0), (3.0, 2.0), (1.0, 3.0), (2.0, 3.0), (2.0, -1.0), (1.0, -2.0)]
+
+
+@pytest.mark.parametrize("k", [16, 32, 64])
+def test_filling_newton_steps_flat_in_k(monkeypatch, k):
+    # every cusp on a threshold slope gives the longest path, t0 = 20/sqrt(7);
+    # warm-starting each step at the previous point took 116, 312 and 846 steps
+    sig = GKSignature(k + 1, k)
+    pairs = [SQRT7_SLOPES[c % 6] for c in range(k)]
+    calls, step = [], deformation._block_step
+    monkeypatch.setattr(deformation, "_block_step", lambda *a: calls.append(1) or step(*a))
+    x = solve_filling(sig, FillingSpec.from_pairs(k, pairs))
+    assert len(calls) <= 40
+    assert np.max(np.abs(residuals(sig, x))) < 1e-10
+    for c, (p, q) in enumerate(FillingSpec.from_pairs(k, pairs).canonicalized().pairs):
+        pc, qc = dehn_coefficients(x, c)
+        assert abs(pc - p) < 1e-9 and abs(qc - q) < 1e-9
+
+
+def warm_start_continuation(sig, pairs, l_safe=20.0, tol=1e-10):
+    """Oracle: the continuation of `solve_filling` over the same schedule in
+    t, each Newton started at the previous point of the path."""
+    spec = FillingSpec.from_pairs(sig.k, pairs).canonicalized()
+
+    def targets_at(t):
+        return [None if pq is None else (t * pq[0], t * pq[1]) for pq in spec.pairs]
+
+    t = max(1.0, l_safe / spec.min_filled_length())
+    x = deformation._newton(sig, solve_complete(sig).x0, targets_at(t), tol)
+    rho = 1.5
+    while t > 1.0:
+        t_next = max(1.0, t / rho)
+        try:
+            x = deformation._newton(sig, x, targets_at(t_next), tol)
+        except ConvergenceError:
+            rho = 1.0 + (rho - 1.0) / 2.0
+            assert t - max(1.0, t / rho) >= 1e-4
+            continue
+        t = t_next
+    return x
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 4),
+    extra=st.integers(1, 3),
+    threshold=st.booleans(),
+)
+def test_filling_predictor_stays_on_the_warm_start_branch(seed, k, extra, threshold):
+    sig = GKSignature(k + extra, k)
+    rng = np.random.default_rng(seed)
+    pairs = [None if rng.random() < 0.25 else pq for pq in random_pairs(rng, k, 2.7, 20.0)]
+    if threshold or all(pq is None for pq in pairs):
+        pairs[0] = SQRT7_SLOPES[rng.integers(6)]
+    x = solve_filling(sig, FillingSpec.from_pairs(k, pairs))
+    assert np.max(np.abs(x - warm_start_continuation(sig, pairs))) < 1e-9
+
+
+def test_filling_predictor_stays_on_the_warm_start_branch_k16():
+    k = 16
+    sig = GKSignature(k + 1, k)
+    pairs = [SQRT7_SLOPES[c % 6] if c % 4 else (5.0, 1.0) for c in range(k)]
+    x = solve_filling(sig, FillingSpec.from_pairs(k, pairs))
+    assert np.max(np.abs(x - warm_start_continuation(sig, pairs))) < 1e-9
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("extra", [1, 3])
+@pytest.mark.parametrize("short", [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (2.0, 1.0), (1.0, 2.0), (1.0, -1.0)])
+@pytest.mark.parametrize("rest", [None, (5.0, 1.0)])
+def test_filling_below_threshold_fails_honestly(k, extra, short, rest):
+    # no hyperbolic structure below length sqrt(7): the predictor must not
+    # carry the path to a point anyway
+    sig = GKSignature(k + extra, k)
+    pairs = [short] + [rest] * (k - 1)
+    with pytest.raises(ContinuationError):
+        solve_filling(sig, FillingSpec.from_pairs(k, pairs), check_length=False)

@@ -167,6 +167,30 @@ def test_cli_fill_batch_errors_per_entry(capsys):
     assert "\n\nerror           10/2: input error: " in out
 
 
+@pytest.mark.parametrize("coeffs", [";", "", "5/1,3/1; "])
+def test_cli_fill_batch_empty_list_is_an_error(capsys, coeffs):
+    # an empty list fails as it does without --batch: exit 2, same message
+    code, _, err = run(capsys, ["fill", "--g", "3", "--k", "2", "--coeffs", ""])
+    assert code == 2
+    message = err.strip()
+    assert message == "input error: expected 2 comma-separated entries, got 1"
+    record = {"schema": "mgk/1", "coeffs": "", "error": {"exit": 2, "message": message}}
+    entries = [c.strip() for c in coeffs.split(";")]
+    argv = ["fill", "--g", "3", "--k", "2", "--coeffs", coeffs, "--batch"]
+    code, out, _ = run(capsys, ["--json"] + argv)
+    assert code == 2
+    docs = json.loads(out)
+    assert len(docs) == len(entries)
+    for entry, doc in zip(entries, docs):
+        assert (doc == record) == (entry == "")
+    code, out, _ = run(capsys, argv)
+    assert code == 2
+    blocks = out.rstrip("\n").split("\n\n")
+    assert len(blocks) == len(entries)
+    for entry, block in zip(entries, blocks):
+        assert (block == "error           : " + message) == (entry == "")
+
+
 def test_cli_fill_equal_invariants_inequivalent_slopes(capsys):
     code1, out1, _ = run(
         capsys, ["--json", "fill", "--g", "2", "--k", "1", "--coeffs", "19/11"]
