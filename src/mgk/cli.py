@@ -6,7 +6,6 @@ trace.  Human-readable tables by default, machine-readable JSON with
 """
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -27,7 +26,7 @@ from .deformation import (
     tangent_basis,
 )
 from .hyptrig import DomainError
-from .report import build_report, report_to_dict, report_to_json
+from .report import build_report, report_to_dict, report_to_json, to_json
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -38,7 +37,10 @@ def _env_float(name, default):
     val = os.environ.get(name)
     if val is None:
         return default
-    return float(val)
+    try:
+        return float(val)
+    except ValueError:
+        raise DomainError("%s=%r is not a number" % (name, val)) from None
 
 
 def _emit(args, text: str) -> None:
@@ -58,6 +60,8 @@ def _failure(exc):
     if isinstance(exc, DomainError):
         return EXIT_INPUT, "input error: %s" % exc
     if isinstance(exc, ContinuationError):
+        if exc.last_good_t is None:
+            return EXIT_NUMERIC, "numerical failure: %s (no continuation step was solved)" % exc
         return EXIT_NUMERIC, "numerical failure: %s (last good multiplier %.6g)" % (
             exc,
             exc.last_good_t,
@@ -157,7 +161,7 @@ def cmd_fill(args) -> int:
     entries = [_batch_entry(sig, c.strip(), args) for c in args.coeffs.split(";")]
     if args.json:
         docs = [e if code else report_to_dict(e) for code, e in entries]
-        _emit(args, json.dumps(docs, indent=2))
+        _emit(args, to_json(docs))
     else:
         blocks = [
             "error           %s: %s" % (e["coeffs"], e["error"]["message"])
@@ -184,7 +188,7 @@ def cmd_slopes(args) -> int:
                 for lsq, orbits in table
             ],
         }
-        _emit(args, json.dumps(doc, indent=2))
+        _emit(args, to_json(doc))
         return EXIT_OK
     lines = ["L^2   L        orbit size  representatives"]
     for lsq, orbits in table:
@@ -213,7 +217,7 @@ def cmd_similar(args) -> int:
                 "orientation_preserving": witness.orientation_preserving,
             },
         }
-        _emit(args, json.dumps(doc, indent=2))
+        _emit(args, to_json(doc))
     elif witness is None:
         _emit(args, "not equivalent: no witness isometry")
     else:
@@ -259,7 +263,7 @@ def cmd_commensurable(args) -> int:
                 }
             )
     if args.json:
-        _emit(args, json.dumps({"schema": "mgk/1", "structures": rows, "pairs": verdicts}, indent=2))
+        _emit(args, to_json({"schema": "mgk/1", "structures": rows, "pairs": verdicts}))
     else:
         lines = []
         for r in rows:
@@ -288,7 +292,7 @@ def cmd_tangent(args) -> int:
             "max_jacobian_product": float(jn),
             "singular_values": [float(s) for s in sv],
         }
-        _emit(args, json.dumps(doc, indent=2))
+        _emit(args, to_json(doc))
     else:
         lines = ["tangent space dimension %d" % (2 * sig.k)]
         lines.append("max |J b| over basis vectors: %.3g" % jn)
@@ -300,6 +304,8 @@ def cmd_tangent(args) -> int:
 
 def cmd_trace(args) -> int:
     sig = GKSignature(args.g, args.k)
+    if args.grid is not None and args.grid < 1:
+        raise DomainError("--grid must be at least 1, got %d" % args.grid)
     rows = []
     r0_values = (
         [args.r0]
@@ -327,7 +333,7 @@ def cmd_trace(args) -> int:
     if not rows:
         raise DomainError("no admissible r0 values in the requested range")
     if args.json:
-        _emit(args, json.dumps({"schema": "mgk/1", "delta": args.delta, "rows": rows}, indent=2))
+        _emit(args, to_json({"schema": "mgk/1", "delta": args.delta, "rows": rows}))
     else:
         lines = ["r0        trace       trace''     stima>0"]
         for r in rows:
@@ -431,13 +437,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        # the parser reads its defaults from the environment, so building it can fail too
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
-    try:
-        return args.func(args)
     except _FAILURES as exc:
         code, message = _failure(exc)
         print(message, file=sys.stderr)

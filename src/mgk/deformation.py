@@ -59,6 +59,11 @@ SQRT7 = math.sqrt(7.0)
 
 # working margin keeping iterates strictly inside (0, pi)
 _CLIP = 1e-8
+_MAX_ITER = 25
+# residual sup-norm a filling is solved to
+_FILL_TOL = 1e-10
+# the first continuation step scales the shortest filled slope to this length
+_L_SAFE = 20.0
 
 
 class ConvergenceError(RuntimeError):
@@ -66,8 +71,9 @@ class ConvergenceError(RuntimeError):
 
 
 class ContinuationError(ConvergenceError):
-    """Continuation step underflow; `last_good_t` is the smallest scale
-    multiplier at which a solution was still found."""
+    """The continuation could not reach t = 1; `last_good_t` is the
+    smallest scale multiplier at which a solution was still found, or
+    None when Newton already failed at the first multiplier."""
 
     def __init__(self, message, last_good_t):
         super().__init__(message)
@@ -472,16 +478,23 @@ def _block_step(sig: GKSignature, r: np.ndarray, A: np.ndarray, dbeta: float) ->
     return step
 
 
-def _newton(sig: GKSignature, x0: np.ndarray, targets, tol: float, max_iter: int = 25):
-    """Damped Newton on the square system with block-arrow steps;
-    backtracks on the residual sup-norm and clips iterates into the open
-    angle box."""
-    rows = _linear_rows(targets)
+def _newton(sig: GKSignature, x0: np.ndarray, rows, tol: float) -> np.ndarray:
+    """Damped Newton with block-arrow steps on the square system whose
+    linear block rows are `rows` (L, S, o, as for `_evaluate`), until the
+    residual sup-norm is below `tol`.  Clips iterates into the open angle
+    box.  The line search backtracks on the sup-norm with each length row
+    divided by |edge_cosh(beta)| at x0: those rows have that scale, about
+    4e4 at g = 150, and undivided they drown the others, so that the
+    search halves steps that are good and Newton crawls."""
     x = _clip(np.array(x0, dtype=float))
     r, blocks = _evaluate(sig, x, rows)
-    norm = np.abs(r).max()
-    for _ in range(max_iter):
-        if norm < tol:
+    weight = np.ones_like(r)
+    weight[:-1].reshape(sig.k, 12)[:, :6] = 1.0 / max(1.0, abs(edge_cosh(x[-1])))
+    merit = np.abs(weight * r).max()
+    # weight <= 1, so merit < tol is necessary for convergence and the
+    # sup-norm need only be taken then
+    for _ in range(_MAX_ITER):
+        if merit < tol and np.abs(r).max() < tol:
             return x
         try:
             step = _block_step(sig, r, *blocks())
@@ -491,33 +504,28 @@ def _newton(sig: GKSignature, x0: np.ndarray, targets, tol: float, max_iter: int
         for _ in range(30):
             xn = _clip(x - lam * step)
             rn, bn = _evaluate(sig, xn, rows)
-            nn = np.abs(rn).max()
-            if nn < norm or nn < tol:
+            mn = np.abs(weight * rn).max()
+            if mn < merit or (mn < tol and np.abs(rn).max() < tol):
                 break
             lam *= 0.5
         else:
-            raise ConvergenceError("line search stalled at residual %g" % norm)
-        x, r, blocks, norm = xn, rn, bn, nn
+            raise ConvergenceError("line search stalled at residual %g" % np.abs(r).max())
+        x, r, blocks, merit = xn, rn, bn, mn
+    norm = np.abs(r).max()
     if norm < tol:
         return x
-    raise ConvergenceError("no convergence: residual %g after %d iterations" % (norm, max_iter))
+    raise ConvergenceError("no convergence: residual %g after %d iterations" % (norm, _MAX_ITER))
 
 
-def solve_filling(
-    sig: GKSignature,
-    spec: FillingSpec,
-    *,
-    l_safe: float = 20.0,
-    tol: float = 1e-10,
-    min_length: float = SQRT7,
-    check_length: bool = True,
-) -> np.ndarray:
+def solve_filling(sig: GKSignature, spec: FillingSpec, *, check_length: bool = True) -> np.ndarray:
     """Solve the square 12k+1 system: structure residuals plus, per cusp,
-    p*u + q*v = 2*pi*i (filled) or u = 0 (complete).
+    p*u + q*v = 2*pi*i (filled) or u = 0 (complete), to a residual
+    sup-norm below 1e-10.  Declared range: g <= 200 and k <= 64, where
+    every signature with any slope of length >= sqrt(7) is meant to solve.
 
     Filled coefficients are continued from the far-filled regime: the
     scaled targets (t*p, t*q) are solved for t stepping geometrically
-    down from T0 = max(1, l_safe / min slope length) to 1, with the step
+    down from T0 = max(1, 20 / min slope length) to 1, with the step
     ratio relaxed on Newton failure.  The targets are linear in s = 1/t
     and the path leaves the complete structure at s = 0, so each Newton
     starts at the secant prediction through the last two points of the
@@ -525,12 +533,13 @@ def solve_filling(
     solution).  The last point alone is off by the order of the step in
     s, which at large k cost many line-search halvings per iteration.
     Fails loudly (ContinuationError) if the path cannot reach t = 1.
+    With `check_length`, a slope shorter than sqrt(7) is a DomainError.
     """
     if len(spec.pairs) != sig.k:
         raise DomainError("spec has %d cusps, signature has %d" % (len(spec.pairs), sig.k))
     spec = spec.canonicalized()
     lmin = spec.min_filled_length()
-    if check_length and lmin is not None and lmin < min_length - 1e-12:
+    if check_length and lmin is not None and lmin < SQRT7 - 1e-12:
         raise DomainError(
             "slope of length %.6g below the hyperbolicity threshold sqrt(7)" % lmin
         )
@@ -538,11 +547,14 @@ def solve_filling(
     if lmin is None:
         return complete.x0.copy()
 
-    def targets_at(t):
-        return [None if pq is None else (t * pq[0], t * pq[1]) for pq in spec.pairs]
+    def rows_at(t):
+        return _linear_rows([None if pq is None else (t * pq[0], t * pq[1]) for pq in spec.pairs])
 
-    t0 = max(1.0, l_safe / lmin)
-    x = _newton(sig, complete.x0, targets_at(t0), tol)
+    t0 = max(1.0, _L_SAFE / lmin)
+    try:
+        x = _newton(sig, complete.x0, rows_at(t0), _FILL_TOL)
+    except ConvergenceError as exc:
+        raise ContinuationError("first step at t=%g failed: %s" % (t0, exc), None) from None
     t_good = t0
     # the last two points of the path in s = 1/t, where the targets are
     # linear; it leaves the complete structure at s = 0
@@ -553,7 +565,7 @@ def solve_filling(
         s_good = 1.0 / t_good
         guess = x + (x - x_prev) * ((1.0 / t_next - s_good) / (s_good - s_prev))
         try:
-            x_next = _newton(sig, guess, targets_at(t_next), tol)
+            x_next = _newton(sig, guess, rows_at(t_next), _FILL_TOL)
         except ConvergenceError:
             rho = 1.0 + (rho - 1.0) / 2.0
             if t_good - max(1.0, t_good / rho) < 1e-4:
@@ -610,39 +622,23 @@ def varsigma_derivatives(sig: GKSignature) -> Tuple[np.ndarray, np.ndarray]:
     return first, second
 
 
-def varsigma_point(sig: GKSignature, t: float, *, tol: float = 1e-12) -> np.ndarray:
+def varsigma_point(sig: GKSignature, t: float) -> np.ndarray:
     """Solve for the point at parameter t on the constrained curve
 
         { x_2 = x_3,  per-cusp blocks 2..k complete } on the variety,
 
     parameterized by x_1 - x_7 = 4 sin(alpha_bar) t, which pins the
     reparameterization freedom so that the second derivative satisfies
-    the x_1/x_7 normalization of `varsigma_derivatives`."""
+    the x_1/x_7 normalization of `varsigma_derivatives`.  The constraints
+    take the place of the cusp rows 10-11 of each block, so one `_newton`
+    from the second-order start solves the square system to 1e-12: on
+    cusp 0, x_2 - x_3 and the pin; on cusp c >= 1, alpha_0 - alpha_1 and
+    alpha_1 - alpha_2 of its first tetrahedron."""
     cs = solve_complete(sig)
     first, second = varsigma_derivatives(sig)
-    n = sig.n_coords
-    k = sig.k
-    rows = []
-    # x_2 = x_3 (0-based coords 1, 2)
-    r = np.zeros(n); r[1], r[2] = 1.0, -1.0
-    rows.append(r)
-    for c in range(1, k):
-        r = np.zeros(n); r[12 * c + 0], r[12 * c + 1] = 1.0, -1.0
-        rows.append(r)
-        r = np.zeros(n); r[12 * c + 1], r[12 * c + 2] = 1.0, -1.0
-        rows.append(r)
-    rpin = np.zeros(n); rpin[0], rpin[6] = 1.0, -1.0
-    rows.append(rpin)
-    C = np.array(rows)
-    target = np.zeros(len(rows))
-    target[-1] = 4.0 * math.sin(cs.alpha_bar) * t
-
-    x = _clip(cs.x0 + t * first + 0.5 * t * t * second)
-    for _ in range(50):
-        r_full = np.concatenate([residuals(sig, x), C @ x - target])
-        norm = np.max(np.abs(r_full))
-        if norm < tol:
-            return x
-        J = np.vstack([jacobian(sig, x), C])
-        x = _clip(x - np.linalg.solve(J, r_full))
-    raise ConvergenceError("curve point at t=%g did not converge (residual %g)" % (t, norm))
+    L, S, o = _linear_rows([None] * sig.k)
+    L[:, 10:12], S[:, 10:12], o[:, 10:12] = 0.0, 0.0, 0.0
+    L[0, 10, 1:3] = L[1:, 11, 1:3] = L[1:, 10, 0:2] = (1.0, -1.0)
+    L[0, 11, 0], L[0, 11, 6] = 1.0, -1.0
+    o[0, 11] = 4.0 * math.sin(cs.alpha_bar) * t
+    return _newton(sig, cs.x0 + t * first + 0.5 * t * t * second, (L, S, o), 1e-12)

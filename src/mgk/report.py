@@ -2,7 +2,6 @@
 serializable to a stable versioned JSON document."""
 
 import json
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -50,7 +49,6 @@ def build_report(
     spec: FillingSpec,
     x: np.ndarray,
     residual_tol: float = 1e-9,
-    complete_tol: float = 1e-8,
 ) -> StructureReport:
     """Assemble the invariant panel of a solved structure.  Refuses to
     report anything whose residual norm exceeds `residual_tol`."""
@@ -63,7 +61,7 @@ def build_report(
         coeffs = dehn_coefficients(x, c)
         if pq is None:
             cl = None
-            modulus = ci.cusp_modulus(x, c, complete_tol=complete_tol)
+            modulus = ci.cusp_modulus(x, c)
         else:
             modulus = None
             p, q = pq
@@ -90,44 +88,6 @@ def build_report(
         inv = abc(x, XkSignature(sig.k))
         report.abc = (inv.a, inv.b, inv.c)
     return report
-
-
-# --- JSON serialization -----------------------------------------------------
-#
-# Floats are emitted with 17 significant digits so documents reproduce
-# bit-identically across runs and parse back to the same doubles.  The
-# stdlib encoder offers no float-format hook, so the (small, fixed-shape)
-# document is rendered by hand.
-
-
-def _dumps(obj, indent: int = 0) -> str:
-    pad = "  " * indent
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise DomainError("non-finite value %r in report" % obj)
-        return format(obj, ".17g")
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = ",\n".join(pad + "  " + _dumps(v, indent + 1) for v in obj)
-        return "[\n%s\n%s]" % (inner, pad)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = ",\n".join(
-            "%s  %s: %s" % (pad, json.dumps(str(k)), _dumps(v, indent + 1))
-            for k, v in obj.items()
-        )
-        return "{\n%s\n%s}" % (inner, pad)
-    raise DomainError("cannot serialize %r" % type(obj))
 
 
 def _c2j(z: Optional[complex]):
@@ -160,8 +120,18 @@ def report_to_dict(rep: StructureReport) -> dict:
     }
 
 
+def to_json(doc) -> str:
+    """The JSON text of a document.  Python's float repr is the shortest
+    string that parses back to the same double, so values round-trip
+    exactly; NaN and infinities, which JSON lacks, are a DomainError."""
+    try:
+        return json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise DomainError("cannot write JSON: %s" % exc) from None
+
+
 def report_to_json(rep: StructureReport) -> str:
-    return _dumps(report_to_dict(rep))
+    return to_json(report_to_dict(rep))
 
 
 def _j2c(v) -> Optional[complex]:

@@ -140,7 +140,7 @@ def test_return_path_length_value_and_monotonicity():
 def test_return_path_is_hexagon_rule_composition():
     # the compact edge is the internal edge of a regular right-angled
     # hexagon whose boundary sides all have cosh = cos(b)/(1-cos(b))
-    from mgk.hyptrig import hexagon_side_cosh
+    from trig_rules import hexagon_side_cosh
 
     sol = solve_complete(GKSignature(2, 1))
     c = math.cos(sol.beta_bar) / (1.0 - math.cos(sol.beta_bar))

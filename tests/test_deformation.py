@@ -485,16 +485,17 @@ def warm_start_continuation(sig, pairs, l_safe=20.0, tol=1e-10):
     t, each Newton started at the previous point of the path."""
     spec = FillingSpec.from_pairs(sig.k, pairs).canonicalized()
 
-    def targets_at(t):
-        return [None if pq is None else (t * pq[0], t * pq[1]) for pq in spec.pairs]
+    def rows_at(t):
+        targets = [None if pq is None else (t * pq[0], t * pq[1]) for pq in spec.pairs]
+        return deformation._linear_rows(targets)
 
     t = max(1.0, l_safe / spec.min_filled_length())
-    x = deformation._newton(sig, solve_complete(sig).x0, targets_at(t), tol)
+    x = deformation._newton(sig, solve_complete(sig).x0, rows_at(t), tol)
     rho = 1.5
     while t > 1.0:
         t_next = max(1.0, t / rho)
         try:
-            x = deformation._newton(sig, x, targets_at(t_next), tol)
+            x = deformation._newton(sig, x, rows_at(t_next), tol)
         except ConvergenceError:
             rho = 1.0 + (rho - 1.0) / 2.0
             assert t - max(1.0, t / rho) >= 1e-4
@@ -539,3 +540,54 @@ def test_filling_below_threshold_fails_honestly(k, extra, short, rest):
     pairs = [short] + [rest] * (k - 1)
     with pytest.raises(ContinuationError):
         solve_filling(sig, FillingSpec.from_pairs(k, pairs), check_length=False)
+
+
+# the declared range of solve_filling: g <= 200, k <= 64
+
+SWEEP_G = list(range(2, 41)) + [50, 60, 80, 100, 150, 200]
+
+
+@pytest.mark.parametrize("pq", [(3.0, 1.0), (5.0, 1.0), (1.0, 3.0), (7.0, 2.0)])
+def test_filling_sweep_to_200(pq):
+    # one slope on the first cusp, the others complete, at the edges and the
+    # middle of each row; every case with g in {150, 200} and k <= 2 failed
+    # while the line search weighed the length rows, of scale edge_cosh(beta),
+    # against the cusp rows unscaled
+    failed = []
+    for g in SWEEP_G:
+        for k in sorted({1, 2, g // 2, g - 1}):
+            if k >= g or k > 64:
+                continue
+            sig = GKSignature(g, k)
+            try:
+                x = solve_filling(sig, FillingSpec.from_pairs(k, [pq] + [None] * (k - 1)))
+            except ConvergenceError:
+                failed.append((g, k))
+                continue
+            assert np.max(np.abs(residuals(sig, x))) < 1e-10, (g, k)
+            pc, qc = dehn_coefficients(x, 0)
+            assert abs(pc - pq[0]) < 1e-9 and abs(qc - pq[1]) < 1e-9, (g, k)
+    assert failed == []
+
+
+@pytest.mark.parametrize("g", [131, 132])
+def test_filling_large_g_spot_checks(monkeypatch, g):
+    # 5/1 first failed at g = 132; at g = 131 it took 38 Newton steps
+    sig = GKSignature(g, 1)
+    calls, step = [], deformation._block_step
+    monkeypatch.setattr(deformation, "_block_step", lambda *a: calls.append(1) or step(*a))
+    x = solve_filling(sig, FillingSpec.from_pairs(1, [(5.0, 1.0)]))
+    assert len(calls) <= 30
+    assert np.max(np.abs(residuals(sig, x))) < 1e-10
+    pc, qc = dehn_coefficients(x, 0)
+    assert abs(pc - 5.0) < 1e-9 and abs(qc - 1.0) < 1e-9
+
+
+def test_filling_first_step_failure_is_a_continuation_error(monkeypatch):
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(deformation, "_block_step", singular)
+    with pytest.raises(ContinuationError) as info:
+        solve_filling(GKSignature(2, 1), FillingSpec.from_pairs(1, [(5.0, 1.0)]))
+    assert info.value.last_good_t is None

@@ -2,13 +2,8 @@ import math
 
 import pytest
 
-from mgk.hyptrig import (
-    DomainError,
-    hexagon_side_cosh,
-    log_sinh,
-    triangle_side_cosh,
-    triangle_sides,
-)
+from mgk.hyptrig import DomainError
+from trig_rules import hexagon_side_cosh, log_sinh, triangle_side_cosh, triangle_sides
 
 
 def test_equilateral_pi_over_4_closed_form():

@@ -9,13 +9,16 @@ import numpy as np
 import pytest
 
 from mgk import cli
+from mgk import deformation
 from mgk import slopes_symmetry as ss
 from mgk.deformation import FillingSpec, GKSignature, solve_filling
+from mgk.hyptrig import DomainError
 from mgk.report import (
     build_report,
     report_from_json,
     report_to_dict,
     report_to_json,
+    to_json,
 )
 
 
@@ -34,14 +37,25 @@ def test_report_round_trip():
     assert report_to_json(back) == report_to_json(rep)
 
 
-def test_report_floats_have_17_digits():
+def test_report_floats_round_trip_exactly():
+    sig = GKSignature(3, 2)
+    spec = FillingSpec.from_pairs(2, [None, (5.0, 1.0)])
+    rep = build_report(sig, spec, solve_filling(sig, spec))
+    coords = json.loads(report_to_json(rep))["coords"]
+    assert len(coords) == len(rep.coords)
+    assert all(a.hex() == b.hex() for a, b in zip(coords, rep.coords))
+
+
+def test_report_with_nan_is_refused():
     sig = GKSignature(2, 1)
     spec = FillingSpec.from_pairs(1, [(5.0, 1.0)])
     rep = build_report(sig, spec, solve_filling(sig, spec))
-    doc = report_to_json(rep)
-    # the solved coordinates are non-trivial doubles: 17 significant digits
-    coord = json.loads(doc)["coords"][0]
-    assert format(coord, ".17g") in doc
+    rep.return_path_length = float("nan")
+    with pytest.raises(DomainError):
+        report_to_json(rep)
+    # the batch document goes through the same encoder
+    with pytest.raises(DomainError):
+        to_json([report_to_dict(rep)])
 
 
 def test_report_refuses_bad_residual():
@@ -123,6 +137,16 @@ def test_cli_fill_continuation_failure_exit_3(capsys):
     )
     assert code == 3
     assert "last good multiplier" in err
+
+
+def test_cli_fill_first_step_failure_exit_3(monkeypatch, capsys):
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(deformation, "_block_step", singular)
+    code, _, err = run(capsys, ["fill", "--g", "2", "--k", "1", "--coeffs", "5/1"])
+    assert code == 3
+    assert "no continuation step was solved" in err
 
 
 def test_cli_fill_batch(capsys):
@@ -373,3 +397,16 @@ def test_cli_env_tolerance(monkeypatch, capsys):
     code, _, err = run(capsys, ["complete", "--g", "2", "--k", "1"])
     # the complete solution cannot beat 1e-30, so reporting refuses
     assert code == 2
+
+
+def test_cli_trace_grid_below_one_is_an_input_error(capsys):
+    code, out, err = run(capsys, ["trace", "--g", "2", "--k", "1", "--grid", "-1"])
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and "--grid" in err
+
+
+def test_cli_env_tolerance_not_a_number(monkeypatch, capsys):
+    monkeypatch.setenv("MGK_TOL_RESIDUAL", "abc")
+    code, out, err = run(capsys, ["complete", "--g", "2", "--k", "1"])
+    assert code == 2 and out == ""
+    assert err.startswith("input error:") and "MGK_TOL_RESIDUAL" in err

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from mgk import tetrahedron as tt
+import tetrahedron as tt
 from mgk.deformation import (
     FillingSpec,
     GKSignature,

@@ -1,7 +1,8 @@
-"""A single partially truncated tetrahedron.
+"""A single partially truncated tetrahedron: an independent oracle that
+the tests check the vectorised residual kernel against.
 
-Vertex/edge conventions, fixed once and indexed through by every other
-module (all indices 0-based):
+Vertex/edge conventions, the ones `mgk.deformation` lays out its
+coordinates by (all indices 0-based):
 
   * vertices 0, 1, 2 span the compact face; vertex 3 is the apex and is
     the ideal vertex when there is one;
@@ -21,13 +22,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .hyptrig import (
-    DomainError,
-    EPS_DOM,
-    hexagon_side_cosh,
-    log_sinh,
-    triangle_side_cosh,
-)
+from mgk.hyptrig import DomainError
+from trig_rules import EPS_DOM, hexagon_side_cosh, log_sinh, triangle_side_cosh
 
 IDEAL_SUM_TOL = 1e-9
 
