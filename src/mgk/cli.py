@@ -9,6 +9,7 @@ import argparse
 import math
 import os
 import sys
+import textwrap
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .deformation import (
     tangent_basis,
 )
 from .hyptrig import DomainError
-from .report import build_report, report_to_dict, report_to_json, to_json
+from .report import build_report, report_to_json, to_json
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -142,12 +143,17 @@ def _solve_one(sig, coeffs, args):
 
 
 def _batch_entry(sig, coeffs, args):
-    """One list of a batch: (exit code, its report or its error record)."""
+    """One list of a batch: its exit code and its text, a report or an error
+    record.  Each list is written here, so that a report JSON cannot hold
+    (a NaN) becomes that list's own error record."""
     try:
-        return EXIT_OK, _solve_one(sig, coeffs, args)
+        rep = _solve_one(sig, coeffs, args)
+        return EXIT_OK, report_to_json(rep) if args.json else _report_lines(rep)
     except _FAILURES as exc:
         code, message = _failure(exc)
-        return code, {"schema": "mgk/1", "coeffs": coeffs, "error": {"exit": code, "message": message}}
+    if args.json:
+        return code, to_json({"schema": "mgk/1", "coeffs": coeffs, "error": {"exit": code, "message": message}})
+    return code, "error           %s: %s" % (coeffs, message)
 
 
 def cmd_fill(args) -> int:
@@ -159,18 +165,13 @@ def cmd_fill(args) -> int:
     # one after another on this thread: the GIL would serialise threaded
     # solves, adding only hand-off cost and scheduling jitter
     entries = [_batch_entry(sig, c.strip(), args) for c in args.coeffs.split(";")]
+    texts = [text for _, text in entries]
     if args.json:
-        docs = [e if code else report_to_dict(e) for code, e in entries]
-        _emit(args, to_json(docs))
+        # the JSON array of the entries, as to_json would indent it
+        _emit(args, "[\n%s\n]" % ",\n".join(textwrap.indent(t, "  ") for t in texts))
     else:
-        blocks = [
-            "error           %s: %s" % (e["coeffs"], e["error"]["message"])
-            if code
-            else _report_lines(e)
-            for code, e in entries
-        ]
-        _emit(args, "\n\n".join(blocks))
-    return max((code for code, _ in entries), default=EXIT_OK)
+        _emit(args, "\n\n".join(texts))
+    return max(code for code, _ in entries)
 
 
 def cmd_slopes(args) -> int:

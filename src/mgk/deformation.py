@@ -237,14 +237,16 @@ def _linear_rows(targets):
     a filled cusp's rows are Re and Im of p u + q v - 2 pi i; a complete
     cusp's are those of u, i.e. (p, q) = (1, 0) without the 2 pi i."""
     k = len(targets)
+    filled = np.array([t is not None for t in targets])
+    pq = np.array([t if t is not None else (1.0, 0.0) for t in targets], dtype=float)
+    p, q = pq[:, :1], pq[:, 1:]
     L, S, o = np.zeros((k, 12, 12)), np.zeros((k, 12, 12)), np.zeros((k, 12))
     L[:, 6, 3:6] = L[:, 7, 9:12] = 1.0
     o[:, 6:8] = math.pi
-    for c, t in enumerate(targets):
-        p, q = (1.0, 0.0) if t is None else t
-        S[c, 10, 3:6], S[c, 10, 9:12] = (p, q - p, -q), (-p, p - q, q)
-        L[c, 11, 3:6], L[c, 11, 9:12] = (q, 0.0, p), (-q, 0.0, -p)
-        o[c, 11] = 0.0 if t is None else 2.0 * math.pi
+    S[:, 10, 3:6] = p * [1.0, -1.0, 0.0] + q * [0.0, 1.0, -1.0]
+    L[:, 11, 3:6] = p * [0.0, 0.0, 1.0] + q * [1.0, 0.0, 0.0]
+    S[:, 10, 9:12], L[:, 11, 9:12] = -S[:, 10, 3:6], -L[:, 11, 3:6]
+    o[:, 11] = 2.0 * math.pi * filled
     return L, S, o
 
 
@@ -478,14 +480,16 @@ def _block_step(sig: GKSignature, r: np.ndarray, A: np.ndarray, dbeta: float) ->
     return step
 
 
-def _newton(sig: GKSignature, x0: np.ndarray, rows, tol: float) -> np.ndarray:
+def _newton(sig: GKSignature, x0: np.ndarray, rows, tol: float):
     """Damped Newton with block-arrow steps on the square system whose
     linear block rows are `rows` (L, S, o, as for `_evaluate`), until the
-    residual sup-norm is below `tol`.  Clips iterates into the open angle
-    box.  The line search backtracks on the sup-norm with each length row
-    divided by |edge_cosh(beta)| at x0: those rows have that scale, about
-    4e4 at g = 150, and undivided they drown the others, so that the
-    search halves steps that are good and Newton crawls."""
+    residual sup-norm is below `tol`.  Returns the solution and the
+    function giving its Newton blocks (A, dbeta) from the same evaluation.
+    Clips iterates into the open angle box.  The line search backtracks
+    on the sup-norm with each length row divided by |edge_cosh(beta)| at
+    x0: those rows have that scale, about 4e4 at g = 150, and undivided
+    they drown the others, so that the search halves steps that are good
+    and Newton crawls."""
     x = _clip(np.array(x0, dtype=float))
     r, blocks = _evaluate(sig, x, rows)
     weight = np.ones_like(r)
@@ -495,7 +499,7 @@ def _newton(sig: GKSignature, x0: np.ndarray, rows, tol: float) -> np.ndarray:
     # sup-norm need only be taken then
     for _ in range(_MAX_ITER):
         if merit < tol and np.abs(r).max() < tol:
-            return x
+            return x, blocks
         try:
             step = _block_step(sig, r, *blocks())
         except np.linalg.LinAlgError as exc:
@@ -513,8 +517,21 @@ def _newton(sig: GKSignature, x0: np.ndarray, rows, tol: float) -> np.ndarray:
         x, r, blocks, merit = xn, rn, bn, mn
     norm = np.abs(r).max()
     if norm < tol:
-        return x
+        return x, blocks
     raise ConvergenceError("no convergence: residual %g after %d iterations" % (norm, _MAX_ITER))
+
+
+def _hermite(s_next: float, s: float, x: np.ndarray, dx: np.ndarray, prev) -> np.ndarray:
+    """The path's value at s_next, extrapolated from the point (s, x) with
+    slope dx: the cubic Hermite through it and prev = (s0, x0, dx0), or the
+    Euler step when prev is None."""
+    guess = x + (s_next - s) * dx
+    if prev is not None:
+        s0, x0, dx0 = prev
+        h = s - s0
+        z = (s_next - s) / h
+        guess += z * z * ((3.0 + 2.0 * z) * (x0 - x + h * dx) - (1.0 + z) * h * (dx - dx0))
+    return guess
 
 
 def solve_filling(sig: GKSignature, spec: FillingSpec, *, check_length: bool = True) -> np.ndarray:
@@ -525,13 +542,13 @@ def solve_filling(sig: GKSignature, spec: FillingSpec, *, check_length: bool = T
 
     Filled coefficients are continued from the far-filled regime: the
     scaled targets (t*p, t*q) are solved for t stepping geometrically
-    down from T0 = max(1, 20 / min slope length) to 1, with the step
-    ratio relaxed on Newton failure.  The targets are linear in s = 1/t
-    and the path leaves the complete structure at s = 0, so each Newton
-    starts at the secant prediction through the last two points of the
-    path (for the first step, the complete structure and the T0
-    solution).  The last point alone is off by the order of the step in
-    s, which at large k cost many line-search halvings per iteration.
+    down from T0 = max(1, 20 / min slope length) to 1 by the ratio 3,
+    halved towards 1 on each Newton failure.  In s = 1/t the filled cusp
+    rows are t G(x) - (0, 2 pi), so at a solution the tangent dx/ds solves
+    J dx/ds = 2 pi t on row 11 of each filled cusp and 0 elsewhere: one
+    more block step, with the blocks of Newton's last iterate.  Each
+    Newton starts at the cubic Hermite through the last two points of
+    the path and their tangents, the first at the Euler step from T0.
     Fails loudly (ContinuationError) if the path cannot reach t = 1.
     With `check_length`, a slope shorter than sqrt(7) is a DomainError.
     """
@@ -547,25 +564,37 @@ def solve_filling(sig: GKSignature, spec: FillingSpec, *, check_length: bool = T
     if lmin is None:
         return complete.x0.copy()
 
+    # the rows at t = 1; the multiplier t scales rows 10-11 of the filled
+    # cusps, and t ds_rhs is the tangent's right-hand side
+    filled = np.array([pq is not None for pq in spec.pairs])
+    L, S, o = _linear_rows(spec.pairs)
+    scaled = np.zeros((sig.k, 12, 1), dtype=bool)
+    scaled[filled, 10:] = True
+    ds_rhs = np.zeros(sig.n_coords)
+    ds_rhs[:-1].reshape(sig.k, 12)[filled, 11] = 2.0 * math.pi
+
     def rows_at(t):
-        return _linear_rows([None if pq is None else (t * pq[0], t * pq[1]) for pq in spec.pairs])
+        f = np.where(scaled, t, 1.0)
+        return L * f, S * f, o
 
     t0 = max(1.0, _L_SAFE / lmin)
     try:
-        x = _newton(sig, complete.x0, rows_at(t0), _FILL_TOL)
+        x, blocks = _newton(sig, complete.x0, rows_at(t0), _FILL_TOL)
     except ConvergenceError as exc:
         raise ContinuationError("first step at t=%g failed: %s" % (t0, exc), None) from None
-    t_good = t0
-    # the last two points of the path in s = 1/t, where the targets are
-    # linear; it leaves the complete structure at s = 0
-    s_prev, x_prev = 0.0, complete.x0
-    rho = 1.5
+    t_good, dx, prev = t0, None, None
+    rho = 3.0
     while t_good > 1.0:
-        t_next = max(1.0, t_good / rho)
         s_good = 1.0 / t_good
-        guess = x + (x - x_prev) * ((1.0 / t_next - s_good) / (s_good - s_prev))
+        if dx is None:
+            try:
+                dx = _block_step(sig, t_good * ds_rhs, *blocks())
+            except np.linalg.LinAlgError as exc:
+                raise ContinuationError("singular tangent: %s" % exc, t_good) from None
+        t_next = max(1.0, t_good / rho)
+        guess = _hermite(1.0 / t_next, s_good, x, dx, prev)
         try:
-            x_next = _newton(sig, guess, rows_at(t_next), _FILL_TOL)
+            x_next, blocks = _newton(sig, guess, rows_at(t_next), _FILL_TOL)
         except ConvergenceError:
             rho = 1.0 + (rho - 1.0) / 2.0
             if t_good - max(1.0, t_good / rho) < 1e-4:
@@ -573,7 +602,7 @@ def solve_filling(sig: GKSignature, spec: FillingSpec, *, check_length: bool = T
                     "continuation step underflow at t=%g" % t_good, t_good
                 ) from None
             continue
-        s_prev, x_prev = s_good, x
+        prev, dx = (s_good, x, dx), None
         x, t_good = x_next, t_next
     return x
 
@@ -641,4 +670,4 @@ def varsigma_point(sig: GKSignature, t: float) -> np.ndarray:
     L[0, 10, 1:3] = L[1:, 11, 1:3] = L[1:, 10, 0:2] = (1.0, -1.0)
     L[0, 11, 0], L[0, 11, 6] = 1.0, -1.0
     o[0, 11] = 4.0 * math.sin(cs.alpha_bar) * t
-    return _newton(sig, cs.x0 + t * first + 0.5 * t * t * second, (L, S, o), 1e-12)
+    return _newton(sig, cs.x0 + t * first + 0.5 * t * t * second, (L, S, o), 1e-12)[0]

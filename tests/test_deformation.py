@@ -480,9 +480,45 @@ def test_filling_newton_steps_flat_in_k(monkeypatch, k):
         assert abs(pc - p) < 1e-9 and abs(qc - q) < 1e-9
 
 
+@pytest.mark.parametrize("k", [2, 16, 64])
+def test_filling_block_steps_with_tangent_predictor(monkeypatch, k):
+    # a sqrt(7) slope on cusp 0 took 22 block steps with the secant predictor
+    # at ratio 1.5; the tangent solves count too
+    sig = GKSignature(k + 1, k)
+    calls, step = [], deformation._block_step
+    monkeypatch.setattr(deformation, "_block_step", lambda *a: calls.append(1) or step(*a))
+    x = solve_filling(sig, FillingSpec.from_pairs(k, [(3.0, 1.0)] + [None] * (k - 1)))
+    assert len(calls) <= 16
+    assert np.max(np.abs(residuals(sig, x))) < 1e-10
+    pc, qc = dehn_coefficients(x, 0)
+    assert abs(pc - 3.0) < 1e-9 and abs(qc - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("g, k", [(3, 2), (17, 16)])
+def test_filling_tangent_matches_central_difference(monkeypatch, g, k):
+    # the tangent dx/ds (s = 1/t) that solve_filling extrapolates from, at
+    # each solved point of its path, against solves at s +- h
+    sig = GKSignature(g, k)
+    pairs = [(3.0, 1.0)] + [None] * (k - 1)
+    points, hermite = [], deformation._hermite
+    monkeypatch.setattr(
+        deformation, "_hermite", lambda *a: points.append(a[1:4]) or hermite(*a)
+    )
+    solve_filling(sig, FillingSpec.from_pairs(k, pairs))
+    assert points
+    h = 1e-4
+    for s, x, dx in points:
+        ends = []
+        for sh in (s + h, s - h):
+            targets = [None if pq is None else (pq[0] / sh, pq[1] / sh) for pq in pairs]
+            ends.append(deformation._newton(sig, x, deformation._linear_rows(targets), 1e-12)[0])
+        fd = (ends[0] - ends[1]) / (2.0 * h)
+        assert np.max(np.abs(dx - fd)) <= 1e-5 * np.max(np.abs(fd)), s
+
+
 def warm_start_continuation(sig, pairs, l_safe=20.0, tol=1e-10):
-    """Oracle: the continuation of `solve_filling` over the same schedule in
-    t, each Newton started at the previous point of the path."""
+    """Oracle: a continuation over the schedule of ratio 1.5 in t, each
+    Newton started at the previous point of the path."""
     spec = FillingSpec.from_pairs(sig.k, pairs).canonicalized()
 
     def rows_at(t):
@@ -490,12 +526,12 @@ def warm_start_continuation(sig, pairs, l_safe=20.0, tol=1e-10):
         return deformation._linear_rows(targets)
 
     t = max(1.0, l_safe / spec.min_filled_length())
-    x = deformation._newton(sig, solve_complete(sig).x0, rows_at(t), tol)
+    x, _ = deformation._newton(sig, solve_complete(sig).x0, rows_at(t), tol)
     rho = 1.5
     while t > 1.0:
         t_next = max(1.0, t / rho)
         try:
-            x = deformation._newton(sig, x, rows_at(t_next), tol)
+            x, _ = deformation._newton(sig, x, rows_at(t_next), tol)
         except ConvergenceError:
             rho = 1.0 + (rho - 1.0) / 2.0
             assert t - max(1.0, t / rho) >= 1e-4

@@ -10,6 +10,7 @@ import pytest
 
 from mgk import cli
 from mgk import deformation
+from mgk import report
 from mgk import slopes_symmetry as ss
 from mgk.deformation import FillingSpec, GKSignature, solve_filling
 from mgk.hyptrig import DomainError
@@ -189,6 +190,27 @@ def test_cli_fill_batch_errors_per_entry(capsys):
     assert out.startswith("signature       g=2 k=1")
     assert "\n\nerror           2/1: input error: " in out
     assert "\n\nerror           10/2: input error: " in out
+
+
+def test_cli_fill_batch_bad_report_fails_alone(monkeypatch, capsys):
+    # a report that JSON cannot hold is its own list's error record, exit 2,
+    # and the other lists still print
+    real, calls = report.ci.return_path_length, []
+
+    def nan_first(x):
+        calls.append(1)
+        return float("nan") if len(calls) == 1 else real(x)
+
+    monkeypatch.setattr(report.ci, "return_path_length", nan_first)
+    argv = ["--json", "fill", "--g", "6", "--k", "1", "--batch", "--coeffs", "5/1;7/2"]
+    code, out, _ = run(capsys, argv)
+    assert code == 2
+    assert out == to_json(json.loads(out)) + "\n"
+    bad, good = json.loads(out)
+    assert bad["coeffs"] == "5/1" and bad["error"]["exit"] == 2
+    assert "cannot write JSON" in bad["error"]["message"]
+    _, single, _ = run(capsys, ["--json", "fill", "--g", "6", "--k", "1", "--coeffs", "7/2"])
+    assert good == json.loads(single)
 
 
 @pytest.mark.parametrize("coeffs", [";", "", "5/1,3/1; "])
