@@ -2,7 +2,11 @@
 
 Subcommands: complete, fill, slopes, similar, commensurable, tangent,
 trace.  Human-readable tables by default, machine-readable JSON with
---json; exit codes: 0 success, 2 input error, 3 numerical failure.
+--json, written to stdout or to the --out file; both flags go on either
+side of the subcommand.  Exit codes: 0 success, 2 input error (an
+unwritable --out file too), 3 numerical failure.  Tolerances are fixed:
+a report is refused above residual `report.RESIDUAL_TOL`, and invariants
+compare at `commensurability_xk.INVARIANT_TOL`.
 """
 
 import argparse
@@ -34,20 +38,13 @@ EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
 
-def _env_float(name, default):
-    val = os.environ.get(name)
-    if val is None:
-        return default
-    try:
-        return float(val)
-    except ValueError:
-        raise DomainError("%s=%r is not a number" % (name, val)) from None
-
-
 def _emit(args, text: str) -> None:
     if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise DomainError("cannot write %s: %s" % (args.out, exc.strerror or exc)) from None
     else:
         print(text)
 
@@ -131,7 +128,7 @@ def cmd_complete(args) -> int:
     sig = GKSignature(args.g, args.k)
     sol = solve_complete(sig)
     spec = FillingSpec.unfilled(sig.k)
-    rep = build_report(sig, spec, sol.x0, residual_tol=args.tol_residual)
+    rep = build_report(sig, spec, sol.x0)
     _emit_report(args, rep)
     return EXIT_OK
 
@@ -139,7 +136,7 @@ def cmd_complete(args) -> int:
 def _solve_one(sig, coeffs, args):
     spec = FillingSpec.parse(coeffs, sig.k)
     x = solve_filling(sig, spec, check_length=not args.allow_short)
-    return build_report(sig, spec, x, residual_tol=args.tol_residual)
+    return build_report(sig, spec, x)
 
 
 def _batch_entry(sig, coeffs, args):
@@ -256,7 +253,7 @@ def cmd_commensurable(args) -> int:
     verdicts = []
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
-            verdict = cx.commensurable(points[i], points[j], sig, tol=args.tol_invariant)
+            verdict = cx.commensurable(points[i], points[j], sig)
             verdicts.append(
                 {
                     "pair": [labels[i], labels[j]],
@@ -361,18 +358,6 @@ def _add_common(parser, top_level: bool) -> None:
         default=None if top_level else sup,
         help="write output to this file instead of stdout",
     )
-    parser.add_argument(
-        "--tol-residual",
-        type=float,
-        default=_env_float("MGK_TOL_RESIDUAL", 1e-9) if top_level else sup,
-        help="reporting residual tolerance (env MGK_TOL_RESIDUAL)",
-    )
-    parser.add_argument(
-        "--tol-invariant",
-        type=float,
-        default=_env_float("MGK_TOL_INVARIANT", 1e-8) if top_level else sup,
-        help="invariant comparison tolerance (env MGK_TOL_INVARIANT)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -439,7 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        # the parser reads its defaults from the environment, so building it can fail too
         args = build_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:

@@ -14,7 +14,8 @@ from .deformation import GKSignature, alpha_index, beta_index, check_coords
 from .hyptrig import DomainError
 from .slopes_symmetry import D6Element, apply_local, cusp_permutation
 
-DEFAULT_TOL = 1e-8
+# (a, b, c) sums closer than this agree; from 10x this apart they differ
+INVARIANT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -83,19 +84,20 @@ def abc_per_cusp(x, sig: XkSignature, cusp: int) -> ABCInvariant:
     )
 
 
-def commensurable(x1, x2, sig: XkSignature, tol: float = DEFAULT_TOL) -> Optional[bool]:
+def commensurable(x1, x2, sig: XkSignature) -> Optional[bool]:
     """Whether two solved fillings of the chain manifold are
     commensurable: exactly the equality of their (a, b, c) sums.
 
     The criterion is an algebraic dichotomy, so near-ties are not
-    silently booleanized: if any coordinate lands between tol and
-    10*tol, None ("indeterminate") is returned.
+    silently booleanized: if the largest difference lands between
+    INVARIANT_TOL and 10*INVARIANT_TOL, None ("indeterminate") is
+    returned.
     """
     i1, i2 = abc(x1, sig), abc(x2, sig)
     deltas = [abs(i1.a - i2.a), abs(i1.b - i2.b), abs(i1.c - i2.c)]
-    if all(d < tol for d in deltas):
+    if all(d < INVARIANT_TOL for d in deltas):
         return True
-    if max(deltas) >= 10.0 * tol:
+    if max(deltas) >= 10.0 * INVARIANT_TOL:
         return False
     return None
 

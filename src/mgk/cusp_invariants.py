@@ -7,10 +7,15 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .deformation import GKSignature, cusps_of, edge_cosh, gamma_index, uv
+from .deformation import COMPLETE_TOL, GKSignature, cusps_of, edge_cosh, gamma_index, uv
 from .hyptrig import DomainError
 
 HEXAGONAL_MODULUS = complex(0.5, math.sqrt(3.0) / 2.0)
+# |u| above which cusp_modulus refuses a cusp as incomplete (looser than
+# the COMPLETE_TOL below which complex_length refuses it as unfilled)
+_MODULUS_COMPLETE_TOL = 1e-8
+# width of the fundamental domain's boundary that canonicalize_modulus resolves
+_BOUNDARY_TOL = 1e-12
 
 
 class IncompleteCuspError(DomainError):
@@ -42,7 +47,7 @@ def holonomy_dilations(x, cusp: int) -> HolonomyDilation:
     return HolonomyDilation(a=a, b=b)
 
 
-def canonicalize_modulus(tau: complex, tol: float = 1e-12) -> complex:
+def canonicalize_modulus(tau: complex) -> complex:
     """Reduce a modulus in the upper half-plane to the standard
     fundamental domain |Re| <= 1/2, |tau| >= 1, resolving its boundary so
     that the regular hexagonal lattice is represented by exp(i*pi/3)."""
@@ -54,14 +59,14 @@ def canonicalize_modulus(tau: complex, tol: float = 1e-12) -> complex:
             tau = -1.0 / tau
         else:
             break
-    if tau.real < -0.5 + tol:
+    if tau.real < -0.5 + _BOUNDARY_TOL:
         tau += 1.0
-    if abs(abs(tau) - 1.0) < tol and tau.real < -tol:
+    if abs(abs(tau) - 1.0) < _BOUNDARY_TOL and tau.real < -_BOUNDARY_TOL:
         tau = -1.0 / tau
     return tau
 
 
-def cusp_modulus(x, cusp: int, complete_tol: float = 1e-8) -> complex:
+def cusp_modulus(x, cusp: int) -> complex:
     """Similarity class of the Euclidean structure on a complete cusp
     torus, canonicalized to the modular fundamental domain.
 
@@ -73,7 +78,7 @@ def cusp_modulus(x, cusp: int, complete_tol: float = 1e-8) -> complex:
     incomplete cusp, where the structure is affine rather than metric.
     """
     u, _ = uv(x, cusp)
-    if abs(u) > complete_tol:
+    if abs(u) > _MODULUS_COMPLETE_TOL:
         raise IncompleteCuspError(
             "cusp %d is incomplete (|u| = %.3g)" % (cusp, abs(u))
         )
@@ -104,7 +109,7 @@ def _bezout(a: int, b: int) -> Tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def complex_length(x, cusp: int, pq: Tuple[int, int], complete_tol: float = 1e-9) -> complex:
+def complex_length(x, cusp: int, pq: Tuple[int, int]) -> complex:
     """Complex length of the geodesic added by filling `cusp` along the
     integer coefficients (p, q): r*u + s*v for integers with
     p*s - q*r = -gcd(p, q), reduced mod 2*pi*i and sign-normalized to
@@ -116,7 +121,7 @@ def complex_length(x, cusp: int, pq: Tuple[int, int], complete_tol: float = 1e-9
     if (p, q) == (0, 0):
         raise DomainError("(0, 0) is not a slope")
     u, v = uv(x, cusp)
-    if abs(u) < complete_tol:
+    if abs(u) < COMPLETE_TOL:
         raise IncompleteCuspError("cusp %d is unfilled; no added geodesic" % cusp)
     _, a, b = _bezout(p, q)
     # p*(-a) - q*b = -(p*a + q*b) = -gcd

@@ -64,6 +64,8 @@ _MAX_ITER = 25
 _FILL_TOL = 1e-10
 # the first continuation step scales the shortest filled slope to this length
 _L_SAFE = 20.0
+# |u| below which a cusp counts as complete (unfilled)
+COMPLETE_TOL = 1e-9
 
 
 class ConvergenceError(RuntimeError):
@@ -344,12 +346,12 @@ def uv(x, cusp: int) -> Tuple[complex, complex]:
     return u, v
 
 
-def dehn_coefficients(x, cusp: int, complete_tol: float = 1e-9):
+def dehn_coefficients(x, cusp: int):
     """The real pair (p, q) with p*u + q*v = 2*pi*i at `cusp`, or None when
     the cusp is complete (u = 0).  Raises if u, v are real-proportional,
     which happens only far from the complete solution."""
     u, v = uv(x, cusp)
-    if abs(u) < complete_tol:
+    if abs(u) < COMPLETE_TOL:
         return None
     det = u.real * v.imag - u.imag * v.real
     if abs(det) <= 1e-12 * abs(u) * abs(v):
@@ -389,6 +391,9 @@ class FillingSpec:
             p, q = pq
             if p == 0 and q == 0:
                 raise DomainError("filling coefficient (0, 0) is not a slope")
+            # a NaN length would pass every length gate, as nan < x is False
+            if not math.isfinite(slope_length_pair(p, q)):
+                raise DomainError("filling coefficient (%r, %r) has no finite slope length" % (p, q))
 
     @classmethod
     def unfilled(cls, k: int) -> "FillingSpec":
@@ -424,7 +429,10 @@ class FillingSpec:
                 raise DomainError("(0, 0) is not a slope")
             if math.gcd(abs(p), abs(q)) != 1:
                 raise DomainError("filling coefficients %d/%d are not coprime" % (p, q))
-            pairs.append((float(p), float(q)))
+            try:
+                pairs.append((float(p), float(q)))
+            except OverflowError:
+                raise DomainError("filling entry %r has no finite slope length" % it) from None
         return cls(tuple(pairs))
 
     def canonicalized(self) -> "FillingSpec":

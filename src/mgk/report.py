@@ -19,6 +19,8 @@ from .deformation import (
 from .hyptrig import DomainError
 
 SCHEMA = "mgk/1"
+# residual sup-norm above which a structure is not reported
+RESIDUAL_TOL = 1e-9
 
 
 @dataclass
@@ -44,17 +46,12 @@ class StructureReport:
     abc: Optional[Tuple[float, float, float]] = None
 
 
-def build_report(
-    sig: GKSignature,
-    spec: FillingSpec,
-    x: np.ndarray,
-    residual_tol: float = 1e-9,
-) -> StructureReport:
+def build_report(sig: GKSignature, spec: FillingSpec, x: np.ndarray) -> StructureReport:
     """Assemble the invariant panel of a solved structure.  Refuses to
-    report anything whose residual norm exceeds `residual_tol`."""
+    report anything whose residual norm is not below RESIDUAL_TOL."""
     res = float(np.max(np.abs(residuals(sig, x))))
-    if not res < residual_tol:
-        raise DomainError("residual norm %g above reporting tolerance %g" % (res, residual_tol))
+    if not res < RESIDUAL_TOL:
+        raise DomainError("residual norm %g above reporting tolerance %g" % (res, RESIDUAL_TOL))
     cusps = []
     for c, pq in enumerate(spec.pairs):
         u, v = uv(x, c)
@@ -132,38 +129,3 @@ def to_json(doc) -> str:
 
 def report_to_json(rep: StructureReport) -> str:
     return to_json(report_to_dict(rep))
-
-
-def _j2c(v) -> Optional[complex]:
-    return None if v is None else complex(v[0], v[1])
-
-
-def report_from_dict(doc: dict) -> StructureReport:
-    if doc.get("schema") != SCHEMA:
-        raise DomainError("unknown schema %r" % doc.get("schema"))
-    cusps = [
-        CuspReport(
-            u=_j2c(c["u"]),
-            v=_j2c(c["v"]),
-            coefficients=None if c["coefficients"] == "inf" else tuple(c["coefficients"]),
-            complex_length=_j2c(c["complex_length"]),
-            modulus=_j2c(c["modulus"]),
-        )
-        for c in doc["cusps"]
-    ]
-    return StructureReport(
-        g=doc["signature"]["g"],
-        k=doc["signature"]["k"],
-        filling=tuple(None if f == "inf" else (f[0], f[1]) for f in doc["filling"]),
-        coords=list(doc["coords"]),
-        residual_max=doc["residual_max"],
-        cusps=cusps,
-        return_path_length=doc["return_path_length"],
-        homology_rank=doc["homology_rank"],
-        heegaard_genus=doc["heegaard_genus"],
-        abc=None if doc["abc"] is None else tuple(doc["abc"]),
-    )
-
-
-def report_from_json(text: str) -> StructureReport:
-    return report_from_dict(json.loads(text))

@@ -129,4 +129,4 @@ def test_commensurable_indeterminate_band():
     x1 = sol.x0.copy()
     x2 = sol.x0.copy()
     x2[0] += 3e-8  # shifts a by 3e-8: inside (tol, 10 tol)
-    assert cx.commensurable(x1, x2, sig, tol=1e-8) is None
+    assert cx.commensurable(x1, x2, sig) is None

@@ -294,6 +294,19 @@ def test_filling_spec_parsing():
         FillingSpec.parse("0/0,inf", 2)
     with pytest.raises(DomainError):
         FillingSpec.parse("nope,inf", 2)
+    # an integer beyond the float range
+    with pytest.raises(DomainError, match="no finite slope length"):
+        FillingSpec.parse("1%s/1" % ("0" * 400), 1)
+
+
+@pytest.mark.parametrize(
+    "pq", [(math.nan, 1.0), (math.inf, 1.0), (1e308, 1e308), (1.0, -math.inf)]
+)
+def test_filling_spec_rejects_non_finite_slopes(pq):
+    # a NaN length would slip past the sqrt(7) gate (nan < x is False);
+    # (1e308, 1e308) overflows the length
+    with pytest.raises(DomainError, match="no finite slope length"):
+        FillingSpec.from_pairs(1, [pq])
 
 
 # ---------------------------------------------------------------------------
