@@ -3,10 +3,15 @@
 Subcommands: complete, fill, slopes, similar, commensurable, tangent,
 trace.  Human-readable tables by default, machine-readable JSON with
 --json, written to stdout or to the --out file; both flags go on either
-side of the subcommand.  Exit codes: 0 success, 2 input error (an
-unwritable --out file too), 3 numerical failure.  Tolerances are fixed:
-a report is refused above residual `report.RESIDUAL_TOL`, and invariants
-compare at `commensurability_xk.INVARIANT_TOL`.
+side of the subcommand.  Slope entries share one syntax
+(`deformation.parse_slope`): `fill --coeffs` takes p/q or inf per cusp,
+`similar` and `commensurable` take p/q@i, with p and q coprime integers
+of either sign.  Exit codes: 0 success, 2 input error (a malformed,
+non-coprime or 0/0 slope entry, one beyond the float range where a
+filling is solved, an unwritable --out file), 3 numerical failure.
+Tolerances are fixed: a report is refused above residual
+`report.RESIDUAL_TOL`, and invariants compare at
+`commensurability_xk.INVARIANT_TOL`.
 """
 
 import argparse
@@ -26,6 +31,7 @@ from .deformation import (
     FillingSpec,
     GKSignature,
     jacobian,
+    parse_slope,
     solve_complete,
     solve_filling,
     tangent_basis,
@@ -81,8 +87,9 @@ def _parse_slope_set(text: str, k: int) -> ss.SlopeSet:
             item = item.strip()
             try:
                 pq, at = item.rsplit("@", 1)
-                ps, qs = pq.split("/", 1)
-                torus, p, q = int(at), int(ps), int(qs)
+                torus, (p, q) = int(at), parse_slope(pq)
+            except DomainError as exc:
+                raise DomainError("slope entry %r: %s" % (item, exc)) from None
             except ValueError:
                 raise DomainError("cannot parse slope entry %r (want p/q@i)" % item) from None
             if not 1 <= torus <= k:
@@ -232,7 +239,7 @@ def cmd_commensurable(args) -> int:
     gk = sig.gk
 
     def solve_set(sset):
-        pairs = [None if s is None else (float(s.p), float(s.q)) for s in sset]
+        pairs = [None if s is None else (s.p, s.q) for s in sset]
         return solve_filling(gk, FillingSpec.from_pairs(gk.k, pairs))
 
     sets = [_parse_slope_set(text, args.k) for text in args.sets]

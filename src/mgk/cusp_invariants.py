@@ -111,11 +111,15 @@ def _bezout(a: int, b: int) -> Tuple[int, int, int]:
 
 def complex_length(x, cusp: int, pq: Tuple[int, int]) -> complex:
     """Complex length of the geodesic added by filling `cusp` along the
-    integer coefficients (p, q): r*u + s*v for integers with
+    finite integer coefficients (p, q): r*u + s*v for integers with
     p*s - q*r = -gcd(p, q), reduced mod 2*pi*i and sign-normalized to
     positive real part."""
     p, q = pq
-    if p != int(p) or q != int(q):
+    try:
+        integral = p == int(p) and q == int(q)
+    except (ValueError, OverflowError):  # NaN, infinity
+        integral = False
+    if not integral:
         raise DomainError("complex length needs integer coefficients")
     p, q = int(p), int(q)
     if (p, q) == (0, 0):

@@ -371,6 +371,25 @@ def slope_length_pair(p: float, q: float) -> float:
     return math.sqrt(p * p + q * q - p * q)
 
 
+def parse_slope(text: str) -> Tuple[int, int]:
+    """The coprime integers (p, q), of either sign, of a "p/q" entry: the
+    slope syntax of `fill`, `similar` and `commensurable`."""
+    try:
+        ps, qs = text.split("/", 1)
+        p, q = int(ps), int(qs)
+    except ValueError:
+        raise DomainError("cannot parse slope %r (want p/q)" % text) from None
+    if math.gcd(p, q) != 1:
+        raise DomainError("slope %d/%d is not a pair of coprime integers" % (p, q))
+    return p, q
+
+
+def sign_form(p, q):
+    """The one of +-(p, q) with p > 0, or p = 0 and q > 0; both signs name
+    the same unoriented slope."""
+    return (-p, -q) if p < 0 or (p == 0 and q < 0) else (p, q)
+
+
 @dataclass(frozen=True)
 class FillingSpec:
     """Per-cusp filling targets: None leaves the cusp complete, a real
@@ -379,7 +398,9 @@ class FillingSpec:
     Integer coprime pairs are the genuine Dehn fillings; the solver also
     accepts arbitrary real pairs (the coefficient map is real-valued),
     which is what continuation paths and coefficient-ray studies use.
-    `parse` — the user-facing syntax — insists on coprime integers.
+    `parse`, the user-facing syntax, takes "p/q" entries (`parse_slope`)
+    or "inf".  It builds through `from_pairs`, the one place that turns
+    coefficients into floats; a pair without a finite length is an error.
     """
 
     pairs: tuple
@@ -401,53 +422,27 @@ class FillingSpec:
 
     @classmethod
     def from_pairs(cls, k: int, pairs) -> "FillingSpec":
-        pairs = tuple(None if pq is None else (float(pq[0]), float(pq[1])) for pq in pairs)
+        try:
+            pairs = tuple(None if pq is None else (float(pq[0]), float(pq[1])) for pq in pairs)
+        except OverflowError:
+            raise DomainError("a coefficient beyond the float range has no finite slope length") from None
         if len(pairs) != k:
             raise DomainError("expected %d cusp entries, got %d" % (k, len(pairs)))
         return cls(pairs)
 
     @classmethod
     def parse(cls, text: str, k: int) -> "FillingSpec":
-        """Parse "p/q" or "inf" entries, comma-separated, one per cusp.
-        Integer pairs must be coprime."""
+        """Parse "p/q" (see `parse_slope`) or "inf" entries, comma-separated,
+        one per cusp."""
         items = [t.strip() for t in text.split(",")]
         if len(items) != k:
             raise DomainError("expected %d comma-separated entries, got %d" % (k, len(items)))
-        pairs = []
-        for it in items:
-            if it.lower() in ("inf", "infinity", "-"):
-                pairs.append(None)
-                continue
-            if "/" not in it:
-                raise DomainError("cannot parse filling entry %r (want p/q or inf)" % it)
-            ps, qs = it.split("/", 1)
-            try:
-                p, q = int(ps), int(qs)
-            except ValueError:
-                raise DomainError("cannot parse filling entry %r" % it) from None
-            if (p, q) == (0, 0):
-                raise DomainError("(0, 0) is not a slope")
-            if math.gcd(abs(p), abs(q)) != 1:
-                raise DomainError("filling coefficients %d/%d are not coprime" % (p, q))
-            try:
-                pairs.append((float(p), float(q)))
-            except OverflowError:
-                raise DomainError("filling entry %r has no finite slope length" % it) from None
-        return cls(tuple(pairs))
+        unfilled = ("inf", "infinity", "-")
+        return cls.from_pairs(k, [None if it.lower() in unfilled else parse_slope(it) for it in items])
 
     def canonicalized(self) -> "FillingSpec":
-        """Normalize each pair's sign to p > 0, or p = 0 and q > 0; the
-        two signs describe the same unoriented slope."""
-        pairs = []
-        for pq in self.pairs:
-            if pq is None:
-                pairs.append(None)
-            else:
-                p, q = pq
-                if p < 0 or (p == 0 and q < 0):
-                    p, q = -p, -q
-                pairs.append((p, q))
-        return FillingSpec(tuple(pairs))
+        """Each pair in `sign_form`."""
+        return FillingSpec(tuple(None if pq is None else sign_form(*pq) for pq in self.pairs))
 
     @property
     def filled_count(self) -> int:
@@ -456,6 +451,13 @@ class FillingSpec:
     def min_filled_length(self) -> Optional[float]:
         lengths = [slope_length_pair(*pq) for pq in self.pairs if pq is not None]
         return min(lengths) if lengths else None
+
+    def is_hyperbolic(self) -> bool:
+        """The sqrt(7) gate: every filled slope has length at least
+        sqrt(7) - 1e-12, so the filled manifold is hyperbolic.  Exact on
+        integer pairs, whose squared lengths are integers."""
+        lmin = self.min_filled_length()
+        return lmin is None or lmin >= SQRT7 - 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +566,7 @@ def solve_filling(sig: GKSignature, spec: FillingSpec, *, check_length: bool = T
         raise DomainError("spec has %d cusps, signature has %d" % (len(spec.pairs), sig.k))
     spec = spec.canonicalized()
     lmin = spec.min_filled_length()
-    if check_length and lmin is not None and lmin < SQRT7 - 1e-12:
+    if check_length and not spec.is_hyperbolic():
         raise DomainError(
             "slope of length %.6g below the hyperbolicity threshold sqrt(7)" % lmin
         )

@@ -34,7 +34,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .deformation import FillingSpec, alpha_index, cusps_of, gamma_index
+from .deformation import FillingSpec, alpha_index, cusps_of, gamma_index, sign_form
 from .hyptrig import DomainError
 
 
@@ -57,9 +57,7 @@ class Slope:
 
     @classmethod
     def of(cls, p: int, q: int) -> "Slope":
-        if p < 0 or (p == 0 and q < 0):
-            p, q = -p, -q
-        return cls(p, q)
+        return cls(*sign_form(p, q))
 
     @property
     def length_sq(self) -> int:
@@ -164,19 +162,9 @@ def classify_slopes(max_len_sq: int):
 
 
 def hyperbolic_filling_check(spec: FillingSpec) -> bool:
-    """True iff every filled slope clears the length-sqrt(7) threshold,
-    so the filled manifold is hyperbolic.  Exact for integer pairs."""
-    for pq in spec.pairs:
-        if pq is None:
-            continue
-        p, q = pq
-        if float(p).is_integer() and float(q).is_integer():
-            p, q = int(p), int(q)
-            if p * p + q * q - p * q < 7:
-                return False
-        elif p * p + q * q - p * q < 7.0 - 1e-12:
-            return False
-    return True
+    """True iff the filled manifold is hyperbolic: `FillingSpec.is_hyperbolic`,
+    the sqrt(7) gate that `solve_filling` applies."""
+    return spec.is_hyperbolic()
 
 
 # ---------------------------------------------------------------------------
@@ -188,19 +176,14 @@ SlopeSet = Tuple[Optional[Slope], ...]
 def make_slope_set(k: int, entries) -> SlopeSet:
     """Slope set from {torus_index (0-based): (p, q)} or a k-sequence."""
     if isinstance(entries, dict):
-        out = [None] * k
-        for i, pq in entries.items():
+        for i in entries:
             if not 0 <= i < k:
                 raise DomainError("torus index %d out of range" % i)
-            out[i] = pq if isinstance(pq, Slope) else Slope.of(*pq)
-        return tuple(out)
+        entries = [entries.get(i) for i in range(k)]
     entries = list(entries)
     if len(entries) != k:
         raise DomainError("expected %d entries" % k)
-    return tuple(
-        None if e is None else (e if isinstance(e, Slope) else Slope.of(*e))
-        for e in entries
-    )
+    return tuple(e if e is None or isinstance(e, Slope) else Slope.of(*e) for e in entries)
 
 
 @dataclass(frozen=True)

@@ -117,6 +117,15 @@ def test_complex_length_errors():
         ci.complex_length(x, 0, (0, 0))
 
 
+@pytest.mark.parametrize(
+    "pq", [(math.nan, 1), (math.inf, 1), (1, -math.inf), (1, math.nan), (2.5, 1)]
+)
+def test_complex_length_needs_finite_integers(pq):
+    x = solved_point(GKSignature(2, 1), [(5.0, 1.0)])
+    with pytest.raises(DomainError, match="needs integer coefficients"):
+        ci.complex_length(x, 0, pq)
+
+
 def test_return_path_length_value_and_monotonicity():
     sig = GKSignature(2, 1)
     sol = solve_complete(sig)

@@ -300,11 +300,11 @@ def test_filling_spec_parsing():
 
 
 @pytest.mark.parametrize(
-    "pq", [(math.nan, 1.0), (math.inf, 1.0), (1e308, 1e308), (1.0, -math.inf)]
+    "pq", [(math.nan, 1.0), (math.inf, 1.0), (1e308, 1e308), (1.0, -math.inf), (10**400, 1)]
 )
 def test_filling_spec_rejects_non_finite_slopes(pq):
     # a NaN length would slip past the sqrt(7) gate (nan < x is False);
-    # (1e308, 1e308) overflows the length
+    # (1e308, 1e308) overflows the length, 10**400 the float conversion
     with pytest.raises(DomainError, match="no finite slope length"):
         FillingSpec.from_pairs(1, [pq])
 

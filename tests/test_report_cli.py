@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mgk import cli
 from mgk import deformation
@@ -288,6 +290,49 @@ def test_cli_similar_rejects_malformed_entry(capsys, entry):
     code, out, err = run(capsys, ["similar", "--k", "2", entry, "3/1@1"])
     assert code == 2
     assert out == "" and err.startswith("input error") and repr(entry) in err
+
+
+_HUGE = "1%s/1@1" % ("0" * 400)
+
+
+def test_cli_commensurable_overflow_is_an_input_error(capsys):
+    code, out, err = run(capsys, ["commensurable", "--k", "1", _HUGE])
+    assert code == 2
+    assert out == "" and err.startswith("input error") and "no finite slope length" in err
+
+
+def test_cli_similar_takes_slopes_of_any_size(capsys):
+    # similar compares exact integers and never needs a float
+    code, out, _ = run(capsys, ["similar", "--k", "1", _HUGE, _HUGE])
+    assert code == 0 and out.startswith("equivalent")
+
+
+_SLOPE_INTS = st.one_of(st.integers(-3, 3), st.integers(-10**6, 10**6))
+_SLOPE_TEXTS = st.one_of(
+    # signed pairs, (0, 0) and non-coprime pairs among them
+    st.builds("{}/{}".format, _SLOPE_INTS, _SLOPE_INTS),
+    st.builds("{} / {}".format, _SLOPE_INTS, _SLOPE_INTS),
+    st.text(alphabet="0123456789/-+_ x.", max_size=8),
+)
+
+
+def _accepted(parse):
+    try:
+        return parse()
+    except DomainError:
+        return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SLOPE_TEXTS)
+def test_fill_and_slope_set_parsers_agree(entry):
+    # "inf" and its spellings mean an unfilled cusp, which only fill has
+    assume(entry.strip().lower() not in ("inf", "infinity", "-"))
+    spec = _accepted(lambda: FillingSpec.parse(entry, 1))
+    sset = _accepted(lambda: cli._parse_slope_set(entry + "@1", 1))
+    assert (spec is None) == (sset is None)
+    if spec is not None:
+        assert spec.canonicalized().pairs[0] == (sset[0].p, sset[0].q)
 
 
 @pytest.mark.parametrize("k", ["0", "-1"])

@@ -13,6 +13,7 @@ from mgk.deformation import (
     dehn_coefficients,
     residuals,
     solve_complete,
+    solve_filling,
     uv,
 )
 from mgk.hyptrig import DomainError
@@ -137,6 +138,27 @@ def test_hyperbolic_filling_check():
     # real pairs compare against the threshold directly
     assert ss.hyperbolic_filling_check(FillingSpec.from_pairs(1, [(2.7, 0.1)]))
     assert not ss.hyperbolic_filling_check(FillingSpec.from_pairs(1, [(2.5, 0.1)]))
+
+
+@pytest.mark.parametrize(
+    "pq, hyperbolic",
+    [
+        # (3, 1) scaled to length sqrt(7) - 5e-13, inside the gate's 1e-12 slack
+        ((3.0 * (1.0 - 5e-13 / math.sqrt(7.0)), 1.0 - 5e-13 / math.sqrt(7.0)), True),
+        ((3.0, 1.0), True),
+        ((2.0, 1.0), False),
+    ],
+)
+def test_hyperbolic_filling_check_agrees_with_solver(pq, hyperbolic):
+    sig = GKSignature(2, 1)
+    spec = FillingSpec.from_pairs(1, [pq])
+    assert ss.hyperbolic_filling_check(spec) is hyperbolic
+    if hyperbolic:
+        x = solve_filling(sig, spec)
+        assert np.max(np.abs(residuals(sig, x))) < 1e-9
+    else:
+        with pytest.raises(DomainError, match="sqrt\\(7\\)"):
+            solve_filling(sig, spec)
 
 
 def test_slope_sets_equivalent_identity_and_rotation():
