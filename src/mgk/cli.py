@@ -11,10 +11,12 @@ non-coprime or 0/0 slope entry, one beyond the float range where a
 filling is solved, an unwritable --out file), 3 numerical failure.
 Tolerances are fixed: a report is refused above residual
 `report.RESIDUAL_TOL`, and invariants compare at
-`commensurability_xk.INVARIANT_TOL`.
+`commensurability_xk.INVARIANT_TOL`.  `main(argv)` can be called
+repeatedly in-process; it builds its parser once per process.
 """
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -100,12 +102,17 @@ def _parse_slope_set(text: str, k: int) -> ss.SlopeSet:
     return ss.make_slope_set(k, entries)
 
 
+def _fmt_coef(x) -> str:
+    # exact, so that the line names the slope that was solved
+    return "%d" % x if x == int(x) else repr(x)
+
+
 def _report_lines(rep) -> str:
     lines = []
     lines.append("signature       g=%d k=%d" % (rep.g, rep.k))
     lines.append(
         "filling         %s"
-        % ", ".join("inf" if pq is None else "%g/%g" % pq for pq in rep.filling)
+        % ", ".join("inf" if pq is None else "/".join(map(_fmt_coef, pq)) for pq in rep.filling)
     )
     lines.append("residual max    %.3g" % rep.residual_max)
     for i, c in enumerate(rep.cusps):
@@ -367,7 +374,12 @@ def _add_common(parser, top_level: bool) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `mgk` parser, built on the first call and shared by every later
+    one, so that `main` does not rebuild it per call.  Callers must not
+    mutate it; `parse_args` does not, and starts each call from a fresh
+    namespace."""
     ap = argparse.ArgumentParser(
         prog="mgk",
         description="Hyperbolic structures, Dehn fillings and invariants "

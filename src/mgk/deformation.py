@@ -412,8 +412,13 @@ class FillingSpec:
             p, q = pq
             if p == 0 and q == 0:
                 raise DomainError("filling coefficient (0, 0) is not a slope")
-            # a NaN length would pass every length gate, as nan < x is False
-            if not math.isfinite(slope_length_pair(p, q)):
+            # a NaN length would pass every length gate, as nan < x is False;
+            # the length of an integer pair beyond the float range overflows
+            try:
+                finite = math.isfinite(slope_length_pair(p, q))
+            except OverflowError:
+                finite = False
+            if not finite:
                 raise DomainError("filling coefficient (%r, %r) has no finite slope length" % (p, q))
 
     @classmethod

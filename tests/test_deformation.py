@@ -305,8 +305,11 @@ def test_filling_spec_parsing():
 def test_filling_spec_rejects_non_finite_slopes(pq):
     # a NaN length would slip past the sqrt(7) gate (nan < x is False);
     # (1e308, 1e308) overflows the length, 10**400 the float conversion
+    # in from_pairs and the length when the spec is built directly
     with pytest.raises(DomainError, match="no finite slope length"):
         FillingSpec.from_pairs(1, [pq])
+    with pytest.raises(DomainError, match="no finite slope length"):
+        FillingSpec((pq,))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -484,3 +485,70 @@ def test_cli_tolerance_flags_are_gone(capsys, argv):
     # tolerances are fixed: no option can let a report or a verdict through
     code, out, _ = run(capsys, argv)
     assert code == 2 and out == ""
+
+
+def test_cli_text_report_names_the_solved_slope(capsys):
+    # %g would print 1.23457e+06/1, a different slope
+    code, out, _ = run(capsys, ["fill", "--g", "2", "--k", "1", "--coeffs", "1234567/1"])
+    assert code == 0
+    assert "filling         1234567/1\n" in out
+
+
+# ---------------------------------------------------------------------------
+# one parser per process, shared by every call of main
+
+COMPLETE = ["complete", "--g", "2", "--k", "1"]
+
+
+def test_cli_builds_its_parser_once(monkeypatch, capsys):
+    run(capsys, COMPLETE)
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in (
+        ["similar", "--k", "2", "3/1@1,5/1@2", "5/1@1,3/1@2"],
+        ["fill", "--batch", "--g", "3", "--k", "2", "--coeffs", "inf,5/1;5/1,inf"],
+        COMPLETE,
+    ):
+        assert run(capsys, argv)[0] == 0
+    assert built == []
+
+
+@pytest.mark.parametrize("first", [["--json"] + COMPLETE, COMPLETE + ["--json"]])
+def test_cli_json_flag_does_not_leak(capsys, first):
+    code, out, _ = run(capsys, first)
+    assert code == 0 and json.loads(out)["schema"] == "mgk/1"
+    code, out, _ = run(capsys, COMPLETE)
+    assert code == 0 and out.startswith("signature       g=2 k=1\n")
+
+
+def test_cli_out_flag_does_not_leak(tmp_path, capsys):
+    target = tmp_path / "report.txt"
+    code, out, _ = run(capsys, ["--out", str(target)] + COMPLETE)
+    assert code == 0 and out == ""
+    written = target.read_text()
+    code, out, _ = run(capsys, COMPLETE)
+    assert code == 0 and out == written
+    assert target.read_text() == written
+
+
+def test_cli_parse_error_does_not_leak(capsys):
+    code, out, err = run(capsys, ["complete", "--g", "2"])
+    assert code == 2 and out == "" and "--k" in err
+    code, out, err = run(capsys, COMPLETE)
+    assert code == 0 and out.startswith("signature") and err == ""
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["similar", "--help"]])
+def test_cli_help_before_and_after_other_calls(capsys, argv):
+    code, before, _ = run(capsys, argv)
+    assert code == 0 and before.startswith("usage: mgk")
+    assert run(capsys, ["--json"] + COMPLETE)[0] == 0
+    assert run(capsys, ["complete", "--g", "x", "--k", "1"])[0] == 2
+    code, after, _ = run(capsys, argv)
+    assert code == 0 and after == before
