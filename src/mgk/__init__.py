@@ -12,6 +12,7 @@ from .deformation import (
     residuals,
     solve_complete,
     solve_filling,
+    solve_fillings,
     tangent_basis,
     uv,
     varsigma_derivatives,
@@ -31,6 +32,7 @@ __all__ = [
     "residuals",
     "solve_complete",
     "solve_filling",
+    "solve_fillings",
     "tangent_basis",
     "uv",
     "varsigma_derivatives",

@@ -20,7 +20,6 @@ import functools
 import math
 import os
 import sys
-import textwrap
 
 import numpy as np
 
@@ -36,6 +35,7 @@ from .deformation import (
     parse_slope,
     solve_complete,
     solve_filling,
+    solve_fillings,
     tangent_basis,
 )
 from .hyptrig import DomainError
@@ -153,12 +153,15 @@ def _solve_one(sig, coeffs, args):
     return build_report(sig, spec, x)
 
 
-def _batch_entry(sig, coeffs, args):
+def _batch_entry(sig, coeffs, spec, x, args):
     """One list of a batch: its exit code and its text, a report or an error
-    record.  Each list is written here, so that a report JSON cannot hold
+    record.  `x` is its solution, or the error that parsing or solving it
+    raised.  Each list is written here, so that a report JSON cannot hold
     (a NaN) becomes that list's own error record."""
     try:
-        rep = _solve_one(sig, coeffs, args)
+        if isinstance(x, Exception):
+            raise x
+        rep = build_report(sig, spec, x)
         return EXIT_OK, report_to_json(rep) if args.json else _report_lines(rep)
     except _FAILURES as exc:
         code, message = _failure(exc)
@@ -167,19 +170,33 @@ def _batch_entry(sig, coeffs, args):
     return code, "error           %s: %s" % (coeffs, message)
 
 
+def _parse_or_error(coeffs, k):
+    try:
+        return FillingSpec.parse(coeffs, k)
+    except DomainError as exc:
+        return exc
+
+
 def cmd_fill(args) -> int:
     sig = GKSignature(args.g, args.k)
     if not args.batch:
         _emit_report(args, _solve_one(sig, args.coeffs, args))
         return EXIT_OK
     # every entry is a list, an empty one too (an error record like any other);
-    # one after another on this thread: the GIL would serialise threaded
-    # solves, adding only hand-off cost and scheduling jitter
-    entries = [_batch_entry(sig, c.strip(), args) for c in args.coeffs.split(";")]
+    # the lists that parse are solved together, in one stacked solve
+    coeffs = [c.strip() for c in args.coeffs.split(";")]
+    specs = [_parse_or_error(c, sig.k) for c in coeffs]
+    solved = iter(solve_fillings(sig, [s for s in specs if isinstance(s, FillingSpec)],
+                                 check_length=not args.allow_short))
+    entries = [
+        _batch_entry(sig, c, s, next(solved) if isinstance(s, FillingSpec) else s, args)
+        for c, s in zip(coeffs, specs)
+    ]
     texts = [text for _, text in entries]
     if args.json:
-        # the JSON array of the entries, as to_json would indent it
-        _emit(args, "[\n%s\n]" % ",\n".join(textwrap.indent(t, "  ") for t in texts))
+        # the JSON array of the entries, as to_json would indent it (no
+        # entry holds a blank line)
+        _emit(args, "[\n%s\n]" % ",\n".join("  " + t.replace("\n", "\n  ") for t in texts))
     else:
         _emit(args, "\n\n".join(texts))
     return max(code for code, _ in entries)
@@ -245,12 +262,19 @@ def cmd_commensurable(args) -> int:
     sig = cx.XkSignature(args.k)
     gk = sig.gk
 
-    def solve_set(sset):
-        pairs = [None if s is None else (s.p, s.q) for s in sset]
-        return solve_filling(gk, FillingSpec.from_pairs(gk.k, pairs))
+    def spec_of(sset):
+        try:
+            return FillingSpec.from_pairs(gk.k, [None if s is None else (s.p, s.q) for s in sset])
+        except DomainError as exc:
+            return exc
 
-    sets = [_parse_slope_set(text, args.k) for text in args.sets]
-    points = [solve_set(sset) for sset in sets]
+    specs = [spec_of(_parse_slope_set(text, args.k)) for text in args.sets]
+    solved = iter(solve_fillings(gk, [s for s in specs if isinstance(s, FillingSpec)]))
+    # the first set that fails, in input order, fails the command
+    points = [next(solved) if isinstance(s, FillingSpec) else s for s in specs]
+    for x in points:
+        if isinstance(x, Exception):
+            raise x
     labels = list(args.sets)
     if args.rotated:
         extra = []

@@ -40,11 +40,14 @@ and 12 rows:
 
 The blocks couple only through beta: a border column d/dbeta, nonzero
 only on the length rows, and a border row, the total angle (ones on the
-alphas, corner 6(g-k)).  A step is one batched solve of the k 12x12
-blocks with two right-hand sides (the residual and the border column)
-and a scalar Schur complement for beta, O(k) work instead of the O(k^3)
-of the dense (12k+1)^2 system.  `jacobian` scatters the same entries
-into the dense (10k+1) x (12k+1) public form.
+alphas, corner 6(g-k)).  The solver works on N points of one signature
+at once, the fillings of a batch: a step is one batched solve of the
+N k 12x12 blocks with two right-hand sides (the residual and the border
+column) and then one scalar Schur complement for each point's beta,
+O(Nk) work instead of the O(k^3) of each dense (12k+1)^2 system.  Each
+point gets the same floating-point results as when it is solved alone.
+`jacobian` scatters the same entries into the dense (10k+1) x (12k+1)
+public form.
 """
 
 import math
@@ -66,6 +69,7 @@ _FILL_TOL = 1e-10
 _L_SAFE = 20.0
 # |u| below which a cusp counts as complete (unfilled)
 COMPLETE_TOL = 1e-9
+_OUTSIDE_BOX = "coordinates must lie in (0, pi)"
 
 
 class ConvergenceError(RuntimeError):
@@ -128,7 +132,7 @@ def check_coords(sig: GKSignature, x: np.ndarray) -> np.ndarray:
             "expected %d coordinates, got %r" % (sig.n_coords, x.shape)
         )
     if not (0.0 < x.min() and x.max() < math.pi):
-        raise DomainError("coordinates must lie in (0, pi)")
+        raise DomainError(_OUTSIDE_BOX)
     return x
 
 
@@ -210,11 +214,14 @@ _ALPHA_COLS = np.array([0, 1, 2, 6, 7, 8])
 _LENGTH_COLS = np.array(
     [[6 * t + (j + 1) % 3, 6 * t + (j + 2) % 3, 6 * t + 3 + j] for t in (0, 1) for j in range(3)]
 ).T
-# as 0/1 selectors: one broadcast product scatters the three derivatives of
-# each length row into the block's 12 columns
-_LENGTH_SEL = (_LENGTH_COLS[:, :, None] == np.arange(12)).astype(float)
-_LENGTH_MASK = np.repeat([1.0, 0.0], 6)
+# the same entries as flat indices into a 12x12 block
+_LENGTH_ENTRIES = _LENGTH_COLS + 12 * np.arange(6)
 _SINE_SIGNS = np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]]).reshape(2, 1, 1, 3)
+# u and v on the gammas of tetrahedron 2c (those of 2c+1 take the opposite
+# signs): the log-sine coefficients of the real parts, the angle
+# coefficients of the imaginary parts
+_U_LOG, _V_LOG = np.array([1.0, -1.0, 0.0]), np.array([0.0, 1.0, -1.0])
+_U_ARG, _V_ARG = np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])
 
 
 def _versine(beta: float) -> float:
@@ -245,47 +252,53 @@ def _linear_rows(targets):
     L, S, o = np.zeros((k, 12, 12)), np.zeros((k, 12, 12)), np.zeros((k, 12))
     L[:, 6, 3:6] = L[:, 7, 9:12] = 1.0
     o[:, 6:8] = math.pi
-    S[:, 10, 3:6] = p * [1.0, -1.0, 0.0] + q * [0.0, 1.0, -1.0]
-    L[:, 11, 3:6] = p * [0.0, 0.0, 1.0] + q * [1.0, 0.0, 0.0]
-    S[:, 10, 9:12], L[:, 11, 9:12] = -S[:, 10, 3:6], -L[:, 11, 3:6]
+    su, lv = p * _U_LOG + q * _V_LOG, p * _U_ARG + q * _V_ARG
+    S[:, 10, 3:6], S[:, 10, 9:12] = su, -su
+    L[:, 11, 3:6], L[:, 11, 9:12] = lv, -lv
     o[:, 11] = 2.0 * math.pi * filled
     return L, S, o
 
 
-def _evaluate(sig: GKSignature, x, rows):
-    """Residuals of the square system at x in block order (12 rows per
-    cusp, then the total angle; `rows` from `_linear_rows`) and a function
-    returning the Newton blocks (A, dbeta) from the same sin/cos pass."""
-    x = check_coords(sig, x)
-    k = sig.k
+def _evaluate(sig: GKSignature, x: np.ndarray, rows):
+    """Residuals of the square system at the N points x, shape
+    (N, 12k+1), in block order (12 rows per cusp, then the total angle),
+    and a function returning the Newton blocks from the same sin/cos
+    pass: A of shape (Nk, 12, 12) and the list of the N dbeta.  `rows`
+    are the linear rows of the N k blocks, `_linear_rows` of the points'
+    targets concatenated.  Every point gets the bits it gets alone: the
+    functions of beta use `math`, and each point's angle sum is a sum of
+    its own."""
+    n_pts, k = len(x), sig.k
     L, S, o = rows
-    beta = x[-1]
-    xb = x[:-1].reshape(k, 12, 1)
+    beta = x[:, -1].tolist()
+    xb = x[:, :-1].reshape(n_pts * k, 12, 1)
     s, c = np.sin(xb), np.cos(xb)
-    # (k, 3, 6): sin/cos of alpha^{j+1}, alpha^{j+2}, gamma^j per length row
+    # (Nk, 3, 6): sin/cos of alpha^{j+1}, alpha^{j+2}, gamma^j per length row
     sl, cl = s[:, _LENGTH_COLS, 0], c[:, _LENGTH_COLS, 0]
     den = sl[:, 0] * sl[:, 1]
-    prods = s.reshape(k, 2, 2, 3).prod(axis=(1, 2))
-    r = np.empty(12 * k + 1)
-    R = r[:-1].reshape(k, 12)
-    np.subtract((L @ xb + S @ np.log(s))[:, :, 0], o, out=R)
-    R[:, :6] = (cl[:, 0] * cl[:, 1] + cl[:, 2]) / den - edge_cosh(beta)
+    prods = s.reshape(-1, 2, 2, 3).prod(axis=(1, 2))
+    R = (L @ xb + S @ np.log(s))[:, :, 0] - o
+    R[:, :6] = (cl[:, 0] * cl[:, 1] + cl[:, 2]) / den
     R[:, 8:10] = prods[:, :2] - prods[:, 1:]
-    r[-1] = 6.0 * (sig.g - k) * beta + xb[:, _ALPHA_COLS].sum() - 2.0 * math.pi
+    r = np.empty((n_pts, 12 * k + 1))
+    for i, (b, a) in enumerate(zip(beta, xb[:, _ALPHA_COLS].reshape(n_pts, k, 6, 1))):
+        R[k * i:k * i + k, :6] -= edge_cosh(b)
+        r[i, -1] = 6.0 * (sig.g - k) * b + a.sum() - 2.0 * math.pi
+    r[:, :-1] = R.reshape(n_pts, -1)
 
     def blocks():
         cot = c / s
-        A = L + S * cot.reshape(k, 1, 12)
+        A = L + S * cot.reshape(-1, 1, 12)
         q = -1.0 / den
         # d/d alpha^{j+1}, alpha^{j+2}: -(cos a_other + cos a_self cos g) / (den sin a_self)
         d = (cl[:, 1::-1] + cl[:, :2] * cl[:, 2:3]) * (q[:, None] / sl[:, :2])
-        dg = (sl[:, 2] * q)[..., None] * _LENGTH_SEL[2]
-        A[:, :6] = (d[..., None] * _LENGTH_SEL[:2]).sum(axis=1) + dg
+        # rows 0-5 of L and S are zero, so A holds zero at every other entry of them
+        A.reshape(-1, 144)[:, _LENGTH_ENTRIES] = np.concatenate([d, (sl[:, 2] * q)[:, None]], axis=1)
         # d Pi^j / d x = Pi^j cot x over the four angles at apex j
-        A.reshape(k, 12, 2, 2, 3)[:, 8:10] = (
-            prods.reshape(k, 1, 1, 1, 3) * _SINE_SIGNS * cot.reshape(k, 1, 2, 2, 3)
+        A.reshape(-1, 12, 2, 2, 3)[:, 8:10] = (
+            prods.reshape(-1, 1, 1, 1, 3) * _SINE_SIGNS * cot.reshape(-1, 1, 2, 2, 3)
         )
-        return A, math.sin(beta) / _versine(beta) ** 2
+        return A, [math.sin(b) / _versine(b) ** 2 for b in beta]
 
     return r, blocks
 
@@ -312,14 +325,15 @@ def _dense(sig: GKSignature, A: np.ndarray, dbeta: float) -> np.ndarray:
 
 def residuals(sig: GKSignature, x) -> np.ndarray:
     """The 10k+1 structure residuals at x (layout in the module docstring)."""
-    r, _ = _evaluate(sig, x, _linear_rows([None] * sig.k))
-    return _structure_rows(r, sig.k)
+    r, _ = _evaluate(sig, check_coords(sig, x)[None], _linear_rows([None] * sig.k))
+    return _structure_rows(r[0], sig.k)
 
 
 def jacobian(sig: GKSignature, x) -> np.ndarray:
     """Analytic Jacobian of `residuals`: the Newton blocks, scattered dense."""
-    _, blocks = _evaluate(sig, x, _linear_rows([None] * sig.k))
-    return _structure_rows(_dense(sig, *blocks()), sig.k)
+    _, blocks = _evaluate(sig, check_coords(sig, x)[None], _linear_rows([None] * sig.k))
+    A, dbeta = blocks()
+    return _structure_rows(_dense(sig, A, dbeta[0]), sig.k)
 
 
 # ---------------------------------------------------------------------------
@@ -473,67 +487,144 @@ def _clip(x: np.ndarray) -> np.ndarray:
     return np.minimum(np.maximum(x, _CLIP), math.pi - _CLIP)
 
 
-def _block_step(sig: GKSignature, r: np.ndarray, A: np.ndarray, dbeta: float) -> np.ndarray:
-    """Solve the block-arrow system J step = r: per cusp
-    A_c s_c + dbeta e s_beta = r_c (e marks the length rows) and
-    sum(alpha steps) + 6(g-k) s_beta = r_total.  One batched solve for
-    the two right-hand sides r_c and dbeta e, then the scalar Schur
-    complement for s_beta: O(k) work."""
-    k = sig.k
-    rhs = np.empty((k, 12, 2))
-    rhs[:, :, 0] = r[:-1].reshape(k, 12)
-    rhs[:, :, 1] = dbeta * _LENGTH_MASK
+def _block_step(sig: GKSignature, r: np.ndarray, A: np.ndarray, dbeta: Sequence[float]) -> np.ndarray:
+    """Solve the block-arrow systems J step = r of N points, r of shape
+    (N, 12k+1) and A of shape (Nk, 12, 12): per cusp A_c s_c + dbeta e
+    s_beta = r_c (e marks the length rows) and sum(alpha steps) + 6(g-k)
+    s_beta = r_total.  One batched solve of the N k blocks for the two
+    right-hand sides r_c and dbeta e, then the scalar Schur complement for
+    each s_beta: O(Nk) work.  Raises LinAlgError if any of the N systems
+    is singular."""
+    n_pts, k = len(r), sig.k
+    rhs = np.zeros((n_pts * k, 12, 2))
+    rhs[:, :, 0] = r[:, :-1].reshape(-1, 12)
+    for i, d in enumerate(dbeta):
+        rhs[k * i:k * i + k, :6, 1] = d
     y = np.linalg.solve(A, rhs)
-    ya = y[:, _ALPHA_COLS].sum(axis=(0, 1))
-    schur = 6.0 * (sig.g - k) - ya[1]
-    if schur == 0.0:
-        raise np.linalg.LinAlgError("Singular matrix")
-    sb = (r[-1] - ya[0]) / schur
+    # one Schur scalar per point, in the arithmetic of a single point
+    corner = 6.0 * (sig.g - k)
     step = np.empty_like(r)
-    step[:-1] = (y[:, :, 0] - sb * y[:, :, 1]).ravel()
-    step[-1] = sb
+    ya = y.reshape(n_pts, k, 12, 2)[:, :, _ALPHA_COLS].sum(axis=(1, 2)).tolist()
+    for i, ((a0, a1), total) in enumerate(zip(ya, r[:, -1].tolist())):
+        if corner - a1 == 0.0:
+            raise np.linalg.LinAlgError("Singular matrix")
+        step[i, -1] = (total - a0) / (corner - a1)
+    y = y.reshape(n_pts, 12 * k, 2)
+    step[:, :-1] = y[..., 0] - step[:, -1:] * y[..., 1]
     return step
 
 
+def _block_steps(sig: GKSignature, r: np.ndarray, A: np.ndarray, dbeta: Sequence[float]):
+    """`_block_step`, and by position the LinAlgError of each system that is
+    singular.  numpy fails a whole stacked solve for one singular block, so
+    then each system is solved alone; a singular one gets a zero step."""
+    try:
+        return _block_step(sig, r, A, dbeta), {}
+    except np.linalg.LinAlgError as exc:
+        if len(r) == 1:
+            return np.zeros_like(r), {0: exc}
+    k, step, failed = sig.k, np.zeros_like(r), {}
+    for i in range(len(r)):
+        try:
+            step[i] = _block_step(sig, r[i:i + 1], A[k * i:k * i + k], dbeta[i:i + 1])[0]
+        except np.linalg.LinAlgError as exc:
+            failed[i] = exc
+    return step, failed
+
+
+def _refused(x: np.ndarray) -> bool:
+    """Whether `check_coords` refuses the point x, asked only when its merit
+    is NaN: after `_clip` only a NaN is outside (0, pi), and it makes the
+    merit NaN."""
+    return bool(np.isnan(x).any())
+
+
 def _newton(sig: GKSignature, x0: np.ndarray, rows, tol: float):
-    """Damped Newton with block-arrow steps on the square system whose
-    linear block rows are `rows` (L, S, o, as for `_evaluate`), until the
-    residual sup-norm is below `tol`.  Returns the solution and the
-    function giving its Newton blocks (A, dbeta) from the same evaluation.
-    Clips iterates into the open angle box.  The line search backtracks
-    on the sup-norm with each length row divided by |edge_cosh(beta)| at
-    x0: those rows have that scale, about 4e4 at g = 150, and undivided
-    they drown the others, so that the search halves steps that are good
-    and Newton crawls."""
-    x = _clip(np.array(x0, dtype=float))
+    """Damped Newton with block-arrow steps on N square systems at once,
+    from the points x0 of shape (N, 12k+1), whose linear block rows are
+    `rows` (as for `_evaluate`), each until its residual sup-norm is below
+    `tol`.  Returns the points, the function giving their Newton blocks
+    (A, dbeta) from the last evaluation, and per point None or the error
+    that stopped it: a ConvergenceError, or `check_coords`'s DomainError
+    for a point that is not a number.
+
+    Each point takes the steps and the line search it takes alone.  A
+    point that has converged, stopped, or accepted its trial step while
+    others still halve theirs rides along with a zero step, so that every
+    evaluation covers all N points and the last one holds the blocks of
+    each.  Clips iterates into the open angle box.  The line search
+    backtracks on the sup-norm with each length row divided by
+    |edge_cosh(beta)| at x0: those rows have that scale, about 4e4 at
+    g = 150, and undivided they drown the others, so that the search
+    halves steps that are good and Newton crawls."""
+    x = _clip(np.asarray(x0, dtype=float))
+    n_pts, k = len(x), sig.k
     r, blocks = _evaluate(sig, x, rows)
-    weight = np.ones_like(r)
-    weight[:-1].reshape(sig.k, 12)[:, :6] = 1.0 / max(1.0, abs(edge_cosh(x[-1])))
-    merit = np.abs(weight * r).max()
+    weight = np.ones(r.shape)
+    for i, b in enumerate(x[:, -1].tolist()):
+        weight[i, :-1].reshape(k, 12)[:, :6] = 1.0 / max(1.0, abs(edge_cosh(b)))
+    merit = np.abs(weight * r).max(axis=1).tolist()
+    errors = [
+        DomainError(_OUTSIDE_BOX) if m != m and _refused(x[i]) else None for i, m in enumerate(merit)
+    ]
+    running = [i for i in range(n_pts) if errors[i] is None]
     # weight <= 1, so merit < tol is necessary for convergence and the
     # sup-norm need only be taken then
     for _ in range(_MAX_ITER):
-        if merit < tol and np.abs(r).max() < tol:
-            return x, blocks
-        try:
-            step = _block_step(sig, r, *blocks())
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError("singular Jacobian: %s" % exc) from None
+        running = [
+            i for i in running
+            if errors[i] is None and not (merit[i] < tol and np.abs(r[i]).max() < tol)
+        ]
+        if not running:
+            break
+        A, dbeta = blocks()
+        if len(running) == n_pts:
+            step, failed = _block_steps(sig, r, A, dbeta)
+        else:
+            step = np.zeros_like(x)
+            A = A.reshape(n_pts, k, 12, 12)[running].reshape(-1, 12, 12)
+            step[running], failed = _block_steps(sig, r[running], A, [dbeta[i] for i in running])
+        pending = running
+        if failed:
+            for pos, exc in failed.items():
+                errors[running[pos]] = ConvergenceError("singular Jacobian: %s" % exc)
+            pending = [i for i in running if errors[i] is None]
         lam = 1.0
         for _ in range(30):
-            xn = _clip(x - lam * step)
+            xn = _clip(x - step if lam == 1.0 else x - lam * step)
             rn, bn = _evaluate(sig, xn, rows)
-            mn = np.abs(weight * rn).max()
-            if mn < merit or (mn < tol and np.abs(rn).max() < tol):
+            mn = np.abs(weight * rn).max(axis=1).tolist()
+            rejected = []
+            for i in pending:
+                if mn[i] < merit[i] or (mn[i] < tol and np.abs(rn[i]).max() < tol):
+                    continue
+                if mn[i] != mn[i] and _refused(xn[i]):
+                    errors[i] = DomainError(_OUTSIDE_BOX)
+                else:
+                    rejected.append(i)
+            if rejected:
+                # they keep their point for the next trial; the rest ride along
+                xn[rejected], rn[rejected] = x[rejected], r[rejected]
+                for i in rejected:
+                    mn[i] = merit[i]
+                kept, step = step[rejected], np.zeros_like(step)
+                step[rejected] = kept
+            x, r, merit, blocks = xn, rn, mn, bn
+            if not rejected:
                 break
+            pending = rejected
             lam *= 0.5
         else:
-            raise ConvergenceError("line search stalled at residual %g" % np.abs(r).max())
-        x, r, blocks, merit = xn, rn, bn, mn
-    norm = np.abs(r).max()
-    if norm < tol:
-        return x, blocks
-    raise ConvergenceError("no convergence: residual %g after %d iterations" % (norm, _MAX_ITER))
+            for i in pending:
+                errors[i] = ConvergenceError("line search stalled at residual %g" % np.abs(r[i]).max())
+    else:
+        for i in running:
+            norm = np.abs(r[i]).max()
+            if errors[i] is None and not norm < tol:
+                errors[i] = ConvergenceError(
+                    "no convergence: residual %g after %d iterations" % (norm, _MAX_ITER)
+                )
+    return x, blocks, errors
 
 
 def _hermite(s_next: float, s: float, x: np.ndarray, dx: np.ndarray, prev) -> np.ndarray:
@@ -566,60 +657,126 @@ def solve_filling(sig: GKSignature, spec: FillingSpec, *, check_length: bool = T
     the path and their tangents, the first at the Euler step from T0.
     Fails loudly (ContinuationError) if the path cannot reach t = 1.
     With `check_length`, a slope shorter than sqrt(7) is a DomainError.
+    This is `solve_fillings` on the one spec.
     """
-    if len(spec.pairs) != sig.k:
-        raise DomainError("spec has %d cusps, signature has %d" % (len(spec.pairs), sig.k))
-    spec = spec.canonicalized()
-    lmin = spec.min_filled_length()
-    if check_length and not spec.is_hyperbolic():
-        raise DomainError(
-            "slope of length %.6g below the hyperbolicity threshold sqrt(7)" % lmin
-        )
-    complete = solve_complete(sig)
-    if lmin is None:
-        return complete.x0.copy()
-
-    # the rows at t = 1; the multiplier t scales rows 10-11 of the filled
-    # cusps, and t ds_rhs is the tangent's right-hand side
-    filled = np.array([pq is not None for pq in spec.pairs])
-    L, S, o = _linear_rows(spec.pairs)
-    scaled = np.zeros((sig.k, 12, 1), dtype=bool)
-    scaled[filled, 10:] = True
-    ds_rhs = np.zeros(sig.n_coords)
-    ds_rhs[:-1].reshape(sig.k, 12)[filled, 11] = 2.0 * math.pi
-
-    def rows_at(t):
-        f = np.where(scaled, t, 1.0)
-        return L * f, S * f, o
-
-    t0 = max(1.0, _L_SAFE / lmin)
-    try:
-        x, blocks = _newton(sig, complete.x0, rows_at(t0), _FILL_TOL)
-    except ConvergenceError as exc:
-        raise ContinuationError("first step at t=%g failed: %s" % (t0, exc), None) from None
-    t_good, dx, prev = t0, None, None
-    rho = 3.0
-    while t_good > 1.0:
-        s_good = 1.0 / t_good
-        if dx is None:
-            try:
-                dx = _block_step(sig, t_good * ds_rhs, *blocks())
-            except np.linalg.LinAlgError as exc:
-                raise ContinuationError("singular tangent: %s" % exc, t_good) from None
-        t_next = max(1.0, t_good / rho)
-        guess = _hermite(1.0 / t_next, s_good, x, dx, prev)
-        try:
-            x_next, blocks = _newton(sig, guess, rows_at(t_next), _FILL_TOL)
-        except ConvergenceError:
-            rho = 1.0 + (rho - 1.0) / 2.0
-            if t_good - max(1.0, t_good / rho) < 1e-4:
-                raise ContinuationError(
-                    "continuation step underflow at t=%g" % t_good, t_good
-                ) from None
-            continue
-        prev, dx = (s_good, x, dx), None
-        x, t_good = x_next, t_next
+    (x,) = solve_fillings(sig, [spec], check_length=check_length)
+    if isinstance(x, Exception):
+        raise x
     return x
+
+
+def solve_fillings(sig: GKSignature, specs: Sequence[FillingSpec], *, check_length: bool = True) -> list:
+    """`solve_filling` for each of `specs` of one signature, solved
+    together.  Returns, per spec, the solution or the DomainError or
+    ConvergenceError that `solve_filling` raises for it, with the same
+    bits and message: a spec that fails does not touch the others.
+    `solve_complete` runs once, and the specs with a filled cusp run
+    their continuations in lockstep.  Each round takes, for every spec
+    still short of t = 1 on its own schedule, its tangent and then its
+    Newton solve at its next t: one stacked block step and one stacked
+    `_newton` for all of them."""
+    out = [None] * len(specs)
+    todo = []
+    for i, spec in enumerate(specs):
+        if len(spec.pairs) != sig.k:
+            out[i] = DomainError("spec has %d cusps, signature has %d" % (len(spec.pairs), sig.k))
+            continue
+        spec = spec.canonicalized()
+        lmin = spec.min_filled_length()
+        if check_length and not spec.is_hyperbolic():
+            out[i] = DomainError("slope of length %.6g below the hyperbolicity threshold sqrt(7)" % lmin)
+            continue
+        todo.append((i, spec, lmin))
+    if not todo:
+        return out
+    try:
+        x0 = solve_complete(sig).x0
+    except ConvergenceError as exc:
+        for i, _, _ in todo:
+            out[i] = exc
+        return out
+    filled = [(i, spec, lmin) for i, spec, lmin in todo if lmin is not None]
+    for i, _, lmin in todo:
+        if lmin is None:
+            out[i] = x0.copy()
+    if filled:
+        index, specs, lmins = zip(*filled)
+        for i, x in zip(index, _continue(sig, x0, specs, lmins)):
+            out[i] = x
+    return out
+
+
+def _continue(sig: GKSignature, x0: np.ndarray, specs, lmins) -> list:
+    """The continuations of `solve_filling` from the complete solution x0
+    for canonical specs with a filled cusp, of shortest filled slopes
+    `lmins`, in lockstep; per spec, the solution or its error."""
+    m, k = len(specs), sig.k
+    # the rows at t = 1, block by block; the multiplier t scales rows 10-11
+    # of the filled cusps, and t ds_rhs is the tangent's right-hand side
+    L, S, o = _linear_rows([pq for spec in specs for pq in spec.pairs])
+    filled = np.array([[pq is not None for pq in spec.pairs] for spec in specs])
+    scaled = np.zeros((m * k, 12, 1), dtype=bool)
+    scaled[filled.ravel(), 10:] = True
+    ds_rhs = np.zeros((m, sig.n_coords))
+    ds_rhs[:, :-1].reshape(m, k, 12)[filled, 11] = 2.0 * math.pi
+
+    def rows_at(t, members):
+        sel = slice(None) if len(members) == m else [k * i + c for i in members for c in range(k)]
+        f = np.where(scaled[sel], np.array(t).repeat(k)[:, None, None], 1.0)
+        return L[sel] * f, S[sel] * f, o[sel]
+
+    out = [None] * m
+    t_good = [max(1.0, _L_SAFE / lmin) for lmin in lmins]
+    x, blocks, errors = _newton(sig, x0[None].repeat(m, axis=0), rows_at(t_good, range(m)), _FILL_TOL)
+    for i, exc in enumerate(errors):
+        if isinstance(exc, ConvergenceError):
+            out[i] = ContinuationError("first step at t=%g failed: %s" % (t_good[i], exc), None)
+        else:
+            out[i] = exc
+    xs, dx, prev = list(x), [None] * m, [None] * m
+    rho = [3.0] * m
+    # the specs of the last Newton solve, whose blocks `blocks` gives
+    last = list(range(m))
+    while True:
+        live = [i for i in range(m) if out[i] is None and t_good[i] > 1.0]
+        if not live:
+            break
+        tangent = [i for i in live if dx[i] is None]
+        if tangent:
+            A, dbeta = blocks()
+            if tangent != last:
+                at = [last.index(i) for i in tangent]
+                A, dbeta = A.reshape(-1, k, 12, 12)[at].reshape(-1, 12, 12), [dbeta[j] for j in at]
+            t = np.array([t_good[i] for i in tangent])[:, None]
+            rhs = t * (ds_rhs[tangent] if len(tangent) < m else ds_rhs)
+            steps, failed = _block_steps(sig, rhs, A, dbeta)
+            for pos, i in enumerate(tangent):
+                if pos in failed:
+                    out[i] = ContinuationError("singular tangent: %s" % failed[pos], t_good[i])
+                else:
+                    dx[i] = steps[pos]
+            live = [i for i in live if out[i] is None]
+            if not live:
+                continue
+        t_next = [max(1.0, t_good[i] / rho[i]) for i in live]
+        guess = np.array([
+            _hermite(1.0 / t, 1.0 / t_good[i], xs[i], dx[i], prev[i]) for i, t in zip(live, t_next)
+        ])
+        x, blocks, errors = _newton(sig, guess, rows_at(t_next, live), _FILL_TOL)
+        for i, t, x_next, exc in zip(live, t_next, x, errors):
+            if exc is None:
+                prev[i], dx[i] = (1.0 / t_good[i], xs[i], dx[i]), None
+                xs[i], t_good[i] = x_next, t
+            elif isinstance(exc, DomainError):
+                out[i] = exc
+            else:
+                rho[i] = 1.0 + (rho[i] - 1.0) / 2.0
+                if t_good[i] - max(1.0, t_good[i] / rho[i]) < 1e-4:
+                    out[i] = ContinuationError(
+                        "continuation step underflow at t=%g" % t_good[i], t_good[i]
+                    )
+        last = live
+    return [xs[i] if out[i] is None else out[i] for i in range(m)]
 
 
 # ---------------------------------------------------------------------------
@@ -685,4 +842,7 @@ def varsigma_point(sig: GKSignature, t: float) -> np.ndarray:
     L[0, 10, 1:3] = L[1:, 11, 1:3] = L[1:, 10, 0:2] = (1.0, -1.0)
     L[0, 11, 0], L[0, 11, 6] = 1.0, -1.0
     o[0, 11] = 4.0 * math.sin(cs.alpha_bar) * t
-    return _newton(sig, cs.x0 + t * first + 0.5 * t * t * second, (L, S, o), 1e-12)[0]
+    x, _, (exc,) = _newton(sig, (cs.x0 + t * first + 0.5 * t * t * second)[None], (L, S, o), 1e-12)
+    if exc is not None:
+        raise exc
+    return x[0]

@@ -17,6 +17,7 @@ from mgk.deformation import (
     residuals,
     solve_complete,
     solve_filling,
+    solve_fillings,
     tangent_basis,
     uv,
     varsigma_derivatives,
@@ -435,13 +436,13 @@ def test_block_step_matches_dense_solve(k):
         sig = GKSignature(g, k)
         targets = mixed_targets(rng, k)
         x = near_complete(sig, rng)
-        r, blocks = deformation._evaluate(sig, x, deformation._linear_rows(targets))
-        step = deformation._block_step(sig, r, *blocks())
+        r, blocks = deformation._evaluate(sig, x[None], deformation._linear_rows(targets))
+        step = deformation._block_step(sig, r, *blocks())[0]
         cusp_res, cusp_rows = loop_cusp_rows(x, targets)
         dense = np.vstack([jacobian(sig, x), cusp_rows])
         rhs = np.concatenate([residuals(sig, x), cusp_res])
         # same residuals, in another row order
-        assert np.allclose(np.sort(rhs), np.sort(r), rtol=0.0, atol=1e-13)
+        assert np.allclose(np.sort(rhs), np.sort(r[0]), rtol=0.0, atol=1e-13)
         ref = np.linalg.solve(dense, rhs)
         assert np.max(np.abs(step - ref)) <= 1e-10 * np.max(np.abs(ref))
 
@@ -452,15 +453,16 @@ def test_block_entries_match_finite_differences(k):
     sig = GKSignature(k + 2, k)
     rows = deformation._linear_rows(mixed_targets(rng, k))
     x = near_complete(sig, rng, 1e-2)
-    _, blocks = deformation._evaluate(sig, x, rows)
-    J = deformation._dense(sig, *blocks())
+    _, blocks = deformation._evaluate(sig, x[None], rows)
+    A, dbeta = blocks()
+    J = deformation._dense(sig, A, dbeta[0])
     h = 1e-6
     Jfd = np.empty_like(J)
     for j in range(sig.n_coords):
         xp, xm = x.copy(), x.copy()
         xp[j] += h
         xm[j] -= h
-        rp, rm = deformation._evaluate(sig, xp, rows)[0], deformation._evaluate(sig, xm, rows)[0]
+        rp, rm = (deformation._evaluate(sig, xs[None], rows)[0][0] for xs in (xp, xm))
         Jfd[:, j] = (rp - rm) / (2 * h)
     assert np.max(np.abs(J - Jfd)) / np.max(np.abs(J)) < 1e-7
 
@@ -527,7 +529,7 @@ def test_filling_tangent_matches_central_difference(monkeypatch, g, k):
         ends = []
         for sh in (s + h, s - h):
             targets = [None if pq is None else (pq[0] / sh, pq[1] / sh) for pq in pairs]
-            ends.append(deformation._newton(sig, x, deformation._linear_rows(targets), 1e-12)[0])
+            ends.append(deformation._newton(sig, x[None], deformation._linear_rows(targets), 1e-12)[0][0])
         fd = (ends[0] - ends[1]) / (2.0 * h)
         assert np.max(np.abs(dx - fd)) <= 1e-5 * np.max(np.abs(fd)), s
 
@@ -541,13 +543,19 @@ def warm_start_continuation(sig, pairs, l_safe=20.0, tol=1e-10):
         targets = [None if pq is None else (t * pq[0], t * pq[1]) for pq in spec.pairs]
         return deformation._linear_rows(targets)
 
+    def newton(x, t):
+        x, _, (exc,) = deformation._newton(sig, x[None], rows_at(t), tol)
+        if exc is not None:
+            raise exc
+        return x[0]
+
     t = max(1.0, l_safe / spec.min_filled_length())
-    x, _ = deformation._newton(sig, solve_complete(sig).x0, rows_at(t), tol)
+    x = newton(solve_complete(sig).x0, t)
     rho = 1.5
     while t > 1.0:
         t_next = max(1.0, t / rho)
         try:
-            x, _ = deformation._newton(sig, x, rows_at(t_next), tol)
+            x = newton(x, t_next)
         except ConvergenceError:
             rho = 1.0 + (rho - 1.0) / 2.0
             assert t - max(1.0, t / rho) >= 1e-4
@@ -643,3 +651,114 @@ def test_filling_first_step_failure_is_a_continuation_error(monkeypatch):
     with pytest.raises(ContinuationError) as info:
         solve_filling(GKSignature(2, 1), FillingSpec.from_pairs(1, [(5.0, 1.0)]))
     assert info.value.last_good_t is None
+
+
+# a batch of one signature is solved in lockstep (solve_fillings)
+
+SHORT_SLOPES = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (2.0, 1.0), (1.0, 2.0), (1.0, -1.0)]
+
+
+def outcome(value):
+    """A solve's result in comparable form: the bytes of a solution, or the
+    type, message and last good multiplier of an error."""
+    if isinstance(value, Exception):
+        return type(value), str(value), getattr(value, "last_good_t", "-")
+    return value.tobytes()
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 8),
+    g=st.integers(2, 40),
+    n=st.integers(1, 6),
+)
+def test_solve_fillings_match_solve_filling(seed, k, g, n):
+    # each list of a stacked batch gets the bits, or the error, it gets
+    # alone, so a list that fails leaves the others untouched
+    sig = GKSignature(max(g, k + 1), k)
+    rng = np.random.default_rng(seed)
+    specs = []
+    for _ in range(n):
+        pairs = [None if rng.random() < 0.25 else pq for pq in random_pairs(rng, k, 2.7, 20.0)]
+        if rng.random() < 0.3:
+            pairs[rng.integers(k)] = SHORT_SLOPES[rng.integers(6)]
+        specs.append(FillingSpec.from_pairs(k, pairs))
+    stacked = solve_fillings(sig, specs, check_length=False)
+    assert len(stacked) == n
+    for spec, got in zip(specs, stacked):
+        try:
+            alone = solve_filling(sig, spec, check_length=False)
+        except (ConvergenceError, DomainError) as exc:
+            alone = exc
+        assert outcome(got) == outcome(alone)
+
+
+def test_solve_fillings_errors_per_spec():
+    sig = GKSignature(4, 2)
+    specs = [
+        FillingSpec.from_pairs(2, [(5.0, 1.0), None]),
+        FillingSpec.from_pairs(3, [None, None, (5.0, 1.0)]),
+        FillingSpec.from_pairs(2, [(1.0, 0.0), (5.0, 1.0)]),
+        FillingSpec.unfilled(2),
+    ]
+    x, wrong_k, short, complete = solve_fillings(sig, specs)
+    assert x.tobytes() == solve_filling(sig, specs[0]).tobytes()
+    assert isinstance(wrong_k, DomainError) and "3 cusps" in str(wrong_k)
+    assert isinstance(short, DomainError) and "sqrt(7)" in str(short)
+    assert np.array_equal(complete, solve_complete(sig).x0)
+    assert solve_fillings(sig, []) == []
+
+
+@pytest.mark.parametrize(
+    "g, lists",
+    [
+        (5, [[(3, 1), (5, 1), None, (7, 2)], [(7, 2), None, (3, 1), (5, 1)],
+             [(5, 1), (7, 3), (8, 1), None], [None, None, (2, 3), None]]),
+        (40, [[(3, 1)] * 8, [(1, 3)] * 8, [(5, 1), None] * 4, [(3, 2), (7, 1)] * 4,
+              [(8, 3)] * 8, [None] * 7 + [(2, 3)]]),
+    ],
+)
+def test_stacked_batch_block_steps(monkeypatch, g, lists):
+    # lists in lockstep make no more block steps than the slowest alone
+    sig = GKSignature(g, len(lists[0]))
+    specs = [FillingSpec.from_pairs(sig.k, pairs) for pairs in lists]
+    calls, step = [], deformation._block_step
+    monkeypatch.setattr(deformation, "_block_step", lambda *a: calls.append(1) or step(*a))
+    alone = []
+    for spec in specs:
+        calls.clear()
+        solve_filling(sig, spec)
+        alone.append(len(calls))
+    calls.clear()
+    solve_fillings(sig, specs)
+    assert len(calls) <= max(alone)
+
+
+def test_block_steps_fail_only_the_singular_member():
+    # numpy fails a whole stacked solve for one singular block
+    sig, k = GKSignature(5, 3), 3
+    rng = np.random.default_rng(5)
+    x = np.array([near_complete(sig, rng) for _ in range(3)])
+    targets = [pq for _ in range(3) for pq in mixed_targets(rng, k)]
+    r, blocks = deformation._evaluate(sig, x, deformation._linear_rows(targets))
+    A, dbeta = blocks()
+    A[k] = 0.0
+    step, failed = deformation._block_steps(sig, r, A, dbeta)
+    assert list(failed) == [1] and isinstance(failed[1], np.linalg.LinAlgError)
+    for i in (0, 2):
+        alone = deformation._block_step(sig, r[i:i + 1], A[k * i:k * i + k], dbeta[i:i + 1])
+        assert step[i].tobytes() == alone[0].tobytes()
+
+
+def test_newton_refuses_only_the_point_that_is_not_a_number():
+    # check_coords' error, for that point alone; the other point converges
+    sig = GKSignature(4, 2)
+    x0 = np.array([solve_complete(sig).x0] * 2)
+    x0[1, 3] = np.nan
+    rows = deformation._linear_rows([(30.0, 10.0), None] * 2)
+    x, _, errors = deformation._newton(sig, x0, rows, 1e-10)
+    assert errors[0] is None and np.max(np.abs(residuals(sig, x[0]))) < 1e-10
+    assert isinstance(errors[1], DomainError) and "(0, pi)" in str(errors[1])
+    alone, _, _ = deformation._newton(sig, x0[:1], deformation._linear_rows([(30.0, 10.0), None]), 1e-10)
+    assert x[0].tobytes() == alone[0].tobytes()
