@@ -1,7 +1,7 @@
 """Dehn fillings of the one-cusped (2, 1) manifold.
 
 A filling imposes p*u + q*v = 2*pi*i on the cusp's log-holonomies.  The
-solver continues the coefficients down from the nearly-complete regime,
+solver continues the coefficients from the complete structure onwards,
 so even short admissible slopes converge.  Below: the hyperbolicity
 threshold at slope length sqrt(7), coefficient round trips, the core
 geodesic shrinking along a ray of fillings, and the universal limit of

@@ -33,6 +33,7 @@ from .deformation import (
     GKSignature,
     jacobian,
     parse_slope,
+    slope_text,
     solve_complete,
     solve_filling,
     solve_fillings,
@@ -102,18 +103,10 @@ def _parse_slope_set(text: str, k: int) -> ss.SlopeSet:
     return ss.make_slope_set(k, entries)
 
 
-def _fmt_coef(x) -> str:
-    # exact, so that the line names the slope that was solved
-    return "%d" % x if x == int(x) else repr(x)
-
-
 def _report_lines(rep) -> str:
     lines = []
     lines.append("signature       g=%d k=%d" % (rep.g, rep.k))
-    lines.append(
-        "filling         %s"
-        % ", ".join("inf" if pq is None else "/".join(map(_fmt_coef, pq)) for pq in rep.filling)
-    )
+    lines.append("filling         %s" % ", ".join(map(slope_text, rep.filling)))
     lines.append("residual max    %.3g" % rep.residual_max)
     for i, c in enumerate(rep.cusps):
         coeff = "inf" if c.coefficients is None else "(%.9g, %.9g)" % c.coefficients

@@ -77,7 +77,11 @@ def cusp_modulus(x, cusp: int) -> complex:
     of the translations of the two marked curves.  Raises on an
     incomplete cusp, where the structure is affine rather than metric.
     """
-    u, _ = uv(x, cusp)
+    return _modulus(x, uv(x, cusp)[0], cusp)
+
+
+def _modulus(x, u: complex, cusp: int) -> complex:
+    """`cusp_modulus` from the cusp's u."""
     if abs(u) > _MODULUS_COMPLETE_TOL:
         raise IncompleteCuspError(
             "cusp %d is incomplete (|u| = %.3g)" % (cusp, abs(u))
@@ -124,10 +128,14 @@ def complex_length(x, cusp: int, pq: Tuple[int, int]) -> complex:
     p, q = int(p), int(q)
     if (p, q) == (0, 0):
         raise DomainError("(0, 0) is not a slope")
-    u, v = uv(x, cusp)
+    return _complex_length(*uv(x, cusp), cusp, (p, q))
+
+
+def _complex_length(u: complex, v: complex, cusp: int, pq: Tuple[int, int]) -> complex:
+    """`complex_length` from the cusp's (u, v), for integers pq != (0, 0)."""
     if abs(u) < COMPLETE_TOL:
         raise IncompleteCuspError("cusp %d is unfilled; no added geodesic" % cusp)
-    _, a, b = _bezout(p, q)
+    _, a, b = _bezout(*pq)
     # p*(-a) - q*b = -(p*a + q*b) = -gcd
     s_int, r_int = -a, b
     w = r_int * u + s_int * v

@@ -65,8 +65,8 @@ _CLIP = 1e-8
 _MAX_ITER = 25
 # residual sup-norm a filling is solved to
 _FILL_TOL = 1e-10
-# the first continuation step scales the shortest filled slope to this length
-_L_SAFE = 20.0
+# a continuation step in s = 1/t is the shortest filled slope's length over this
+_STEP_LENGTH = 5.0
 # |u| below which a cusp counts as complete (unfilled)
 COMPLETE_TOL = 1e-9
 _OUTSIDE_BOX = "coordinates must lie in (0, pi)"
@@ -77,9 +77,9 @@ class ConvergenceError(RuntimeError):
 
 
 class ContinuationError(ConvergenceError):
-    """The continuation could not reach t = 1; `last_good_t` is the
-    smallest scale multiplier at which a solution was still found, or
-    None when Newton already failed at the first multiplier."""
+    """The continuation could not reach s = 1; the message names the
+    signature and the canonical slopes.  `last_good_t` is t = 1/s at the
+    last solved point of the path, or None when no step was solved."""
 
     def __init__(self, message, last_good_t):
         super().__init__(message)
@@ -364,7 +364,11 @@ def dehn_coefficients(x, cusp: int):
     """The real pair (p, q) with p*u + q*v = 2*pi*i at `cusp`, or None when
     the cusp is complete (u = 0).  Raises if u, v are real-proportional,
     which happens only far from the complete solution."""
-    u, v = uv(x, cusp)
+    return _coefficients(*uv(x, cusp), cusp)
+
+
+def _coefficients(u: complex, v: complex, cusp: int):
+    """`dehn_coefficients` from the cusp's (u, v)."""
     if abs(u) < COMPLETE_TOL:
         return None
     det = u.real * v.imag - u.imag * v.real
@@ -402,6 +406,11 @@ def sign_form(p, q):
     """The one of +-(p, q) with p > 0, or p = 0 and q > 0; both signs name
     the same unoriented slope."""
     return (-p, -q) if p < 0 or (p == 0 and q < 0) else (p, q)
+
+
+def slope_text(pq) -> str:
+    """A cusp's entry as "p/q", exact so that it names the slope solved, or "inf"."""
+    return "inf" if pq is None else "/".join("%d" % x if x == int(x) else repr(x) for x in pq)
 
 
 @dataclass(frozen=True)
@@ -646,16 +655,16 @@ def solve_filling(sig: GKSignature, spec: FillingSpec, *, check_length: bool = T
     sup-norm below 1e-10.  Declared range: g <= 200 and k <= 64, where
     every signature with any slope of length >= sqrt(7) is meant to solve.
 
-    Filled coefficients are continued from the far-filled regime: the
-    scaled targets (t*p, t*q) are solved for t stepping geometrically
-    down from T0 = max(1, 20 / min slope length) to 1 by the ratio 3,
-    halved towards 1 on each Newton failure.  In s = 1/t the filled cusp
-    rows are t G(x) - (0, 2 pi), so at a solution the tangent dx/ds solves
-    J dx/ds = 2 pi t on row 11 of each filled cusp and 0 elsewhere: one
-    more block step, with the blocks of Newton's last iterate.  Each
-    Newton starts at the cubic Hermite through the last two points of
-    the path and their tangents, the first at the Euler step from T0.
-    Fails loudly (ContinuationError) if the path cannot reach t = 1.
+    Filled coefficients are continued in s = 1/t along the rows
+    p*u + q*v = 2*pi*i*s (the targets (t*p, t*q)) from the complete
+    structure at s = 0.  At a solved point the tangent dx/ds solves
+    J dx/ds = 2 pi on row 11 of each filled cusp: one block step with the
+    blocks of Newton's last iterate, or of the complete structure.  s steps
+    by (shortest slope length) / 5 up to 1, halved on each Newton failure,
+    and each Newton starts at the cubic Hermite through the last two points
+    of the path and their tangents (the first at the Euler step): slopes of
+    length >= 5 take one Newton solve, and of length >= sqrt(7) two.
+    Fails loudly (ContinuationError) if the path cannot reach s = 1.
     With `check_length`, a slope shorter than sqrt(7) is a DomainError.
     This is `solve_fillings` on the one spec.
     """
@@ -672,8 +681,8 @@ def solve_fillings(sig: GKSignature, specs: Sequence[FillingSpec], *, check_leng
     bits and message: a spec that fails does not touch the others.
     `solve_complete` runs once, and the specs with a filled cusp run
     their continuations in lockstep.  Each round takes, for every spec
-    still short of t = 1 on its own schedule, its tangent and then its
-    Newton solve at its next t: one stacked block step and one stacked
+    still short of s = 1 on its own schedule, its tangent and then its
+    Newton solve at its next s: one stacked block step and one stacked
     `_newton` for all of them."""
     out = [None] * len(specs)
     todo = []
@@ -711,34 +720,31 @@ def _continue(sig: GKSignature, x0: np.ndarray, specs, lmins) -> list:
     for canonical specs with a filled cusp, of shortest filled slopes
     `lmins`, in lockstep; per spec, the solution or its error."""
     m, k = len(specs), sig.k
-    # the rows at t = 1, block by block; the multiplier t scales rows 10-11
-    # of the filled cusps, and t ds_rhs is the tangent's right-hand side
+    # the rows at s = 1, block by block; s scales the 2 pi on row 11 of the
+    # filled cusps, so every tangent dx/ds solves J dx/ds = ds_rhs
     L, S, o = _linear_rows([pq for spec in specs for pq in spec.pairs])
-    filled = np.array([[pq is not None for pq in spec.pairs] for spec in specs])
-    scaled = np.zeros((m * k, 12, 1), dtype=bool)
-    scaled[filled.ravel(), 10:] = True
     ds_rhs = np.zeros((m, sig.n_coords))
-    ds_rhs[:, :-1].reshape(m, k, 12)[filled, 11] = 2.0 * math.pi
+    ds_rhs[:, :-1].reshape(m, k, 12)[:, :, 11] = o[:, 11].reshape(m, k)
 
-    def rows_at(t, members):
+    def rows_at(s, members):
         sel = slice(None) if len(members) == m else [k * i + c for i in members for c in range(k)]
-        f = np.where(scaled[sel], np.array(t).repeat(k)[:, None, None], 1.0)
-        return L[sel] * f, S[sel] * f, o[sel]
+        o_s = o[sel].copy()
+        o_s[:, 11] *= np.repeat(s, k)
+        return L[sel], S[sel], o_s
 
     out = [None] * m
-    t_good = [max(1.0, _L_SAFE / lmin) for lmin in lmins]
-    x, blocks, errors = _newton(sig, x0[None].repeat(m, axis=0), rows_at(t_good, range(m)), _FILL_TOL)
-    for i, exc in enumerate(errors):
-        if isinstance(exc, ConvergenceError):
-            out[i] = ContinuationError("first step at t=%g failed: %s" % (t_good[i], exc), None)
-        else:
-            out[i] = exc
-    xs, dx, prev = list(x), [None] * m, [None] * m
-    rho = [3.0] * m
-    # the specs of the last Newton solve, whose blocks `blocks` gives
+    s_good, ds = [0.0] * m, [min(1.0, lmin / _STEP_LENGTH) for lmin in lmins]
+    xs, dx, prev = [x0] * m, [None] * m, [None] * m
+
+    def failure(i, text):
+        s, slopes = s_good[i], ",".join(map(slope_text, specs[i].pairs))
+        return ContinuationError("g=%d k=%d slopes %s: %s" % (sig.g, k, slopes, text), 1.0 / s if s else None)
+
+    # the specs whose blocks `blocks` gives: at s = 0, all of them at x0
     last = list(range(m))
+    _, blocks = _evaluate(sig, x0[None].repeat(m, axis=0), rows_at([0.0] * m, last))
     while True:
-        live = [i for i in range(m) if out[i] is None and t_good[i] > 1.0]
+        live = [i for i in range(m) if out[i] is None and s_good[i] < 1.0]
         if not live:
             break
         tangent = [i for i in live if dx[i] is None]
@@ -747,34 +753,29 @@ def _continue(sig: GKSignature, x0: np.ndarray, specs, lmins) -> list:
             if tangent != last:
                 at = [last.index(i) for i in tangent]
                 A, dbeta = A.reshape(-1, k, 12, 12)[at].reshape(-1, 12, 12), [dbeta[j] for j in at]
-            t = np.array([t_good[i] for i in tangent])[:, None]
-            rhs = t * (ds_rhs[tangent] if len(tangent) < m else ds_rhs)
-            steps, failed = _block_steps(sig, rhs, A, dbeta)
+            steps, failed = _block_steps(sig, ds_rhs[tangent], A, dbeta)
             for pos, i in enumerate(tangent):
                 if pos in failed:
-                    out[i] = ContinuationError("singular tangent: %s" % failed[pos], t_good[i])
+                    out[i] = failure(i, "singular tangent: %s" % failed[pos])
                 else:
                     dx[i] = steps[pos]
             live = [i for i in live if out[i] is None]
             if not live:
                 continue
-        t_next = [max(1.0, t_good[i] / rho[i]) for i in live]
-        guess = np.array([
-            _hermite(1.0 / t, 1.0 / t_good[i], xs[i], dx[i], prev[i]) for i, t in zip(live, t_next)
-        ])
-        x, blocks, errors = _newton(sig, guess, rows_at(t_next, live), _FILL_TOL)
-        for i, t, x_next, exc in zip(live, t_next, x, errors):
+        s_next = [min(1.0, s_good[i] + ds[i]) for i in live]
+        guess = np.array([_hermite(s, s_good[i], xs[i], dx[i], prev[i]) for i, s in zip(live, s_next)])
+        x, blocks, errors = _newton(sig, guess, rows_at(s_next, live), _FILL_TOL)
+        for i, s, x_next, exc in zip(live, s_next, x, errors):
             if exc is None:
-                prev[i], dx[i] = (1.0 / t_good[i], xs[i], dx[i]), None
-                xs[i], t_good[i] = x_next, t
+                prev[i], dx[i] = (s_good[i], xs[i], dx[i]), None
+                xs[i], s_good[i] = x_next, s
             elif isinstance(exc, DomainError):
                 out[i] = exc
             else:
-                rho[i] = 1.0 + (rho[i] - 1.0) / 2.0
-                if t_good[i] - max(1.0, t_good[i] / rho[i]) < 1e-4:
-                    out[i] = ContinuationError(
-                        "continuation step underflow at t=%g" % t_good[i], t_good[i]
-                    )
+                ds[i] /= 2.0
+                if ds[i] < 1e-4:
+                    t = 1.0 / s_good[i] if s_good[i] else math.inf
+                    out[i] = failure(i, "continuation step underflow at t=%g" % t)
         last = live
     return [xs[i] if out[i] is None else out[i] for i in range(m)]
 

@@ -12,7 +12,7 @@ from .commensurability_xk import XkSignature, abc
 from .deformation import (
     FillingSpec,
     GKSignature,
-    dehn_coefficients,
+    _coefficients,
     residuals,
     uv,
 )
@@ -54,21 +54,14 @@ def build_report(sig: GKSignature, spec: FillingSpec, x: np.ndarray) -> Structur
         raise DomainError("residual norm %g above reporting tolerance %g" % (res, RESIDUAL_TOL))
     cusps = []
     for c, pq in enumerate(spec.pairs):
+        # one (u, v) per cusp serves every invariant of the cusp
         u, v = uv(x, c)
-        coeffs = dehn_coefficients(x, c)
+        coeffs, cl, modulus = _coefficients(u, v, c), None, None
         if pq is None:
-            cl = None
-            modulus = ci.cusp_modulus(x, c)
-        else:
-            modulus = None
-            p, q = pq
-            if float(p).is_integer() and float(q).is_integer():
-                cl = ci.complex_length(x, c, (int(p), int(q)))
-            else:
-                cl = None
-        cusps.append(
-            CuspReport(u=u, v=v, coefficients=coeffs, complex_length=cl, modulus=modulus)
-        )
+            modulus = ci._modulus(x, u, c)
+        elif float(pq[0]).is_integer() and float(pq[1]).is_integer():
+            cl = ci._complex_length(u, v, c, (int(pq[0]), int(pq[1])))
+        cusps.append(CuspReport(u=u, v=v, coefficients=coeffs, complex_length=cl, modulus=modulus))
     h = spec.filled_count
     report = StructureReport(
         g=sig.g,

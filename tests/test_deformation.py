@@ -213,6 +213,7 @@ def test_filling_rejects_short_slope():
     with pytest.raises(ContinuationError) as exc:
         solve_filling(sig, FillingSpec.from_pairs(1, [(2.0, 1.0)]), check_length=False)
     assert exc.value.last_good_t > 1.0
+    assert str(exc.value).startswith("g=2 k=1 slopes 2/1: continuation step underflow at t=")
 
 
 def test_filling_sign_canonicalization():
@@ -484,14 +485,15 @@ SQRT7_SLOPES = [(3.0, 1.0), (3.0, 2.0), (1.0, 3.0), (2.0, 3.0), (2.0, -1.0), (1.
 
 @pytest.mark.parametrize("k", [16, 32, 64])
 def test_filling_newton_steps_flat_in_k(monkeypatch, k):
-    # every cusp on a threshold slope gives the longest path, t0 = 20/sqrt(7);
-    # warm-starting each step at the previous point took 116, 312 and 846 steps
+    # every cusp on a threshold slope gives the longest path, s = sqrt(7)/5 and
+    # then 1; warm-starting each step at the previous point took 116, 312 and
+    # 846 steps, and starting at t = 20/sqrt(7) took 13-14
     sig = GKSignature(k + 1, k)
     pairs = [SQRT7_SLOPES[c % 6] for c in range(k)]
     calls, step = [], deformation._block_step
     monkeypatch.setattr(deformation, "_block_step", lambda *a: calls.append(1) or step(*a))
     x = solve_filling(sig, FillingSpec.from_pairs(k, pairs))
-    assert len(calls) <= 40
+    assert len(calls) <= 12
     assert np.max(np.abs(residuals(sig, x))) < 1e-10
     for c, (p, q) in enumerate(FillingSpec.from_pairs(k, pairs).canonicalized().pairs):
         pc, qc = dehn_coefficients(x, c)
@@ -501,12 +503,12 @@ def test_filling_newton_steps_flat_in_k(monkeypatch, k):
 @pytest.mark.parametrize("k", [2, 16, 64])
 def test_filling_block_steps_with_tangent_predictor(monkeypatch, k):
     # a sqrt(7) slope on cusp 0 took 22 block steps with the secant predictor
-    # at ratio 1.5; the tangent solves count too
+    # at ratio 1.5, and 13-14 from t = 20/sqrt(7); the tangent solves count too
     sig = GKSignature(k + 1, k)
     calls, step = [], deformation._block_step
     monkeypatch.setattr(deformation, "_block_step", lambda *a: calls.append(1) or step(*a))
     x = solve_filling(sig, FillingSpec.from_pairs(k, [(3.0, 1.0)] + [None] * (k - 1)))
-    assert len(calls) <= 16
+    assert len(calls) <= 12
     assert np.max(np.abs(residuals(sig, x))) < 1e-10
     pc, qc = dehn_coefficients(x, 0)
     assert abs(pc - 3.0) < 1e-9 and abs(qc - 1.0) < 1e-9
@@ -523,13 +525,18 @@ def test_filling_tangent_matches_central_difference(monkeypatch, g, k):
         deformation, "_hermite", lambda *a: points.append(a[1:4]) or hermite(*a)
     )
     solve_filling(sig, FillingSpec.from_pairs(k, pairs))
-    assert points
+    # the first tangent is the one at the complete structure
+    assert points and points[0][0] == 0.0
     h = 1e-4
     for s, x, dx in points:
         ends = []
         for sh in (s + h, s - h):
-            targets = [None if pq is None else (pq[0] / sh, pq[1] / sh) for pq in pairs]
-            ends.append(deformation._newton(sig, x[None], deformation._linear_rows(targets), 1e-12)[0][0])
+            # p u + q v = 2 pi i s, which at s = -h is the filling -(p, q) / h
+            L, S, o = deformation._linear_rows(pairs)
+            o[:, 11] *= sh
+            end, _, (exc,) = deformation._newton(sig, x[None], (L, S, o), 1e-12)
+            assert exc is None, (s, sh)
+            ends.append(end[0])
         fd = (ends[0] - ends[1]) / (2.0 * h)
         assert np.max(np.abs(dx - fd)) <= 1e-5 * np.max(np.abs(fd)), s
 
@@ -578,6 +585,21 @@ def test_filling_predictor_stays_on_the_warm_start_branch(seed, k, extra, thresh
     if threshold or all(pq is None for pq in pairs):
         pairs[0] = SQRT7_SLOPES[rng.integers(6)]
     x = solve_filling(sig, FillingSpec.from_pairs(k, pairs))
+    assert np.max(np.abs(x - warm_start_continuation(sig, pairs))) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "g, pairs",
+    [(2, [(6.0, 1.0)]), (2, [(40.0, 1.0)]), (3, [(40.0, 1.0), None]), (9, [(7.0, 2.0), (5.0, -1.0), None])],
+)
+def test_filling_long_slopes_take_one_newton_solve(monkeypatch, g, pairs):
+    # every filled slope of length >= 5 is solved at s = 1 straight from the
+    # tangent at the complete structure
+    sig = GKSignature(g, len(pairs))
+    calls, newton = [], deformation._newton
+    monkeypatch.setattr(deformation, "_newton", lambda *a: calls.append(1) or newton(*a))
+    x = solve_filling(sig, FillingSpec.from_pairs(sig.k, pairs))
+    assert len(calls) == 1
     assert np.max(np.abs(x - warm_start_continuation(sig, pairs))) < 1e-9
 
 
@@ -632,12 +654,13 @@ def test_filling_sweep_to_200(pq):
 
 @pytest.mark.parametrize("g", [131, 132])
 def test_filling_large_g_spot_checks(monkeypatch, g):
-    # 5/1 first failed at g = 132; at g = 131 it took 38 Newton steps
+    # 5/1 first failed at g = 132; at g = 131 it took 38 Newton steps, and
+    # 13 block steps from t = 20/sqrt(21)
     sig = GKSignature(g, 1)
     calls, step = [], deformation._block_step
     monkeypatch.setattr(deformation, "_block_step", lambda *a: calls.append(1) or step(*a))
     x = solve_filling(sig, FillingSpec.from_pairs(1, [(5.0, 1.0)]))
-    assert len(calls) <= 30
+    assert len(calls) <= 11
     assert np.max(np.abs(residuals(sig, x))) < 1e-10
     pc, qc = dehn_coefficients(x, 0)
     assert abs(pc - 5.0) < 1e-9 and abs(qc - 1.0) < 1e-9

@@ -138,6 +138,7 @@ def test_cli_fill_continuation_failure_exit_3(capsys):
     )
     assert code == 3
     assert "last good multiplier" in err
+    assert "g=2 k=1 slopes 2/1:" in err
 
 
 def test_cli_fill_first_step_failure_exit_3(monkeypatch, capsys):
