@@ -8,6 +8,9 @@ structure is pinned by two angles (alpha_bar, beta_bar) solving
     cos(beta) = (2 cos^2(alpha) + 1) / 3      (edge-length matching)
     6 (g-k) beta + 6 k alpha = 2 pi           (angle sum at the compact edge)
 
+The first is sin(alpha) = sqrt(3) sin(beta/2), so the solver is a Newton
+loop on the one rising, convex equation left in beta.
+
 This script certifies the solution for a few signatures and prints the
 invariant panel that every filling of the manifold will inherit.
 """

@@ -35,7 +35,6 @@ from .deformation import (
     parse_slope,
     slope_text,
     solve_complete,
-    solve_filling,
     solve_fillings,
     tangent_basis,
 )
@@ -127,37 +126,25 @@ def _report_lines(rep) -> str:
     return "\n".join(lines)
 
 
-def _emit_report(args, rep) -> None:
-    _emit(args, report_to_json(rep) if args.json else _report_lines(rep))
+def _report_text(sig, spec, x, args) -> str:
+    """The report text of the solution x of `spec`.  When x is instead the
+    error that parsing or solving the spec raised, that error is raised, as
+    is the DomainError of a report that JSON cannot hold (a NaN)."""
+    if isinstance(x, Exception):
+        raise x
+    rep = build_report(sig, spec, x)
+    return report_to_json(rep) if args.json else _report_lines(rep)
 
 
 def cmd_complete(args) -> int:
     sig = GKSignature(args.g, args.k)
-    sol = solve_complete(sig)
-    spec = FillingSpec.unfilled(sig.k)
-    rep = build_report(sig, spec, sol.x0)
-    _emit_report(args, rep)
+    _emit(args, _report_text(sig, FillingSpec.unfilled(sig.k), solve_complete(sig).x0, args))
     return EXIT_OK
 
 
-def _solve_one(sig, coeffs, args):
-    spec = FillingSpec.parse(coeffs, sig.k)
-    x = solve_filling(sig, spec, check_length=not args.allow_short)
-    return build_report(sig, spec, x)
-
-
-def _batch_entry(sig, coeffs, spec, x, args):
-    """One list of a batch: its exit code and its text, a report or an error
-    record.  `x` is its solution, or the error that parsing or solving it
-    raised.  Each list is written here, so that a report JSON cannot hold
-    (a NaN) becomes that list's own error record."""
-    try:
-        if isinstance(x, Exception):
-            raise x
-        rep = build_report(sig, spec, x)
-        return EXIT_OK, report_to_json(rep) if args.json else _report_lines(rep)
-    except _FAILURES as exc:
-        code, message = _failure(exc)
+def _error_record(coeffs, exc, args):
+    """The exit code and the text of a batch list that failed."""
+    code, message = _failure(exc)
     if args.json:
         return code, to_json({"schema": "mgk/1", "coeffs": coeffs, "error": {"exit": code, "message": message}})
     return code, "error           %s: %s" % (coeffs, message)
@@ -170,23 +157,32 @@ def _parse_or_error(coeffs, k):
         return exc
 
 
+def _solve_specs(sig, specs, **kw) -> list:
+    """Per entry of `specs`, a FillingSpec or the error that building it
+    raised: its solution or its error.  The specs are solved together, in
+    one `solve_fillings` call; an error keeps its place."""
+    solved = iter(solve_fillings(sig, [s for s in specs if isinstance(s, FillingSpec)], **kw))
+    return [next(solved) if isinstance(s, FillingSpec) else s for s in specs]
+
+
 def cmd_fill(args) -> int:
     sig = GKSignature(args.g, args.k)
-    if not args.batch:
-        _emit_report(args, _solve_one(sig, args.coeffs, args))
-        return EXIT_OK
-    # every entry is a list, an empty one too (an error record like any other);
-    # the lists that parse are solved together, in one stacked solve
-    coeffs = [c.strip() for c in args.coeffs.split(";")]
+    # with --batch every entry is a list, an empty one too (an error record
+    # like any other); without it the one list's error is the command's
+    coeffs = [c.strip() for c in args.coeffs.split(";")] if args.batch else [args.coeffs]
     specs = [_parse_or_error(c, sig.k) for c in coeffs]
-    solved = iter(solve_fillings(sig, [s for s in specs if isinstance(s, FillingSpec)],
-                                 check_length=not args.allow_short))
-    entries = [
-        _batch_entry(sig, c, s, next(solved) if isinstance(s, FillingSpec) else s, args)
-        for c, s in zip(coeffs, specs)
-    ]
+    entries = []
+    for c, spec, x in zip(coeffs, specs, _solve_specs(sig, specs, check_length=not args.allow_short)):
+        try:
+            entries.append((EXIT_OK, _report_text(sig, spec, x, args)))
+        except _FAILURES as exc:
+            if not args.batch:
+                raise
+            entries.append(_error_record(c, exc, args))
     texts = [text for _, text in entries]
-    if args.json:
+    if not args.batch:
+        _emit(args, texts[0])
+    elif args.json:
         # the JSON array of the entries, as to_json would indent it (no
         # entry holds a blank line)
         _emit(args, "[\n%s\n]" % ",\n".join("  " + t.replace("\n", "\n  ") for t in texts))
@@ -261,10 +257,8 @@ def cmd_commensurable(args) -> int:
         except DomainError as exc:
             return exc
 
-    specs = [spec_of(_parse_slope_set(text, args.k)) for text in args.sets]
-    solved = iter(solve_fillings(gk, [s for s in specs if isinstance(s, FillingSpec)]))
+    points = _solve_specs(gk, [spec_of(_parse_slope_set(text, args.k)) for text in args.sets])
     # the first set that fails, in input order, fails the command
-    points = [next(solved) if isinstance(s, FillingSpec) else s for s in specs]
     for x in points:
         if isinstance(x, Exception):
             raise x

@@ -4,13 +4,12 @@ the commensurability class of its fillings, and the two symmetry
 constructions (alternating rotation, cusp 1 <-> 3 exchange) used to
 produce non-commensurable and commensurable similar fillings."""
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
 
-from .deformation import GKSignature, alpha_index, beta_index, check_coords
+from .deformation import GKSignature, angle_blocks, check_coords, cusp_angles
 from .hyptrig import DomainError
 from .slopes_symmetry import D6Element, apply_local, cusp_permutation
 
@@ -54,34 +53,20 @@ def edge_angle_cycle(sig: XkSignature) -> List[int]:
     cyclically around the compact edge: three runs, the m-th opening with
     m+1 copies of beta followed by the apex-m alpha of every tetrahedron.
     Length 6(k+1); the entries of a solved point sum to 2*pi."""
-    k = sig.k
-    b = beta_index(k)
-    cycle: List[int] = []
-    for m in range(3):
-        cycle.extend([b] * (m + 1))
-        cycle.extend(alpha_index(l, m) for l in range(2 * k))
-    return cycle
+    beta = sig.gk.n_coords - 1
+    alphas = angle_blocks(np.arange(beta + 1))[:, :, 0].reshape(-1, 3).T.tolist()
+    return [i for m in range(3) for i in [beta] * (m + 1) + alphas[m]]
 
 
 def abc(x, sig: XkSignature) -> ABCInvariant:
     """Edge-angle sums around the compact edge, one per apex: the m-th is
     the sum over cusps of the two apex-m alpha angles of the cusp pair."""
-    x = check_coords(sig.gk, x)
-    sums = []
-    for m in range(3):
-        sums.append(
-            sum(x[12 * i + m] + x[12 * i + 6 + m] for i in range(sig.k))
-        )
-    return ABCInvariant(*sums)
+    pairs = angle_blocks(check_coords(sig.gk, x))[:, :, 0].sum(axis=1)
+    return ABCInvariant(*(sum(col) for col in pairs.T.tolist()))
 
 
 def abc_per_cusp(x, sig: XkSignature, cusp: int) -> ABCInvariant:
-    x = check_coords(sig.gk, x)
-    if not 0 <= cusp < sig.k:
-        raise DomainError("cusp index out of range")
-    return ABCInvariant(
-        *(x[12 * cusp + m] + x[12 * cusp + 6 + m] for m in range(3))
-    )
+    return ABCInvariant(*cusp_angles(check_coords(sig.gk, x), cusp)[:, 0].sum(axis=0).tolist())
 
 
 def commensurable(x1, x2, sig: XkSignature) -> Optional[bool]:

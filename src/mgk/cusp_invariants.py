@@ -5,9 +5,9 @@ integer invariants (first-homology rank, Heegaard genus)."""
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
-from .deformation import COMPLETE_TOL, GKSignature, cusps_of, edge_cosh, gamma_index, uv
+from .deformation import COMPLETE_TOL, GKSignature, cusp_angles, edge_cosh, uv
 from .hyptrig import DomainError
 
 HEXAGONAL_MODULUS = complex(0.5, math.sqrt(3.0) / 2.0)
@@ -32,12 +32,7 @@ def holonomy_dilations(x, cusp: int) -> HolonomyDilation:
     """Dilation components (a, b) of the holonomies of the two marked
     peripheral curves, computed directly from the gamma angles (an
     independent path from exp of `deformation.uv`)."""
-    k = cusps_of(x)
-    if not 0 <= cusp < k:
-        raise DomainError("cusp index %d out of range" % cusp)
-    lA, lB = 2 * cusp, 2 * cusp + 1
-    gA = [x[gamma_index(lA, j)] for j in range(3)]
-    gB = [x[gamma_index(lB, j)] for j in range(3)]
+    gA, gB = cusp_angles(x, cusp)[:, 1].tolist()
     a = (math.sin(gA[0]) * math.sin(gB[1]) / (math.sin(gA[1]) * math.sin(gB[0]))) * cmath.exp(
         1j * (gA[2] - gB[2])
     )
@@ -86,9 +81,7 @@ def _modulus(x, u: complex, cusp: int) -> complex:
         raise IncompleteCuspError(
             "cusp %d is incomplete (|u| = %.3g)" % (cusp, abs(u))
         )
-    lA, lB = 2 * cusp, 2 * cusp + 1
-    g = [x[gamma_index(lA, j)] for j in range(3)]
-    h = [x[gamma_index(lB, j)] for j in range(3)]
+    h = cusp_angles(x, cusp)[1, 1].tolist()
     # first triangle: corners C0 = 0, C1 = 1 (the side crossing face 2);
     # second triangle attached across it with corners 0 and 1 exchanged,
     # in the lower half-plane.

@@ -1,14 +1,18 @@
 """The deformation variety of the (g, k) family.
 
-A point is a vector x in R^{12k+1} of dihedral angles, laid out as
+A point is a vector x in R^{12k+1} of dihedral angles.  Outside the
+solver's kernel, `angle_blocks` is the one reader of its layout: the
+view of x[:-1] as a (k, 2, 2, 3) array [cusp c, tetrahedron 2c or 2c+1,
+alpha or gamma, apex j], and `cusp_angles` the block of one cusp.  In
+flat indices, with l = 0..2k-1 the tetrahedron,
 
-    alpha_l^j -> x[6*l + j]        l = 0..2k-1 (tetrahedron), j = 0..2 (apex)
+    alpha_l^j -> x[6*l + j]        j = 0..2 (apex)
     gamma_l^j -> x[6*l + 3 + j]
-    beta      -> x[12*k]
+    beta      -> x[12*k] = x[-1]
 
-where tetrahedra 2c and 2c+1 are the pair incident to cusp c, alpha sits
-on the compact-face edges, gamma on the edges at the ideal vertex, and
-beta is the common angle of the g-k compact regular tetrahedra.
+Tetrahedra 2c and 2c+1 are the pair incident to cusp c, alpha sits on
+the compact-face edges, gamma on the edges at the ideal vertex, and beta
+is the common angle of the g-k compact regular tetrahedra.
 
 The structure equations split into 10k+1 residuals:
 
@@ -106,23 +110,27 @@ class GKSignature:
         return 10 * self.k + 1
 
 
-def alpha_index(l: int, j: int) -> int:
-    return 6 * l + j
-
-
-def gamma_index(l: int, j: int) -> int:
-    return 6 * l + 3 + j
-
-
-def beta_index(k: int) -> int:
-    return 12 * k
-
-
 def cusps_of(x: np.ndarray) -> int:
     k, rem = divmod(len(x) - 1, 12)
     if rem != 0 or k < 1:
         raise DomainError("coordinate vector length %d is not 12k+1" % len(x))
     return k
+
+
+def angle_blocks(x) -> np.ndarray:
+    """The angles of x as a (k, 2, 2, 3) array [cusp c, tetrahedron 2c or
+    2c+1, alpha or gamma, apex]; beta is x[-1].  For an ndarray x it is a
+    view, so writes through it land in x."""
+    x = np.asarray(x)
+    return x[:-1].reshape(cusps_of(x), 2, 2, 3)
+
+
+def cusp_angles(x, cusp: int) -> np.ndarray:
+    """The (2, 2, 3) block of `cusp` (0-based) in `angle_blocks(x)`."""
+    blocks = angle_blocks(x)
+    if not 0 <= cusp < len(blocks):
+        raise DomainError("cusp index %d out of range" % cusp)
+    return blocks[cusp]
 
 
 def check_coords(sig: GKSignature, x: np.ndarray) -> np.ndarray:
@@ -147,52 +155,34 @@ class CompleteSolution:
     x0: np.ndarray
 
 
-def _beta_of_alpha(sig: GKSignature, a: float) -> float:
-    return (2.0 * math.pi - 6.0 * sig.k * a) / (6.0 * (sig.g - sig.k))
-
-
 def solve_complete(sig: GKSignature) -> CompleteSolution:
     """The unique symmetric solution of the structure plus completeness
-    equations: all gamma = pi/3, all alpha equal, reduced to
+    equations: every gamma = pi/3, every alpha equal.  The length row then
+    reads (cos^2 a + 1/2) / sin^2 a = edge_cosh(beta), whose solution is
 
-        cos(beta) = (2 cos^2(alpha) + 1)/3,
-        6 (g-k) beta + 6 k alpha = 2 pi.
+        sin(a) = sqrt(3) sin(beta/2),
 
-    Newton solves the length residual side(a) - edge_cosh(beta(a)), with
-    side(a) = (cos^2 a + 1/2)/sin^2 a and beta(a) from the angle sum, using
-    its analytic derivative.  That residual falls strictly from +inf on
-    (0, pi/(3g)], so a bisection bracket kept alongside catches every step
-    that leaves it and the solve cannot fail.  beta(a) carries the rounding
-    of 2pi - 6ka amplified k/(g-k) times, so one final Newton step on the
-    2x2 system (length row, angle-sum row) in (alpha, beta) jointly takes
-    that error out.
+    the block of a cusp at its own beta.  What is left is the angle sum
+
+        F(beta) = 6 k asin(sqrt(3) sin(beta/2)) + 6 (g-k) beta - 2 pi = 0.
+
+    a(beta) = asin(sqrt(3) sin(beta/2)) is rising and convex on
+    (0, 2 asin(1/sqrt(3))), so F is too, and a(beta) >= (sqrt(3)/2) beta
+    there.  The root of that linearization, 2 pi / (3 sqrt(3) k + 6(g-k)),
+    thus has F >= 0: it lies right of the root, and a plain Newton loop
+    from it falls onto the root from the right, with no safeguard.
     """
     k, m = sig.k, sig.g - sig.k
-
-    def length(a, b):
-        # the length row at the symmetric point and its d/dalpha, d/dbeta
-        s, c = math.sin(a), math.cos(a)
-        r = (c * c + 0.5) / (s * s) - edge_cosh(b)
-        return r, -3.0 * c / s**3, math.sin(b) / _versine(b) ** 2
-
-    # small-angle start: 3/(2 a^2) = 2/b^2 gives b = 2a/sqrt(3), inside the bracket
-    lo, hi = 0.0, math.pi / (3.0 * sig.g)
-    a = 2.0 * math.pi / (6.0 * k + 12.0 * m / math.sqrt(3.0))
-    for _ in range(100):
-        r, da, db = length(a, _beta_of_alpha(sig, a))
-        if r > 0.0:
-            lo = a
-        else:
-            hi = a
-        step = r / (da - db * k / m)
-        if abs(step) <= 2.0 * np.finfo(float).eps * a:
+    r3 = math.sqrt(3.0)
+    b = 2.0 * math.pi / (3.0 * r3 * k + 6.0 * m)
+    for _ in range(_MAX_ITER):
+        a = math.asin(r3 * math.sin(0.5 * b))
+        f = 6.0 * k * a + 6.0 * m * b - 2.0 * math.pi
+        step = f / (3.0 * r3 * k * math.cos(0.5 * b) / math.cos(a) + 6.0 * m)
+        # a step within rounding, or one of the wrong sign: the root is reached
+        if not step > 2.0 * np.finfo(float).eps * b:
             break
-        a = a - step if lo < a - step < hi else 0.5 * (lo + hi)
-    b = _beta_of_alpha(sig, a)
-    r, da, db = length(a, b)
-    angle = 6.0 * k * a + 6.0 * m * b - 2.0 * math.pi
-    det = da * 6.0 * m - db * 6.0 * k
-    a, b = a - (6.0 * m * r - db * angle) / det, b - (da * angle - 6.0 * k * r) / det
+        b -= step
     x0 = np.append(np.tile([a, a, a] + [math.pi / 3.0] * 3, 2 * k), b)
     sol = CompleteSolution(alpha_bar=a, beta_bar=b, x0=x0)
     res = residuals(sig, x0)
@@ -343,12 +333,7 @@ def jacobian(sig: GKSignature, x) -> np.ndarray:
 def uv(x, cusp: int) -> Tuple[complex, complex]:
     """Log-dilations (u, v) of the two marked peripheral curves of `cusp`
     (0-based), read off the gamma angles of its tetrahedron pair."""
-    k = cusps_of(x)
-    if not 0 <= cusp < k:
-        raise DomainError("cusp index %d out of range" % cusp)
-    lA, lB = 2 * cusp, 2 * cusp + 1
-    gA = [x[gamma_index(lA, j)] for j in range(3)]
-    gB = [x[gamma_index(lB, j)] for j in range(3)]
+    gA, gB = cusp_angles(x, cusp)[:, 1].tolist()
     u = complex(
         math.log(math.sin(gA[0]) * math.sin(gB[1]) / (math.sin(gA[1]) * math.sin(gB[0]))),
         gA[2] - gB[2],

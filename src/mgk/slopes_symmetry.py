@@ -34,7 +34,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .deformation import FillingSpec, alpha_index, cusps_of, gamma_index, sign_form
+from .deformation import FillingSpec, angle_blocks, cusp_angles, cusps_of, sign_form
 from .hyptrig import DomainError
 
 
@@ -273,40 +273,24 @@ def _inverse_perm(sigma):
 def apex_permutation(x, cusp: int, sigma: Sequence[int]) -> np.ndarray:
     """Permute the three apices of both tetrahedra of `cusp` by sigma
     (new angle at apex j = old angle at apex sigma^{-1}(j))."""
-    k = cusps_of(x)
-    if not 0 <= cusp < k:
-        raise DomainError("cusp index out of range")
-    inv = _inverse_perm(tuple(sigma))
     y = np.array(x, dtype=float)
-    for l in (2 * cusp, 2 * cusp + 1):
-        for j in range(3):
-            y[alpha_index(l, j)] = x[alpha_index(l, inv[j])]
-            y[gamma_index(l, j)] = x[gamma_index(l, inv[j])]
+    cusp_angles(y, cusp)[...] = cusp_angles(x, cusp)[..., list(_inverse_perm(tuple(sigma)))]
     return y
 
 
 def tetra_swap(x, cusp: int) -> np.ndarray:
     """Exchange the roles of the two tetrahedra of `cusp`."""
-    k = cusps_of(x)
-    if not 0 <= cusp < k:
-        raise DomainError("cusp index out of range")
     y = np.array(x, dtype=float)
-    lA, lB = 2 * cusp, 2 * cusp + 1
-    for j in range(3):
-        y[alpha_index(lA, j)], y[alpha_index(lB, j)] = x[alpha_index(lB, j)], x[alpha_index(lA, j)]
-        y[gamma_index(lA, j)], y[gamma_index(lB, j)] = x[gamma_index(lB, j)], x[gamma_index(lA, j)]
+    cusp_angles(y, cusp)[...] = cusp_angles(x, cusp)[::-1]
     return y
 
 
 def cusp_permutation(x, kappa: Sequence[int]) -> np.ndarray:
     """Relabel cusps by kappa (new block i = old block kappa^{-1}(i))."""
-    k = cusps_of(x)
-    if sorted(kappa) != list(range(k)):
+    if sorted(kappa) != list(range(cusps_of(x))):
         raise DomainError("kappa is not a permutation of 0..k-1")
-    inv = _inverse_perm(tuple(kappa))
     y = np.array(x, dtype=float)
-    for i in range(k):
-        y[12 * i:12 * i + 12] = x[12 * inv[i]:12 * inv[i] + 12]
+    angle_blocks(y)[...] = angle_blocks(x)[list(_inverse_perm(tuple(kappa)))]
     return y
 
 

@@ -10,9 +10,9 @@ from mgk.deformation import (
     ConvergenceError,
     FillingSpec,
     GKSignature,
-    beta_index,
+    angle_blocks,
+    cusp_angles,
     dehn_coefficients,
-    gamma_index,
     jacobian,
     residuals,
     solve_complete,
@@ -88,11 +88,34 @@ def test_complete_21_value():
     assert abs(sol.beta_bar - (math.pi / 3 - sol.alpha_bar)) < 1e-12
 
 
+@pytest.mark.parametrize("k", [1, 3])
+def test_angle_blocks_is_the_flat_layout(k):
+    # alpha_l^j = x[6l + j], gamma_l^j = x[6l + 3 + j] for tetrahedron
+    # l = 2c + t, beta = x[12k], as the deformation module documents
+    x = np.arange(12 * k + 1, dtype=float)
+    blocks = angle_blocks(x)
+    assert blocks.shape == (k, 2, 2, 3)
+    for c in range(k):
+        assert np.array_equal(cusp_angles(x, c), blocks[c])
+        for t in range(2):
+            l = 2 * c + t
+            assert blocks[c, t, 0].tolist() == [6 * l + j for j in range(3)]
+            assert blocks[c, t, 1].tolist() == [6 * l + 3 + j for j in range(3)]
+    assert x[-1] == 12 * k and 12 * k not in blocks
+    # a view: writes through it land in x
+    blocks[k - 1, 1, 1, 2] = -1.0
+    cusp_angles(x, 0)[0, 0, 1] = -2.0
+    assert x[12 * k - 1] == -1.0 and x[1] == -2.0
+    for cusp in (-1, k):
+        with pytest.raises(DomainError):
+            cusp_angles(x, cusp)
+
+
 def test_residual_beta_perturbation_linearity():
     sig = GKSignature(3, 2)
     sol = solve_complete(sig)
     x = sol.x0.copy()
-    x[beta_index(sig.k)] += 1e-3
+    x[-1] += 1e-3
     r = residuals(sig, x)
     # the angle-sum residual is exactly linear in beta
     assert abs(r[-1] - 6 * (sig.g - sig.k) * 1e-3) < 1e-15
@@ -163,9 +186,7 @@ def test_uv_zero_at_complete_and_symmetric_points():
     assert u == 0 and v == 0
     # any point with matching gamma blocks has u = v = 0
     x = sol.x0.copy()
-    x[gamma_index(0, 0)] = x[gamma_index(1, 0)] = 1.1
-    x[gamma_index(0, 1)] = x[gamma_index(1, 1)] = 1.0
-    x[gamma_index(0, 2)] = x[gamma_index(1, 2)] = math.pi - 2.1
+    angle_blocks(x)[0, :, 1] = [1.1, 1.0, math.pi - 2.1]
     u, v = uv(x, 0)
     assert u == 0 and v == 0
 
@@ -181,8 +202,7 @@ def test_dehn_coefficients_singular_when_uv_real():
     sig = GKSignature(2, 1)
     x = solve_complete(sig).x0.copy()
     for j, (ga, gb) in enumerate([(1.0, 1.0), (0.8, 0.7), (1.1, 1.1)]):
-        x[gamma_index(0, j)] = ga
-        x[gamma_index(1, j)] = gb
+        angle_blocks(x)[0, :, 1, j] = ga, gb
     u, v = uv(x, 0)
     assert u.imag == 0.0 and v.imag == 0.0 and abs(u) > 1e-3
     with pytest.raises(DomainError):
@@ -382,6 +402,44 @@ def test_solve_complete_matches_high_precision(g, k):
     assert abs(sol.beta_bar - b) <= 1e-15 * b
 
 
+# the paper's isolation of the cusps: an unfilled cusp's block is the
+# symmetric point at the solution's own beta
+
+BETA_MAX = 2.0 * math.asin(1.0 / math.sqrt(3.0))
+
+
+@settings(max_examples=50, deadline=None)
+@given(beta=st.floats(1e-6, BETA_MAX, exclude_max=True))
+def test_isolated_block_zeroes_the_length_row(beta):
+    # sin a = sqrt(3) sin(beta/2) and every gamma = pi/3 solve the length
+    # row side(a) = edge_cosh(beta), checked in 50 digits
+    import mpmath
+
+    with mpmath.workdps(50):
+        b = mpmath.mpf(beta)
+        a = mpmath.asin(mpmath.sqrt(3) * mpmath.sin(b / 2))
+        side = (mpmath.cos(a) ** 2 + mpmath.mpf(1) / 2) / mpmath.sin(a) ** 2
+        edge = mpmath.cos(b) / (1 - mpmath.cos(b))
+        assert abs(side - edge) <= mpmath.mpf(10) ** -30 * edge
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 8), g=st.integers(3, 200))
+def test_unfilled_blocks_are_isolated(seed, k, g):
+    sig = GKSignature(max(g, k + 1), k)
+    rng = np.random.default_rng(seed)
+    # a random filled subset, with at least one filled and one unfilled cusp
+    filled = rng.permutation(k)[:rng.integers(1, k)]
+    pairs = [pq if c in filled else None for c, pq in enumerate(random_pairs(rng, k))]
+    x = solve_filling(sig, FillingSpec.from_pairs(k, pairs))
+    a = math.asin(math.sqrt(3.0) * math.sin(0.5 * x[-1]))
+    for c, pq in enumerate(pairs):
+        if pq is None:
+            block = angle_blocks(x)[c]
+            assert np.max(np.abs(block[:, 0] - a)) <= 1e-12, c
+            assert np.max(np.abs(block[:, 1] - math.pi / 3.0)) <= 1e-12, c
+
+
 def test_edge_cosh_matches_high_precision():
     import mpmath
 
@@ -403,8 +461,7 @@ def loop_cusp_rows(x, targets):
     for c, pq in enumerate(targets):
         u, v = uv(x, c)
         grad = np.zeros((4, n))  # Re u, Im u, Re v, Im v
-        gA = [gamma_index(2 * c, j) for j in range(3)]
-        gB = [gamma_index(2 * c + 1, j) for j in range(3)]
+        gA, gB = angle_blocks(np.arange(n))[c, :, 1].tolist()
         # Re u = log(sin gA0 sin gB1 / (sin gA1 sin gB0)), Re v likewise
         re_terms = ((0, (gA[0], gB[1]), (gA[1], gB[0])), (2, (gA[1], gB[2]), (gA[2], gB[1])))
         for row, plus, minus in re_terms:

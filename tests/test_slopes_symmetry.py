@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mgk import commensurability_xk as cx
 from mgk import slopes_symmetry as ss
 from mgk.deformation import (
     FillingSpec,
     GKSignature,
+    angle_blocks,
     dehn_coefficients,
     residuals,
     solve_complete,
@@ -365,8 +367,7 @@ def test_symmetries_preserve_residuals():
     # sine-product triple is what gets permuted.
     def sine_product(x, c, j):
         # Pi^j = sin a_2c^j sin a_2c+1^j sin g_2c^j sin g_2c+1^j
-        idx = [12 * c + 6 * t + 3 * kind + j for t in (0, 1) for kind in (0, 1)]
-        return math.prod(math.sin(x[i]) for i in idx)
+        return math.prod(math.sin(v) for v in angle_blocks(x)[c, :, :, j].ravel().tolist())
 
     sig = GKSignature(3, 2)
     x = solved_point(sig, [(5.0, 1.0), (8.0, 3.0)]) + 1e-3  # push off the variety too
@@ -407,3 +408,33 @@ def test_sym_act_identity():
     x = solved_point(sig, [(5.0, 1.0)])
     ident = ss.SlopeSetIsometry(perm=(0,), local=(ss.D6Element.identity(),))
     assert np.array_equal(ss.sym_act(ident, x), x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 7))
+def test_symmetries_permute_the_coordinates(seed, k):
+    # every variety symmetry moves angles around and computes nothing: its
+    # values are those of x, bit for bit, and beta stays in place
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.01, math.pi - 0.01, 12 * k + 1)
+    before = x.copy()
+    cusp = int(rng.integers(k))
+    psi = ss.SlopeSetIsometry(
+        tuple(rng.permutation(k).tolist()),
+        tuple(ss.D6Element(int(rng.integers(6)), bool(rng.integers(2))) for _ in range(k)),
+    )
+    images = [
+        ss.apex_permutation(x, cusp, tuple(rng.permutation(3).tolist())),
+        ss.tetra_swap(x, cusp),
+        ss.cusp_permutation(x, rng.permutation(k).tolist()),
+        ss.phi_r(x, cusp),
+        ss.phi_s(x, cusp),
+        ss.sym_act(psi, x),
+    ]
+    if k % 2 == 1:
+        images.append(cx.theta_r(x, cx.XkSignature(k)))
+        if k >= 3:
+            images.append(cx.tau_13(x, cx.XkSignature(k)))
+    for y in images:
+        assert np.array_equal(np.sort(y), np.sort(x)) and y[-1] == x[-1]
+    assert np.array_equal(x, before)

@@ -6,8 +6,7 @@ import tetrahedron as tt
 from mgk.deformation import (
     FillingSpec,
     GKSignature,
-    alpha_index,
-    gamma_index,
+    angle_blocks,
     solve_complete,
     solve_filling,
 )
@@ -17,10 +16,9 @@ PI3 = math.pi / 3.0
 
 
 def tet_from_coords(x, l):
-    return tt.TruncatedTetrahedron.one_ideal(
-        [x[alpha_index(l, j)] for j in range(3)],
-        [x[gamma_index(l, j)] for j in range(3)],
-    )
+    # tetrahedron l = 2c + t is angle_blocks(x)[c, t]
+    alphas, gammas = angle_blocks(x).reshape(-1, 2, 3)[l].tolist()
+    return tt.TruncatedTetrahedron.one_ideal(alphas, gammas)
 
 
 def test_validate_compact_regular():
