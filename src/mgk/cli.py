@@ -39,7 +39,7 @@ from .deformation import (
     tangent_basis,
 )
 from .hyptrig import DomainError
-from .report import build_report, report_to_json, to_json
+from .report import SCHEMA, build_report, build_reports, report_to_json, to_json
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -126,19 +126,18 @@ def _report_lines(rep) -> str:
     return "\n".join(lines)
 
 
-def _report_text(sig, spec, x, args) -> str:
-    """The report text of the solution x of `spec`.  When x is instead the
-    error that parsing or solving the spec raised, that error is raised, as
-    is the DomainError of a report that JSON cannot hold (a NaN)."""
-    if isinstance(x, Exception):
-        raise x
-    rep = build_report(sig, spec, x)
+def _report_text(rep, args) -> str:
+    """The text of the report `rep`.  When rep is instead the error that
+    parsing, solving or reporting its list raised, that error is raised,
+    as is the DomainError of a report that JSON cannot hold (a NaN)."""
+    if isinstance(rep, Exception):
+        raise rep
     return report_to_json(rep) if args.json else _report_lines(rep)
 
 
 def cmd_complete(args) -> int:
     sig = GKSignature(args.g, args.k)
-    _emit(args, _report_text(sig, FillingSpec.unfilled(sig.k), solve_complete(sig).x0, args))
+    _emit(args, _report_text(build_report(sig, FillingSpec.unfilled(sig.k), solve_complete(sig).x0), args))
     return EXIT_OK
 
 
@@ -146,7 +145,7 @@ def _error_record(coeffs, exc, args):
     """The exit code and the text of a batch list that failed."""
     code, message = _failure(exc)
     if args.json:
-        return code, to_json({"schema": "mgk/1", "coeffs": coeffs, "error": {"exit": code, "message": message}})
+        return code, to_json({"schema": SCHEMA, "coeffs": coeffs, "error": {"exit": code, "message": message}})
     return code, "error           %s: %s" % (coeffs, message)
 
 
@@ -157,12 +156,20 @@ def _parse_or_error(coeffs, k):
         return exc
 
 
+def _batched(fn, values, *more) -> list:
+    """Per entry of `values`, the error it holds, or what `fn` gives for it:
+    `fn` takes the entries that are not errors, and the entries of `more`
+    at their places, in one call and returns one result per entry."""
+    ok = [i for i, v in enumerate(values) if not isinstance(v, Exception)]
+    results = iter(fn(*([seq[i] for i in ok] for seq in (values,) + more)))
+    return [v if isinstance(v, Exception) else next(results) for v in values]
+
+
 def _solve_specs(sig, specs, **kw) -> list:
     """Per entry of `specs`, a FillingSpec or the error that building it
     raised: its solution or its error.  The specs are solved together, in
     one `solve_fillings` call; an error keeps its place."""
-    solved = iter(solve_fillings(sig, [s for s in specs if isinstance(s, FillingSpec)], **kw))
-    return [next(solved) if isinstance(s, FillingSpec) else s for s in specs]
+    return _batched(lambda ok: solve_fillings(sig, ok, **kw), specs)
 
 
 def cmd_fill(args) -> int:
@@ -171,10 +178,12 @@ def cmd_fill(args) -> int:
     # like any other); without it the one list's error is the command's
     coeffs = [c.strip() for c in args.coeffs.split(";")] if args.batch else [args.coeffs]
     specs = [_parse_or_error(c, sig.k) for c in coeffs]
+    solved = _solve_specs(sig, specs, check_length=not args.allow_short)
+    reports = _batched(lambda xs, ok: build_reports(sig, ok, xs), solved, specs)
     entries = []
-    for c, spec, x in zip(coeffs, specs, _solve_specs(sig, specs, check_length=not args.allow_short)):
+    for c, rep in zip(coeffs, reports):
         try:
-            entries.append((EXIT_OK, _report_text(sig, spec, x, args)))
+            entries.append((EXIT_OK, _report_text(rep, args)))
         except _FAILURES as exc:
             if not args.batch:
                 raise
@@ -195,7 +204,7 @@ def cmd_slopes(args) -> int:
     table = ss.classify_slopes(args.max_len_sq)
     if args.json:
         doc = {
-            "schema": "mgk/1",
+            "schema": SCHEMA,
             "max_len_sq": args.max_len_sq,
             "orbits": [
                 {
@@ -225,7 +234,7 @@ def cmd_similar(args) -> int:
     )
     if args.json:
         doc = {
-            "schema": "mgk/1",
+            "schema": SCHEMA,
             "equivalent": witness is not None,
             "witness": None
             if witness is None
@@ -286,7 +295,7 @@ def cmd_commensurable(args) -> int:
                 }
             )
     if args.json:
-        _emit(args, to_json({"schema": "mgk/1", "structures": rows, "pairs": verdicts}))
+        _emit(args, to_json({"schema": SCHEMA, "structures": rows, "pairs": verdicts}))
     else:
         lines = []
         for r in rows:
@@ -309,7 +318,7 @@ def cmd_tangent(args) -> int:
     sv = np.linalg.svd(np.vstack([J, np.zeros((2 * sig.k, sig.n_coords))]), compute_uv=False)
     if args.json:
         doc = {
-            "schema": "mgk/1",
+            "schema": SCHEMA,
             "dimension": 2 * sig.k,
             "basis": [[float(v) for v in row] for row in basis],
             "max_jacobian_product": float(jn),
@@ -356,7 +365,7 @@ def cmd_trace(args) -> int:
     if not rows:
         raise DomainError("no admissible r0 values in the requested range")
     if args.json:
-        _emit(args, to_json({"schema": "mgk/1", "delta": args.delta, "rows": rows}))
+        _emit(args, to_json({"schema": SCHEMA, "delta": args.delta, "rows": rows}))
     else:
         lines = ["r0        trace       trace''     stima>0"]
         for r in rows:

@@ -27,9 +27,12 @@ The structure equations split into 10k+1 residuals:
      1  total angle 2pi along the compact edge.
 
 Their common zero set is smooth of dimension 2k near the symmetric
-complete solution; completeness or filling conditions on the per-cusp
+complete solution, where its tangent space is in closed form
+(`tangent_basis`); completeness or filling conditions on the per-cusp
 log-holonomies (u, v) cut it down to isolated points, which a damped
-Newton iteration with coefficient continuation locates.
+Newton iteration with coefficient continuation locates.  The
+continuation leaves the complete solution along the closed-form tangent
+of its filling (`_complete_tangent`).
 
 Newton works on the square system: the structure rows plus two cusp
 rows per cusp (Re, Im of p*u + q*v - 2*pi*i filled, of u complete).
@@ -49,9 +52,9 @@ at once, the fillings of a batch: a step is one batched solve of the
 N k 12x12 blocks with two right-hand sides (the residual and the border
 column) and then one scalar Schur complement for each point's beta,
 O(Nk) work instead of the O(k^3) of each dense (12k+1)^2 system.  Each
-point gets the same floating-point results as when it is solved alone.
-`jacobian` scatters the same entries into the dense (10k+1) x (12k+1)
-public form.
+point gets the same floating-point results as when it is solved alone;
+`residuals` takes such a stack of points too.  `jacobian` scatters the
+same entries into the dense (10k+1) x (12k+1) public form.
 """
 
 import math
@@ -83,7 +86,10 @@ class ConvergenceError(RuntimeError):
 class ContinuationError(ConvergenceError):
     """The continuation could not reach s = 1; the message names the
     signature and the canonical slopes.  `last_good_t` is t = 1/s at the
-    last solved point of the path, or None when no step was solved."""
+    last solved point of the path, or None when no step was solved.  Near
+    the sqrt(7) wall, where a path below it gives up, the step halving
+    that ends the path is so sensitive that rounding sets the last good
+    multiplier: a change in the last bits of the path moves it."""
 
     def __init__(self, message, last_good_t):
         super().__init__(message)
@@ -314,9 +320,13 @@ def _dense(sig: GKSignature, A: np.ndarray, dbeta: float) -> np.ndarray:
 
 
 def residuals(sig: GKSignature, x) -> np.ndarray:
-    """The 10k+1 structure residuals at x (layout in the module docstring)."""
-    r, _ = _evaluate(sig, check_coords(sig, x)[None], _linear_rows([None] * sig.k))
-    return _structure_rows(r[0], sig.k)
+    """The 10k+1 structure residuals at x (layout in the module docstring),
+    or the (N, 10k+1) residuals of N >= 1 points x of shape (N, 12k+1),
+    each with the bits it gets alone."""
+    x = np.asarray(x, dtype=float)
+    pts = np.array([check_coords(sig, p) for p in x]) if x.ndim == 2 else check_coords(sig, x)[None]
+    r, _ = _evaluate(sig, pts, _linear_rows([None] * sig.k * len(pts)))
+    return _structure_rows(r.T, sig.k).T.reshape(x.shape[:-1] + (sig.n_residuals,))
 
 
 def jacobian(sig: GKSignature, x) -> np.ndarray:
@@ -643,12 +653,13 @@ def solve_filling(sig: GKSignature, spec: FillingSpec, *, check_length: bool = T
     Filled coefficients are continued in s = 1/t along the rows
     p*u + q*v = 2*pi*i*s (the targets (t*p, t*q)) from the complete
     structure at s = 0.  At a solved point the tangent dx/ds solves
-    J dx/ds = 2 pi on row 11 of each filled cusp: one block step with the
-    blocks of Newton's last iterate, or of the complete structure.  s steps
-    by (shortest slope length) / 5 up to 1, halved on each Newton failure,
-    and each Newton starts at the cubic Hermite through the last two points
-    of the path and their tangents (the first at the Euler step): slopes of
-    length >= 5 take one Newton solve, and of length >= sqrt(7) two.
+    J dx/ds = 2 pi on row 11 of each filled cusp: at s = 0 in closed form
+    (`_complete_tangent`), later one block step with the blocks of
+    Newton's last iterate.  s steps by (shortest slope length) / 5 up to
+    1, halved on each Newton failure, and each Newton starts at the cubic
+    Hermite through the last two points of the path and their tangents
+    (the first at the Euler step): slopes of length >= 5 take one Newton
+    solve, and of length >= sqrt(7) two, about 9 block solves in all.
     Fails loudly (ContinuationError) if the path cannot reach s = 1.
     With `check_length`, a slope shorter than sqrt(7) is a DomainError.
     This is `solve_fillings` on the one spec.
@@ -665,10 +676,11 @@ def solve_fillings(sig: GKSignature, specs: Sequence[FillingSpec], *, check_leng
     ConvergenceError that `solve_filling` raises for it, with the same
     bits and message: a spec that fails does not touch the others.
     `solve_complete` runs once, and the specs with a filled cusp run
-    their continuations in lockstep.  Each round takes, for every spec
-    still short of s = 1 on its own schedule, its tangent and then its
-    Newton solve at its next s: one stacked block step and one stacked
-    `_newton` for all of them."""
+    their continuations in lockstep, each from its closed-form tangent at
+    s = 0.  Each round takes, for every spec still short of s = 1 on its
+    own schedule, its tangent (after the first) and then its Newton solve
+    at its next s: one stacked block step and one stacked `_newton` for
+    all of them."""
     out = [None] * len(specs)
     todo = []
     for i, spec in enumerate(specs):
@@ -684,7 +696,7 @@ def solve_fillings(sig: GKSignature, specs: Sequence[FillingSpec], *, check_leng
     if not todo:
         return out
     try:
-        x0 = solve_complete(sig).x0
+        cs = solve_complete(sig)
     except ConvergenceError as exc:
         for i, _, _ in todo:
             out[i] = exc
@@ -692,19 +704,19 @@ def solve_fillings(sig: GKSignature, specs: Sequence[FillingSpec], *, check_leng
     filled = [(i, spec, lmin) for i, spec, lmin in todo if lmin is not None]
     for i, _, lmin in todo:
         if lmin is None:
-            out[i] = x0.copy()
+            out[i] = cs.x0.copy()
     if filled:
         index, specs, lmins = zip(*filled)
-        for i, x in zip(index, _continue(sig, x0, specs, lmins)):
+        for i, x in zip(index, _continue(sig, cs, specs, lmins)):
             out[i] = x
     return out
 
 
-def _continue(sig: GKSignature, x0: np.ndarray, specs, lmins) -> list:
-    """The continuations of `solve_filling` from the complete solution x0
+def _continue(sig: GKSignature, cs: CompleteSolution, specs, lmins) -> list:
+    """The continuations of `solve_filling` from the complete solution cs
     for canonical specs with a filled cusp, of shortest filled slopes
     `lmins`, in lockstep; per spec, the solution or its error."""
-    m, k = len(specs), sig.k
+    m, k, x0 = len(specs), sig.k, cs.x0
     # the rows at s = 1, block by block; s scales the 2 pi on row 11 of the
     # filled cusps, so every tangent dx/ds solves J dx/ds = ds_rhs
     L, S, o = _linear_rows([pq for spec in specs for pq in spec.pairs])
@@ -719,15 +731,15 @@ def _continue(sig: GKSignature, x0: np.ndarray, specs, lmins) -> list:
 
     out = [None] * m
     s_good, ds = [0.0] * m, [min(1.0, lmin / _STEP_LENGTH) for lmin in lmins]
-    xs, dx, prev = [x0] * m, [None] * m, [None] * m
+    xs, prev = [x0] * m, [None] * m
+    dx = [_complete_tangent(sig, cs.alpha_bar, spec.pairs) for spec in specs]
 
     def failure(i, text):
         s, slopes = s_good[i], ",".join(map(slope_text, specs[i].pairs))
         return ContinuationError("g=%d k=%d slopes %s: %s" % (sig.g, k, slopes, text), 1.0 / s if s else None)
 
-    # the specs whose blocks `blocks` gives: at s = 0, all of them at x0
-    last = list(range(m))
-    _, blocks = _evaluate(sig, x0[None].repeat(m, axis=0), rows_at([0.0] * m, last))
+    # the specs whose Newton blocks `blocks` gives, those of the last round
+    last, blocks = [], None
     while True:
         live = [i for i in range(m) if out[i] is None and s_good[i] < 1.0]
         if not live:
@@ -769,6 +781,39 @@ def _continue(sig: GKSignature, x0: np.ndarray, specs, lmins) -> list:
 # tangent space and the boundary-bending curve
 
 
+def _tangent_block(t: float, x1: float, x2: float) -> np.ndarray:
+    """The (2, 2, 3) cusp block of a tangent vector at the complete
+    structure, [x1, x2, x3, t x1, t x2, t x3, -x1, -x2, -x3, -t x1, -t x2,
+    -t x3] flat, with x3 = -x1 - x2 and t = sqrt(3) cot(alpha_bar)."""
+    return np.outer([1.0, t, -1.0, -t], [x1, x2, -x1 - x2]).reshape(2, 2, 3)
+
+
+def _cot_scale(alpha_bar: float) -> float:
+    """t = sqrt(3) cot(alpha_bar) of `_tangent_block`."""
+    return math.sqrt(3.0) * math.cos(alpha_bar) / math.sin(alpha_bar)
+
+
+def _complete_tangent(sig: GKSignature, alpha_bar: float, pairs) -> np.ndarray:
+    """The tangent dx/ds at s = 0 of the continuation to the filling
+    `pairs`, from the complete structure of angle alpha_bar.  There v =
+    omega u with omega = exp(2 pi i / 3), so a filled cusp moves with
+    du/ds = 2 pi i / (p + q omega): its block is the `_tangent_block` of
+
+        (x1, x2) = (2q - p, -(p + q)) pi / (2 t (p^2 - pq + q^2)).
+
+    Unfilled cusps and beta stay put.  This is the solution of
+    J dx/ds = 2 pi on row 11 of each filled cusp at x0, in closed form."""
+    t = _cot_scale(alpha_bar)
+    dx = np.zeros(sig.n_coords)
+    blocks = angle_blocks(dx)
+    for c, pq in enumerate(pairs):
+        if pq is not None:
+            p, q = pq
+            f = math.pi / (2.0 * t * (p * p - p * q + q * q))
+            blocks[c] = _tangent_block(t, (2.0 * q - p) * f, -(p + q) * f)
+    return dx
+
+
 def tangent_basis(sig: GKSignature) -> np.ndarray:
     """Closed-form basis (2 vectors per cusp) of the tangent space of the
     variety at the complete solution: per cusp block,
@@ -777,16 +822,13 @@ def tangent_basis(sig: GKSignature) -> np.ndarray:
         x_i + x_{i+6} = 0                     (i = 1..6),
         x_1 + x_2 + x_3 = 0,
 
-    and last coordinate zero."""
-    cs = solve_complete(sig)
-    t = math.sqrt(3.0) * math.cos(cs.alpha_bar) / math.sin(cs.alpha_bar)
+    and last coordinate zero: the `_tangent_block`s of (x1, x2) = (1, 0)
+    and (0, 1)."""
+    t = _cot_scale(solve_complete(sig).alpha_bar)
     basis = np.zeros((2 * sig.k, sig.n_coords))
     for c in range(sig.k):
-        for m, (x1, x2) in enumerate(((1.0, 0.0), (0.0, 1.0))):
-            x3 = -x1 - x2
-            block = [x1, x2, x3, t * x1, t * x2, t * x3,
-                     -x1, -x2, -x3, -t * x1, -t * x2, -t * x3]
-            basis[2 * c + m, 12 * c:12 * c + 12] = block
+        angle_blocks(basis[2 * c])[c] = _tangent_block(t, 1.0, 0.0)
+        angle_blocks(basis[2 * c + 1])[c] = _tangent_block(t, 0.0, 1.0)
     return basis
 
 

@@ -487,6 +487,22 @@ def near_complete(sig, rng, scale=1e-3):
     return solve_complete(sig).x0 + scale * rng.standard_normal(sig.n_coords)
 
 
+@pytest.mark.parametrize("k", [1, 3, 16])
+def test_residuals_of_a_stack_are_those_of_each_point(k):
+    # each row of a stacked evaluation has the bits of the point alone, and
+    # a point outside the box refuses the stack
+    rng = np.random.default_rng(70 + k)
+    sig = GKSignature(k + 3, k)
+    x = np.array([near_complete(sig, rng) for _ in range(4)])
+    stacked = residuals(sig, x)
+    assert stacked.shape == (4, sig.n_residuals)
+    for row, point in zip(stacked, x):
+        assert row.tobytes() == residuals(sig, point).tobytes()
+    x[2, 0] = 4.0
+    with pytest.raises(DomainError):
+        residuals(sig, x)
+
+
 @pytest.mark.parametrize("k", [1, 2, 5, 16])
 def test_block_step_matches_dense_solve(k):
     rng = np.random.default_rng(40 + k)
@@ -544,13 +560,14 @@ SQRT7_SLOPES = [(3.0, 1.0), (3.0, 2.0), (1.0, 3.0), (2.0, 3.0), (2.0, -1.0), (1.
 def test_filling_newton_steps_flat_in_k(monkeypatch, k):
     # every cusp on a threshold slope gives the longest path, s = sqrt(7)/5 and
     # then 1; warm-starting each step at the previous point took 116, 312 and
-    # 846 steps, and starting at t = 20/sqrt(7) took 13-14
+    # 846 steps, starting at t = 20/sqrt(7) took 13-14, and it takes 9 with
+    # the first tangent in closed form
     sig = GKSignature(k + 1, k)
     pairs = [SQRT7_SLOPES[c % 6] for c in range(k)]
     calls, step = [], deformation._block_step
     monkeypatch.setattr(deformation, "_block_step", lambda *a: calls.append(1) or step(*a))
     x = solve_filling(sig, FillingSpec.from_pairs(k, pairs))
-    assert len(calls) <= 12
+    assert len(calls) <= 11
     assert np.max(np.abs(residuals(sig, x))) < 1e-10
     for c, (p, q) in enumerate(FillingSpec.from_pairs(k, pairs).canonicalized().pairs):
         pc, qc = dehn_coefficients(x, c)
@@ -560,12 +577,13 @@ def test_filling_newton_steps_flat_in_k(monkeypatch, k):
 @pytest.mark.parametrize("k", [2, 16, 64])
 def test_filling_block_steps_with_tangent_predictor(monkeypatch, k):
     # a sqrt(7) slope on cusp 0 took 22 block steps with the secant predictor
-    # at ratio 1.5, and 13-14 from t = 20/sqrt(7); the tangent solves count too
+    # at ratio 1.5, and 13-14 from t = 20/sqrt(7); the tangent solves count
+    # too, all but the first, which is in closed form: 9 in all
     sig = GKSignature(k + 1, k)
     calls, step = [], deformation._block_step
     monkeypatch.setattr(deformation, "_block_step", lambda *a: calls.append(1) or step(*a))
     x = solve_filling(sig, FillingSpec.from_pairs(k, [(3.0, 1.0)] + [None] * (k - 1)))
-    assert len(calls) <= 12
+    assert len(calls) <= 11
     assert np.max(np.abs(residuals(sig, x))) < 1e-10
     pc, qc = dehn_coefficients(x, 0)
     assert abs(pc - 3.0) < 1e-9 and abs(qc - 1.0) < 1e-9
@@ -596,6 +614,43 @@ def test_filling_tangent_matches_central_difference(monkeypatch, g, k):
             ends.append(end[0])
         fd = (ends[0] - ends[1]) / (2.0 * h)
         assert np.max(np.abs(dx - fd)) <= 1e-5 * np.max(np.abs(fd)), s
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    g=st.integers(2, 200),
+    k=st.sampled_from([1, 2, 3, 5, 8, 16, 33, 64]),
+    integer=st.booleans(),
+)
+def test_first_tangent_in_closed_form(seed, g, k, integer):
+    # the continuation's tangent at s = 0 is the block-arrow solve of
+    # J dx/ds = 2 pi e_11 at the complete structure, in closed form
+    sig = GKSignature(max(g, k + 1), k)
+    rng = np.random.default_rng(seed)
+    pairs = random_pairs(rng, k, 2.7, 40.0)
+    if integer:
+        pairs = [(float(round(p)), float(round(q))) for p, q in pairs]
+    unfilled = rng.random(k) < 0.3
+    unfilled[rng.integers(k)] = False
+    pairs = [None if off else pq for pq, off in zip(pairs, unfilled)]
+    cs = solve_complete(sig)
+    rows = deformation._linear_rows(pairs)
+    _, blocks = deformation._evaluate(sig, cs.x0[None], rows)
+    rhs = np.zeros((1, sig.n_coords))
+    rhs[0, :-1].reshape(k, 12)[:, 11] = rows[2][:, 11]
+    solved = deformation._block_step(sig, rhs, *blocks())[0]
+    closed = deformation._complete_tangent(sig, cs.alpha_bar, pairs)
+    assert np.max(np.abs(closed - solved)) <= 1e-13 * np.max(np.abs(solved))
+    # each filled cusp moves with du/ds = 2 pi i / (p + q omega), v = omega u
+    h = 1e-5
+    for c, pq in enumerate(pairs):
+        du = (uv(cs.x0 + h * closed, c)[0] - uv(cs.x0 - h * closed, c)[0]) / (2.0 * h)
+        if pq is None:
+            assert du == 0.0
+        else:
+            want = 2j * math.pi / (pq[0] + pq[1] * OMEGA)
+            assert abs(du - want) <= 1e-7 * abs(want), (c, pq)
 
 
 def warm_start_continuation(sig, pairs, l_safe=20.0, tol=1e-10):
@@ -711,13 +766,14 @@ def test_filling_sweep_to_200(pq):
 
 @pytest.mark.parametrize("g", [131, 132])
 def test_filling_large_g_spot_checks(monkeypatch, g):
-    # 5/1 first failed at g = 132; at g = 131 it took 38 Newton steps, and
-    # 13 block steps from t = 20/sqrt(21)
+    # 5/1 first failed at g = 132; at g = 131 it took 38 Newton steps, 13
+    # block steps from t = 20/sqrt(21), and 8 with the first tangent in
+    # closed form
     sig = GKSignature(g, 1)
     calls, step = [], deformation._block_step
     monkeypatch.setattr(deformation, "_block_step", lambda *a: calls.append(1) or step(*a))
     x = solve_filling(sig, FillingSpec.from_pairs(1, [(5.0, 1.0)]))
-    assert len(calls) <= 11
+    assert len(calls) <= 10
     assert np.max(np.abs(residuals(sig, x))) < 1e-10
     pc, qc = dehn_coefficients(x, 0)
     assert abs(pc - 5.0) < 1e-9 and abs(qc - 1.0) < 1e-9

@@ -18,7 +18,9 @@ from mgk import slopes_symmetry as ss
 from mgk.deformation import FillingSpec, GKSignature, solve_filling
 from mgk.hyptrig import DomainError
 from mgk.report import (
+    RESIDUAL_TOL,
     build_report,
+    build_reports,
     report_to_dict,
     report_to_json,
     to_json,
@@ -65,6 +67,130 @@ def test_report_refuses_bad_residual():
     x = solve_filling(sig, spec) + 1e-3
     with pytest.raises(DomainError, match="above reporting tolerance"):
         build_report(sig, spec, x)
+
+
+def test_build_report_is_the_one_item_batch():
+    sig = GKSignature(3, 2)
+    spec = FillingSpec.from_pairs(2, [None, (5.0, 1.0)])
+    x = solve_filling(sig, spec)
+    assert build_report(sig, spec, x) == build_reports(sig, [spec], [x])[0]
+    assert build_reports(sig, [], []) == []
+
+
+def test_build_reports_refuse_per_item():
+    # a point out of the box or of the wrong length, or one off the variety,
+    # is its own error; the others report as they do alone
+    sig = GKSignature(3, 2)
+    specs = [FillingSpec.from_pairs(2, pairs) for pairs in ([None, (5.0, 1.0)], [(7.0, 2.0), None])]
+    xs = [solve_filling(sig, spec) for spec in specs]
+    bad = [xs[0] + 1e-3, np.append(xs[0], 0.5), np.full(sig.n_coords, 4.0)]
+    reps = build_reports(sig, specs + specs[:1] * 3 + specs, xs + bad + xs)
+    assert reps[0] == build_report(sig, specs[0], xs[0])
+    assert reps[1] == build_report(sig, specs[1], xs[1])
+    assert "above reporting tolerance" in str(reps[2])
+    assert "expected 25 coordinates" in str(reps[3])
+    assert "(0, pi)" in str(reps[4])
+    assert all(isinstance(r, DomainError) for r in reps[2:5])
+    assert reps[5:] == reps[:2]
+
+
+def test_cli_fill_batch_evaluates_residuals_once(monkeypatch, capsys):
+    # one stacked structure-residual evaluation gates the reports of all lists
+    calls, real = [], report.residuals
+    monkeypatch.setattr(report, "residuals", lambda *a: calls.append(1) or real(*a))
+    argv = ["--json", "fill", "--g", "5", "--k", "2", "--batch", "--coeffs", "5/1,inf;inf,3/1;7/2,2/3;3/1,8/1"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and len(json.loads(out)) == 4
+    assert len(calls) == 1
+
+
+def test_cli_fill_batch_refused_report_fails_alone(monkeypatch, capsys):
+    # a report refused at the residual gate is its own list's error record,
+    # exit 2, and the other lists still report
+    real = report.residuals
+
+    def off_first(sig, x):
+        r = real(sig, x)
+        r[0, 0] = 10.0 * RESIDUAL_TOL
+        return r
+
+    argv = ["--json", "fill", "--g", "6", "--k", "1", "--batch", "--coeffs", "5/1;7/2"]
+    _, before, _ = run(capsys, argv)
+    monkeypatch.setattr(report, "residuals", off_first)
+    code, out, _ = run(capsys, argv)
+    assert code == 2
+    bad, good = json.loads(out)
+    assert bad["coeffs"] == "5/1" and bad["error"]["exit"] == 2
+    assert "above reporting tolerance" in bad["error"]["message"]
+    assert good == json.loads(before)[1]
+
+
+def test_cli_fill_refused_report_without_batch(monkeypatch, capsys):
+    real = report.residuals
+    monkeypatch.setattr(report, "residuals", lambda sig, x: real(sig, x) + 1.0)
+    code, out, err = run(capsys, ["fill", "--g", "2", "--k", "1", "--coeffs", "5/1"])
+    assert code == 2 and out == ""
+    assert "above reporting tolerance" in err
+
+
+# leaves of a document: every kind that JSON writes, with the strings,
+# ints and floats at the edges of their encodings
+_LEAVES = st.one_of(
+    st.text(alphabet=st.characters(codec="utf-8") | st.sampled_from('"\\\b\f\n\r\t\x00\x1f\x7f'), max_size=12),
+    st.booleans(),
+    st.none(),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1e16, 1e-7, 0.1]),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+)
+_DOCS = st.recursive(
+    _LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=6),
+        st.dictionaries(st.text(max_size=8), inner, max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_DOCS)
+def test_to_json_is_the_stdlib_text(doc):
+    assert to_json(doc) == json.dumps(doc, indent=2, allow_nan=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    doc=_DOCS,
+    bad=st.sampled_from([math.nan, math.inf, -math.inf, np.float64("nan")]),
+    where=st.randoms(use_true_random=False),
+)
+def test_to_json_refuses_non_finite_floats_at_any_depth(doc, bad, where):
+    # put the value in a random container of the document, or make it the document
+    containers = []
+
+    def walk(o):
+        if isinstance(o, (list, dict)):
+            containers.append(o)
+            for v in (o.values() if isinstance(o, dict) else o):
+                walk(v)
+
+    walk(doc)
+    if not containers:
+        doc = bad
+    else:
+        box = where.choice(containers)
+        if isinstance(box, dict):
+            box["nan"] = bad
+        else:
+            box.insert(where.randint(0, len(box)), bad)
+    with pytest.raises(ValueError):
+        json.dumps(doc, indent=2, allow_nan=False)
+    with pytest.raises(DomainError, match="cannot write JSON"):
+        to_json(doc)
 
 
 def test_cli_complete_human(capsys):
