@@ -80,7 +80,13 @@ _OUTSIDE_BOX = "coordinates must lie in (0, pi)"
 
 
 class ConvergenceError(RuntimeError):
-    """Newton iteration failed to reach the requested residual norm."""
+    """Newton iteration failed to reach the requested residual norm.
+    `residual` is the residual sup-norm at the point where it stopped, or
+    None where no such point is known."""
+
+    def __init__(self, message, residual=None):
+        super().__init__(message)
+        self.residual = residual
 
 
 class ContinuationError(ConvergenceError):
@@ -89,10 +95,12 @@ class ContinuationError(ConvergenceError):
     last solved point of the path, or None when no step was solved.  Near
     the sqrt(7) wall, where a path below it gives up, the step halving
     that ends the path is so sensitive that rounding sets the last good
-    multiplier: a change in the last bits of the path moves it."""
+    multiplier: a change in the last bits of the path moves it.
+    `residual` is that of the last failed Newton solve, which the message
+    ends with, or None when no Newton solve failed."""
 
-    def __init__(self, message, last_good_t):
-        super().__init__(message)
+    def __init__(self, message, last_good_t, residual):
+        super().__init__(message, residual)
         self.last_good_t = last_good_t
 
 
@@ -195,7 +203,8 @@ def solve_complete(sig: GKSignature) -> CompleteSolution:
     # the length rows cannot beat the evaluation noise of their own scale
     gate = max(1e-12, 64.0 * np.finfo(float).eps * abs(edge_cosh(b)))
     if np.max(np.abs(res)) > gate:
-        raise ConvergenceError("complete solution residual %g" % np.max(np.abs(res)))
+        norm = float(np.max(np.abs(res)))
+        raise ConvergenceError("complete solution residual %g" % norm, norm)
     if not (a < b < 2.0 * a <= math.pi / 3.0 + 1e-15):
         raise ConvergenceError("complete solution violates the angle inequalities")
     return sol
@@ -591,7 +600,8 @@ def _newton(sig: GKSignature, x0: np.ndarray, rows, tol: float):
         pending = running
         if failed:
             for pos, exc in failed.items():
-                errors[running[pos]] = ConvergenceError("singular Jacobian: %s" % exc)
+                i = running[pos]
+                errors[i] = ConvergenceError("singular Jacobian: %s" % exc, float(np.abs(r[i]).max()))
             pending = [i for i in running if errors[i] is None]
         lam = 1.0
         for _ in range(30):
@@ -620,13 +630,14 @@ def _newton(sig: GKSignature, x0: np.ndarray, rows, tol: float):
             lam *= 0.5
         else:
             for i in pending:
-                errors[i] = ConvergenceError("line search stalled at residual %g" % np.abs(r[i]).max())
+                norm = float(np.abs(r[i]).max())
+                errors[i] = ConvergenceError("line search stalled at residual %g" % norm, norm)
     else:
         for i in running:
-            norm = np.abs(r[i]).max()
+            norm = float(np.abs(r[i]).max())
             if errors[i] is None and not norm < tol:
                 errors[i] = ConvergenceError(
-                    "no convergence: residual %g after %d iterations" % (norm, _MAX_ITER)
+                    "no convergence: residual %g after %d iterations" % (norm, _MAX_ITER), norm
                 )
     return x, blocks, errors
 
@@ -734,9 +745,16 @@ def _continue(sig: GKSignature, cs: CompleteSolution, specs, lmins) -> list:
     xs, prev = [x0] * m, [None] * m
     dx = [_complete_tangent(sig, cs.alpha_bar, spec.pairs) for spec in specs]
 
+    # per spec, the residual of its last failed Newton solve
+    resid = [None] * m
+
     def failure(i, text):
         s, slopes = s_good[i], ",".join(map(slope_text, specs[i].pairs))
-        return ContinuationError("g=%d k=%d slopes %s: %s" % (sig.g, k, slopes, text), 1.0 / s if s else None)
+        if resid[i] is not None:
+            text += ", residual %g" % resid[i]
+        return ContinuationError(
+            "g=%d k=%d slopes %s: %s" % (sig.g, k, slopes, text), 1.0 / s if s else None, resid[i]
+        )
 
     # the specs whose Newton blocks `blocks` gives, those of the last round
     last, blocks = [], None
@@ -769,6 +787,7 @@ def _continue(sig: GKSignature, cs: CompleteSolution, specs, lmins) -> list:
             elif isinstance(exc, DomainError):
                 out[i] = exc
             else:
+                resid[i] = exc.residual
                 ds[i] /= 2.0
                 if ds[i] < 1e-4:
                     t = 1.0 / s_good[i] if s_good[i] else math.inf

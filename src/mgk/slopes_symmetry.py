@@ -18,7 +18,12 @@ reflections are allowed.  An element permutes the tori and moves each
 slope within its L-orbit independently, so two sets are equivalent
 exactly when their sorted lists of per-torus L-orbits (an empty torus its
 own class, orbits ordered by their least slopes) agree; pairing the two
-sorted orders gives the permutation of a witness.
+sorted orders gives the permutation of a witness.  A torus is keyed by
+the least sign-form image of its slope under L, computed on integer pairs
+(`_images`): orbits are disjoint, so that image names the orbit and sorts
+it where the whole orbit would sort.  `d6_act` is the single-element
+action on a `Slope`; the orbit and search routines do not build a `Slope`
+for each image.
 
 On the variety side, each cusp carries symmetries generated by apex
 permutations of its tetrahedron pair and the swap of the pair; `phi_r`
@@ -30,7 +35,7 @@ to relabelling of the tori.
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -118,21 +123,34 @@ _ROTATIONS = tuple(D6Element(m) for m in range(3))
 _ISOMETRIES = _ROTATIONS + tuple(D6Element(m, True) for m in range(3))
 
 
-def _orbit(s: Optional[Slope], group) -> Tuple[Slope, ...]:
-    """Sorted orbit of a slope under `group`; () for an empty torus."""
-    return () if s is None else tuple(sorted({d6_act(e, s) for e in group}))
+def _images(s: Slope, refl: bool) -> List[Tuple[int, int]]:
+    """The sign-form (p, q) images of s under `_ROTATIONS`, then under the
+    three reflections when `refl` is set: the `d6_act` of each element of
+    `_ROTATIONS` or `_ISOMETRIES`, in order, on integer pairs (r^m s is
+    s: (p, q) -> (p - q, -q), then m times r: (p, q) -> (p - q, p))."""
+    p, q = s.p, s.q
+    pairs = [(p, q), (p - q, p), (-q, p - q)]
+    if refl:
+        pairs += [(p - q, -q), (p, p - q), (q, p)]
+    return [(a, b) if a > 0 or (a == 0 and b > 0) else (-a, -b) for a, b in pairs]
+
+
+def _orbit(s: Optional[Slope], refl: bool) -> Tuple[Slope, ...]:
+    """Sorted orbit of a slope under the rotations, or all of D6 with
+    `refl`; () for an empty torus."""
+    return () if s is None else tuple(Slope(p, q) for p, q in sorted(set(_images(s, refl))))
 
 
 def d6_orbit(s: Slope):
     """The full dihedral orbit of a slope, as a sorted tuple."""
-    return _orbit(s, _ISOMETRIES)
+    return _orbit(s, True)
 
 
 def c6_orbit(s: Slope):
     """Orbit under rotations only (the orientation-preserving classes);
     on unoriented slopes rotations act through their quotient by the
     half-turn, so the orbit has at most 3 elements."""
-    return _orbit(s, _ROTATIONS)
+    return _orbit(s, False)
 
 
 def classify_slopes(max_len_sq: int):
@@ -142,22 +160,23 @@ def classify_slopes(max_len_sq: int):
     if max_len_sq < 1:
         raise DomainError("max_len_sq must be >= 1")
     bound = int(math.isqrt(4 * max_len_sq // 3)) + 2
-    slopes = set()
+    slopes = {}
     for p in range(0, bound + 1):
         for q in range(-bound, bound + 1):
             if (p == 0 and q != 1) or math.gcd(p, abs(q)) != 1:
                 continue
-            s = Slope(p, q)
-            if s.length_sq <= max_len_sq:
-                slopes.add(s)
+            if p * p + q * q - p * q <= max_len_sq:
+                slopes[p, q] = Slope(p, q)
+    # an orbit keeps the length of its slopes, so all its images are in `slopes`
     by_len = {}
     seen = set()
-    for s in sorted(slopes):
-        if s in seen:
+    for pq in sorted(slopes):
+        if pq in seen:
             continue
-        orbit = d6_orbit(s)
+        s = slopes[pq]
+        orbit = sorted(set(_images(s, True)))
         seen.update(orbit)
-        by_len.setdefault(s.length_sq, []).append(orbit)
+        by_len.setdefault(s.length_sq, []).append(tuple(slopes[t] for t in orbit))
     return [(lsq, tuple(sorted(orbs))) for lsq, orbs in sorted(by_len.items())]
 
 
@@ -215,22 +234,29 @@ def slope_sets_equivalent(
     a: SlopeSet, b: SlopeSet, orientation_preserving: bool = True
 ) -> Optional[SlopeSetIsometry]:
     """A witness of the marked-torus isometry group taking `a` onto `b`,
-    or None if there is none; exact, in O(k log k) (module docstring)."""
+    or None if there is none; exact, in O(k log k) (module docstring).
+    Each torus is keyed by the least sign-form image of its slope,
+    computed on integer pairs by `_images`, and its local element is the
+    first of the group, in `d6_act` order, that carries it onto its
+    target."""
     k = len(a)
     if len(b) != k:
         raise DomainError("slope sets live on different numbers of tori")
-    group = _ROTATIONS if orientation_preserving else _ISOMETRIES
-    ka = [_orbit(s, group) for s in a]
-    kb = [_orbit(s, group) for s in b]
+    refl = not orientation_preserving
+    group = _ISOMETRIES if refl else _ROTATIONS
+    images = [None if s is None else _images(s, refl) for s in a]
+    ka = [() if im is None else min(im) for im in images]
+    kb = [() if s is None else min(_images(s, refl)) for s in b]
     order_a = sorted(range(k), key=ka.__getitem__)
     order_b = sorted(range(k), key=kb.__getitem__)
     if [ka[i] for i in order_a] != [kb[j] for j in order_b]:
         return None
     perm = dict(zip(order_a, order_b))
-    # an empty torus takes the first candidate, the identity
+    # the first element of `group` carrying each slope onto its target; an
+    # empty torus takes the identity
     local = tuple(
-        next(e for e in group if src is None or d6_act(e, src) == b[perm[i]])
-        for i, src in enumerate(a)
+        group[0] if im is None else group[im.index((b[perm[i]].p, b[perm[i]].q))]
+        for i, im in enumerate(images)
     )
     return SlopeSetIsometry(tuple(perm[i] for i in range(k)), local)
 
@@ -240,7 +266,7 @@ def enumerate_equivalent_sets(a: SlopeSet):
     every distinct arrangement of its per-torus rotation orbits over the
     tori, times every choice of a slope in each orbit; sorted for
     reproducibility."""
-    level = [((), Counter(_orbit(s, _ROTATIONS) for s in a))]
+    level = [((), Counter(_orbit(s, False) for s in a))]
     for _ in a:
         # extend each prefix by a slope of each orbit it has not used up
         level = [

@@ -234,6 +234,10 @@ def test_filling_rejects_short_slope():
         solve_filling(sig, FillingSpec.from_pairs(1, [(2.0, 1.0)]), check_length=False)
     assert exc.value.last_good_t > 1.0
     assert str(exc.value).startswith("g=2 k=1 slopes 2/1: continuation step underflow at t=")
+    # the residual where the last Newton solve gave up, above the 1e-10 it aimed at
+    residual = exc.value.residual
+    assert math.isfinite(residual) and residual > 1e-10
+    assert str(exc.value).endswith(", residual %g" % residual)
 
 
 def test_filling_sign_canonicalization():
@@ -787,6 +791,9 @@ def test_filling_first_step_failure_is_a_continuation_error(monkeypatch):
     with pytest.raises(ContinuationError) as info:
         solve_filling(GKSignature(2, 1), FillingSpec.from_pairs(1, [(5.0, 1.0)]))
     assert info.value.last_good_t is None
+    # every Newton solve stopped at its singular first step, at the Euler guess
+    assert math.isfinite(info.value.residual) and info.value.residual > 1e-10
+    assert str(info.value).endswith(", residual %g" % info.value.residual)
 
 
 # a batch of one signature is solved in lockstep (solve_fillings)
@@ -796,9 +803,14 @@ SHORT_SLOPES = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (2.0, 1.0), (1.0, 2.0), (1.0
 
 def outcome(value):
     """A solve's result in comparable form: the bytes of a solution, or the
-    type, message and last good multiplier of an error."""
+    type, message, last good multiplier and residual of an error."""
     if isinstance(value, Exception):
-        return type(value), str(value), getattr(value, "last_good_t", "-")
+        return (
+            type(value),
+            str(value),
+            getattr(value, "last_good_t", "-"),
+            getattr(value, "residual", "-"),
+        )
     return value.tobytes()
 
 

@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -265,6 +266,9 @@ def test_cli_fill_continuation_failure_exit_3(capsys):
     assert code == 3
     assert "last good multiplier" in err
     assert "g=2 k=1 slopes 2/1:" in err
+    # the residual of the last failed Newton solve
+    residual = re.search(r", residual (\S+) \(last good multiplier", err)
+    assert residual and 1e-10 < float(residual.group(1)) < math.inf, err
 
 
 def test_cli_fill_first_step_failure_exit_3(monkeypatch, capsys):

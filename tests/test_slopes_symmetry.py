@@ -340,6 +340,108 @@ def test_enumerate_count_formula(k, h):
     assert len(orbit) == expected
 
 
+# --- integer-pair orbits against the single-element action -----------------
+
+
+def primitive_slopes(max_len_sq):
+    """Every primitive sign-form slope of squared length <= max_len_sq."""
+    bound = math.isqrt(4 * max_len_sq // 3) + 2
+    return [
+        ss.Slope(p, q)
+        for p in range(bound + 1)
+        for q in range(-bound, bound + 1)
+        if (p > 0 or q == 1) and math.gcd(p, abs(q)) == 1 and p * p + q * q - p * q <= max_len_sq
+    ]
+
+
+def d6_act_orbit(s, group):
+    """Sorted orbit of a slope under `group`, one `d6_act` per element; ()
+    for an empty torus."""
+    return () if s is None else tuple(sorted({ss.d6_act(e, s) for e in group}))
+
+
+def oracle_slope_sets_equivalent(a, b, orientation_preserving=True):
+    """The canonical-form search on `Slope` objects through `d6_act`: each
+    torus keyed by its whole sorted orbit, and each local element the
+    first of the group, in order, that carries the slope onto its target."""
+    k = len(a)
+    group = ss._ROTATIONS if orientation_preserving else ss._ISOMETRIES
+    ka = [d6_act_orbit(s, group) for s in a]
+    kb = [d6_act_orbit(s, group) for s in b]
+    order_a = sorted(range(k), key=ka.__getitem__)
+    order_b = sorted(range(k), key=kb.__getitem__)
+    if [ka[i] for i in order_a] != [kb[j] for j in order_b]:
+        return None
+    perm = dict(zip(order_a, order_b))
+    local = tuple(
+        next(e for e in group if src is None or ss.d6_act(e, src) == b[perm[i]])
+        for i, src in enumerate(a)
+    )
+    return ss.SlopeSetIsometry(tuple(perm[i] for i in range(k)), local)
+
+
+def test_images_are_d6_act_in_group_order():
+    for s in primitive_slopes(1000):
+        for refl, group in ((False, ss._ROTATIONS), (True, ss._ISOMETRIES)):
+            assert ss._images(s, refl) == [(t.p, t.q) for t in (ss.d6_act(e, s) for e in group)]
+        assert ss.c6_orbit(s) == d6_act_orbit(s, ss._ROTATIONS)
+        assert ss.d6_orbit(s) == d6_act_orbit(s, ss._ISOMETRIES)
+
+
+@pytest.mark.parametrize("max_len_sq", [1, 7, 273, 1000])
+def test_classify_slopes_matches_d6_act_orbits(max_len_sq):
+    by_len = {}
+    for s in primitive_slopes(max_len_sq):
+        by_len.setdefault(s.length_sq, set()).add(d6_act_orbit(s, ss._ISOMETRIES))
+    oracle = [(lsq, tuple(sorted(orbits))) for lsq, orbits in sorted(by_len.items())]
+    assert ss.classify_slopes(max_len_sq) == oracle
+
+
+# entries of a slope set: the pool above (empty tori and equal-length
+# rivals) or a random primitive slope of squared length up to 10^4
+_WIDE_ENTRY = st.one_of(
+    _ENTRY,
+    st.tuples(st.integers(-115, 115), st.integers(-115, 115))
+    .filter(lambda pq: math.gcd(*pq) == 1 and pq[0] ** 2 + pq[1] ** 2 - pq[0] * pq[1] <= 10**4)
+    .map(lambda pq: ss.Slope.of(*pq)),
+)
+
+
+@st.composite
+def _witnessed_pairs(draw):
+    reflections = draw(st.booleans())
+    k = draw(st.integers(1, 12))
+    a = tuple(draw(st.lists(_WIDE_ENTRY, min_size=k, max_size=k)))
+    positive = draw(st.booleans())
+    if positive:
+        # the image of `a` under a drawn witness of the mode's group, or
+        # mostly a negative when one torus is redrawn
+        perm = tuple(draw(st.permutations(range(k))))
+        local = tuple(
+            ss.D6Element(draw(st.integers(0, 5)), reflections and draw(st.booleans()))
+            for _ in range(k)
+        )
+        b = list(ss.SlopeSetIsometry(perm, local).apply(a))
+        if draw(st.booleans()):
+            positive = False
+            b[draw(st.integers(0, k - 1))] = draw(_WIDE_ENTRY)
+        b = tuple(b)
+    else:
+        b = tuple(draw(st.lists(_WIDE_ENTRY, min_size=k, max_size=k)))
+    return a, b, reflections, positive
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_witnessed_pairs())
+def test_witness_matches_d6_act_oracle(case):
+    # the same verdict and the same witness, perm and local elements both
+    a, b, reflections, positive = case
+    w = ss.slope_sets_equivalent(a, b, orientation_preserving=not reflections)
+    assert w == oracle_slope_sets_equivalent(a, b, orientation_preserving=not reflections)
+    if positive:
+        assert w is not None and w.apply(a) == b
+
+
 # --- symmetries acting on the variety ---------------------------------------
 
 
