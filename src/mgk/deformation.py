@@ -57,6 +57,7 @@ point gets the same floating-point results as when it is solved alone;
 same entries into the dense (10k+1) x (12k+1) public form.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -72,6 +73,9 @@ _CLIP = 1e-8
 _MAX_ITER = 25
 # residual sup-norm a filling is solved to
 _FILL_TOL = 1e-10
+# weighted merit (see `_newton`) a continuation point short of the filling
+# is solved to: it only feeds the next predictor, whose residual is about 1
+_MID_TOL = 1e-3
 # a continuation step in s = 1/t is the shortest filled slope's length over this
 _STEP_LENGTH = 5.0
 # |u| below which a cusp counts as complete (unfilled)
@@ -169,6 +173,7 @@ class CompleteSolution:
     x0: np.ndarray
 
 
+@functools.lru_cache(maxsize=1024)
 def solve_complete(sig: GKSignature) -> CompleteSolution:
     """The unique symmetric solution of the structure plus completeness
     equations: every gamma = pi/3, every alpha equal.  The length row then
@@ -185,6 +190,10 @@ def solve_complete(sig: GKSignature) -> CompleteSolution:
     there.  The root of that linearization, 2 pi / (3 sqrt(3) k + 6(g-k)),
     thus has F >= 0: it lies right of the root, and a plain Newton loop
     from it falls onto the root from the right, with no safeguard.
+
+    The result is cached per signature, so the certification gate runs
+    on the first call only (a signature that fails it raises on every
+    call), and its x0 is read-only: copy it to change it.
     """
     k, m = sig.k, sig.g - sig.k
     r3 = math.sqrt(3.0)
@@ -198,6 +207,7 @@ def solve_complete(sig: GKSignature) -> CompleteSolution:
             break
         b -= step
     x0 = np.append(np.tile([a, a, a] + [math.pi / 3.0] * 3, 2 * k), b)
+    x0.flags.writeable = False
     sol = CompleteSolution(alpha_bar=a, beta_bar=b, x0=x0)
     res = residuals(sig, x0)
     # the length rows cannot beat the evaluation noise of their own scale
@@ -552,14 +562,17 @@ def _refused(x: np.ndarray) -> bool:
     return bool(np.isnan(x).any())
 
 
-def _newton(sig: GKSignature, x0: np.ndarray, rows, tol: float):
+def _newton(sig: GKSignature, x0: np.ndarray, rows, tol):
     """Damped Newton with block-arrow steps on N square systems at once,
     from the points x0 of shape (N, 12k+1), whose linear block rows are
-    `rows` (as for `_evaluate`), each until its residual sup-norm is below
-    `tol`.  Returns the points, the function giving their Newton blocks
-    (A, dbeta) from the last evaluation, and per point None or the error
-    that stopped it: a ConvergenceError, or `check_coords`'s DomainError
-    for a point that is not a number.
+    `rows` (as for `_evaluate`).  `tol` is the residual sup-norm that every
+    point is solved to, or a list of one per point, where None marks a
+    point that only feeds the next predictor of a continuation: it stops at
+    its first iterate after at least one step whose weighted merit (below)
+    is under `_MID_TOL`.  Returns the points, the function giving their
+    Newton blocks (A, dbeta) from the last evaluation, and per point None
+    or the error that stopped it: a ConvergenceError, or `check_coords`'s
+    DomainError for a point that is not a number.
 
     Each point takes the steps and the line search it takes alone.  A
     point that has converged, stopped, or accepted its trial step while
@@ -572,6 +585,7 @@ def _newton(sig: GKSignature, x0: np.ndarray, rows, tol: float):
     halves steps that are good and Newton crawls."""
     x = _clip(np.asarray(x0, dtype=float))
     n_pts, k = len(x), sig.k
+    tols = [tol] * n_pts if isinstance(tol, float) else tol
     r, blocks = _evaluate(sig, x, rows)
     weight = np.ones(r.shape)
     for i, b in enumerate(x[:, -1].tolist()):
@@ -580,14 +594,18 @@ def _newton(sig: GKSignature, x0: np.ndarray, rows, tol: float):
     errors = [
         DomainError(_OUTSIDE_BOX) if m != m and _refused(x[i]) else None for i, m in enumerate(merit)
     ]
-    running = [i for i in range(n_pts) if errors[i] is None]
-    # weight <= 1, so merit < tol is necessary for convergence and the
-    # sup-norm need only be taken then
+
+    def done(i, m, ri):
+        if tols[i] is None:
+            return m < _MID_TOL
+        # weight <= 1, so m < tol is necessary and the sup-norm need only be taken then
+        return m < tols[i] and np.abs(ri).max() < tols[i]
+
+    # a point solved only to predict from takes at least one step
+    running = [
+        i for i in range(n_pts) if errors[i] is None and (tols[i] is None or not done(i, merit[i], r[i]))
+    ]
     for _ in range(_MAX_ITER):
-        running = [
-            i for i in running
-            if errors[i] is None and not (merit[i] < tol and np.abs(r[i]).max() < tol)
-        ]
         if not running:
             break
         A, dbeta = blocks()
@@ -610,7 +628,7 @@ def _newton(sig: GKSignature, x0: np.ndarray, rows, tol: float):
             mn = np.abs(weight * rn).max(axis=1).tolist()
             rejected = []
             for i in pending:
-                if mn[i] < merit[i] or (mn[i] < tol and np.abs(rn[i]).max() < tol):
+                if mn[i] < merit[i] or done(i, mn[i], rn[i]):
                     continue
                 if mn[i] != mn[i] and _refused(xn[i]):
                     errors[i] = DomainError(_OUTSIDE_BOX)
@@ -632,13 +650,13 @@ def _newton(sig: GKSignature, x0: np.ndarray, rows, tol: float):
             for i in pending:
                 norm = float(np.abs(r[i]).max())
                 errors[i] = ConvergenceError("line search stalled at residual %g" % norm, norm)
+        running = [i for i in running if errors[i] is None and not done(i, merit[i], r[i])]
     else:
         for i in running:
             norm = float(np.abs(r[i]).max())
-            if errors[i] is None and not norm < tol:
-                errors[i] = ConvergenceError(
-                    "no convergence: residual %g after %d iterations" % (norm, _MAX_ITER), norm
-                )
+            errors[i] = ConvergenceError(
+                "no convergence: residual %g after %d iterations" % (norm, _MAX_ITER), norm
+            )
     return x, blocks, errors
 
 
@@ -669,9 +687,11 @@ def solve_filling(sig: GKSignature, spec: FillingSpec, *, check_length: bool = T
     Newton's last iterate.  s steps by (shortest slope length) / 5 up to
     1, halved on each Newton failure, and each Newton starts at the cubic
     Hermite through the last two points of the path and their tangents
-    (the first at the Euler step): slopes of length >= 5 take one Newton
-    solve, and of length >= sqrt(7) two, about 9 block solves in all.
-    Fails loudly (ContinuationError) if the path cannot reach s = 1.
+    (the first at the Euler step).  A point short of s = 1 only feeds the
+    next predictor, so Newton corrects it to a weighted merit of 1e-3
+    (`_MID_TOL`), and only s = 1 to 1e-10: slopes of length >= 5 take one
+    Newton solve, and of length >= sqrt(7) two, about 7 block solves in
+    all.  Fails loudly (ContinuationError) if the path cannot reach s = 1.
     With `check_length`, a slope shorter than sqrt(7) is a DomainError.
     This is `solve_fillings` on the one spec.
     """
@@ -687,11 +707,9 @@ def solve_fillings(sig: GKSignature, specs: Sequence[FillingSpec], *, check_leng
     ConvergenceError that `solve_filling` raises for it, with the same
     bits and message: a spec that fails does not touch the others.
     `solve_complete` runs once, and the specs with a filled cusp run
-    their continuations in lockstep, each from its closed-form tangent at
-    s = 0.  Each round takes, for every spec still short of s = 1 on its
-    own schedule, its tangent (after the first) and then its Newton solve
-    at its next s: one stacked block step and one stacked `_newton` for
-    all of them."""
+    their continuations in lockstep rounds (`_continue`), each from its
+    closed-form tangent at s = 0, so that all of them finish in the same
+    round."""
     out = [None] * len(specs)
     todo = []
     for i, spec in enumerate(specs):
@@ -726,7 +744,16 @@ def solve_fillings(sig: GKSignature, specs: Sequence[FillingSpec], *, check_leng
 def _continue(sig: GKSignature, cs: CompleteSolution, specs, lmins) -> list:
     """The continuations of `solve_filling` from the complete solution cs
     for canonical specs with a filled cusp, of shortest filled slopes
-    `lmins`, in lockstep; per spec, the solution or its error."""
+    `lmins`, in lockstep; per spec, the solution or its error.
+
+    A round takes the specs with the most rounds still to go on their own
+    schedules, ceil((1 - s) / ds), so that every spec takes its tight
+    Newton solve at s = 1 in the last round, beside the others' and not
+    beside their loose ones at s < 1; after a halving, that spec leads and
+    the others wait at their solved points.  The round is one stacked
+    `_newton` at each member's next s, and then one stacked block step for
+    the tangents of those solved short of s = 1, with the blocks of
+    Newton's last iterate."""
     m, k, x0 = len(specs), sig.k, cs.x0
     # the rows at s = 1, block by block; s scales the 2 pi on row 11 of the
     # filled cusps, so every tangent dx/ds solves J dx/ds = ds_rhs
@@ -756,34 +783,26 @@ def _continue(sig: GKSignature, cs: CompleteSolution, specs, lmins) -> list:
             "g=%d k=%d slopes %s: %s" % (sig.g, k, slopes, text), 1.0 / s if s else None, resid[i]
         )
 
-    # the specs whose Newton blocks `blocks` gives, those of the last round
-    last, blocks = [], None
     while True:
         live = [i for i in range(m) if out[i] is None and s_good[i] < 1.0]
         if not live:
             break
-        tangent = [i for i in live if dx[i] is None]
-        if tangent:
-            A, dbeta = blocks()
-            if tangent != last:
-                at = [last.index(i) for i in tangent]
-                A, dbeta = A.reshape(-1, k, 12, 12)[at].reshape(-1, 12, 12), [dbeta[j] for j in at]
-            steps, failed = _block_steps(sig, ds_rhs[tangent], A, dbeta)
-            for pos, i in enumerate(tangent):
-                if pos in failed:
-                    out[i] = failure(i, "singular tangent: %s" % failed[pos])
-                else:
-                    dx[i] = steps[pos]
-            live = [i for i in live if out[i] is None]
-            if not live:
-                continue
+        # only the specs with the most rounds to go take this one, so that
+        # every spec takes its last, tight, Newton solve in the last round
+        togo = [math.ceil((1.0 - s_good[i]) / ds[i]) for i in live]
+        live = [i for i, n in zip(live, togo) if n == max(togo)]
         s_next = [min(1.0, s_good[i] + ds[i]) for i in live]
         guess = np.array([_hermite(s, s_good[i], xs[i], dx[i], prev[i]) for i, s in zip(live, s_next)])
-        x, blocks, errors = _newton(sig, guess, rows_at(s_next, live), _FILL_TOL)
-        for i, s, x_next, exc in zip(live, s_next, x, errors):
+        tol = [_FILL_TOL if s == 1.0 else None for s in s_next]
+        x, blocks, errors = _newton(sig, guess, rows_at(s_next, live), tol)
+        # positions in `live` of the points solved short of s = 1
+        short = []
+        for pos, (i, s, x_next, exc) in enumerate(zip(live, s_next, x, errors)):
             if exc is None:
-                prev[i], dx[i] = (s_good[i], xs[i], dx[i]), None
+                prev[i] = (s_good[i], xs[i], dx[i])
                 xs[i], s_good[i] = x_next, s
+                if s < 1.0:
+                    short.append(pos)
             elif isinstance(exc, DomainError):
                 out[i] = exc
             else:
@@ -792,7 +811,18 @@ def _continue(sig: GKSignature, cs: CompleteSolution, specs, lmins) -> list:
                 if ds[i] < 1e-4:
                     t = 1.0 / s_good[i] if s_good[i] else math.inf
                     out[i] = failure(i, "continuation step underflow at t=%g" % t)
-        last = live
+        if short:
+            # their tangents, with the blocks of Newton's last iterate
+            A, dbeta = blocks()
+            if len(short) < len(live):
+                A, dbeta = A.reshape(-1, k, 12, 12)[short].reshape(-1, 12, 12), [dbeta[j] for j in short]
+            short = [live[j] for j in short]
+            steps, failed = _block_steps(sig, ds_rhs[short], A, dbeta)
+            for pos, i in enumerate(short):
+                if pos in failed:
+                    out[i] = failure(i, "singular tangent: %s" % failed[pos])
+                else:
+                    dx[i] = steps[pos]
     return [xs[i] if out[i] is None else out[i] for i in range(m)]
 
 

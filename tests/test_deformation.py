@@ -81,6 +81,33 @@ def test_solve_complete_wide_signatures(g, k):
     assert np.max(np.abs(residuals(sig, sol.x0))) < 1e-12
 
 
+def test_solve_complete_is_cached_and_read_only(monkeypatch):
+    # the certification gate runs on the first call for a signature only
+    sig = GKSignature(7, 3)
+    solve_complete.cache_clear()
+    calls, real = [], deformation.residuals
+    monkeypatch.setattr(deformation, "residuals", lambda *a: calls.append(1) or real(*a))
+    sol = solve_complete(sig)
+    assert solve_complete(GKSignature(7, 3)) is sol and len(calls) == 1
+    with pytest.raises(ValueError):
+        sol.x0[0] = 1.0
+
+
+def test_solve_complete_failing_gate_raises_on_every_call(monkeypatch):
+    # exceptions are not cached: a failing signature is certified, and
+    # refused, anew on each call
+    sig = GKSignature(7, 3)
+    solve_complete.cache_clear()
+    calls, real = [], deformation.residuals
+    monkeypatch.setattr(deformation, "residuals", lambda *a: calls.append(1) or real(*a) + 1.0)
+    for n in (1, 2):
+        with pytest.raises(ConvergenceError, match="complete solution residual"):
+            solve_complete(sig)
+        assert len(calls) == n
+    monkeypatch.undo()
+    assert np.max(np.abs(residuals(sig, solve_complete(sig).x0))) < 1e-12
+
+
 def test_complete_21_value():
     # frozen from the bisection oracle
     sol = solve_complete(GKSignature(2, 1))
@@ -564,14 +591,15 @@ SQRT7_SLOPES = [(3.0, 1.0), (3.0, 2.0), (1.0, 3.0), (2.0, 3.0), (2.0, -1.0), (1.
 def test_filling_newton_steps_flat_in_k(monkeypatch, k):
     # every cusp on a threshold slope gives the longest path, s = sqrt(7)/5 and
     # then 1; warm-starting each step at the previous point took 116, 312 and
-    # 846 steps, starting at t = 20/sqrt(7) took 13-14, and it takes 9 with
-    # the first tangent in closed form
+    # 846 steps, starting at t = 20/sqrt(7) took 13-14, with the first
+    # tangent in closed form 9, and it takes 7 with the point at s < 1
+    # corrected only to _MID_TOL
     sig = GKSignature(k + 1, k)
     pairs = [SQRT7_SLOPES[c % 6] for c in range(k)]
     calls, step = [], deformation._block_step
     monkeypatch.setattr(deformation, "_block_step", lambda *a: calls.append(1) or step(*a))
     x = solve_filling(sig, FillingSpec.from_pairs(k, pairs))
-    assert len(calls) <= 11
+    assert len(calls) <= 9
     assert np.max(np.abs(residuals(sig, x))) < 1e-10
     for c, (p, q) in enumerate(FillingSpec.from_pairs(k, pairs).canonicalized().pairs):
         pc, qc = dehn_coefficients(x, c)
@@ -582,12 +610,13 @@ def test_filling_newton_steps_flat_in_k(monkeypatch, k):
 def test_filling_block_steps_with_tangent_predictor(monkeypatch, k):
     # a sqrt(7) slope on cusp 0 took 22 block steps with the secant predictor
     # at ratio 1.5, and 13-14 from t = 20/sqrt(7); the tangent solves count
-    # too, all but the first, which is in closed form: 9 in all
+    # too, all but the first, which is in closed form: 9 in all, and 7 with
+    # the point at s < 1 corrected only to _MID_TOL
     sig = GKSignature(k + 1, k)
     calls, step = [], deformation._block_step
     monkeypatch.setattr(deformation, "_block_step", lambda *a: calls.append(1) or step(*a))
     x = solve_filling(sig, FillingSpec.from_pairs(k, [(3.0, 1.0)] + [None] * (k - 1)))
-    assert len(calls) <= 11
+    assert len(calls) <= 9
     assert np.max(np.abs(residuals(sig, x))) < 1e-10
     pc, qc = dehn_coefficients(x, 0)
     assert abs(pc - 3.0) < 1e-9 and abs(qc - 1.0) < 1e-9
@@ -596,7 +625,9 @@ def test_filling_block_steps_with_tangent_predictor(monkeypatch, k):
 @pytest.mark.parametrize("g, k", [(3, 2), (17, 16)])
 def test_filling_tangent_matches_central_difference(monkeypatch, g, k):
     # the tangent dx/ds (s = 1/t) that solve_filling extrapolates from, at
-    # each solved point of its path, against solves at s +- h
+    # each solved point of its path, against solves at s +- h; the points
+    # short of s = 1 are solved to _FILL_TOL, so that they lie on the path
+    monkeypatch.setattr(deformation, "_MID_TOL", deformation._FILL_TOL)
     sig = GKSignature(g, k)
     pairs = [(3.0, 1.0)] + [None] * (k - 1)
     points, hermite = [], deformation._hermite
@@ -655,6 +686,28 @@ def test_first_tangent_in_closed_form(seed, g, k, integer):
         else:
             want = 2j * math.pi / (pq[0] + pq[1] * OMEGA)
             assert abs(du - want) <= 1e-7 * abs(want), (c, pq)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    g=st.integers(2, 200),
+    k=st.sampled_from([1, 2, 3, 5, 8, 16, 33, 64]),
+)
+def test_loose_intermediate_points_give_the_same_filling(seed, g, k):
+    # the points short of s = 1 only feed the next predictor: solving them
+    # to _MID_TOL instead of _FILL_TOL leaves the filling where it was
+    sig = GKSignature(max(g, k + 1), k)
+    rng = np.random.default_rng(seed)
+    pairs = random_pairs(rng, k, math.sqrt(7.0), 40.0)
+    unfilled = rng.random(k) < 0.3
+    unfilled[rng.integers(k)] = False
+    spec = FillingSpec.from_pairs(k, [None if off else pq for pq, off in zip(pairs, unfilled)])
+    x = solve_filling(sig, spec)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(deformation, "_MID_TOL", deformation._FILL_TOL)
+        tight = solve_filling(sig, spec)
+    assert np.max(np.abs(x - tight)) < 1e-12
 
 
 def warm_start_continuation(sig, pairs, l_safe=20.0, tol=1e-10):
@@ -771,13 +824,13 @@ def test_filling_sweep_to_200(pq):
 @pytest.mark.parametrize("g", [131, 132])
 def test_filling_large_g_spot_checks(monkeypatch, g):
     # 5/1 first failed at g = 132; at g = 131 it took 38 Newton steps, 13
-    # block steps from t = 20/sqrt(21), and 8 with the first tangent in
-    # closed form
+    # block steps from t = 20/sqrt(21), 8 with the first tangent in closed
+    # form, and 6 with the point at s < 1 corrected only to _MID_TOL
     sig = GKSignature(g, 1)
     calls, step = [], deformation._block_step
     monkeypatch.setattr(deformation, "_block_step", lambda *a: calls.append(1) or step(*a))
     x = solve_filling(sig, FillingSpec.from_pairs(1, [(5.0, 1.0)]))
-    assert len(calls) <= 10
+    assert len(calls) <= 8
     assert np.max(np.abs(residuals(sig, x))) < 1e-10
     pc, qc = dehn_coefficients(x, 0)
     assert abs(pc - 5.0) < 1e-9 and abs(qc - 1.0) < 1e-9
