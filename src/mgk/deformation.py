@@ -57,7 +57,6 @@ point gets the same floating-point results as when it is solved alone;
 same entries into the dense (10k+1) x (12k+1) public form.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -173,7 +172,6 @@ class CompleteSolution:
     x0: np.ndarray
 
 
-@functools.lru_cache(maxsize=1024)
 def solve_complete(sig: GKSignature) -> CompleteSolution:
     """The unique symmetric solution of the structure plus completeness
     equations: every gamma = pi/3, every alpha equal.  The length row then
@@ -190,10 +188,6 @@ def solve_complete(sig: GKSignature) -> CompleteSolution:
     there.  The root of that linearization, 2 pi / (3 sqrt(3) k + 6(g-k)),
     thus has F >= 0: it lies right of the root, and a plain Newton loop
     from it falls onto the root from the right, with no safeguard.
-
-    The result is cached per signature, so the certification gate runs
-    on the first call only (a signature that fails it raises on every
-    call), and its x0 is read-only: copy it to change it.
     """
     k, m = sig.k, sig.g - sig.k
     r3 = math.sqrt(3.0)
@@ -207,7 +201,6 @@ def solve_complete(sig: GKSignature) -> CompleteSolution:
             break
         b -= step
     x0 = np.append(np.tile([a, a, a] + [math.pi / 3.0] * 3, 2 * k), b)
-    x0.flags.writeable = False
     sol = CompleteSolution(alpha_bar=a, beta_bar=b, x0=x0)
     res = residuals(sig, x0)
     # the length rows cannot beat the evaluation noise of their own scale
@@ -562,17 +555,19 @@ def _refused(x: np.ndarray) -> bool:
     return bool(np.isnan(x).any())
 
 
-def _newton(sig: GKSignature, x0: np.ndarray, rows, tol):
+def _newton(sig: GKSignature, x0: np.ndarray, rows, tols: Sequence[float]):
     """Damped Newton with block-arrow steps on N square systems at once,
     from the points x0 of shape (N, 12k+1), whose linear block rows are
-    `rows` (as for `_evaluate`).  `tol` is the residual sup-norm that every
-    point is solved to, or a list of one per point, where None marks a
-    point that only feeds the next predictor of a continuation: it stops at
-    its first iterate after at least one step whose weighted merit (below)
-    is under `_MID_TOL`.  Returns the points, the function giving their
-    Newton blocks (A, dbeta) from the last evaluation, and per point None
-    or the error that stopped it: a ConvergenceError, or `check_coords`'s
-    DomainError for a point that is not a number.
+    `rows` (as for `_evaluate`), with one tolerance per point in `tols`.
+    A point whose tolerance is `_FILL_TOL` or tighter is an answer: it is
+    solved until its weighted merit (below) and its plain residual
+    sup-norm are both below it.  A looser one only feeds the next
+    predictor of a continuation: it stops at its first iterate, after at
+    least one step, whose weighted merit is below it.  Returns the points,
+    the function giving their Newton blocks (A, dbeta) from the last
+    evaluation, and per point None or the error that stopped it: a
+    ConvergenceError, or `check_coords`'s DomainError for a point that is
+    not a number.
 
     Each point takes the steps and the line search it takes alone.  A
     point that has converged, stopped, or accepted its trial step while
@@ -585,7 +580,6 @@ def _newton(sig: GKSignature, x0: np.ndarray, rows, tol):
     halves steps that are good and Newton crawls."""
     x = _clip(np.asarray(x0, dtype=float))
     n_pts, k = len(x), sig.k
-    tols = [tol] * n_pts if isinstance(tol, float) else tol
     r, blocks = _evaluate(sig, x, rows)
     weight = np.ones(r.shape)
     for i, b in enumerate(x[:, -1].tolist()):
@@ -595,16 +589,14 @@ def _newton(sig: GKSignature, x0: np.ndarray, rows, tol):
         DomainError(_OUTSIDE_BOX) if m != m and _refused(x[i]) else None for i, m in enumerate(merit)
     ]
 
-    def done(i, m, ri):
-        if tols[i] is None:
-            return m < _MID_TOL
-        # weight <= 1, so m < tol is necessary and the sup-norm need only be taken then
-        return m < tols[i] and np.abs(ri).max() < tols[i]
-
     # a point solved only to predict from takes at least one step
-    running = [
-        i for i in range(n_pts) if errors[i] is None and (tols[i] is None or not done(i, merit[i], r[i]))
-    ]
+    loose = [t > _FILL_TOL for t in tols]
+
+    def done(i, m, ri):
+        # weight <= 1, so m < tol is necessary and the sup-norm need only be taken then
+        return m < tols[i] and (loose[i] or np.abs(ri).max() < tols[i])
+
+    running = [i for i in range(n_pts) if errors[i] is None and (loose[i] or not done(i, merit[i], r[i]))]
     for _ in range(_MAX_ITER):
         if not running:
             break
@@ -793,8 +785,8 @@ def _continue(sig: GKSignature, cs: CompleteSolution, specs, lmins) -> list:
         live = [i for i, n in zip(live, togo) if n == max(togo)]
         s_next = [min(1.0, s_good[i] + ds[i]) for i in live]
         guess = np.array([_hermite(s, s_good[i], xs[i], dx[i], prev[i]) for i, s in zip(live, s_next)])
-        tol = [_FILL_TOL if s == 1.0 else None for s in s_next]
-        x, blocks, errors = _newton(sig, guess, rows_at(s_next, live), tol)
+        tols = [_FILL_TOL if s == 1.0 else _MID_TOL for s in s_next]
+        x, blocks, errors = _newton(sig, guess, rows_at(s_next, live), tols)
         # positions in `live` of the points solved short of s = 1
         short = []
         for pos, (i, s, x_next, exc) in enumerate(zip(live, s_next, x, errors)):
@@ -919,7 +911,7 @@ def varsigma_point(sig: GKSignature, t: float) -> np.ndarray:
     L[0, 10, 1:3] = L[1:, 11, 1:3] = L[1:, 10, 0:2] = (1.0, -1.0)
     L[0, 11, 0], L[0, 11, 6] = 1.0, -1.0
     o[0, 11] = 4.0 * math.sin(cs.alpha_bar) * t
-    x, _, (exc,) = _newton(sig, (cs.x0 + t * first + 0.5 * t * t * second)[None], (L, S, o), 1e-12)
+    x, _, (exc,) = _newton(sig, (cs.x0 + t * first + 0.5 * t * t * second)[None], (L, S, o), [1e-12])
     if exc is not None:
         raise exc
     return x[0]

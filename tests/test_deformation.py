@@ -81,33 +81,6 @@ def test_solve_complete_wide_signatures(g, k):
     assert np.max(np.abs(residuals(sig, sol.x0))) < 1e-12
 
 
-def test_solve_complete_is_cached_and_read_only(monkeypatch):
-    # the certification gate runs on the first call for a signature only
-    sig = GKSignature(7, 3)
-    solve_complete.cache_clear()
-    calls, real = [], deformation.residuals
-    monkeypatch.setattr(deformation, "residuals", lambda *a: calls.append(1) or real(*a))
-    sol = solve_complete(sig)
-    assert solve_complete(GKSignature(7, 3)) is sol and len(calls) == 1
-    with pytest.raises(ValueError):
-        sol.x0[0] = 1.0
-
-
-def test_solve_complete_failing_gate_raises_on_every_call(monkeypatch):
-    # exceptions are not cached: a failing signature is certified, and
-    # refused, anew on each call
-    sig = GKSignature(7, 3)
-    solve_complete.cache_clear()
-    calls, real = [], deformation.residuals
-    monkeypatch.setattr(deformation, "residuals", lambda *a: calls.append(1) or real(*a) + 1.0)
-    for n in (1, 2):
-        with pytest.raises(ConvergenceError, match="complete solution residual"):
-            solve_complete(sig)
-        assert len(calls) == n
-    monkeypatch.undo()
-    assert np.max(np.abs(residuals(sig, solve_complete(sig).x0))) < 1e-12
-
-
 def test_complete_21_value():
     # frozen from the bisection oracle
     sol = solve_complete(GKSignature(2, 1))
@@ -622,12 +595,10 @@ def test_filling_block_steps_with_tangent_predictor(monkeypatch, k):
     assert abs(pc - 3.0) < 1e-9 and abs(qc - 1.0) < 1e-9
 
 
-@pytest.mark.parametrize("g, k", [(3, 2), (17, 16)])
-def test_filling_tangent_matches_central_difference(monkeypatch, g, k):
-    # the tangent dx/ds (s = 1/t) that solve_filling extrapolates from, at
-    # each solved point of its path, against solves at s +- h; the points
-    # short of s = 1 are solved to _FILL_TOL, so that they lie on the path
-    monkeypatch.setattr(deformation, "_MID_TOL", deformation._FILL_TOL)
+def tangent_errors(monkeypatch, g, k):
+    """The tangents dx/ds (s = 1/t) that solve_filling extrapolates from, at
+    each solved point of a sqrt(7) path, against solves at s +- h: per
+    point, s and the error relative to the central difference."""
     sig = GKSignature(g, k)
     pairs = [(3.0, 1.0)] + [None] * (k - 1)
     points, hermite = [], deformation._hermite
@@ -637,18 +608,39 @@ def test_filling_tangent_matches_central_difference(monkeypatch, g, k):
     solve_filling(sig, FillingSpec.from_pairs(k, pairs))
     # the first tangent is the one at the complete structure
     assert points and points[0][0] == 0.0
-    h = 1e-4
+    h, errors = 1e-4, []
     for s, x, dx in points:
         ends = []
         for sh in (s + h, s - h):
             # p u + q v = 2 pi i s, which at s = -h is the filling -(p, q) / h
             L, S, o = deformation._linear_rows(pairs)
             o[:, 11] *= sh
-            end, _, (exc,) = deformation._newton(sig, x[None], (L, S, o), 1e-12)
+            end, _, (exc,) = deformation._newton(sig, x[None], (L, S, o), [1e-12])
             assert exc is None, (s, sh)
             ends.append(end[0])
         fd = (ends[0] - ends[1]) / (2.0 * h)
-        assert np.max(np.abs(dx - fd)) <= 1e-5 * np.max(np.abs(fd)), s
+        errors.append((s, np.max(np.abs(dx - fd)) / np.max(np.abs(fd))))
+    return errors
+
+
+@pytest.mark.parametrize("g, k", [(3, 2), (17, 16)])
+def test_filling_tangent_matches_central_difference(monkeypatch, g, k):
+    # the points short of s = 1 solved to _FILL_TOL lie on the path
+    monkeypatch.setattr(deformation, "_MID_TOL", deformation._FILL_TOL)
+    for s, err in tangent_errors(monkeypatch, g, k):
+        assert err <= 1e-5, s
+
+
+@pytest.mark.parametrize("g, k", [(3, 2), (17, 16)])
+def test_filling_tangent_at_loose_points(monkeypatch, g, k):
+    # the tangents the solver takes, at points short of s = 1 corrected
+    # only to _MID_TOL: off the path by about that much, they read 1.8e-4
+    # at (3, 2) and 2.3e-4 at (17, 16) against the central difference on it
+    # (2.4e-4 at g = 200)
+    errors = tangent_errors(monkeypatch, g, k)
+    assert len(errors) == 2
+    for s, err in errors:
+        assert err <= 1e-3, s
 
 
 @settings(max_examples=40, deadline=None)
@@ -720,7 +712,7 @@ def warm_start_continuation(sig, pairs, l_safe=20.0, tol=1e-10):
         return deformation._linear_rows(targets)
 
     def newton(x, t):
-        x, _, (exc,) = deformation._newton(sig, x[None], rows_at(t), tol)
+        x, _, (exc,) = deformation._newton(sig, x[None], rows_at(t), [tol])
         if exc is not None:
             raise exc
         return x[0]
@@ -911,17 +903,9 @@ def test_solve_fillings_errors_per_spec():
     assert solve_fillings(sig, []) == []
 
 
-@pytest.mark.parametrize(
-    "g, lists",
-    [
-        (5, [[(3, 1), (5, 1), None, (7, 2)], [(7, 2), None, (3, 1), (5, 1)],
-             [(5, 1), (7, 3), (8, 1), None], [None, None, (2, 3), None]]),
-        (40, [[(3, 1)] * 8, [(1, 3)] * 8, [(5, 1), None] * 4, [(3, 2), (7, 1)] * 4,
-              [(8, 3)] * 8, [None] * 7 + [(2, 3)]]),
-    ],
-)
-def test_stacked_batch_block_steps(monkeypatch, g, lists):
-    # lists in lockstep make no more block steps than the slowest alone
+def stacked_and_alone_block_steps(monkeypatch, g, lists):
+    """The block steps of `solve_fillings` on the lists, and of
+    `solve_filling` on each alone."""
     sig = GKSignature(g, len(lists[0]))
     specs = [FillingSpec.from_pairs(sig.k, pairs) for pairs in lists]
     calls, step = [], deformation._block_step
@@ -933,7 +917,50 @@ def test_stacked_batch_block_steps(monkeypatch, g, lists):
         alone.append(len(calls))
     calls.clear()
     solve_fillings(sig, specs)
-    assert len(calls) <= max(alone)
+    return len(calls), alone
+
+
+@pytest.mark.parametrize(
+    "g, lists",
+    [
+        (5, [[(3, 1), (5, 1), None, (7, 2)], [(7, 2), None, (3, 1), (5, 1)],
+             [(5, 1), (7, 3), (8, 1), None], [None, None, (2, 3), None]]),
+        (40, [[(3, 1)] * 8, [(1, 3)] * 8, [(5, 1), None] * 4, [(3, 2), (7, 1)] * 4,
+              [(8, 3)] * 8, [None] * 7 + [(2, 3)]]),
+    ],
+)
+def test_stacked_batch_block_steps(monkeypatch, g, lists):
+    # these lists in lockstep make no more block steps than the slowest
+    # alone; in general the stack can make two more (see below)
+    calls, alone = stacked_and_alone_block_steps(monkeypatch, g, lists)
+    assert calls <= max(alone)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    g=st.integers(2, 200),
+    k=st.sampled_from([1, 2, 3, 5, 8]),
+    n_lists=st.integers(2, 6),
+)
+def test_stacked_batch_block_steps_random(seed, g, k, n_lists):
+    # every list takes its last, tight Newton solve in the last round, so a
+    # one-step list's solve from the complete structure runs beside the
+    # others' final solves and can take more iterations than they do: the
+    # stack makes at most two block steps more than the slowest list alone
+    # (in 150 such batches: as many in 121, one more in 28, two in 1; in
+    # plain lockstep, where a one-step list's tight solve runs beside the
+    # others' loose first ones, two more in 83)
+    rng = np.random.default_rng(seed)
+    lists = []
+    for _ in range(n_lists):
+        # lengths sqrt(7) to 8 mix one-step (>= 5) and two-step lists
+        off = rng.random(k) < 0.3
+        off[rng.integers(k)] = False
+        lists.append([None if o else pq for pq, o in zip(random_pairs(rng, k, math.sqrt(7.0), 8.0), off)])
+    with pytest.MonkeyPatch.context() as mp:
+        calls, alone = stacked_and_alone_block_steps(mp, max(g, k + 1), lists)
+    assert calls <= max(alone) + 2
 
 
 def test_block_steps_fail_only_the_singular_member():
@@ -958,8 +985,8 @@ def test_newton_refuses_only_the_point_that_is_not_a_number():
     x0 = np.array([solve_complete(sig).x0] * 2)
     x0[1, 3] = np.nan
     rows = deformation._linear_rows([(30.0, 10.0), None] * 2)
-    x, _, errors = deformation._newton(sig, x0, rows, 1e-10)
+    x, _, errors = deformation._newton(sig, x0, rows, [1e-10] * 2)
     assert errors[0] is None and np.max(np.abs(residuals(sig, x[0]))) < 1e-10
     assert isinstance(errors[1], DomainError) and "(0, pi)" in str(errors[1])
-    alone, _, _ = deformation._newton(sig, x0[:1], deformation._linear_rows([(30.0, 10.0), None]), 1e-10)
+    alone, _, _ = deformation._newton(sig, x0[:1], deformation._linear_rows([(30.0, 10.0), None]), [1e-10])
     assert x[0].tobytes() == alone[0].tobytes()
