@@ -31,8 +31,8 @@ complete solution, where its tangent space is in closed form
 (`tangent_basis`); completeness or filling conditions on the per-cusp
 log-holonomies (u, v) cut it down to isolated points, which a damped
 Newton iteration with coefficient continuation locates.  The
-continuation leaves the complete solution along the closed-form tangent
-of its filling (`_complete_tangent`).
+continuation leaves the complete solution on the closed-form jet of its
+filling, tangent and curvature (`_complete_jet`).
 
 Newton works on the square system: the structure rows plus two cusp
 rows per cusp (Re, Im of p*u + q*v - 2*pi*i filled, of u complete).
@@ -75,8 +75,6 @@ _FILL_TOL = 1e-10
 # weighted merit (see `_newton`) a continuation point short of the filling
 # is solved to: it only feeds the next predictor, whose residual is about 1
 _MID_TOL = 1e-3
-# a continuation step in s = 1/t is the shortest filled slope's length over this
-_STEP_LENGTH = 5.0
 # |u| below which a cusp counts as complete (unfilled)
 COMPLETE_TOL = 1e-9
 _OUTSIDE_BOX = "coordinates must lie in (0, pi)"
@@ -652,16 +650,17 @@ def _newton(sig: GKSignature, x0: np.ndarray, rows, tols: Sequence[float]):
     return x, blocks, errors
 
 
-def _hermite(s_next: float, s: float, x: np.ndarray, dx: np.ndarray, prev) -> np.ndarray:
+def _hermite(s_next: float, s: float, x: np.ndarray, dx: np.ndarray, prev, ddx) -> np.ndarray:
     """The path's value at s_next, extrapolated from the point (s, x) with
-    slope dx: the cubic Hermite through it and prev = (s0, x0, dx0), or the
-    Euler step when prev is None."""
+    slope dx: the cubic Hermite through it and prev = (s0, x0, dx0), or,
+    when prev is None, the Taylor step of second order with curvature ddx."""
     guess = x + (s_next - s) * dx
-    if prev is not None:
-        s0, x0, dx0 = prev
-        h = s - s0
-        z = (s_next - s) / h
-        guess += z * z * ((3.0 + 2.0 * z) * (x0 - x + h * dx) - (1.0 + z) * h * (dx - dx0))
+    if prev is None:
+        return guess + (0.5 * (s_next - s) ** 2) * ddx
+    s0, x0, dx0 = prev
+    h = s - s0
+    z = (s_next - s) / h
+    guess += z * z * ((3.0 + 2.0 * z) * (x0 - x + h * dx) - (1.0 + z) * h * (dx - dx0))
     return guess
 
 
@@ -673,19 +672,19 @@ def solve_filling(sig: GKSignature, spec: FillingSpec, *, check_length: bool = T
 
     Filled coefficients are continued in s = 1/t along the rows
     p*u + q*v = 2*pi*i*s (the targets (t*p, t*q)) from the complete
-    structure at s = 0.  At a solved point the tangent dx/ds solves
-    J dx/ds = 2 pi on row 11 of each filled cusp: at s = 0 in closed form
-    (`_complete_tangent`), later one block step with the blocks of
-    Newton's last iterate.  s steps by (shortest slope length) / 5 up to
-    1, halved on each Newton failure, and each Newton starts at the cubic
-    Hermite through the last two points of the path and their tangents
-    (the first at the Euler step).  A point short of s = 1 only feeds the
-    next predictor, so Newton corrects it to a weighted merit of 1e-3
-    (`_MID_TOL`), and only s = 1 to 1e-10: slopes of length >= 5 take one
-    Newton solve, and of length >= sqrt(7) two, about 7 block solves in
-    all.  Fails loudly (ContinuationError) if the path cannot reach s = 1.
-    With `check_length`, a slope shorter than sqrt(7) is a DomainError.
-    This is `solve_fillings` on the one spec.
+    structure x0 at s = 0, where the path's tangent x' and curvature x''
+    are in closed form (`_complete_jet`).  s steps by (shortest slope
+    length) / sqrt(7) up to 1, so a filling with every slope of length >=
+    sqrt(7) is one Newton solve from the second-order start x0 + x' + x''/2:
+    5 block solves at length sqrt(7), 4 at lengths of about 3.6 to 5, and
+    about 3 beyond 5.  Only after a failed Newton solve does the path
+    halve its step and take points short of s = 1: Newton corrects those
+    only to a weighted merit of 1e-3 (`_MID_TOL`), as they only feed the
+    next predictor, the cubic Hermite through the last two points of the
+    path and their tangents, each tangent one block step with the blocks
+    of Newton's last iterate.  Fails loudly (ContinuationError) if the
+    path cannot reach s = 1.  With `check_length`, a slope shorter than
+    sqrt(7) is a DomainError.  This is `solve_fillings` on the one spec.
     """
     (x,) = solve_fillings(sig, [spec], check_length=check_length)
     if isinstance(x, Exception):
@@ -700,8 +699,9 @@ def solve_fillings(sig: GKSignature, specs: Sequence[FillingSpec], *, check_leng
     bits and message: a spec that fails does not touch the others.
     `solve_complete` runs once, and the specs with a filled cusp run
     their continuations in lockstep rounds (`_continue`), each from its
-    closed-form tangent at s = 0, so that all of them finish in the same
-    round."""
+    second-order start at s = 0: specs whose slopes all have length >=
+    sqrt(7) are one stacked Newton solve, and the others finish in the
+    same round as they."""
     out = [None] * len(specs)
     todo = []
     for i, spec in enumerate(specs):
@@ -738,14 +738,16 @@ def _continue(sig: GKSignature, cs: CompleteSolution, specs, lmins) -> list:
     for canonical specs with a filled cusp, of shortest filled slopes
     `lmins`, in lockstep; per spec, the solution or its error.
 
-    A round takes the specs with the most rounds still to go on their own
-    schedules, ceil((1 - s) / ds), so that every spec takes its tight
-    Newton solve at s = 1 in the last round, beside the others' and not
-    beside their loose ones at s < 1; after a halving, that spec leads and
-    the others wait at their solved points.  The round is one stacked
-    `_newton` at each member's next s, and then one stacked block step for
-    the tangents of those solved short of s = 1, with the blocks of
-    Newton's last iterate."""
+    Each spec's first step, to s = min(1, lmin / sqrt(7)), starts at the
+    Taylor polynomial of second order of its jet at s = 0; the later ones
+    start at the cubic Hermite.  A round takes the specs with the most
+    rounds still to go on their own schedules, ceil((1 - s) / ds), so
+    that every spec takes its tight Newton solve at s = 1 in the last
+    round, beside the others' and not beside their loose ones at s < 1;
+    after a halving, that spec leads and the others wait at their solved
+    points.  The round is one stacked `_newton` at each member's next s,
+    and then one stacked block step for the tangents of those solved
+    short of s = 1, with the blocks of Newton's last iterate."""
     m, k, x0 = len(specs), sig.k, cs.x0
     # the rows at s = 1, block by block; s scales the 2 pi on row 11 of the
     # filled cusps, so every tangent dx/ds solves J dx/ds = ds_rhs
@@ -760,9 +762,9 @@ def _continue(sig: GKSignature, cs: CompleteSolution, specs, lmins) -> list:
         return L[sel], S[sel], o_s
 
     out = [None] * m
-    s_good, ds = [0.0] * m, [min(1.0, lmin / _STEP_LENGTH) for lmin in lmins]
+    s_good, ds = [0.0] * m, [min(1.0, lmin / SQRT7) for lmin in lmins]
     xs, prev = [x0] * m, [None] * m
-    dx = [_complete_tangent(sig, cs.alpha_bar, spec.pairs) for spec in specs]
+    dx, ddx = map(list, zip(*_complete_jet(sig, cs, specs)))
 
     # per spec, the residual of its last failed Newton solve
     resid = [None] * m
@@ -784,7 +786,7 @@ def _continue(sig: GKSignature, cs: CompleteSolution, specs, lmins) -> list:
         togo = [math.ceil((1.0 - s_good[i]) / ds[i]) for i in live]
         live = [i for i, n in zip(live, togo) if n == max(togo)]
         s_next = [min(1.0, s_good[i] + ds[i]) for i in live]
-        guess = np.array([_hermite(s, s_good[i], xs[i], dx[i], prev[i]) for i, s in zip(live, s_next)])
+        guess = np.array([_hermite(s, s_good[i], xs[i], dx[i], prev[i], ddx[i]) for i, s in zip(live, s_next)])
         tols = [_FILL_TOL if s == 1.0 else _MID_TOL for s in s_next]
         x, blocks, errors = _newton(sig, guess, rows_at(s_next, live), tols)
         # positions in `live` of the points solved short of s = 1
@@ -834,25 +836,119 @@ def _cot_scale(alpha_bar: float) -> float:
     return math.sqrt(3.0) * math.cos(alpha_bar) / math.sin(alpha_bar)
 
 
-def _complete_tangent(sig: GKSignature, alpha_bar: float, pairs) -> np.ndarray:
-    """The tangent dx/ds at s = 0 of the continuation to the filling
-    `pairs`, from the complete structure of angle alpha_bar.  There v =
-    omega u with omega = exp(2 pi i / 3), so a filled cusp moves with
-    du/ds = 2 pi i / (p + q omega): its block is the `_tangent_block` of
+def _jet_templates():
+    """The constants of `_jet_system`: the fixed part of [A0 | R], its seven
+    0/+-1 templates, and the functionals of a block y as columns: its alpha
+    sum (the border row) and Re, Im of v' = (y_gA1 + y_gB2 - y_gA2 -
+    y_gB1) / sqrt(3) + i (y_gA0 - y_gB0)."""
+    L, S, _ = _linear_rows([None])
+    fixed = np.zeros((12, 16))
+    fixed[:, :12] = L[0] + S[0] / math.sqrt(3.0)
+    a0 = np.zeros((4, 12, 2, 2, 3))
+    a0.reshape(4, 144)[0, _LENGTH_ENTRIES[:2]] = 1.0
+    a0.reshape(4, 144)[1, _LENGTH_ENTRIES[2]] = 1.0
+    a0[2, 8:10, :, 0] = a0[3, 8:10, :, 1] = _SINE_SIGNS[:, :, 0]
+    templates = np.zeros((7, 12, 16))
+    templates[:4, :, :12] = a0.reshape(4, 12, 12)
+    templates[4, :6, 12:15] = [[1.0, -2.0, -2.0], [-2.0, -2.0, 1.0], [1.0, 4.0, 1.0]] * 2
+    templates[5, 8:10, 12:15] = [[1.0, 0.0, -1.0], [-1.0, -2.0, 0.0]]
+    templates[6, :6, 15] = 1.0
+    functionals = np.zeros((12, 3))
+    functionals[_ALPHA_COLS, 0] = 1.0
+    functionals[[4, 11, 5, 10], 1] = np.array([1.0, 1.0, -1.0, -1.0]) / math.sqrt(3.0)
+    functionals[[3, 9], 2] = [1.0, -1.0]
+    return fixed, templates.reshape(7, 192), functionals
 
-        (x1, x2) = (2q - p, -(p + q)) pi / (2 t (p^2 - pq + q^2)).
 
-    Unfilled cusps and beta stay put.  This is the solution of
-    J dx/ds = 2 pi on row 11 of each filled cusp at x0, in closed form."""
-    t = _cot_scale(alpha_bar)
-    dx = np.zeros(sig.n_coords)
-    blocks = angle_blocks(dx)
-    for c, pq in enumerate(pairs):
-        if pq is not None:
-            p, q = pq
-            f = math.pi / (2.0 * t * (p * p - p * q + q * q))
-            blocks[c] = _tangent_block(t, (2.0 * q - p) * f, -(p + q) * f)
-    return dx
+_JET_FIXED, _JET_TEMPLATES, _JET_FUNCTIONALS = _jet_templates()
+# the `_tangent_block`s of (x1, x2) = (1, 0) and (0, 1), flat, are
+# _TANGENT_UNITS[0] + t _TANGENT_UNITS[1]
+_TANGENT_UNITS = np.array(
+    [[np.outer(f, x).ravel() for x in ([1, 0, -1], [0, 1, -1])] for f in ([1, 0, -1, 0], [0, 1, 0, -1])],
+    dtype=float,
+)
+
+
+def _jet_system(cs: CompleteSolution) -> np.ndarray:
+    """[A0 | R], (12, 16), at the complete solution cs, a = alpha_bar.  A0
+    is the block of a complete cusp at x0: rows 6, 7, 10, 11 as everywhere
+    (gamma = pi/3), -(3/2) csc^2(a) cot(a) on the alphas of the length rows
+    and -(sqrt(3)/2) csc^2(a) on their gammas, (3/4) sin^2(a) cot(a) and
+    (3/4) sin^2(a) / sqrt(3) on those of the sine rows.  R holds minus the
+    coefficients of x1^2, x1 x2, x2^2 in the second derivative of the rows
+    along the `_tangent_block` of (x1, x2), x3 = -x1 - x2: on the length
+    rows of both tetrahedra (apex j) kappa (x_j^2 + 2 x_{j+1} x_{j+2}), on
+    the sine rows j = 0, 1 mu (x_j^2 - x_{j+1}^2), with
+
+        kappa = (1 - 4 cos^2 a) / (2 sin^4 a),  mu = -(3/2) (1 + 4 cos^2 a),
+
+    the other rows being flat to second order; and the beta column,
+    d edge_cosh / d beta on the length rows."""
+    r3, sa, ca = math.sqrt(3.0), math.sin(cs.alpha_bar), math.cos(cs.alpha_bar)
+    csc2 = 1.0 / (sa * sa)
+    kappa, mu = (1.0 - 4.0 * ca * ca) / (2.0 * sa ** 4), -1.5 * (1.0 + 4.0 * ca * ca)
+    dbeta = math.sin(cs.beta_bar) / _versine(cs.beta_bar) ** 2
+    scalars = [-1.5 * csc2 * ca / sa, -0.5 * r3 * csc2, 0.75 * sa * ca, 0.25 * r3 * sa * sa, -kappa, -mu, dbeta]
+    return _JET_FIXED + (np.array(scalars) @ _JET_TEMPLATES).reshape(12, 16)
+
+
+def _complete_jet(sig: GKSignature, cs: CompleteSolution, specs) -> list:
+    """Per spec, the tangent dx/ds and the curvature d2x/ds2 at s = 0 of the
+    continuation to its filling, from the complete solution cs, in closed
+    form up to one 12x12 solve per signature.
+
+    There v = omega u, omega = exp(2 pi i / 3), so a filled cusp moves with
+    du/ds = 2 pi i / (p + q omega): its tangent block is the
+    `_tangent_block` of
+
+        (x1, x2) = (2q - p, -(p + q)) pi / (2 t (p^2 - pq + q^2)),
+
+    and unfilled cusps and beta stay put.  The system is linear in s, so
+    J d2x/ds2 = -F_xx[dx, dx], a quadratic form in each filled cusp's
+    (x1, x2).  Every block of J with complete-cusp rows is A0, so one solve
+    against R (`_jet_system`) gives each cusp's part N_c, and beta's is one
+    Schur scalar.  A filled cusp's rows ask p u' + q v' = 0 instead of
+    u' = 0: adding to N_c the tangent block with u' = w = -q v'[N_c] /
+    (p + q omega), and so v' = omega w, meets them and keeps the structure
+    rows solved.  Each spec's jet is computed alone, so that it has the
+    same bits in any batch."""
+    k, r3, t = sig.k, math.sqrt(3.0), _cot_scale(cs.alpha_bar)
+    system = _jet_system(cs)
+    Q = np.linalg.solve(system[:, :12], system[:, 12:])
+    # a cusp's row [x1^2, x1 x2, x2^2, -beta'', z1, z2] times `basis` is its
+    # N_c plus the tangent block of (z1, z2)
+    basis = np.concatenate([Q.T, _TANGENT_UNITS[0] + t * _TANGENT_UNITS[1]])
+    (a1, v1), (a2, v2), (a3, v3), (a_beta, v_beta) = [
+        (alpha, complex(re, im)) for alpha, re, im in (Q.T @ _JET_FUNCTIONALS).tolist()
+    ]
+    corner = 6.0 * (sig.g - k) - k * a_beta
+    omega = complex(-0.5, 0.5 * r3)
+    out = []
+    for spec in specs:
+        first, total = [], 0.0
+        for pq in spec.pairs:
+            x1 = x2 = 0.0
+            if pq is not None:
+                p, q = pq
+                f = math.pi / (2.0 * t * (p * p - p * q + q * q))
+                x1, x2 = (2.0 * q - p) * f, -(p + q) * f
+            first.append((0.0, 0.0, 0.0, 0.0, x1, x2))
+            total += x1 * x1 * a1 + x1 * x2 * a2 + x2 * x2 * a3
+        beta2 = -total / corner
+        second = []
+        for pq, (_, _, _, _, x1, x2) in zip(spec.pairs, first):
+            m1, m2, m3 = x1 * x1, x1 * x2, x2 * x2
+            z1 = z2 = 0.0
+            if pq is not None:
+                p, q = pq
+                w = -q * (m1 * v1 + m2 * v2 + m3 * v3 - beta2 * v_beta) / (p + q * omega)
+                z1, z2 = (r3 * w.real - w.imag) / (4.0 * t), -(r3 * w.real + w.imag) / (4.0 * t)
+            second.append((m1, m2, m3, -beta2, z1, z2))
+        jet = np.zeros((2, sig.n_coords))
+        jet[:, :-1] = (np.array(first + second) @ basis).reshape(2, 12 * k)
+        jet[1, -1] = beta2
+        out.append((jet[0], jet[1]))
+    return out
 
 
 def tangent_basis(sig: GKSignature) -> np.ndarray:

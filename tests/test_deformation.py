@@ -562,17 +562,17 @@ SQRT7_SLOPES = [(3.0, 1.0), (3.0, 2.0), (1.0, 3.0), (2.0, 3.0), (2.0, -1.0), (1.
 
 @pytest.mark.parametrize("k", [16, 32, 64])
 def test_filling_newton_steps_flat_in_k(monkeypatch, k):
-    # every cusp on a threshold slope gives the longest path, s = sqrt(7)/5 and
-    # then 1; warm-starting each step at the previous point took 116, 312 and
-    # 846 steps, starting at t = 20/sqrt(7) took 13-14, with the first
-    # tangent in closed form 9, and it takes 7 with the point at s < 1
-    # corrected only to _MID_TOL
+    # every cusp on a threshold slope: warm-starting each step at the
+    # previous point took 116, 312 and 846 steps, starting at t = 20/sqrt(7)
+    # took 13-14, with the first tangent in closed form 9, with the point at
+    # s = sqrt(7)/5 corrected only to _MID_TOL 7, and it takes 5-6 in one
+    # Newton solve from the second-order start at the complete structure
     sig = GKSignature(k + 1, k)
     pairs = [SQRT7_SLOPES[c % 6] for c in range(k)]
     calls, step = [], deformation._block_step
     monkeypatch.setattr(deformation, "_block_step", lambda *a: calls.append(1) or step(*a))
     x = solve_filling(sig, FillingSpec.from_pairs(k, pairs))
-    assert len(calls) <= 9
+    assert len(calls) <= 8
     assert np.max(np.abs(residuals(sig, x))) < 1e-10
     for c, (p, q) in enumerate(FillingSpec.from_pairs(k, pairs).canonicalized().pairs):
         pc, qc = dehn_coefficients(x, c)
@@ -582,34 +582,53 @@ def test_filling_newton_steps_flat_in_k(monkeypatch, k):
 @pytest.mark.parametrize("k", [2, 16, 64])
 def test_filling_block_steps_with_tangent_predictor(monkeypatch, k):
     # a sqrt(7) slope on cusp 0 took 22 block steps with the secant predictor
-    # at ratio 1.5, and 13-14 from t = 20/sqrt(7); the tangent solves count
-    # too, all but the first, which is in closed form: 9 in all, and 7 with
-    # the point at s < 1 corrected only to _MID_TOL
+    # at ratio 1.5, and 13-14 from t = 20/sqrt(7); with the tangent at the
+    # complete structure in closed form and the later one a block step, 9,
+    # and 7 with the point at s < 1 corrected only to _MID_TOL; from the
+    # second-order start it is one Newton solve of 5
     sig = GKSignature(k + 1, k)
     calls, step = [], deformation._block_step
     monkeypatch.setattr(deformation, "_block_step", lambda *a: calls.append(1) or step(*a))
     x = solve_filling(sig, FillingSpec.from_pairs(k, [(3.0, 1.0)] + [None] * (k - 1)))
-    assert len(calls) <= 9
+    assert len(calls) <= 7
     assert np.max(np.abs(residuals(sig, x))) < 1e-10
     pc, qc = dehn_coefficients(x, 0)
     assert abs(pc - 3.0) < 1e-9 and abs(qc - 1.0) < 1e-9
 
 
+def fail_first_newton(mp):
+    """Make the next `_newton` call report each of its points as failed, as
+    if the continuation's first step were too long: a path that reaches
+    s = 1 in one step then halves it, and solves a point at s = 1/2 first."""
+    newton, calls = deformation._newton, []
+
+    def once(*args):
+        x, blocks, errors = newton(*args)
+        if not calls:
+            calls.append(1)
+            errors = [ConvergenceError("forced failure", 1.0) for _ in errors]
+        return x, blocks, errors
+
+    mp.setattr(deformation, "_newton", once)
+
+
 def tangent_errors(monkeypatch, g, k):
     """The tangents dx/ds (s = 1/t) that solve_filling extrapolates from, at
-    each solved point of a sqrt(7) path, against solves at s +- h: per
-    point, s and the error relative to the central difference."""
+    each solved point of a sqrt(7) path whose first step is made to fail,
+    against solves at s +- h: per point, s and the error relative to the
+    central difference."""
     sig = GKSignature(g, k)
     pairs = [(3.0, 1.0)] + [None] * (k - 1)
-    points, hermite = [], deformation._hermite
+    points, hermite = {}, deformation._hermite
     monkeypatch.setattr(
-        deformation, "_hermite", lambda *a: points.append(a[1:4]) or hermite(*a)
+        deformation, "_hermite", lambda *a: points.setdefault(a[1], a[2:4]) and hermite(*a)
     )
+    fail_first_newton(monkeypatch)
     solve_filling(sig, FillingSpec.from_pairs(k, pairs))
-    # the first tangent is the one at the complete structure
-    assert points and points[0][0] == 0.0
+    # the tangent at the complete structure, and the one at s = 1/2
+    assert sorted(points) == [0.0, 0.5]
     h, errors = 1e-4, []
-    for s, x, dx in points:
+    for s, (x, dx) in sorted(points.items()):
         ends = []
         for sh in (s + h, s - h):
             # p u + q v = 2 pi i s, which at s = -h is the filling -(p, q) / h
@@ -625,7 +644,7 @@ def tangent_errors(monkeypatch, g, k):
 
 @pytest.mark.parametrize("g, k", [(3, 2), (17, 16)])
 def test_filling_tangent_matches_central_difference(monkeypatch, g, k):
-    # the points short of s = 1 solved to _FILL_TOL lie on the path
+    # the point at s = 1/2 solved to _FILL_TOL lies on the path
     monkeypatch.setattr(deformation, "_MID_TOL", deformation._FILL_TOL)
     for s, err in tangent_errors(monkeypatch, g, k):
         assert err <= 1e-5, s
@@ -633,14 +652,25 @@ def test_filling_tangent_matches_central_difference(monkeypatch, g, k):
 
 @pytest.mark.parametrize("g, k", [(3, 2), (17, 16)])
 def test_filling_tangent_at_loose_points(monkeypatch, g, k):
-    # the tangents the solver takes, at points short of s = 1 corrected
-    # only to _MID_TOL: off the path by about that much, they read 1.8e-4
+    # the tangents the solver takes, at a point short of s = 1 corrected
+    # only to _MID_TOL: off the path by up to that much, they read 1.8e-4
     # at (3, 2) and 2.3e-4 at (17, 16) against the central difference on it
-    # (2.4e-4 at g = 200)
-    errors = tangent_errors(monkeypatch, g, k)
-    assert len(errors) == 2
-    for s, err in errors:
+    # at s = sqrt(7)/5 from the Euler step; at s = 1/2 from the second-order
+    # start they read 2.8e-7 and 3.8e-7
+    for s, err in tangent_errors(monkeypatch, g, k):
         assert err <= 1e-3, s
+
+
+def jet_pairs(seed, k, integer):
+    """Slopes of length 2.7 to 40 on k cusps, real or rounded to integers,
+    about 30 % of the cusps but never all of them left unfilled."""
+    rng = np.random.default_rng(seed)
+    pairs = random_pairs(rng, k, 2.7, 40.0)
+    if integer:
+        pairs = [(float(round(p)), float(round(q))) for p, q in pairs]
+    unfilled = rng.random(k) < 0.3
+    unfilled[rng.integers(k)] = False
+    return [None if off else pq for pq, off in zip(pairs, unfilled)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -654,20 +684,14 @@ def test_first_tangent_in_closed_form(seed, g, k, integer):
     # the continuation's tangent at s = 0 is the block-arrow solve of
     # J dx/ds = 2 pi e_11 at the complete structure, in closed form
     sig = GKSignature(max(g, k + 1), k)
-    rng = np.random.default_rng(seed)
-    pairs = random_pairs(rng, k, 2.7, 40.0)
-    if integer:
-        pairs = [(float(round(p)), float(round(q))) for p, q in pairs]
-    unfilled = rng.random(k) < 0.3
-    unfilled[rng.integers(k)] = False
-    pairs = [None if off else pq for pq, off in zip(pairs, unfilled)]
+    pairs = jet_pairs(seed, k, integer)
     cs = solve_complete(sig)
     rows = deformation._linear_rows(pairs)
     _, blocks = deformation._evaluate(sig, cs.x0[None], rows)
     rhs = np.zeros((1, sig.n_coords))
     rhs[0, :-1].reshape(k, 12)[:, 11] = rows[2][:, 11]
     solved = deformation._block_step(sig, rhs, *blocks())[0]
-    closed = deformation._complete_tangent(sig, cs.alpha_bar, pairs)
+    ((closed, _),) = deformation._complete_jet(sig, cs, [FillingSpec.from_pairs(k, pairs)])
     assert np.max(np.abs(closed - solved)) <= 1e-13 * np.max(np.abs(solved))
     # each filled cusp moves with du/ds = 2 pi i / (p + q omega), v = omega u
     h = 1e-5
@@ -685,18 +709,63 @@ def test_first_tangent_in_closed_form(seed, g, k, integer):
     seed=st.integers(0, 2**32 - 1),
     g=st.integers(2, 200),
     k=st.sampled_from([1, 2, 3, 5, 8, 16, 33, 64]),
+    integer=st.booleans(),
+)
+def test_jet_curvature_matches_central_difference(seed, g, k, integer):
+    # the continuation's curvature d2x/ds2 at s = 0 against the second
+    # difference of Newton solves at s = +-h, each from its Euler step
+    sig = GKSignature(max(g, k + 1), k)
+    pairs = jet_pairs(seed, k, integer)
+    cs = solve_complete(sig)
+    ((dx, ddx),) = deformation._complete_jet(sig, cs, [FillingSpec.from_pairs(k, pairs)])
+    h, ends = 1e-3, []
+    for sh in (h, -h):
+        L, S, o = deformation._linear_rows(pairs)
+        o[:, 11] *= sh
+        end, _, (exc,) = deformation._newton(sig, (cs.x0 + sh * dx)[None], (L, S, o), [1e-10])
+        assert exc is None, sh
+        ends.append(end[0])
+    fd = (ends[0] + ends[1] - 2.0 * cs.x0) / h ** 2
+    assert np.max(np.abs(ddx - fd)) <= 1e-5 * np.max(np.abs(fd))
+    # beta'' is a Schur scalar that reads 1e-18 to 1e-20 against the largest
+    # entry: the alpha sums of the monomials' columns vanish up to rounding
+    assert abs(ddx[-1]) <= 1e-15 * np.max(np.abs(ddx))
+
+
+@pytest.mark.parametrize("g, k", [(2, 1), (3, 2), (17, 16), (150, 1), (200, 64)])
+def test_jet_block_in_closed_form(g, k):
+    # at the complete structure every block with complete-cusp rows is the
+    # closed-form A0 of the jet, and the beta column is d edge_cosh / d beta
+    sig = GKSignature(g, k)
+    cs = solve_complete(sig)
+    system = deformation._jet_system(cs)
+    _, blocks = deformation._evaluate(sig, cs.x0[None], deformation._linear_rows([None] * k))
+    A, (dbeta,) = blocks()
+    assert np.max(np.abs(A - system[:, :12])) <= 1e-13 * np.max(np.abs(A))
+    assert system[:6, 15].tolist() == [dbeta] * 6 and not system[6:, 15].any()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    g=st.integers(2, 200),
+    k=st.sampled_from([1, 2, 3, 5, 8, 16, 33, 64]),
 )
 def test_loose_intermediate_points_give_the_same_filling(seed, g, k):
-    # the points short of s = 1 only feed the next predictor: solving them
-    # to _MID_TOL instead of _FILL_TOL leaves the filling where it was
+    # a point short of s = 1, here at s = 1/2 after a first step made to
+    # fail, only feeds the next predictor: solving it to _MID_TOL instead
+    # of _FILL_TOL leaves the filling where it was
     sig = GKSignature(max(g, k + 1), k)
     rng = np.random.default_rng(seed)
     pairs = random_pairs(rng, k, math.sqrt(7.0), 40.0)
     unfilled = rng.random(k) < 0.3
     unfilled[rng.integers(k)] = False
     spec = FillingSpec.from_pairs(k, [None if off else pq for pq, off in zip(pairs, unfilled)])
-    x = solve_filling(sig, spec)
     with pytest.MonkeyPatch.context() as mp:
+        fail_first_newton(mp)
+        x = solve_filling(sig, spec)
+    with pytest.MonkeyPatch.context() as mp:
+        fail_first_newton(mp)
         mp.setattr(deformation, "_MID_TOL", deformation._FILL_TOL)
         tight = solve_filling(sig, spec)
     assert np.max(np.abs(x - tight)) < 1e-12
@@ -751,11 +820,18 @@ def test_filling_predictor_stays_on_the_warm_start_branch(seed, k, extra, thresh
 
 @pytest.mark.parametrize(
     "g, pairs",
-    [(2, [(6.0, 1.0)]), (2, [(40.0, 1.0)]), (3, [(40.0, 1.0), None]), (9, [(7.0, 2.0), (5.0, -1.0), None])],
+    [
+        (2, [(6.0, 1.0)]),
+        (2, [(40.0, 1.0)]),
+        (3, [(40.0, 1.0), None]),
+        (9, [(7.0, 2.0), (5.0, -1.0), None]),
+        (2, [(3.0, 1.0)]),
+        (9, [(2.0, 3.0), (7.0, 2.0), None]),
+    ],
 )
 def test_filling_long_slopes_take_one_newton_solve(monkeypatch, g, pairs):
-    # every filled slope of length >= 5 is solved at s = 1 straight from the
-    # tangent at the complete structure
+    # every filled slope of length >= sqrt(7) is solved at s = 1 straight
+    # from the second-order start at the complete structure
     sig = GKSignature(g, len(pairs))
     calls, newton = [], deformation._newton
     monkeypatch.setattr(deformation, "_newton", lambda *a: calls.append(1) or newton(*a))
@@ -817,12 +893,13 @@ def test_filling_sweep_to_200(pq):
 def test_filling_large_g_spot_checks(monkeypatch, g):
     # 5/1 first failed at g = 132; at g = 131 it took 38 Newton steps, 13
     # block steps from t = 20/sqrt(21), 8 with the first tangent in closed
-    # form, and 6 with the point at s < 1 corrected only to _MID_TOL
+    # form, 6 with the point at s < 1 corrected only to _MID_TOL, and 4 in
+    # one Newton solve from the second-order start
     sig = GKSignature(g, 1)
     calls, step = [], deformation._block_step
     monkeypatch.setattr(deformation, "_block_step", lambda *a: calls.append(1) or step(*a))
     x = solve_filling(sig, FillingSpec.from_pairs(1, [(5.0, 1.0)]))
-    assert len(calls) <= 8
+    assert len(calls) <= 6
     assert np.max(np.abs(residuals(sig, x))) < 1e-10
     pc, qc = dehn_coefficients(x, 0)
     assert abs(pc - 5.0) < 1e-9 and abs(qc - 1.0) < 1e-9
@@ -832,12 +909,22 @@ def test_filling_first_step_failure_is_a_continuation_error(monkeypatch):
     def singular(*args):
         raise np.linalg.LinAlgError("Singular matrix")
 
+    sig, spec = GKSignature(2, 1), FillingSpec.from_pairs(1, [(5.0, 1.0)])
     monkeypatch.setattr(deformation, "_block_step", singular)
     with pytest.raises(ContinuationError) as info:
-        solve_filling(GKSignature(2, 1), FillingSpec.from_pairs(1, [(5.0, 1.0)]))
+        solve_filling(sig, spec)
     assert info.value.last_good_t is None
-    # every Newton solve stopped at its singular first step, at the Euler guess
-    assert math.isfinite(info.value.residual) and info.value.residual > 1e-10
+    # every Newton solve stopped at its singular first step, at the
+    # second-order predictor; the step halves from 1 until it is below
+    # 1e-4, so the last one was tried at s = 2^-13
+    s = 2.0 ** -13
+    cs = solve_complete(sig)
+    ((dx, ddx),) = deformation._complete_jet(sig, cs, [spec])
+    guess = deformation._clip(cs.x0 + s * dx + (0.5 * s ** 2) * ddx)
+    L, S, o = deformation._linear_rows(spec.pairs)
+    o[:, 11] *= s
+    r, _ = deformation._evaluate(sig, guess[None], (L, S, o))
+    assert info.value.residual == float(np.abs(r).max())
     assert str(info.value).endswith(", residual %g" % info.value.residual)
 
 
