@@ -1,11 +1,13 @@
 """Dehn fillings of the one-cusped (2, 1) manifold.
 
-A filling imposes p*u + q*v = 2*pi*i on the cusp's log-holonomies.  The
-solver continues the coefficients from the complete structure onwards,
-so even short admissible slopes converge.  Below: the hyperbolicity
-threshold at slope length sqrt(7), coefficient round trips, the core
-geodesic shrinking along a ray of fillings, and the universal limit of
-v/u forced by the hexagonal cusp.
+A filling imposes p*u + q*v = 2*pi*i on the cusp's log-holonomies.  A
+slope of length >= sqrt(7) is one Newton solve from the second-order
+start at the complete structure, whose tangent and curvature are in
+closed form; a continuation path from there is the fallback when that
+solve fails.  Below: the hyperbolicity threshold at slope length
+sqrt(7), coefficient round trips, the core geodesic shrinking along a
+ray of fillings, and the universal limit of v/u forced by the hexagonal
+cusp.
 """
 
 import math

@@ -29,10 +29,11 @@ The structure equations split into 10k+1 residuals:
 Their common zero set is smooth of dimension 2k near the symmetric
 complete solution, where its tangent space is in closed form
 (`tangent_basis`); completeness or filling conditions on the per-cusp
-log-holonomies (u, v) cut it down to isolated points, which a damped
-Newton iteration with coefficient continuation locates.  The
-continuation leaves the complete solution on the closed-form jet of its
-filling, tangent and curvature (`_complete_jet`).
+log-holonomies (u, v) cut it down to isolated points.  A damped Newton
+iteration locates them from the second-order start at the complete
+solution, on the closed-form jet, tangent and curvature, of the
+coefficient continuation to its filling (`_complete_jet`); that
+continuation is also the fallback path when the one solve fails.
 
 Newton works on the square system: the structure rows plus two cusp
 rows per cusp (Re, Im of p*u + q*v - 2*pi*i filled, of u complete).
@@ -553,19 +554,19 @@ def _refused(x: np.ndarray) -> bool:
     return bool(np.isnan(x).any())
 
 
-def _newton(sig: GKSignature, x0: np.ndarray, rows, tols: Sequence[float]):
+def _newton(sig: GKSignature, x0: np.ndarray, rows, tol: float):
     """Damped Newton with block-arrow steps on N square systems at once,
     from the points x0 of shape (N, 12k+1), whose linear block rows are
-    `rows` (as for `_evaluate`), with one tolerance per point in `tols`.
-    A point whose tolerance is `_FILL_TOL` or tighter is an answer: it is
-    solved until its weighted merit (below) and its plain residual
-    sup-norm are both below it.  A looser one only feeds the next
-    predictor of a continuation: it stops at its first iterate, after at
-    least one step, whose weighted merit is below it.  Returns the points,
-    the function giving their Newton blocks (A, dbeta) from the last
-    evaluation, and per point None or the error that stopped it: a
-    ConvergenceError, or `check_coords`'s DomainError for a point that is
-    not a number.
+    `rows` (as for `_evaluate`), to the one tolerance `tol`.  With `tol`
+    at `_FILL_TOL` or tighter the points are answers: each is solved
+    until its weighted merit (below) and its plain residual sup-norm are
+    both below `tol`.  A looser `tol` is for points that only feed the
+    next predictor of a continuation: each stops at its first iterate,
+    after at least one step, whose weighted merit is below `tol`.
+    Returns the points, the function giving their Newton blocks (A,
+    dbeta) from the last evaluation, and per point None or the error that
+    stopped it: a ConvergenceError, or `check_coords`'s DomainError for a
+    point that is not a number.
 
     Each point takes the steps and the line search it takes alone.  A
     point that has converged, stopped, or accepted its trial step while
@@ -588,13 +589,13 @@ def _newton(sig: GKSignature, x0: np.ndarray, rows, tols: Sequence[float]):
     ]
 
     # a point solved only to predict from takes at least one step
-    loose = [t > _FILL_TOL for t in tols]
+    loose = tol > _FILL_TOL
 
-    def done(i, m, ri):
+    def done(m, ri):
         # weight <= 1, so m < tol is necessary and the sup-norm need only be taken then
-        return m < tols[i] and (loose[i] or np.abs(ri).max() < tols[i])
+        return m < tol and (loose or np.abs(ri).max() < tol)
 
-    running = [i for i in range(n_pts) if errors[i] is None and (loose[i] or not done(i, merit[i], r[i]))]
+    running = [i for i in range(n_pts) if errors[i] is None and (loose or not done(merit[i], r[i]))]
     for _ in range(_MAX_ITER):
         if not running:
             break
@@ -618,7 +619,7 @@ def _newton(sig: GKSignature, x0: np.ndarray, rows, tols: Sequence[float]):
             mn = np.abs(weight * rn).max(axis=1).tolist()
             rejected = []
             for i in pending:
-                if mn[i] < merit[i] or done(i, mn[i], rn[i]):
+                if mn[i] < merit[i] or done(mn[i], rn[i]):
                     continue
                 if mn[i] != mn[i] and _refused(xn[i]):
                     errors[i] = DomainError(_OUTSIDE_BOX)
@@ -640,7 +641,7 @@ def _newton(sig: GKSignature, x0: np.ndarray, rows, tols: Sequence[float]):
             for i in pending:
                 norm = float(np.abs(r[i]).max())
                 errors[i] = ConvergenceError("line search stalled at residual %g" % norm, norm)
-        running = [i for i in running if errors[i] is None and not done(i, merit[i], r[i])]
+        running = [i for i in running if errors[i] is None and not done(merit[i], r[i])]
     else:
         for i in running:
             norm = float(np.abs(r[i]).max())
@@ -668,23 +669,26 @@ def solve_filling(sig: GKSignature, spec: FillingSpec, *, check_length: bool = T
     """Solve the square 12k+1 system: structure residuals plus, per cusp,
     p*u + q*v = 2*pi*i (filled) or u = 0 (complete), to a residual
     sup-norm below 1e-10.  Declared range: g <= 200 and k <= 64, where
-    every signature with any slope of length >= sqrt(7) is meant to solve.
+    every signature with slopes of length >= sqrt(7) and max(|p|, |q|)
+    up to 5e5 is meant to solve.  Larger slopes meet the rounding floor
+    of their cusp row Im(p*u + q*v) - 2*pi, which moves in steps of
+    about |p| ulp(pi/3): 2.7e-10 at 1234567/1, above the 1e-10 gate.
+    With p drawn up to 1e6 on one cusp of six signatures from (2, 1) to
+    (200, 64), 250 of 300 draws solved in one Newton solve, 39 more only
+    after the step halving below, and 11 failed; up to 1e7, 46, 9 and 245.
 
     Filled coefficients are continued in s = 1/t along the rows
     p*u + q*v = 2*pi*i*s (the targets (t*p, t*q)) from the complete
     structure x0 at s = 0, where the path's tangent x' and curvature x''
-    are in closed form (`_complete_jet`).  s steps by (shortest slope
-    length) / sqrt(7) up to 1, so a filling with every slope of length >=
-    sqrt(7) is one Newton solve from the second-order start x0 + x' + x''/2:
-    5 block solves at length sqrt(7), 4 at lengths of about 3.6 to 5, and
-    about 3 beyond 5.  Only after a failed Newton solve does the path
-    halve its step and take points short of s = 1: Newton corrects those
-    only to a weighted merit of 1e-3 (`_MID_TOL`), as they only feed the
-    next predictor, the cubic Hermite through the last two points of the
-    path and their tangents, each tangent one block step with the blocks
-    of Newton's last iterate.  Fails loudly (ContinuationError) if the
-    path cannot reach s = 1.  With `check_length`, a slope shorter than
-    sqrt(7) is a DomainError.  This is `solve_fillings` on the one spec.
+    are in closed form (`_complete_jet`).  A filling with every slope of
+    length >= sqrt(7) is one Newton solve at s = 1 from the second-order
+    start x0 + x' + x''/2: 5 block solves at length sqrt(7), 4 at
+    lengths of about 3.6 to 5, and about 3 beyond 5.  A shorter slope,
+    or a failure of that solve, leaves it to the fallback `_path`, which
+    steps s from 0 with step halving.  Fails loudly (ContinuationError)
+    if the path cannot reach s = 1.  With `check_length`, a slope shorter
+    than sqrt(7) is a DomainError.  This is `solve_fillings` on the one
+    spec.
     """
     (x,) = solve_fillings(sig, [spec], check_length=check_length)
     if isinstance(x, Exception):
@@ -697,11 +701,11 @@ def solve_fillings(sig: GKSignature, specs: Sequence[FillingSpec], *, check_leng
     together.  Returns, per spec, the solution or the DomainError or
     ConvergenceError that `solve_filling` raises for it, with the same
     bits and message: a spec that fails does not touch the others.
-    `solve_complete` runs once, and the specs with a filled cusp run
-    their continuations in lockstep rounds (`_continue`), each from its
-    second-order start at s = 0: specs whose slopes all have length >=
-    sqrt(7) are one stacked Newton solve, and the others finish in the
-    same round as they."""
+    `solve_complete` and the per-signature part of the jet run once.  The
+    specs whose slopes all have length >= sqrt(7) take their one step to
+    s = 1 as one stacked `_newton` from their second-order starts; each
+    spec with a shorter slope, and each whose stacked step failed, then
+    runs its `_path` alone."""
     out = [None] * len(specs)
     todo = []
     for i, spec in enumerate(specs):
@@ -726,98 +730,78 @@ def solve_fillings(sig: GKSignature, specs: Sequence[FillingSpec], *, check_leng
     for i, _, lmin in todo:
         if lmin is None:
             out[i] = cs.x0.copy()
-    if filled:
-        index, specs, lmins = zip(*filled)
-        for i, x in zip(index, _continue(sig, cs, specs, lmins)):
-            out[i] = x
+    if not filled:
+        return out
+    jets = _complete_jet(sig, cs, [spec for _, spec, _ in filled])
+    # the specs whose first step in s, min(1, lmin / sqrt(7)), reaches s = 1:
+    # one stacked Newton solve from their second-order starts
+    one = [j for j, (_, _, lmin) in enumerate(filled) if lmin >= SQRT7]
+    first = {}
+    if one:
+        guess = np.array([cs.x0 + jets[j][0] + 0.5 * jets[j][1] for j in one])
+        rows = _linear_rows([pq for j in one for pq in filled[j][1].pairs])
+        x, _, errors = _newton(sig, guess, rows, _FILL_TOL)
+        first = {j: x_j if exc is None else exc for j, x_j, exc in zip(one, x, errors)}
+    for j, (i, spec, lmin) in enumerate(filled):
+        x = first.get(j)
+        if x is None:
+            x = _path(sig, cs, spec, jets[j], lmin / SQRT7)
+        elif isinstance(x, ConvergenceError):
+            x = _path(sig, cs, spec, jets[j], 0.5, x.residual)
+        out[i] = x
     return out
 
 
-def _continue(sig: GKSignature, cs: CompleteSolution, specs, lmins) -> list:
-    """The continuations of `solve_filling` from the complete solution cs
-    for canonical specs with a filled cusp, of shortest filled slopes
-    `lmins`, in lockstep; per spec, the solution or its error.
+def _path(sig: GKSignature, cs: CompleteSolution, spec: FillingSpec, jet, ds: float, resid=None):
+    """The fallback of the one-step solve of `solve_fillings`: the
+    continuation of the canonical spec alone, from the complete solution
+    cs at s = 0, where its jet is (dx/ds, d2x/ds2), in steps of `ds` up to
+    s = 1; the solution, or the error that stopped it.  `resid` is the
+    residual of the failed stacked step that it takes over from, if any.
 
-    Each spec's first step, to s = min(1, lmin / sqrt(7)), starts at the
-    Taylor polynomial of second order of its jet at s = 0; the later ones
-    start at the cubic Hermite.  A round takes the specs with the most
-    rounds still to go on their own schedules, ceil((1 - s) / ds), so
-    that every spec takes its tight Newton solve at s = 1 in the last
-    round, beside the others' and not beside their loose ones at s < 1;
-    after a halving, that spec leads and the others wait at their solved
-    points.  The round is one stacked `_newton` at each member's next s,
-    and then one stacked block step for the tangents of those solved
-    short of s = 1, with the blocks of Newton's last iterate."""
-    m, k, x0 = len(specs), sig.k, cs.x0
-    # the rows at s = 1, block by block; s scales the 2 pi on row 11 of the
-    # filled cusps, so every tangent dx/ds solves J dx/ds = ds_rhs
-    L, S, o = _linear_rows([pq for spec in specs for pq in spec.pairs])
-    ds_rhs = np.zeros((m, sig.n_coords))
-    ds_rhs[:, :-1].reshape(m, k, 12)[:, :, 11] = o[:, 11].reshape(m, k)
+    Each step is one `_newton` at the next s, from the Taylor polynomial
+    of second order of the jet when it leaves s = 0, and from the cubic
+    Hermite through the last two points and their tangents after.  A
+    point short of s = 1 only feeds the next predictor, so it is solved
+    only to `_MID_TOL`, and its tangent is one block step with the blocks
+    of Newton's last iterate.  A failed step halves ds; below 1e-4 the
+    path ends in a ContinuationError with the last failure's residual."""
+    k = sig.k
+    # s scales the 2 pi on row 11 of the filled cusps, so every tangent
+    # dx/ds solves J dx/ds = ds_rhs
+    L, S, o = _linear_rows(spec.pairs)
+    ds_rhs = np.zeros((1, sig.n_coords))
+    ds_rhs[0, :-1].reshape(k, 12)[:, 11] = o[:, 11]
+    s, x, prev = 0.0, cs.x0, None
+    dx, ddx = jet
 
-    def rows_at(s, members):
-        sel = slice(None) if len(members) == m else [k * i + c for i in members for c in range(k)]
-        o_s = o[sel].copy()
-        o_s[:, 11] *= np.repeat(s, k)
-        return L[sel], S[sel], o_s
+    def failure(text):
+        if resid is not None:
+            text += ", residual %g" % resid
+        text = "g=%d k=%d slopes %s: %s" % (sig.g, k, ",".join(map(slope_text, spec.pairs)), text)
+        return ContinuationError(text, 1.0 / s if s else None, resid)
 
-    out = [None] * m
-    s_good, ds = [0.0] * m, [min(1.0, lmin / SQRT7) for lmin in lmins]
-    xs, prev = [x0] * m, [None] * m
-    dx, ddx = map(list, zip(*_complete_jet(sig, cs, specs)))
-
-    # per spec, the residual of its last failed Newton solve
-    resid = [None] * m
-
-    def failure(i, text):
-        s, slopes = s_good[i], ",".join(map(slope_text, specs[i].pairs))
-        if resid[i] is not None:
-            text += ", residual %g" % resid[i]
-        return ContinuationError(
-            "g=%d k=%d slopes %s: %s" % (sig.g, k, slopes, text), 1.0 / s if s else None, resid[i]
-        )
-
-    while True:
-        live = [i for i in range(m) if out[i] is None and s_good[i] < 1.0]
-        if not live:
-            break
-        # only the specs with the most rounds to go take this one, so that
-        # every spec takes its last, tight, Newton solve in the last round
-        togo = [math.ceil((1.0 - s_good[i]) / ds[i]) for i in live]
-        live = [i for i, n in zip(live, togo) if n == max(togo)]
-        s_next = [min(1.0, s_good[i] + ds[i]) for i in live]
-        guess = np.array([_hermite(s, s_good[i], xs[i], dx[i], prev[i], ddx[i]) for i, s in zip(live, s_next)])
-        tols = [_FILL_TOL if s == 1.0 else _MID_TOL for s in s_next]
-        x, blocks, errors = _newton(sig, guess, rows_at(s_next, live), tols)
-        # positions in `live` of the points solved short of s = 1
-        short = []
-        for pos, (i, s, x_next, exc) in enumerate(zip(live, s_next, x, errors)):
-            if exc is None:
-                prev[i] = (s_good[i], xs[i], dx[i])
-                xs[i], s_good[i] = x_next, s
-                if s < 1.0:
-                    short.append(pos)
-            elif isinstance(exc, DomainError):
-                out[i] = exc
-            else:
-                resid[i] = exc.residual
-                ds[i] /= 2.0
-                if ds[i] < 1e-4:
-                    t = 1.0 / s_good[i] if s_good[i] else math.inf
-                    out[i] = failure(i, "continuation step underflow at t=%g" % t)
-        if short:
-            # their tangents, with the blocks of Newton's last iterate
-            A, dbeta = blocks()
-            if len(short) < len(live):
-                A, dbeta = A.reshape(-1, k, 12, 12)[short].reshape(-1, 12, 12), [dbeta[j] for j in short]
-            short = [live[j] for j in short]
-            steps, failed = _block_steps(sig, ds_rhs[short], A, dbeta)
-            for pos, i in enumerate(short):
-                if pos in failed:
-                    out[i] = failure(i, "singular tangent: %s" % failed[pos])
-                else:
-                    dx[i] = steps[pos]
-    return [xs[i] if out[i] is None else out[i] for i in range(m)]
+    while s < 1.0:
+        s_next = min(1.0, s + ds)
+        o_s = o.copy()
+        o_s[:, 11] *= s_next
+        guess = _hermite(s_next, s, x, dx, prev, ddx)[None]
+        (x_next,), blocks, (exc,) = _newton(sig, guess, (L, S, o_s), _FILL_TOL if s_next == 1.0 else _MID_TOL)
+        if isinstance(exc, DomainError):
+            return exc
+        if exc is not None:
+            resid = exc.residual
+            ds /= 2.0
+            if ds < 1e-4:
+                return failure("continuation step underflow at t=%g" % (1.0 / s if s else math.inf))
+            continue
+        prev, x, s = (s, x, dx), x_next, s_next
+        if s < 1.0:
+            step, failed = _block_steps(sig, ds_rhs, *blocks())
+            if failed:
+                return failure("singular tangent: %s" % failed[0])
+            dx = step[0]
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -1007,7 +991,7 @@ def varsigma_point(sig: GKSignature, t: float) -> np.ndarray:
     L[0, 10, 1:3] = L[1:, 11, 1:3] = L[1:, 10, 0:2] = (1.0, -1.0)
     L[0, 11, 0], L[0, 11, 6] = 1.0, -1.0
     o[0, 11] = 4.0 * math.sin(cs.alpha_bar) * t
-    x, _, (exc,) = _newton(sig, (cs.x0 + t * first + 0.5 * t * t * second)[None], (L, S, o), [1e-12])
+    x, _, (exc,) = _newton(sig, (cs.x0 + t * first + 0.5 * t * t * second)[None], (L, S, o), 1e-12)
     if exc is not None:
         raise exc
     return x[0]

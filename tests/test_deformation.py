@@ -596,17 +596,21 @@ def test_filling_block_steps_with_tangent_predictor(monkeypatch, k):
     assert abs(pc - 3.0) < 1e-9 and abs(qc - 1.0) < 1e-9
 
 
-def fail_first_newton(mp):
-    """Make the next `_newton` call report each of its points as failed, as
-    if the continuation's first step were too long: a path that reaches
-    s = 1 in one step then halves it, and solves a point at s = 1/2 first."""
+def fail_first_newton(mp, only=None):
+    """Make the next `_newton` call report each of its points, or only the
+    one at position `only`, as failed, as if the continuation's first step
+    were too long: a path that reaches s = 1 in one step then halves it,
+    and solves a point at s = 1/2 first."""
     newton, calls = deformation._newton, []
 
     def once(*args):
         x, blocks, errors = newton(*args)
         if not calls:
             calls.append(1)
-            errors = [ConvergenceError("forced failure", 1.0) for _ in errors]
+            errors = [
+                ConvergenceError("forced failure", 1.0) if only in (None, i) else exc
+                for i, exc in enumerate(errors)
+            ]
         return x, blocks, errors
 
     mp.setattr(deformation, "_newton", once)
@@ -634,7 +638,7 @@ def tangent_errors(monkeypatch, g, k):
             # p u + q v = 2 pi i s, which at s = -h is the filling -(p, q) / h
             L, S, o = deformation._linear_rows(pairs)
             o[:, 11] *= sh
-            end, _, (exc,) = deformation._newton(sig, x[None], (L, S, o), [1e-12])
+            end, _, (exc,) = deformation._newton(sig, x[None], (L, S, o), 1e-12)
             assert exc is None, (s, sh)
             ends.append(end[0])
         fd = (ends[0] - ends[1]) / (2.0 * h)
@@ -722,7 +726,7 @@ def test_jet_curvature_matches_central_difference(seed, g, k, integer):
     for sh in (h, -h):
         L, S, o = deformation._linear_rows(pairs)
         o[:, 11] *= sh
-        end, _, (exc,) = deformation._newton(sig, (cs.x0 + sh * dx)[None], (L, S, o), [1e-10])
+        end, _, (exc,) = deformation._newton(sig, (cs.x0 + sh * dx)[None], (L, S, o), 1e-10)
         assert exc is None, sh
         ends.append(end[0])
     fd = (ends[0] + ends[1] - 2.0 * cs.x0) / h ** 2
@@ -781,7 +785,7 @@ def warm_start_continuation(sig, pairs, l_safe=20.0, tol=1e-10):
         return deformation._linear_rows(targets)
 
     def newton(x, t):
-        x, _, (exc,) = deformation._newton(sig, x[None], rows_at(t), [tol])
+        x, _, (exc,) = deformation._newton(sig, x[None], rows_at(t), tol)
         if exc is not None:
             raise exc
         return x[0]
@@ -928,7 +932,7 @@ def test_filling_first_step_failure_is_a_continuation_error(monkeypatch):
     assert str(info.value).endswith(", residual %g" % info.value.residual)
 
 
-# a batch of one signature is solved in lockstep (solve_fillings)
+# a batch of one signature is solved together (solve_fillings)
 
 SHORT_SLOPES = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (2.0, 1.0), (1.0, 2.0), (1.0, -1.0)]
 
@@ -1017,10 +1021,10 @@ def stacked_and_alone_block_steps(monkeypatch, g, lists):
     ],
 )
 def test_stacked_batch_block_steps(monkeypatch, g, lists):
-    # these lists in lockstep make no more block steps than the slowest
-    # alone; in general the stack can make two more (see below)
+    # every list is one step to s = 1, so the stacked Newton solve makes
+    # exactly the block steps of the slowest list alone
     calls, alone = stacked_and_alone_block_steps(monkeypatch, g, lists)
-    assert calls <= max(alone)
+    assert calls == max(alone)
 
 
 @settings(max_examples=25, deadline=None)
@@ -1031,23 +1035,41 @@ def test_stacked_batch_block_steps(monkeypatch, g, lists):
     n_lists=st.integers(2, 6),
 )
 def test_stacked_batch_block_steps_random(seed, g, k, n_lists):
-    # every list takes its last, tight Newton solve in the last round, so a
-    # one-step list's solve from the complete structure runs beside the
-    # others' final solves and can take more iterations than they do: the
-    # stack makes at most two block steps more than the slowest list alone
-    # (in 150 such batches: as many in 121, one more in 28, two in 1; in
-    # plain lockstep, where a one-step list's tight solve runs beside the
-    # others' loose first ones, two more in 83)
+    # slopes of length sqrt(7) to 8 make every list one Newton solve from
+    # its second-order start, and the points of a stacked solve ride along
+    # with zero steps once they are done, so the stack makes exactly the
+    # block steps of the slowest list alone
     rng = np.random.default_rng(seed)
     lists = []
     for _ in range(n_lists):
-        # lengths sqrt(7) to 8 mix one-step (>= 5) and two-step lists
         off = rng.random(k) < 0.3
         off[rng.integers(k)] = False
         lists.append([None if o else pq for pq, o in zip(random_pairs(rng, k, math.sqrt(7.0), 8.0), off)])
     with pytest.MonkeyPatch.context() as mp:
         calls, alone = stacked_and_alone_block_steps(mp, max(g, k + 1), lists)
-    assert calls <= max(alone) + 2
+    assert calls == max(alone)
+
+
+def test_failed_stacked_step_runs_the_path_alone(monkeypatch):
+    # admissible lists are one stacked Newton solve; a list whose stacked
+    # step fails continues alone from s = 0 with its step halved, and gets
+    # the bits it gets alone under the same failure, the others theirs
+    sig = GKSignature(9, 3)
+    lists = [[(7.0, 2.0), (8.0, 3.0), None], [(3.0, 1.0), (7.0, 2.0), None], [None, (2.0, 3.0), (7.0, 1.0)]]
+    specs = [FillingSpec.from_pairs(3, pairs) for pairs in lists]
+    unforced = [solve_filling(sig, spec).tobytes() for spec in specs]
+    with pytest.MonkeyPatch.context() as mp:
+        fail_first_newton(mp)
+        forced = solve_filling(sig, specs[1]).tobytes()
+    calls, newton = [], deformation._newton
+    monkeypatch.setattr(deformation, "_newton", lambda *a: calls.append(1) or newton(*a))
+    assert [x.tobytes() for x in solve_fillings(sig, specs)] == unforced
+    assert len(calls) == 1
+    calls.clear()
+    fail_first_newton(monkeypatch, only=1)
+    assert [x.tobytes() for x in solve_fillings(sig, specs)] == [unforced[0], forced, unforced[2]]
+    # the stacked solve, then list 1's points at s = 1/2 and s = 1
+    assert len(calls) == 3
 
 
 def test_block_steps_fail_only_the_singular_member():
@@ -1072,8 +1094,8 @@ def test_newton_refuses_only_the_point_that_is_not_a_number():
     x0 = np.array([solve_complete(sig).x0] * 2)
     x0[1, 3] = np.nan
     rows = deformation._linear_rows([(30.0, 10.0), None] * 2)
-    x, _, errors = deformation._newton(sig, x0, rows, [1e-10] * 2)
+    x, _, errors = deformation._newton(sig, x0, rows, 1e-10)
     assert errors[0] is None and np.max(np.abs(residuals(sig, x[0]))) < 1e-10
     assert isinstance(errors[1], DomainError) and "(0, pi)" in str(errors[1])
-    alone, _, _ = deformation._newton(sig, x0[:1], deformation._linear_rows([(30.0, 10.0), None]), [1e-10])
+    alone, _, _ = deformation._newton(sig, x0[:1], deformation._linear_rows([(30.0, 10.0), None]), 1e-10)
     assert x[0].tobytes() == alone[0].tobytes()
