@@ -32,8 +32,9 @@ complete solution, where its tangent space is in closed form
 log-holonomies (u, v) cut it down to isolated points.  A damped Newton
 iteration locates them from the second-order start at the complete
 solution, on the closed-form jet, tangent and curvature, of the
-coefficient continuation to its filling (`_complete_jet`); that
-continuation is also the fallback path when the one solve fails.
+coefficient continuation to its filling (`_complete_jet`, with no linear
+solve); that continuation is also the fallback path when the one solve
+fails.
 
 Newton works on the square system: the structure rows plus two cusp
 rows per cusp (Re, Im of p*u + q*v - 2*pi*i filled, of u complete).
@@ -199,13 +200,14 @@ def solve_complete(sig: GKSignature) -> CompleteSolution:
         if not step > 2.0 * np.finfo(float).eps * b:
             break
         b -= step
-    x0 = np.append(np.tile([a, a, a] + [math.pi / 3.0] * 3, 2 * k), b)
+    x0 = np.full(sig.n_coords, b)
+    angle_blocks(x0)[:] = [[a, a, a], [math.pi / 3.0] * 3]
     sol = CompleteSolution(alpha_bar=a, beta_bar=b, x0=x0)
-    res = residuals(sig, x0)
+    # the structure rows: rows 0-9 of each block and the total angle
+    r, _ = _evaluate(sig, x0[None], _linear_rows([None] * k))
+    norm = max(float(np.abs(r[0, :-1].reshape(k, 12)[:, :10]).max()), abs(r[0, -1]))
     # the length rows cannot beat the evaluation noise of their own scale
-    gate = max(1e-12, 64.0 * np.finfo(float).eps * abs(edge_cosh(b)))
-    if np.max(np.abs(res)) > gate:
-        norm = float(np.max(np.abs(res)))
+    if norm > max(1e-12, 64.0 * np.finfo(float).eps * abs(edge_cosh(b))):
         raise ConvergenceError("complete solution residual %g" % norm, norm)
     if not (a < b < 2.0 * a <= math.pi / 3.0 + 1e-15):
         raise ConvergenceError("complete solution violates the angle inequalities")
@@ -680,15 +682,15 @@ def solve_filling(sig: GKSignature, spec: FillingSpec, *, check_length: bool = T
     Filled coefficients are continued in s = 1/t along the rows
     p*u + q*v = 2*pi*i*s (the targets (t*p, t*q)) from the complete
     structure x0 at s = 0, where the path's tangent x' and curvature x''
-    are in closed form (`_complete_jet`).  A filling with every slope of
-    length >= sqrt(7) is one Newton solve at s = 1 from the second-order
-    start x0 + x' + x''/2: 5 block solves at length sqrt(7), 4 at
-    lengths of about 3.6 to 5, and about 3 beyond 5.  A shorter slope,
-    or a failure of that solve, leaves it to the fallback `_path`, which
-    steps s from 0 with step halving.  Fails loudly (ContinuationError)
-    if the path cannot reach s = 1.  With `check_length`, a slope shorter
-    than sqrt(7) is a DomainError.  This is `solve_fillings` on the one
-    spec.
+    are in closed form (`_complete_jet`), with no linear solve.  A
+    filling with every slope of length >= sqrt(7) is one Newton solve at
+    s = 1 from the second-order start x0 + x' + x''/2: 5 block solves at
+    length sqrt(7), 4 at lengths of about 3.6 to 5, and about 3 beyond 5.
+    A shorter slope, or a failure of that solve, leaves it to the
+    fallback `_path`, which steps s from 0 with step halving.  Fails
+    loudly (ContinuationError) if the path cannot reach s = 1.  With
+    `check_length`, a slope shorter than sqrt(7) is a DomainError.  This
+    is `solve_fillings` on the one spec.
     """
     (x,) = solve_fillings(sig, [spec], check_length=check_length)
     if isinstance(x, Exception):
@@ -701,7 +703,7 @@ def solve_fillings(sig: GKSignature, specs: Sequence[FillingSpec], *, check_leng
     together.  Returns, per spec, the solution or the DomainError or
     ConvergenceError that `solve_filling` raises for it, with the same
     bits and message: a spec that fails does not touch the others.
-    `solve_complete` and the per-signature part of the jet run once.  The
+    `solve_complete` and the jet's `_curvature_blocks` run once.  The
     specs whose slopes all have length >= sqrt(7) take their one step to
     s = 1 as one stacked `_newton` from their second-order starts; each
     spec with a shorter slope, and each whose stacked step failed, then
@@ -808,11 +810,13 @@ def _path(sig: GKSignature, cs: CompleteSolution, spec: FillingSpec, jet, ds: fl
 # tangent space and the boundary-bending curve
 
 
-def _tangent_block(t: float, x1: float, x2: float) -> np.ndarray:
+def _tangent_block(t: float, x1, x2) -> np.ndarray:
     """The (2, 2, 3) cusp block of a tangent vector at the complete
     structure, [x1, x2, x3, t x1, t x2, t x3, -x1, -x2, -x3, -t x1, -t x2,
-    -t x3] flat, with x3 = -x1 - x2 and t = sqrt(3) cot(alpha_bar)."""
-    return np.outer([1.0, t, -1.0, -t], [x1, x2, -x1 - x2]).reshape(2, 2, 3)
+    -t x3] flat, with x3 = -x1 - x2 and t = sqrt(3) cot(alpha_bar); for
+    arrays x1, x2 of shape (k,), the (k, 2, 2, 3) blocks of k cusps."""
+    xs = np.array([x1, x2, -x1 - x2]).T
+    return (np.array([[1.0], [t], [-1.0], [-t]]) * xs[..., None, :]).reshape(np.shape(x1) + (2, 2, 3))
 
 
 def _cot_scale(alpha_bar: float) -> float:
@@ -820,66 +824,53 @@ def _cot_scale(alpha_bar: float) -> float:
     return math.sqrt(3.0) * math.cos(alpha_bar) / math.sin(alpha_bar)
 
 
-def _jet_templates():
-    """The constants of `_jet_system`: the fixed part of [A0 | R], its seven
-    0/+-1 templates, and the functionals of a block y as columns: its alpha
-    sum (the border row) and Re, Im of v' = (y_gA1 + y_gB2 - y_gA2 -
-    y_gB1) / sqrt(3) + i (y_gA0 - y_gB0)."""
-    L, S, _ = _linear_rows([None])
-    fixed = np.zeros((12, 16))
-    fixed[:, :12] = L[0] + S[0] / math.sqrt(3.0)
-    a0 = np.zeros((4, 12, 2, 2, 3))
-    a0.reshape(4, 144)[0, _LENGTH_ENTRIES[:2]] = 1.0
-    a0.reshape(4, 144)[1, _LENGTH_ENTRIES[2]] = 1.0
-    a0[2, 8:10, :, 0] = a0[3, 8:10, :, 1] = _SINE_SIGNS[:, :, 0]
-    templates = np.zeros((7, 12, 16))
-    templates[:4, :, :12] = a0.reshape(4, 12, 12)
-    templates[4, :6, 12:15] = [[1.0, -2.0, -2.0], [-2.0, -2.0, 1.0], [1.0, 4.0, 1.0]] * 2
-    templates[5, 8:10, 12:15] = [[1.0, 0.0, -1.0], [-1.0, -2.0, 0.0]]
-    templates[6, :6, 15] = 1.0
-    functionals = np.zeros((12, 3))
-    functionals[_ALPHA_COLS, 0] = 1.0
-    functionals[[4, 11, 5, 10], 1] = np.array([1.0, 1.0, -1.0, -1.0]) / math.sqrt(3.0)
-    functionals[[3, 9], 2] = [1.0, -1.0]
-    return fixed, templates.reshape(7, 192), functionals
+def _curvature_blocks(cs: CompleteSolution) -> np.ndarray:
+    """The (3, 12) curvature blocks N at the complete solution cs, one row
+    per monomial x1^2, x1 x2, x2^2 of a `_tangent_block` of (x1, x2): the
+    solution of A0 N^T = [-kappa K; -mu M].  A0 is the block of a complete
+    cusp at x0; with a = alpha_bar, its length row of apex j reads c1
+    (y_alpha^{j+1} + y_alpha^{j+2}) + c2 y_gamma^j on its tetrahedron, and
+    its sine rows j = 0, 1 read c3 times the alphas and c4 times the
+    gammas of apex j minus those of apex j+1 on both tetrahedra:
 
+        c1 = -(3/2) csc^2(a) cot(a),  c2 = -(sqrt(3)/2) csc^2(a),
+        c3 = (3/4) sin(a) cos(a),     c4 = (sqrt(3)/4) sin^2(a),
+        kappa = (1 - 4 cos^2 a) / (2 sin^4 a),  mu = -(3/2) (1 + 4 cos^2 a).
 
-_JET_FIXED, _JET_TEMPLATES, _JET_FUNCTIONALS = _jet_templates()
-# the `_tangent_block`s of (x1, x2) = (1, 0) and (0, 1), flat, are
-# _TANGENT_UNITS[0] + t _TANGENT_UNITS[1]
-_TANGENT_UNITS = np.array(
-    [[np.outer(f, x).ravel() for x in ([1, 0, -1], [0, 1, -1])] for f in ([1, 0, -1, 0], [0, 1, 0, -1])],
-    dtype=float,
-)
+    The right-hand side is minus the second derivative of the rows along
+    the tangent: on the length rows of both tetrahedra kappa K_j, the
+    monomial coefficients of x_j^2 + 2 x_{j+1} x_{j+2}, on the sine rows
+    mu M_j, those of x_j^2 - x_{j+1}^2; the other rows are flat.
 
-
-def _jet_system(cs: CompleteSolution) -> np.ndarray:
-    """[A0 | R], (12, 16), at the complete solution cs, a = alpha_bar.  A0
-    is the block of a complete cusp at x0: rows 6, 7, 10, 11 as everywhere
-    (gamma = pi/3), -(3/2) csc^2(a) cot(a) on the alphas of the length rows
-    and -(sqrt(3)/2) csc^2(a) on their gammas, (3/4) sin^2(a) cot(a) and
-    (3/4) sin^2(a) / sqrt(3) on those of the sine rows.  R holds minus the
-    coefficients of x1^2, x1 x2, x2^2 in the second derivative of the rows
-    along the `_tangent_block` of (x1, x2), x3 = -x1 - x2: on the length
-    rows of both tetrahedra (apex j) kappa (x_j^2 + 2 x_{j+1} x_{j+2}), on
-    the sine rows j = 0, 1 mu (x_j^2 - x_{j+1}^2), with
-
-        kappa = (1 - 4 cos^2 a) / (2 sin^4 a),  mu = -(3/2) (1 + 4 cos^2 a),
-
-    the other rows being flat to second order; and the beta column,
-    d edge_cosh / d beta on the length rows."""
-    r3, sa, ca = math.sqrt(3.0), math.sin(cs.alpha_bar), math.cos(cs.alpha_bar)
-    csc2 = 1.0 / (sa * sa)
+    Swapping the cusp's two tetrahedra maps the length, ideal-vertex and
+    sine rows of A0 to themselves and negates its cusp rows u' and v' and
+    the tangent block, so the right-hand side stays.  Both tetrahedra of N
+    thus get the same six values (alpha, gamma); u' and v' vanish on them,
+    so N also solves a filled cusp's block, whose rows are p u' + q v'.
+    Summing the length rows gives sum(alpha) = 0, as sum(K_j) = 0 and
+    sum(gamma) = 0, so beta'' = 0; each length row -c1 alpha_j + c2
+    gamma_j = -kappa K_j then gives gamma_j, and the sine rows give
+    alpha_j - alpha_{j+1}, with pivot 2 c3 + 2 c4 c1 / c2 = 3 sin a cos a."""
+    sa, ca = math.sin(cs.alpha_bar), math.cos(cs.alpha_bar)
+    c1, c2, c4 = -1.5 * ca / sa ** 3, -0.5 * math.sqrt(3.0) / (sa * sa), 0.25 * math.sqrt(3.0) * sa * sa
     kappa, mu = (1.0 - 4.0 * ca * ca) / (2.0 * sa ** 4), -1.5 * (1.0 + 4.0 * ca * ca)
-    dbeta = math.sin(cs.beta_bar) / _versine(cs.beta_bar) ** 2
-    scalars = [-1.5 * csc2 * ca / sa, -0.5 * r3 * csc2, 0.75 * sa * ca, 0.25 * r3 * sa * sa, -kappa, -mu, dbeta]
-    return _JET_FIXED + (np.array(scalars) @ _JET_TEMPLATES).reshape(12, 16)
+    e, pivot = 2.0 * c4 * kappa / c2, 3.0 * sa * ca
+    rows = []
+    # per monomial x1^2, x1 x2, x2^2, its coefficients K_j (j = 0..2) and M_j (j = 0, 1)
+    Ks = ((1.0, -2.0, 1.0), (-2.0, -2.0, 4.0), (-2.0, 1.0, 1.0))
+    Ms = ((1.0, -1.0), (0.0, -2.0), (-1.0, 0.0))
+    for K, M in zip(Ks, Ms):
+        # alpha_j - alpha_{j+1}, then the alphas, whose sum is zero
+        d0, d1 = [(e * (K[j] - K[j + 1]) - mu * M[j]) / pivot for j in (0, 1)]
+        alpha = [(2.0 * d0 + d1) / 3.0, (d1 - d0) / 3.0, (-d0 - 2.0 * d1) / 3.0]
+        gamma = [(c1 * a - kappa * k) / c2 for a, k in zip(alpha, K)]
+        rows.append((alpha + gamma) * 2)
+    return np.array(rows)
 
 
 def _complete_jet(sig: GKSignature, cs: CompleteSolution, specs) -> list:
-    """Per spec, the tangent dx/ds and the curvature d2x/ds2 at s = 0 of the
-    continuation to its filling, from the complete solution cs, in closed
-    form up to one 12x12 solve per signature.
+    """Per spec, the closed-form tangent dx/ds and curvature d2x/ds2 at
+    s = 0 of the continuation to its filling, from the complete solution cs.
 
     There v = omega u, omega = exp(2 pi i / 3), so a filled cusp moves with
     du/ds = 2 pi i / (p + q omega): its tangent block is the
@@ -888,49 +879,22 @@ def _complete_jet(sig: GKSignature, cs: CompleteSolution, specs) -> list:
         (x1, x2) = (2q - p, -(p + q)) pi / (2 t (p^2 - pq + q^2)),
 
     and unfilled cusps and beta stay put.  The system is linear in s, so
-    J d2x/ds2 = -F_xx[dx, dx], a quadratic form in each filled cusp's
-    (x1, x2).  Every block of J with complete-cusp rows is A0, so one solve
-    against R (`_jet_system`) gives each cusp's part N_c, and beta's is one
-    Schur scalar.  A filled cusp's rows ask p u' + q v' = 0 instead of
-    u' = 0: adding to N_c the tangent block with u' = w = -q v'[N_c] /
-    (p + q omega), and so v' = omega w, meets them and keeps the structure
-    rows solved.  Each spec's jet is computed alone, so that it has the
+    J d2x/ds2 = -F_xx[dx, dx], and its solution is, per filled cusp,
+    [x1^2, x1 x2, x2^2] @ N (`_curvature_blocks`), zero on unfilled cusps
+    and on beta.  Each spec's jet is computed alone, so that it has the
     same bits in any batch."""
-    k, r3, t = sig.k, math.sqrt(3.0), _cot_scale(cs.alpha_bar)
-    system = _jet_system(cs)
-    Q = np.linalg.solve(system[:, :12], system[:, 12:])
-    # a cusp's row [x1^2, x1 x2, x2^2, -beta'', z1, z2] times `basis` is its
-    # N_c plus the tangent block of (z1, z2)
-    basis = np.concatenate([Q.T, _TANGENT_UNITS[0] + t * _TANGENT_UNITS[1]])
-    (a1, v1), (a2, v2), (a3, v3), (a_beta, v_beta) = [
-        (alpha, complex(re, im)) for alpha, re, im in (Q.T @ _JET_FUNCTIONALS).tolist()
-    ]
-    corner = 6.0 * (sig.g - k) - k * a_beta
-    omega = complex(-0.5, 0.5 * r3)
+    t, N = _cot_scale(cs.alpha_bar), _curvature_blocks(cs)
     out = []
     for spec in specs:
-        first, total = [], 0.0
-        for pq in spec.pairs:
-            x1 = x2 = 0.0
+        x1, x2 = np.zeros((2, sig.k))
+        for c, pq in enumerate(spec.pairs):
             if pq is not None:
                 p, q = pq
                 f = math.pi / (2.0 * t * (p * p - p * q + q * q))
-                x1, x2 = (2.0 * q - p) * f, -(p + q) * f
-            first.append((0.0, 0.0, 0.0, 0.0, x1, x2))
-            total += x1 * x1 * a1 + x1 * x2 * a2 + x2 * x2 * a3
-        beta2 = -total / corner
-        second = []
-        for pq, (_, _, _, _, x1, x2) in zip(spec.pairs, first):
-            m1, m2, m3 = x1 * x1, x1 * x2, x2 * x2
-            z1 = z2 = 0.0
-            if pq is not None:
-                p, q = pq
-                w = -q * (m1 * v1 + m2 * v2 + m3 * v3 - beta2 * v_beta) / (p + q * omega)
-                z1, z2 = (r3 * w.real - w.imag) / (4.0 * t), -(r3 * w.real + w.imag) / (4.0 * t)
-            second.append((m1, m2, m3, -beta2, z1, z2))
+                x1[c], x2[c] = (2.0 * q - p) * f, -(p + q) * f
         jet = np.zeros((2, sig.n_coords))
-        jet[:, :-1] = (np.array(first + second) @ basis).reshape(2, 12 * k)
-        jet[1, -1] = beta2
+        jet[0, :-1] = _tangent_block(t, x1, x2).ravel()
+        jet[1, :-1] = (np.array([x1 * x1, x1 * x2, x2 * x2]).T @ N).ravel()
         out.append((jet[0], jet[1]))
     return out
 
@@ -956,19 +920,15 @@ def tangent_basis(sig: GKSignature) -> np.ndarray:
 def varsigma_derivatives(sig: GKSignature) -> Tuple[np.ndarray, np.ndarray]:
     """First and second derivative vectors at t=0 of the distinguished
     curve through the complete solution (normalization: the second
-    derivatives of coordinates 0 and 6 agree).  Both are supported on the
-    first cusp block; the second derivative of the last coordinate and of
-    every other block vanishes."""
+    derivatives of coordinates 0 and 6 agree), supported on the first
+    cusp block: the `_tangent_block` of (x1, x2) = (2 sin(alpha_bar),
+    -sin(alpha_bar)) and its curvature (`_curvature_blocks`), which keeps
+    x_2 = x_3 and x_1 = x_7 as the curve does."""
     cs = solve_complete(sig)
-    s, c = math.sin(cs.alpha_bar), math.cos(cs.alpha_bar)
-    r3 = math.sqrt(3.0)
-    first = np.zeros(sig.n_coords)
-    first[0:12] = [2 * s, -s, -s, 2 * r3 * c, -r3 * c, -r3 * c,
-                   -2 * s, s, s, -2 * r3 * c, r3 * c, r3 * c]
-    second = np.zeros(sig.n_coords)
-    motif = [8 * c * s, -4 * c * s, -4 * c * s, 2 * r3, -r3, -r3]
-    second[0:6] = motif
-    second[6:12] = motif
+    s = math.sin(cs.alpha_bar)
+    first, second = np.zeros((2, sig.n_coords))
+    first[:12] = _tangent_block(_cot_scale(cs.alpha_bar), 2.0 * s, -s).ravel()
+    second[:12] = np.array([4.0 * s * s, -2.0 * s * s, s * s]) @ _curvature_blocks(cs)
     return first, second
 
 

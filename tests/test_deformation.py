@@ -81,6 +81,28 @@ def test_solve_complete_wide_signatures(g, k):
     assert np.max(np.abs(residuals(sig, sol.x0))) < 1e-12
 
 
+@pytest.mark.parametrize("row, raises", [(9, True), (10, False), (11, False)])
+def test_solve_complete_gate_covers_the_structure_rows(monkeypatch, row, raises):
+    # a structure row of the last cusp off by 1e-6 fails the certification
+    # gate with that row's residual; the cusp rows are not gated
+    sig = GKSignature(9, 3)
+    evaluate, seen = deformation._evaluate, []
+
+    def shifted(sig, x, rows):
+        r, blocks = evaluate(sig, x, rows)
+        r[0, 12 * (sig.k - 1) + row] += 1e-6
+        seen.append(float(abs(r[0, 12 * (sig.k - 1) + row])))
+        return r, blocks
+
+    monkeypatch.setattr(deformation, "_evaluate", shifted)
+    if not raises:
+        solve_complete(sig)
+        return
+    with pytest.raises(ConvergenceError) as info:
+        solve_complete(sig)
+    assert info.value.residual == seen[-1]
+
+
 def test_complete_21_value():
     # frozen from the bisection oracle
     sol = solve_complete(GKSignature(2, 1))
@@ -731,22 +753,36 @@ def test_jet_curvature_matches_central_difference(seed, g, k, integer):
         ends.append(end[0])
     fd = (ends[0] + ends[1] - 2.0 * cs.x0) / h ** 2
     assert np.max(np.abs(ddx - fd)) <= 1e-5 * np.max(np.abs(fd))
-    # beta'' is a Schur scalar that reads 1e-18 to 1e-20 against the largest
-    # entry: the alpha sums of the monomials' columns vanish up to rounding
-    assert abs(ddx[-1]) <= 1e-15 * np.max(np.abs(ddx))
+    assert ddx[-1] == 0.0
+    for c, pq in enumerate(pairs):
+        if pq is None:
+            assert not cusp_angles(ddx, c).any(), c
 
 
 @pytest.mark.parametrize("g, k", [(2, 1), (3, 2), (17, 16), (150, 1), (200, 64)])
-def test_jet_block_in_closed_form(g, k):
-    # at the complete structure every block with complete-cusp rows is the
-    # closed-form A0 of the jet, and the beta column is d edge_cosh / d beta
+def test_curvature_blocks_solve_the_kernel_block(g, k):
+    # the closed-form curvature blocks N solve A N^T = [-kappa K; -mu M]
+    # with A the kernel's block of a complete cusp at the complete structure
     sig = GKSignature(g, k)
     cs = solve_complete(sig)
-    system = deformation._jet_system(cs)
     _, blocks = deformation._evaluate(sig, cs.x0[None], deformation._linear_rows([None] * k))
-    A, (dbeta,) = blocks()
-    assert np.max(np.abs(A - system[:, :12])) <= 1e-13 * np.max(np.abs(A))
-    assert system[:6, 15].tolist() == [dbeta] * 6 and not system[6:, 15].any()
+    A = blocks()[0][0]
+    sa, ca = math.sin(cs.alpha_bar), math.cos(cs.alpha_bar)
+    kappa, mu = (1.0 - 4.0 * ca * ca) / (2.0 * sa ** 4), -1.5 * (1.0 + 4.0 * ca * ca)
+    # the coefficients of x1^2, x1 x2, x2^2 in x_j^2 + 2 x_{j+1} x_{j+2} and
+    # x_j^2 - x_{j+1}^2, with x3 = -x1 - x2
+    K = [[1.0, -2.0, -2.0], [-2.0, -2.0, 1.0], [1.0, 4.0, 1.0]]
+    M = [[1.0, 0.0, -1.0], [-1.0, -2.0, 0.0]]
+    R = np.zeros((12, 3))
+    R[0:3] = R[3:6] = -kappa * np.array(K)
+    R[8:10] = -mu * np.array(M)
+    want = np.linalg.solve(A, R).T
+    N = deformation._curvature_blocks(cs)
+    assert N.shape == (3, 12)
+    assert np.max(np.abs(N - want)) <= 1e-13 * np.max(np.abs(want))
+    # both tetrahedra of the cusp get the same values, whose alpha sum vanishes
+    assert np.array_equal(N[:, :6], N[:, 6:])
+    assert np.max(np.abs(N[:, :3].sum(axis=1))) <= 1e-15 * np.max(np.abs(N))
 
 
 @settings(max_examples=30, deadline=None)
