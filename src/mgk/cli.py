@@ -311,11 +311,18 @@ def cmd_commensurable(args) -> int:
 
 def cmd_tangent(args) -> int:
     sig = GKSignature(args.g, args.k)
-    sol = solve_complete(sig)
     basis = tangent_basis(sig)
-    J = jacobian(sig, sol.x0)
-    jn = np.max(np.abs(J @ basis.T))
-    sv = np.linalg.svd(np.vstack([J, np.zeros((2 * sig.k, sig.n_coords))]), compute_uv=False)
+    # At x0 every cusp block of J is the same 10x12 block B, with border column
+    # b and row a as in the one-cusp Jacobian [[B, b], [a, 6(g - k)]].  In
+    # orthonormal cusp modes J is k - 1 copies of B and [[B, sqrt(k) b],
+    # [sqrt(k) a, 6(g - k)]]; its square (12k+1)^2 SVD adds 2k zeros.
+    one = jacobian(GKSignature(sig.g - sig.k + 1, 1), solve_complete(sig).x0[np.r_[:12, -1]])
+    jn = np.max(np.abs(one[:, :12] @ basis[:2, :12].T))
+    mode = one.copy()
+    mode[:10, 12] *= math.sqrt(sig.k)
+    mode[10, :12] *= math.sqrt(sig.k)
+    sv = [np.linalg.svd(m, compute_uv=False) for m in (one[:10, :12], mode)]
+    sv = np.sort(np.concatenate([np.tile(sv[0], sig.k - 1), sv[1], np.zeros(2 * sig.k)]))[::-1]
     if args.json:
         doc = {
             "schema": SCHEMA,

@@ -128,10 +128,13 @@ def _complex_length(u: complex, v: complex, cusp: int, pq: Tuple[int, int]) -> c
     """`complex_length` from the cusp's (u, v), for integers pq != (0, 0)."""
     if abs(u) < COMPLETE_TOL:
         raise IncompleteCuspError("cusp %d is unfilled; no added geodesic" % cusp)
-    _, a, b = _bezout(*pq)
-    # p*(-a) - q*b = -(p*a + q*b) = -gcd
-    s_int, r_int = -a, b
-    w = r_int * u + s_int * v
+    g, a, b = _bezout(*pq)
+    # (r, s) = (b, -a): p*(-a) - q*b = -gcd.  By the row p*u + q*v = 2*pi*i,
+    # r*u + s*v = 2*pi*i (b - a tau) / (p + q tau), tau = v/u, whose real part
+    # 2*pi gcd Im(tau) / |p + q tau|^2 r*u + s*v loses to cancellation.
+    tau = v / u
+    d = pq[0] + pq[1] * tau
+    w = complex(2.0 * math.pi * g * tau.imag / abs(d) ** 2, 2.0 * math.pi * ((b - a * tau) / d).real)
     if w.real < 0:
         w = -w
     im = math.remainder(w.imag, 2.0 * math.pi)

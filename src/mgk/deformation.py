@@ -549,13 +549,6 @@ def _block_steps(sig: GKSignature, r: np.ndarray, A: np.ndarray, dbeta: Sequence
     return step, failed
 
 
-def _refused(x: np.ndarray) -> bool:
-    """Whether `check_coords` refuses the point x, asked only when its merit
-    is NaN: after `_clip` only a NaN is outside (0, pi), and it makes the
-    merit NaN."""
-    return bool(np.isnan(x).any())
-
-
 def _newton(sig: GKSignature, x0: np.ndarray, rows, tol: float):
     """Damped Newton with block-arrow steps on N square systems at once,
     from the points x0 of shape (N, 12k+1), whose linear block rows are
@@ -586,9 +579,8 @@ def _newton(sig: GKSignature, x0: np.ndarray, rows, tol: float):
     for i, b in enumerate(x[:, -1].tolist()):
         weight[i, :-1].reshape(k, 12)[:, :6] = 1.0 / max(1.0, abs(edge_cosh(b)))
     merit = np.abs(weight * r).max(axis=1).tolist()
-    errors = [
-        DomainError(_OUTSIDE_BOX) if m != m and _refused(x[i]) else None for i, m in enumerate(merit)
-    ]
+    # after `_clip` a point has a finite merit, or a NaN merit and a NaN angle
+    errors = [DomainError(_OUTSIDE_BOX) if m != m else None for m in merit]
 
     # a point solved only to predict from takes at least one step
     loose = tol > _FILL_TOL
@@ -623,7 +615,7 @@ def _newton(sig: GKSignature, x0: np.ndarray, rows, tol: float):
             for i in pending:
                 if mn[i] < merit[i] or done(mn[i], rn[i]):
                     continue
-                if mn[i] != mn[i] and _refused(xn[i]):
+                if mn[i] != mn[i]:
                     errors[i] = DomainError(_OUTSIDE_BOX)
                 else:
                     rejected.append(i)
@@ -670,14 +662,14 @@ def _hermite(s_next: float, s: float, x: np.ndarray, dx: np.ndarray, prev, ddx) 
 def solve_filling(sig: GKSignature, spec: FillingSpec, *, check_length: bool = True) -> np.ndarray:
     """Solve the square 12k+1 system: structure residuals plus, per cusp,
     p*u + q*v = 2*pi*i (filled) or u = 0 (complete), to a residual
-    sup-norm below 1e-10.  Declared range: g <= 200 and k <= 64, where
-    every signature with slopes of length >= sqrt(7) and max(|p|, |q|)
-    up to 5e5 is meant to solve.  Larger slopes meet the rounding floor
-    of their cusp row Im(p*u + q*v) - 2*pi, which moves in steps of
-    about |p| ulp(pi/3): 2.7e-10 at 1234567/1, above the 1e-10 gate.
-    With p drawn up to 1e6 on one cusp of six signatures from (2, 1) to
-    (200, 64), 250 of 300 draws solved in one Newton solve, 39 more only
-    after the step halving below, and 11 failed; up to 1e7, 46, 9 and 245.
+    sup-norm below 1e-10.  Declared range: g <= 200 and k <= 64, with
+    slopes of length >= sqrt(7) and max(|p|, |q|) up to 3e5: with every
+    cusp filled at six signatures from (2, 1) to (200, 64), 720 draws up
+    to 3e5 solved, 18 of the 120 at 3e5 only on the fallback path below,
+    and at 5e5 37 of the 40 at k = 64 failed.  Larger slopes meet the
+    rounding floor of their cusp row Im(p*u + q*v) - 2*pi, which moves in
+    steps of about |p| ulp(pi/3), 2.7e-10 at 1234567/1, above the 1e-10
+    gate: with p up to 1e6 on one cusp, 11 of 300 draws failed.
 
     Filled coefficients are continued in s = 1/t along the rows
     p*u + q*v = 2*pi*i*s (the targets (t*p, t*q)) from the complete

@@ -112,10 +112,8 @@ class D6Element:
 
 
 def d6_act(e: D6Element, s: Slope) -> Slope:
-    p, q = (s.p - s.q, -s.q) if e.refl else (s.p, s.q)
-    for _ in range(e.rot % 3):  # r^3 = -1 fixes every unoriented slope
-        p, q = p - q, p
-    return Slope.of(p, q)
+    # r^3 = -1 fixes every unoriented slope
+    return Slope(*_images(s, e.refl)[e.rot % 3 + 3 * e.refl])
 
 
 # the distinct actions on unoriented slopes, without and with reflections
@@ -125,7 +123,7 @@ _ISOMETRIES = _ROTATIONS + tuple(D6Element(m, True) for m in range(3))
 
 def _images(s: Slope, refl: bool) -> List[Tuple[int, int]]:
     """The sign-form (p, q) images of s under `_ROTATIONS`, then under the
-    three reflections when `refl` is set: the `d6_act` of each element of
+    three reflections when `refl` is set: those of the elements of
     `_ROTATIONS` or `_ISOMETRIES`, in order, on integer pairs (r^m s is
     s: (p, q) -> (p - q, -q), then m times r: (p, q) -> (p - q, p))."""
     p, q = s.p, s.q

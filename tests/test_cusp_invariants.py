@@ -1,9 +1,13 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from mgk import cli
 from mgk import cusp_invariants as ci
 from mgk.deformation import (
     FillingSpec,
@@ -105,6 +109,41 @@ def test_complex_length_shrinks_along_ray():
         x = solved_point(sig, [(float(n), 0.0)])
         lengths.append(ci.complex_length(x, 0, (n, 0)).real)
     assert all(a > b for a, b in zip(lengths, lengths[1:]))
+
+
+def _rotation_images(p, q):
+    # the six images r^m (p, q) of the order-6 rotation r: (p, q) -> (p - q, p)
+    out = []
+    for _ in range(6):
+        out.append((p, q))
+        p, q = p - q, p
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.integers(-500000, 500000), q=st.integers(-500000, 500000))
+def test_complex_length_agrees_on_the_rotation_images(p, q):
+    # the six rotation images of a slope on (2, 1) give isometric fillings,
+    # with one core geodesic; r*u + s*v lost its real part, about
+    # 1/|p + q omega|^2, to cancellation: a spread of 0.45 at 499999/3
+    assume(math.gcd(p, q) == 1 and p * p + q * q - p * q >= 7 and abs(p - q) <= 500000)
+    sig = GKSignature(2, 1)
+    lengths = [
+        ci.complex_length(solve_filling(sig, FillingSpec.from_pairs(1, [pq])), 0, pq)
+        for pq in _rotation_images(p, q)
+    ]
+    real = [w.real for w in lengths]
+    assert max(real) - min(real) <= 1e-9 * max(real)
+    assert all(abs(math.remainder(w.imag - lengths[0].imag, 2.0 * math.pi)) <= 1e-9 for w in lengths)
+
+
+def test_complex_length_far_slope_in_the_report(capsys):
+    # the core geodesic of 499999/3 has length 2 pi Im(tau) / |p + q tau|^2
+    # at the cusp shape tau; r*u + s*v gave 3.9596e-11
+    assert cli.main(["fill", "--g", "2", "--k", "1", "--coeffs", "499999/3"]) == 0
+    out = capsys.readouterr().out
+    length = re.search(r"core length ([0-9.]+e-[0-9]+)[-+]", out).group(1)
+    assert "%.6g" % float(length) == "2.17658e-11"
 
 
 def test_complex_length_errors():

@@ -929,6 +929,27 @@ def test_filling_sweep_to_200(pq):
     assert failed == []
 
 
+@pytest.mark.parametrize("g, k", [(65, 64), (200, 64)])
+def test_filling_every_cusp_up_to_3e5(g, k):
+    # the declared bound on the slopes: every cusp filled with coprime
+    # |p|, |q| <= 3e5.  Up to 5e5 most such fillings at k = 64 failed.
+    sig = GKSignature(g, k)
+    rng = np.random.default_rng(2027)
+    for _ in range(10):
+        pairs = []
+        while len(pairs) < k:
+            p, q = (int(v) for v in rng.integers(-300000, 300001, size=2))
+            if math.gcd(p, q) == 1:
+                pairs.append((p, q))
+        x = solve_filling(sig, FillingSpec.from_pairs(k, pairs))
+        assert np.max(np.abs(residuals(sig, x))) < 1e-10
+        for c, (p, q) in enumerate(pairs):
+            # the solver fills the sign form of each slope
+            pc, qc = dehn_coefficients(x, c)
+            err = min(max(abs(pc - p), abs(qc - q)), max(abs(pc + p), abs(qc + q)))
+            assert err <= 1e-10 * max(abs(p), abs(q)), (c, p, q, pc, qc)
+
+
 @pytest.mark.parametrize("g", [131, 132])
 def test_filling_large_g_spot_checks(monkeypatch, g):
     # 5/1 first failed at g = 132; at g = 131 it took 38 Newton steps, 13

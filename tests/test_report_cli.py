@@ -564,6 +564,83 @@ def test_cli_tangent(capsys):
     assert doc["max_jacobian_product"] < 1e-12
 
 
+@pytest.mark.parametrize(
+    "g, k", [(2, 1), (3, 2), (9, 3), (17, 16), (33, 32), (65, 64), (150, 1), (200, 64)]
+)
+def test_cli_tangent_matches_the_dense_svd(capsys, g, k):
+    # the spectrum read off one cusp is that of the dense (12k+1)^2 SVD
+    code, out, _ = run(capsys, ["--json", "tangent", "--g", str(g), "--k", str(k)])
+    assert code == 0
+    doc = json.loads(out)
+    sig = deformation.GKSignature(g, k)
+    J = deformation.jacobian(sig, deformation.solve_complete(sig).x0)
+    want = np.linalg.svd(np.vstack([J, np.zeros((2 * k, sig.n_coords))]), compute_uv=False)
+    sv = np.array(doc["singular_values"])
+    assert sv.shape == (12 * k + 1,) and np.all(np.diff(sv) <= 0.0)
+    assert np.max(np.abs(sv - want)) <= 1e-13 * want[0]
+    assert doc["dimension"] == 2 * k
+    assert doc["basis"] == deformation.tangent_basis(sig).tolist()
+    assert doc["max_jacobian_product"] <= 1e-15 * want[0]
+
+
+def test_cli_tangent_text(capsys):
+    code, out, _ = run(capsys, ["tangent", "--g", "3", "--k", "2"])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "tangent space dimension 4"
+    assert re.fullmatch(r"max \|J b\| over basis vectors: \S+", lines[1])
+    assert float(lines[1].split()[-1]) < 1e-12
+    assert len(lines) == 2 + 4
+    assert lines[2].startswith("  [1, 0, -1, ") and lines[2].endswith(", 0, 0]")
+
+
+def test_cli_slopes_text(capsys):
+    code, out, _ = run(capsys, ["slopes", "--max-len-sq", "7"])
+    assert code == 0
+    assert out.splitlines() == [
+        "L^2   L        orbit size  representatives",
+        "1     1        3           0/1 1/0 1/1",
+        "3     1.7321   3           1/-1 1/2 2/1",
+        "7     2.6458   6           1/-2 1/3 2/-1 2/3 3/1 3/2",
+    ]
+
+
+def test_cli_commensurable_text(capsys):
+    code, out, _ = run(capsys, ["commensurable", "--k", "3", "7/2@1", "7/2@3", "--rotated"])
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 6 + 15
+    assert re.fullmatch(r"7/2@1 +abc = \(1\.4760956\d*, 1\.5164684\d*, 1\.5545678\d*\)", lines[0])
+    assert lines[2].startswith("7/2@1 (rotated) ") and " abc = (1.5545678" in lines[2]
+    assert "7/2@1 vs 7/2@3: commensurable" in lines
+    assert "7/2@1 vs 7/2@1 (rotated): NOT commensurable" in lines
+    assert "7/2@1 (rotated) vs 7/2@3 (rotated): commensurable" in lines
+
+
+def test_cli_trace_text(capsys):
+    code, out, _ = run(capsys, ["trace", "--g", "2", "--k", "1", "--grid", "3"])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "r0        trace       trace''     stima>0"
+    assert [line.split()[0] for line in lines[1:]] == ["0.1", "1.45", "2.8"]
+    assert all(line.split()[-1] == "True" for line in lines[1:])
+    assert abs(float(lines[2].split()[1]) - 5.58184) < 1e-5
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ("3/1@3", "input error: torus index 3 outside 1..2"),
+        ("3/1@0", "input error: torus index 0 outside 1..2"),
+        ("3/1@1,5/1@1", "input error: torus 1 given two slopes"),
+    ],
+)
+def test_cli_similar_rejects_bad_torus(capsys, entries, message):
+    code, out, err = run(capsys, ["similar", "--k", "2", entries, "3/1@1"])
+    assert code == 2
+    assert out == "" and err == message + "\n"
+
+
 def test_cli_trace_grid(capsys):
     code, out, _ = run(
         capsys,
