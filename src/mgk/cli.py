@@ -33,13 +33,12 @@ from .deformation import (
     GKSignature,
     jacobian,
     parse_slope,
-    slope_text,
     solve_complete,
     solve_fillings,
     tangent_basis,
 )
 from .hyptrig import DomainError
-from .report import SCHEMA, build_report, build_reports, report_to_json, to_json
+from .report import SCHEMA, build_report, build_reports, report_to_json, report_to_text, to_json
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -75,10 +74,6 @@ def _failure(exc):
     return EXIT_NUMERIC, "numerical failure: %s" % exc
 
 
-def _fmt_c(z) -> str:
-    return "%.12g%+.12gi" % (z.real, z.imag)
-
-
 def _parse_slope_set(text: str, k: int) -> ss.SlopeSet:
     """Parse "p/q@torus" entries (tori numbered 1..k), comma-separated."""
     if k < 1:
@@ -102,37 +97,13 @@ def _parse_slope_set(text: str, k: int) -> ss.SlopeSet:
     return ss.make_slope_set(k, entries)
 
 
-def _report_lines(rep) -> str:
-    lines = []
-    lines.append("signature       g=%d k=%d" % (rep.g, rep.k))
-    lines.append("filling         %s" % ", ".join(map(slope_text, rep.filling)))
-    lines.append("residual max    %.3g" % rep.residual_max)
-    for i, c in enumerate(rep.cusps):
-        coeff = "inf" if c.coefficients is None else "(%.9g, %.9g)" % c.coefficients
-        extra = ""
-        if c.modulus is not None:
-            extra = "  modulus %s" % _fmt_c(c.modulus)
-        if c.complex_length is not None:
-            extra = "  core length %s" % _fmt_c(c.complex_length)
-        lines.append(
-            "cusp %-2d         u %s  v %s  coeff %s%s"
-            % (i + 1, _fmt_c(c.u), _fmt_c(c.v), coeff, extra)
-        )
-    lines.append("return path     %.12g" % rep.return_path_length)
-    lines.append("homology rank   %d" % rep.homology_rank)
-    lines.append("heegaard genus  %d" % rep.heegaard_genus)
-    if rep.abc is not None:
-        lines.append("abc             (%.12g, %.12g, %.12g)" % rep.abc)
-    return "\n".join(lines)
-
-
 def _report_text(rep, args) -> str:
     """The text of the report `rep`.  When rep is instead the error that
     parsing, solving or reporting its list raised, that error is raised,
     as is the DomainError of a report that JSON cannot hold (a NaN)."""
     if isinstance(rep, Exception):
         raise rep
-    return report_to_json(rep) if args.json else _report_lines(rep)
+    return report_to_json(rep) if args.json else report_to_text(rep)
 
 
 def cmd_complete(args) -> int:

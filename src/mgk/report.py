@@ -1,5 +1,7 @@
-"""Structure reports: one solved structure with its invariant panel,
-serializable to a stable versioned JSON document.
+"""Structure reports: one solved structure with its invariant panel, as
+a document of the stable versioned JSON schema `mgk/1`.  The document
+is the report's only model: `report_to_json` writes it as JSON and
+`report_to_text` as the text report.
 
 `build_reports` reports the solved points of one signature together, as
 `deformation.solve_fillings` solves them: one stacked residual
@@ -7,9 +9,8 @@ evaluation gates them all, and a refused point is its own error.
 `to_json` writes every JSON document of the package, the text of
 `json.dumps(doc, indent=2, allow_nan=False)`."""
 
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
-from typing import List, Optional, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .deformation import (
     _coefficients,
     check_coords,
     residuals,
+    slope_text,
     uv,
 )
 from .hyptrig import DomainError
@@ -30,33 +32,10 @@ SCHEMA = "mgk/1"
 RESIDUAL_TOL = 1e-9
 
 
-@dataclass
-class CuspReport:
-    u: complex
-    v: complex
-    coefficients: Optional[Tuple[float, float]]
-    complex_length: Optional[complex]
-    modulus: Optional[complex]
-
-
-@dataclass
-class StructureReport:
-    g: int
-    k: int
-    filling: tuple
-    coords: List[float]
-    residual_max: float
-    cusps: List[CuspReport]
-    return_path_length: float
-    homology_rank: int
-    heegaard_genus: int
-    abc: Optional[Tuple[float, float, float]] = None
-
-
-def build_report(sig: GKSignature, spec: FillingSpec, x: np.ndarray) -> StructureReport:
-    """Assemble the invariant panel of a solved structure.  Refuses to
-    report anything whose residual norm is not below RESIDUAL_TOL.  This
-    is `build_reports` on the one structure."""
+def build_report(sig: GKSignature, spec: FillingSpec, x: np.ndarray) -> dict:
+    """The `mgk/1` document of a solved structure, its invariant panel.
+    Refuses to report anything whose residual norm is not below
+    RESIDUAL_TOL.  This is `build_reports` on the one structure."""
     (rep,) = build_reports(sig, [spec], [x])
     if isinstance(rep, Exception):
         raise rep
@@ -65,8 +44,8 @@ def build_report(sig: GKSignature, spec: FillingSpec, x: np.ndarray) -> Structur
 
 def build_reports(sig: GKSignature, specs: Sequence[FillingSpec], xs) -> list:
     """`build_report` for each pair of `specs` and solved points `xs` of
-    one signature.  Returns, per pair, the report or the DomainError that
-    refuses it: a point that is not a coordinate vector, or one whose
+    one signature.  Returns, per pair, the document or the DomainError
+    that refuses it: a point that is not a coordinate vector, or one whose
     residual norm is not below RESIDUAL_TOL.  One stacked `residuals`
     evaluation gates them all."""
     out = []
@@ -86,8 +65,13 @@ def build_reports(sig: GKSignature, specs: Sequence[FillingSpec], xs) -> list:
     return out
 
 
-def _panel(sig: GKSignature, spec: FillingSpec, x: np.ndarray, res: float) -> StructureReport:
-    """The report of the point x of `spec`, of residual norm `res`."""
+def _c2j(z):
+    return None if z is None else [z.real, z.imag]
+
+
+def _panel(sig: GKSignature, spec: FillingSpec, x: np.ndarray, res: float) -> dict:
+    """The document of the point x of `spec`, of residual norm `res`, with
+    its keys in the schema's order."""
     cusps = []
     for c, pq in enumerate(spec.pairs):
         # one (u, v) per cusp serves every invariant of the cusp
@@ -97,53 +81,59 @@ def _panel(sig: GKSignature, spec: FillingSpec, x: np.ndarray, res: float) -> St
             modulus = ci._modulus(x, u, c)
         elif float(pq[0]).is_integer() and float(pq[1]).is_integer():
             cl = ci._complex_length(u, v, c, (int(pq[0]), int(pq[1])))
-        cusps.append(CuspReport(u=u, v=v, coefficients=coeffs, complex_length=cl, modulus=modulus))
-    h = spec.filled_count
-    report = StructureReport(
-        g=sig.g,
-        k=sig.k,
-        filling=spec.pairs,
-        coords=x.tolist(),
-        residual_max=res,
-        cusps=cusps,
-        return_path_length=ci.return_path_length(x),
-        homology_rank=ci.homology_rank(sig, h),
-        heegaard_genus=ci.heegaard_genus(sig),
-    )
-    if sig.k % 2 == 1 and sig.g == sig.k + 1:
-        inv = abc(x, XkSignature(sig.k))
-        report.abc = (inv.a, inv.b, inv.c)
-    return report
-
-
-def _c2j(z: Optional[complex]):
-    return None if z is None else [z.real, z.imag]
-
-
-def report_to_dict(rep: StructureReport) -> dict:
+        cusps.append(
+            {
+                "u": _c2j(u),
+                "v": _c2j(v),
+                "coefficients": "inf" if coeffs is None else list(coeffs),
+                "complex_length": _c2j(cl),
+                "modulus": _c2j(modulus),
+            }
+        )
+    inv = abc(x, XkSignature(sig.k)) if sig.k % 2 == 1 and sig.g == sig.k + 1 else None
     return {
         "schema": SCHEMA,
-        "signature": {"g": rep.g, "k": rep.k},
-        "filling": [
-            "inf" if pq is None else [float(pq[0]), float(pq[1])] for pq in rep.filling
-        ],
-        "coords": list(rep.coords),
-        "residual_max": rep.residual_max,
-        "cusps": [
-            {
-                "u": _c2j(c.u),
-                "v": _c2j(c.v),
-                "coefficients": "inf" if c.coefficients is None else list(c.coefficients),
-                "complex_length": _c2j(c.complex_length),
-                "modulus": _c2j(c.modulus),
-            }
-            for c in rep.cusps
-        ],
-        "return_path_length": rep.return_path_length,
-        "homology_rank": rep.homology_rank,
-        "heegaard_genus": rep.heegaard_genus,
-        "abc": None if rep.abc is None else list(rep.abc),
+        "signature": {"g": sig.g, "k": sig.k},
+        "filling": ["inf" if pq is None else [float(pq[0]), float(pq[1])] for pq in spec.pairs],
+        "coords": x.tolist(),
+        "residual_max": res,
+        "cusps": cusps,
+        "return_path_length": ci.return_path_length(x),
+        "homology_rank": ci.homology_rank(sig, spec.filled_count),
+        "heegaard_genus": ci.heegaard_genus(sig),
+        "abc": None if inv is None else [inv.a, inv.b, inv.c],
     }
+
+
+def _fmt_c(z) -> str:
+    return "%.12g%+.12gi" % tuple(z)
+
+
+def report_to_text(doc: dict) -> str:
+    """The text report of the document `doc`."""
+    lines = [
+        "signature       g=%(g)d k=%(k)d" % doc["signature"],
+        "filling         %s" % ", ".join(slope_text(None if pq == "inf" else pq) for pq in doc["filling"]),
+        "residual max    %.3g" % doc["residual_max"],
+    ]
+    for i, c in enumerate(doc["cusps"]):
+        coeff = c["coefficients"]
+        if coeff != "inf":
+            coeff = "(%.9g, %.9g)" % tuple(coeff)
+        extra = ""
+        if c["modulus"] is not None:
+            extra = "  modulus %s" % _fmt_c(c["modulus"])
+        if c["complex_length"] is not None:
+            extra = "  core length %s" % _fmt_c(c["complex_length"])
+        lines.append(
+            "cusp %-2d         u %s  v %s  coeff %s%s" % (i + 1, _fmt_c(c["u"]), _fmt_c(c["v"]), coeff, extra)
+        )
+    lines.append("return path     %.12g" % doc["return_path_length"])
+    lines.append("homology rank   %d" % doc["homology_rank"])
+    lines.append("heegaard genus  %d" % doc["heegaard_genus"])
+    if doc["abc"] is not None:
+        lines.append("abc             (%.12g, %.12g, %.12g)" % tuple(doc["abc"]))
+    return "\n".join(lines)
 
 
 def to_json(doc) -> str:
@@ -200,5 +190,5 @@ def _text(o, newline: str) -> str:
     raise TypeError("Object of type %s is not JSON serializable" % type(o).__name__)
 
 
-def report_to_json(rep: StructureReport) -> str:
-    return to_json(report_to_dict(rep))
+def report_to_json(doc: dict) -> str:
+    return to_json(doc)
