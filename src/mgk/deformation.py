@@ -589,6 +589,10 @@ def _newton(sig: GKSignature, x0: np.ndarray, rows, tol: float):
         # weight <= 1, so m < tol is necessary and the sup-norm need only be taken then
         return m < tol and (loose or np.abs(ri).max() < tol)
 
+    def stalled(ri):
+        norm = float(np.abs(ri).max())
+        return ConvergenceError("line search stalled at residual %g" % norm, norm)
+
     running = [i for i in range(n_pts) if errors[i] is None and (loose or not done(merit[i], r[i]))]
     for _ in range(_MAX_ITER):
         if not running:
@@ -617,6 +621,9 @@ def _newton(sig: GKSignature, x0: np.ndarray, rows, tol: float):
                     continue
                 if mn[i] != mn[i]:
                     errors[i] = DomainError(_OUTSIDE_BOX)
+                elif (xn[i] == x[i]).all():
+                    # the trial did not move, and no shorter step moves it
+                    errors[i] = stalled(r[i])
                 else:
                     rejected.append(i)
             if rejected:
@@ -633,8 +640,7 @@ def _newton(sig: GKSignature, x0: np.ndarray, rows, tol: float):
             lam *= 0.5
         else:
             for i in pending:
-                norm = float(np.abs(r[i]).max())
-                errors[i] = ConvergenceError("line search stalled at residual %g" % norm, norm)
+                errors[i] = stalled(r[i])
         running = [i for i in running if errors[i] is None and not done(merit[i], r[i])]
     else:
         for i in running:

@@ -1156,3 +1156,34 @@ def test_newton_refuses_only_the_point_that_is_not_a_number():
     assert isinstance(errors[1], DomainError) and "(0, pi)" in str(errors[1])
     alone, _, _ = deformation._newton(sig, x0[:1], deformation._linear_rows([(30.0, 10.0), None]), 1e-10)
     assert x[0].tobytes() == alone[0].tobytes()
+
+
+def test_stalled_line_search_ends_when_the_trial_stops_moving(monkeypatch):
+    # at 9876543/1 every Newton solve of the path stalls at the residual
+    # floor: once a trial step no longer moves the point, no shorter one
+    # does, so the solve ends there instead of halving 30 times
+    evaluate, newton, evals, solves = deformation._evaluate, deformation._newton, [], []
+
+    def counted(*a):
+        evals.append(1)
+        return evaluate(*a)
+
+    def logged(*a):
+        before = len(evals)
+        out = newton(*a)
+        solves.append((len(evals) - before, [str(e) for e in out[2]]))
+        return out
+
+    monkeypatch.setattr(deformation, "_evaluate", counted)
+    monkeypatch.setattr(deformation, "_newton", logged)
+    with pytest.raises(ContinuationError) as info:
+        solve_filling(GKSignature(2, 1), FillingSpec.from_pairs(1, [(9876543.0, 1.0)]))
+    assert str(info.value) == (
+        "g=2 k=1 slopes 9876543/1: continuation step underflow at t=1.00012, residual 1.61956e-09"
+    )
+    stalled = [n for n, errors in solves if errors[0].startswith("line search stalled at residual ")]
+    assert solves[0][1] == ["line search stalled at residual 1.61956e-09"]
+    assert len(stalled) == 14
+    # one evaluation at the start and one per step, far short of the 30 halvings
+    assert max(stalled) <= 12
+    assert len(evals) <= 120
