@@ -9,8 +9,10 @@ evaluation gates them all, and a refused point is its own error.
 `to_json` writes every JSON document of the package, the text of
 `json.dumps(doc, indent=2, allow_nan=False)`."""
 
+import math
+import sys
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -86,6 +88,7 @@ def _panel(sig: GKSignature, spec: FillingSpec, x: np.ndarray, res: float) -> di
                 "u": _c2j(u),
                 "v": _c2j(v),
                 "coefficients": "inf" if coeffs is None else list(coeffs),
+                "coefficients_error": _coefficients_error(pq, u, v, coeffs),
                 "complex_length": _c2j(cl),
                 "modulus": _c2j(modulus),
             }
@@ -105,6 +108,41 @@ def _panel(sig: GKSignature, spec: FillingSpec, x: np.ndarray, res: float) -> di
     }
 
 
+def _coefficients_error(pq, u: complex, v: complex, coeffs) -> Optional[float]:
+    """None on an unfilled cusp, else a bound on the distance of both
+    recovered coefficients `coeffs` from the nearer of +-pq, the
+    unoriented slope filled, taken from the cusp's (u, v).
+    `_coefficients` solves the real system M (p, q) = (0, 2 pi), with
+    M = [Re u, Re v; Im u, Im v]; the slope meets it up to the residual
+    rho = p u + q v -+ 2 pi i, so each coefficient is off by at most
+    |rho| |M^-1|, and |M^-1| is at most |M|_F / |det M| =
+    sqrt(|u|^2 + |v|^2) / |det M|.  Added: the rounding of rho, and that
+    of the solve, whose det loses |u| |v| / |det M| units in the last
+    place."""
+    if pq is None or coeffs is None:
+        return None
+    p, q = pq
+    eps = sys.float_info.epsilon
+    det = abs(u.real * v.imag - u.imag * v.real)
+    w = p * u + q * v
+    rho = min(abs(w - 2j * math.pi), abs(w + 2j * math.pi))
+    rho += 4.0 * eps * (abs(p * u) + abs(q * v) + 2.0 * math.pi)
+    solve = 4.0 * eps * (1.0 + abs(u) * abs(v) / det) * max(map(abs, coeffs))
+    return rho * math.hypot(abs(u), abs(v)) / det + solve
+
+
+def _certain(c: float, err) -> str:
+    """c to 9 significant digits, but to no decimal place whose half unit
+    its error bound `err` reaches: rounded there, an integer slope prints
+    exactly."""
+    if err and math.isfinite(err) and math.isfinite(c):
+        places = math.ceil(-math.log10(2.0 * err)) - 1
+        # %.9g shows 8 - e decimals, e the exponent of c to 9 digits
+        if places < 8 - int(("%.8e" % c).split("e")[1]):
+            c = round(c, places) + 0.0
+    return "%.9g" % c
+
+
 def _fmt_c(z) -> str:
     return "%.12g%+.12gi" % tuple(z)
 
@@ -119,7 +157,7 @@ def report_to_text(doc: dict) -> str:
     for i, c in enumerate(doc["cusps"]):
         coeff = c["coefficients"]
         if coeff != "inf":
-            coeff = "(%.9g, %.9g)" % tuple(coeff)
+            coeff = "(%s)" % ", ".join(_certain(x, c["coefficients_error"]) for x in coeff)
         extra = ""
         if c["modulus"] is not None:
             extra = "  modulus %s" % _fmt_c(c["modulus"])

@@ -701,6 +701,56 @@ def test_cli_text_report_names_the_solved_slope(capsys):
     assert "filling         1234567/1\n" in out
 
 
+
+@pytest.mark.parametrize("pq", ["499999/3", "1234567/1"])
+def test_cli_text_prints_no_wrong_coefficient_digit(capsys, pq):
+    # the doubles recover q to about 5e-6 at 499999/3 and 4e-5 at
+    # 1234567/1; the text rounds each coefficient where its bound allows
+    code, out, _ = run(capsys, ["fill", "--g", "2", "--k", "1", "--coeffs", pq])
+    assert code == 0
+    assert "  coeff (%s)  core length " % pq.replace("/", ", ") in out
+    _, doc, _ = run(capsys, ["--json", "fill", "--g", "2", "--k", "1", "--coeffs", pq])
+    cusp = json.loads(doc)["cusps"][0]
+    p, q = map(float, pq.split("/"))
+    assert 1e-6 < max(abs(cusp["coefficients"][0] - p), abs(cusp["coefficients"][1] - q))
+    assert 1e-6 < cusp["coefficients_error"] < 1e-4
+
+
+def test_coefficients_error_covers_the_true_error():
+    # seeded fillings up to 3e5, one to eight cusps, some left unfilled;
+    # the slope is unoriented, so the error is to the nearer of +-(p, q)
+    rng = np.random.default_rng(2027)
+    for k in (1, 1, 1, 1, 2, 3, 8):
+        sig = GKSignature(int(rng.integers(k + 1, 201)), k)
+        pairs = []
+        while len(pairs) < k:
+            p, q = (int(v) for v in rng.integers(-300000, 300001, 2))
+            if math.gcd(p, q) == 1 and p * p + q * q - p * q >= 7:
+                pairs.append(None if len(pairs) and rng.random() < 0.3 else (p, q))
+        spec = FillingSpec.from_pairs(k, pairs)
+        rep = build_report(sig, spec, solve_filling(sig, spec))
+        for pq, cusp in zip(pairs, rep["cusps"]):
+            if pq is None:
+                assert cusp["coefficients"] == "inf" and cusp["coefficients_error"] is None
+                continue
+            (a, b), err = cusp["coefficients"], cusp["coefficients_error"]
+            true = min(max(abs(a - s * pq[0]), abs(b - s * pq[1])) for s in (1, -1))
+            assert true <= err < 1e-4
+
+
+def test_text_coefficient_digits_follow_the_bound():
+    assert report._certain(2.9999950848239907, 8.8e-6) == "3"
+    assert report._certain(1.23456, 1e-3) == "1.23"
+    assert report._certain(-1.23456, 1e-3) == "-1.23"
+    assert report._certain(1234567.3, 3.0) == "1234570"
+    # -0.0 rounds to 0
+    assert report._certain(-1e-12, 1e-10) == "0"
+    # where the bound leaves every digit of %.9g, the text is %.9g's
+    assert report._certain(100.00000000002, 1e-12) == "100"
+    assert report._certain(1.23456789012, 1e-12) == "1.23456789"
+    assert report._certain(1.23456789012, None) == "1.23456789"
+
+
 # ---------------------------------------------------------------------------
 # one parser per process, shared by every call of main
 
