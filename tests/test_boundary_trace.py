@@ -100,6 +100,20 @@ def test_second_derivative_zero_when_angles_frozen():
     assert bt.trace_second_derivative(d) == 0.0
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((1.0, 1.0, 2.0, 0.0, 0.0, 0), "lambda0 must exceed 1"),
+        ((3.0, 0.0, 2.0, 0.0, 0.0, 0), "eta0=0.0 outside"),
+        ((3.0, 1.0, 2.0 * math.pi, 0.0, 0.0, 0), "zeta0=.* outside"),
+        ((3.0, 1.0, 2.0, 0.0, 0.0, 2), "delta must be 0 or 1"),
+    ],
+)
+def test_trace_input_validation(args, message):
+    with pytest.raises(DomainError, match=message):
+        bt.TraceInput(*args)
+
+
 def test_delta0_closed_form_matches():
     sig = GKSignature(3, 2)
     for r0 in (0.3, 1.0, 2.0):

@@ -73,6 +73,12 @@ def test_canonicalize_modulus():
         ci.canonicalize_modulus(complex(0.3, -1.0))
 
 
+def test_canonicalize_modulus_inverts_inside_the_unit_circle():
+    # |tau| < 1 after the shift: tau -> -1/tau, then shifted again
+    assert ci.canonicalize_modulus(0.5j) == 2j
+    assert abs(ci.canonicalize_modulus(complex(0.3, 0.4)) - complex(-0.2, 1.6)) < 1e-14
+
+
 def test_complex_length_well_defined_mod_2pi():
     sig = GKSignature(2, 1)
     x = solved_point(sig, [(7.0, 2.0)])
@@ -154,6 +160,15 @@ def test_complex_length_errors():
     x = solved_point(sig, [(5.0, 1.0)])
     with pytest.raises(DomainError):
         ci.complex_length(x, 0, (0, 0))
+
+
+def test_complex_length_sign_flip_and_half_turn_wrap():
+    # synthetic (u, v) with Im(v/u) < 0: the real part comes out negative
+    # and is flipped, and the flipped imaginary part, exactly -pi, is
+    # wrapped to +pi; (1, 0) has Bezout coefficients (a, b) = (1, 0)
+    assert ci._bezout(1, 0) == (1, 1, 0)
+    w = ci._complex_length(1.0 + 0.0j, complex(-0.5, -0.3), 0, (1, 0))
+    assert w == complex(0.6 * math.pi, math.pi)
 
 
 @pytest.mark.parametrize(

@@ -1051,6 +1051,26 @@ def test_solve_fillings_errors_per_spec():
     assert solve_fillings(sig, []) == []
 
 
+def test_solve_fillings_when_the_complete_structure_fails(monkeypatch):
+    # every spec that reaches the solve gets solve_complete's error; the
+    # specs refused before it keep their own
+    sig = GKSignature(4, 2)
+    failure = ConvergenceError("forced failure", 1.0)
+
+    def fail(_sig):
+        raise failure
+
+    monkeypatch.setattr(deformation, "solve_complete", fail)
+    specs = [
+        FillingSpec.from_pairs(2, [(5.0, 1.0), None]),
+        FillingSpec.unfilled(2),
+        FillingSpec.from_pairs(2, [(1.0, 0.0), None]),
+    ]
+    filled, complete, short = solve_fillings(sig, specs)
+    assert filled is failure and complete is failure
+    assert isinstance(short, DomainError) and "sqrt(7)" in str(short)
+
+
 def stacked_and_alone_block_steps(monkeypatch, g, lists):
     """The block steps of `solve_fillings` on the lists, and of
     `solve_filling` on each alone."""

@@ -670,6 +670,18 @@ def test_cli_trace_grid_below_one_is_an_input_error(capsys):
     assert err.startswith("input error:") and "--grid" in err
 
 
+def test_cli_trace_single_r0(capsys):
+    # without --grid one row at --r0, 1 by default; an r0 where the
+    # varsigma curve has no trace data leaves no row, an input error
+    code, out, _ = run(capsys, ["trace", "--g", "2", "--k", "1"])
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 2 and lines[1].split()[0] == "1"
+    code, out, err = run(capsys, ["trace", "--g", "2", "--k", "1", "--r0", "10"])
+    assert code == 2 and out == ""
+    assert err == "input error: no admissible r0 values in the requested range\n"
+
+
 @pytest.mark.parametrize("missing", [False, True])
 def test_cli_out_unwritable_is_an_input_error(tmp_path, capsys, missing):
     # a path in a directory that does not exist, or a directory itself

@@ -62,6 +62,29 @@ def test_d6_group_law():
         assert np.array_equal(a.compose(b).matrix(), a.matrix() @ b.matrix())
 
 
+@pytest.mark.parametrize("refl", [False, True])
+def test_d6_inverse(refl):
+    # a reflection is its own inverse; a rotation's is the opposite rotation
+    for rot in range(6):
+        e = ss.D6Element(rot, refl)
+        assert e.compose(e.inverse()) == ss.D6Element.identity()
+        assert e.inverse().compose(e) == ss.D6Element.identity()
+        assert (e.inverse() == e) == (refl or rot in (0, 3))
+
+
+def test_slope_set_and_symmetry_validation():
+    with pytest.raises(DomainError, match="torus index 2 out of range"):
+        ss.make_slope_set(2, {2: (3, 1)})
+    with pytest.raises(DomainError, match="expected 2 entries"):
+        ss.make_slope_set(2, [(3, 1)])
+    x = solve_complete(GKSignature(3, 2)).x0
+    with pytest.raises(DomainError, match="not a permutation"):
+        ss.cusp_permutation(x, [0, 0])
+    one = ss.SlopeSetIsometry((0,), (ss.D6Element.identity(),))
+    with pytest.raises(DomainError, match="isometry is for 1 tori, point has 2 cusps"):
+        ss.sym_act(one, x)
+
+
 def test_r_orbit_of_meridian():
     r = ss.D6Element(1)
     orbit = set()
