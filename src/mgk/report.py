@@ -135,7 +135,7 @@ def _certain(c: float, err) -> str:
     """c to 9 significant digits, but to no decimal place whose half unit
     its error bound `err` reaches: rounded there, an integer slope prints
     exactly."""
-    if err and math.isfinite(err) and math.isfinite(c):
+    if err is not None and math.isfinite(err):
         places = math.ceil(-math.log10(2.0 * err)) - 1
         # %.9g shows 8 - e decimals, e the exponent of c to 9 digits
         if places < 8 - int(("%.8e" % c).split("e")[1]):
@@ -229,4 +229,6 @@ def _text(o, newline: str) -> str:
 
 
 def report_to_json(doc: dict) -> str:
+    """The JSON text of the report `doc`: `to_json`, under the name that
+    perfbench's traced runs time as the report's writer."""
     return to_json(doc)
