@@ -5,7 +5,6 @@ from .deformation import (
     CompleteSolution,
     ContinuationError,
     ConvergenceError,
-    FillingSpec,
     GKSignature,
     dehn_coefficients,
     jacobian,
@@ -18,7 +17,7 @@ from .deformation import (
     varsigma_derivatives,
     varsigma_point,
 )
-from .hyptrig import DomainError
+from .hyptrig import DomainError, FillingSpec
 
 __all__ = [
     "CompleteSolution",

@@ -4,7 +4,7 @@ Subcommands: complete, fill, slopes, similar, commensurable, tangent,
 trace.  Human-readable tables by default, machine-readable JSON with
 --json, written to stdout or to the --out file; both flags go on either
 side of the subcommand.  Slope entries share one syntax
-(`deformation.parse_slope`): `fill --coeffs` takes p/q or inf per cusp,
+(`hyptrig.parse_slope`): `fill --coeffs` takes p/q or inf per cusp,
 `similar` and `commensurable` take p/q@i, with p and q coprime integers
 of either sign.  Exit codes: 0 success, 2 input error (a malformed,
 non-coprime or 0/0 slope entry, one beyond the float range where a
@@ -29,15 +29,13 @@ from . import slopes_symmetry as ss
 from .deformation import (
     ContinuationError,
     ConvergenceError,
-    FillingSpec,
     GKSignature,
     jacobian,
-    parse_slope,
     solve_complete,
     solve_fillings,
     tangent_basis,
 )
-from .hyptrig import DomainError
+from .hyptrig import DomainError, FillingSpec, parse_slope
 from .report import SCHEMA, build_report, build_reports, report_to_json, report_to_text, to_json
 
 EXIT_OK = 0

@@ -1,20 +1,91 @@
-"""The odd-k chain family (signature g = k+1): the angle cycle around its
-single compact edge, the a/b/c edge-angle-sum invariants that determine
-the commensurability class of its fillings, and the two symmetry
+"""Symmetries of the deformation variety, and the odd-k chain family
+(signature g = k+1).
+
+Each cusp carries symmetries generated by apex permutations of its
+tetrahedron pair and the swap of the pair; on Dehn coefficients `phi_r`
+and `phi_s` transport to the torus isometries r and s of
+`slopes_symmetry`, and cusp permutations to relabelling of the tori
+(`sym_act`).  On the chain family: the angle cycle around its single
+compact edge, the a/b/c edge-angle-sum invariants that determine the
+commensurability class of its fillings, and the two symmetry
 constructions (alternating rotation, cusp 1 <-> 3 exchange) used to
 produce non-commensurable and commensurable similar fillings."""
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .deformation import GKSignature, angle_blocks, check_coords, cusp_angles
+from .deformation import GKSignature, angle_blocks, check_coords, cusp_angles, cusps_of
 from .hyptrig import DomainError
-from .slopes_symmetry import D6Element, apply_local, cusp_permutation
+from .slopes_symmetry import D6Element, SlopeSetIsometry
 
 # (a, b, c) sums closer than this agree; from 10x this apart they differ
 INVARIANT_TOL = 1e-8
+
+# apex 3-cycle used by the rotation generator: sigma(0)=2, sigma(1)=0, sigma(2)=1
+_SIGMA_R = (2, 0, 1)
+_SIGMA_S = (1, 0, 2)
+
+
+def apex_permutation(x, cusp: int, sigma: Sequence[int]) -> np.ndarray:
+    """Permute the three apices of both tetrahedra of `cusp` by sigma
+    (new angle at apex j = old angle at apex sigma^{-1}(j))."""
+    y = np.array(x, dtype=float)
+    cusp_angles(y, cusp)[...] = cusp_angles(x, cusp)[..., np.argsort(sigma)]
+    return y
+
+
+def tetra_swap(x, cusp: int) -> np.ndarray:
+    """Exchange the roles of the two tetrahedra of `cusp`."""
+    y = np.array(x, dtype=float)
+    cusp_angles(y, cusp)[...] = cusp_angles(x, cusp)[::-1]
+    return y
+
+
+def cusp_permutation(x, kappa: Sequence[int]) -> np.ndarray:
+    """Relabel cusps by kappa (new block i = old block kappa^{-1}(i))."""
+    if sorted(kappa) != list(range(cusps_of(x))):
+        raise DomainError("kappa is not a permutation of 0..k-1")
+    y = np.array(x, dtype=float)
+    angle_blocks(y)[...] = angle_blocks(x)[np.argsort(kappa)]
+    return y
+
+
+def phi_r(x, cusp: int) -> np.ndarray:
+    """Variety symmetry transporting to the pi/3 rotation on the cusp
+    torus: u -> -v, v -> u + v, Dehn coefficients (p,q) -> (p-q, p)."""
+    return apex_permutation(tetra_swap(x, cusp), cusp, _SIGMA_R)
+
+
+def phi_s(x, cusp: int) -> np.ndarray:
+    """Variety symmetry transporting to the reflection fixing the mu-axis:
+    u -> -conj(u), v -> conj(u) + conj(v), (p,q) -> (p-q, -q)."""
+    return apex_permutation(x, cusp, _SIGMA_S)
+
+
+def apply_local(x, cusp: int, e: D6Element) -> np.ndarray:
+    """Apply the variety symmetry corresponding to a local torus isometry
+    (reflection first, then rotations, matching r^rot s^refl)."""
+    y = np.array(x, dtype=float)
+    if e.refl:
+        y = phi_s(y, cusp)
+    for _ in range(e.rot):
+        y = phi_r(y, cusp)
+    return y
+
+
+def sym_act(psi: SlopeSetIsometry, x) -> np.ndarray:
+    """Apply the variety symmetry corresponding to a marked-tori isometry:
+    local pieces first, then the cusp relabelling; Dehn coefficients
+    transform by the corresponding pushforward."""
+    k = cusps_of(x)
+    if len(psi.perm) != k:
+        raise DomainError("isometry is for %d tori, point has %d cusps" % (len(psi.perm), k))
+    y = np.array(x, dtype=float)
+    for i in range(k):
+        y = apply_local(y, i, psi.local[i])
+    return cusp_permutation(y, psi.perm)
 
 
 @dataclass(frozen=True)

@@ -18,16 +18,8 @@ import numpy as np
 
 from . import cusp_invariants as ci
 from .commensurability_xk import XkSignature, abc
-from .deformation import (
-    FillingSpec,
-    GKSignature,
-    _coefficients,
-    check_coords,
-    residuals,
-    slope_text,
-    uv,
-)
-from .hyptrig import DomainError
+from .deformation import GKSignature, _coefficients, check_coords, residuals, uv
+from .hyptrig import DomainError, FillingSpec, slope_text
 
 SCHEMA = "mgk/1"
 # residual sup-norm above which a structure is not reported

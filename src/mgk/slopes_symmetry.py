@@ -1,6 +1,5 @@
 """Exact integer layer: slopes on the hexagonal torus, the dihedral
-isometry group action, slope-set equivalence, and the transport of those
-isometries to symmetries of the deformation variety.
+isometry group action, and slope-set equivalence.
 
 A slope is the class +-(p, q) of a primitive vector in the marked basis
 (mu, lambda) of a cusp torus, realized as p + q*exp(2*pi*i/3) in the
@@ -25,22 +24,16 @@ it where the whole orbit would sort.  `d6_act` is the single-element
 action on a `Slope`; the orbit and search routines do not build a `Slope`
 for each image.
 
-On the variety side, each cusp carries symmetries generated by apex
-permutations of its tetrahedron pair and the swap of the pair; `phi_r`
-and `phi_s` are the two generators whose transported action on Dehn
-coefficients is exactly r and s above, and cusp permutations transport
-to relabelling of the tori.
+It needs only the standard library; the action of these isometries on
+the deformation variety is in `commensurability_xk`.
 """
 
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
-import numpy as np
-
-from .deformation import FillingSpec, angle_blocks, cusp_angles, cusps_of, sign_form
-from .hyptrig import DomainError
+from .hyptrig import DomainError, FillingSpec, sign_form
 
 
 # ---------------------------------------------------------------------------
@@ -76,10 +69,6 @@ def slope_length(s: Slope) -> float:
 # ---------------------------------------------------------------------------
 # the dihedral group of order 12
 
-_R_MATRIX = np.array([[1, -1], [1, 0]], dtype=int)
-_S_MATRIX = np.array([[1, -1], [0, -1]], dtype=int)
-
-
 @dataclass(frozen=True)
 class D6Element:
     """r^rot s^refl in the dihedral group of order 12 (s applied first)."""
@@ -93,12 +82,6 @@ class D6Element:
     @classmethod
     def identity(cls) -> "D6Element":
         return cls(0, False)
-
-    def matrix(self) -> np.ndarray:
-        m = np.linalg.matrix_power(_R_MATRIX, self.rot)
-        if self.refl:
-            m = m @ _S_MATRIX
-        return m
 
     def compose(self, other: "D6Element") -> "D6Element":
         # (self * other): apply `other` first
@@ -203,6 +186,13 @@ def make_slope_set(k: int, entries) -> SlopeSet:
     return tuple(e if e is None or isinstance(e, Slope) else Slope.of(*e) for e in entries)
 
 
+def _inverse_perm(sigma):
+    inv = [0] * len(sigma)
+    for i, s in enumerate(sigma):
+        inv[s] = i
+    return tuple(inv)
+
+
 @dataclass(frozen=True)
 class SlopeSetIsometry:
     """perm[i] is the image torus of torus i; local[i] acts on torus i
@@ -277,78 +267,3 @@ def enumerate_equivalent_sets(a: SlopeSet):
         (prefix for prefix, _ in level),
         key=lambda ss: tuple((s.p, s.q) if s else (0, 0) for s in ss),
     )
-
-
-# ---------------------------------------------------------------------------
-# symmetries of the deformation variety
-
-# apex 3-cycle used by the rotation generator: sigma(0)=2, sigma(1)=0, sigma(2)=1
-_SIGMA_R = (2, 0, 1)
-_SIGMA_S = (1, 0, 2)
-
-
-def _inverse_perm(sigma):
-    inv = [0] * len(sigma)
-    for i, s in enumerate(sigma):
-        inv[s] = i
-    return tuple(inv)
-
-
-def apex_permutation(x, cusp: int, sigma: Sequence[int]) -> np.ndarray:
-    """Permute the three apices of both tetrahedra of `cusp` by sigma
-    (new angle at apex j = old angle at apex sigma^{-1}(j))."""
-    y = np.array(x, dtype=float)
-    cusp_angles(y, cusp)[...] = cusp_angles(x, cusp)[..., list(_inverse_perm(tuple(sigma)))]
-    return y
-
-
-def tetra_swap(x, cusp: int) -> np.ndarray:
-    """Exchange the roles of the two tetrahedra of `cusp`."""
-    y = np.array(x, dtype=float)
-    cusp_angles(y, cusp)[...] = cusp_angles(x, cusp)[::-1]
-    return y
-
-
-def cusp_permutation(x, kappa: Sequence[int]) -> np.ndarray:
-    """Relabel cusps by kappa (new block i = old block kappa^{-1}(i))."""
-    if sorted(kappa) != list(range(cusps_of(x))):
-        raise DomainError("kappa is not a permutation of 0..k-1")
-    y = np.array(x, dtype=float)
-    angle_blocks(y)[...] = angle_blocks(x)[list(_inverse_perm(tuple(kappa)))]
-    return y
-
-
-def phi_r(x, cusp: int) -> np.ndarray:
-    """Variety symmetry transporting to the pi/3 rotation on the cusp
-    torus: u -> -v, v -> u + v, Dehn coefficients (p,q) -> (p-q, p)."""
-    return apex_permutation(tetra_swap(x, cusp), cusp, _SIGMA_R)
-
-
-def phi_s(x, cusp: int) -> np.ndarray:
-    """Variety symmetry transporting to the reflection fixing the mu-axis:
-    u -> -conj(u), v -> conj(u) + conj(v), (p,q) -> (p-q, -q)."""
-    return apex_permutation(x, cusp, _SIGMA_S)
-
-
-def apply_local(x, cusp: int, e: D6Element) -> np.ndarray:
-    """Apply the variety symmetry corresponding to a local torus isometry
-    (reflection first, then rotations, matching r^rot s^refl)."""
-    y = np.array(x, dtype=float)
-    if e.refl:
-        y = phi_s(y, cusp)
-    for _ in range(e.rot):
-        y = phi_r(y, cusp)
-    return y
-
-
-def sym_act(psi: SlopeSetIsometry, x) -> np.ndarray:
-    """Apply the variety symmetry corresponding to a marked-tori isometry:
-    local pieces first, then the cusp relabelling; Dehn coefficients
-    transform by the corresponding pushforward."""
-    k = cusps_of(x)
-    if len(psi.perm) != k:
-        raise DomainError("isometry is for %d tori, point has %d cusps" % (len(psi.perm), k))
-    y = np.array(x, dtype=float)
-    for i in range(k):
-        y = apply_local(y, i, psi.local[i])
-    return cusp_permutation(y, psi.perm)

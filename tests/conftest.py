@@ -1,6 +1,21 @@
 import numpy as np
 
-from mgk.deformation import FillingSpec, GKSignature, solve_filling
+from mgk.deformation import GKSignature, solve_filling
+from mgk.hyptrig import FillingSpec
+
+# the integer matrices of the torus rotation r: (p, q) -> (p - q, p) and
+# reflection s: (p, q) -> (p - q, -q) on coefficient pairs
+_R_MATRIX = np.array([[1, -1], [1, 0]], dtype=int)
+_S_MATRIX = np.array([[1, -1], [0, -1]], dtype=int)
+
+
+def d6_matrix(e):
+    """The integer matrix of the D6Element e = r^rot s^refl on coefficient
+    pairs, the oracle of the integer action of `slopes_symmetry`."""
+    m = np.linalg.matrix_power(_R_MATRIX, e.rot)
+    if e.refl:
+        m = m @ _S_MATRIX
+    return m
 
 
 def solved_point(sig: GKSignature, pairs):

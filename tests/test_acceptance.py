@@ -11,7 +11,6 @@ from mgk import commensurability_xk as cx
 from mgk import cusp_invariants as ci
 from mgk import slopes_symmetry as ss
 from mgk.deformation import (
-    FillingSpec,
     GKSignature,
     dehn_coefficients,
     jacobian,
@@ -23,6 +22,7 @@ from mgk.deformation import (
     varsigma_derivatives,
     varsigma_point,
 )
+from mgk.hyptrig import FillingSpec
 
 from conftest import random_filled_points, solved_point
 
@@ -112,12 +112,12 @@ def test_c06_symmetry_equivariance():
         for c in range(k):
             u, v = uv(x, c)
             p, q = dehn_coefficients(x, c)
-            xr = ss.phi_r(x, c)
+            xr = cx.phi_r(x, c)
             ur, vr = uv(xr, c)
             assert abs(ur + v) < 1e-10 and abs(vr - (u + v)) < 1e-10
             pr, qr = dehn_coefficients(xr, c)
             assert abs(pr - (p - q)) < 1e-10 and abs(qr - p) < 1e-10
-            xs = ss.phi_s(x, c)
+            xs = cx.phi_s(x, c)
             us, vs = uv(xs, c)
             assert abs(us + u.conjugate()) < 1e-10
             assert abs(vs - (u.conjugate() + v.conjugate())) < 1e-10

@@ -5,14 +5,15 @@ import pytest
 
 from mgk import commensurability_xk as cx
 from mgk.deformation import (
-    FillingSpec,
     GKSignature,
     residuals,
     solve_complete,
     solve_filling,
     varsigma_point,
 )
-from mgk.hyptrig import DomainError
+from mgk.hyptrig import DomainError, FillingSpec
+
+from conftest import d6_matrix
 
 
 def test_signature_validation():
@@ -106,7 +107,7 @@ def test_theta_r_rotates_coefficients():
         sig.gk, FillingSpec.from_pairs(3, [(7.0, 2.0), (5.0, 1.0), (8.0, 3.0)])
     )
     y = cx.theta_r(x, sig)
-    m = np.linalg.matrix_power(D6Element(1).matrix(), 5)
+    m = np.linalg.matrix_power(d6_matrix(D6Element(1)), 5)
     for c in range(3):
         d = np.array(dehn_coefficients(x, c))
         dy = np.array(dehn_coefficients(y, c))

@@ -10,13 +10,12 @@ from hypothesis import strategies as st
 from mgk import cli
 from mgk import cusp_invariants as ci
 from mgk.deformation import (
-    FillingSpec,
     GKSignature,
     solve_complete,
     solve_filling,
     uv,
 )
-from mgk.hyptrig import DomainError
+from mgk.hyptrig import DomainError, FillingSpec
 
 from conftest import random_filled_points, solved_point
 

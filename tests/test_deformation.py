@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from mgk.deformation import (
     ContinuationError,
     ConvergenceError,
-    FillingSpec,
     GKSignature,
     angle_blocks,
     cusp_angles,
@@ -24,7 +23,7 @@ from mgk.deformation import (
     varsigma_point,
 )
 from mgk import deformation
-from mgk.hyptrig import DomainError
+from mgk.hyptrig import DomainError, FillingSpec
 
 from conftest import random_pairs
 
@@ -358,6 +357,15 @@ def test_filling_spec_rejects_non_finite_slopes(pq):
         FillingSpec.from_pairs(1, [pq])
     with pytest.raises(DomainError, match="no finite slope length"):
         FillingSpec((pq,))
+
+
+@pytest.mark.parametrize("entry", ["31", (3, 1, 7), (3,), ("3", "1"), 3.0])
+def test_filling_spec_rejects_entries_that_are_not_pairs(entry):
+    # "31" is not the pair (3, 1), and a triple is not cut to its first two
+    with pytest.raises(DomainError, match="not a pair of real numbers"):
+        FillingSpec.from_pairs(1, [entry])
+    with pytest.raises(DomainError, match="not a pair of real numbers"):
+        FillingSpec((entry,))
 
 
 # ---------------------------------------------------------------------------

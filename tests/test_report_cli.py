@@ -16,8 +16,8 @@ from mgk import cli
 from mgk import deformation
 from mgk import report
 from mgk import slopes_symmetry as ss
-from mgk.deformation import FillingSpec, GKSignature, solve_filling
-from mgk.hyptrig import DomainError
+from mgk.deformation import GKSignature, solve_filling
+from mgk.hyptrig import DomainError, FillingSpec
 from mgk.report import (
     RESIDUAL_TOL,
     build_report,

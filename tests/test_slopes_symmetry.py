@@ -1,5 +1,8 @@
 import itertools
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +12,6 @@ from hypothesis import strategies as st
 from mgk import commensurability_xk as cx
 from mgk import slopes_symmetry as ss
 from mgk.deformation import (
-    FillingSpec,
     GKSignature,
     angle_blocks,
     dehn_coefficients,
@@ -18,9 +20,29 @@ from mgk.deformation import (
     solve_filling,
     uv,
 )
-from mgk.hyptrig import DomainError
+from mgk.hyptrig import DomainError, FillingSpec
 
-from conftest import random_filled_points, solved_point
+from conftest import d6_matrix, random_filled_points, solved_point
+
+# with numpy unimportable and the package's __init__ not run, the slope
+# model and the integer layer load, and they do not load the solver
+STANDALONE = """
+import sys, types
+sys.modules["numpy"] = None
+pkg = types.ModuleType("mgk")
+pkg.__path__ = [sys.argv[1]]
+sys.modules["mgk"] = pkg
+import mgk.hyptrig, mgk.slopes_symmetry as ss
+assert "mgk.deformation" not in sys.modules, sorted(sys.modules)
+a, b = ss.make_slope_set(2, [(3, 1), None]), ss.make_slope_set(2, [None, (1, 3)])
+assert ss.slope_sets_equivalent(a, b, orientation_preserving=False) is not None
+"""
+
+
+def test_integer_layer_stands_alone():
+    src = Path(ss.__file__).resolve().parent
+    proc = subprocess.run([sys.executable, "-c", STANDALONE, str(src)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_slope_canonicalization_and_primitivity():
@@ -59,7 +81,7 @@ def test_d6_group_law():
     for a, b in itertools.product(
         [ss.D6Element(m, f) for m in range(6) for f in (False, True)], repeat=2
     ):
-        assert np.array_equal(a.compose(b).matrix(), a.matrix() @ b.matrix())
+        assert np.array_equal(d6_matrix(a.compose(b)), d6_matrix(a) @ d6_matrix(b))
 
 
 @pytest.mark.parametrize("refl", [False, True])
@@ -79,10 +101,10 @@ def test_slope_set_and_symmetry_validation():
         ss.make_slope_set(2, [(3, 1)])
     x = solve_complete(GKSignature(3, 2)).x0
     with pytest.raises(DomainError, match="not a permutation"):
-        ss.cusp_permutation(x, [0, 0])
+        cx.cusp_permutation(x, [0, 0])
     one = ss.SlopeSetIsometry((0,), (ss.D6Element.identity(),))
     with pytest.raises(DomainError, match="isometry is for 1 tori, point has 2 cusps"):
-        ss.sym_act(one, x)
+        cx.sym_act(one, x)
 
 
 def test_r_orbit_of_meridian():
@@ -99,7 +121,7 @@ def test_length_preserved_exactly():
     # integer identity p^2 + q^2 - pq invariant under both generators,
     # asserted on all primitive pairs up to 100
     elems = [ss.D6Element(m, f) for m in range(6) for f in (False, True)]
-    mats = [e.matrix() for e in elems]
+    mats = [d6_matrix(e) for e in elems]
     for p in range(-100, 101):
         for q in range(-100, 101):
             if math.gcd(abs(p), abs(q)) != 1:
@@ -118,7 +140,7 @@ def test_d6_act_matches_matrices():
                 continue
             s = ss.Slope(p, q)
             for e in elems:
-                pp, qq = e.matrix() @ (p, q)
+                pp, qq = d6_matrix(e) @ (p, q)
                 assert ss.d6_act(e, s) == ss.Slope.of(int(pp), int(qq))
 
 
@@ -472,15 +494,15 @@ def test_generator_transformation_laws():
     sig = GKSignature(2, 1)
     for x in random_filled_points(sig, 3, seed=23):
         u, v = uv(x, 0)
-        ur, vr = uv(ss.phi_r(x, 0), 0)
+        ur, vr = uv(cx.phi_r(x, 0), 0)
         assert abs(ur + v) < 1e-10 and abs(vr - (u + v)) < 1e-10
-        us, vs = uv(ss.phi_s(x, 0), 0)
+        us, vs = uv(cx.phi_s(x, 0), 0)
         assert abs(us + u.conjugate()) < 1e-10
         assert abs(vs - (u.conjugate() + v.conjugate())) < 1e-10
         p, q = dehn_coefficients(x, 0)
-        pr, qr = dehn_coefficients(ss.phi_r(x, 0), 0)
+        pr, qr = dehn_coefficients(cx.phi_r(x, 0), 0)
         assert abs(pr - (p - q)) < 1e-9 and abs(qr - p) < 1e-9
-        ps, qs = dehn_coefficients(ss.phi_s(x, 0), 0)
+        ps, qs = dehn_coefficients(cx.phi_s(x, 0), 0)
         assert abs(ps - (p - q)) < 1e-9 and abs(qs + q) < 1e-9
 
 
@@ -497,15 +519,15 @@ def test_symmetries_preserve_residuals():
     sig = GKSignature(3, 2)
     x = solved_point(sig, [(5.0, 1.0), (8.0, 3.0)]) + 1e-3  # push off the variety too
     base = np.sort(np.abs(residuals(sig, x)))
-    for y in (ss.tetra_swap(x, 0), ss.cusp_permutation(x, [1, 0])):
+    for y in (cx.tetra_swap(x, 0), cx.cusp_permutation(x, [1, 0])):
         assert np.allclose(np.sort(np.abs(residuals(sig, y))), base, atol=1e-13)
     k = sig.k
     non_sigma = list(range(8 * k)) + [10 * k]
     base_ns = np.sort(np.abs(residuals(sig, x)[non_sigma]))
     for y in (
-        ss.phi_r(x, 0),
-        ss.phi_s(x, 1),
-        ss.apex_permutation(x, 0, (1, 0, 2)),
+        cx.phi_r(x, 0),
+        cx.phi_s(x, 1),
+        cx.apex_permutation(x, 0, (1, 0, 2)),
     ):
         assert np.allclose(np.sort(np.abs(residuals(sig, y)[non_sigma])), base_ns, atol=1e-13)
         for c in range(k):
@@ -520,11 +542,11 @@ def test_sym_act_coefficient_equivariance():
     psi = ss.SlopeSetIsometry(
         perm=(1, 0), local=(ss.D6Element(2, False), ss.D6Element(1, True))
     )
-    y = ss.sym_act(psi, x)
+    y = cx.sym_act(psi, x)
     d = [np.array(dehn_coefficients(x, c)) for c in range(2)]
     dy = [np.array(dehn_coefficients(y, c)) for c in range(2)]
     for i in range(2):
-        expected = psi.local[i].matrix() @ d[i]
+        expected = d6_matrix(psi.local[i]) @ d[i]
         assert np.max(np.abs(dy[psi.perm[i]] - expected)) < 1e-9
 
 
@@ -532,7 +554,7 @@ def test_sym_act_identity():
     sig = GKSignature(2, 1)
     x = solved_point(sig, [(5.0, 1.0)])
     ident = ss.SlopeSetIsometry(perm=(0,), local=(ss.D6Element.identity(),))
-    assert np.array_equal(ss.sym_act(ident, x), x)
+    assert np.array_equal(cx.sym_act(ident, x), x)
 
 
 @settings(max_examples=60, deadline=None)
@@ -549,12 +571,12 @@ def test_symmetries_permute_the_coordinates(seed, k):
         tuple(ss.D6Element(int(rng.integers(6)), bool(rng.integers(2))) for _ in range(k)),
     )
     images = [
-        ss.apex_permutation(x, cusp, tuple(rng.permutation(3).tolist())),
-        ss.tetra_swap(x, cusp),
-        ss.cusp_permutation(x, rng.permutation(k).tolist()),
-        ss.phi_r(x, cusp),
-        ss.phi_s(x, cusp),
-        ss.sym_act(psi, x),
+        cx.apex_permutation(x, cusp, tuple(rng.permutation(3).tolist())),
+        cx.tetra_swap(x, cusp),
+        cx.cusp_permutation(x, rng.permutation(k).tolist()),
+        cx.phi_r(x, cusp),
+        cx.phi_s(x, cusp),
+        cx.sym_act(psi, x),
     ]
     if k % 2 == 1:
         images.append(cx.theta_r(x, cx.XkSignature(k)))

@@ -4,13 +4,12 @@ import pytest
 
 import tetrahedron as tt
 from mgk.deformation import (
-    FillingSpec,
     GKSignature,
     angle_blocks,
     solve_complete,
     solve_filling,
 )
-from mgk.hyptrig import DomainError
+from mgk.hyptrig import DomainError, FillingSpec
 
 PI3 = math.pi / 3.0
 
