@@ -9,6 +9,8 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 SQRT7 = math.sqrt(7.0)
+# float and int first: the check against the ABC alone is four times slower
+_REAL = (float, int, numbers.Real)
 
 
 class DomainError(ValueError):
@@ -50,7 +52,7 @@ def _is_pair(pq) -> bool:
         p, q = pq
     except (TypeError, ValueError):
         return False
-    return isinstance(p, numbers.Real) and isinstance(q, numbers.Real)
+    return isinstance(p, _REAL) and isinstance(q, _REAL)
 
 
 @dataclass(frozen=True)
