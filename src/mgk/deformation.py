@@ -559,10 +559,12 @@ def solve_filling(sig: GKSignature, spec: FillingSpec, *, check_length: bool = T
     """Solve the square 12k+1 system: structure residuals plus, per cusp,
     p*u + q*v = 2*pi*i (filled) or u = 0 (complete), to a residual
     sup-norm below 1e-10.  Declared range: g <= 200 and k <= 64, with
-    slopes of length >= sqrt(7) and max(|p|, |q|) up to 3e5: with every
-    cusp filled at six signatures from (2, 1) to (200, 64), 720 draws up
-    to 3e5 solved, 18 of the 120 at 3e5 only on the fallback path below,
-    and at 5e5 37 of the 40 at k = 64 failed.  Larger slopes meet the
+    slopes of length >= sqrt(7) and max(|p|, |q|) up to 3e5.  It does not
+    hold everywhere yet (see the declared-range item of ROADMAP.md): with
+    every cusp filled at six signatures from (2, 1) to (200, 64), 4 of
+    2,400 seeded draws up to 3e5 failed, all at (65, 64) with a residual
+    just above the gate, and at 5e5 37 of the 40 at k = 64 failed.
+    Larger slopes meet the
     rounding floor of their cusp row Im(p*u + q*v) - 2*pi, which moves in
     steps of about |p| ulp(pi/3), 2.7e-10 at 1234567/1, above the 1e-10
     gate: with p up to 1e6 on one cusp, 11 of 300 draws failed.
