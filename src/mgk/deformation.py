@@ -29,7 +29,7 @@ The structure equations split into 10k+1 residuals:
 Their common zero set is smooth of dimension 2k near the symmetric
 complete solution, where its tangent space is in closed form
 (`tangent_basis`); completeness or filling conditions on the per-cusp
-log-holonomies (u, v) cut it down to isolated points.  A damped Newton
+log-holonomies (u, v) cut it down to isolated points.  A Newton
 iteration locates them from the second-order start at the complete
 solution, on the closed-form jet, tangent and curvature, of the
 coefficient continuation to its filling (`_complete_jet`, with no linear
@@ -75,6 +75,11 @@ _FILL_TOL = 1e-10
 # weighted merit (see `_newton`) a continuation point short of the filling
 # is solved to: it only feeds the next predictor, whose residual is about 1
 _MID_TOL = 1e-3
+# fill gates that the rounding floor of a cusp row, (|p| + |q|) eps, and of a
+# length row, edge_cosh(beta) eps, may reach: most fillings beyond fail (CHANGES.md)
+_CUSP_FLOOR = 4.0
+_LENGTH_FLOOR = 1.05
+_EPS = float(np.finfo(float).eps)
 # |u| below which a cusp counts as complete (unfilled)
 COMPLETE_TOL = 1e-9
 _OUTSIDE_BOX = "coordinates must lie in (0, pi)"
@@ -98,7 +103,8 @@ class ContinuationError(ConvergenceError):
     that ends the path is so sensitive that rounding sets the last good
     multiplier: a change in the last bits of the path moves it.
     `residual` is that of the last failed Newton solve, which the message
-    ends with, or None when no Newton solve failed."""
+    ends with, or None when no Newton solve failed.  A filling beyond the
+    rounding floors is refused before any step, with a DomainError."""
 
     def __init__(self, message, last_good_t, residual):
         super().__init__(message, residual)
@@ -440,28 +446,28 @@ def _block_steps(sig: GKSignature, r: np.ndarray, A: np.ndarray, dbeta: Sequence
 
 
 def _newton(sig: GKSignature, x0: np.ndarray, rows, tol: float):
-    """Damped Newton with block-arrow steps on N square systems at once,
-    from the points x0 of shape (N, 12k+1), whose linear block rows are
-    `rows` (as for `_evaluate`), to the one tolerance `tol`.  With `tol`
-    at `_FILL_TOL` or tighter the points are answers: each is solved
-    until its weighted merit (below) and its plain residual sup-norm are
-    both below `tol`.  A looser `tol` is for points that only feed the
-    next predictor of a continuation: each stops at its first iterate,
-    after at least one step, whose weighted merit is below `tol`.
-    Returns the points, the function giving their Newton blocks (A,
-    dbeta) from the last evaluation, and per point None or the error that
-    stopped it: a ConvergenceError, or `check_coords`'s DomainError for a
-    point that is not a number.
+    """Newton with block-arrow steps on N square systems at once, from
+    the points x0 of shape (N, 12k+1), whose linear block rows are `rows`
+    (as for `_evaluate`), to the one tolerance `tol`.  With `tol` at
+    `_FILL_TOL` or tighter the points are answers: each is solved until
+    its weighted merit (below) and its plain residual sup-norm are both
+    below `tol`.  A looser `tol` is for points that only feed the next
+    predictor of a continuation: each stops at its first iterate, after
+    at least one step, whose weighted merit is below `tol`.  Returns the
+    points, the function giving their Newton blocks (A, dbeta) from the
+    last evaluation, and per point None or the error that stopped it: a
+    ConvergenceError, or `check_coords`'s DomainError for a point that is
+    not a number.
 
-    Each point takes the steps and the line search it takes alone.  A
-    point that has converged, stopped, or accepted its trial step while
-    others still halve theirs rides along with a zero step, so that every
-    evaluation covers all N points and the last one holds the blocks of
-    each.  Clips iterates into the open angle box.  The line search
-    backtracks on the sup-norm with each length row divided by
-    |edge_cosh(beta)| at x0: those rows have that scale, about 4e4 at
-    g = 150, and undivided they drown the others, so that the search
-    halves steps that are good and Newton crawls."""
+    Each point takes the steps it takes alone, every full step, clipped
+    into the open angle box.  A point that has converged or stopped
+    rides along with a zero step, so that every evaluation covers all N
+    points and the last one holds the blocks of each.  The weighted merit
+    is the sup-norm with each length row divided by |edge_cosh(beta)| at
+    x0: those rows have that scale, about 4e4 at g = 150, and undivided
+    they would drown the others.  A point whose merit did not fall and
+    whose step left its bits as they were has stalled: every later step
+    would be the same."""
     x = _clip(np.asarray(x0, dtype=float))
     n_pts, k = len(x), sig.k
     r, blocks = _evaluate(sig, x, rows)
@@ -479,10 +485,6 @@ def _newton(sig: GKSignature, x0: np.ndarray, rows, tol: float):
         # weight <= 1, so m < tol is necessary and the sup-norm need only be taken then
         return m < tol and (loose or np.abs(ri).max() < tol)
 
-    def stalled(ri):
-        norm = float(np.abs(ri).max())
-        return ConvergenceError("line search stalled at residual %g" % norm, norm)
-
     running = [i for i in range(n_pts) if errors[i] is None and (loose or not done(merit[i], r[i]))]
     for _ in range(_MAX_ITER):
         if not running:
@@ -494,43 +496,21 @@ def _newton(sig: GKSignature, x0: np.ndarray, rows, tol: float):
             step = np.zeros_like(x)
             A = A.reshape(n_pts, k, 12, 12)[running].reshape(-1, 12, 12)
             step[running], failed = _block_steps(sig, r[running], A, [dbeta[i] for i in running])
-        pending = running
-        if failed:
-            for pos, exc in failed.items():
-                i = running[pos]
-                errors[i] = ConvergenceError("singular Jacobian: %s" % exc, float(np.abs(r[i]).max()))
-            pending = [i for i in running if errors[i] is None]
-        lam = 1.0
-        for _ in range(30):
-            xn = _clip(x - step if lam == 1.0 else x - lam * step)
-            rn, bn = _evaluate(sig, xn, rows)
-            mn = np.abs(weight * rn).max(axis=1).tolist()
-            rejected = []
-            for i in pending:
-                if mn[i] < merit[i] or done(mn[i], rn[i]):
-                    continue
-                if mn[i] != mn[i]:
-                    errors[i] = DomainError(_OUTSIDE_BOX)
-                elif (xn[i] == x[i]).all():
-                    # the trial did not move, and no shorter step moves it
-                    errors[i] = stalled(r[i])
-                else:
-                    rejected.append(i)
-            if rejected:
-                # they keep their point for the next trial; the rest ride along
-                xn[rejected], rn[rejected] = x[rejected], r[rejected]
-                for i in rejected:
-                    mn[i] = merit[i]
-                kept, step = step[rejected], np.zeros_like(step)
-                step[rejected] = kept
-            x, r, merit, blocks = xn, rn, mn, bn
-            if not rejected:
-                break
-            pending = rejected
-            lam *= 0.5
-        else:
-            for i in pending:
-                errors[i] = stalled(r[i])
+        for pos, exc in failed.items():
+            i = running[pos]
+            errors[i] = ConvergenceError("singular Jacobian: %s" % exc, float(np.abs(r[i]).max()))
+        xn = _clip(x - step)
+        rn, blocks = _evaluate(sig, xn, rows)
+        mn = np.abs(weight * rn).max(axis=1).tolist()
+        for i in running:
+            if errors[i] is not None or mn[i] < merit[i]:
+                continue
+            if mn[i] != mn[i]:
+                errors[i] = DomainError(_OUTSIDE_BOX)
+            elif (xn[i] == x[i]).all():
+                norm = float(np.abs(r[i]).max())
+                errors[i] = ConvergenceError("Newton stalled at residual %g" % norm, norm)
+        x, r, merit = xn, rn, mn
         running = [i for i in running if errors[i] is None and not done(merit[i], r[i])]
     else:
         for i in running:
@@ -559,15 +539,14 @@ def solve_filling(sig: GKSignature, spec: FillingSpec, *, check_length: bool = T
     """Solve the square 12k+1 system: structure residuals plus, per cusp,
     p*u + q*v = 2*pi*i (filled) or u = 0 (complete), to a residual
     sup-norm below 1e-10.  Declared range: g <= 200 and k <= 64, with
-    slopes of length >= sqrt(7) and max(|p|, |q|) up to 3e5.  It does not
-    hold everywhere yet (see the declared-range item of ROADMAP.md): with
-    every cusp filled at six signatures from (2, 1) to (200, 64), 4 of
-    2,400 seeded draws up to 3e5 failed, all at (65, 64) with a residual
-    just above the gate, and at 5e5 37 of the 40 at k = 64 failed.
-    Larger slopes meet the
-    rounding floor of their cusp row Im(p*u + q*v) - 2*pi, which moves in
-    steps of about |p| ulp(pi/3), 2.7e-10 at 1234567/1, above the 1e-10
-    gate: with p up to 1e6 on one cusp, 11 of 300 draws failed.
+    slopes of length >= sqrt(7) and max(|p|, |q|) up to 3e5, where 2,400
+    seeded draws with every cusp filled all solve.  Beyond it a cusp row
+    rounds in steps of about (|p| + |q|) eps and a length row in steps of
+    edge_cosh(beta) eps; a filling with the first above 4 fill gates
+    (9876543/1) or the second above 1.05 (g >= 510 at k = 1) is refused
+    with a DomainError.  Closer to the gate rounding decides a few: 5 of
+    110 one-cusp draws at 1.3 to 4 gates of the first failed, and 9 of
+    904 cases at g = 440 to 520 (0.76 to 1.05 gates of the second).
 
     Filled coefficients are continued in s = 1/t along the rows
     p*u + q*v = 2*pi*i*s (the targets (t*p, t*q)) from the complete
@@ -593,11 +572,13 @@ def solve_fillings(sig: GKSignature, specs: Sequence[FillingSpec], *, check_leng
     together.  Returns, per spec, the solution or the DomainError or
     ConvergenceError that `solve_filling` raises for it, with the same
     bits and message: a spec that fails does not touch the others.
-    `solve_complete` and the jet's `_curvature_blocks` run once.  The
-    specs whose slopes all have length >= sqrt(7) take their one step to
-    s = 1 as one stacked `_newton` from their second-order starts; each
-    spec with a shorter slope, and each whose stacked step failed, then
-    runs its `_path` alone."""
+    `solve_complete` and the jet's `_curvature_blocks` run once.  Each
+    filled spec whose rounding floor exceeds `_CUSP_FLOOR` or
+    `_LENGTH_FLOOR` fill gates is refused there, before any step.  The specs whose slopes all have
+    length >= sqrt(7) take their one step to s = 1 as one stacked
+    `_newton` from their second-order starts; each spec with a shorter
+    slope, and each whose stacked step failed, then runs its `_path`
+    alone."""
     out = [None] * len(specs)
     todo = []
     for i, spec in enumerate(specs):
@@ -618,10 +599,26 @@ def solve_fillings(sig: GKSignature, specs: Sequence[FillingSpec], *, check_leng
         for i, _, _ in todo:
             out[i] = exc
         return out
-    filled = [(i, spec, lmin) for i, spec, lmin in todo if lmin is not None]
-    for i, _, lmin in todo:
+    length_floor = edge_cosh(cs.beta_bar) * _EPS
+    filled = []
+    for i, spec, lmin in todo:
         if lmin is None:
             out[i] = cs.x0.copy()
+            continue
+        pq = max(filter(None, spec.pairs), key=lambda s: abs(s[0]) + abs(s[1]))
+        cusp_floor = (abs(pq[0]) + abs(pq[1])) * _EPS
+        if cusp_floor > _CUSP_FLOOR * _FILL_TOL:
+            out[i] = DomainError(
+                "slope %s: cusp-row rounding floor (|p| + |q|) eps = %.3g is over %g times the gate %g"
+                % (slope_text(pq), cusp_floor, _CUSP_FLOOR, _FILL_TOL)
+            )
+        elif length_floor > _LENGTH_FLOOR * _FILL_TOL:
+            out[i] = DomainError(
+                "g=%d k=%d: length-row rounding floor edge_cosh(beta) eps = %.3g is over %g times the gate %g"
+                % (sig.g, sig.k, length_floor, _LENGTH_FLOOR, _FILL_TOL)
+            )
+        else:
+            filled.append((i, spec, lmin))
     if not filled:
         return out
     jets = _complete_jet(sig, cs, [spec for _, spec, _ in filled])
@@ -657,7 +654,10 @@ def _path(sig: GKSignature, cs: CompleteSolution, spec: FillingSpec, jet, ds: fl
     point short of s = 1 only feeds the next predictor, so it is solved
     only to `_MID_TOL`, and its tangent is one block step with the blocks
     of Newton's last iterate.  A failed step halves ds; below 1e-4 the
-    path ends in a ContinuationError with the last failure's residual."""
+    path ends in a ContinuationError with the last failure's residual.
+    Its fillings passed the floor check of `solve_fillings`: a step fails
+    for the geometry (a slope below sqrt(7)), for a start too far out, or
+    rarely for rounding near the floors."""
     k = sig.k
     # s scales the 2 pi on row 11 of the filled cusps, so every tangent
     # dx/ds solves J dx/ds = ds_rhs

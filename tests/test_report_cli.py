@@ -343,6 +343,22 @@ def test_cli_fill_batch_bad_report_fails_alone(monkeypatch, capsys):
     assert good == json.loads(single)
 
 
+@pytest.mark.parametrize("g, coeffs, floor", [("2", "9876543/1", "cusp-row rounding floor"), ("1000", "5/1", "length-row rounding floor")])
+def test_cli_fill_below_the_rounding_floor_is_an_input_error(capsys, g, coeffs, floor):
+    code, out, err = run(capsys, ["fill", "--g", g, "--k", "1", "--coeffs", coeffs])
+    assert code == 2 and out == ""
+    assert err.startswith("input error: ") and floor in err and "times the gate 1e-10" in err
+    # in a batch only that list fails; at g = 1000 the unfilled list still
+    # gets the complete structure
+    other = "5/1" if g == "2" else "inf"
+    code, out, _ = run(capsys, ["--json", "fill", "--g", g, "--k", "1", "--batch", "--coeffs", coeffs + ";" + other])
+    assert code == 2
+    bad, good = json.loads(out)
+    assert bad["error"] == {"exit": 2, "message": err.strip()}
+    _, single, _ = run(capsys, ["--json", "fill", "--g", g, "--k", "1", "--coeffs", other])
+    assert good == json.loads(single)
+
+
 @pytest.mark.parametrize("coeffs", [";", "", "5/1,3/1; "])
 def test_cli_fill_batch_empty_list_is_an_error(capsys, coeffs):
     # an empty list fails as it does without --batch: exit 2, same message
