@@ -65,10 +65,7 @@ def _failure(exc):
     if isinstance(exc, ContinuationError):
         if exc.last_good_t is None:
             return EXIT_NUMERIC, "numerical failure: %s (no continuation step was solved)" % exc
-        return EXIT_NUMERIC, "numerical failure: %s (last good multiplier %.6g)" % (
-            exc,
-            exc.last_good_t,
-        )
+        return EXIT_NUMERIC, "numerical failure: %s (last good multiplier %.6g)" % (exc, exc.last_good_t)
     return EXIT_NUMERIC, "numerical failure: %s" % exc
 
 

@@ -941,7 +941,10 @@ def test_filling_sweep_to_200(pq):
     assert failed == []
 
 
-@pytest.mark.parametrize("g, k, seed", [(65, 64, 2027), (200, 64, 2027), (65, 64, 1), (65, 64, 11), (65, 64, 18)])
+@pytest.mark.parametrize(
+    "g, k, seed",
+    [(65, 64, 2027), (200, 64, 2027), (65, 64, 1), (65, 64, 11), (65, 64, 18), (17, 16, 2027), (33, 32, 2027)],
+)
 def test_filling_every_cusp_up_to_3e5(g, k, seed):
     # the declared bound on the slopes: every cusp filled with coprime
     # |p|, |q| <= 3e5.  Up to 5e5 most such fillings at k = 64 failed.
@@ -976,6 +979,45 @@ def test_filling_below_the_rounding_floor_is_refused_before_any_step(monkeypatch
         solve_filling(GKSignature(g, 1), FillingSpec.parse(slope, 1))
     # the one evaluation is the gate of solve_complete
     assert len(evals) == 1
+
+
+@pytest.mark.parametrize(
+    "g, k, slope, floor",
+    [
+        (2, 1, "1801439/1", "cusp-row"),
+        (2, 1, "1801438/1", None),
+        (510, 1, "3/1", "length-row"),
+        (509, 1, "3/1", None),
+        (518, 64, "3/1", "length-row"),
+        (517, 64, "3/1", None),
+    ],
+)
+def test_filling_at_the_edge_of_the_rounding_floors(monkeypatch, g, k, slope, floor):
+    # |p| + |q| = 1,801,440 is just above 4 gates / eps = 1,801,439.85, and
+    # edge_cosh(beta) eps crosses 1.05 gates between g = 509 and 510 at k = 1
+    # (1.0486, 1.0527) and between 517 and 518 at k = 64 (1.0468, 1.0509):
+    # each pair pins its floor constant to well within 1 %.  A refused filling
+    # takes no Newton step; one just inside is not refused, however its Newton
+    # solve ends (1801438/1 lies in the rounding gray zone)
+    if floor is not None:
+        monkeypatch.setattr(deformation, "_newton", None)
+    spec = FillingSpec.parse(",".join([slope] + ["inf"] * (k - 1)), k)
+    (x,) = solve_fillings(GKSignature(g, k), [spec])
+    if floor is None:
+        assert not (isinstance(x, DomainError) and "rounding floor" in str(x)), x
+    else:
+        assert isinstance(x, DomainError) and floor + " rounding floor" in str(x)
+
+
+@pytest.mark.parametrize("g, k", [(129, 128), (257, 256), (400, 256)])
+def test_filling_every_cusp_beyond_k_64(g, k):
+    # k does not limit a filling: every cusp on 2/3, of length sqrt(7)
+    sig = GKSignature(g, k)
+    x = solve_filling(sig, FillingSpec.from_pairs(k, [(2, 3)] * k))
+    assert np.max(np.abs(residuals(sig, x))) < 1e-10
+    for c in range(k):
+        pc, qc = dehn_coefficients(x, c)
+        assert abs(pc - 2.0) < 1e-9 and abs(qc - 3.0) < 1e-9, c
 
 
 @pytest.mark.parametrize(

@@ -343,7 +343,14 @@ def test_cli_fill_batch_bad_report_fails_alone(monkeypatch, capsys):
     assert good == json.loads(single)
 
 
-@pytest.mark.parametrize("g, coeffs, floor", [("2", "9876543/1", "cusp-row rounding floor"), ("1000", "5/1", "length-row rounding floor")])
+@pytest.mark.parametrize(
+    "g, coeffs, floor",
+    [
+        ("2", "9876543/1", "cusp-row rounding floor"),
+        ("1000", "5/1", "length-row rounding floor"),
+        ("2", "1801439/1", "cusp-row rounding floor"),
+    ],
+)
 def test_cli_fill_below_the_rounding_floor_is_an_input_error(capsys, g, coeffs, floor):
     code, out, err = run(capsys, ["fill", "--g", g, "--k", "1", "--coeffs", coeffs])
     assert code == 2 and out == ""
@@ -357,6 +364,10 @@ def test_cli_fill_below_the_rounding_floor_is_an_input_error(capsys, g, coeffs, 
     assert bad["error"] == {"exit": 2, "message": err.strip()}
     _, single, _ = run(capsys, ["--json", "fill", "--g", g, "--k", "1", "--coeffs", other])
     assert good == json.loads(single)
+    if coeffs == "1801439/1":
+        # the edge of the cusp floor: one less in p is not an input error
+        code, _, inside = run(capsys, ["fill", "--g", g, "--k", "1", "--coeffs", "1801438/1"])
+        assert code != 2, inside
 
 
 @pytest.mark.parametrize("coeffs", [";", "", "5/1,3/1; "])

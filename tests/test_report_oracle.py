@@ -1,0 +1,128 @@
+"""The fields a report prints, against a 50-digit oracle.
+
+The oracle writes the square system out again, one scalar at a time, in
+mpmath: the layout of `mgk.deformation`'s docstring, the truncation
+triangles of `tetrahedron.py` (the side at face vertex j has angles
+gamma^j, alpha^{j+1}, alpha^{j+2}) and the log-holonomies (u, v) of each
+cusp's gammas.  `mpmath.findroot` refines the float solution to 50
+digits, and u, v, the coefficients, the core length, an unfilled cusp's
+modulus and the return path are compared with their values there.
+
+The doubles carry u and v to about 1e-16 absolute, not relative, so far
+out (499999/3) the text's 12 significant digits of a small Re u or Re L
+are not all right (CHANGES.md); those fields are held to the error they
+have, and the others to each digit they print.
+"""
+
+import re
+
+import mpmath as mp
+import pytest
+
+from mgk.deformation import GKSignature, solve_filling
+from mgk.hyptrig import FillingSpec
+from mgk.report import build_report, report_to_text
+
+
+def oracle_rows(g, k, pairs):
+    """The 12k+1 rows of the square system at the mpmath point x: per
+    tetrahedron its three length rows and its ideal-vertex sum, per cusp
+    its two sine-product rows and its two cusp rows, and the total angle."""
+
+    def rows(*x):
+        beta = x[12 * k]
+        edge = mp.cos(beta) / (1 - mp.cos(beta))
+        out = []
+        for t in range(2 * k):
+            alpha, gamma = x[6 * t:6 * t + 3], x[6 * t + 3:6 * t + 6]
+            for j in range(3):
+                a1, a2 = alpha[(j + 1) % 3], alpha[(j + 2) % 3]
+                out.append((mp.cos(a1) * mp.cos(a2) + mp.cos(gamma[j])) / (mp.sin(a1) * mp.sin(a2)) - edge)
+            out.append(sum(gamma) - mp.pi)
+        for c, pq in enumerate(pairs):
+            A, B = x[12 * c:12 * c + 6], x[12 * c + 6:12 * c + 12]
+            Pi = [mp.sin(A[j]) * mp.sin(B[j]) * mp.sin(A[3 + j]) * mp.sin(B[3 + j]) for j in range(3)]
+            u, v = oracle_uv(x, c)
+            w = u if pq is None else pq[0] * u + pq[1] * v - 2j * mp.pi
+            out += [Pi[0] - Pi[1], Pi[1] - Pi[2], mp.re(w), mp.im(w)]
+        out.append(6 * (g - k) * beta + sum(x[6 * t + j] for t in range(2 * k) for j in range(3)) - 2 * mp.pi)
+        return out
+
+    return rows
+
+
+def oracle_uv(x, c):
+    """(u, v) of cusp c from the gammas gA, gB of its tetrahedra 2c, 2c+1."""
+    gA, gB = x[12 * c + 3:12 * c + 6], x[12 * c + 9:12 * c + 12]
+    u = mp.log(mp.sin(gA[0]) * mp.sin(gB[1]) / (mp.sin(gA[1]) * mp.sin(gB[0]))) + 1j * (gA[2] - gB[2])
+    v = mp.log(mp.sin(gA[1]) * mp.sin(gB[2]) / (mp.sin(gA[2]) * mp.sin(gB[1]))) + 1j * (gA[0] - gB[0])
+    return u, v
+
+
+def core_length(u, v, p, q):
+    """r u + s v for integers with p s - q r = 1, of positive real part,
+    its imaginary part reduced into (-pi, pi]."""
+    r = -pow(q, -1, p)
+    L = r * u + (1 + q * r) // p * v
+    if mp.re(L) < 0:
+        L = -L
+    return mp.mpc(mp.re(L), mp.pi - (mp.pi - mp.im(L)) % (2 * mp.pi))
+
+
+def printed_within_half_unit(text, value, digits=12):
+    """The printed `text` is `value` to its `digits` significant digits,
+    up to the rounding of the double it was printed from."""
+    half = 0.5 * mp.mpf(10) ** (mp.floor(mp.log10(abs(value))) - digits + 1) if value else 0
+    return abs(mp.mpf(text) - value) <= half + 1e-15 * abs(value)
+
+
+COMPLEX = r"([-+]?[\d.]+(?:e[-+]\d+)?)([-+][\d.]+(?:e[-+]\d+)?)i"
+
+
+@pytest.mark.parametrize(
+    "g, k, coeffs",
+    [(2, 1, s) for s in ("3/1", "7/2", "101/7", "10007/13", "100003/7", "499999/3")]
+    + [(3, 2, "3/1,5/1"), (3, 2, "5/1,inf"), (3, 2, "10007/13,7/2"), (3, 2, "499999/3,3/1")],
+)
+def test_report_fields_match_the_50_digit_oracle(g, k, coeffs):
+    sig, spec = GKSignature(g, k), FillingSpec.parse(coeffs, k)
+    x = solve_filling(sig, spec)
+    doc = build_report(sig, spec, x)
+    text = report_to_text(doc)
+    pairs = spec.canonicalized().pairs
+    with mp.workdps(50):
+        rows = oracle_rows(g, k, pairs)
+        sol = mp.findroot(rows, [mp.mpf(float(v)) for v in x], tol=mp.mpf(10) ** -90)
+        xs = [sol[i] for i in range(sig.n_coords)]
+        # the float solution's root, within what the 1e-10 gate leaves
+        assert max(abs(r) for r in rows(*xs)) < 1e-40
+        assert max(abs(a - float(b)) for a, b in zip(xs, x)) < 1e-9
+        lines = [line for line in text.splitlines() if line.startswith("cusp ")]
+        for c, (pq, cusp, line) in enumerate(zip(pairs, doc["cusps"], lines)):
+            u, v = oracle_uv(xs, c)
+            # absolute, as the angles they are read off have size about 1
+            assert abs(complex(*cusp["u"]) - u) < 1e-14 and abs(complex(*cusp["v"]) - v) < 1e-14
+            if pq is None:
+                # isolation: an unfilled cusp is the symmetric block, all gammas
+                # pi/3, so its modulus is the hexagonal exp(i pi/3)
+                gammas = xs[12 * c + 3:12 * c + 6] + xs[12 * c + 9:12 * c + 12]
+                assert max(abs(t - mp.pi / 3) for t in gammas) < 1e-40
+                assert "coeff inf" in line and cusp["coefficients_error"] is None
+                re_m, im_m = re.search("modulus " + COMPLEX, line).groups()
+                assert printed_within_half_unit(re_m, mp.mpf(1) / 2)
+                assert printed_within_half_unit(im_m, mp.sqrt(3) / 2)
+                continue
+            # the slope that the oracle's (u, v) fill, within the reported
+            # bound, and printed as its integers
+            det = mp.re(u) * mp.im(v) - mp.im(u) * mp.re(v)
+            exact = (-2 * mp.pi * mp.re(v) / det, 2 * mp.pi * mp.re(u) / det)
+            assert max(abs(a - b) for a, b in zip(exact, pq)) < 1e-40
+            assert max(abs(a - b) for a, b in zip(cusp["coefficients"], exact)) <= cusp["coefficients_error"]
+            assert "coeff (%d, %d)" % pq in line
+            L = core_length(u, v, int(pq[0]), int(pq[1]))
+            cl = cusp["complex_length"]
+            assert abs(cl[0] - mp.re(L)) < 1e-11 * mp.re(L) and abs(cl[1] - mp.im(L)) < 1e-14
+        beta = xs[-1]
+        edge = mp.cos(beta) / (1 - mp.cos(beta))
+        printed = re.search(r"return path +(\S+)", text).group(1)
+        assert printed_within_half_unit(printed, mp.acosh(edge / (edge - 1)))
