@@ -12,7 +12,16 @@ filling is solved, an unwritable --out file), 3 numerical failure.
 Tolerances are fixed: a report is refused above residual
 `report.RESIDUAL_TOL`, and invariants compare at
 `commensurability_xk.INVARIANT_TOL`.  `main(argv)` can be called
-repeatedly in-process; it builds its parser once per process.
+repeatedly in-process; it builds its parser once per process, and when
+argv starts with the subcommand, the subcommand's parser reads the rest
+in one pass (`parse`).
+
+`slopes` and `similar` answer in exact integer arithmetic
+(`slopes_symmetry`) and write with `jsontext`, so they load no numpy.
+Each of the other commands imports numpy and the modules it uses
+(`deformation`, `report`, `commensurability_xk`, `boundary_trace`) when
+it runs, and the errors that `main` maps to exit codes are those of
+`hyptrig`.
 """
 
 import argparse
@@ -21,22 +30,9 @@ import math
 import os
 import sys
 
-import numpy as np
-
-from . import boundary_trace as bt
-from . import commensurability_xk as cx
 from . import slopes_symmetry as ss
-from .deformation import (
-    ContinuationError,
-    ConvergenceError,
-    GKSignature,
-    jacobian,
-    solve_complete,
-    solve_fillings,
-    tangent_basis,
-)
-from .hyptrig import DomainError, FillingSpec, parse_slope
-from .report import SCHEMA, build_report, build_reports, report_to_json, report_to_text, to_json
+from .hyptrig import ContinuationError, ConvergenceError, DomainError, FillingSpec, parse_slope
+from .jsontext import SCHEMA, to_json
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -70,10 +66,11 @@ def _failure(exc):
 
 
 def _parse_slope_set(text: str, k: int) -> ss.SlopeSet:
-    """Parse "p/q@torus" entries (tori numbered 1..k), comma-separated."""
+    """Parse "p/q@torus" entries (tori numbered 1..k), comma-separated,
+    into the slope set: one Slope or None per torus."""
     if k < 1:
         raise DomainError("k must be >= 1, got %d" % k)
-    entries = {}
+    slopes = [None] * k
     if text.strip():
         for item in text.split(","):
             item = item.strip()
@@ -86,22 +83,27 @@ def _parse_slope_set(text: str, k: int) -> ss.SlopeSet:
                 raise DomainError("cannot parse slope entry %r (want p/q@i)" % item) from None
             if not 1 <= torus <= k:
                 raise DomainError("torus index %d outside 1..%d" % (torus, k))
-            if torus - 1 in entries:
+            if slopes[torus - 1] is not None:
                 raise DomainError("torus %d given two slopes" % torus)
-            entries[torus - 1] = ss.Slope.of(p, q)
-    return ss.make_slope_set(k, entries)
+            slopes[torus - 1] = ss.Slope.of(p, q)
+    return tuple(slopes)
 
 
 def _report_text(rep, args) -> str:
     """The text of the report `rep`.  When rep is instead the error that
     parsing, solving or reporting its list raised, that error is raised,
     as is the DomainError of a report that JSON cannot hold (a NaN)."""
+    from .report import report_to_json, report_to_text
+
     if isinstance(rep, Exception):
         raise rep
     return report_to_json(rep) if args.json else report_to_text(rep)
 
 
 def cmd_complete(args) -> int:
+    from .deformation import GKSignature, solve_complete
+    from .report import build_report
+
     sig = GKSignature(args.g, args.k)
     _emit(args, _report_text(build_report(sig, FillingSpec.unfilled(sig.k), solve_complete(sig).x0), args))
     return EXIT_OK
@@ -135,10 +137,15 @@ def _solve_specs(sig, specs, **kw) -> list:
     """Per entry of `specs`, a FillingSpec or the error that building it
     raised: its solution or its error.  The specs are solved together, in
     one `solve_fillings` call; an error keeps its place."""
+    from .deformation import solve_fillings
+
     return _batched(lambda ok: solve_fillings(sig, ok, **kw), specs)
 
 
 def cmd_fill(args) -> int:
+    from .deformation import GKSignature
+    from .report import build_reports
+
     sig = GKSignature(args.g, args.k)
     # with --batch every entry is a list, an empty one too (an error record
     # like any other); without it the one list's error is the command's
@@ -223,6 +230,8 @@ def cmd_similar(args) -> int:
 
 
 def cmd_commensurable(args) -> int:
+    from . import commensurability_xk as cx
+
     sig = cx.XkSignature(args.k)
     gk = sig.gk
 
@@ -276,6 +285,10 @@ def cmd_commensurable(args) -> int:
 
 
 def cmd_tangent(args) -> int:
+    import numpy as np
+
+    from .deformation import GKSignature, jacobian, solve_complete, tangent_basis
+
     sig = GKSignature(args.g, args.k)
     basis = tangent_basis(sig)
     # At x0 every cusp block of J is the same 10x12 block B, with border column
@@ -308,6 +321,11 @@ def cmd_tangent(args) -> int:
 
 
 def cmd_trace(args) -> int:
+    import numpy as np
+
+    from . import boundary_trace as bt
+    from .deformation import GKSignature
+
     sig = GKSignature(args.g, args.k)
     if args.grid is not None and args.grid < 1:
         raise DomainError("--grid must be at least 1, got %d" % args.grid)
@@ -368,11 +386,11 @@ def _add_common(parser, top_level: bool) -> None:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The `mgk` parser, built on the first call and shared by every later
-    one, so that `main` does not rebuild it per call.  Callers must not
-    mutate it; `parse_args` does not, and starts each call from a fresh
-    namespace."""
+def build_parser():
+    """The `mgk` parser and the parsers of its subcommands by name, built
+    on the first call and shared by every later one, so that `main` does
+    not rebuild them per call.  Callers must not mutate them; `parse_args`
+    does not, and starts each call from a fresh namespace."""
     ap = argparse.ArgumentParser(
         prog="mgk",
         description="Hyperbolic structures, Dehn fillings and invariants "
@@ -431,12 +449,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-max", type=float, default=2.8)
     _add_common(p, top_level=False)
     p.set_defaults(func=cmd_trace)
-    return ap
+    return ap, sub.choices
+
+
+def parse(argv) -> argparse.Namespace:
+    """`argv` as the `mgk` parser reads it.  That parser classifies every
+    argument and then hands all those after the subcommand's name to the
+    subcommand's parser, which reads them again; so when argv starts with
+    the name, the subcommand's parser reads the rest alone.  An argument
+    that it leaves unread takes the full parse, whose error is the `mgk`
+    parser's."""
+    ap, commands = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in commands:
+        # the top parser's defaults of the flags of _add_common
+        args = argparse.Namespace(command=argv[0], json=False, out=None)
+        args, extras = commands[argv[0]].parse_known_args(argv[1:], args)
+        if not extras:
+            return args
+    return ap.parse_args(argv)
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = parse(argv)
         return args.func(args)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK

@@ -65,7 +65,9 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .hyptrig import SQRT7, DomainError, FillingSpec, slope_text
+# the solver's failures are defined in hyptrig, beside DomainError, and
+# re-exported here under the names they have always had
+from .hyptrig import SQRT7, ContinuationError, ConvergenceError, DomainError, FillingSpec, slope_text
 
 # working margin keeping iterates strictly inside (0, pi)
 _CLIP = 1e-8
@@ -83,32 +85,6 @@ _EPS = float(np.finfo(float).eps)
 # |u| below which a cusp counts as complete (unfilled)
 COMPLETE_TOL = 1e-9
 _OUTSIDE_BOX = "coordinates must lie in (0, pi)"
-
-
-class ConvergenceError(RuntimeError):
-    """Newton iteration failed to reach the requested residual norm.
-    `residual` is the residual sup-norm at the point where it stopped, or
-    None where no such point is known."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
-
-class ContinuationError(ConvergenceError):
-    """The continuation could not reach s = 1; the message names the
-    signature and the canonical slopes.  `last_good_t` is t = 1/s at the
-    last solved point of the path, or None when no step was solved.  Near
-    the sqrt(7) wall, where a path below it gives up, the step halving
-    that ends the path is so sensitive that rounding sets the last good
-    multiplier: a change in the last bits of the path moves it.
-    `residual` is that of the last failed Newton solve, which the message
-    ends with, or None when no Newton solve failed.  A filling beyond the
-    rounding floors is refused before any step, with a DomainError."""
-
-    def __init__(self, message, last_good_t, residual):
-        super().__init__(message, residual)
-        self.last_good_t = last_good_t
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,10 @@
 """The slope model, in the standard library alone: slopes (p, q) on the
 hexagonal cusp torus, of length sqrt(p^2 + q^2 - p*q), their "p/q"
 syntax and sign form, and the per-cusp `FillingSpec` with its sqrt(7)
-gate; and `DomainError`, the input error of every module."""
+gate; and the errors of every module: `DomainError`, the input error,
+and `ConvergenceError` and its `ContinuationError`, the solver's
+numerical failures, which live here so that the command line can name
+them without loading numpy."""
 
 import math
 import numbers
@@ -16,6 +19,32 @@ _REAL = (float, int, numbers.Real)
 class DomainError(ValueError):
     """Input outside the geometric domain: a bad signature, angles outside
     (0, pi), a slope below the hyperbolicity threshold, a malformed entry."""
+
+
+class ConvergenceError(RuntimeError):
+    """Newton iteration failed to reach the requested residual norm.
+    `residual` is the residual sup-norm at the point where it stopped, or
+    None where no such point is known."""
+
+    def __init__(self, message, residual=None):
+        super().__init__(message)
+        self.residual = residual
+
+
+class ContinuationError(ConvergenceError):
+    """The continuation could not reach s = 1; the message names the
+    signature and the canonical slopes.  `last_good_t` is t = 1/s at the
+    last solved point of the path, or None when no step was solved.  Near
+    the sqrt(7) wall, where a path below it gives up, the step halving
+    that ends the path is so sensitive that rounding sets the last good
+    multiplier: a change in the last bits of the path moves it.
+    `residual` is that of the last failed Newton solve, which the message
+    ends with, or None when no Newton solve failed.  A filling beyond the
+    rounding floors is refused before any step, with a DomainError."""
+
+    def __init__(self, message, last_good_t, residual):
+        super().__init__(message, residual)
+        self.last_good_t = last_good_t
 
 
 def slope_length_pair(p: float, q: float) -> float:

@@ -6,12 +6,11 @@ is the report's only model: `report_to_json` writes it as JSON and
 `build_reports` reports the solved points of one signature together, as
 `deformation.solve_fillings` solves them: one stacked residual
 evaluation gates them all, and a refused point is its own error.
-`to_json` writes every JSON document of the package, the text of
-`json.dumps(doc, indent=2, allow_nan=False)`."""
+`to_json` and `SCHEMA` are those of `jsontext`, the standard-library
+writer of every JSON document of the package, re-exported here."""
 
 import math
 import sys
-from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional, Sequence
 
 import numpy as np
@@ -20,8 +19,8 @@ from . import cusp_invariants as ci
 from .commensurability_xk import XkSignature, abc
 from .deformation import GKSignature, _coefficients, check_coords, residuals, uv
 from .hyptrig import DomainError, FillingSpec, slope_text
+from .jsontext import SCHEMA, to_json
 
-SCHEMA = "mgk/1"
 # residual sup-norm above which a structure is not reported
 RESIDUAL_TOL = 1e-9
 
@@ -164,60 +163,6 @@ def report_to_text(doc: dict) -> str:
     if doc["abc"] is not None:
         lines.append("abc             (%.12g, %.12g, %.12g)" % tuple(doc["abc"]))
     return "\n".join(lines)
-
-
-def to_json(doc) -> str:
-    """The JSON text of a document of dicts with str keys, lists, tuples,
-    str, bool, None, int and float: byte for byte that of
-    `json.dumps(doc, indent=2, allow_nan=False)`, written by one plain
-    recursion and one join per list of floats.  Python's float repr is the
-    shortest string that parses back to the same double, so values
-    round-trip exactly; NaN and infinities, which JSON lacks, are a
-    DomainError."""
-    return _text(doc, "\n")
-
-
-_NOT_FINITE = "cannot write JSON: Out of range float values are not JSON compliant"
-
-
-def _text(o, newline: str) -> str:
-    """The JSON text of o, whose lines after the first start with
-    `newline` (a newline and the indentation of o)."""
-    # the repr of a finite float has no "n"; those of nan, inf and -inf do
-    if isinstance(o, str):
-        return _quote(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        text = float.__repr__(o)
-        if "n" in text:
-            raise DomainError(_NOT_FINITE)
-        return text
-    inner = newline + "  "
-    sep = "," + inner
-    if isinstance(o, (list, tuple)):
-        if not o:
-            return "[]"
-        if all(type(v) is float for v in o):
-            body = sep.join(map(float.__repr__, o))
-            if "n" in body:
-                raise DomainError(_NOT_FINITE)
-        else:
-            body = sep.join([_text(v, inner) for v in o])
-        return "[" + inner + body + newline + "]"
-    if isinstance(o, dict):
-        if not o:
-            return "{}"
-        # _quote raises the TypeError of a key that is not a str
-        body = sep.join([_quote(key) + ": " + _text(v, inner) for key, v in o.items()])
-        return "{" + inner + body + newline + "}"
-    raise TypeError("Object of type %s is not JSON serializable" % type(o).__name__)
 
 
 def report_to_json(doc: dict) -> str:

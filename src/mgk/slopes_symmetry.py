@@ -108,12 +108,17 @@ def _images(s: Slope, refl: bool) -> List[Tuple[int, int]]:
     """The sign-form (p, q) images of s under `_ROTATIONS`, then under the
     three reflections when `refl` is set: those of the elements of
     `_ROTATIONS` or `_ISOMETRIES`, in order, on integer pairs (r^m s is
-    s: (p, q) -> (p - q, -q), then m times r: (p, q) -> (p - q, p))."""
+    s: (p, q) -> (p - q, -q), then m times r: (p, q) -> (p - q, p)).
+    Each image takes its sign from one test on p, q or d = p - q: s is
+    primitive and in sign form, so p = 0 only at (0, 1), q = 0 only at
+    (1, 0) and d = 0 only at (1, 1), which settles the sign of an image
+    whose first entry is 0."""
     p, q = s.p, s.q
-    pairs = [(p, q), (p - q, p), (-q, p - q)]
+    d = p - q
+    pairs = [(p, q), (d, p) if d >= 0 else (-d, -p), (-q, d) if q <= 0 else (q, -d)]
     if refl:
-        pairs += [(p - q, -q), (p, p - q), (q, p)]
-    return [(a, b) if a > 0 or (a == 0 and b > 0) else (-a, -b) for a, b in pairs]
+        pairs += [(d, -q) if d > 0 else (-d, q), (p, d) if p > 0 else (-p, -d), (q, p) if q >= 0 else (-q, -p)]
+    return pairs
 
 
 def _orbit(s: Optional[Slope], refl: bool) -> Tuple[Slope, ...]:
@@ -239,14 +244,13 @@ def slope_sets_equivalent(
     order_b = sorted(range(k), key=kb.__getitem__)
     if [ka[i] for i in order_a] != [kb[j] for j in order_b]:
         return None
-    perm = dict(zip(order_a, order_b))
+    perm = [0] * k
+    for i, j in zip(order_a, order_b):
+        perm[i] = j
     # the first element of `group` carrying each slope onto its target; an
     # empty torus takes the identity
-    local = tuple(
-        group[0] if im is None else group[im.index((b[perm[i]].p, b[perm[i]].q))]
-        for i, im in enumerate(images)
-    )
-    return SlopeSetIsometry(tuple(perm[i] for i in range(k)), local)
+    local = tuple([group[0] if im is None else group[im.index((b[j].p, b[j].q))] for im, j in zip(images, perm)])
+    return SlopeSetIsometry(tuple(perm), local)
 
 
 def enumerate_equivalent_sets(a: SlopeSet):

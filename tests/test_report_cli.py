@@ -133,23 +133,32 @@ def test_cli_fill_refused_report_without_batch(monkeypatch, capsys):
     assert "above reporting tolerance" in err
 
 
+_INTS = st.integers(min_value=-(2**70), max_value=2**70)
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 # leaves of a document: every kind that JSON writes, with the strings,
 # ints and floats at the edges of their encodings
 _LEAVES = st.one_of(
     st.text(alphabet=st.characters(codec="utf-8") | st.sampled_from('"\\\b\f\n\r\t\x00\x1f\x7f'), max_size=12),
     st.booleans(),
     st.none(),
-    st.integers(min_value=-(2**70), max_value=2**70),
-    st.floats(allow_nan=False, allow_infinity=False),
+    _INTS,
+    _FLOATS,
     st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1e16, 1e-7, 0.1]),
-    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    _FLOATS.map(np.float64),
 )
 _DOCS = st.recursive(
     _LEAVES,
     lambda inner: st.one_of(
         st.lists(inner, max_size=5),
         st.lists(inner, max_size=5).map(tuple),
-        st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=6),
+        # the lists that the writer joins in one pass, only floats or only
+        # ints, and the mixes that must take the per-item path: bool with
+        # int, int with float, np.float64 among floats
+        st.lists(_FLOATS, max_size=6),
+        st.lists(_INTS, max_size=6),
+        st.lists(st.one_of(st.booleans(), _INTS), max_size=6),
+        st.lists(st.one_of(_INTS, _FLOATS), max_size=6),
+        st.lists(st.one_of(_FLOATS, _FLOATS.map(np.float64)), max_size=6),
         st.dictionaries(st.text(max_size=8), inner, max_size=5),
     ),
     max_leaves=30,
@@ -549,18 +558,91 @@ def test_cli_closed_pipe_exits_quietly(argv):
     assert proc.returncode == 1
 
 
-def test_cli_import_does_not_load_scipy():
-    # scipy is not a dependency; importing it would dominate CLI start-up
+def _fresh(script, *args) -> str:
+    """The stdout of `script`, run with `args` in a fresh interpreter that
+    imports mgk from this checkout."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    out = subprocess.run(
-        [sys.executable, "-c", "import mgk.cli, sys; print('scipy' in sys.modules)"],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    ).stdout
-    assert out.strip() == "False"
+    proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy is not a dependency; importing it would dominate CLI start-up
+    assert _fresh("import mgk.cli, sys; print('scipy' in sys.modules)") == "False"
+
+
+# a bare `import mgk`, then `similar` and `slopes` in-process, their input
+# errors too: after each, whether numpy is loaded
+NO_NUMPY = """
+import contextlib, io, json, sys
+import mgk
+seen = ["numpy" in sys.modules]
+from mgk import cli
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        seen.append([cli.main(argv), "numpy" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def test_similar_and_slopes_load_no_numpy():
+    a8 = "7/2@1,3/1@2,5/1@3,19/11@4,16/-1@5,1/0@6,11/3@7,13/4@8"
+    b8 = "1/-2@1,11/-8@2,1/1@3,7/5@4,4/13@5,8/-3@6,4/-1@7,16/17@8"
+    argvs = [
+        ["similar", "--k", "3", "3/1@1,5/1@2", "5/1@1,3/1@2", "--json"],
+        ["similar", "--k", "8", a8, b8, "--reflections"],
+        ["similar", "--k", "2", "4/2@1", ""],
+        ["slopes", "--max-len-sq", "30", "--json"],
+        ["slopes", "--max-len-sq", "0"],
+    ]
+    seen = json.loads(_fresh(NO_NUMPY, json.dumps(argvs)))
+    assert seen == [False, [0, False], [0, False], [2, False], [0, False], [2, False]]
+
+
+# perfbench's tracer wraps only the modules that are loaded when it
+# installs, after reading `mgk.residuals`: that one name loads them all
+NUMPY_HALF = """
+import json, sys
+import mgk
+names = ["mgk." + m for m in ("deformation", "cusp_invariants", "commensurability_xk", "report", "boundary_trace")]
+before = [m in sys.modules for m in names]
+residuals = mgk.residuals
+print(json.dumps([before, [m in sys.modules for m in names],
+                  residuals is sys.modules["mgk.deformation"].residuals,
+                  sorted(set(mgk.__all__) - set(vars(mgk)))]))
+"""
+
+
+def test_first_solver_name_loads_the_numpy_half():
+    before, after, same, unbound = json.loads(_fresh(NUMPY_HALF))
+    assert before == [False] * 5 and after == [True] * 5
+    # every exported name is bound once the first is read
+    assert same and unbound == []
+
+
+STAR = """
+import json
+import mgk
+listed = dir(mgk)
+star = {}
+exec("from mgk import *", star)
+print(json.dumps([sorted(set(mgk.__all__) - set(listed)), sorted(set(mgk.__all__) - set(star)),
+                  [n for n in mgk.__all__ if star[n] is not getattr(mgk, n)], hasattr(mgk, "no_such_name")]))
+"""
+
+
+def test_star_import_and_dir_give_every_exported_name():
+    assert json.loads(_fresh(STAR)) == [[], [], [], False]
+
+
+def test_moved_names_keep_their_old_homes():
+    from mgk import hyptrig, jsontext
+
+    assert deformation.ConvergenceError is hyptrig.ConvergenceError
+    assert deformation.ContinuationError is hyptrig.ContinuationError
+    assert report.to_json is jsontext.to_json and report.SCHEMA == jsontext.SCHEMA
 
 
 def test_cli_commensurable_rotated(capsys):
@@ -848,3 +930,33 @@ def test_cli_help_before_and_after_other_calls(capsys, argv):
     assert run(capsys, ["complete", "--g", "x", "--k", "1"])[0] == 2
     code, after, _ = run(capsys, argv)
     assert code == 0 and after == before
+
+
+# `parse` reads the arguments after a leading subcommand with that
+# subcommand's parser alone; it must read what the full parse reads
+SIMILAR = ["similar", "--k", "2", "3/1@1", "5/1@2"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        SIMILAR,
+        SIMILAR + ["--json", "--reflections"],
+        ["--json"] + SIMILAR + ["--out", "x"],
+        ["similar", "--k=2", "--", "3/1@1", "5/1@2"],
+        COMPLETE + ["--out", "x", "--json"],
+        ["fill", "--g", "3", "--k", "2", "--coeffs", "inf,5/1", "--batch", "--allow"],
+        ["trace", "--g", "2", "--k", "1", "--grid", "3"],
+    ],
+)
+def test_cli_parse_reads_what_the_full_parse_reads(argv):
+    ap, _ = cli.build_parser()
+    assert vars(cli.parse(argv)) == vars(ap.parse_args(argv))
+
+
+@pytest.mark.parametrize("extra", [["--bogus"], ["extra"], ["--bogus", "--json"], ["--json", "x", "--bogus"]])
+def test_cli_unread_argument_is_the_top_level_error(capsys, extra):
+    code, out, err = run(capsys, SIMILAR + extra)
+    unread = " ".join(a for a in extra if a != "--json")
+    assert code == 2 and out == "" and err.startswith("usage: mgk [-h] [--json] [--out OUT]")
+    assert err.endswith("mgk: error: unrecognized arguments: %s\n" % unread)
