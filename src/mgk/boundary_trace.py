@@ -60,6 +60,12 @@ def trace_gamma(lam: float, eta: float, zeta: float) -> float:
     return float(m[0, 0] + m[1, 1])
 
 
+def _eta_coefficient(lam: float, eta: float, zeta: float) -> float:
+    # the eta'' coefficient of 2 tr''; with eta and zeta exchanged, the zeta'' one
+    lpl = lam + 1.0 / lam
+    return lpl * math.cos(eta / 2.0) * math.sin(zeta / 2.0) + 2.0 * math.sin(eta / 2.0) * math.cos(zeta / 2.0)
+
+
 def trace_second_derivative(inp: TraceInput) -> float:
     """Second t-derivative at 0 of the trace along a path with stationary
     lambda, eta, zeta (their first derivatives vanish):
@@ -70,12 +76,7 @@ def trace_second_derivative(inp: TraceInput) -> float:
                        + 2 cos(eta/2) sin(zeta/2)).
     """
     lam, eta, zeta = inp.lambda0, inp.eta0, inp.zeta0
-    lpl = lam + 1.0 / lam
-    se, ce = math.sin(eta / 2.0), math.cos(eta / 2.0)
-    sz, cz = math.sin(zeta / 2.0), math.cos(zeta / 2.0)
-    term_eta = lpl * ce * sz + 2.0 * se * cz
-    term_zeta = lpl * se * cz + 2.0 * ce * sz
-    return 0.5 * (inp.eta_dd * term_eta + inp.zeta_dd * term_zeta)
+    return 0.5 * (inp.eta_dd * _eta_coefficient(lam, eta, zeta) + inp.zeta_dd * _eta_coefficient(lam, zeta, eta))
 
 
 def delta0_trace_second_derivative(inp: TraceInput) -> float:
@@ -95,11 +96,7 @@ def delta0_trace_second_derivative(inp: TraceInput) -> float:
 def stima_inequality(lambda0: float, eta0: float, zeta0: float) -> bool:
     """Positivity of the eta''-coefficient in the trace second derivative,
     the estimate that settles the delta = 1 branch."""
-    lpl = lambda0 + 1.0 / lambda0
-    val = lpl * math.cos(eta0 / 2.0) * math.sin(zeta0 / 2.0) + 2.0 * math.sin(
-        eta0 / 2.0
-    ) * math.cos(zeta0 / 2.0)
-    return val > 0.0
+    return _eta_coefficient(lambda0, eta0, zeta0) > 0.0
 
 
 def varsigma_trace_data(sig: GKSignature, delta: int, r0: float) -> TraceInput:

@@ -64,28 +64,31 @@ def phi_s(x, cusp: int) -> np.ndarray:
     return apex_permutation(x, cusp, _SIGMA_S)
 
 
-def apply_local(x, cusp: int, e: D6Element) -> np.ndarray:
-    """Apply the variety symmetry corresponding to a local torus isometry
-    (reflection first, then rotations, matching r^rot s^refl)."""
-    y = np.array(x, dtype=float)
+def _block_map(e: D6Element) -> np.ndarray:
+    """The action of the local torus isometry e = r^rot s^refl on one cusp
+    block, as an index map of its 12 angles (new angle j = old angle m[j]):
+    the generators themselves, reflection first, then rotations, applied
+    to the indices of a one-cusp point."""
+    m = np.arange(13.0)
     if e.refl:
-        y = phi_s(y, cusp)
+        m = phi_s(m, 0)
     for _ in range(e.rot):
-        y = phi_r(y, cusp)
-    return y
+        m = phi_r(m, 0)
+    return m[:12].astype(int)
 
 
 def sym_act(psi: SlopeSetIsometry, x) -> np.ndarray:
     """Apply the variety symmetry corresponding to a marked-tori isometry:
-    local pieces first, then the cusp relabelling; Dehn coefficients
-    transform by the corresponding pushforward."""
+    local pieces first, one gather over the cusp blocks, then the cusp
+    relabelling; Dehn coefficients transform by the corresponding
+    pushforward."""
     k = cusps_of(x)
     if len(psi.perm) != k:
         raise DomainError("isometry is for %d tori, point has %d cusps" % (len(psi.perm), k))
-    y = np.array(x, dtype=float)
-    for i in range(k):
-        y = apply_local(y, i, psi.local[i])
-    return cusp_permutation(y, psi.perm)
+    maps = {e: _block_map(e) for e in set(psi.local)}
+    x = np.asarray(x, dtype=float)
+    local = np.take_along_axis(x[:-1].reshape(k, 12), np.array([maps[e] for e in psi.local]), 1)
+    return cusp_permutation(np.append(local, x[-1]), psi.perm)
 
 
 @dataclass(frozen=True)
@@ -166,10 +169,7 @@ def theta_r(x, sig: XkSignature) -> np.ndarray:
     it is one and the same local generator word on every cusp; its
     sixth power is the identity, and it cycles (a, b, c) -> (c, a, b)."""
     x = check_coords(sig.gk, x)
-    y = np.array(x, dtype=float)
-    for i in range(sig.k):
-        y = apply_local(y, i, D6Element(5, False))
-    return y
+    return np.append(x[:-1].reshape(sig.k, 12)[:, _block_map(D6Element(5, False))], x[-1])
 
 
 def tau_13(x, sig: XkSignature) -> np.ndarray:

@@ -336,17 +336,16 @@ def jacobian(sig: GKSignature, x) -> np.ndarray:
 
 def uv(x, cusp: int) -> Tuple[complex, complex]:
     """Log-dilations (u, v) of the two marked peripheral curves of `cusp`
-    (0-based), read off the gamma angles of its tetrahedron pair."""
+    (0-based), read off the gamma angles of its tetrahedron pair: each g as
+    log(sin g / sin(pi/3)) = log1p(2 cos(pi/3 + d/2) sin(d/2) / sin(pi/3)),
+    d = g - pi/3, with no log of a ratio near 1, so (u, v) is the exact
+    log-holonomy of x to a few ulps of |u|; x holds u to about 1e-16 absolute."""
     gA, gB = cusp_angles(x, cusp)[:, 1].tolist()
-    u = complex(
-        math.log(math.sin(gA[0]) * math.sin(gB[1]) / (math.sin(gA[1]) * math.sin(gB[0]))),
-        gA[2] - gB[2],
+    c, sc = math.pi / 3.0, math.sin(math.pi / 3.0)
+    a0, a1, a2, b0, b1, b2 = (
+        math.log1p(2.0 * math.cos(c + 0.5 * (g - c)) * math.sin(0.5 * (g - c)) / sc) for g in gA + gB
     )
-    v = complex(
-        math.log(math.sin(gA[1]) * math.sin(gB[2]) / (math.sin(gA[2]) * math.sin(gB[1]))),
-        gA[0] - gB[0],
-    )
-    return u, v
+    return complex(a0 + b1 - a1 - b0, gA[2] - gB[2]), complex(a1 + b2 - a2 - b1, gA[0] - gB[0])
 
 
 def dehn_coefficients(x, cusp: int):
@@ -553,11 +552,11 @@ def solve_fillings(sig: GKSignature, specs: Sequence[FillingSpec], *, check_leng
     bits and message: a spec that fails does not touch the others.
     `solve_complete` and the jet's `_curvature_blocks` run once.  Each
     filled spec whose rounding floor exceeds `_CUSP_FLOOR` or
-    `_LENGTH_FLOOR` fill gates is refused there, before any step.  The specs whose slopes all have
-    length >= sqrt(7) take their one step to s = 1 as one stacked
-    `_newton` from their second-order starts; each spec with a shorter
-    slope, and each whose stacked step failed, then runs its `_path`
-    alone."""
+    `_LENGTH_FLOOR` fill gates is refused there, before any step.  The
+    specs that the sqrt(7) gate `FillingSpec.is_hyperbolic` admits take
+    their one step to s = 1 as one stacked `_newton` from their
+    second-order starts; each spec with a shorter slope, and each whose
+    stacked step failed, then runs its `_path` alone."""
     out = [None] * len(specs)
     todo = []
     for i, spec in enumerate(specs):
@@ -566,10 +565,12 @@ def solve_fillings(sig: GKSignature, specs: Sequence[FillingSpec], *, check_leng
             continue
         spec = spec.canonicalized()
         lmin = spec.min_filled_length()
-        if check_length and not spec.is_hyperbolic():
+        hyperbolic = spec.is_hyperbolic()
+        if check_length and not hyperbolic:
             out[i] = DomainError("slope of length %.6g below the hyperbolicity threshold sqrt(7)" % lmin)
             continue
-        todo.append((i, spec, lmin))
+        # the first step in s: to 1 if the sqrt(7) gate admits it, None if nothing is filled
+        todo.append((i, spec, None if lmin is None else 1.0 if hyperbolic else lmin / SQRT7))
     if not todo:
         return out
     try:
@@ -580,8 +581,8 @@ def solve_fillings(sig: GKSignature, specs: Sequence[FillingSpec], *, check_leng
         return out
     length_floor = edge_cosh(cs.beta_bar) * _EPS
     filled = []
-    for i, spec, lmin in todo:
-        if lmin is None:
+    for i, spec, ds in todo:
+        if ds is None:
             out[i] = cs.x0.copy()
             continue
         pq = max(filter(None, spec.pairs), key=lambda s: abs(s[0]) + abs(s[1]))
@@ -597,23 +598,23 @@ def solve_fillings(sig: GKSignature, specs: Sequence[FillingSpec], *, check_leng
                 % (sig.g, sig.k, length_floor, _LENGTH_FLOOR, _FILL_TOL)
             )
         else:
-            filled.append((i, spec, lmin))
+            filled.append((i, spec, ds))
     if not filled:
         return out
     jets = _complete_jet(sig, cs, [spec for _, spec, _ in filled])
-    # the specs whose first step in s, min(1, lmin / sqrt(7)), reaches s = 1:
-    # one stacked Newton solve from their second-order starts
-    one = [j for j, (_, _, lmin) in enumerate(filled) if lmin >= SQRT7]
+    # the specs whose first step reaches s = 1: one stacked Newton solve
+    # from their second-order starts
+    one = [j for j, (_, _, ds) in enumerate(filled) if ds == 1.0]
     first = {}
     if one:
         guess = np.array([cs.x0 + jets[j][0] + 0.5 * jets[j][1] for j in one])
         rows = _linear_rows([pq for j in one for pq in filled[j][1].pairs])
         x, _, errors = _newton(sig, guess, rows, _FILL_TOL)
         first = {j: x_j if exc is None else exc for j, x_j, exc in zip(one, x, errors)}
-    for j, (i, spec, lmin) in enumerate(filled):
+    for j, (i, spec, ds) in enumerate(filled):
         x = first.get(j)
         if x is None:
-            x = _path(sig, cs, spec, jets[j], lmin / SQRT7)
+            x = _path(sig, cs, spec, jets[j], ds)
         elif isinstance(x, ConvergenceError):
             x = _path(sig, cs, spec, jets[j], 0.5, x.residual)
         out[i] = x

@@ -12,6 +12,7 @@ from mgk.deformation import (
     varsigma_point,
 )
 from mgk.hyptrig import DomainError, FillingSpec
+from mgk.slopes_symmetry import D6Element, SlopeSetIsometry
 
 from conftest import d6_matrix
 
@@ -100,7 +101,6 @@ def test_theta_r_rotates_coefficients():
     # the rotation acts on every cusp's Dehn coefficients by an exact
     # integer rotation matrix of order six
     from mgk.deformation import dehn_coefficients
-    from mgk.slopes_symmetry import D6Element
 
     sig = cx.XkSignature(3)
     x = solve_filling(
@@ -131,3 +131,51 @@ def test_commensurable_indeterminate_band():
     x2 = sol.x0.copy()
     x2[0] += 3e-8  # shifts a by 3e-8: inside (tol, 10 tol)
     assert cx.commensurable(x1, x2, sig) is None
+
+
+ELEMENTS = [D6Element(rot, refl) for refl in (False, True) for rot in range(6)]
+
+
+def generator_by_generator(psi, x):
+    """The action written out with the generators: on each cusp `phi_s` if
+    its element reflects, then `phi_r` once per rotation; then the cusp
+    relabelling."""
+    y = np.array(x, dtype=float)
+    for cusp, e in enumerate(psi.local):
+        if e.refl:
+            y = cx.phi_s(y, cusp)
+        for _ in range(e.rot):
+            y = cx.phi_r(y, cusp)
+    return cx.cusp_permutation(y, psi.perm)
+
+
+@pytest.mark.parametrize("k", [1, 3, 64])
+def test_sym_act_is_the_generators_cusp_by_cusp(k):
+    # the composed block maps only move values: the same bytes
+    rng = np.random.default_rng(k)
+    x = rng.uniform(0.1, 3.0, 12 * k + 1)
+    cases = [SlopeSetIsometry(tuple(range(k)), (e,) * k) for e in ELEMENTS]
+    cases += [SlopeSetIsometry(tuple(rng.permutation(k).tolist()), (e,) * k) for e in ELEMENTS]
+    cases += [
+        SlopeSetIsometry(tuple(rng.permutation(k).tolist()), tuple(ELEMENTS[i] for i in rng.integers(0, 12, k)))
+        for _ in range(4)
+    ]
+    for psi in cases:
+        assert cx.sym_act(psi, x).tobytes() == generator_by_generator(psi, x).tobytes()
+    if k % 2:
+        rotation = SlopeSetIsometry(tuple(range(k)), (D6Element(5),) * k)
+        assert cx.theta_r(x, cx.XkSignature(k)).tobytes() == generator_by_generator(rotation, x).tobytes()
+
+
+def test_each_element_is_composed_once_not_once_per_cusp(monkeypatch):
+    calls, phi_r = [], cx.phi_r
+    monkeypatch.setattr(cx, "phi_r", lambda *a: calls.append(1) or phi_r(*a))
+    rng = np.random.default_rng(63)
+    x = rng.uniform(0.1, 3.0, 12 * 63 + 1)
+    cx.theta_r(x, cx.XkSignature(63))
+    assert len(calls) <= 5
+    for _ in range(3):
+        local = tuple(ELEMENTS[i] for i in rng.integers(0, 12, 63))
+        calls.clear()
+        cx.sym_act(SlopeSetIsometry(tuple(rng.permutation(63).tolist()), local), x)
+        assert len(calls) <= 5 * len(set(local))

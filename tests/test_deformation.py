@@ -888,6 +888,19 @@ def test_filling_long_slopes_take_one_newton_solve(monkeypatch, g, pairs):
     assert np.max(np.abs(x - warm_start_continuation(sig, pairs))) < 1e-9
 
 
+def test_filling_the_sqrt7_gate_admits_is_routed_by_the_gate(monkeypatch):
+    # (3, 1 + 1e-12) has length sqrt(7) - 1.9e-13: admitted by the gate's
+    # sqrt(7) - 1e-12, so it takes the one-step solve, not `_path`
+    sig, spec = GKSignature(2, 1), FillingSpec.from_pairs(1, [(3.0, 1.0 + 1e-12)])
+    assert spec.is_hyperbolic() and spec.min_filled_length() < math.sqrt(7.0)
+    calls, newton = [], deformation._newton
+    monkeypatch.setattr(deformation, "_newton", lambda *a: calls.append(1) or newton(*a))
+    x = solve_filling(sig, spec)
+    assert len(calls) == 1
+    assert np.max(np.abs(residuals(sig, x))) < 1e-10
+    assert max(abs(a - b) for a, b in zip(dehn_coefficients(x, 0), (3.0, 1.0 + 1e-12))) < 1e-9
+
+
 def test_filling_predictor_stays_on_the_warm_start_branch_k16():
     k = 16
     sig = GKSignature(k + 1, k)

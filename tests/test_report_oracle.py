@@ -19,7 +19,7 @@ import re
 import mpmath as mp
 import pytest
 
-from mgk.deformation import GKSignature, solve_filling
+from mgk.deformation import GKSignature, solve_filling, uv
 from mgk.hyptrig import FillingSpec
 from mgk.report import build_report, report_to_text
 
@@ -74,6 +74,20 @@ def printed_within_half_unit(text, value, digits=12):
     up to the rounding of the double it was printed from."""
     half = 0.5 * mp.mpf(10) ** (mp.floor(mp.log10(abs(value))) - digits + 1) if value else 0
     return abs(mp.mpf(text) - value) <= half + 1e-15 * abs(value)
+
+
+@pytest.mark.parametrize("g, k", [(2, 1), (3, 2), (17, 16), (65, 64)])
+@pytest.mark.parametrize("slope", ["3/1", "7/2", "10007/13", "100003/7", "299999/2", "499999/3", "1234567/1"])
+def test_uv_is_the_log_holonomy_of_the_float_point_to_its_last_digits(g, k, slope):
+    """`uv` against the same formula at 40 digits on the double point x
+    itself: near the complete structure the ratio of sines is 1 + O(|u|),
+    and its log lost up to 2e-11 |u| to the ratio's rounding."""
+    x = solve_filling(GKSignature(g, k), FillingSpec.parse(",".join([slope] + ["5/1"] * (k - 1)), k))
+    with mp.workdps(40):
+        xs = [mp.mpf(float(t)) for t in x]
+        for c in range(min(k, 2)):
+            for got, exact in zip(uv(x, c), oracle_uv(xs, c)):
+                assert abs(got - exact) < 1e-15 * abs(exact)
 
 
 COMPLEX = r"([-+]?[\d.]+(?:e[-+]\d+)?)([-+][\d.]+(?:e[-+]\d+)?)i"
