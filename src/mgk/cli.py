@@ -12,9 +12,9 @@ filling is solved, an unwritable --out file), 3 numerical failure.
 Tolerances are fixed: a report is refused above residual
 `report.RESIDUAL_TOL`, and invariants compare at
 `commensurability_xk.INVARIANT_TOL`.  `main(argv)` can be called
-repeatedly in-process; it builds its parser once per process, and when
-argv starts with the subcommand, the subcommand's parser reads the rest
-in one pass (`parse`).
+repeatedly in-process; it builds its parser once per process, reads a
+well-formed argv that starts with the subcommand from that subcommand's
+action table, and leaves every other argv to argparse (`parse`).
 
 `slopes` and `similar` answer in exact integer arithmetic
 (`slopes_symmetry`) and write with `jsontext`, so they load no numpy.
@@ -85,7 +85,7 @@ def _parse_slope_set(text: str, k: int) -> ss.SlopeSet:
                 raise DomainError("torus index %d outside 1..%d" % (torus, k))
             if slopes[torus - 1] is not None:
                 raise DomainError("torus %d given two slopes" % torus)
-            slopes[torus - 1] = ss.Slope.of(p, q)
+            slopes[torus - 1] = ss.Slope._of_coprime(p, q)
     return tuple(slopes)
 
 
@@ -452,21 +452,83 @@ def build_parser():
     return ap, sub.choices
 
 
+class _Unread(Exception):
+    """An argument that `_read_exact` leaves to argparse."""
+
+
+def _value(action, text):
+    """`text` as argparse stores it for `action`: converted by its `type`
+    and within its `choices`.  A text that starts with "-", as the "-" of
+    a missing value does, is argparse's to read."""
+    if text.startswith("-"):
+        raise _Unread
+    try:
+        value = text if action.type is None else action.type(text)
+    except (TypeError, ValueError, argparse.ArgumentTypeError):
+        raise _Unread from None
+    if action.choices is not None and value not in action.choices:
+        raise _Unread
+    return value
+
+
+def _read_exact(ap, p, argv):
+    """The namespace of `ap.parse_args(argv)`, read from the action table
+    of `p`, the parser of the subcommand named by argv[0], when every later
+    argument is an exact option string of `p`, the value of one, or a
+    positional.  Each run of positionals between two options goes to the
+    positionals as argparse assigns it, so an option ends a `nargs="+"`
+    one.  Raises _Unread for any other argv, and where a positional or a
+    required option is left without a value or a run has more values than
+    the positionals take."""
+    # argparse's private action tables, guarded by
+    # test_cli_parse_is_the_full_parse in tests/test_report_cli.py
+    values, runs, it = {}, [[]], iter(argv[1:])
+    for arg in it:
+        if not arg.startswith("-"):
+            runs[-1].append(arg)
+            continue
+        runs.append([])
+        action = p._option_string_actions.get(arg)
+        if isinstance(action, argparse._StoreConstAction):
+            values[action.dest] = action.const
+        elif isinstance(action, argparse._StoreAction) and action.nargs is None:
+            values[action.dest] = _value(action, next(it, "-"))
+        else:
+            raise _Unread
+    positionals = [a for a in p._actions if not a.option_strings]
+    for run in runs:
+        while run and positionals:
+            action = positionals.pop(0)
+            if action.nargs is None:
+                values[action.dest] = _value(action, run.pop(0))
+            elif action.nargs == "+":
+                values[action.dest] = [_value(action, arg) for arg in run]
+                run.clear()
+            else:
+                raise _Unread
+        # what no positional takes is argparse's "unrecognized arguments"
+        if run:
+            raise _Unread
+    # a missing positional is required too
+    if any(a.required and a.dest not in values for a in p._actions):
+        raise _Unread
+    sup = argparse.SUPPRESS
+    defaults = {a.dest: a.default for a in ap._actions + p._actions if sup not in (a.dest, a.default)}
+    return argparse.Namespace(**{**defaults, "command": argv[0], "func": p.get_default("func"), **values})
+
+
 def parse(argv) -> argparse.Namespace:
-    """`argv` as the `mgk` parser reads it.  That parser classifies every
-    argument and then hands all those after the subcommand's name to the
-    subcommand's parser, which reads them again; so when argv starts with
-    the name, the subcommand's parser reads the rest alone.  An argument
-    that it leaves unread takes the full parse, whose error is the `mgk`
-    parser's."""
+    """`argv` as the `mgk` parser reads it.  When argv is a subcommand's
+    name followed only by that subcommand's exact option strings, their
+    values and its positionals, `_read_exact` reads it; argparse reads
+    every other argv, and reports its errors, in one full parse."""
     ap, commands = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     if argv and argv[0] in commands:
-        # the top parser's defaults of the flags of _add_common
-        args = argparse.Namespace(command=argv[0], json=False, out=None)
-        args, extras = commands[argv[0]].parse_known_args(argv[1:], args)
-        if not extras:
-            return args
+        try:
+            return _read_exact(ap, commands[argv[0]], argv)
+        except _Unread:
+            pass
     return ap.parse_args(argv)
 
 

@@ -57,6 +57,15 @@ class Slope:
     def of(cls, p: int, q: int) -> "Slope":
         return cls(*sign_form(p, q))
 
+    @classmethod
+    def _of_coprime(cls, p: int, q: int) -> "Slope":
+        """`of` for p and q known to be coprime, as `hyptrig.parse_slope`
+        gives them, without checking them again."""
+        s = object.__new__(cls)
+        p, q = sign_form(p, q)
+        s.__dict__.update(p=p, q=q)
+        return s
+
     @property
     def length_sq(self) -> int:
         return self.p * self.p + self.q * self.q - self.p * self.q

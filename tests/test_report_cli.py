@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -17,7 +19,7 @@ from mgk import deformation
 from mgk import report
 from mgk import slopes_symmetry as ss
 from mgk.deformation import GKSignature, solve_filling
-from mgk.hyptrig import DomainError, FillingSpec
+from mgk.hyptrig import DomainError, FillingSpec, parse_slope
 from mgk.report import (
     RESIDUAL_TOL,
     build_report,
@@ -502,6 +504,81 @@ def test_fill_and_slope_set_parsers_agree(entry):
         assert spec.canonicalized().pairs[0] == (sset[0].p, sset[0].q)
 
 
+def _slope_set_reference(text, k):
+    """`cli._parse_slope_set` as it was when each entry built its slope
+    with `Slope.of`, which checks coprimality and sign form again."""
+    if k < 1:
+        raise DomainError("k must be >= 1, got %d" % k)
+    slopes = [None] * k
+    if text.strip():
+        for item in text.split(","):
+            item = item.strip()
+            try:
+                pq, at = item.rsplit("@", 1)
+                torus, (p, q) = int(at), parse_slope(pq)
+            except DomainError as exc:
+                raise DomainError("slope entry %r: %s" % (item, exc)) from None
+            except ValueError:
+                raise DomainError("cannot parse slope entry %r (want p/q@i)" % item) from None
+            if not 1 <= torus <= k:
+                raise DomainError("torus index %d outside 1..%d" % (torus, k))
+            if slopes[torus - 1] is not None:
+                raise DomainError("torus %d given two slopes" % torus)
+            slopes[torus - 1] = ss.Slope.of(p, q)
+    return tuple(slopes)
+
+
+def _slope_set_outcome(parse, text, k):
+    try:
+        sset = parse(text, k)
+    except DomainError as exc:
+        return "error", str(exc)
+    return sset, repr(sset), [None if s is None else (type(s), hash(s)) for s in sset]
+
+
+_ENTRY_INTS = st.one_of(
+    st.integers(-4, 4),
+    st.integers(-10**6, 10**6),
+    st.integers(2**64, 2**70),
+    st.integers(-2**70, -2**64),
+)
+# coprime and non-coprime pairs of either sign, 0/0, integers beyond 2^64,
+# bad "@" parts and junk
+_ENTRY_PAIRS = st.one_of(
+    st.tuples(_ENTRY_INTS, _ENTRY_INTS),
+    st.tuples(_ENTRY_INTS, _ENTRY_INTS, st.integers(2, 6)).map(lambda pqm: (pqm[0] * pqm[2], pqm[1] * pqm[2])),
+)
+_ENTRIES = st.one_of(
+    st.builds("{0[0]}/{0[1]}@{1}".format, _ENTRY_PAIRS, st.integers(-1, 5)),
+    st.builds("{0[0]}/{0[1]}@{1}".format, _ENTRY_PAIRS, st.sampled_from(["", "x", "1.0", " 2 ", "1@2", "+1", "2" * 30])),
+    st.builds("{0[0]}/{0[1]}".format, _ENTRY_PAIRS),
+    st.builds(" {0[0]} / {0[1]} @ {1} ".format, _ENTRY_PAIRS, st.integers(1, 4)),
+    st.sampled_from(["3/1@1", "5/1@6", "2/1@0", "0/0@1", "0/1@1", "0/-1@2", "-1/0@1", "-3/-1@2"]),
+    st.text(alphabet="0123456789/@-+ x,", max_size=10),
+)
+
+
+@st.composite
+def _slope_set_args(draw):
+    """A slope-set text and k: coprime pairs on distinct tori, to which
+    about half add one entry of `_ENTRIES`; k < 1 for some."""
+    k = draw(st.sampled_from([1, 2, 3, 5, 2, 3, 5, 0, -1]))
+    tori = draw(st.lists(st.integers(1, max(k, 1)), unique=True, max_size=max(k, 1)))
+    coprime = st.tuples(_ENTRY_INTS, _ENTRY_INTS).filter(lambda pq: math.gcd(*pq) == 1)
+    entries = ["{0[0]}/{0[1]}@{1}".format(draw(coprime), t) for t in tori]
+    if draw(st.booleans()):
+        entries.insert(draw(st.integers(0, len(entries))), draw(_ENTRIES))
+    return ",".join(entries), k
+
+
+@settings(max_examples=500, deadline=None)
+@given(_slope_set_args())
+def test_slope_set_parser_matches_the_reference(args):
+    text, k = args
+    want = _slope_set_outcome(_slope_set_reference, text, k)
+    assert _slope_set_outcome(cli._parse_slope_set, text, k) == want
+
+
 @pytest.mark.parametrize("k", ["0", "-1"])
 def test_cli_similar_rejects_k_below_one(capsys, k):
     code, out, err = run(capsys, ["similar", "--k", k, "", ""])
@@ -932,9 +1009,24 @@ def test_cli_help_before_and_after_other_calls(capsys, argv):
     assert code == 0 and after == before
 
 
-# `parse` reads the arguments after a leading subcommand with that
-# subcommand's parser alone; it must read what the full parse reads
+# `parse` reads a well-formed argv after a leading subcommand from that
+# subcommand's action table (`_read_exact`) and leaves every other argv to
+# the full parse: it must read what the full parse reads, and fail where
+# and as it fails
 SIMILAR = ["similar", "--k", "2", "3/1@1", "5/1@2"]
+
+
+def _parsed(parse, argv):
+    """The fields of `parse(argv)`, by repr so that a NaN equals itself, or
+    the exit code, stdout and stderr of the SystemExit it raises."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = parse(argv)
+    except SystemExit as exc:
+        return exc.code, out.getvalue(), err.getvalue()
+    assert out.getvalue() == err.getvalue() == ""
+    return sorted((k, repr(v)) for k, v in vars(args).items())
 
 
 @pytest.mark.parametrize(
@@ -946,12 +1038,117 @@ SIMILAR = ["similar", "--k", "2", "3/1@1", "5/1@2"]
         ["similar", "--k=2", "--", "3/1@1", "5/1@2"],
         COMPLETE + ["--out", "x", "--json"],
         ["fill", "--g", "3", "--k", "2", "--coeffs", "inf,5/1", "--batch", "--allow"],
+        ["fill", "--g", "3", "--k", "2", "--coeffs", "-"],
         ["trace", "--g", "2", "--k", "1", "--grid", "3"],
+        # argparse gives a nargs="+" positional one run: 5/1@1 is unread
+        ["commensurable", "--k", "3", "7/2@1", "--rotated", "5/1@1"],
+        ["commensurable", "--k", "3", "7/2@1", "5/1@1", "--rotated"],
     ],
 )
 def test_cli_parse_reads_what_the_full_parse_reads(argv):
     ap, _ = cli.build_parser()
-    assert vars(cli.parse(argv)) == vars(ap.parse_args(argv))
+    assert _parsed(cli.parse, argv) == _parsed(ap.parse_args, argv)
+
+
+# per subcommand: its options that take a value, its flags, and its
+# positionals as argparse assigns them (a nargs="+" set is one run)
+_SUBCOMMANDS = {
+    "complete": (["--g", "--k"], [], []),
+    "fill": (["--g", "--k", "--coeffs"], ["--batch", "--allow-short"], []),
+    "slopes": (["--max-len-sq"], [], []),
+    "similar": (["--k"], ["--reflections"], [["3/1@1"], ["5/1@1,3/1@2"]]),
+    "commensurable": (["--k"], ["--rotated"], [["7/2@1", "5/1@1"]]),
+    "tangent": (["--g", "--k"], [], []),
+    "trace": (["--g", "--k", "--delta", "--r0", "--grid", "--grid-max"], [], []),
+}
+_REQUIRED = ("--g", "--k", "--coeffs", "--max-len-sq")
+# well-formed values of the options (an int where none is named here),
+# but --delta 2 is outside its choices
+_GOOD_VALUES = {
+    "--coeffs": st.sampled_from(["inf,5/1", "5/1;7/2"]),
+    "--out": st.just("x.json"),
+    "--delta": st.sampled_from(["0", "1", "2"]),
+    "--r0": st.sampled_from(["0.5", "1", "2.5e0"]),
+    "--grid-max": st.sampled_from(["2.8", "3"]),
+}
+# negative, float, NaN, junk, empty and option-like values
+_VALUES = st.one_of(
+    st.sampled_from(["-1", "-3/1@1", "nan", "-", "x", "", " 3 ", "3/1@1", "--", "-h", "--json", "-x"]),
+    st.integers(-3, 70).map(str),
+    st.floats(-5, 5, allow_nan=False).map(repr),
+)
+# abbreviations (--gri is ambiguous in trace), unknown options, help, and
+# options of the top parser or of another subcommand
+_NOISE = ["--ref", "--allow", "--js", "--rot", "--gri", "--grid-m", "--co", "--max", "--bogus",
+          "-x", "--", "-h", "--help", "--g", "--coeffs", "--rotated", "similar"]
+
+
+@st.composite
+def _argv(draw):
+    """A subcommand's argv: its required options and positionals in a
+    drawn order with more options and flags, repeated ones too, so that
+    about half are well formed; the others add noise: a bad value,
+    --opt=value, an abbreviation, a value that starts with "-", an unknown
+    option, a positional too many or too few, "--" or -h."""
+    name = draw(st.sampled_from(sorted(_SUBCOMMANDS)))
+    valued, flags, positionals = _SUBCOMMANDS[name]
+    valued, flags = valued + ["--out"], flags + ["--json"]
+
+    def value(option):
+        return _GOOD_VALUES.get(option, st.integers(1, 9).map(str))
+
+    part = st.one_of(
+        st.sampled_from(valued).flatmap(lambda o: value(o).map(lambda v: [o, v])),
+        st.sampled_from(flags).map(lambda f: [f]),
+    )
+    parts = [[o, draw(value(o))] for o in valued if o in _REQUIRED or draw(st.booleans())]
+    parts += [[f] for f in flags if draw(st.booleans())] + positionals
+    parts += draw(st.lists(part, max_size=2))
+    head = []
+    if draw(st.booleans()):
+        noise = st.one_of(
+            st.tuples(st.sampled_from(valued), _VALUES).map(list),
+            st.tuples(st.sampled_from(valued), _VALUES).map(lambda ov: ["=".join(ov)]),
+            st.sampled_from(["3/1@1", "", "-3/1@1", "7/2@1,5/1@2"]).map(lambda s: [s]),
+            st.sampled_from(flags).map(lambda f: [f, "3/1@1"]),
+            st.sampled_from(_NOISE).map(lambda n: [n]),
+        )
+        parts += draw(st.lists(noise, min_size=1, max_size=2))
+        if draw(st.booleans()):
+            del parts[draw(st.integers(0, len(parts) - 1))]
+        head = draw(st.sampled_from([[]] * 5 + [["--json"], ["--bogus"], ["-h"]]))
+    parts = draw(st.permutations(parts))
+    return head + [name] + [arg for p in parts for arg in p]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_argv())
+def test_cli_parse_is_the_full_parse(argv):
+    ap, _ = cli.build_parser()
+    assert _parsed(cli.parse, argv) == _parsed(ap.parse_args, argv)
+
+
+_WELL_FORMED = [
+    ["complete", "--json", "--g", "2", "--k", "1"],
+    ["fill", "--g", "3", "--k", "2", "--coeffs", "inf,5/1", "--batch", "--allow-short", "--out", "x"],
+    ["slopes", "--max-len-sq", "30"],
+    ["similar", "3/1@1", "--reflections", "5/1@2", "--k", "2", "--k", "3"],
+    ["commensurable", "--k", "3", "7/2@1", "5/1@1", "--rotated"],
+    ["tangent", "--k", "3", "--g", "4", "--json", "--json"],
+    ["trace", "--g", "2", "--k", "1", "--delta", "1", "--r0", "0.5", "--grid", "3", "--grid-max", "2.5"],
+]
+
+
+@pytest.mark.parametrize("argv", _WELL_FORMED, ids=lambda argv: argv[0])
+def test_cli_reads_a_well_formed_argv_without_argparse(monkeypatch, argv):
+    ap, _ = cli.build_parser()
+    want = vars(ap.parse_args(argv))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse parsed %r" % (argv,))
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    assert vars(cli.parse(argv)) == want
 
 
 @pytest.mark.parametrize("extra", [["--bogus"], ["extra"], ["--bogus", "--json"], ["--json", "x", "--bogus"]])
