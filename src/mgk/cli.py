@@ -1,14 +1,19 @@
 """Command-line frontend.
 
 Subcommands: complete, fill, slopes, similar, commensurable, tangent,
-trace.  Human-readable tables by default, machine-readable JSON with
---json, written to stdout or to the --out file; both flags go on either
-side of the subcommand.  Slope entries share one syntax
-(`hyptrig.parse_slope`): `fill --coeffs` takes p/q or inf per cusp,
-`similar` and `commensurable` take p/q@i, with p and q coprime integers
-of either sign.  Exit codes: 0 success, 2 input error (a malformed,
-non-coprime or 0/0 slope entry, one beyond the float range where a
-filling is solved, an unwritable --out file), 3 numerical failure.
+trace, each declared once in `_COMMANDS` (name, help, function and
+arguments), from which `build_parser` adds its subparser.  Human-readable
+tables by default, machine-readable JSON with --json, written to stdout
+or to the --out file; both flags go on either side of the subcommand.
+slopes, similar, commensurable, tangent and trace each build one mgk/1
+document and hand it to one writer, `_write`: its JSON under --json,
+else a text rendered from that document alone.  Slope entries share one
+syntax (`hyptrig.parse_slope`): `fill --coeffs` takes p/q or inf per
+cusp, `similar` and `commensurable` take p/q@i, with p and q coprime
+integers of either sign.  Exit codes: 0 success, 2 input error (a
+malformed, non-coprime or 0/0 slope entry, one beyond the float range
+where a filling is solved, an unwritable --out file, a request too large
+for memory, such as k = 2**62), 3 numerical failure.
 Tolerances are fixed: a report is refused above residual
 `report.RESIDUAL_TOL`, and invariants compare at
 `commensurability_xk.INVARIANT_TOL`.  `main(argv)` can be called
@@ -21,11 +26,12 @@ action table, and leaves every other argv to argparse (`parse`).
 Each of the other commands imports numpy and the modules it uses
 (`deformation`, `report`, `commensurability_xk`, `boundary_trace`) when
 it runs, and the errors that `main` maps to exit codes are those of
-`hyptrig`.
+`hyptrig` and MemoryError.
 """
 
 import argparse
 import functools
+import itertools
 import math
 import os
 import sys
@@ -173,30 +179,43 @@ def cmd_fill(args) -> int:
     return max(code for code, _ in entries)
 
 
-def cmd_slopes(args) -> int:
-    table = ss.classify_slopes(args.max_len_sq)
-    if args.json:
-        doc = {
-            "schema": SCHEMA,
-            "max_len_sq": args.max_len_sq,
-            "orbits": [
-                {
-                    "length_sq": lsq,
-                    "length": math.sqrt(lsq),
-                    "orbits": [[[s.p, s.q] for s in orb] for orb in orbits],
-                }
-                for lsq, orbits in table
-            ],
-        }
-        _emit(args, to_json(doc))
-        return EXIT_OK
-    lines = ["L^2   L        orbit size  representatives"]
-    for lsq, orbits in table:
-        for orb in orbits:
-            reps = " ".join("%d/%d" % (s.p, s.q) for s in orb)
-            lines.append("%-5d %-8.5g %-11d %s" % (lsq, math.sqrt(lsq), len(orb), reps))
-    _emit(args, "\n".join(lines))
+def _write(args, doc, render) -> int:
+    """Write `doc`, a command's mgk/1 document: its JSON under --json, else
+    `render(doc)`, a text that reads only the document."""
+    _emit(args, to_json(doc) if args.json else render(doc))
     return EXIT_OK
+
+
+def _slopes_text(doc) -> str:
+    lines = ["L^2   L        orbit size  representatives"]
+    for entry in doc["orbits"]:
+        for orb in entry["orbits"]:
+            reps = " ".join("%d/%d" % (p, q) for p, q in orb)
+            lines.append("%-5d %-8.5g %-11d %s" % (entry["length_sq"], entry["length"], len(orb), reps))
+    return "\n".join(lines)
+
+
+def cmd_slopes(args) -> int:
+    orbits = [
+        {
+            "length_sq": lsq,
+            "length": math.sqrt(lsq),
+            "orbits": [[[s.p, s.q] for s in orb] for orb in orbits],
+        }
+        for lsq, orbits in ss.classify_slopes(args.max_len_sq)
+    ]
+    return _write(args, {"schema": SCHEMA, "max_len_sq": args.max_len_sq, "orbits": orbits}, _slopes_text)
+
+
+def _similar_text(doc) -> str:
+    witness = doc["witness"]
+    if witness is None:
+        return "not equivalent: no witness isometry"
+    moves = ", ".join(
+        "torus %d -> %d via r^%d%s" % (i + 1, witness["perm"][i] + 1, rot, " s" if refl else "")
+        for i, (rot, refl) in enumerate(witness["local"])
+    )
+    return "equivalent: %s" % moves
 
 
 def cmd_similar(args) -> int:
@@ -205,28 +224,21 @@ def cmd_similar(args) -> int:
     witness = ss.slope_sets_equivalent(
         a, b, orientation_preserving=not args.reflections
     )
-    if args.json:
-        doc = {
-            "schema": SCHEMA,
-            "equivalent": witness is not None,
-            "witness": None
-            if witness is None
-            else {
-                "perm": list(witness.perm),
-                "local": [[e.rot, int(e.refl)] for e in witness.local],
-                "orientation_preserving": witness.orientation_preserving,
-            },
+    doc = {"schema": SCHEMA, "equivalent": witness is not None, "witness": None}
+    if witness is not None:
+        doc["witness"] = {
+            "perm": list(witness.perm),
+            "local": [[e.rot, int(e.refl)] for e in witness.local],
+            "orientation_preserving": witness.orientation_preserving,
         }
-        _emit(args, to_json(doc))
-    elif witness is None:
-        _emit(args, "not equivalent: no witness isometry")
-    else:
-        moves = ", ".join(
-            "torus %d -> %d via r^%d%s" % (i + 1, witness.perm[i] + 1, e.rot, " s" if e.refl else "")
-            for i, e in enumerate(witness.local)
-        )
-        _emit(args, "equivalent: %s" % moves)
-    return EXIT_OK
+    return _write(args, doc, _similar_text)
+
+
+def _commensurable_text(doc) -> str:
+    words = {True: "commensurable", False: "NOT commensurable", None: "indeterminate"}
+    lines = ["%-28s abc = (%.12g, %.12g, %.12g)" % (r["label"], *r["abc"]) for r in doc["structures"]]
+    lines += ["%s vs %s: %s" % (*v["pair"], words[v["commensurable"]]) for v in doc["pairs"]]
+    return "\n".join(lines)
 
 
 def cmd_commensurable(args) -> int:
@@ -248,40 +260,27 @@ def cmd_commensurable(args) -> int:
             raise x
     labels = list(args.sets)
     if args.rotated:
-        extra = []
-        for x, lab in zip(points, labels):
+        # each set's two companions, after all the sets
+        for x, lab in list(zip(points, labels)):
             y1 = cx.theta_r(x, sig)
-            y2 = cx.theta_r(y1, sig)
-            extra += [(y1, lab + " (rotated)"), (y2, lab + " (rotated twice)")]
-        points += [p for p, _ in extra]
-        labels += [l for _, l in extra]
+            points += [y1, cx.theta_r(y1, sig)]
+            labels += [lab + " (rotated)", lab + " (rotated twice)"]
     rows = []
     for x, lab in zip(points, labels):
         inv = cx.abc(x, sig)
         rows.append({"label": lab, "abc": [inv.a, inv.b, inv.c]})
-    verdicts = []
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            verdict = cx.commensurable(points[i], points[j], sig)
-            verdicts.append(
-                {
-                    "pair": [labels[i], labels[j]],
-                    "commensurable": verdict,
-                }
-            )
-    if args.json:
-        _emit(args, to_json({"schema": SCHEMA, "structures": rows, "pairs": verdicts}))
-    else:
-        lines = []
-        for r in rows:
-            lines.append("%-28s abc = (%.12g, %.12g, %.12g)" % (r["label"], *r["abc"]))
-        for v in verdicts:
-            word = {True: "commensurable", False: "NOT commensurable", None: "indeterminate"}[
-                v["commensurable"]
-            ]
-            lines.append("%s vs %s: %s" % (v["pair"][0], v["pair"][1], word))
-        _emit(args, "\n".join(lines))
-    return EXIT_OK
+    verdicts = [
+        {"pair": [la, lb], "commensurable": cx.commensurable(xa, xb, sig)}
+        for (xa, la), (xb, lb) in itertools.combinations(zip(points, labels), 2)
+    ]
+    return _write(args, {"schema": SCHEMA, "structures": rows, "pairs": verdicts}, _commensurable_text)
+
+
+def _tangent_text(doc) -> str:
+    lines = ["tangent space dimension %d" % doc["dimension"]]
+    lines.append("max |J b| over basis vectors: %.3g" % doc["max_jacobian_product"])
+    lines += ["  [" + ", ".join("%.9g" % v for v in row) + "]" for row in doc["basis"]]
+    return "\n".join(lines)
 
 
 def cmd_tangent(args) -> int:
@@ -302,22 +301,21 @@ def cmd_tangent(args) -> int:
     mode[10, :12] *= math.sqrt(sig.k)
     sv = [np.linalg.svd(m, compute_uv=False) for m in (one[:10, :12], mode)]
     sv = np.sort(np.concatenate([np.tile(sv[0], sig.k - 1), sv[1], np.zeros(2 * sig.k)]))[::-1]
-    if args.json:
-        doc = {
-            "schema": SCHEMA,
-            "dimension": 2 * sig.k,
-            "basis": [[float(v) for v in row] for row in basis],
-            "max_jacobian_product": float(jn),
-            "singular_values": [float(s) for s in sv],
-        }
-        _emit(args, to_json(doc))
-    else:
-        lines = ["tangent space dimension %d" % (2 * sig.k)]
-        lines.append("max |J b| over basis vectors: %.3g" % jn)
-        for row in basis:
-            lines.append("  [" + ", ".join("%.9g" % v for v in row) + "]")
-        _emit(args, "\n".join(lines))
-    return EXIT_OK
+    doc = {
+        "schema": SCHEMA,
+        "dimension": 2 * sig.k,
+        "basis": basis.tolist(),
+        "max_jacobian_product": float(jn),
+        "singular_values": sv.tolist(),
+    }
+    return _write(args, doc, _tangent_text)
+
+
+def _trace_text(doc) -> str:
+    lines = ["r0        trace       trace''     stima>0"]
+    for r in doc["rows"]:
+        lines.append("%-9.5g %-11.6g %-11.6g %s" % (r["r0"], r["trace"], r["trace_dd"], r["stima_positive"]))
+    return "\n".join(lines)
 
 
 def cmd_trace(args) -> int:
@@ -355,16 +353,7 @@ def cmd_trace(args) -> int:
         )
     if not rows:
         raise DomainError("no admissible r0 values in the requested range")
-    if args.json:
-        _emit(args, to_json({"schema": SCHEMA, "delta": args.delta, "rows": rows}))
-    else:
-        lines = ["r0        trace       trace''     stima>0"]
-        for r in rows:
-            lines.append(
-                "%-9.5g %-11.6g %-11.6g %s" % (r["r0"], r["trace"], r["trace_dd"], r["stima_positive"])
-            )
-        _emit(args, "\n".join(lines))
-    return EXIT_OK
+    return _write(args, {"schema": SCHEMA, "delta": args.delta, "rows": rows}, _trace_text)
 
 
 def _add_common(parser, top_level: bool) -> None:
@@ -385,6 +374,42 @@ def _add_common(parser, top_level: bool) -> None:
     )
 
 
+# a required int option, such as the signature's --g and --k
+_INT = {"type": int, "required": True}
+_G, _K = ("--g", _INT), ("--k", _INT)
+# per subcommand: its name, help, function, and its arguments in the order
+# they are added, each a name or option string with its keywords
+_COMMANDS = (
+    ("complete", "solve the complete structure", cmd_complete, (_G, _K)),
+    ("fill", "solve a Dehn filling", cmd_fill, (
+        _G, _K,
+        ("--coeffs", dict(required=True, help='e.g. "inf,5/1"; with --batch, ";"-separated lists')),
+        ("--batch", dict(action="store_true", help="solve several coefficient lists")),
+        ("--allow-short", dict(action="store_true", help="skip the sqrt(7) slope-length check")),
+    )),
+    ("slopes", "classify short slopes into isometry orbits", cmd_slopes, (("--max-len-sq", _INT),)),
+    ("similar", "decide equivalence of two slope sets", cmd_similar, (
+        _K,
+        ("set_a", dict(help='e.g. "3/1@1,5/1@2"')),
+        ("set_b", {}),
+        ("--reflections", dict(action="store_true", help="allow orientation-reversing witnesses")),
+    )),
+    ("commensurable", "compare fillings of the odd-k chain manifold", cmd_commensurable, (
+        _K,
+        ("sets", dict(nargs="+", help='slope sets, e.g. "7/2@1"')),
+        ("--rotated", dict(action="store_true", help="include the two rotated companions")),
+    )),
+    ("tangent", "tangent space at the complete solution", cmd_tangent, (_G, _K)),
+    ("trace", "boundary-trace second derivative data", cmd_trace, (
+        _G, _K,
+        ("--delta", dict(type=int, choices=(0, 1), default=0)),
+        ("--r0", dict(type=float, default=1.0)),
+        ("--grid", dict(type=int, default=None, help="scan this many r0 values instead")),
+        ("--grid-max", dict(type=float, default=2.8)),
+    )),
+)
+
+
 @functools.cache
 def build_parser():
     """The `mgk` parser and the parsers of its subcommands by name, built
@@ -398,57 +423,12 @@ def build_parser():
     )
     _add_common(ap, top_level=True)
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("complete", help="solve the complete structure")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    _add_common(p, top_level=False)
-    p.set_defaults(func=cmd_complete)
-
-    p = sub.add_parser("fill", help="solve a Dehn filling")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--coeffs", required=True, help='e.g. "inf,5/1"; with --batch, ";"-separated lists')
-    p.add_argument("--batch", action="store_true", help="solve several coefficient lists")
-    p.add_argument("--allow-short", action="store_true", help="skip the sqrt(7) slope-length check")
-    _add_common(p, top_level=False)
-    p.set_defaults(func=cmd_fill)
-
-    p = sub.add_parser("slopes", help="classify short slopes into isometry orbits")
-    p.add_argument("--max-len-sq", type=int, required=True)
-    _add_common(p, top_level=False)
-    p.set_defaults(func=cmd_slopes)
-
-    p = sub.add_parser("similar", help="decide equivalence of two slope sets")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("set_a", help='e.g. "3/1@1,5/1@2"')
-    p.add_argument("set_b")
-    p.add_argument("--reflections", action="store_true", help="allow orientation-reversing witnesses")
-    _add_common(p, top_level=False)
-    p.set_defaults(func=cmd_similar)
-
-    p = sub.add_parser("commensurable", help="compare fillings of the odd-k chain manifold")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("sets", nargs="+", help='slope sets, e.g. "7/2@1"')
-    p.add_argument("--rotated", action="store_true", help="include the two rotated companions")
-    _add_common(p, top_level=False)
-    p.set_defaults(func=cmd_commensurable)
-
-    p = sub.add_parser("tangent", help="tangent space at the complete solution")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    _add_common(p, top_level=False)
-    p.set_defaults(func=cmd_tangent)
-
-    p = sub.add_parser("trace", help="boundary-trace second derivative data")
-    p.add_argument("--g", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--delta", type=int, choices=(0, 1), default=0)
-    p.add_argument("--r0", type=float, default=1.0)
-    p.add_argument("--grid", type=int, default=None, help="scan this many r0 values instead")
-    p.add_argument("--grid-max", type=float, default=2.8)
-    _add_common(p, top_level=False)
-    p.set_defaults(func=cmd_trace)
+    for name, text, func, arguments in _COMMANDS:
+        p = sub.add_parser(name, help=text)
+        for arg, kw in arguments:
+            p.add_argument(arg, **kw)
+        _add_common(p, top_level=False)
+        p.set_defaults(func=func)
     return ap, sub.choices
 
 
@@ -542,6 +522,10 @@ def main(argv=None) -> int:
         code, message = _failure(exc)
         print(message, file=sys.stderr)
         return code
+    except MemoryError:
+        # a k, such as 2**62, whose list or tuple Python's size check refuses
+        print("input error: request too large for memory", file=sys.stderr)
+        return EXIT_INPUT
 
 
 def entry() -> None:

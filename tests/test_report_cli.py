@@ -476,6 +476,27 @@ def test_cli_similar_takes_slopes_of_any_size(capsys):
     assert code == 0 and out.startswith("equivalent")
 
 
+_BIG_K = str(2**62)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["similar", "--k", _BIG_K, "3/1@1", "3/1@1"],
+        # the chain family takes odd k only
+        ["commensurable", "--k", str(2**62 + 1), "3/1@1"],
+        ["complete", "--g", str(2**62 + 1), "--k", _BIG_K],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_cli_request_too_large_for_memory_is_an_input_error(capsys, argv):
+    # Python refuses a list or tuple of 2**62 entries by its size check,
+    # before it allocates anything
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == "" and err == "input error: request too large for memory\n"
+
+
 _SLOPE_INTS = st.one_of(st.integers(-3, 3), st.integers(-10**6, 10**6))
 _SLOPE_TEXTS = st.one_of(
     # signed pairs, (0, 0) and non-coprime pairs among them
@@ -1007,6 +1028,95 @@ def test_cli_help_before_and_after_other_calls(capsys, argv):
     assert run(capsys, ["complete", "--g", "x", "--k", "1"])[0] == 2
     code, after, _ = run(capsys, argv)
     assert code == 0 and after == before
+
+
+# the grammar of `mgk`: per parser, each action as (class, option strings,
+# dest, type, default, required, choices, nargs, help) in the order added,
+# and the parser's set_defaults.  These are the fields `_read_exact` reads.
+_SUP = argparse.SUPPRESS
+_HELP = ("_HelpAction", ["-h", "--help"], "help", None, _SUP, False, None, 0,
+         "show this help message and exit")
+_JSON = ("_StoreTrueAction", ["--json"], "json", None, False, False, None, 0, "machine-readable output")
+_OUT = ("_StoreAction", ["--out"], "out", None, None, False, None, None,
+        "write output to this file instead of stdout")
+_G = ("_StoreAction", ["--g"], "g", "int", None, True, None, None, None)
+_K = ("_StoreAction", ["--k"], "k", "int", None, True, None, None, None)
+_GRAMMAR = {
+    "mgk": ([_HELP, _JSON, _OUT, ("_SubParsersAction", [], "command", None, None, True, [
+        ("complete", "solve the complete structure"),
+        ("fill", "solve a Dehn filling"),
+        ("slopes", "classify short slopes into isometry orbits"),
+        ("similar", "decide equivalence of two slope sets"),
+        ("commensurable", "compare fillings of the odd-k chain manifold"),
+        ("tangent", "tangent space at the complete solution"),
+        ("trace", "boundary-trace second derivative data"),
+    ], "A...", None)], {}),
+    "complete": ([_G, _K], "cmd_complete"),
+    "fill": ([
+        _G,
+        _K,
+        ("_StoreAction", ["--coeffs"], "coeffs", None, None, True, None, None,
+         'e.g. "inf,5/1"; with --batch, ";"-separated lists'),
+        ("_StoreTrueAction", ["--batch"], "batch", None, False, False, None, 0,
+         "solve several coefficient lists"),
+        ("_StoreTrueAction", ["--allow-short"], "allow_short", None, False, False, None, 0,
+         "skip the sqrt(7) slope-length check"),
+    ], "cmd_fill"),
+    "slopes": (
+        [("_StoreAction", ["--max-len-sq"], "max_len_sq", "int", None, True, None, None, None)],
+        "cmd_slopes",
+    ),
+    "similar": ([
+        _K,
+        ("_StoreAction", [], "set_a", None, None, True, None, None, 'e.g. "3/1@1,5/1@2"'),
+        ("_StoreAction", [], "set_b", None, None, True, None, None, None),
+        ("_StoreTrueAction", ["--reflections"], "reflections", None, False, False, None, 0,
+         "allow orientation-reversing witnesses"),
+    ], "cmd_similar"),
+    "commensurable": ([
+        _K,
+        ("_StoreAction", [], "sets", None, None, True, None, "+", 'slope sets, e.g. "7/2@1"'),
+        ("_StoreTrueAction", ["--rotated"], "rotated", None, False, False, None, 0,
+         "include the two rotated companions"),
+    ], "cmd_commensurable"),
+    "tangent": ([_G, _K], "cmd_tangent"),
+    "trace": ([
+        _G,
+        _K,
+        ("_StoreAction", ["--delta"], "delta", "int", 0, False, (0, 1), None, None),
+        ("_StoreAction", ["--r0"], "r0", "float", 1.0, False, None, None, None),
+        ("_StoreAction", ["--grid"], "grid", "int", None, False, None, None,
+         "scan this many r0 values instead"),
+        ("_StoreAction", ["--grid-max"], "grid_max", "float", 2.8, False, None, None, None),
+    ], "cmd_trace"),
+}
+
+
+def _grammar(parser):
+    rows = []
+    for a in parser._actions:
+        choices = a.choices
+        if isinstance(a, argparse._SubParsersAction):
+            choices = [(c.dest, c.help) for c in a._choices_actions]
+        kind = getattr(a.type, "__name__", a.type)
+        rows.append(
+            (type(a).__name__, a.option_strings, a.dest, kind, a.default, a.required, choices, a.nargs, a.help)
+        )
+    return rows, {k: v.__name__ for k, v in parser._defaults.items()}
+
+
+@pytest.mark.parametrize("name", sorted(_GRAMMAR))
+def test_cli_grammar(name):
+    ap, commands = cli.build_parser()
+    actions, defaults = _GRAMMAR[name]
+    if name == "mgk":
+        assert _grammar(ap) == (actions, defaults)
+        assert list(commands) == [row[0] for row in actions[-1][6]]
+        return
+    # every subcommand takes --json and --out after its own arguments, with
+    # SUPPRESS defaults so that the top parser's values stand
+    common = [row[:4] + (_SUP,) + row[5:] for row in (_JSON, _OUT)]
+    assert _grammar(commands[name]) == ([_HELP] + actions + common, {"func": defaults})
 
 
 # `parse` reads a well-formed argv after a leading subcommand from that
