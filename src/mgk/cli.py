@@ -157,8 +157,11 @@ def cmd_fill(args) -> int:
     # like any other); without it the one list's error is the command's
     coeffs = [c.strip() for c in args.coeffs.split(";")] if args.batch else [args.coeffs]
     specs = [_parse_or_error(c, sig.k) for c in coeffs]
-    solved = _solve_specs(sig, specs, check_length=not args.allow_short)
-    reports = _batched(lambda xs, ok: build_reports(sig, ok, xs), solved, specs)
+    records = []
+    solved = _solve_specs(sig, specs, check_length=not args.allow_short, out=records)
+    # the solver's record of each list that parsed, at the list's place
+    placed = _batched(lambda ok: records, specs)
+    reports = _batched(lambda xs, ok, rs: build_reports(sig, ok, xs, rs), solved, specs, placed)
     entries = []
     for c, rep in zip(coeffs, reports):
         try:

@@ -1,10 +1,9 @@
-"""Per-structure invariants: holonomy dilations, cusp moduli, complex
-lengths of core geodesics, the shortest-return-path length, and the two
-integer invariants (first-homology rank, Heegaard genus)."""
+"""Per-structure invariants: cusp moduli, complex lengths of core
+geodesics, the shortest-return-path length, and the two integer
+invariants (first-homology rank, Heegaard genus)."""
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Tuple
 
 from .deformation import COMPLETE_TOL, GKSignature, cusp_angles, edge_cosh, uv
@@ -20,26 +19,6 @@ _BOUNDARY_TOL = 1e-12
 
 class IncompleteCuspError(DomainError):
     """The requested quantity is only defined at a complete cusp."""
-
-
-@dataclass(frozen=True)
-class HolonomyDilation:
-    a: complex
-    b: complex
-
-
-def holonomy_dilations(x, cusp: int) -> HolonomyDilation:
-    """Dilation components (a, b) of the holonomies of the two marked
-    peripheral curves, computed directly from the gamma angles (an
-    independent path from exp of `deformation.uv`)."""
-    gA, gB = cusp_angles(x, cusp)[:, 1].tolist()
-    a = (math.sin(gA[0]) * math.sin(gB[1]) / (math.sin(gA[1]) * math.sin(gB[0]))) * cmath.exp(
-        1j * (gA[2] - gB[2])
-    )
-    b = (math.sin(gA[1]) * math.sin(gB[2]) / (math.sin(gA[2]) * math.sin(gB[1]))) * cmath.exp(
-        1j * (gA[0] - gB[0])
-    )
-    return HolonomyDilation(a=a, b=b)
 
 
 def canonicalize_modulus(tau: complex) -> complex:
@@ -72,16 +51,16 @@ def cusp_modulus(x, cusp: int) -> complex:
     of the translations of the two marked curves.  Raises on an
     incomplete cusp, where the structure is affine rather than metric.
     """
-    return _modulus(x, uv(x, cusp)[0], cusp)
+    return _modulus(cusp_angles(x, cusp)[1, 1].tolist(), uv(x, cusp)[0], cusp)
 
 
-def _modulus(x, u: complex, cusp: int) -> complex:
-    """`cusp_modulus` from the cusp's u."""
+def _modulus(h, u: complex, cusp: int) -> complex:
+    """`cusp_modulus` from the gammas h (by apex) of the cusp's second
+    tetrahedron and the cusp's u."""
     if abs(u) > _MODULUS_COMPLETE_TOL:
         raise IncompleteCuspError(
             "cusp %d is incomplete (|u| = %.3g)" % (cusp, abs(u))
         )
-    h = cusp_angles(x, cusp)[1, 1].tolist()
     # first triangle: corners C0 = 0, C1 = 1 (the side crossing face 2);
     # second triangle attached across it with corners 0 and 1 exchanged,
     # in the lower half-plane.

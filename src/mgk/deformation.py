@@ -60,8 +60,9 @@ same entries into the dense (10k+1) x (12k+1) public form.
 """
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -97,6 +98,9 @@ class GKSignature:
             raise DomainError("g, k must be integers")
         if not self.g > self.k >= 1:
             raise DomainError("signature requires g > k >= 1")
+        # numpy's own limit: np.full of 12k+1 doubles raises ValueError above it
+        if 8 * (12 * self.k + 1) > sys.maxsize:
+            raise DomainError("request too large for memory")
 
     @property
     def n_coords(self) -> int:
@@ -340,7 +344,11 @@ def uv(x, cusp: int) -> Tuple[complex, complex]:
     log(sin g / sin(pi/3)) = log1p(2 cos(pi/3 + d/2) sin(d/2) / sin(pi/3)),
     d = g - pi/3, with no log of a ratio near 1, so (u, v) is the exact
     log-holonomy of x to a few ulps of |u|; x holds u to about 1e-16 absolute."""
-    gA, gB = cusp_angles(x, cusp)[:, 1].tolist()
+    return _uv(*cusp_angles(x, cusp)[:, 1].tolist())
+
+
+def _uv(gA, gB) -> Tuple[complex, complex]:
+    """`uv` from the gammas gA, gB (lists by apex) of the cusp's tetrahedra."""
     c, sc = math.pi / 3.0, math.sin(math.pi / 3.0)
     a0, a1, a2, b0, b1, b2 = (
         math.log1p(2.0 * math.cos(c + 0.5 * (g - c)) * math.sin(0.5 * (g - c)) / sc) for g in gA + gB
@@ -430,10 +438,10 @@ def _newton(sig: GKSignature, x0: np.ndarray, rows, tol: float):
     below `tol`.  A looser `tol` is for points that only feed the next
     predictor of a continuation: each stops at its first iterate, after
     at least one step, whose weighted merit is below `tol`.  Returns the
-    points, the function giving their Newton blocks (A, dbeta) from the
-    last evaluation, and per point None or the error that stopped it: a
-    ConvergenceError, or `check_coords`'s DomainError for a point that is
-    not a number.
+    points, their residuals (in block order) and the function giving
+    their Newton blocks (A, dbeta), both of the last evaluation, and per
+    point None or the error that stopped it: a ConvergenceError, or
+    `check_coords`'s DomainError for a point that is not a number.
 
     Each point takes the steps it takes alone, every full step, clipped
     into the open angle box.  A point that has converged or stopped
@@ -494,7 +502,7 @@ def _newton(sig: GKSignature, x0: np.ndarray, rows, tol: float):
             errors[i] = ConvergenceError(
                 "no convergence: residual %g after %d iterations" % (norm, _MAX_ITER), norm
             )
-    return x, blocks, errors
+    return x, r, blocks, errors
 
 
 def _hermite(s_next: float, s: float, x: np.ndarray, dx: np.ndarray, prev, ddx) -> np.ndarray:
@@ -545,11 +553,24 @@ def solve_filling(sig: GKSignature, spec: FillingSpec, *, check_length: bool = T
     return x
 
 
-def solve_fillings(sig: GKSignature, specs: Sequence[FillingSpec], *, check_length: bool = True) -> list:
+@dataclass
+class Solved:
+    """One spec's record from `solve_fillings`: x, the solution or error it
+    returns, and the residual vector (block order) of `_newton`'s evaluation
+    at x, None where no Newton ran (every cusp unfilled) or the spec failed."""
+
+    x: object
+    residual: Optional[np.ndarray]
+
+
+def solve_fillings(
+    sig: GKSignature, specs: Sequence[FillingSpec], *, check_length: bool = True, out: Optional[list] = None
+) -> list:
     """`solve_filling` for each of `specs` of one signature, solved
     together.  Returns, per spec, the solution or the DomainError or
     ConvergenceError that `solve_filling` raises for it, with the same
-    bits and message: a spec that fails does not touch the others.
+    bits and message: a spec that fails does not touch the others.  With
+    `out`, a list, one `Solved` record per spec is appended to it.
     `solve_complete` and the jet's `_curvature_blocks` run once.  Each
     filled spec whose rounding floor exceeds `_CUSP_FLOOR` or
     `_LENGTH_FLOOR` fill gates is refused there, before any step.  The
@@ -557,50 +578,54 @@ def solve_fillings(sig: GKSignature, specs: Sequence[FillingSpec], *, check_leng
     their one step to s = 1 as one stacked `_newton` from their
     second-order starts; each spec with a shorter slope, and each whose
     stacked step failed, then runs its `_path` alone."""
-    out = [None] * len(specs)
+    res, resid = [None] * len(specs), [None] * len(specs)
+
+    def done():
+        if out is not None:
+            out.extend(map(Solved, res, resid))
+        return res
+
     todo = []
     for i, spec in enumerate(specs):
         if len(spec.pairs) != sig.k:
-            out[i] = DomainError("spec has %d cusps, signature has %d" % (len(spec.pairs), sig.k))
+            res[i] = DomainError("spec has %d cusps, signature has %d" % (len(spec.pairs), sig.k))
             continue
         spec = spec.canonicalized()
         lmin = spec.min_filled_length()
         hyperbolic = spec.is_hyperbolic()
         if check_length and not hyperbolic:
-            out[i] = DomainError("slope of length %.6g below the hyperbolicity threshold sqrt(7)" % lmin)
+            res[i] = DomainError("slope of length %.6g below the hyperbolicity threshold sqrt(7)" % lmin)
             continue
         # the first step in s: to 1 if the sqrt(7) gate admits it, None if nothing is filled
         todo.append((i, spec, None if lmin is None else 1.0 if hyperbolic else lmin / SQRT7))
     if not todo:
-        return out
+        return done()
     try:
         cs = solve_complete(sig)
     except ConvergenceError as exc:
         for i, _, _ in todo:
-            out[i] = exc
-        return out
+            res[i] = exc
+        return done()
     length_floor = edge_cosh(cs.beta_bar) * _EPS
     filled = []
     for i, spec, ds in todo:
         if ds is None:
-            out[i] = cs.x0.copy()
+            res[i] = cs.x0.copy()
             continue
         pq = max(filter(None, spec.pairs), key=lambda s: abs(s[0]) + abs(s[1]))
         cusp_floor = (abs(pq[0]) + abs(pq[1])) * _EPS
         if cusp_floor > _CUSP_FLOOR * _FILL_TOL:
-            out[i] = DomainError(
+            res[i] = DomainError(
                 "slope %s: cusp-row rounding floor (|p| + |q|) eps = %.3g is over %g times the gate %g"
                 % (slope_text(pq), cusp_floor, _CUSP_FLOOR, _FILL_TOL)
             )
         elif length_floor > _LENGTH_FLOOR * _FILL_TOL:
-            out[i] = DomainError(
+            res[i] = DomainError(
                 "g=%d k=%d: length-row rounding floor edge_cosh(beta) eps = %.3g is over %g times the gate %g"
                 % (sig.g, sig.k, length_floor, _LENGTH_FLOOR, _FILL_TOL)
             )
         else:
             filled.append((i, spec, ds))
-    if not filled:
-        return out
     jets = _complete_jet(sig, cs, [spec for _, spec, _ in filled])
     # the specs whose first step reaches s = 1: one stacked Newton solve
     # from their second-order starts
@@ -609,24 +634,26 @@ def solve_fillings(sig: GKSignature, specs: Sequence[FillingSpec], *, check_leng
     if one:
         guess = np.array([cs.x0 + jets[j][0] + 0.5 * jets[j][1] for j in one])
         rows = _linear_rows([pq for j in one for pq in filled[j][1].pairs])
-        x, _, errors = _newton(sig, guess, rows, _FILL_TOL)
-        first = {j: x_j if exc is None else exc for j, x_j, exc in zip(one, x, errors)}
+        x, r, _, errors = _newton(sig, guess, rows, _FILL_TOL)
+        first = {j: (x_j, r_j) if exc is None else exc for j, x_j, r_j, exc in zip(one, x, r, errors)}
     for j, (i, spec, ds) in enumerate(filled):
         x = first.get(j)
         if x is None:
             x = _path(sig, cs, spec, jets[j], ds)
         elif isinstance(x, ConvergenceError):
             x = _path(sig, cs, spec, jets[j], 0.5, x.residual)
-        out[i] = x
-    return out
+        if isinstance(x, tuple):
+            x, resid[i] = x
+        res[i] = x
+    return done()
 
 
 def _path(sig: GKSignature, cs: CompleteSolution, spec: FillingSpec, jet, ds: float, resid=None):
     """The fallback of the one-step solve of `solve_fillings`: the
     continuation of the canonical spec alone, from the complete solution
     cs at s = 0, where its jet is (dx/ds, d2x/ds2), in steps of `ds` up to
-    s = 1; the solution, or the error that stopped it.  `resid` is the
-    residual of the failed stacked step that it takes over from, if any.
+    s = 1; the solution and its last Newton residual vector, or the error
+    that stopped it.  `resid` is that of a failed stacked step it takes over.
 
     Each step is one `_newton` at the next s, from the Taylor polynomial
     of second order of the jet when it leaves s = 0, and from the cubic
@@ -658,7 +685,8 @@ def _path(sig: GKSignature, cs: CompleteSolution, spec: FillingSpec, jet, ds: fl
         o_s = o.copy()
         o_s[:, 11] *= s_next
         guess = _hermite(s_next, s, x, dx, prev, ddx)[None]
-        (x_next,), blocks, (exc,) = _newton(sig, guess, (L, S, o_s), _FILL_TOL if s_next == 1.0 else _MID_TOL)
+        tol = _FILL_TOL if s_next == 1.0 else _MID_TOL
+        (x_next,), (r,), blocks, (exc,) = _newton(sig, guess, (L, S, o_s), tol)
         if isinstance(exc, DomainError):
             return exc
         if exc is not None:
@@ -673,7 +701,7 @@ def _path(sig: GKSignature, cs: CompleteSolution, spec: FillingSpec, jet, ds: fl
             if failed:
                 return failure("singular tangent: %s" % failed[0])
             dx = step[0]
-    return x
+    return x, r
 
 
 # ---------------------------------------------------------------------------
@@ -821,7 +849,7 @@ def varsigma_point(sig: GKSignature, t: float) -> np.ndarray:
     L[0, 10, 1:3] = L[1:, 11, 1:3] = L[1:, 10, 0:2] = (1.0, -1.0)
     L[0, 11, 0], L[0, 11, 6] = 1.0, -1.0
     o[0, 11] = 4.0 * math.sin(cs.alpha_bar) * t
-    x, _, (exc,) = _newton(sig, (cs.x0 + t * first + 0.5 * t * t * second)[None], (L, S, o), 1e-12)
+    x, _, _, (exc,) = _newton(sig, (cs.x0 + t * first + 0.5 * t * t * second)[None], (L, S, o), 1e-12)
     if exc is not None:
         raise exc
     return x[0]

@@ -4,8 +4,9 @@ is the report's only model: `report_to_json` writes it as JSON and
 `report_to_text` as the text report.
 
 `build_reports` reports the solved points of one signature together, as
-`deformation.solve_fillings` solves them: one stacked residual
-evaluation gates them all, and a refused point is its own error.
+`deformation.solve_fillings` solves them: the gate reads the solver's
+final residual of each point that has one, one stacked residual
+evaluation gates the others, and a refused point is its own error.
 `to_json` and `SCHEMA` are those of `jsontext`, the standard-library
 writer of every JSON document of the package, re-exported here."""
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import cusp_invariants as ci
 from .commensurability_xk import XkSignature, abc
-from .deformation import GKSignature, _coefficients, check_coords, residuals, uv
+from .deformation import GKSignature, _coefficients, _uv, angle_blocks, check_coords, residuals
 from .hyptrig import DomainError, FillingSpec, slope_text
 from .jsontext import SCHEMA, to_json
 
@@ -35,26 +36,33 @@ def build_report(sig: GKSignature, spec: FillingSpec, x: np.ndarray) -> dict:
     return rep
 
 
-def build_reports(sig: GKSignature, specs: Sequence[FillingSpec], xs) -> list:
+def build_reports(sig: GKSignature, specs: Sequence[FillingSpec], xs, records=None) -> list:
     """`build_report` for each pair of `specs` and solved points `xs` of
     one signature.  Returns, per pair, the document or the DomainError
     that refuses it: a point that is not a coordinate vector, or one whose
-    residual norm is not below RESIDUAL_TOL.  One stacked `residuals`
-    evaluation gates them all."""
-    out = []
-    for x in xs:
+    residual norm is not below RESIDUAL_TOL.  A point whose record in
+    `records` (its `deformation.Solved` from `solve_fillings`) has a
+    residual is gated on the max of its structure rows, rows 0-9 of each
+    12-row block and the total angle: they do not depend on the targets,
+    so that is the max of `residuals` at x, bit for bit.  One stacked
+    `residuals` evaluation gates the other points."""
+    out, norms = [], {}
+    for i, x in enumerate(xs):
+        r = records[i].residual if records else None
+        if r is not None:
+            norms[i] = max(float(np.abs(r[:-1].reshape(-1, 12)[:, :10]).max()), abs(float(r[-1])))
         try:
-            out.append(check_coords(sig, x))
+            out.append(x if r is not None else check_coords(sig, x))
         except DomainError as exc:
             out.append(exc)
-    ok = [i for i, x in enumerate(out) if not isinstance(x, Exception)]
+    ok = [i for i, x in enumerate(out) if not (isinstance(x, Exception) or i in norms)]
     if ok:
-        norms = np.abs(residuals(sig, np.array([out[i] for i in ok]))).max(axis=1).tolist()
-        for i, res in zip(ok, norms):
-            if res < RESIDUAL_TOL:
-                out[i] = _panel(sig, specs[i], out[i], res)
-            else:
-                out[i] = DomainError("residual norm %g above reporting tolerance %g" % (res, RESIDUAL_TOL))
+        norms.update(zip(ok, np.abs(residuals(sig, np.array([out[i] for i in ok]))).max(axis=1).tolist()))
+    for i, res in norms.items():
+        if res < RESIDUAL_TOL:
+            out[i] = _panel(sig, specs[i], out[i], res)
+        else:
+            out[i] = DomainError("residual norm %g above reporting tolerance %g" % (res, RESIDUAL_TOL))
     return out
 
 
@@ -66,12 +74,12 @@ def _panel(sig: GKSignature, spec: FillingSpec, x: np.ndarray, res: float) -> di
     """The document of the point x of `spec`, of residual norm `res`, with
     its keys in the schema's order."""
     cusps = []
-    for c, pq in enumerate(spec.pairs):
-        # one (u, v) per cusp serves every invariant of the cusp
-        u, v = uv(x, c)
+    # one read of the gammas, and one (u, v) per cusp, serve every invariant of the cusps
+    for c, (pq, (gA, gB)) in enumerate(zip(spec.pairs, angle_blocks(x)[:, :, 1].tolist())):
+        u, v = _uv(gA, gB)
         coeffs, cl, modulus = _coefficients(u, v, c), None, None
         if pq is None:
-            modulus = ci._modulus(x, u, c)
+            modulus = ci._modulus(gB, u, c)
         elif float(pq[0]).is_integer() and float(pq[1]).is_integer():
             cl = ci._complex_length(u, v, c, (int(pq[0]), int(pq[1])))
         cusps.append(

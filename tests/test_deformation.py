@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -56,6 +57,15 @@ def test_signature_validation():
         GKSignature(3, 0)
     assert GKSignature(2, 1).n_coords == 13
     assert GKSignature(3, 2).n_residuals == 21
+
+
+def test_signature_refuses_a_k_whose_point_numpy_cannot_size():
+    # the largest k whose 12k+1 doubles fit numpy's sys.maxsize bytes, and
+    # the next one, for which np.full raises ValueError instead of MemoryError
+    k = (sys.maxsize // 8 - 1) // 12
+    assert GKSignature(k + 1, k).n_coords == 12 * k + 1
+    with pytest.raises(DomainError, match="^request too large for memory$"):
+        GKSignature(k + 2, k + 1)
 
 
 @pytest.mark.parametrize("g,k", [(2, 1), (3, 1), (3, 2), (4, 3), (5, 3)])
@@ -634,14 +644,14 @@ def fail_first_newton(mp, only=None):
     newton, calls = deformation._newton, []
 
     def once(*args):
-        x, blocks, errors = newton(*args)
+        x, r, blocks, errors = newton(*args)
         if not calls:
             calls.append(1)
             errors = [
                 ConvergenceError("forced failure", 1.0) if only in (None, i) else exc
                 for i, exc in enumerate(errors)
             ]
-        return x, blocks, errors
+        return x, r, blocks, errors
 
     mp.setattr(deformation, "_newton", once)
 
@@ -668,7 +678,7 @@ def tangent_errors(monkeypatch, g, k):
             # p u + q v = 2 pi i s, which at s = -h is the filling -(p, q) / h
             L, S, o = deformation._linear_rows(pairs)
             o[:, 11] *= sh
-            end, _, (exc,) = deformation._newton(sig, x[None], (L, S, o), 1e-12)
+            end, _, _, (exc,) = deformation._newton(sig, x[None], (L, S, o), 1e-12)
             assert exc is None, (s, sh)
             ends.append(end[0])
         fd = (ends[0] - ends[1]) / (2.0 * h)
@@ -756,7 +766,7 @@ def test_jet_curvature_matches_central_difference(seed, g, k, integer):
     for sh in (h, -h):
         L, S, o = deformation._linear_rows(pairs)
         o[:, 11] *= sh
-        end, _, (exc,) = deformation._newton(sig, (cs.x0 + sh * dx)[None], (L, S, o), 1e-10)
+        end, _, _, (exc,) = deformation._newton(sig, (cs.x0 + sh * dx)[None], (L, S, o), 1e-10)
         assert exc is None, sh
         ends.append(end[0])
     fd = (ends[0] + ends[1] - 2.0 * cs.x0) / h ** 2
@@ -829,7 +839,7 @@ def warm_start_continuation(sig, pairs, l_safe=20.0, tol=1e-10):
         return deformation._linear_rows(targets)
 
     def newton(x, t):
-        x, _, (exc,) = deformation._newton(sig, x[None], rows_at(t), tol)
+        x, _, _, (exc,) = deformation._newton(sig, x[None], rows_at(t), tol)
         if exc is not None:
             raise exc
         return x[0]
@@ -1267,10 +1277,10 @@ def test_newton_refuses_only_the_point_that_is_not_a_number():
     x0 = np.array([solve_complete(sig).x0] * 2)
     x0[1, 3] = np.nan
     rows = deformation._linear_rows([(30.0, 10.0), None] * 2)
-    x, _, errors = deformation._newton(sig, x0, rows, 1e-10)
+    x, _, _, errors = deformation._newton(sig, x0, rows, 1e-10)
     assert errors[0] is None and np.max(np.abs(residuals(sig, x[0]))) < 1e-10
     assert isinstance(errors[1], DomainError) and "(0, pi)" in str(errors[1])
-    alone, _, _ = deformation._newton(sig, x0[:1], deformation._linear_rows([(30.0, 10.0), None]), 1e-10)
+    alone, _, _, _ = deformation._newton(sig, x0[:1], deformation._linear_rows([(30.0, 10.0), None]), 1e-10)
     assert x[0].tobytes() == alone[0].tobytes()
 
 
@@ -1283,7 +1293,7 @@ def test_newton_stalls_once_its_step_stops_moving_the_point(monkeypatch):
     evals, evaluate = [], deformation._evaluate
     monkeypatch.setattr(deformation, "_evaluate", lambda *a: evals.append(1) or evaluate(*a))
     rows = deformation._linear_rows(pairs)
-    (y,), _, (exc,) = deformation._newton(sig, x[None], rows, 1e-20)
+    (y,), _, _, (exc,) = deformation._newton(sig, x[None], rows, 1e-20)
     r, _ = evaluate(sig, y[None], rows)
     assert str(exc) == "Newton stalled at residual %g" % exc.residual
     assert exc.residual == float(np.abs(r).max())

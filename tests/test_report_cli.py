@@ -18,7 +18,7 @@ from mgk import cli
 from mgk import deformation
 from mgk import report
 from mgk import slopes_symmetry as ss
-from mgk.deformation import GKSignature, solve_filling
+from mgk.deformation import GKSignature, residuals, solve_filling, solve_fillings
 from mgk.hyptrig import DomainError, FillingSpec, parse_slope
 from mgk.report import (
     RESIDUAL_TOL,
@@ -96,29 +96,71 @@ def test_build_reports_refuse_per_item():
     assert reps[5:] == reps[:2]
 
 
+# slopes of squared length 7 to 39 in both signs, every one hyperbolic
+_LONG_SLOPES = [
+    (p, q) for p in range(-7, 8) for q in range(-7, 8) if math.gcd(p, q) == 1 and 7 <= p * p - p * q + q * q < 40
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), k=st.integers(1, 4))
+def test_solver_record_gates_the_report_as_residuals_would(data, k):
+    # the gate that reads the solver's final residual is the max of
+    # `residuals` at x, bit for bit, and the documents are those without it
+    g = data.draw(st.integers(k + 1, 12))
+    pairs = st.lists(st.one_of(st.none(), st.sampled_from(_LONG_SLOPES)), min_size=k, max_size=k)
+    lists = data.draw(st.lists(pairs.filter(any), min_size=1, max_size=4))
+    sig = GKSignature(g, k)
+    specs = [FillingSpec.from_pairs(k, p) for p in lists]
+    records = []
+    xs = solve_fillings(sig, specs, out=records)
+    reps = build_reports(sig, specs, xs, records)
+    for x, rec, rep in zip(xs, records, reps):
+        assert rec.x is x and rec.residual.shape == (sig.n_coords,)
+        assert rep["residual_max"] == np.abs(residuals(sig, x)).max()
+    assert reps == build_reports(sig, specs, xs)
+
+
+def shift_first_record(mp, shift):
+    """Make the solver's record of the first list that `mgk fill` solves
+    carry `shift(r)` in place of its final residual r."""
+    real = deformation.solve_fillings
+
+    def shifted(sig, specs, **kw):
+        xs = real(sig, specs, **kw)
+        kw["out"][0].residual = shift(kw["out"][0].residual.copy())
+        return xs
+
+    mp.setattr(deformation, "solve_fillings", shifted)
+
+
 def test_cli_fill_batch_evaluates_residuals_once(monkeypatch, capsys):
-    # one stacked structure-residual evaluation gates the reports of all lists
+    # the reports of filled lists are gated on the solver's final residuals,
+    # with no evaluation; the points of lists with every cusp unfilled, which
+    # no Newton solved, by one stacked evaluation
     calls, real = [], report.residuals
-    monkeypatch.setattr(report, "residuals", lambda *a: calls.append(1) or real(*a))
+    monkeypatch.setattr(report, "residuals", lambda sig, x: calls.append(len(x)) or real(sig, x))
     argv = ["--json", "fill", "--g", "5", "--k", "2", "--batch", "--coeffs", "5/1,inf;inf,3/1;7/2,2/3;3/1,8/1"]
     code, out, _ = run(capsys, argv)
     assert code == 0 and len(json.loads(out)) == 4
-    assert len(calls) == 1
+    assert calls == []
+    argv[-1] = "inf,inf;5/1,inf;inf,inf"
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and len(json.loads(out)) == 3
+    assert calls == [2]
 
 
 def test_cli_fill_batch_refused_report_fails_alone(monkeypatch, capsys):
     # a report refused at the residual gate is its own list's error record,
     # exit 2, and the other lists still report
-    real = report.residuals
 
-    def off_first(sig, x):
-        r = real(sig, x)
-        r[0, 0] = 10.0 * RESIDUAL_TOL
+    def off_first(r):
+        r[0] = 10.0 * RESIDUAL_TOL
         return r
 
     argv = ["--json", "fill", "--g", "6", "--k", "1", "--batch", "--coeffs", "5/1;7/2"]
     _, before, _ = run(capsys, argv)
-    monkeypatch.setattr(report, "residuals", off_first)
+    shift_first_record(monkeypatch, off_first)
     code, out, _ = run(capsys, argv)
     assert code == 2
     bad, good = json.loads(out)
@@ -128,8 +170,7 @@ def test_cli_fill_batch_refused_report_fails_alone(monkeypatch, capsys):
 
 
 def test_cli_fill_refused_report_without_batch(monkeypatch, capsys):
-    real = report.residuals
-    monkeypatch.setattr(report, "residuals", lambda sig, x: real(sig, x) + 1.0)
+    shift_first_record(monkeypatch, lambda r: r + 1.0)
     code, out, err = run(capsys, ["fill", "--g", "2", "--k", "1", "--coeffs", "5/1"])
     assert code == 2 and out == ""
     assert "above reporting tolerance" in err
@@ -486,12 +527,15 @@ _BIG_K = str(2**62)
         # the chain family takes odd k only
         ["commensurable", "--k", str(2**62 + 1), "3/1@1"],
         ["complete", "--g", str(2**62 + 1), "--k", _BIG_K],
+        ["tangent", "--g", str(2**62 + 1), "--k", _BIG_K],
+        ["trace", "--g", str(2**62 + 1), "--k", _BIG_K],
     ],
     ids=lambda argv: argv[0],
 )
 def test_cli_request_too_large_for_memory_is_an_input_error(capsys, argv):
     # Python refuses a list or tuple of 2**62 entries by its size check,
-    # before it allocates anything
+    # and GKSignature a k whose 12k+1 doubles numpy cannot size, before
+    # anything is allocated
     code, out, err = run(capsys, argv)
     assert code == 2
     assert out == "" and err == "input error: request too large for memory\n"
