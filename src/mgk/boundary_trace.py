@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deformation import GKSignature, edge_cosh, solve_complete, varsigma_derivatives
+from .deformation import GKSignature, _varsigma_jet, edge_cosh, solve_complete
 from .hyptrig import DomainError
 
 
@@ -110,20 +110,22 @@ def varsigma_trace_data(sig: GKSignature, delta: int, r0: float) -> TraceInput:
     0 matters); eta'' is the sum of the two apex-2 second derivatives and
     zeta'' follows the delta rule (-eta'' or 0).
     """
-    if delta not in (0, 1):
-        raise DomainError("delta must be 0 or 1")
+    return varsigma_trace_family(sig, delta)(r0)
+
+
+def varsigma_trace_family(sig: GKSignature, delta: int):
+    """The function r0 -> `varsigma_trace_data(sig, delta, r0)`, which
+    raises `TraceInput`'s DomainError for a delta other than 0 or 1 and
+    for an r0 that puts zeta0 outside (0, 2*pi).  Only zeta0 depends on
+    r0, so the complete structure and the curve's second derivative are
+    solved once, here, for every r0."""
     cs = solve_complete(sig)
     a = cs.alpha_bar
     # boundary edge length: arccosh(cos(beta)/(1-cos(beta))); the compact
     # edge (return path) is the hexagon-rule composition of three of them
     lam = math.exp(math.acosh(edge_cosh(cs.beta_bar)))
-    eta0 = 2.0 * a
-    zeta0 = 4.0 * a + delta * 2.0 * a + r0
-    if not 0.0 < zeta0 < 2.0 * math.pi:
-        raise DomainError("r0=%r puts zeta0 outside (0, 2*pi)" % r0)
-    _, second = varsigma_derivatives(sig)
+    turning = 4.0 * a + delta * 2.0 * a
+    _, second = _varsigma_jet(cs)
     eta_dd = second[2] + second[8]
     zeta_dd = -eta_dd if delta == 0 else 0.0
-    return TraceInput(
-        lambda0=lam, eta0=eta0, zeta0=zeta0, eta_dd=eta_dd, zeta_dd=zeta_dd, delta=delta
-    )
+    return lambda r0: TraceInput(lam, 2.0 * a, turning + r0, eta_dd, zeta_dd, delta)

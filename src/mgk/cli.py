@@ -23,10 +23,14 @@ action table, and leaves every other argv to argparse (`parse`).
 
 `slopes` and `similar` answer in exact integer arithmetic
 (`slopes_symmetry`) and write with `jsontext`, so they load no numpy.
-Each of the other commands imports numpy and the modules it uses
-(`deformation`, `report`, `commensurability_xk`, `boundary_trace`) when
-it runs, and the errors that `main` maps to exit codes are those of
-`hyptrig` and MemoryError.
+Each of the other commands imports the modules it uses (`deformation`,
+`report`, `commensurability_xk`, `boundary_trace`) when it runs, and the
+errors that `main` maps to exit codes are those of `hyptrig` and
+MemoryError.  The commands do no linear algebra themselves: `tangent`
+writes what `deformation.tangent_spectrum` computes, `fill` hands the
+solver's records to the report, whose gate reads their structure rows
+through `deformation`, and `trace` reads every r0 of its grid from one
+`boundary_trace.varsigma_trace_family`.
 """
 
 import argparse
@@ -287,28 +291,15 @@ def _tangent_text(doc) -> str:
 
 
 def cmd_tangent(args) -> int:
-    import numpy as np
-
-    from .deformation import GKSignature, jacobian, solve_complete, tangent_basis
+    from .deformation import GKSignature, tangent_spectrum
 
     sig = GKSignature(args.g, args.k)
-    basis = tangent_basis(sig)
-    # At x0 every cusp block of J is the same 10x12 block B, with border column
-    # b and row a as in the one-cusp Jacobian [[B, b], [a, 6(g - k)]].  In
-    # orthonormal cusp modes J is k - 1 copies of B and [[B, sqrt(k) b],
-    # [sqrt(k) a, 6(g - k)]]; its square (12k+1)^2 SVD adds 2k zeros.
-    one = jacobian(GKSignature(sig.g - sig.k + 1, 1), solve_complete(sig).x0[np.r_[:12, -1]])
-    jn = np.max(np.abs(one[:, :12] @ basis[:2, :12].T))
-    mode = one.copy()
-    mode[:10, 12] *= math.sqrt(sig.k)
-    mode[10, :12] *= math.sqrt(sig.k)
-    sv = [np.linalg.svd(m, compute_uv=False) for m in (one[:10, :12], mode)]
-    sv = np.sort(np.concatenate([np.tile(sv[0], sig.k - 1), sv[1], np.zeros(2 * sig.k)]))[::-1]
+    basis, jb, sv = tangent_spectrum(sig)
     doc = {
         "schema": SCHEMA,
         "dimension": 2 * sig.k,
         "basis": basis.tolist(),
-        "max_jacobian_product": float(jn),
+        "max_jacobian_product": jb,
         "singular_values": sv.tolist(),
     }
     return _write(args, doc, _tangent_text)
@@ -336,21 +327,20 @@ def cmd_trace(args) -> int:
         if args.grid is None
         else list(np.linspace(0.1, args.grid_max, args.grid))
     )
+    trace_data = bt.varsigma_trace_family(sig, args.delta)
     for r0 in r0_values:
         try:
-            data = bt.varsigma_trace_data(sig, args.delta, r0)
+            data = trace_data(r0)
         except DomainError:
             continue
-        tr0 = bt.trace_gamma(data.lambda0, data.eta0, data.zeta0)
-        tdd = bt.trace_second_derivative(data)
         rows.append(
             {
                 "r0": r0,
                 "lambda0": data.lambda0,
                 "eta0": data.eta0,
                 "zeta0": data.zeta0,
-                "trace": tr0,
-                "trace_dd": tdd,
+                "trace": bt.trace_gamma(data.lambda0, data.eta0, data.zeta0),
+                "trace_dd": bt.trace_second_derivative(data),
                 "stima_positive": bt.stima_inequality(data.lambda0, data.eta0, data.zeta0),
             }
         )

@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .deformation import GKSignature, angle_blocks, check_coords, cusp_angles, cusps_of
+from .deformation import GKSignature, angle_blocks, check_coords, correction, cusp_angles, cusps_of
 from .hyptrig import DomainError
 from .slopes_symmetry import D6Element, SlopeSetIsometry
 
@@ -87,7 +87,7 @@ def sym_act(psi: SlopeSetIsometry, x) -> np.ndarray:
         raise DomainError("isometry is for %d tori, point has %d cusps" % (len(psi.perm), k))
     maps = {e: _block_map(e) for e in set(psi.local)}
     x = np.asarray(x, dtype=float)
-    local = np.take_along_axis(x[:-1].reshape(k, 12), np.array([maps[e] for e in psi.local]), 1)
+    local = np.take_along_axis(angle_blocks(x).reshape(k, 12), np.array([maps[e] for e in psi.local]), 1)
     return cusp_permutation(np.append(local, x[-1]), psi.perm)
 
 
@@ -143,22 +143,36 @@ def abc_per_cusp(x, sig: XkSignature, cusp: int) -> ABCInvariant:
     return ABCInvariant(*cusp_angles(check_coords(sig.gk, x), cusp)[:, 0].sum(axis=0).tolist())
 
 
+def abc_error(x, sig: XkSignature) -> float:
+    """A bound on the error of `abc(x, sig)` against the (a, b, c) sums of
+    the exact structure that fills x's own recovered coefficients: the
+    alpha entries of the next Newton correction at x
+    (`deformation.correction`), summed in absolute value, plus the
+    rounding of the sums, 2k eps times the sum of the alphas.  inf where
+    that correction is undefined."""
+    try:
+        step = correction(sig.gk, x)
+    except (DomainError, np.linalg.LinAlgError):
+        return np.inf
+    rounding = 2.0 * sig.k * np.finfo(float).eps * angle_blocks(x)[:, :, 0].sum()
+    return float(np.abs(angle_blocks(step)[:, :, 0]).sum() + rounding)
+
+
 def commensurable(x1, x2, sig: XkSignature) -> Optional[bool]:
     """Whether two solved fillings of the chain manifold are
     commensurable: exactly the equality of their (a, b, c) sums.
 
-    The criterion is an algebraic dichotomy, so near-ties are not
-    silently booleanized: if the largest difference lands between
-    INVARIANT_TOL and 10*INVARIANT_TOL, None ("indeterminate") is
-    returned.
+    The largest difference of the sums is a certified difference, False,
+    when it exceeds the sum of the two points' `abc_error` bounds, at any
+    size.  Otherwise the band rule decides: True below INVARIANT_TOL,
+    None ("indeterminate", a near-tie not silently booleanized) up to
+    10*INVARIANT_TOL, and False from there on.
     """
     i1, i2 = abc(x1, sig), abc(x2, sig)
-    deltas = [abs(i1.a - i2.a), abs(i1.b - i2.b), abs(i1.c - i2.c)]
-    if all(d < INVARIANT_TOL for d in deltas):
-        return True
-    if max(deltas) >= 10.0 * INVARIANT_TOL:
+    gap = max(abs(i1.a - i2.a), abs(i1.b - i2.b), abs(i1.c - i2.c))
+    if gap >= 10.0 * INVARIANT_TOL or gap > abc_error(x1, sig) + abc_error(x2, sig):
         return False
-    return None
+    return True if gap < INVARIANT_TOL else None
 
 
 def theta_r(x, sig: XkSignature) -> np.ndarray:
@@ -169,7 +183,7 @@ def theta_r(x, sig: XkSignature) -> np.ndarray:
     it is one and the same local generator word on every cusp; its
     sixth power is the identity, and it cycles (a, b, c) -> (c, a, b)."""
     x = check_coords(sig.gk, x)
-    return np.append(x[:-1].reshape(sig.k, 12)[:, _block_map(D6Element(5, False))], x[-1])
+    return np.append(angle_blocks(x).reshape(sig.k, 12)[:, _block_map(D6Element(5, False))], x[-1])
 
 
 def tau_13(x, sig: XkSignature) -> np.ndarray:

@@ -56,7 +56,11 @@ column) and then one scalar Schur complement for each point's beta,
 O(Nk) work instead of the O(k^3) of each dense (12k+1)^2 system.  Each
 point gets the same floating-point results as when it is solved alone;
 `residuals` takes such a stack of points too.  `jacobian` scatters the
-same entries into the dense (10k+1) x (12k+1) public form.
+same entries into the dense (10k+1) x (12k+1) public form.  No other
+module reads this system: `tangent_spectrum` gives `mgk tangent` its
+numbers from one cusp's block, `_structure_rows` gives the report the
+structure rows of a solver record's residual, and `correction` gives
+`commensurability_xk` the next Newton step at a point.
 """
 
 import math
@@ -298,7 +302,9 @@ def _evaluate(sig: GKSignature, x: np.ndarray, rows):
 
 
 def _structure_rows(a: np.ndarray, k: int) -> np.ndarray:
-    """The 10k+1 structure rows of `a` (rows in block order) as `residuals` orders them."""
+    """The 10k+1 structure rows of `a` (rows in block order) as `residuals`
+    orders them: rows 0-9 of each block and the total angle, which do not
+    depend on the targets."""
     rest = a.shape[1:]
     blocks = a[:-1].reshape((k, 12) + rest)
     parts = [blocks[:, i:j].reshape((-1,) + rest) for i, j in ((0, 6), (6, 8), (8, 10))]
@@ -427,6 +433,17 @@ def _block_steps(sig: GKSignature, r: np.ndarray, A: np.ndarray, dbeta: Sequence
         except np.linalg.LinAlgError as exc:
             failed[i] = exc
     return step, failed
+
+
+def correction(sig: GKSignature, x) -> np.ndarray:
+    """The next Newton correction J^-1 r at the point x of the square
+    system whose cusp rows fill each cusp's own recovered coefficients
+    (`dehn_coefficients`; u = 0 on a complete cusp): to first order, x
+    minus the exact structure of those coefficients.  Raises DomainError
+    where they are undefined, LinAlgError where J is singular."""
+    x = check_coords(sig, x)
+    r, blocks = _evaluate(sig, x[None], _linear_rows([dehn_coefficients(x, c) for c in range(sig.k)]))
+    return _block_step(sig, r, *blocks())[0]
 
 
 def _newton(sig: GKSignature, x0: np.ndarray, rows, tol: float):
@@ -632,7 +649,7 @@ def solve_fillings(
     one = [j for j, (_, _, ds) in enumerate(filled) if ds == 1.0]
     first = {}
     if one:
-        guess = np.array([cs.x0 + jets[j][0] + 0.5 * jets[j][1] for j in one])
+        guess = cs.x0 + jets[one, 0] + 0.5 * jets[one, 1]
         rows = _linear_rows([pq for j in one for pq in filled[j][1].pairs])
         x, r, _, errors = _newton(sig, guess, rows, _FILL_TOL)
         first = {j: (x_j, r_j) if exc is None else exc for j, x_j, r_j, exc in zip(one, x, r, errors)}
@@ -766,9 +783,10 @@ def _curvature_blocks(cs: CompleteSolution) -> np.ndarray:
     return np.array(rows)
 
 
-def _complete_jet(sig: GKSignature, cs: CompleteSolution, specs) -> list:
-    """Per spec, the closed-form tangent dx/ds and curvature d2x/ds2 at
-    s = 0 of the continuation to its filling, from the complete solution cs.
+def _complete_jet(sig: GKSignature, cs: CompleteSolution, specs) -> np.ndarray:
+    """The closed-form tangent dx/ds and curvature d2x/ds2 at s = 0 of the
+    continuation of each of `specs` to its filling, from the complete
+    solution cs: an array of shape (len(specs), 2, 12k+1).
 
     There v = omega u, omega = exp(2 pi i / 3), so a filled cusp moves with
     du/ds = 2 pi i / (p + q omega): its tangent block is the
@@ -779,22 +797,22 @@ def _complete_jet(sig: GKSignature, cs: CompleteSolution, specs) -> list:
     and unfilled cusps and beta stay put.  The system is linear in s, so
     J d2x/ds2 = -F_xx[dx, dx], and its solution is, per filled cusp,
     [x1^2, x1 x2, x2^2] @ N (`_curvature_blocks`), zero on unfilled cusps
-    and on beta.  Each spec's jet is computed alone, so that it has the
-    same bits in any batch."""
+    and on beta.  All specs are computed at once, elementwise over their
+    cusps and with one matmul per spec's (k, 3) monomials, so each spec
+    has the bits it gets alone."""
     t, N = _cot_scale(cs.alpha_bar), _curvature_blocks(cs)
-    out = []
-    for spec in specs:
-        x1, x2 = np.zeros((2, sig.k))
-        for c, pq in enumerate(spec.pairs):
-            if pq is not None:
-                p, q = pq
-                f = math.pi / (2.0 * t * (p * p - p * q + q * q))
-                x1[c], x2[c] = (2.0 * q - p) * f, -(p + q) * f
-        jet = np.zeros((2, sig.n_coords))
-        jet[0, :-1] = _tangent_block(t, x1, x2).ravel()
-        jet[1, :-1] = (np.array([x1 * x1, x1 * x2, x2 * x2]).T @ N).ravel()
-        out.append((jet[0], jet[1]))
-    return out
+    n, k = len(specs), sig.k
+    pairs = [pq for spec in specs for pq in spec.pairs]
+    filled = np.array([pq is not None for pq in pairs], dtype=bool)
+    p, q = np.array([pq or (1.0, 0.0) for pq in pairs], dtype=float).reshape(-1, 2).T
+    f = math.pi / (2.0 * t * (p * p - p * q + q * q))
+    x1, x2 = np.where(filled, (2.0 * q - p) * f, 0.0), np.where(filled, -(p + q) * f, 0.0)
+    jet = np.zeros((n, 2, sig.n_coords))
+    jet[:, 0, :-1] = _tangent_block(t, x1, x2).reshape(n, 12 * k)
+    # C order: each spec's (k, 3) slice is contiguous, as its array alone is, so
+    # its matmul takes the same BLAS path (a strided slice changed bits at k = 1)
+    jet[:, 1, :-1] = (np.stack([x1 * x1, x1 * x2, x2 * x2], axis=-1).reshape(n, k, 3) @ N).reshape(n, 12 * k)
+    return jet
 
 
 def tangent_basis(sig: GKSignature) -> np.ndarray:
@@ -807,12 +825,32 @@ def tangent_basis(sig: GKSignature) -> np.ndarray:
 
     and last coordinate zero: the `_tangent_block`s of (x1, x2) = (1, 0)
     and (0, 1)."""
-    t = _cot_scale(solve_complete(sig).alpha_bar)
-    basis = np.zeros((2 * sig.k, sig.n_coords))
-    for c in range(sig.k):
-        angle_blocks(basis[2 * c])[c] = _tangent_block(t, 1.0, 0.0)
-        angle_blocks(basis[2 * c + 1])[c] = _tangent_block(t, 0.0, 1.0)
+    t, k = _cot_scale(solve_complete(sig).alpha_bar), sig.k
+    basis = np.zeros((2 * k, sig.n_coords))
+    # [cusp c, vector 2c or 2c+1, block of cusp c], a view of the rows
+    blocks = basis[:, :-1].reshape(k, 2, k, 12)
+    blocks[np.arange(k), :, np.arange(k)] = _tangent_block(t, *np.eye(2)).reshape(2, 12)
     return basis
+
+
+def tangent_spectrum(sig: GKSignature):
+    """What `mgk tangent` prints: the `tangent_basis`, max |J b| over it,
+    and the 12k+1 singular values, descending, of the Jacobian J of
+    `residuals` at the complete solution padded square with 2k zero rows.
+    At x0 every cusp block of J is the same 10x12 block B, with border
+    column b and row a as in the one-cusp Jacobian [[B, b], [a, 6(g - k)]],
+    so all of it is read off the kernel's block of one cusp: in
+    orthonormal cusp modes J is k - 1 copies of B and [[B, sqrt(k) b],
+    [sqrt(k) a, 6(g - k)]], with no dense (12k+1)^2 SVD."""
+    basis, k = tangent_basis(sig), sig.k
+    # [[B, b], [a, 6(g - k)]]: the structure rows of one cusp's block and border
+    J = jacobian(GKSignature(sig.g - k + 1, 1), solve_complete(sig).x0[-13:])
+    jb = float(np.max(np.abs(J[:, :12] @ basis[:2, :12].T)))
+    mode = J.copy()
+    mode[:10, 12] *= math.sqrt(k)
+    mode[10, :12] *= math.sqrt(k)
+    sv = [np.linalg.svd(m, compute_uv=False) for m in (J[:10, :12], mode)]
+    return basis, jb, np.sort(np.concatenate([np.tile(sv[0], k - 1), sv[1], np.zeros(2 * k)]))[::-1]
 
 
 def varsigma_derivatives(sig: GKSignature) -> Tuple[np.ndarray, np.ndarray]:
@@ -822,9 +860,13 @@ def varsigma_derivatives(sig: GKSignature) -> Tuple[np.ndarray, np.ndarray]:
     cusp block: the `_tangent_block` of (x1, x2) = (2 sin(alpha_bar),
     -sin(alpha_bar)) and its curvature (`_curvature_blocks`), which keeps
     x_2 = x_3 and x_1 = x_7 as the curve does."""
-    cs = solve_complete(sig)
+    return _varsigma_jet(solve_complete(sig))
+
+
+def _varsigma_jet(cs: CompleteSolution) -> Tuple[np.ndarray, np.ndarray]:
+    """`varsigma_derivatives` at the complete solution cs."""
     s = math.sin(cs.alpha_bar)
-    first, second = np.zeros((2, sig.n_coords))
+    first, second = np.zeros((2, len(cs.x0)))
     first[:12] = _tangent_block(_cot_scale(cs.alpha_bar), 2.0 * s, -s).ravel()
     second[:12] = np.array([4.0 * s * s, -2.0 * s * s, s * s]) @ _curvature_blocks(cs)
     return first, second
@@ -843,7 +885,7 @@ def varsigma_point(sig: GKSignature, t: float) -> np.ndarray:
     cusp 0, x_2 - x_3 and the pin; on cusp c >= 1, alpha_0 - alpha_1 and
     alpha_1 - alpha_2 of its first tetrahedron."""
     cs = solve_complete(sig)
-    first, second = varsigma_derivatives(sig)
+    first, second = _varsigma_jet(cs)
     L, S, o = _linear_rows([None] * sig.k)
     L[:, 10:12], S[:, 10:12], o[:, 10:12] = 0.0, 0.0, 0.0
     L[0, 10, 1:3] = L[1:, 11, 1:3] = L[1:, 10, 0:2] = (1.0, -1.0)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import cusp_invariants as ci
 from .commensurability_xk import XkSignature, abc
-from .deformation import GKSignature, _coefficients, _uv, angle_blocks, check_coords, residuals
+from .deformation import GKSignature, _coefficients, _structure_rows, _uv, angle_blocks, check_coords, residuals
 from .hyptrig import DomainError, FillingSpec, slope_text
 from .jsontext import SCHEMA, to_json
 
@@ -42,17 +42,15 @@ def build_reports(sig: GKSignature, specs: Sequence[FillingSpec], xs, records=No
     that refuses it: a point that is not a coordinate vector, or one whose
     residual norm is not below RESIDUAL_TOL.  A point whose record in
     `records` (its `deformation.Solved` from `solve_fillings`) has a
-    residual is gated on the max of its structure rows, rows 0-9 of each
-    12-row block and the total angle: they do not depend on the targets,
-    so that is the max of `residuals` at x, bit for bit.  One stacked
+    residual is gated on the max of its structure rows (`_structure_rows`),
+    which is the max of `residuals` at x, bit for bit.  One stacked
     `residuals` evaluation gates the other points."""
-    out, norms = [], {}
+    norms = {i: float(np.abs(_structure_rows(rec.residual, sig.k)).max())
+             for i, rec in enumerate(records or ()) if rec.residual is not None}
+    out = []
     for i, x in enumerate(xs):
-        r = records[i].residual if records else None
-        if r is not None:
-            norms[i] = max(float(np.abs(r[:-1].reshape(-1, 12)[:, :10]).max()), abs(float(r[-1])))
         try:
-            out.append(x if r is not None else check_coords(sig, x))
+            out.append(x if i in norms else check_coords(sig, x))
         except DomainError as exc:
             out.append(exc)
     ok = [i for i, x in enumerate(out) if not (isinstance(x, Exception) or i in norms)]

@@ -748,6 +748,43 @@ def test_first_tangent_in_closed_form(seed, g, k, integer):
             assert abs(du - want) <= 1e-7 * abs(want), (c, pq)
 
 
+def jet_alone(sig, cs, spec):
+    """The jet of one spec, cusp by cusp in Python floats: the oracle of
+    `_complete_jet`."""
+    t, N = deformation._cot_scale(cs.alpha_bar), deformation._curvature_blocks(cs)
+    x1, x2 = np.zeros((2, sig.k))
+    for c, pq in enumerate(spec.pairs):
+        if pq is not None:
+            p, q = pq
+            f = math.pi / (2.0 * t * (p * p - p * q + q * q))
+            x1[c], x2[c] = (2.0 * q - p) * f, -(p + q) * f
+    jet = np.zeros((2, sig.n_coords))
+    xs = np.array([x1, x2, -x1 - x2]).T
+    jet[0, :-1] = (np.array([[1.0], [t], [-1.0], [-t]]) * xs[:, None, :]).ravel()
+    jet[1, :-1] = (np.array([x1 * x1, x1 * x2, x2 * x2]).T @ N).ravel()
+    return jet
+
+
+_JET_PAIR = st.one_of(
+    st.none(), st.tuples(st.integers(-3000, 3000), st.integers(-3000, 3000)).filter(lambda pq: pq != (0, 0))
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), k=st.integers(1, 64), extra=st.integers(1, 136), n=st.integers(0, 8))
+def test_complete_jet_of_a_stack_is_that_of_each_spec(data, k, extra, n):
+    # bit for bit, whatever the specs beside it and their unfilled cusps
+    sig = GKSignature(k + extra, k)
+    cs = solve_complete(sig)
+    specs = [FillingSpec.from_pairs(k, data.draw(st.lists(_JET_PAIR, min_size=k, max_size=k))) for _ in range(n)]
+    specs = [spec.canonicalized() for spec in specs]
+    jets = deformation._complete_jet(sig, cs, specs)
+    assert jets.shape == (n, 2, sig.n_coords)
+    for spec, jet in zip(specs, jets):
+        alone = deformation._complete_jet(sig, cs, [spec])[0]
+        assert jet.tobytes() == alone.tobytes() == jet_alone(sig, cs, spec).tobytes()
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),

@@ -833,6 +833,42 @@ def test_cli_tangent_matches_the_dense_svd(capsys, g, k):
     assert doc["max_jacobian_product"] <= 1e-15 * want[0]
 
 
+def dense_tangent_doc(g, k):
+    """The `mgk tangent` document built cusp by cusp and from the dense
+    public `jacobian` of the one-cusp signature: the oracle of
+    `deformation.tangent_spectrum`."""
+    sig = GKSignature(g, k)
+    cs = deformation.solve_complete(sig)
+    t = deformation._cot_scale(cs.alpha_bar)
+    basis = np.zeros((2 * k, sig.n_coords))
+    for c in range(k):
+        deformation.angle_blocks(basis[2 * c])[c] = deformation._tangent_block(t, 1.0, 0.0)
+        deformation.angle_blocks(basis[2 * c + 1])[c] = deformation._tangent_block(t, 0.0, 1.0)
+    one = deformation.jacobian(GKSignature(g - k + 1, 1), cs.x0[np.r_[:12, -1]])
+    jn = np.max(np.abs(one[:, :12] @ basis[:2, :12].T))
+    mode = one.copy()
+    mode[:10, 12] *= math.sqrt(k)
+    mode[10, :12] *= math.sqrt(k)
+    sv = [np.linalg.svd(m, compute_uv=False) for m in (one[:10, :12], mode)]
+    sv = np.sort(np.concatenate([np.tile(sv[0], k - 1), sv[1], np.zeros(2 * k)]))[::-1]
+    return {
+        "schema": "mgk/1",
+        "dimension": 2 * k,
+        "basis": basis.tolist(),
+        "max_jacobian_product": float(jn),
+        "singular_values": sv.tolist(),
+    }
+
+
+@pytest.mark.parametrize("g, k", [(2, 1), (3, 2), (9, 3), (17, 16), (65, 64)])
+def test_cli_tangent_is_the_dense_one_cusp_oracle(capsys, g, k):
+    # bit for bit, the JSON and the text
+    doc = dense_tangent_doc(g, k)
+    argv = ["tangent", "--g", str(g), "--k", str(k)]
+    assert run(capsys, ["--json"] + argv) == (0, to_json(doc) + "\n", "")
+    assert run(capsys, argv) == (0, cli._tangent_text(doc) + "\n", "")
+
+
 def test_cli_tangent_text(capsys):
     code, out, _ = run(capsys, ["tangent", "--g", "3", "--k", "2"])
     assert code == 0
@@ -901,6 +937,40 @@ def test_cli_trace_grid(capsys):
     assert len(doc["rows"]) == 20
     assert all(abs(r["trace_dd"]) > 1e-6 for r in doc["rows"])
     assert all(r["stima_positive"] for r in doc["rows"])
+
+
+@pytest.mark.parametrize("g, k, delta", [(2, 1, 0), (7, 3, 1)])
+def test_cli_trace_grid_rows_are_those_of_each_r0(capsys, monkeypatch, g, k, delta):
+    # the grid solves the complete structure once, and each row is the one
+    # that `varsigma_trace_data` gives at its r0 alone; an r0 whose zeta0
+    # leaves (0, 2 pi) has no row
+    from mgk import boundary_trace as bt
+
+    calls, solve = [], bt.solve_complete
+    monkeypatch.setattr(bt, "solve_complete", lambda sig: calls.append(sig) or solve(sig))
+    argv = ["--json", "trace", "--g", str(g), "--k", str(k), "--delta", str(delta), "--grid", "60", "--grid-max", "7"]
+    code, out, _ = run(capsys, argv)
+    monkeypatch.undo()
+    assert code == 0 and calls == [GKSignature(g, k)]
+    want = []
+    for r0 in np.linspace(0.1, 7.0, 60):
+        try:
+            d = bt.varsigma_trace_data(GKSignature(g, k), delta, r0)
+        except DomainError:
+            continue
+        want.append(
+            {
+                "r0": r0,
+                "lambda0": d.lambda0,
+                "eta0": d.eta0,
+                "zeta0": d.zeta0,
+                "trace": bt.trace_gamma(d.lambda0, d.eta0, d.zeta0),
+                "trace_dd": bt.trace_second_derivative(d),
+                "stima_positive": bt.stima_inequality(d.lambda0, d.eta0, d.zeta0),
+            }
+        )
+    assert 0 < len(want) < 60
+    assert out == to_json({"schema": "mgk/1", "delta": delta, "rows": want}) + "\n"
 
 
 def test_cli_out_file(tmp_path, capsys):

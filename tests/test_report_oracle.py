@@ -6,7 +6,8 @@ triangles of `tetrahedron.py` (the side at face vertex j has angles
 gamma^j, alpha^{j+1}, alpha^{j+2}) and the log-holonomies (u, v) of each
 cusp's gammas.  `mpmath.findroot` refines the float solution to 50
 digits, and u, v, the coefficients, the core length, an unfilled cusp's
-modulus and the return path are compared with their values there.
+modulus and the return path are compared with their values there, and
+so are the (a, b, c) sums of the chain manifold's fillings.
 
 The doubles carry u and v to about 1e-16 absolute, not relative, so far
 out (499999/3) the text's 12 significant digits of a small Re u or Re L
@@ -14,11 +15,15 @@ are not all right (CHANGES.md); those fields are held to the error they
 have, and the others to each digit they print.
 """
 
+import json
 import re
 
 import mpmath as mp
+import numpy as np
 import pytest
 
+from mgk import cli
+from mgk.commensurability_xk import XkSignature, abc, abc_error, theta_r
 from mgk.deformation import GKSignature, solve_filling, uv
 from mgk.hyptrig import FillingSpec
 from mgk.report import build_report, report_to_text
@@ -140,3 +145,34 @@ def test_report_fields_match_the_50_digit_oracle(g, k, coeffs):
         edge = mp.cos(beta) / (1 - mp.cos(beta))
         printed = re.search(r"return path +(\S+)", text).group(1)
         assert printed_within_half_unit(printed, mp.acosh(edge / (edge - 1)))
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("slope", ["7/2", "1001/3", "10007/13", "100003/7", "299999/2"])
+def test_rotated_fillings_differ_beyond_the_abc_bounds(capsys, k, slope):
+    """A filling of the chain manifold and its rotations by `theta_r` have
+    cyclically shifted (a, b, c) sums, a gap of about 2.5 / |p|^2: 2.5e-10
+    at 100003/7, far below the 1e-8 band but above the error bound of each
+    point.  Every pair is NOT commensurable, and each abc that the command
+    prints lies within its `abc_error` of the oracle's."""
+    sig = XkSignature(k)
+    spec = FillingSpec.parse(",".join([slope] + ["inf"] * (k - 1)), k)
+    assert cli.main(["--json", "commensurable", "--k", str(k), slope + "@1", "--rotated"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [pair["commensurable"] for pair in doc["pairs"]] == [False] * 3
+    x = solve_filling(sig.gk, spec)
+    points = [x, theta_r(x, sig), theta_r(theta_r(x, sig), sig)]
+    # theta_r permutes the coordinates: read the permutation off distinct angles
+    ids = np.linspace(0.1, 3.0, len(x))
+    perm = np.searchsorted(ids, theta_r(ids, sig)).tolist()
+    with mp.workdps(50):
+        rows = oracle_rows(sig.g, k, spec.canonicalized().pairs)
+        sol = mp.findroot(rows, [mp.mpf(float(v)) for v in x], tol=mp.mpf(10) ** -90)
+        exact = [sol[i] for i in range(len(x))]
+        assert max(abs(r) for r in rows(*exact)) < 1e-40
+        for row, point in zip(doc["structures"], points):
+            inv = abc(point, sig)
+            assert row["abc"] == [inv.a, inv.b, inv.c]
+            want = [sum(exact[6 * t + m] for t in range(2 * k)) for m in range(3)]
+            assert max(abs(got - w) for got, w in zip(row["abc"], want)) <= abc_error(point, sig)
+            exact = [exact[i] for i in perm]
