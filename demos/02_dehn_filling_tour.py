@@ -1,10 +1,10 @@
 """Dehn fillings of the one-cusped (2, 1) manifold.
 
-A filling imposes p*u + q*v = 2*pi*i on the cusp's log-holonomies.  A
-slope of length >= sqrt(7) is one Newton solve from the second-order
-start at the complete structure, whose tangent and curvature are in
-closed form; a continuation path from there is the fallback when that
-solve fails.  Below: the hyperbolicity threshold at slope length
+A filling imposes p*u + q*v = 2*pi*i on the cusp's log-holonomies.  It
+is reached by a continuation path from the complete structure, whose
+tangent and curvature there are in closed form; a slope of length
+>= sqrt(7) takes the path in one step, one Newton solve from the
+second-order start.  Below: the hyperbolicity threshold at slope length
 sqrt(7), coefficient round trips, the core geodesic shrinking along a
 ray of fillings, and the universal limit of v/u forced by the hexagonal
 cusp.

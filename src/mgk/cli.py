@@ -134,40 +134,20 @@ def _parse_or_error(coeffs, k):
         return exc
 
 
-def _batched(fn, values, *more) -> list:
-    """Per entry of `values`, the error it holds, or what `fn` gives for it:
-    `fn` takes the entries that are not errors, and the entries of `more`
-    at their places, in one call and returns one result per entry."""
-    ok = [i for i, v in enumerate(values) if not isinstance(v, Exception)]
-    results = iter(fn(*([seq[i] for i in ok] for seq in (values,) + more)))
-    return [v if isinstance(v, Exception) else next(results) for v in values]
-
-
-def _solve_specs(sig, specs, **kw) -> list:
-    """Per entry of `specs`, a FillingSpec or the error that building it
-    raised: its solution or its error.  The specs are solved together, in
-    one `solve_fillings` call; an error keeps its place."""
-    from .deformation import solve_fillings
-
-    return _batched(lambda ok: solve_fillings(sig, ok, **kw), specs)
-
-
 def cmd_fill(args) -> int:
-    from .deformation import GKSignature
+    from .deformation import GKSignature, solve_fillings
     from .report import build_reports
 
     sig = GKSignature(args.g, args.k)
     # with --batch every entry is a list, an empty one too (an error record
     # like any other); without it the one list's error is the command's
     coeffs = [c.strip() for c in args.coeffs.split(";")] if args.batch else [args.coeffs]
+    # a list that does not parse is its error, which rides to its report's place
     specs = [_parse_or_error(c, sig.k) for c in coeffs]
     records = []
-    solved = _solve_specs(sig, specs, check_length=not args.allow_short, out=records)
-    # the solver's record of each list that parsed, at the list's place
-    placed = _batched(lambda ok: records, specs)
-    reports = _batched(lambda xs, ok, rs: build_reports(sig, ok, xs, rs), solved, specs, placed)
+    solved = solve_fillings(sig, specs, check_length=not args.allow_short, out=records)
     entries = []
-    for c, rep in zip(coeffs, reports):
+    for c, rep in zip(coeffs, build_reports(sig, specs, solved, records)):
         try:
             entries.append((EXIT_OK, _report_text(rep, args)))
         except _FAILURES as exc:
@@ -250,6 +230,7 @@ def _commensurable_text(doc) -> str:
 
 def cmd_commensurable(args) -> int:
     from . import commensurability_xk as cx
+    from .deformation import solve_fillings
 
     sig = cx.XkSignature(args.k)
     gk = sig.gk
@@ -260,7 +241,7 @@ def cmd_commensurable(args) -> int:
         except DomainError as exc:
             return exc
 
-    points = _solve_specs(gk, [spec_of(_parse_slope_set(text, args.k)) for text in args.sets])
+    points = solve_fillings(gk, [spec_of(_parse_slope_set(text, args.k)) for text in args.sets])
     # the first set that fails, in input order, fails the command
     for x in points:
         if isinstance(x, Exception):

@@ -24,7 +24,10 @@ class IncompleteCuspError(DomainError):
 def canonicalize_modulus(tau: complex) -> complex:
     """Reduce a modulus in the upper half-plane to the standard
     fundamental domain |Re| <= 1/2, |tau| >= 1, resolving its boundary so
-    that the regular hexagonal lattice is represented by exp(i*pi/3)."""
+    that the regular hexagonal lattice is represented by exp(i*pi/3).  A
+    modulus that is not finite is refused: it has no reduction."""
+    if not cmath.isfinite(tau):
+        raise DomainError("modulus %r is not finite" % (tau,))
     if not tau.imag > 0:
         raise DomainError("modulus %r is not in the upper half-plane" % (tau,))
     for _ in range(256):

@@ -29,12 +29,13 @@ The structure equations split into 10k+1 residuals:
 Their common zero set is smooth of dimension 2k near the symmetric
 complete solution, where its tangent space is in closed form
 (`tangent_basis`); completeness or filling conditions on the per-cusp
-log-holonomies (u, v) cut it down to isolated points.  A Newton
-iteration locates them from the second-order start at the complete
-solution, on the closed-form jet, tangent and curvature, of the
-coefficient continuation to its filling (`_complete_jet`, with no linear
-solve); that continuation is also the fallback path when the one solve
-fails.
+log-holonomies (u, v) cut it down to isolated points.  Each filling is
+reached by one route, the coefficient continuation from the complete
+solution (`_path`), whose first step starts at the second order of the
+closed-form jet, tangent and curvature (`_complete_jet`, with no linear
+solve).  A filling whose slopes all have length >= sqrt(7) is reached
+in that first step, one Newton solve, and the first steps of a batch
+are one stacked solve.
 
 Newton works on the square system: the structure rows plus two cusp
 rows per cusp (Re, Im of p*u + q*v - 2*pi*i filled, of u complete).
@@ -424,6 +425,7 @@ def _block_steps(sig: GKSignature, r: np.ndarray, A: np.ndarray, dbeta: Sequence
     try:
         return _block_step(sig, r, A, dbeta), {}
     except np.linalg.LinAlgError as exc:
+        # a system alone would only fail again, and count a second solve
         if len(r) == 1:
             return np.zeros_like(r), {0: exc}
     k, step, failed = sig.k, np.zeros_like(r), {}
@@ -451,10 +453,12 @@ def _newton(sig: GKSignature, x0: np.ndarray, rows, tol: float):
     the points x0 of shape (N, 12k+1), whose linear block rows are `rows`
     (as for `_evaluate`), to the one tolerance `tol`.  With `tol` at
     `_FILL_TOL` or tighter the points are answers: each is solved until
-    its weighted merit (below) and its plain residual sup-norm are both
-    below `tol`.  A looser `tol` is for points that only feed the next
-    predictor of a continuation: each stops at its first iterate, after
-    at least one step, whose weighted merit is below `tol`.  Returns the
+    its residual sup-norm is below `tol`.  A looser `tol` is for points
+    that only feed the next predictor of a continuation: each stops at
+    its first iterate, after at least one step, whose weighted merit is
+    below `tol`, the sup-norm with each length row divided by
+    |edge_cosh(beta)| at x0: those rows have that scale, about 4e4 at
+    g = 150, and undivided they would drown the others.  Returns the
     points, their residuals (in block order) and the function giving
     their Newton blocks (A, dbeta), both of the last evaluation, and per
     point None or the error that stopped it: a ConvergenceError, or
@@ -463,30 +467,23 @@ def _newton(sig: GKSignature, x0: np.ndarray, rows, tol: float):
     Each point takes the steps it takes alone, every full step, clipped
     into the open angle box.  A point that has converged or stopped
     rides along with a zero step, so that every evaluation covers all N
-    points and the last one holds the blocks of each.  The weighted merit
-    is the sup-norm with each length row divided by |edge_cosh(beta)| at
-    x0: those rows have that scale, about 4e4 at g = 150, and undivided
-    they would drown the others.  A point whose merit did not fall and
-    whose step left its bits as they were has stalled: every later step
-    would be the same."""
+    points and the last one holds the blocks of each.  A point whose
+    step left its bits as they were has stalled: every later step would
+    be the same."""
     x = _clip(np.asarray(x0, dtype=float))
     n_pts, k = len(x), sig.k
     r, blocks = _evaluate(sig, x, rows)
-    weight = np.ones(r.shape)
-    for i, b in enumerate(x[:, -1].tolist()):
-        weight[i, :-1].reshape(k, 12)[:, :6] = 1.0 / max(1.0, abs(edge_cosh(b)))
-    merit = np.abs(weight * r).max(axis=1).tolist()
-    # after `_clip` a point has a finite merit, or a NaN merit and a NaN angle
-    errors = [DomainError(_OUTSIDE_BOX) if m != m else None for m in merit]
-
-    # a point solved only to predict from takes at least one step
     loose = tol > _FILL_TOL
-
-    def done(m, ri):
-        # weight <= 1, so m < tol is necessary and the sup-norm need only be taken then
-        return m < tol and (loose or np.abs(ri).max() < tol)
-
-    running = [i for i in range(n_pts) if errors[i] is None and (loose or not done(merit[i], r[i]))]
+    weight = 1.0
+    if loose:
+        weight = np.ones(r.shape)
+        for i, b in enumerate(x[:, -1].tolist()):
+            weight[i, :-1].reshape(k, 12)[:, :6] = 1.0 / max(1.0, abs(edge_cosh(b)))
+    norm = np.abs(weight * r).max(axis=1).tolist()
+    # after `_clip` a point has a finite norm, or a NaN norm and a NaN angle
+    errors = [DomainError(_OUTSIDE_BOX) if m != m else None for m in norm]
+    # a point solved only to predict from takes at least one step
+    running = [i for i in range(n_pts) if errors[i] is None and (loose or not norm[i] < tol)]
     for _ in range(_MAX_ITER):
         if not running:
             break
@@ -501,24 +498,21 @@ def _newton(sig: GKSignature, x0: np.ndarray, rows, tol: float):
             i = running[pos]
             errors[i] = ConvergenceError("singular Jacobian: %s" % exc, float(np.abs(r[i]).max()))
         xn = _clip(x - step)
-        rn, blocks = _evaluate(sig, xn, rows)
-        mn = np.abs(weight * rn).max(axis=1).tolist()
-        for i in running:
-            if errors[i] is not None or mn[i] < merit[i]:
-                continue
-            if mn[i] != mn[i]:
+        r, blocks = _evaluate(sig, xn, rows)
+        norm = np.abs(weight * r).max(axis=1).tolist()
+        stalled = (xn == x).all(axis=1).tolist()
+        x = xn
+        for i in [i for i in running if errors[i] is None]:
+            if norm[i] != norm[i]:
                 errors[i] = DomainError(_OUTSIDE_BOX)
-            elif (xn[i] == x[i]).all():
-                norm = float(np.abs(r[i]).max())
-                errors[i] = ConvergenceError("Newton stalled at residual %g" % norm, norm)
-        x, r, merit = xn, rn, mn
-        running = [i for i in running if errors[i] is None and not done(merit[i], r[i])]
+            elif stalled[i]:
+                res = float(np.abs(r[i]).max())
+                errors[i] = ConvergenceError("Newton stalled at residual %g" % res, res)
+        running = [i for i in running if errors[i] is None and not norm[i] < tol]
     else:
         for i in running:
-            norm = float(np.abs(r[i]).max())
-            errors[i] = ConvergenceError(
-                "no convergence: residual %g after %d iterations" % (norm, _MAX_ITER), norm
-            )
+            res = float(np.abs(r[i]).max())
+            errors[i] = ConvergenceError("no convergence: residual %g after %d iterations" % (res, _MAX_ITER), res)
     return x, r, blocks, errors
 
 
@@ -539,35 +533,38 @@ def _hermite(s_next: float, s: float, x: np.ndarray, dx: np.ndarray, prev, ddx) 
 def solve_filling(sig: GKSignature, spec: FillingSpec, *, check_length: bool = True) -> np.ndarray:
     """Solve the square 12k+1 system: structure residuals plus, per cusp,
     p*u + q*v = 2*pi*i (filled) or u = 0 (complete), to a residual
-    sup-norm below 1e-10.  Declared range: g <= 200 and k <= 64, with
-    slopes of length >= sqrt(7) and max(|p|, |q|) up to 3e5, where 2,400
-    seeded draws with every cusp filled all solve.  Beyond it a cusp row
-    rounds in steps of about (|p| + |q|) eps and a length row in steps of
-    edge_cosh(beta) eps; a filling with the first above 4 fill gates
-    (9876543/1) or the second above 1.05 (g >= 510 at k = 1) is refused
-    with a DomainError.  Closer to the gate rounding decides a few: 5 of
-    110 one-cusp draws at 1.3 to 4 gates of the first failed, and 9 of
-    904 cases at g = 440 to 520 (0.76 to 1.05 gates of the second).
+    sup-norm below 1e-10.  Declared range (README): g <= 200 and k <= 64,
+    with slopes of length >= sqrt(7) and max(|p|, |q|) up to 3e5.  Beyond
+    it a cusp row rounds in steps of about (|p| + |q|) eps and a length
+    row in steps of edge_cosh(beta) eps; a filling with the first above 4
+    fill gates (9876543/1) or the second above 1.05 (g >= 510 at k = 1) is
+    refused with a DomainError.
 
-    Filled coefficients are continued in s = 1/t along the rows
-    p*u + q*v = 2*pi*i*s (the targets (t*p, t*q)) from the complete
+    Filled coefficients are continued (`_path`) in s = 1/t along the
+    rows p*u + q*v = 2*pi*i*s (the targets (t*p, t*q)) from the complete
     structure x0 at s = 0, where the path's tangent x' and curvature x''
     are in closed form (`_complete_jet`), with no linear solve.  A
-    filling with every slope of length >= sqrt(7) is one Newton solve at
-    s = 1 from the second-order start x0 + x' + x''/2: 5 block solves at
-    length sqrt(7), 4 at lengths of about 3.6 to 5, and about 3 beyond 5.
-    It fails, after its 25 iterations, for 49 of the README's 1,200
-    every-cusp draws up to 3e5, all at k >= 16; those, and a shorter
-    slope, go to the fallback `_path`, which steps s from 0 with step
-    halving, from 1/2 after a failure (a median of 30 to 55 block
-    solves).  Fails loudly (ContinuationError) if the path cannot reach
-    s = 1.  With `check_length`, a slope shorter than sqrt(7) is a
-    DomainError.  This is `solve_fillings` on the one spec.
+    filling with every slope of length >= sqrt(7) takes the path in one
+    step, one Newton solve at s = 1 from the second-order start
+    x0 + x' + x''/2: 5 block solves at length sqrt(7), 4 at lengths of
+    about 3.6 to 5, and about 3 beyond 5.  A shorter slope steps s by its
+    length over sqrt(7), and a failed step halves the step.  Fails loudly
+    (ContinuationError) if the path cannot reach s = 1.  With
+    `check_length`, a slope shorter than sqrt(7) is a DomainError.  This
+    is `solve_fillings` on the one spec.
     """
     (x,) = solve_fillings(sig, [spec], check_length=check_length)
     if isinstance(x, Exception):
         raise x
     return x
+
+
+def _cusp_count_error(sig: GKSignature, spec: FillingSpec) -> Optional[DomainError]:
+    """The DomainError of a spec whose cusp count is not the signature's k,
+    else None."""
+    if len(spec.pairs) != sig.k:
+        return DomainError("spec has %d cusps, signature has %d" % (len(spec.pairs), sig.k))
+    return None
 
 
 @dataclass
@@ -577,7 +574,7 @@ class Solved:
     at x, None where no Newton ran (every cusp unfilled) or the spec failed."""
 
     x: object
-    residual: Optional[np.ndarray]
+    residual: Optional[np.ndarray] = None
 
 
 def solve_fillings(
@@ -586,91 +583,82 @@ def solve_fillings(
     """`solve_filling` for each of `specs` of one signature, solved
     together.  Returns, per spec, the solution or the DomainError or
     ConvergenceError that `solve_filling` raises for it, with the same
-    bits and message: a spec that fails does not touch the others.  With
-    `out`, a list, one `Solved` record per spec is appended to it.
-    `solve_complete` and the jet's `_curvature_blocks` run once.  Each
-    filled spec whose rounding floor exceeds `_CUSP_FLOOR` or
-    `_LENGTH_FLOOR` fill gates is refused there, before any step.  The
-    specs that the sqrt(7) gate `FillingSpec.is_hyperbolic` admits take
-    their one step to s = 1 as one stacked `_newton` from their
-    second-order starts; each spec with a shorter slope, and each whose
-    stacked step failed, then runs its `_path` alone."""
-    res, resid = [None] * len(specs), [None] * len(specs)
-
-    def done():
-        if out is not None:
-            out.extend(map(Solved, res, resid))
-        return res
-
-    todo = []
+    bits and message: a spec that fails does not touch the others.  An
+    entry of `specs` that is an error, such as that of parsing it, is its
+    own result.  With `out`, a list, one `Solved` record per spec is
+    appended to it.  `solve_complete` and the jet's `_curvature_blocks`
+    run once.  Each filled spec whose rounding floor exceeds `_CUSP_FLOOR`
+    or `_LENGTH_FLOOR` fill gates is refused there, before any step.
+    Every other filled spec runs its `_path`; the first steps of the paths
+    that the sqrt(7) gate `FillingSpec.is_hyperbolic` sends to s = 1 at
+    once are one stacked `_newton` from their second-order starts."""
+    records, todo = [None] * len(specs), []
     for i, spec in enumerate(specs):
-        if len(spec.pairs) != sig.k:
-            res[i] = DomainError("spec has %d cusps, signature has %d" % (len(spec.pairs), sig.k))
+        exc = spec if isinstance(spec, Exception) else _cusp_count_error(sig, spec)
+        if exc is not None:
+            records[i] = Solved(exc)
             continue
         spec = spec.canonicalized()
         lmin = spec.min_filled_length()
         hyperbolic = spec.is_hyperbolic()
         if check_length and not hyperbolic:
-            res[i] = DomainError("slope of length %.6g below the hyperbolicity threshold sqrt(7)" % lmin)
+            records[i] = Solved(DomainError("slope of length %.6g below the hyperbolicity threshold sqrt(7)" % lmin))
             continue
         # the first step in s: to 1 if the sqrt(7) gate admits it, None if nothing is filled
         todo.append((i, spec, None if lmin is None else 1.0 if hyperbolic else lmin / SQRT7))
-    if not todo:
-        return done()
     try:
-        cs = solve_complete(sig)
+        cs = solve_complete(sig) if todo else None
     except ConvergenceError as exc:
         for i, _, _ in todo:
-            res[i] = exc
-        return done()
-    length_floor = edge_cosh(cs.beta_bar) * _EPS
+            records[i] = Solved(exc)
+        todo = []
     filled = []
     for i, spec, ds in todo:
         if ds is None:
-            res[i] = cs.x0.copy()
+            records[i] = Solved(cs.x0.copy())
             continue
         pq = max(filter(None, spec.pairs), key=lambda s: abs(s[0]) + abs(s[1]))
-        cusp_floor = (abs(pq[0]) + abs(pq[1])) * _EPS
+        cusp_floor, length_floor = (abs(pq[0]) + abs(pq[1])) * _EPS, edge_cosh(cs.beta_bar) * _EPS
         if cusp_floor > _CUSP_FLOOR * _FILL_TOL:
-            res[i] = DomainError(
+            records[i] = Solved(DomainError(
                 "slope %s: cusp-row rounding floor (|p| + |q|) eps = %.3g is over %g times the gate %g"
                 % (slope_text(pq), cusp_floor, _CUSP_FLOOR, _FILL_TOL)
-            )
+            ))
         elif length_floor > _LENGTH_FLOOR * _FILL_TOL:
-            res[i] = DomainError(
+            records[i] = Solved(DomainError(
                 "g=%d k=%d: length-row rounding floor edge_cosh(beta) eps = %.3g is over %g times the gate %g"
                 % (sig.g, sig.k, length_floor, _LENGTH_FLOOR, _FILL_TOL)
-            )
+            ))
         else:
             filled.append((i, spec, ds))
-    jets = _complete_jet(sig, cs, [spec for _, spec, _ in filled])
-    # the specs whose first step reaches s = 1: one stacked Newton solve
-    # from their second-order starts
-    one = [j for j, (_, _, ds) in enumerate(filled) if ds == 1.0]
-    first = {}
-    if one:
-        guess = cs.x0 + jets[one, 0] + 0.5 * jets[one, 1]
-        rows = _linear_rows([pq for j in one for pq in filled[j][1].pairs])
-        x, r, _, errors = _newton(sig, guess, rows, _FILL_TOL)
-        first = {j: (x_j, r_j) if exc is None else exc for j, x_j, r_j, exc in zip(one, x, r, errors)}
-    for j, (i, spec, ds) in enumerate(filled):
-        x = first.get(j)
-        if x is None:
-            x = _path(sig, cs, spec, jets[j], ds)
-        elif isinstance(x, ConvergenceError):
-            x = _path(sig, cs, spec, jets[j], 0.5, x.residual)
-        if isinstance(x, tuple):
-            x, resid[i] = x
-        res[i] = x
-    return done()
+    if filled:
+        # the n paths whose first step reaches s = 1 go first: they take it
+        # as one stacked Newton solve from their second-order starts
+        filled.sort(key=lambda f: f[2] != 1.0)
+        n, k = sum(ds == 1.0 for _, _, ds in filled), sig.k
+        jets = _complete_jet(sig, cs, [spec for _, spec, _ in filled])
+        rows = _linear_rows([pq for _, spec, _ in filled for pq in spec.pairs])
+        first = {}
+        if n:
+            guess = cs.x0 + jets[:n, 0] + 0.5 * jets[:n, 1]
+            x, r, _, errors = _newton(sig, guess, [a[:n * k] for a in rows], _FILL_TOL)
+            first = dict(enumerate(zip(x, r, errors)))
+        for j, (i, spec, ds) in enumerate(filled):
+            spec_rows = [a[k * j:k * j + k] for a in rows]
+            records[i] = Solved(*_path(sig, cs, spec, jets[j], spec_rows, ds, first.get(j)))
+    if out is not None:
+        out.extend(records)
+    return [rec.x for rec in records]
 
 
-def _path(sig: GKSignature, cs: CompleteSolution, spec: FillingSpec, jet, ds: float, resid=None):
-    """The fallback of the one-step solve of `solve_fillings`: the
-    continuation of the canonical spec alone, from the complete solution
-    cs at s = 0, where its jet is (dx/ds, d2x/ds2), in steps of `ds` up to
-    s = 1; the solution and its last Newton residual vector, or the error
-    that stopped it.  `resid` is that of a failed stacked step it takes over.
+def _path(sig: GKSignature, cs: CompleteSolution, spec: FillingSpec, jet, rows, ds: float, first=None):
+    """The continuation of the canonical spec alone, from the complete
+    solution cs at s = 0, where its jet is (dx/ds, d2x/ds2) and its linear
+    block rows at s = 1 are `rows` (`_linear_rows` of its pairs), in steps
+    of `ds` up to s = 1: the solution and its last Newton residual vector,
+    or the error that stopped it and None.  `first`, when given, is the
+    Newton result (x, r, error) of a first step to s = 1, taken from a
+    stacked solve, and stands for that step's `_newton`.
 
     Each step is one `_newton` at the next s, from the Taylor polynomial
     of second order of the jet when it leaves s = 0, and from the cubic
@@ -685,27 +673,30 @@ def _path(sig: GKSignature, cs: CompleteSolution, spec: FillingSpec, jet, ds: fl
     k = sig.k
     # s scales the 2 pi on row 11 of the filled cusps, so every tangent
     # dx/ds solves J dx/ds = ds_rhs
-    L, S, o = _linear_rows(spec.pairs)
+    L, S, o = rows
     ds_rhs = np.zeros((1, sig.n_coords))
     ds_rhs[0, :-1].reshape(k, 12)[:, 11] = o[:, 11]
-    s, x, prev = 0.0, cs.x0, None
+    s, x, prev, resid = 0.0, cs.x0, None, None
     dx, ddx = jet
 
     def failure(text):
         if resid is not None:
             text += ", residual %g" % resid
         text = "g=%d k=%d slopes %s: %s" % (sig.g, k, ",".join(map(slope_text, spec.pairs)), text)
-        return ContinuationError(text, 1.0 / s if s else None, resid)
+        return ContinuationError(text, 1.0 / s if s else None, resid), None
 
     while s < 1.0:
         s_next = min(1.0, s + ds)
-        o_s = o.copy()
-        o_s[:, 11] *= s_next
-        guess = _hermite(s_next, s, x, dx, prev, ddx)[None]
-        tol = _FILL_TOL if s_next == 1.0 else _MID_TOL
-        (x_next,), (r,), blocks, (exc,) = _newton(sig, guess, (L, S, o_s), tol)
+        if first is None:
+            o_s = o.copy()
+            o_s[:, 11] *= s_next
+            guess = _hermite(s_next, s, x, dx, prev, ddx)[None]
+            tol = _FILL_TOL if s_next == 1.0 else _MID_TOL
+            (x_next,), (r,), blocks, (exc,) = _newton(sig, guess, (L, S, o_s), tol)
+        else:
+            (x_next, r, exc), first = first, None
         if isinstance(exc, DomainError):
-            return exc
+            return exc, None
         if exc is not None:
             resid = exc.residual
             ds /= 2.0

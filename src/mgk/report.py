@@ -18,7 +18,9 @@ import numpy as np
 
 from . import cusp_invariants as ci
 from .commensurability_xk import XkSignature, abc
-from .deformation import GKSignature, _coefficients, _structure_rows, _uv, angle_blocks, check_coords, residuals
+from .deformation import (
+    GKSignature, _coefficients, _cusp_count_error, _structure_rows, _uv, angle_blocks, check_coords, residuals
+)
 from .hyptrig import DomainError, FillingSpec, slope_text
 from .jsontext import SCHEMA, to_json
 
@@ -39,18 +41,22 @@ def build_report(sig: GKSignature, spec: FillingSpec, x: np.ndarray) -> dict:
 def build_reports(sig: GKSignature, specs: Sequence[FillingSpec], xs, records=None) -> list:
     """`build_report` for each pair of `specs` and solved points `xs` of
     one signature.  Returns, per pair, the document or the DomainError
-    that refuses it: a point that is not a coordinate vector, or one whose
-    residual norm is not below RESIDUAL_TOL.  A point whose record in
-    `records` (its `deformation.Solved` from `solve_fillings`) has a
-    residual is gated on the max of its structure rows (`_structure_rows`),
-    which is the max of `residuals` at x, bit for bit.  One stacked
-    `residuals` evaluation gates the other points."""
+    that refuses it: a point that is not a coordinate vector, one whose
+    residual norm is not below RESIDUAL_TOL, a spec whose cusp count is
+    not k, or a panel entry undefined at the point (such as the core
+    length of a filled cusp that is complete).  An entry of `xs` that is
+    an error, as `solve_fillings` returns for a spec it could not solve,
+    is its own result.  A point whose record in `records` (its
+    `deformation.Solved` from `solve_fillings`) has a residual is gated on
+    the max of its structure rows (`_structure_rows`), which is the max of
+    `residuals` at x, bit for bit.  One stacked `residuals` evaluation
+    gates the other points."""
     norms = {i: float(np.abs(_structure_rows(rec.residual, sig.k)).max())
              for i, rec in enumerate(records or ()) if rec.residual is not None}
     out = []
     for i, x in enumerate(xs):
         try:
-            out.append(x if i in norms else check_coords(sig, x))
+            out.append(x if i in norms or isinstance(x, Exception) else check_coords(sig, x))
         except DomainError as exc:
             out.append(exc)
     ok = [i for i, x in enumerate(out) if not (isinstance(x, Exception) or i in norms)]
@@ -58,7 +64,10 @@ def build_reports(sig: GKSignature, specs: Sequence[FillingSpec], xs, records=No
         norms.update(zip(ok, np.abs(residuals(sig, np.array([out[i] for i in ok]))).max(axis=1).tolist()))
     for i, res in norms.items():
         if res < RESIDUAL_TOL:
-            out[i] = _panel(sig, specs[i], out[i], res)
+            try:
+                out[i] = _panel(sig, specs[i], out[i], res)
+            except DomainError as exc:
+                out[i] = exc
         else:
             out[i] = DomainError("residual norm %g above reporting tolerance %g" % (res, RESIDUAL_TOL))
     return out
@@ -71,6 +80,9 @@ def _c2j(z):
 def _panel(sig: GKSignature, spec: FillingSpec, x: np.ndarray, res: float) -> dict:
     """The document of the point x of `spec`, of residual norm `res`, with
     its keys in the schema's order."""
+    exc = _cusp_count_error(sig, spec)
+    if exc is not None:
+        raise exc
     cusps = []
     # one read of the gammas, and one (u, v) per cusp, serve every invariant of the cusps
     for c, (pq, (gA, gB)) in enumerate(zip(spec.pairs, angle_blocks(x)[:, :, 1].tolist())):

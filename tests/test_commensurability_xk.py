@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mgk import commensurability_xk as cx
 from mgk.deformation import (
@@ -122,6 +124,25 @@ def test_commensurable_dichotomy():
     assert cx.commensurable(y, rotated, sig) is False
     swapped = cx.tau_13(y, sig)
     assert cx.commensurable(y, swapped, sig) is True
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.sampled_from([1, 3]),
+    at=st.integers(0, 2),
+    p=st.integers(-300000, 300000),
+    q=st.integers(-300000, 300000),
+)
+def test_a_filling_is_never_commensurable_with_its_rotation(k, at, p, q):
+    # theta_r cycles the (a, b, c) sums, which differ at every filled cusp,
+    # by about 2.5 / |p|^2, down to 3e-11 within the declared range: far
+    # below the 1e-8 band, so only the error bounds keep True out
+    assume(math.gcd(p, q) == 1 and p * p - p * q + q * q >= 7)
+    sig = cx.XkSignature(k)
+    pairs = [None] * k
+    pairs[at % k] = (p, q)
+    x = solve_filling(sig.gk, FillingSpec.from_pairs(k, pairs))
+    assert cx.commensurable(x, cx.theta_r(x, sig), sig) is not True
 
 
 def test_commensurable_indeterminate_band():

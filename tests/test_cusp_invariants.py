@@ -86,6 +86,18 @@ def test_canonicalize_modulus():
         ci.canonicalize_modulus(complex(0.3, -1.0))
 
 
+@pytest.mark.parametrize(
+    "tau",
+    [complex(math.nan, 1.0), complex(math.inf, 1.0), complex(-math.inf, 2.0), complex(0.3, math.inf),
+     complex(0.3, math.nan), complex(math.nan, math.nan)],
+)
+def test_canonicalize_modulus_refuses_a_modulus_that_is_not_finite(tau):
+    # NaN + 1j raised ValueError, inf + 1j OverflowError, and 0.3 + inf j
+    # came back unreduced: none has a reduction
+    with pytest.raises(DomainError, match="is not finite$"):
+        ci.canonicalize_modulus(tau)
+
+
 def test_canonicalize_modulus_inverts_inside_the_unit_circle():
     # |tau| < 1 after the shift: tau -> -1/tau, then shifted again
     assert ci.canonicalize_modulus(0.5j) == 2j

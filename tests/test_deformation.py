@@ -1337,3 +1337,104 @@ def test_newton_stalls_once_its_step_stops_moving_the_point(monkeypatch):
     # the start and 10 steps; the same call at (2, 1) with 3/1 and at
     # (17, 16) never stalls and ends in "no convergence" after 25
     assert len(evals) == 11
+
+
+def count_block_steps(mp):
+    """The list that gets one entry per `_block_step` call under `mp`."""
+    calls, step = [], deformation._block_step
+    mp.setattr(deformation, "_block_step", lambda *a: calls.append(1) or step(*a))
+    return calls
+
+
+def path_alone(sig, spec, mp):
+    """What `_path` gives `spec` alone in steps of 1 from s = 0, under the
+    patches of `mp`: its solution or error, its final residual and the
+    count of its block solves."""
+    calls = count_block_steps(mp)
+    cs, spec = solve_complete(sig), spec.canonicalized()
+    jet, rows = deformation._complete_jet(sig, cs, [spec])[0], deformation._linear_rows(spec.pairs)
+    x, r = deformation._path(sig, cs, spec, jet, rows, 1.0)
+    return outcome(x), None if r is None else r.tobytes(), len(calls)
+
+
+@pytest.mark.parametrize(
+    "g, pairs",
+    [
+        (2, [(5.0, 1.0)]),
+        (3, [(3.0, 1.0), None]),
+        (17, [SQRT7_SLOPES[c % 6] for c in range(16)]),
+        # in the length rows' rounding gray zone: the path fails on its own
+        (443, [(3.0, 1.0)] + [None] * 63),
+    ],
+)
+def test_the_stacked_step_is_the_first_step_of_the_path(g, pairs):
+    # one route per filling: a spec whose stacked step fails goes on as its
+    # `_path` from s = 0 with steps of 1, whose first step failed the same
+    # way; it gets that path's bits or error, final residual and block
+    # solves, alone or beside lists whose stacked steps succeed
+    sig = GKSignature(g, len(pairs))
+    spec = FillingSpec.from_pairs(sig.k, pairs)
+    with pytest.MonkeyPatch.context() as mp:
+        fail_first_newton(mp)
+        want = path_alone(sig, spec, mp)
+    with pytest.MonkeyPatch.context() as mp:
+        fail_first_newton(mp)
+        calls = count_block_steps(mp)
+        records = []
+        solve_fillings(sig, [spec], out=records)
+    residual = None if records[0].residual is None else records[0].residual.tobytes()
+    assert (outcome(records[0].x), residual, len(calls)) == want
+    other = FillingSpec.from_pairs(sig.k, [(5.0, 1.0)] + [None] * (sig.k - 1))
+    with pytest.MonkeyPatch.context() as mp:
+        fail_first_newton(mp, only=1)
+        records = []
+        xs = solve_fillings(sig, [other, spec, other], out=records)
+    residual = None if records[1].residual is None else records[1].residual.tobytes()
+    assert (outcome(xs[1]), residual) == want[:2]
+    assert outcome(xs[0]) == outcome(xs[2]) == outcome(solve_filling(sig, other))
+    if g == 443:
+        assert isinstance(xs[1], ContinuationError)
+
+
+@pytest.mark.parametrize("g", [150, 200])
+@pytest.mark.parametrize("pairs", [[(3.0, 1.0)], [(5.0, 1.0)], [(7.0, 2.0), None], [(2.0, 3.0), (40.0, 1.0)]])
+def test_an_answer_stops_on_the_sup_norm_alone(monkeypatch, g, pairs):
+    # at g = 150 and 200 a length row has scale edge_cosh(beta), 4.1e4 and
+    # 7.3e4, and the weight of a predictor point's merit is its inverse:
+    # an answer is solved on the plain sup-norm, so a strict Newton returns
+    # no error exactly when max |r| < tol, after any number of iterations
+    sig = GKSignature(g, len(pairs))
+    cs = solve_complete(sig)
+    spec = FillingSpec.from_pairs(sig.k, pairs).canonicalized()
+    ((dx, ddx),) = deformation._complete_jet(sig, cs, [spec])
+    rows = deformation._linear_rows(spec.pairs)
+    # the jet leaves beta put, so every iterate's weight is that of x0
+    weight = np.ones(sig.n_coords)
+    weight[:-1].reshape(sig.k, 12)[:, :6] = 1.0 / deformation.edge_cosh(cs.beta_bar)
+    assert weight.min() < 3e-5
+    seen = set()
+    for iterations in range(1, 8):
+        monkeypatch.setattr(deformation, "_MAX_ITER", iterations)
+        for tol in (1e-10, 1e-11, 1e-12, 1e-13, 1e-14, 1e-15):
+            _, (r,), _, (exc,) = deformation._newton(sig, (cs.x0 + dx + 0.5 * ddx)[None], rows, tol)
+            solved = float(np.abs(r).max()) < tol
+            assert (exc is None) == solved, (iterations, tol, exc)
+            seen.add((solved, float(np.abs(weight * r).max()) < tol))
+    # answers, failures, and failures whose weighted merit was below tol
+    assert seen >= {(True, True), (False, True), (False, False)}
+
+
+def test_solve_fillings_pass_an_error_entry_through(monkeypatch):
+    # an entry that is an error, such as a list that did not parse, is its
+    # own result and record, and the other specs solve as they do alone
+    sig = GKSignature(3, 2)
+    err = DomainError("expected 2 comma-separated entries, got 1")
+    spec = FillingSpec.from_pairs(2, [(5.0, 1.0), None])
+    records = []
+    xs = solve_fillings(sig, [err, spec, err], out=records)
+    assert xs[0] is err and xs[2] is err and [rec.x for rec in records] == xs
+    assert records[0].residual is None and records[2].residual is None
+    assert xs[1].tobytes() == solve_filling(sig, spec).tobytes()
+    # errors alone solve nothing, not even the complete structure
+    monkeypatch.setattr(deformation, "solve_complete", None)
+    assert solve_fillings(sig, [err]) == [err]

@@ -18,7 +18,7 @@ from mgk import cli
 from mgk import deformation
 from mgk import report
 from mgk import slopes_symmetry as ss
-from mgk.deformation import GKSignature, residuals, solve_filling, solve_fillings
+from mgk.deformation import GKSignature, residuals, solve_complete, solve_filling, solve_fillings
 from mgk.hyptrig import DomainError, FillingSpec, parse_slope
 from mgk.report import (
     RESIDUAL_TOL,
@@ -94,6 +94,46 @@ def test_build_reports_refuse_per_item():
     assert "(0, pi)" in str(reps[4])
     assert all(isinstance(r, DomainError) for r in reps[2:5])
     assert reps[5:] == reps[:2]
+
+
+def test_build_reports_refuse_a_panel_or_a_spec_per_item():
+    # a point whose panel is undefined (the core length of a filled cusp at
+    # the complete structure), and a spec whose cusp count is not k, are
+    # each their own error: one aborted the whole call, the other reported
+    # a truncated panel, 1 cusp and homology rank 4 at (3, 2)
+    sig = GKSignature(2, 1)
+    spec = FillingSpec.parse("5/1", 1)
+    x, x0 = solve_filling(sig, spec), solve_complete(sig).x0
+    reps = build_reports(sig, [spec, spec], [x, x0])
+    assert reps[0] == build_report(sig, spec, x)
+    assert isinstance(reps[1], DomainError) and str(reps[1]).startswith("cusp 0 is unfilled")
+    sig, one = GKSignature(3, 2), FillingSpec.parse("5/1", 1)
+    x = solve_filling(sig, FillingSpec.parse("5/1,inf", 2))
+    (solved,) = solve_fillings(sig, [one])
+    with pytest.raises(DomainError) as info:
+        build_report(sig, one, x)
+    assert str(info.value) == str(solved) == "spec has 1 cusps, signature has 2"
+
+
+def test_build_reports_pass_an_error_entry_through():
+    # the error that solve_fillings returns for a list is that list's result
+    sig = GKSignature(3, 2)
+    specs = [DomainError("cannot parse"), FillingSpec.parse("inf,5/1", 2)]
+    records = []
+    xs = solve_fillings(sig, specs, out=records)
+    reps = build_reports(sig, specs, xs, records)
+    assert reps[0] is specs[0] and xs[0] is specs[0]
+    assert reps[1] == build_report(sig, specs[1], xs[1])
+
+
+def test_cli_fill_batch_parse_error_beside_a_list(capsys):
+    # the list that does not parse is an error record, exit 2, and the other
+    # list keeps the report it gets alone
+    code, out, _ = run(capsys, ["fill", "--g", "3", "--k", "2", "--batch", "--json", "--coeffs", "5/1;inf,5/1"])
+    assert code == 2
+    bad, good = json.loads(out)
+    assert bad["coeffs"] == "5/1" and bad["error"]["exit"] == 2
+    assert run(capsys, ["fill", "--g", "3", "--k", "2", "--json", "--coeffs", "inf,5/1"])[1] == to_json(good) + "\n"
 
 
 # slopes of squared length 7 to 39 in both signs, every one hyperbolic
