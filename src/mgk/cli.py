@@ -13,13 +13,14 @@ cusp, `similar` and `commensurable` take p/q@i, with p and q coprime
 integers of either sign.  Exit codes: 0 success, 2 input error (a
 malformed, non-coprime or 0/0 slope entry, one beyond the float range
 where a filling is solved, an unwritable --out file, a request too large
-for memory, such as k = 2**62), 3 numerical failure.
+for memory, such as k = 2**62 or --grid 2**62), 3 numerical failure.
 Tolerances are fixed: a report is refused above residual
 `report.RESIDUAL_TOL`, and invariants compare at
 `commensurability_xk.INVARIANT_TOL`.  `main(argv)` can be called
 repeatedly in-process; it builds its parser once per process, reads a
-well-formed argv that starts with the subcommand from that subcommand's
-action table, and leaves every other argv to argparse (`parse`).
+well-formed argv that starts with the subcommand from the actions that
+subcommand declared (the `Action`s `add_argument` returned, by their
+public attributes), and leaves every other argv to argparse (`parse`).
 
 `slopes` and `similar` answer in exact integer arithmetic
 (`slopes_symmetry`) and write with `jsontext`, so they load no numpy.
@@ -302,12 +303,11 @@ def cmd_trace(args) -> int:
     sig = GKSignature(args.g, args.k)
     if args.grid is not None and args.grid < 1:
         raise DomainError("--grid must be at least 1, got %d" % args.grid)
+    # numpy's own limit, as in GKSignature: np.linspace raises ValueError above it
+    if args.grid is not None and 8 * args.grid > sys.maxsize:
+        raise DomainError("request too large for memory")
     rows = []
-    r0_values = (
-        [args.r0]
-        if args.grid is None
-        else list(np.linspace(0.1, args.grid_max, args.grid))
-    )
+    r0_values = [args.r0] if args.grid is None else list(np.linspace(0.1, args.grid_max, args.grid))
     trace_data = bt.varsigma_trace_family(sig, args.delta)
     for r0 in r0_values:
         try:
@@ -330,22 +330,13 @@ def cmd_trace(args) -> int:
     return _write(args, {"schema": SCHEMA, "delta": args.delta, "rows": rows}, _trace_text)
 
 
-def _add_common(parser, top_level: bool) -> None:
-    # registered on the top parser with real defaults and on every
-    # subparser with SUPPRESS, so the flags work on either side of the
-    # subcommand and a later occurrence wins
-    sup = argparse.SUPPRESS
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        default=False if top_level else sup,
-        help="machine-readable output",
-    )
-    parser.add_argument(
-        "--out",
-        default=None if top_level else sup,
-        help="write output to this file instead of stdout",
-    )
+# --json and --out: on the top parser with argparse's defaults, and on
+# every subparser with SUPPRESS ones, so that the flags work on either
+# side of the subcommand and a later occurrence wins
+_COMMON = (
+    ("--json", dict(action="store_true", help="machine-readable output")),
+    ("--out", dict(help="write output to this file instead of stdout")),
+)
 
 
 # a required int option, such as the signature's --g and --k
@@ -385,25 +376,37 @@ _COMMANDS = (
 
 
 @functools.cache
-def build_parser():
-    """The `mgk` parser and the parsers of its subcommands by name, built
-    on the first call and shared by every later one, so that `main` does
-    not rebuild them per call.  Callers must not mutate them; `parse_args`
-    does not, and starts each call from a fresh namespace."""
+def _parsers():
+    """The `mgk` parser, the parsers of its subcommands by name, and per
+    subcommand what `_read_exact` reads: the actions of its option strings
+    by string, its positionals in order, and the namespace of an argv that
+    names it and sets nothing."""
     ap = argparse.ArgumentParser(
         prog="mgk",
         description="Hyperbolic structures, Dehn fillings and invariants "
         "of the (g, k) family of manifolds with geodesic boundary.",
     )
-    _add_common(ap, top_level=True)
+    top = [ap.add_argument(arg, **kw) for arg, kw in _COMMON]
     sub = ap.add_subparsers(dest="command", required=True)
+    tables = {}
     for name, text, func, arguments in _COMMANDS:
         p = sub.add_parser(name, help=text)
-        for arg, kw in arguments:
-            p.add_argument(arg, **kw)
-        _add_common(p, top_level=False)
+        actions = [p.add_argument(arg, **kw) for arg, kw in arguments]
+        actions += [p.add_argument(arg, default=argparse.SUPPRESS, **kw) for arg, kw in _COMMON]
         p.set_defaults(func=func)
-    return ap, sub.choices
+        options = {opt: a for a in actions for opt in a.option_strings}
+        positionals = [a for a in actions if not a.option_strings]
+        defaults = {a.dest: a.default for a in top + actions if a.default != argparse.SUPPRESS}
+        tables[name] = options, positionals, {**defaults, "command": name, "func": func}
+    return ap, sub.choices, tables
+
+
+def build_parser():
+    """The `mgk` parser and the parsers of its subcommands by name, built
+    on the first call and shared by every later one, so that `main` does
+    not rebuild them per call.  Callers must not mutate them; `parse_args`
+    does not, and starts each call from a fresh namespace."""
+    return _parsers()[:2]
 
 
 class _Unread(Exception):
@@ -425,34 +428,30 @@ def _value(action, text):
     return value
 
 
-def _read_exact(ap, p, argv):
-    """The namespace of `ap.parse_args(argv)`, read from the action table
-    of `p`, the parser of the subcommand named by argv[0], when every later
-    argument is an exact option string of `p`, the value of one, or a
-    positional.  Each run of positionals between two options goes to the
-    positionals as argparse assigns it, so an option ends a `nargs="+"`
-    one.  Raises _Unread for any other argv, and where a positional or a
-    required option is left without a value or a run has more values than
-    the positionals take."""
-    # argparse's private action tables, guarded by
-    # test_cli_parse_is_the_full_parse in tests/test_report_cli.py
-    values, runs, it = {}, [[]], iter(argv[1:])
+def _read_exact(options, positionals, defaults, args):
+    """The namespace of the full parse of a subcommand's argv, read from
+    its entry in `_parsers` (`options`, `positionals` and `defaults`) when
+    each argument after its name (`args`) is an exact option string, the
+    value of one, or a positional.  A flag (nargs 0) stores its const, any
+    other option its one value.  Each run of positionals between two
+    options goes to the positionals as argparse assigns it, so an option
+    ends a `nargs="+"` one.  Raises _Unread for any other argv, and where
+    a positional or a required option is left without a value or a run
+    has more values than the positionals take."""
+    values, runs, it = {}, [[]], iter(args)
     for arg in it:
         if not arg.startswith("-"):
             runs[-1].append(arg)
             continue
         runs.append([])
-        action = p._option_string_actions.get(arg)
-        if isinstance(action, argparse._StoreConstAction):
-            values[action.dest] = action.const
-        elif isinstance(action, argparse._StoreAction) and action.nargs is None:
-            values[action.dest] = _value(action, next(it, "-"))
-        else:
+        action = options.get(arg)
+        if action is None or action.nargs not in (0, None):
             raise _Unread
-    positionals = [a for a in p._actions if not a.option_strings]
+        values[action.dest] = action.const if action.nargs == 0 else _value(action, next(it, "-"))
+    unassigned = list(positionals)
     for run in runs:
-        while run and positionals:
-            action = positionals.pop(0)
+        while run and unassigned:
+            action = unassigned.pop(0)
             if action.nargs is None:
                 values[action.dest] = _value(action, run.pop(0))
             elif action.nargs == "+":
@@ -464,11 +463,9 @@ def _read_exact(ap, p, argv):
         if run:
             raise _Unread
     # a missing positional is required too
-    if any(a.required and a.dest not in values for a in p._actions):
+    if any(a.required and a.dest not in values for a in (*options.values(), *positionals)):
         raise _Unread
-    sup = argparse.SUPPRESS
-    defaults = {a.dest: a.default for a in ap._actions + p._actions if sup not in (a.dest, a.default)}
-    return argparse.Namespace(**{**defaults, "command": argv[0], "func": p.get_default("func"), **values})
+    return argparse.Namespace(**{**defaults, **values})
 
 
 def parse(argv) -> argparse.Namespace:
@@ -476,11 +473,11 @@ def parse(argv) -> argparse.Namespace:
     name followed only by that subcommand's exact option strings, their
     values and its positionals, `_read_exact` reads it; argparse reads
     every other argv, and reports its errors, in one full parse."""
-    ap, commands = build_parser()
+    ap, _, tables = _parsers()
     argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and argv[0] in commands:
+    if argv and argv[0] in tables:
         try:
-            return _read_exact(ap, commands[argv[0]], argv)
+            return _read_exact(*tables[argv[0]], argv[1:])
         except _Unread:
             pass
     return ap.parse_args(argv)

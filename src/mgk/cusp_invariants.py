@@ -6,7 +6,7 @@ import cmath
 import math
 from typing import Tuple
 
-from .deformation import COMPLETE_TOL, GKSignature, cusp_angles, edge_cosh, uv
+from .deformation import COMPLETE_TOL, GKSignature, _versine, cusp_angles, uv
 from .hyptrig import DomainError
 
 HEXAGONAL_MODULUS = complex(0.5, math.sqrt(3.0) / 2.0)
@@ -127,12 +127,16 @@ def _complex_length(u: complex, v: complex, cusp: int, pq: Tuple[int, int]) -> c
 
 def return_path_length(x) -> float:
     """Length of the compact edge, the shortest return path: arccosh of
-    c/(c-1) with c = cos(beta)/(1-cos(beta)).  Defined for beta < pi/3."""
+    c/(c-1) with c = cos(beta)/(1-cos(beta)).  Defined for beta < pi/3.
+    It is read as arccosh(1 + t) = log1p(t + sqrt(t (t + 2))) with
+    t = 1/(c-1) = (1 - cos beta)/(2 cos beta - 1), because at large g
+    c/(c-1) is near 1, where arccosh of its rounded value loses up to
+    eps/(2t) of the result: 2.4e-12 at (200, 64) with 3/1 on one cusp."""
     beta = float(x[-1])
     if not 0.0 < beta < math.pi / 3.0:
         raise DomainError("beta=%r outside (0, pi/3): no compact edge" % beta)
-    c = edge_cosh(beta)
-    return math.acosh(c / (c - 1.0))
+    t = _versine(beta) / (2.0 * math.cos(beta) - 1.0)
+    return math.log1p(t + math.sqrt(t * (t + 2.0)))
 
 
 def homology_rank(sig: GKSignature, filled: int) -> int:

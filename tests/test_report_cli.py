@@ -1031,6 +1031,14 @@ def test_cli_trace_grid_below_one_is_an_input_error(capsys):
     assert err.startswith("input error:") and "--grid" in err
 
 
+def test_cli_trace_grid_too_large_for_memory_is_an_input_error(capsys):
+    # 2**62 doubles exceed numpy's largest array, as GKSignature's rule reads
+    # it: one input error line, not numpy's ValueError
+    code, out, err = run(capsys, ["trace", "--g", "2", "--k", "1", "--grid", str(2**62)])
+    assert code == 2 and out == ""
+    assert err == "input error: request too large for memory\n"
+
+
 def test_cli_trace_single_r0(capsys):
     # without --grid one row at --r0, 1 by default; an r0 where the
     # varsigma curve has no trace data leaves no row, an input error
@@ -1405,13 +1413,20 @@ _WELL_FORMED = [
 
 @pytest.mark.parametrize("argv", _WELL_FORMED, ids=lambda argv: argv[0])
 def test_cli_reads_a_well_formed_argv_without_argparse(monkeypatch, argv):
-    ap, _ = cli.build_parser()
+    ap, commands = cli.build_parser()
     want = vars(ap.parse_args(argv))
 
     def refuse(*args, **kwargs):
         raise AssertionError("argparse parsed %r" % (argv,))
 
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    # nor does it read argparse's private tables and action classes, which
+    # a Python upgrade may change: only the actions that add_argument returned
+    for p in commands.values():
+        monkeypatch.delattr(p, "_option_string_actions")
+        monkeypatch.delattr(p, "_actions")
+    for name in ("_StoreConstAction", "_StoreAction"):
+        monkeypatch.setattr(argparse, name, type(name, (argparse.Action,), {}))
     assert vars(cli.parse(argv)) == want
 
 

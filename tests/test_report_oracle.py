@@ -5,9 +5,11 @@ mpmath: the layout of `mgk.deformation`'s docstring, the truncation
 triangles of `tetrahedron.py` (the side at face vertex j has angles
 gamma^j, alpha^{j+1}, alpha^{j+2}) and the log-holonomies (u, v) of each
 cusp's gammas.  `mpmath.findroot` refines the float solution to 50
-digits, and u, v, the coefficients, the core length, an unfilled cusp's
-modulus and the return path are compared with their values there, and
-so are the (a, b, c) sums of the chain manifold's fillings.
+digits (when only the first cusp is filled, in the 13 unknowns of its
+block and beta, each unfilled block being the symmetric point at beta),
+and u, v, the coefficients, the core length, an unfilled cusp's modulus
+and the return path are compared with their values there, and so are
+the (a, b, c) sums of the chain manifold's fillings.
 
 The doubles carry u and v to about 1e-16 absolute, not relative, so far
 out (499999/3) the text's 12 significant digits of a small Re u or Re L
@@ -64,6 +66,35 @@ def oracle_uv(x, c):
     return u, v
 
 
+def symmetric_alpha(beta):
+    """The alpha of a symmetric block at beta, all its gammas pi/3: the
+    root of its length rows (cos^2 a + 1/2) / sin^2 a = cos b / (1 - cos b)."""
+    return mp.asin(mp.sqrt(3) * mp.sin(beta / 2))
+
+
+def oracle_point(g, k, pairs, x):
+    """The root of the square system near the float point x.  When only
+    cusp 0 is filled, each unfilled block is the symmetric point at beta,
+    and findroot solves 13 unknowns, cusp 0's block and beta: the rows of
+    the one-cusp system at g - k + 1, whose total angle gains the 6(k - 1)
+    alphas of the symmetric blocks.  Otherwise it solves all 12k + 1."""
+    start = [mp.mpf(float(v)) for v in x]
+    tol = mp.mpf(10) ** -90
+    if any(pq is not None for pq in pairs[1:]):
+        sol = mp.findroot(oracle_rows(g, k, pairs), start, tol=tol)
+        return [sol[i] for i in range(len(x))]
+    one_cusp = oracle_rows(g - k + 1, 1, pairs[:1])
+
+    def rows(*y):
+        out = one_cusp(*y)
+        out[-1] += 6 * (k - 1) * symmetric_alpha(y[12])
+        return out
+
+    sol = mp.findroot(rows, start[:12] + start[-1:], tol=tol)
+    alpha, third = symmetric_alpha(sol[12]), mp.pi / 3
+    return [sol[i] for i in range(12)] + [alpha, alpha, alpha, third, third, third] * (2 * k - 2) + [sol[12]]
+
+
 def core_length(u, v, p, q):
     """r u + s v for integers with p s - q r = 1, of positive real part,
     its imaginary part reduced into (-pi, pi]."""
@@ -101,7 +132,11 @@ COMPLEX = r"([-+]?[\d.]+(?:e[-+]\d+)?)([-+][\d.]+(?:e[-+]\d+)?)i"
 @pytest.mark.parametrize(
     "g, k, coeffs",
     [(2, 1, s) for s in ("3/1", "7/2", "101/7", "10007/13", "100003/7", "499999/3")]
-    + [(3, 2, "3/1,5/1"), (3, 2, "5/1,inf"), (3, 2, "10007/13,7/2"), (3, 2, "499999/3,3/1")],
+    + [(3, 2, "3/1,5/1"), (3, 2, "5/1,inf"), (3, 2, "10007/13,7/2"), (3, 2, "499999/3,3/1")]
+    # one filled cusp beside 15 or 63 unfilled ones, up to the far corner
+    # of the declared range, where the return path is arccosh near 1
+    + [(g, k, ",".join([s] + ["inf"] * (k - 1))) for g, k in ((17, 16), (200, 64)) for s in ("3/1", "10007/13")],
+    ids=lambda v: v.split(",")[0] + ",inf..." if isinstance(v, str) and len(v) > 40 else None,
 )
 def test_report_fields_match_the_50_digit_oracle(g, k, coeffs):
     sig, spec = GKSignature(g, k), FillingSpec.parse(coeffs, k)
@@ -110,11 +145,9 @@ def test_report_fields_match_the_50_digit_oracle(g, k, coeffs):
     text = report_to_text(doc)
     pairs = spec.canonicalized().pairs
     with mp.workdps(50):
-        rows = oracle_rows(g, k, pairs)
-        sol = mp.findroot(rows, [mp.mpf(float(v)) for v in x], tol=mp.mpf(10) ** -90)
-        xs = [sol[i] for i in range(sig.n_coords)]
+        xs = oracle_point(g, k, pairs, x)
         # the float solution's root, within what the 1e-10 gate leaves
-        assert max(abs(r) for r in rows(*xs)) < 1e-40
+        assert max(abs(r) for r in oracle_rows(g, k, pairs)(*xs)) < 1e-40
         assert max(abs(a - float(b)) for a, b in zip(xs, x)) < 1e-9
         lines = [line for line in text.splitlines() if line.startswith("cusp ")]
         for c, (pq, cusp, line) in enumerate(zip(pairs, doc["cusps"], lines)):
