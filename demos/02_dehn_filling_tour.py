@@ -4,19 +4,18 @@ A filling imposes p*u + q*v = 2*pi*i on the cusp's log-holonomies.  It
 is reached by a continuation path from the complete structure, whose
 tangent and curvature there are in closed form; a slope of length
 >= sqrt(7) takes the path in one step, one Newton solve from the
-second-order start.  Below: the hyperbolicity threshold at slope length
-sqrt(7), coefficient round trips, the core geodesic shrinking along a
-ray of fillings, and the universal limit of v/u forced by the hexagonal
-cusp.
+second-order start, and a shorter slope is refused.  Below: coefficient
+round trips, the refusal below the hyperbolicity threshold at slope
+length sqrt(7), the core geodesic shrinking along a ray of fillings,
+and the universal limit of v/u forced by the hexagonal cusp.
 """
 
 import math
 
 import numpy as np
 
-from mgk import FillingSpec, GKSignature, dehn_coefficients, residuals, solve_filling, uv
+from mgk import DomainError, FillingSpec, GKSignature, dehn_coefficients, residuals, solve_filling, uv
 from mgk import cusp_invariants as ci
-from mgk.deformation import ContinuationError
 from mgk.slopes_symmetry import Slope, slope_length
 
 print(__doc__)
@@ -34,11 +33,11 @@ for pq in [(3, 1), (5, 1), (7, 2), (19, 11), (16, -1)]:
     )
 
 print()
-print("Below the threshold the equations admit no solution; the")
-print("continuation fails loudly rather than report nonsense:")
+print("Below the threshold the filled manifold is not hyperbolic; the")
+print("solver refuses the slope rather than report nonsense:")
 try:
-    solve_filling(sig, FillingSpec.from_pairs(1, [(2.0, 1.0)]), check_length=False)
-except ContinuationError as exc:
+    solve_filling(sig, FillingSpec.from_pairs(1, [(2.0, 1.0)]))
+except DomainError as exc:
     print("  2/1 (length sqrt(3)): %s" % exc)
 
 print()

@@ -9,7 +9,7 @@ it every module of the package that uses numpy is loaded."""
 
 import importlib
 
-from .hyptrig import ContinuationError, ConvergenceError, DomainError, FillingSpec
+from .hyptrig import ConvergenceError, DomainError, FillingSpec
 
 # the names re-exported from `deformation`
 _SOLVER = (
@@ -28,7 +28,7 @@ _SOLVER = (
 )
 _NUMPY_HALF = ("deformation", "cusp_invariants", "commensurability_xk", "report", "boundary_trace")
 
-__all__ = sorted(_SOLVER + ("ContinuationError", "ConvergenceError", "DomainError", "FillingSpec"))
+__all__ = sorted(_SOLVER + ("ConvergenceError", "DomainError", "FillingSpec"))
 
 __version__ = "0.1.0"
 

@@ -11,9 +11,12 @@ else a text rendered from that document alone.  Slope entries share one
 syntax (`hyptrig.parse_slope`): `fill --coeffs` takes p/q or inf per
 cusp, `similar` and `commensurable` take p/q@i, with p and q coprime
 integers of either sign.  Exit codes: 0 success, 2 input error (a
-malformed, non-coprime or 0/0 slope entry, one beyond the float range
-where a filling is solved, an unwritable --out file, a request too large
-for memory, such as k = 2**62 or --grid 2**62), 3 numerical failure.
+malformed, non-coprime or 0/0 slope entry, a filling slope shorter than
+sqrt(7), one beyond the float range where a filling is solved, an
+unwritable --out file, a request too large for memory, such as
+k = 2**62, --grid 2**62 or --max-len-sq 2**62), 3 numerical failure
+(a filling whose continuation fails, named by its signature, slopes
+and residual).
 Tolerances are fixed: a report is refused above residual
 `report.RESIDUAL_TOL`, and invariants compare at
 `commensurability_xk.INVARIANT_TOL`.  `main(argv)` can be called
@@ -42,7 +45,7 @@ import os
 import sys
 
 from . import slopes_symmetry as ss
-from .hyptrig import ContinuationError, ConvergenceError, DomainError, FillingSpec, parse_slope
+from .hyptrig import ConvergenceError, DomainError, FillingSpec, parse_slope
 from .jsontext import SCHEMA, to_json
 
 EXIT_OK = 0
@@ -69,10 +72,6 @@ def _failure(exc):
     """Exit code and one-line message for one of _FAILURES."""
     if isinstance(exc, DomainError):
         return EXIT_INPUT, "input error: %s" % exc
-    if isinstance(exc, ContinuationError):
-        if exc.last_good_t is None:
-            return EXIT_NUMERIC, "numerical failure: %s (no continuation step was solved)" % exc
-        return EXIT_NUMERIC, "numerical failure: %s (last good multiplier %.6g)" % (exc, exc.last_good_t)
     return EXIT_NUMERIC, "numerical failure: %s" % exc
 
 
@@ -146,7 +145,7 @@ def cmd_fill(args) -> int:
     # a list that does not parse is its error, which rides to its report's place
     specs = [_parse_or_error(c, sig.k) for c in coeffs]
     records = []
-    solved = solve_fillings(sig, specs, check_length=not args.allow_short, out=records)
+    solved = solve_fillings(sig, specs, out=records)
     entries = []
     for c, rep in zip(coeffs, build_reports(sig, specs, solved, records)):
         try:
@@ -350,7 +349,6 @@ _COMMANDS = (
         _G, _K,
         ("--coeffs", dict(required=True, help='e.g. "inf,5/1"; with --batch, ";"-separated lists')),
         ("--batch", dict(action="store_true", help="solve several coefficient lists")),
-        ("--allow-short", dict(action="store_true", help="skip the sqrt(7) slope-length check")),
     )),
     ("slopes", "classify short slopes into isometry orbits", cmd_slopes, (("--max-len-sq", _INT),)),
     ("similar", "decide equivalence of two slope sets", cmd_similar, (

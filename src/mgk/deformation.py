@@ -29,13 +29,12 @@ The structure equations split into 10k+1 residuals:
 Their common zero set is smooth of dimension 2k near the symmetric
 complete solution, where its tangent space is in closed form
 (`tangent_basis`); completeness or filling conditions on the per-cusp
-log-holonomies (u, v) cut it down to isolated points.  Each filling is
-reached by one route, the coefficient continuation from the complete
-solution (`_path`), whose first step starts at the second order of the
+log-holonomies (u, v) cut it down to isolated points.  Each filling,
+every slope of length >= sqrt(7), is reached by one route, the
+coefficient continuation from the complete solution (`_path`), whose
+first step is one Newton solve at s = 1 from the second order of the
 closed-form jet, tangent and curvature (`_complete_jet`, with no linear
-solve).  A filling whose slopes all have length >= sqrt(7) is reached
-in that first step, one Newton solve, and the first steps of a batch
-are one stacked solve.
+solve); the first steps of a batch are one stacked solve.
 
 Newton works on the square system: the structure rows plus two cusp
 rows per cusp (Re, Im of p*u + q*v - 2*pi*i filled, of u complete).
@@ -71,9 +70,9 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-# the solver's failures are defined in hyptrig, beside DomainError, and
-# re-exported here under the names they have always had
-from .hyptrig import SQRT7, ContinuationError, ConvergenceError, DomainError, FillingSpec, slope_text
+# the solver's failure is defined in hyptrig, beside DomainError, and
+# re-exported here under the name it has always had
+from .hyptrig import ConvergenceError, DomainError, FillingSpec, slope_text
 
 # working margin keeping iterates strictly inside (0, pi)
 _CLIP = 1e-8
@@ -424,11 +423,8 @@ def _block_steps(sig: GKSignature, r: np.ndarray, A: np.ndarray, dbeta: Sequence
     then each system is solved alone; a singular one gets a zero step."""
     try:
         return _block_step(sig, r, A, dbeta), {}
-    except np.linalg.LinAlgError as exc:
-        # a system alone would only fail again, and count a second solve
-        if len(r) == 1:
-            return np.zeros_like(r), {0: exc}
-    k, step, failed = sig.k, np.zeros_like(r), {}
+    except np.linalg.LinAlgError:
+        k, step, failed = sig.k, np.zeros_like(r), {}
     for i in range(len(r)):
         try:
             step[i] = _block_step(sig, r[i:i + 1], A[k * i:k * i + k], dbeta[i:i + 1])[0]
@@ -530,7 +526,7 @@ def _hermite(s_next: float, s: float, x: np.ndarray, dx: np.ndarray, prev, ddx) 
     return guess
 
 
-def solve_filling(sig: GKSignature, spec: FillingSpec, *, check_length: bool = True) -> np.ndarray:
+def solve_filling(sig: GKSignature, spec: FillingSpec) -> np.ndarray:
     """Solve the square 12k+1 system: structure residuals plus, per cusp,
     p*u + q*v = 2*pi*i (filled) or u = 0 (complete), to a residual
     sup-norm below 1e-10.  Declared range (README): g <= 200 and k <= 64,
@@ -540,20 +536,18 @@ def solve_filling(sig: GKSignature, spec: FillingSpec, *, check_length: bool = T
     fill gates (9876543/1) or the second above 1.05 (g >= 510 at k = 1) is
     refused with a DomainError.
 
-    Filled coefficients are continued (`_path`) in s = 1/t along the
-    rows p*u + q*v = 2*pi*i*s (the targets (t*p, t*q)) from the complete
+    A slope shorter than sqrt(7) is a DomainError.  Filled coefficients
+    are continued (`_path`) in s = 1/t along the rows
+    p*u + q*v = 2*pi*i*s (the targets (t*p, t*q)) from the complete
     structure x0 at s = 0, where the path's tangent x' and curvature x''
-    are in closed form (`_complete_jet`), with no linear solve.  A
-    filling with every slope of length >= sqrt(7) takes the path in one
-    step, one Newton solve at s = 1 from the second-order start
-    x0 + x' + x''/2: 5 block solves at length sqrt(7), 4 at lengths of
-    about 3.6 to 5, and about 3 beyond 5.  A shorter slope steps s by its
-    length over sqrt(7), and a failed step halves the step.  Fails loudly
-    (ContinuationError) if the path cannot reach s = 1.  With
-    `check_length`, a slope shorter than sqrt(7) is a DomainError.  This
-    is `solve_fillings` on the one spec.
+    are in closed form (`_complete_jet`), with no linear solve.  The
+    path's first step is one Newton solve at s = 1 from the second-order
+    start x0 + x' + x''/2: 5 block solves at length sqrt(7), 4 at lengths
+    of about 3.6 to 5, and about 3 beyond 5; a failed step halves the
+    step.  Fails loudly (ConvergenceError) if the path cannot reach
+    s = 1.  This is `solve_fillings` on the one spec.
     """
-    (x,) = solve_fillings(sig, [spec], check_length=check_length)
+    (x,) = solve_fillings(sig, [spec])
     if isinstance(x, Exception):
         raise x
     return x
@@ -577,9 +571,7 @@ class Solved:
     residual: Optional[np.ndarray] = None
 
 
-def solve_fillings(
-    sig: GKSignature, specs: Sequence[FillingSpec], *, check_length: bool = True, out: Optional[list] = None
-) -> list:
+def solve_fillings(sig: GKSignature, specs: Sequence[FillingSpec], *, out: Optional[list] = None) -> list:
     """`solve_filling` for each of `specs` of one signature, solved
     together.  Returns, per spec, the solution or the DomainError or
     ConvergenceError that `solve_filling` raises for it, with the same
@@ -587,34 +579,31 @@ def solve_fillings(
     entry of `specs` that is an error, such as that of parsing it, is its
     own result.  With `out`, a list, one `Solved` record per spec is
     appended to it.  `solve_complete` and the jet's `_curvature_blocks`
-    run once.  Each filled spec whose rounding floor exceeds `_CUSP_FLOOR`
-    or `_LENGTH_FLOOR` fill gates is refused there, before any step.
-    Every other filled spec runs its `_path`; the first steps of the paths
-    that the sqrt(7) gate `FillingSpec.is_hyperbolic` sends to s = 1 at
-    once are one stacked `_newton` from their second-order starts."""
+    run once.  A spec that the sqrt(7) gate `FillingSpec.is_hyperbolic`
+    refuses, and each filled spec whose rounding floor exceeds
+    `_CUSP_FLOOR` or `_LENGTH_FLOOR` fill gates, is refused before any
+    step.  Every other filled spec runs its `_path`, and the first steps
+    of the paths are one stacked `_newton` from their second-order
+    starts."""
     records, todo = [None] * len(specs), []
     for i, spec in enumerate(specs):
         exc = spec if isinstance(spec, Exception) else _cusp_count_error(sig, spec)
-        if exc is not None:
+        if exc is None and not spec.is_hyperbolic():
+            lmin = spec.min_filled_length()
+            exc = DomainError("slope of length %.6g below the hyperbolicity threshold sqrt(7)" % lmin)
+        if exc is None:
+            todo.append((i, spec.canonicalized()))
+        else:
             records[i] = Solved(exc)
-            continue
-        spec = spec.canonicalized()
-        lmin = spec.min_filled_length()
-        hyperbolic = spec.is_hyperbolic()
-        if check_length and not hyperbolic:
-            records[i] = Solved(DomainError("slope of length %.6g below the hyperbolicity threshold sqrt(7)" % lmin))
-            continue
-        # the first step in s: to 1 if the sqrt(7) gate admits it, None if nothing is filled
-        todo.append((i, spec, None if lmin is None else 1.0 if hyperbolic else lmin / SQRT7))
     try:
         cs = solve_complete(sig) if todo else None
     except ConvergenceError as exc:
-        for i, _, _ in todo:
+        for i, _ in todo:
             records[i] = Solved(exc)
         todo = []
     filled = []
-    for i, spec, ds in todo:
-        if ds is None:
+    for i, spec in todo:
+        if not spec.filled_count:
             records[i] = Solved(cs.x0.copy())
             continue
         pq = max(filter(None, spec.pairs), key=lambda s: abs(s[0]) + abs(s[1]))
@@ -630,45 +619,40 @@ def solve_fillings(
                 % (sig.g, sig.k, length_floor, _LENGTH_FLOOR, _FILL_TOL)
             ))
         else:
-            filled.append((i, spec, ds))
+            filled.append((i, spec))
     if filled:
-        # the n paths whose first step reaches s = 1 go first: they take it
-        # as one stacked Newton solve from their second-order starts
-        filled.sort(key=lambda f: f[2] != 1.0)
-        n, k = sum(ds == 1.0 for _, _, ds in filled), sig.k
-        jets = _complete_jet(sig, cs, [spec for _, spec, _ in filled])
-        rows = _linear_rows([pq for _, spec, _ in filled for pq in spec.pairs])
-        first = {}
-        if n:
-            guess = cs.x0 + jets[:n, 0] + 0.5 * jets[:n, 1]
-            x, r, _, errors = _newton(sig, guess, [a[:n * k] for a in rows], _FILL_TOL)
-            first = dict(enumerate(zip(x, r, errors)))
-        for j, (i, spec, ds) in enumerate(filled):
+        k = sig.k
+        jets = _complete_jet(sig, cs, [spec for _, spec in filled])
+        rows = _linear_rows([pq for _, spec in filled for pq in spec.pairs])
+        # every path's first step, to s = 1, as one stacked Newton solve
+        x, r, _, errors = _newton(sig, cs.x0 + jets[:, 0] + 0.5 * jets[:, 1], rows, _FILL_TOL)
+        for j, (i, spec) in enumerate(filled):
             spec_rows = [a[k * j:k * j + k] for a in rows]
-            records[i] = Solved(*_path(sig, cs, spec, jets[j], spec_rows, ds, first.get(j)))
+            records[i] = Solved(*_path(sig, cs, spec, jets[j], spec_rows, (x[j], r[j], errors[j])))
     if out is not None:
         out.extend(records)
     return [rec.x for rec in records]
 
 
-def _path(sig: GKSignature, cs: CompleteSolution, spec: FillingSpec, jet, rows, ds: float, first=None):
+def _path(sig: GKSignature, cs: CompleteSolution, spec: FillingSpec, jet, rows, first=None):
     """The continuation of the canonical spec alone, from the complete
     solution cs at s = 0, where its jet is (dx/ds, d2x/ds2) and its linear
-    block rows at s = 1 are `rows` (`_linear_rows` of its pairs), in steps
-    of `ds` up to s = 1: the solution and its last Newton residual vector,
-    or the error that stopped it and None.  `first`, when given, is the
-    Newton result (x, r, error) of a first step to s = 1, taken from a
-    stacked solve, and stands for that step's `_newton`.
+    block rows at s = 1 are `rows` (`_linear_rows` of its pairs), up to
+    s = 1: the solution and its last Newton residual vector, or the error
+    that stopped it and None.  `first`, when given, is the Newton result
+    (x, r, error) of the first step, taken from a stacked solve, and
+    stands for that step's `_newton`.
 
-    Each step is one `_newton` at the next s, from the Taylor polynomial
-    of second order of the jet when it leaves s = 0, and from the cubic
-    Hermite through the last two points and their tangents after.  A
-    point short of s = 1 only feeds the next predictor, so it is solved
-    only to `_MID_TOL`, and its tangent is one block step with the blocks
-    of Newton's last iterate.  A failed step halves ds; below 1e-4 the
-    path ends in a ContinuationError with the last failure's residual.
-    Its fillings passed the floor check of `solve_fillings`: a step fails
-    for the geometry (a slope below sqrt(7)), for a start too far out, or
+    The first step goes to s = 1.  Each step is one `_newton` at the next
+    s, from the Taylor polynomial of second order of the jet when it
+    leaves s = 0, and from the cubic Hermite through the last two points
+    and their tangents after.  A point short of s = 1 only feeds the next
+    predictor, so it is solved only to `_MID_TOL`, and its tangent is one
+    block step with the blocks of Newton's last iterate.  A failed step
+    halves the step; below 1e-4 the path ends in a ConvergenceError that
+    names the t of its last solved point and the last failure's residual.
+    Its fillings passed the sqrt(7) gate and the floor check of
+    `solve_fillings`: a first step fails for a start too far out, or
     rarely for rounding near the floors."""
     k = sig.k
     # s scales the 2 pi on row 11 of the filled cusps, so every tangent
@@ -676,14 +660,14 @@ def _path(sig: GKSignature, cs: CompleteSolution, spec: FillingSpec, jet, rows, 
     L, S, o = rows
     ds_rhs = np.zeros((1, sig.n_coords))
     ds_rhs[0, :-1].reshape(k, 12)[:, 11] = o[:, 11]
-    s, x, prev, resid = 0.0, cs.x0, None, None
+    s, ds, x, prev, resid = 0.0, 1.0, cs.x0, None, None
     dx, ddx = jet
 
     def failure(text):
         if resid is not None:
             text += ", residual %g" % resid
         text = "g=%d k=%d slopes %s: %s" % (sig.g, k, ",".join(map(slope_text, spec.pairs)), text)
-        return ContinuationError(text, 1.0 / s if s else None, resid), None
+        return ConvergenceError(text, resid), None
 
     while s < 1.0:
         s_next = min(1.0, s + ds)

@@ -2,16 +2,14 @@
 hexagonal cusp torus, of length sqrt(p^2 + q^2 - p*q), their "p/q"
 syntax and sign form, and the per-cusp `FillingSpec` with its sqrt(7)
 gate; and the errors of every module: `DomainError`, the input error,
-and `ConvergenceError` and its `ContinuationError`, the solver's
-numerical failures, which live here so that the command line can name
-them without loading numpy."""
+and `ConvergenceError`, the solver's numerical failure, which live here
+so that the command line can name them without loading numpy."""
 
 import math
 import numbers
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-SQRT7 = math.sqrt(7.0)
 # float and int first: the check against the ABC alone is four times slower
 _REAL = (float, int, numbers.Real)
 
@@ -22,29 +20,15 @@ class DomainError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """Newton iteration failed to reach the requested residual norm.
-    `residual` is the residual sup-norm at the point where it stopped, or
-    None where no such point is known."""
+    """Newton iteration failed to reach the requested residual norm, or a
+    filling's continuation could not reach s = 1, in which case the message
+    names the signature and the canonical slopes.  `residual` is the
+    residual sup-norm at the point where it stopped, or None where no such
+    point is known."""
 
     def __init__(self, message, residual=None):
         super().__init__(message)
         self.residual = residual
-
-
-class ContinuationError(ConvergenceError):
-    """The continuation could not reach s = 1; the message names the
-    signature and the canonical slopes.  `last_good_t` is t = 1/s at the
-    last solved point of the path, or None when no step was solved.  Near
-    the sqrt(7) wall, where a path below it gives up, the step halving
-    that ends the path is so sensitive that rounding sets the last good
-    multiplier: a change in the last bits of the path moves it.
-    `residual` is that of the last failed Newton solve, which the message
-    ends with, or None when no Newton solve failed.  A filling beyond the
-    rounding floors is refused before any step, with a DomainError."""
-
-    def __init__(self, message, last_good_t, residual):
-        super().__init__(message, residual)
-        self.last_good_t = last_good_t
 
 
 def slope_length_pair(p: float, q: float) -> float:
@@ -90,8 +74,9 @@ class FillingSpec:
     pair (p, q) != (0, 0) imposes p*u + q*v = 2*pi*i.
 
     Integer coprime pairs are the genuine Dehn fillings; the solver also
-    accepts arbitrary real pairs (the coefficient map is real-valued),
-    which is what continuation paths and coefficient-ray studies use.
+    accepts real pairs (the coefficient map is real-valued), which is
+    what coefficient-ray studies use, but like every pair only from
+    length sqrt(7) up (`is_hyperbolic`).
     `parse`, the user-facing syntax, takes "p/q" entries (`parse_slope`)
     or "inf".  It builds through `from_pairs`, the one place that turns
     coefficients into floats; an entry that is not None or a pair of two
@@ -151,12 +136,11 @@ class FillingSpec:
         return sum(1 for pq in self.pairs if pq is not None)
 
     def min_filled_length(self) -> Optional[float]:
-        lengths = [slope_length_pair(*pq) for pq in self.pairs if pq is not None]
-        return min(lengths) if lengths else None
+        return min((slope_length_pair(*pq) for pq in self.pairs if pq is not None), default=None)
 
     def is_hyperbolic(self) -> bool:
         """The sqrt(7) gate: every filled slope has length at least
         sqrt(7) - 1e-12, so the filled manifold is hyperbolic.  Exact on
         integer pairs, whose squared lengths are integers."""
         lmin = self.min_filled_length()
-        return lmin is None or lmin >= SQRT7 - 1e-12
+        return lmin is None or lmin >= math.sqrt(7.0) - 1e-12

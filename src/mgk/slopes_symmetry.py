@@ -29,6 +29,7 @@ the deformation variety is in `commensurability_xk`.
 """
 
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -155,6 +156,9 @@ def classify_slopes(max_len_sq: int):
     if max_len_sq < 1:
         raise DomainError("max_len_sq must be >= 1")
     bound = int(math.isqrt(4 * max_len_sq // 3)) + 2
+    # the rule of GKSignature: more pairs to scan than numpy could size an array of
+    if 8 * (bound + 1) * (2 * bound + 1) > sys.maxsize:
+        raise DomainError("request too large for memory")
     slopes = {}
     for p in range(0, bound + 1):
         for q in range(-bound, bound + 1):

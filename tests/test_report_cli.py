@@ -344,22 +344,38 @@ def test_cli_fill_short_slope_rejected(capsys):
     assert "sqrt(7)" in err
 
 
+def test_cli_fill_has_no_flag_past_the_sqrt7_gate(capsys):
+    # the sqrt(7) refusal is the only behaviour: argparse knows no such flag
+    code, out, err = run(capsys, ["fill", "--g", "2", "--k", "1", "--coeffs", "2/1", "--allow-short"])
+    assert code == 2 and out == ""
+    assert err.endswith("mgk: error: unrecognized arguments: --allow-short\n")
+
+
 def test_cli_fill_non_coprime_rejected(capsys):
     code, _, err = run(capsys, ["fill", "--g", "2", "--k", "1", "--coeffs", "10/2"])
     assert code == 2
 
 
-def test_cli_fill_continuation_failure_exit_3(capsys):
-    code, _, err = run(
-        capsys,
-        ["fill", "--g", "2", "--k", "1", "--coeffs", "2/1", "--allow-short"],
-    )
+def test_cli_fill_continuation_failure_exit_3(monkeypatch, capsys):
+    # every solve to s = 1 fails, so the path creeps towards it in halving
+    # steps until the step underflows, short of s = 1
+    newton = deformation._newton
+
+    def fail_answers(sig, x0, rows, tol):
+        x, r, blocks, errors = newton(sig, x0, rows, tol)
+        if tol == deformation._FILL_TOL:
+            errors = [deformation.ConvergenceError("forced failure", 0.5)] * len(x)
+        return x, r, blocks, errors
+
+    monkeypatch.setattr(deformation, "_newton", fail_answers)
+    code, _, err = run(capsys, ["fill", "--g", "2", "--k", "1", "--coeffs", "5/1"])
     assert code == 3
-    assert "last good multiplier" in err
-    assert "g=2 k=1 slopes 2/1:" in err
-    # the residual of the last failed Newton solve
-    residual = re.search(r", residual (\S+) \(last good multiplier", err)
-    assert residual and 1e-10 < float(residual.group(1)) < math.inf, err
+    # the signature, the slopes, the t of the last solved point and the
+    # residual of the last failed Newton solve
+    t = re.fullmatch(
+        r"numerical failure: g=2 k=1 slopes 5/1: continuation step underflow at t=(\S+), residual 0.5\n", err
+    )
+    assert t and 1.0 < float(t.group(1)) < 1.001, err
 
 
 def test_cli_fill_first_step_failure_exit_3(monkeypatch, capsys):
@@ -369,7 +385,11 @@ def test_cli_fill_first_step_failure_exit_3(monkeypatch, capsys):
     monkeypatch.setattr(deformation, "_block_step", singular)
     code, _, err = run(capsys, ["fill", "--g", "2", "--k", "1", "--coeffs", "5/1"])
     assert code == 3
-    assert "no continuation step was solved" in err
+    # no point was solved, and every Newton solve stopped at its start
+    residual = re.fullmatch(
+        r"numerical failure: g=2 k=1 slopes 5/1: continuation step underflow at t=inf, residual (\S+)\n", err
+    )
+    assert residual and 0.0 < float(residual.group(1)) < math.inf, err
 
 
 def test_cli_fill_batch(capsys):
@@ -393,7 +413,7 @@ def test_cli_fill_batch(capsys):
     assert docs[0]["filling"] == [[5.0, 1.0]]
 
 
-def test_cli_fill_batch_errors_per_entry(capsys):
+def test_cli_fill_batch_errors_per_entry(monkeypatch, capsys):
     argv = ["fill", "--g", "2", "--k", "1", "--coeffs", "5/1;2/1;10/2", "--batch"]
     code, out, _ = run(capsys, ["--json"] + argv)
     assert code == 2
@@ -403,15 +423,26 @@ def test_cli_fill_batch_errors_per_entry(capsys):
     assert short["schema"] == "mgk/1" and short["coeffs"] == "2/1"
     assert short["error"]["exit"] == 2 and "sqrt(7)" in short["error"]["message"]
     assert bad["coeffs"] == "10/2" and bad["error"]["exit"] == 2
-    # a numerical failure outranks an input error in the exit code
-    code, out, _ = run(capsys, ["--json"] + argv + ["--allow-short"])
-    assert code == 3
-    assert [d.get("error", {}).get("exit") for d in json.loads(out)] == [None, 3, 2]
     code, out, _ = run(capsys, argv)
     assert code == 2
     assert out.startswith("signature       g=2 k=1")
     assert "\n\nerror           2/1: input error: " in out
     assert "\n\nerror           10/2: input error: " in out
+    # a numerical failure outranks an input error in the exit code: the
+    # path of 5/1 fails beside the two input errors
+    path = deformation._path
+
+    def fail_5_1(sig, cs, spec, *rest):
+        if spec.pairs == ((5.0, 1.0),):
+            return deformation.ConvergenceError("forced failure", 1.0), None
+        return path(sig, cs, spec, *rest)
+
+    monkeypatch.setattr(deformation, "_path", fail_5_1)
+    code, out, _ = run(capsys, ["--json"] + argv)
+    assert code == 3
+    docs = json.loads(out)
+    assert [d["error"]["exit"] for d in docs] == [3, 2, 2]
+    assert docs[0]["error"]["message"] == "numerical failure: forced failure"
 
 
 def test_cli_fill_batch_bad_report_fails_alone(monkeypatch, capsys):
@@ -515,6 +546,14 @@ def test_cli_slopes_table(capsys):
     assert [len(o) for o in rows[1]] == [3]
     assert [len(o) for o in rows[3]] == [3]
     assert [len(o) for o in rows[7]] == [6]
+
+
+def test_cli_slopes_refuses_a_bound_too_large_for_memory(monkeypatch, capsys):
+    # classify_slopes scans O(max_len_sq) pairs: at 2**62 it would run until
+    # memory runs out, so the bound is refused before the first pair
+    monkeypatch.setattr(ss, "Slope", None)
+    code, out, err = run(capsys, ["slopes", "--max-len-sq", str(2 ** 62)])
+    assert (code, out, err) == (2, "", "input error: request too large for memory\n")
 
 
 def test_cli_similar(capsys):
@@ -823,7 +862,6 @@ def test_moved_names_keep_their_old_homes():
     from mgk import hyptrig, jsontext
 
     assert deformation.ConvergenceError is hyptrig.ConvergenceError
-    assert deformation.ContinuationError is hyptrig.ContinuationError
     assert report.to_json is jsontext.to_json and report.SCHEMA == jsontext.SCHEMA
 
 
@@ -1221,8 +1259,6 @@ _GRAMMAR = {
          'e.g. "inf,5/1"; with --batch, ";"-separated lists'),
         ("_StoreTrueAction", ["--batch"], "batch", None, False, False, None, 0,
          "solve several coefficient lists"),
-        ("_StoreTrueAction", ["--allow-short"], "allow_short", None, False, False, None, 0,
-         "skip the sqrt(7) slope-length check"),
     ], "cmd_fill"),
     "slopes": (
         [("_StoreAction", ["--max-len-sq"], "max_len_sq", "int", None, True, None, None, None)],
@@ -1326,7 +1362,7 @@ def test_cli_parse_reads_what_the_full_parse_reads(argv):
 # positionals as argparse assigns them (a nargs="+" set is one run)
 _SUBCOMMANDS = {
     "complete": (["--g", "--k"], [], []),
-    "fill": (["--g", "--k", "--coeffs"], ["--batch", "--allow-short"], []),
+    "fill": (["--g", "--k", "--coeffs"], ["--batch"], []),
     "slopes": (["--max-len-sq"], [], []),
     "similar": (["--k"], ["--reflections"], [["3/1@1"], ["5/1@1,3/1@2"]]),
     "commensurable": (["--k"], ["--rotated"], [["7/2@1", "5/1@1"]]),
@@ -1402,7 +1438,7 @@ def test_cli_parse_is_the_full_parse(argv):
 
 _WELL_FORMED = [
     ["complete", "--json", "--g", "2", "--k", "1"],
-    ["fill", "--g", "3", "--k", "2", "--coeffs", "inf,5/1", "--batch", "--allow-short", "--out", "x"],
+    ["fill", "--g", "3", "--k", "2", "--coeffs", "inf,5/1", "--batch", "--json", "--out", "x"],
     ["slopes", "--max-len-sq", "30"],
     ["similar", "3/1@1", "--reflections", "5/1@2", "--k", "2", "--k", "3"],
     ["commensurable", "--k", "3", "7/2@1", "5/1@1", "--rotated"],
