@@ -945,6 +945,30 @@ def test_filling_predictor_stays_on_the_warm_start_branch_k16():
     assert np.max(np.abs(x - warm_start_continuation(sig, pairs))) < 1e-9
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("extra", [1, 3])
+@pytest.mark.parametrize("short", [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (2.0, 1.0), (1.0, 2.0), (1.0, -1.0)])
+@pytest.mark.parametrize("rest", [None, (5.0, 1.0)])
+def test_filling_below_threshold_fails_honestly(monkeypatch, k, extra, short, rest):
+    # no hyperbolic structure below length sqrt(7): the gate refuses the
+    # filling with a DomainError that names the short length, before the
+    # complete structure is solved or any block solve is made, alone or
+    # in a batch
+    sig = GKSignature(k + extra, k)
+    spec = FillingSpec.from_pairs(k, [short] + [rest] * (k - 1))
+    assert not spec.is_hyperbolic()
+    calls, step, complete = [], deformation._block_step, deformation.solve_complete
+    monkeypatch.setattr(deformation, "_block_step", lambda *a: calls.append(1) or step(*a))
+    monkeypatch.setattr(deformation, "solve_complete", lambda *a: calls.append(0) or complete(*a))
+    message = "slope of length %.6g below the hyperbolicity threshold sqrt(7)" % spec.min_filled_length()
+    with pytest.raises(DomainError) as info:
+        solve_filling(sig, spec)
+    assert str(info.value) == message
+    (batch,) = solve_fillings(sig, [spec])
+    assert isinstance(batch, DomainError) and str(batch) == message
+    assert calls == []
+
+
 # the declared range of solve_filling: g <= 200, k <= 64
 
 SWEEP_G = list(range(2, 41)) + [50, 60, 80, 100, 150, 200]
