@@ -30,11 +30,12 @@ Their common zero set is smooth of dimension 2k near the symmetric
 complete solution, where its tangent space is in closed form
 (`tangent_basis`); completeness or filling conditions on the per-cusp
 log-holonomies (u, v) cut it down to isolated points.  Each filling,
-every slope of length >= sqrt(7), is reached by one route, the
-coefficient continuation from the complete solution (`_path`), whose
-first step is one Newton solve at s = 1 from the second order of the
-closed-form jet, tangent and curvature (`_complete_jet`, with no linear
-solve); the first steps of a batch are one stacked solve.
+every slope of length >= sqrt(7), is reached by one route, a
+predictor-corrector continuation from the complete solution (`_path`)
+whose predictor is the Taylor polynomial of the closed-form jet,
+tangent and curvature (`_complete_jet`, with no linear solve).  Its
+first step is one Newton solve at s = 1 from x0 + x' + x''/2; the first
+steps of a batch are one stacked solve.
 
 Newton works on the square system: the structure rows plus two cusp
 rows per cusp (Re, Im of p*u + q*v - 2*pi*i filled, of u complete).
@@ -79,9 +80,6 @@ _CLIP = 1e-8
 _MAX_ITER = 25
 # residual sup-norm a filling is solved to
 _FILL_TOL = 1e-10
-# weighted merit (see `_newton`) a continuation point short of the filling
-# is solved to: it only feeds the next predictor, whose residual is about 1
-_MID_TOL = 1e-3
 # fill gates that the rounding floor of a cusp row, (|p| + |q|) eps, and of a
 # length row, edge_cosh(beta) eps, may reach: most fillings beyond fail (CHANGES.md)
 _CUSP_FLOOR = 4.0
@@ -444,42 +442,29 @@ def correction(sig: GKSignature, x) -> np.ndarray:
     return _block_step(sig, r, *blocks())[0]
 
 
-def _newton(sig: GKSignature, x0: np.ndarray, rows, tol: float):
+def _newton(sig: GKSignature, x0: np.ndarray, rows, tol: Optional[float]):
     """Newton with block-arrow steps on N square systems at once, from
     the points x0 of shape (N, 12k+1), whose linear block rows are `rows`
-    (as for `_evaluate`), to the one tolerance `tol`.  With `tol` at
-    `_FILL_TOL` or tighter the points are answers: each is solved until
-    its residual sup-norm is below `tol`.  A looser `tol` is for points
-    that only feed the next predictor of a continuation: each stops at
-    its first iterate, after at least one step, whose weighted merit is
-    below `tol`, the sup-norm with each length row divided by
-    |edge_cosh(beta)| at x0: those rows have that scale, about 4e4 at
-    g = 150, and undivided they would drown the others.  Returns the
-    points, their residuals (in block order) and the function giving
-    their Newton blocks (A, dbeta), both of the last evaluation, and per
-    point None or the error that stopped it: a ConvergenceError, or
-    `check_coords`'s DomainError for a point that is not a number.
+    (as for `_evaluate`), to the residual sup-norm `tol`: each point is
+    solved until its sup-norm is below `tol`.  With `tol` None each point
+    takes one step and no stop test, the corrector of a continuation
+    point short of the filling.  Returns the points, their residuals (in
+    block order) of the last evaluation, and per point None or the error
+    that stopped it: a ConvergenceError, or `check_coords`'s DomainError
+    for a point that is not a number.
 
     Each point takes the steps it takes alone, every full step, clipped
     into the open angle box.  A point that has converged or stopped
     rides along with a zero step, so that every evaluation covers all N
-    points and the last one holds the blocks of each.  A point whose
-    step left its bits as they were has stalled: every later step would
-    be the same."""
+    points.  A point whose step left its bits as they were has stalled:
+    every later step would be the same."""
     x = _clip(np.asarray(x0, dtype=float))
     n_pts, k = len(x), sig.k
     r, blocks = _evaluate(sig, x, rows)
-    loose = tol > _FILL_TOL
-    weight = 1.0
-    if loose:
-        weight = np.ones(r.shape)
-        for i, b in enumerate(x[:, -1].tolist()):
-            weight[i, :-1].reshape(k, 12)[:, :6] = 1.0 / max(1.0, abs(edge_cosh(b)))
-    norm = np.abs(weight * r).max(axis=1).tolist()
+    norm = np.abs(r).max(axis=1).tolist()
     # after `_clip` a point has a finite norm, or a NaN norm and a NaN angle
     errors = [DomainError(_OUTSIDE_BOX) if m != m else None for m in norm]
-    # a point solved only to predict from takes at least one step
-    running = [i for i in range(n_pts) if errors[i] is None and (loose or not norm[i] < tol)]
+    running = [i for i in range(n_pts) if errors[i] is None and (tol is None or not norm[i] < tol)]
     for _ in range(_MAX_ITER):
         if not running:
             break
@@ -492,38 +477,23 @@ def _newton(sig: GKSignature, x0: np.ndarray, rows, tol: float):
             step[running], failed = _block_steps(sig, r[running], A, [dbeta[i] for i in running])
         for pos, exc in failed.items():
             i = running[pos]
-            errors[i] = ConvergenceError("singular Jacobian: %s" % exc, float(np.abs(r[i]).max()))
+            errors[i] = ConvergenceError("singular Jacobian: %s" % exc, norm[i])
         xn = _clip(x - step)
         r, blocks = _evaluate(sig, xn, rows)
-        norm = np.abs(weight * r).max(axis=1).tolist()
+        norm = np.abs(r).max(axis=1).tolist()
         stalled = (xn == x).all(axis=1).tolist()
         x = xn
         for i in [i for i in running if errors[i] is None]:
             if norm[i] != norm[i]:
                 errors[i] = DomainError(_OUTSIDE_BOX)
             elif stalled[i]:
-                res = float(np.abs(r[i]).max())
-                errors[i] = ConvergenceError("Newton stalled at residual %g" % res, res)
-        running = [i for i in running if errors[i] is None and not norm[i] < tol]
+                errors[i] = ConvergenceError("Newton stalled at residual %g" % norm[i], norm[i])
+        running = [i for i in running if errors[i] is None and tol is not None and not norm[i] < tol]
     else:
         for i in running:
-            res = float(np.abs(r[i]).max())
-            errors[i] = ConvergenceError("no convergence: residual %g after %d iterations" % (res, _MAX_ITER), res)
-    return x, r, blocks, errors
-
-
-def _hermite(s_next: float, s: float, x: np.ndarray, dx: np.ndarray, prev, ddx) -> np.ndarray:
-    """The path's value at s_next, extrapolated from the point (s, x) with
-    slope dx: the cubic Hermite through it and prev = (s0, x0, dx0), or,
-    when prev is None, the Taylor step of second order with curvature ddx."""
-    guess = x + (s_next - s) * dx
-    if prev is None:
-        return guess + (0.5 * (s_next - s) ** 2) * ddx
-    s0, x0, dx0 = prev
-    h = s - s0
-    z = (s_next - s) / h
-    guess += z * z * ((3.0 + 2.0 * z) * (x0 - x + h * dx) - (1.0 + z) * h * (dx - dx0))
-    return guess
+            text = "no convergence: residual %g after %d iterations" % (norm[i], _MAX_ITER)
+            errors[i] = ConvergenceError(text, norm[i])
+    return x, r, errors
 
 
 def solve_filling(sig: GKSignature, spec: FillingSpec) -> np.ndarray:
@@ -543,9 +513,10 @@ def solve_filling(sig: GKSignature, spec: FillingSpec) -> np.ndarray:
     are in closed form (`_complete_jet`), with no linear solve.  The
     path's first step is one Newton solve at s = 1 from the second-order
     start x0 + x' + x''/2: 5 block solves at length sqrt(7), 4 at lengths
-    of about 3.6 to 5, and about 3 beyond 5; a failed step halves the
-    step.  Fails loudly (ConvergenceError) if the path cannot reach
-    s = 1.  This is `solve_fillings` on the one spec.
+    of about 3.6 to 5, and about 3 beyond 5.  A failed step halves the
+    step, and the path goes on by the jet's Taylor predictor and a
+    one-step Newton corrector.  Fails loudly (ConvergenceError) if the
+    path cannot reach s = 1.  This is `solve_fillings` on the one spec.
     """
     (x,) = solve_fillings(sig, [spec])
     if isinstance(x, Exception):
@@ -625,7 +596,7 @@ def solve_fillings(sig: GKSignature, specs: Sequence[FillingSpec], *, out: Optio
         jets = _complete_jet(sig, cs, [spec for _, spec in filled])
         rows = _linear_rows([pq for _, spec in filled for pq in spec.pairs])
         # every path's first step, to s = 1, as one stacked Newton solve
-        x, r, _, errors = _newton(sig, cs.x0 + jets[:, 0] + 0.5 * jets[:, 1], rows, _FILL_TOL)
+        x, r, errors = _newton(sig, cs.x0 + jets[:, 0] + 0.5 * jets[:, 1], rows, _FILL_TOL)
         for j, (i, spec) in enumerate(filled):
             spec_rows = [a[k * j:k * j + k] for a in rows]
             records[i] = Solved(*_path(sig, cs, spec, jets[j], spec_rows, (x[j], r[j], errors[j])))
@@ -643,56 +614,41 @@ def _path(sig: GKSignature, cs: CompleteSolution, spec: FillingSpec, jet, rows, 
     (x, r, error) of the first step, taken from a stacked solve, and
     stands for that step's `_newton`.
 
-    The first step goes to s = 1.  Each step is one `_newton` at the next
-    s, from the Taylor polynomial of second order of the jet when it
-    leaves s = 0, and from the cubic Hermite through the last two points
-    and their tangents after.  A point short of s = 1 only feeds the next
-    predictor, so it is solved only to `_MID_TOL`, and its tangent is one
-    block step with the blocks of Newton's last iterate.  A failed step
-    halves the step; below 1e-4 the path ends in a ConvergenceError that
-    names the t of its last solved point and the last failure's residual.
-    Its fillings passed the sqrt(7) gate and the floor check of
-    `solve_fillings`: a first step fails for a start too far out, or
-    rarely for rounding near the floors."""
-    k = sig.k
-    # s scales the 2 pi on row 11 of the filled cusps, so every tangent
-    # dx/ds solves J dx/ds = ds_rhs
+    A plain predictor-corrector.  The first step goes to s = 1.  Each
+    step predicts the next s from the last solved point (s, x) plus the
+    change of the jet's Taylor polynomial, x + (s' - s) x' + (s'^2 - s^2)
+    x''/2, which from s = 0 is the second-order start x0 + x' + x''/2,
+    and corrects it with `_newton`: one step short of s = 1, to
+    `_FILL_TOL` at s = 1.  A failed step halves the step; below 1e-4 the
+    path ends in a ConvergenceError that names the t of its last solved
+    point and the last failure's residual.  Its fillings passed the
+    sqrt(7) gate and the floor check of `solve_fillings`: a first step
+    fails for a start too far out, or rarely for rounding near the
+    floors."""
     L, S, o = rows
-    ds_rhs = np.zeros((1, sig.n_coords))
-    ds_rhs[0, :-1].reshape(k, 12)[:, 11] = o[:, 11]
-    s, ds, x, prev, resid = 0.0, 1.0, cs.x0, None, None
     dx, ddx = jet
-
-    def failure(text):
-        if resid is not None:
-            text += ", residual %g" % resid
-        text = "g=%d k=%d slopes %s: %s" % (sig.g, k, ",".join(map(slope_text, spec.pairs)), text)
-        return ConvergenceError(text, resid), None
-
+    s, ds, x = 0.0, 1.0, cs.x0
     while s < 1.0:
         s_next = min(1.0, s + ds)
         if first is None:
             o_s = o.copy()
             o_s[:, 11] *= s_next
-            guess = _hermite(s_next, s, x, dx, prev, ddx)[None]
-            tol = _FILL_TOL if s_next == 1.0 else _MID_TOL
-            (x_next,), (r,), blocks, (exc,) = _newton(sig, guess, (L, S, o_s), tol)
+            guess = x + (s_next - s) * dx + (0.5 * (s_next * s_next - s * s)) * ddx
+            tol = _FILL_TOL if s_next == 1.0 else None
+            (x_next,), (r,), (exc,) = _newton(sig, guess[None], (L, S, o_s), tol)
         else:
             (x_next, r, exc), first = first, None
         if isinstance(exc, DomainError):
             return exc, None
         if exc is not None:
-            resid = exc.residual
             ds /= 2.0
             if ds < 1e-4:
-                return failure("continuation step underflow at t=%g" % (1.0 / s if s else math.inf))
+                text = "g=%d k=%d slopes %s: continuation step underflow at t=%g, residual %g" % (
+                    sig.g, sig.k, ",".join(map(slope_text, spec.pairs)), 1.0 / s if s else math.inf, exc.residual
+                )
+                return ConvergenceError(text, exc.residual), None
             continue
-        prev, x, s = (s, x, dx), x_next, s_next
-        if s < 1.0:
-            step, failed = _block_steps(sig, ds_rhs, *blocks())
-            if failed:
-                return failure("singular tangent: %s" % failed[0])
-            dx = step[0]
+        x, s = x_next, s_next
     return x, r
 
 
@@ -866,7 +822,7 @@ def varsigma_point(sig: GKSignature, t: float) -> np.ndarray:
     L[0, 10, 1:3] = L[1:, 11, 1:3] = L[1:, 10, 0:2] = (1.0, -1.0)
     L[0, 11, 0], L[0, 11, 6] = 1.0, -1.0
     o[0, 11] = 4.0 * math.sin(cs.alpha_bar) * t
-    x, _, _, (exc,) = _newton(sig, (cs.x0 + t * first + 0.5 * t * t * second)[None], (L, S, o), 1e-12)
+    x, _, (exc,) = _newton(sig, (cs.x0 + t * first + 0.5 * t * t * second)[None], (L, S, o), 1e-12)
     if exc is not None:
         raise exc
     return x[0]

@@ -594,7 +594,7 @@ def test_filling_newton_steps_flat_in_k(monkeypatch, k):
     # every cusp on a threshold slope: warm-starting each step at the
     # previous point took 116, 312 and 846 steps, starting at t = 20/sqrt(7)
     # took 13-14, with the first tangent in closed form 9, with the point at
-    # s = sqrt(7)/5 corrected only to _MID_TOL 7, and it takes 5-6 in one
+    # s = sqrt(7)/5 corrected only to a merit of 1e-3, 7, and it takes 5-6 in one
     # Newton solve from the second-order start at the complete structure
     sig = GKSignature(k + 1, k)
     pairs = [SQRT7_SLOPES[c % 6] for c in range(k)]
@@ -613,7 +613,7 @@ def test_filling_block_steps_with_tangent_predictor(monkeypatch, k):
     # a sqrt(7) slope on cusp 0 took 22 block steps with the secant predictor
     # at ratio 1.5, and 13-14 from t = 20/sqrt(7); with the tangent at the
     # complete structure in closed form and the later one a block step, 9,
-    # and 7 with the point at s < 1 corrected only to _MID_TOL; from the
+    # and 7 with the point at s < 1 corrected only to 1e-3; from the
     # second-order start it is one Newton solve of 5
     sig = GKSignature(k + 1, k)
     calls, step = [], deformation._block_step
@@ -633,65 +633,46 @@ def fail_first_newton(mp, only=None):
     newton, calls = deformation._newton, []
 
     def once(*args):
-        x, r, blocks, errors = newton(*args)
+        x, r, errors = newton(*args)
         if not calls:
             calls.append(1)
             errors = [
                 ConvergenceError("forced failure", 1.0) if only in (None, i) else exc
                 for i, exc in enumerate(errors)
             ]
-        return x, r, blocks, errors
+        return x, r, errors
 
     mp.setattr(deformation, "_newton", once)
 
 
-def tangent_errors(monkeypatch, g, k):
-    """The tangents dx/ds (s = 1/t) that solve_filling extrapolates from, at
-    each solved point of a sqrt(7) path whose first step is made to fail,
-    against solves at s +- h: per point, s and the error relative to the
-    central difference."""
-    sig = GKSignature(g, k)
-    pairs = [(3.0, 1.0)] + [None] * (k - 1)
-    points, hermite = {}, deformation._hermite
-    monkeypatch.setattr(
-        deformation, "_hermite", lambda *a: points.setdefault(a[1], a[2:4]) and hermite(*a)
-    )
+@pytest.mark.parametrize(
+    "g, pairs", [(3, [(5.0, 1.0), None]), (17, [SQRT7_SLOPES[c % 6] for c in range(16)])]
+)
+def test_path_predicts_with_the_jet_and_corrects_with_one_step(monkeypatch, g, pairs):
+    # after a first step made to fail, the path solves s = 1/2 and then
+    # s = 1, each from the last solved point plus the change of the jet's
+    # Taylor polynomial; the point at s = 1/2 is one Newton step
+    sig = GKSignature(g, len(pairs))
+    spec = FillingSpec.from_pairs(sig.k, pairs).canonicalized()
+    cs = solve_complete(sig)
+    ((dx, ddx),) = deformation._complete_jet(sig, cs, [spec])
     fail_first_newton(monkeypatch)
-    solve_filling(sig, FillingSpec.from_pairs(k, pairs))
-    # the tangent at the complete structure, and the one at s = 1/2
-    assert sorted(points) == [0.0, 0.5]
-    h, errors = 1e-4, []
-    for s, (x, dx) in sorted(points.items()):
-        ends = []
-        for sh in (s + h, s - h):
-            # p u + q v = 2 pi i s, which at s = -h is the filling -(p, q) / h
-            L, S, o = deformation._linear_rows(pairs)
-            o[:, 11] *= sh
-            end, _, _, (exc,) = deformation._newton(sig, x[None], (L, S, o), 1e-12)
-            assert exc is None, (s, sh)
-            ends.append(end[0])
-        fd = (ends[0] - ends[1]) / (2.0 * h)
-        errors.append((s, np.max(np.abs(dx - fd)) / np.max(np.abs(fd))))
-    return errors
+    steps, newton, seen = count_block_steps(monkeypatch), deformation._newton, []
 
+    def spy(sig, x0, rows, tol):
+        before = len(steps)
+        x, r, errors = newton(sig, x0, rows, tol)
+        seen.append((x0[0].copy(), tol, len(steps) - before, x[0].copy()))
+        return x, r, errors
 
-@pytest.mark.parametrize("g, k", [(3, 2), (17, 16)])
-def test_filling_tangent_matches_central_difference(monkeypatch, g, k):
-    # the point at s = 1/2 solved to _FILL_TOL lies on the path
-    monkeypatch.setattr(deformation, "_MID_TOL", deformation._FILL_TOL)
-    for s, err in tangent_errors(monkeypatch, g, k):
-        assert err <= 1e-5, s
-
-
-@pytest.mark.parametrize("g, k", [(3, 2), (17, 16)])
-def test_filling_tangent_at_loose_points(monkeypatch, g, k):
-    # the tangents the solver takes, at a point short of s = 1 corrected
-    # only to _MID_TOL: off the path by up to that much, they read 1.8e-4
-    # at (3, 2) and 2.3e-4 at (17, 16) against the central difference on it
-    # at s = sqrt(7)/5 from the Euler step; at s = 1/2 from the second-order
-    # start they read 2.8e-7 and 3.8e-7
-    for s, err in tangent_errors(monkeypatch, g, k):
-        assert err <= 1e-3, s
+    monkeypatch.setattr(deformation, "_newton", spy)
+    x = solve_filling(sig, spec)
+    first, (half, tol_half, steps_half, x_half), (one, tol_one, _, x_one) = seen
+    assert first[0].tobytes() == (cs.x0 + dx + 0.5 * ddx).tobytes()
+    assert half.tobytes() == (cs.x0 + 0.5 * dx + 0.125 * ddx).tobytes()
+    assert tol_half is None and steps_half == 1
+    assert one.tobytes() == (x_half + 0.5 * dx + 0.375 * ddx).tobytes()
+    assert tol_one == deformation._FILL_TOL and x_one.tobytes() == x.tobytes()
 
 
 def jet_pairs(seed, k, integer):
@@ -792,7 +773,7 @@ def test_jet_curvature_matches_central_difference(seed, g, k, integer):
     for sh in (h, -h):
         L, S, o = deformation._linear_rows(pairs)
         o[:, 11] *= sh
-        end, _, _, (exc,) = deformation._newton(sig, (cs.x0 + sh * dx)[None], (L, S, o), 1e-10)
+        end, _, (exc,) = deformation._newton(sig, (cs.x0 + sh * dx)[None], (L, S, o), 1e-10)
         assert exc is None, sh
         ends.append(end[0])
     fd = (ends[0] + ends[1] - 2.0 * cs.x0) / h ** 2
@@ -837,8 +818,8 @@ def test_curvature_blocks_solve_the_kernel_block(g, k):
 )
 def test_loose_intermediate_points_give_the_same_filling(seed, g, k):
     # a point short of s = 1, here at s = 1/2 after a first step made to
-    # fail, only feeds the next predictor: solving it to _MID_TOL instead
-    # of _FILL_TOL leaves the filling where it was
+    # fail, only feeds the next predictor: correcting it with one Newton
+    # step instead of solving it to _FILL_TOL leaves the filling where it was
     sig = GKSignature(max(g, k + 1), k)
     rng = np.random.default_rng(seed)
     pairs = random_pairs(rng, k, math.sqrt(7.0), 40.0)
@@ -849,8 +830,12 @@ def test_loose_intermediate_points_give_the_same_filling(seed, g, k):
         fail_first_newton(mp)
         x = solve_filling(sig, spec)
     with pytest.MonkeyPatch.context() as mp:
+        newton = deformation._newton
+        mp.setattr(
+            deformation, "_newton",
+            lambda sig, x0, rows, tol: newton(sig, x0, rows, deformation._FILL_TOL if tol is None else tol),
+        )
         fail_first_newton(mp)
-        mp.setattr(deformation, "_MID_TOL", deformation._FILL_TOL)
         tight = solve_filling(sig, spec)
     assert np.max(np.abs(x - tight)) < 1e-12
 
@@ -865,7 +850,7 @@ def warm_start_continuation(sig, pairs, l_safe=20.0, tol=1e-10):
         return deformation._linear_rows(targets)
 
     def newton(x, t):
-        x, _, _, (exc,) = deformation._newton(sig, x[None], rows_at(t), tol)
+        x, _, (exc,) = deformation._newton(sig, x[None], rows_at(t), tol)
         if exc is not None:
             raise exc
         return x[0]
@@ -1093,7 +1078,7 @@ def test_filling_just_inside_the_rounding_floors_solves(g, slope):
 def test_filling_large_g_spot_checks(monkeypatch, g):
     # 5/1 first failed at g = 132; at g = 131 it took 38 Newton steps, 13
     # block steps from t = 20/sqrt(21), 8 with the first tangent in closed
-    # form, 6 with the point at s < 1 corrected only to _MID_TOL, and 4 in
+    # form, 6 with the point at s < 1 corrected only to 1e-3, and 4 in
     # one Newton solve from the second-order start
     sig = GKSignature(g, 1)
     calls, step = [], deformation._block_step
@@ -1307,10 +1292,10 @@ def test_newton_refuses_only_the_point_that_is_not_a_number():
     x0 = np.array([solve_complete(sig).x0] * 2)
     x0[1, 3] = np.nan
     rows = deformation._linear_rows([(30.0, 10.0), None] * 2)
-    x, _, _, errors = deformation._newton(sig, x0, rows, 1e-10)
+    x, _, errors = deformation._newton(sig, x0, rows, 1e-10)
     assert errors[0] is None and np.max(np.abs(residuals(sig, x[0]))) < 1e-10
     assert isinstance(errors[1], DomainError) and "(0, pi)" in str(errors[1])
-    alone, _, _, _ = deformation._newton(sig, x0[:1], deformation._linear_rows([(30.0, 10.0), None]), 1e-10)
+    alone, _, _ = deformation._newton(sig, x0[:1], deformation._linear_rows([(30.0, 10.0), None]), 1e-10)
     assert x[0].tobytes() == alone[0].tobytes()
 
 
@@ -1323,7 +1308,7 @@ def test_newton_stalls_once_its_step_stops_moving_the_point(monkeypatch):
     evals, evaluate = [], deformation._evaluate
     monkeypatch.setattr(deformation, "_evaluate", lambda *a: evals.append(1) or evaluate(*a))
     rows = deformation._linear_rows(pairs)
-    (y,), _, _, (exc,) = deformation._newton(sig, x[None], rows, 1e-20)
+    (y,), _, (exc,) = deformation._newton(sig, x[None], rows, 1e-20)
     r, _ = evaluate(sig, y[None], rows)
     assert str(exc) == "Newton stalled at residual %g" % exc.residual
     assert exc.residual == float(np.abs(r).max())
@@ -1393,28 +1378,24 @@ def test_the_stacked_step_is_the_first_step_of_the_path(g, pairs):
 @pytest.mark.parametrize("pairs", [[(3.0, 1.0)], [(5.0, 1.0)], [(7.0, 2.0), None], [(2.0, 3.0), (40.0, 1.0)]])
 def test_an_answer_stops_on_the_sup_norm_alone(monkeypatch, g, pairs):
     # at g = 150 and 200 a length row has scale edge_cosh(beta), 4.1e4 and
-    # 7.3e4, and the weight of a predictor point's merit is its inverse:
-    # an answer is solved on the plain sup-norm, so a strict Newton returns
-    # no error exactly when max |r| < tol, after any number of iterations
+    # 7.3e4, and an answer is still solved on the plain sup-norm: Newton
+    # returns no error exactly when max |r| < tol, after any number of
+    # iterations
     sig = GKSignature(g, len(pairs))
     cs = solve_complete(sig)
     spec = FillingSpec.from_pairs(sig.k, pairs).canonicalized()
     ((dx, ddx),) = deformation._complete_jet(sig, cs, [spec])
     rows = deformation._linear_rows(spec.pairs)
-    # the jet leaves beta put, so every iterate's weight is that of x0
-    weight = np.ones(sig.n_coords)
-    weight[:-1].reshape(sig.k, 12)[:, :6] = 1.0 / deformation.edge_cosh(cs.beta_bar)
-    assert weight.min() < 3e-5
     seen = set()
     for iterations in range(1, 8):
         monkeypatch.setattr(deformation, "_MAX_ITER", iterations)
         for tol in (1e-10, 1e-11, 1e-12, 1e-13, 1e-14, 1e-15):
-            _, (r,), _, (exc,) = deformation._newton(sig, (cs.x0 + dx + 0.5 * ddx)[None], rows, tol)
+            _, (r,), (exc,) = deformation._newton(sig, (cs.x0 + dx + 0.5 * ddx)[None], rows, tol)
             solved = float(np.abs(r).max()) < tol
             assert (exc is None) == solved, (iterations, tol, exc)
-            seen.add((solved, float(np.abs(weight * r).max()) < tol))
-    # answers, failures, and failures whose weighted merit was below tol
-    assert seen >= {(True, True), (False, True), (False, False)}
+            seen.add(solved)
+    # answers and failures
+    assert seen == {True, False}
 
 
 def test_solve_fillings_pass_an_error_entry_through(monkeypatch):

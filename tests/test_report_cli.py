@@ -362,10 +362,10 @@ def test_cli_fill_continuation_failure_exit_3(monkeypatch, capsys):
     newton = deformation._newton
 
     def fail_answers(sig, x0, rows, tol):
-        x, r, blocks, errors = newton(sig, x0, rows, tol)
+        x, r, errors = newton(sig, x0, rows, tol)
         if tol == deformation._FILL_TOL:
             errors = [deformation.ConvergenceError("forced failure", 0.5)] * len(x)
-        return x, r, blocks, errors
+        return x, r, errors
 
     monkeypatch.setattr(deformation, "_newton", fail_answers)
     code, _, err = run(capsys, ["fill", "--g", "2", "--k", "1", "--coeffs", "5/1"])
@@ -548,11 +548,13 @@ def test_cli_slopes_table(capsys):
     assert [len(o) for o in rows[7]] == [6]
 
 
-def test_cli_slopes_refuses_a_bound_too_large_for_memory(monkeypatch, capsys):
-    # classify_slopes scans O(max_len_sq) pairs: at 2**62 it would run until
-    # memory runs out, so the bound is refused before the first pair
+@pytest.mark.parametrize("bound", [ss.MAX_LEN_SQ + 1, 2 ** 62])
+def test_cli_slopes_refuses_a_bound_too_large_for_memory(monkeypatch, capsys, bound):
+    # classify_slopes scans O(max_len_sq) pairs: from 1e7 on it would run
+    # until memory runs out, so a bound above the declared 10**6 is refused
+    # before the first pair
     monkeypatch.setattr(ss, "Slope", None)
-    code, out, err = run(capsys, ["slopes", "--max-len-sq", str(2 ** 62)])
+    code, out, err = run(capsys, ["slopes", "--max-len-sq", str(bound)])
     assert (code, out, err) == (2, "", "input error: request too large for memory\n")
 
 
