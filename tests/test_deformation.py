@@ -675,6 +675,68 @@ def test_path_predicts_with_the_jet_and_corrects_with_one_step(monkeypatch, g, p
     assert tol_one == deformation._FILL_TOL and x_one.tobytes() == x.tobytes()
 
 
+def tangent_errors(monkeypatch, g, k, tight):
+    """The directions x' + s x'' that the path's predictor takes from each
+    solved point short of s = 1 of a sqrt(7) path whose first step is made
+    to fail, the derivative of the jet's Taylor polynomial at s, against
+    the central difference of solves at s +- h from that point: per point,
+    s and the error relative to the central difference.  With `tight` the
+    point at s = 1/2 is solved to _FILL_TOL instead of corrected by one
+    Newton step."""
+    sig = GKSignature(g, k)
+    pairs = [(3.0, 1.0)] + [None] * (k - 1)
+    cs = solve_complete(sig)
+    ((dx, ddx),) = deformation._complete_jet(sig, cs, [FillingSpec.from_pairs(k, pairs).canonicalized()])
+    newton, solved = deformation._newton, []
+
+    def spy(sig, x0, rows, tol):
+        if tight and tol is None:
+            tol = deformation._FILL_TOL
+        x, r, errors = newton(sig, x0, rows, tol)
+        solved.append((tol, x[0].copy()))
+        return x, r, errors
+
+    monkeypatch.setattr(deformation, "_newton", spy)
+    fail_first_newton(monkeypatch)
+    solve_filling(sig, FillingSpec.from_pairs(k, pairs))
+    monkeypatch.undo()
+    # the failed first step, the point at s = 1/2 and s = 1
+    assert len(solved) == 3
+    h, errors = 1e-4, []
+    for s, x in [(0.0, cs.x0), (0.5, solved[1][1])]:
+        ends = []
+        for sh in (s + h, s - h):
+            # p u + q v = 2 pi i s, which at s = -h is the filling -(p, q) / h
+            L, S, o = deformation._linear_rows(pairs)
+            o[:, 11] *= sh
+            end, _, (exc,) = deformation._newton(sig, x[None], (L, S, o), 1e-12)
+            assert exc is None, (s, sh)
+            ends.append(end[0])
+        fd = (ends[0] - ends[1]) / (2.0 * h)
+        errors.append((s, np.max(np.abs(dx + s * ddx - fd)) / np.max(np.abs(fd))))
+    return errors
+
+
+@pytest.mark.parametrize("g, k", [(3, 2), (17, 16)])
+def test_filling_tangent_matches_central_difference(monkeypatch, g, k):
+    # the direction every predictor of the path starts from, the jet's x'
+    # at the complete structure, is the path's tangent there: 8.1e-10 at
+    # (3, 2) and 1.5e-10 at (17, 16) against the central difference
+    ((s, err), _) = tangent_errors(monkeypatch, g, k, tight=True)
+    assert s == 0.0 and err <= 1e-5
+
+
+@pytest.mark.parametrize("g, k", [(3, 2), (17, 16)])
+def test_filling_tangent_at_loose_points(monkeypatch, g, k):
+    # at the point s = 1/2 corrected by one Newton step, the predictor's
+    # direction x' + x''/2 is off the path's tangent by the jet's
+    # truncation alone, 8.4e-2 at (3, 2) and 2.4e-2 at (17, 16), and by
+    # the same to 1e-9 as at the point solved to _FILL_TOL
+    (_, (s, loose)) = tangent_errors(monkeypatch, g, k, tight=False)
+    (_, (_, tight)) = tangent_errors(monkeypatch, g, k, tight=True)
+    assert s == 0.5 and loose <= 0.1 and abs(loose - tight) <= 1e-9
+
+
 def jet_pairs(seed, k, integer):
     """Slopes of length 2.7 to 40 on k cusps, real or rounded to integers,
     about 30 % of the cusps but never all of them left unfilled."""
