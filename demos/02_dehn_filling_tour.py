@@ -16,7 +16,7 @@ import numpy as np
 
 from mgk import DomainError, FillingSpec, GKSignature, dehn_coefficients, residuals, solve_filling, uv
 from mgk import cusp_invariants as ci
-from mgk.slopes_symmetry import Slope, slope_length
+from mgk.hyptrig import slope_length_pair
 
 print(__doc__)
 sig = GKSignature(2, 1)
@@ -29,7 +29,7 @@ for pq in [(3, 1), (5, 1), (7, 2), (19, 11), (16, -1)]:
     cl = ci.complex_length(x, 0, pq)
     print(
         "%-8s %.5f  %8.1e  (%.12f, %.12f)  %.9f"
-        % ("%d/%d" % pq, slope_length(Slope.of(*pq)), res, p, q, cl.real)
+        % ("%d/%d" % pq, slope_length_pair(*pq), res, p, q, cl.real)
     )
 
 print()

@@ -8,11 +8,12 @@ whole admissible range of the surrounding angle sum r0.  Infinitely many
 fillings therefore induce pairwise non-isometric boundary surfaces.
 """
 
+import math
+
 import numpy as np
 
 from mgk import GKSignature
 from mgk.boundary_trace import (
-    delta0_trace_second_derivative,
     stima_inequality,
     trace_gamma,
     trace_second_derivative,
@@ -38,7 +39,10 @@ h = 1e-4
 fd1 = (trace_along_curve(data, h) - trace_along_curve(data, -h)) / (2 * h)
 print("  first derivative of the trace (finite differences): %.2e" % fd1)
 print("  second derivative, closed form: %.9f" % trace_second_derivative(data))
-print("  second derivative, delta=0 shortcut: %.9f" % delta0_trace_second_derivative(data))
+# on the delta = 0 branch zeta'' = -eta'', and the two terms fold into one
+lpl = data.lambda0 + 1.0 / data.lambda0
+shortcut = 0.5 * data.eta_dd * (lpl - 2.0) * math.sin((data.zeta0 - data.eta0) / 2.0)
+print("  second derivative, delta=0 shortcut: %.9f" % shortcut)
 
 print()
 print("scan of the admissible r0 range, both delta branches:")

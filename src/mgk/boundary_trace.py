@@ -79,20 +79,6 @@ def trace_second_derivative(inp: TraceInput) -> float:
     return 0.5 * (inp.eta_dd * _eta_coefficient(lam, eta, zeta) + inp.zeta_dd * _eta_coefficient(lam, zeta, eta))
 
 
-def delta0_trace_second_derivative(inp: TraceInput) -> float:
-    """The delta = 0 closed form (zeta'' = -eta''):
-    tr'' = (eta''/2) (lam + 1/lam - 2) sin((zeta - eta)/2)."""
-    if inp.delta != 0:
-        raise DomainError("closed form applies to the delta = 0 branch")
-    lam = inp.lambda0
-    return (
-        0.5
-        * inp.eta_dd
-        * (lam + 1.0 / lam - 2.0)
-        * math.sin((inp.zeta0 - inp.eta0) / 2.0)
-    )
-
-
 def stima_inequality(lambda0: float, eta0: float, zeta0: float) -> bool:
     """Positivity of the eta''-coefficient in the trace second derivative,
     the estimate that settles the delta = 1 branch."""

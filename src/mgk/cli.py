@@ -2,7 +2,7 @@
 
 Subcommands: complete, fill, slopes, similar, commensurable, tangent,
 trace, each declared once in `_COMMANDS` (name, help, function and
-arguments), from which `build_parser` adds its subparser.  Human-readable
+arguments), from which `_parsers` adds its subparser.  Human-readable
 tables by default, machine-readable JSON with --json, written to stdout
 or to the --out file; both flags go on either side of the subcommand.
 slopes, similar, commensurable, tangent and trace each build one mgk/1
@@ -378,7 +378,8 @@ def _parsers():
     """The `mgk` parser, the parsers of its subcommands by name, and per
     subcommand what `_read_exact` reads: the actions of its option strings
     by string, its positionals in order, and the namespace of an argv that
-    names it and sets nothing."""
+    names it and sets nothing.  Built once and shared by every call:
+    callers must not mutate them."""
     ap = argparse.ArgumentParser(
         prog="mgk",
         description="Hyperbolic structures, Dehn fillings and invariants "
@@ -397,14 +398,6 @@ def _parsers():
         defaults = {a.dest: a.default for a in top + actions if a.default != argparse.SUPPRESS}
         tables[name] = options, positionals, {**defaults, "command": name, "func": func}
     return ap, sub.choices, tables
-
-
-def build_parser():
-    """The `mgk` parser and the parsers of its subcommands by name, built
-    on the first call and shared by every later one, so that `main` does
-    not rebuild them per call.  Callers must not mutate them; `parse_args`
-    does not, and starts each call from a fresh namespace."""
-    return _parsers()[:2]
 
 
 class _Unread(Exception):

@@ -5,14 +5,14 @@ Each cusp carries symmetries generated by apex permutations of its
 tetrahedron pair and the swap of the pair; on Dehn coefficients `phi_r`
 and `phi_s` transport to the torus isometries r and s of
 `slopes_symmetry`, and cusp permutations to relabelling of the tori
-(`sym_act`).  On the chain family: the angle cycle around its single
-compact edge, the a/b/c edge-angle-sum invariants that determine the
+(`sym_act`).  On the chain family: the a/b/c angle sums around its
+single compact edge, the invariants that determine the
 commensurability class of its fillings, and the two symmetry
 constructions (alternating rotation, cusp 1 <-> 3 exchange) used to
 produce non-commensurable and commensurable similar fillings."""
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -114,33 +114,12 @@ class ABCInvariant:
     b: float
     c: float
 
-    def close_to(self, other: "ABCInvariant", tol: float) -> bool:
-        return (
-            abs(self.a - other.a) < tol
-            and abs(self.b - other.b) < tol
-            and abs(self.c - other.c) < tol
-        )
-
-
-def edge_angle_cycle(sig: XkSignature) -> List[int]:
-    """Coordinate indices (0-based) of the dihedral angles arranged
-    cyclically around the compact edge: three runs, the m-th opening with
-    m+1 copies of beta followed by the apex-m alpha of every tetrahedron.
-    Length 6(k+1); the entries of a solved point sum to 2*pi."""
-    beta = sig.gk.n_coords - 1
-    alphas = angle_blocks(np.arange(beta + 1))[:, :, 0].reshape(-1, 3).T.tolist()
-    return [i for m in range(3) for i in [beta] * (m + 1) + alphas[m]]
-
 
 def abc(x, sig: XkSignature) -> ABCInvariant:
     """Edge-angle sums around the compact edge, one per apex: the m-th is
     the sum over cusps of the two apex-m alpha angles of the cusp pair."""
     pairs = angle_blocks(check_coords(sig.gk, x))[:, :, 0].sum(axis=1)
     return ABCInvariant(*(sum(col) for col in pairs.T.tolist()))
-
-
-def abc_per_cusp(x, sig: XkSignature, cusp: int) -> ABCInvariant:
-    return ABCInvariant(*cusp_angles(check_coords(sig.gk, x), cusp)[:, 0].sum(axis=0).tolist())
 
 
 def abc_error(x, sig: XkSignature) -> float:

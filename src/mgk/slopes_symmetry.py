@@ -71,10 +71,6 @@ class Slope:
         return self.p * self.p + self.q * self.q - self.p * self.q
 
 
-def slope_length(s: Slope) -> float:
-    return math.sqrt(s.length_sq)
-
-
 # ---------------------------------------------------------------------------
 # the dihedral group of order 12
 
@@ -91,16 +87,6 @@ class D6Element:
     @classmethod
     def identity(cls) -> "D6Element":
         return cls(0, False)
-
-    def compose(self, other: "D6Element") -> "D6Element":
-        # (self * other): apply `other` first
-        rot = self.rot + (-other.rot if self.refl else other.rot)
-        return D6Element(rot, self.refl ^ other.refl)
-
-    def inverse(self) -> "D6Element":
-        if self.refl:
-            return self
-        return D6Element(-self.rot, False)
 
 
 def d6_act(e: D6Element, s: Slope) -> Slope:
@@ -134,22 +120,9 @@ def _images(s: Slope, refl: bool) -> List[Tuple[int, int]]:
     return pairs
 
 
-def _orbit(s: Optional[Slope], refl: bool) -> Tuple[Slope, ...]:
-    """Sorted orbit of a slope under the rotations, or all of D6 with
-    `refl`; () for an empty torus."""
-    return () if s is None else tuple(Slope(p, q) for p, q in sorted(set(_images(s, refl))))
-
-
-def d6_orbit(s: Slope):
-    """The full dihedral orbit of a slope, as a sorted tuple."""
-    return _orbit(s, True)
-
-
-def c6_orbit(s: Slope):
-    """Orbit under rotations only (the orientation-preserving classes);
-    on unoriented slopes rotations act through their quotient by the
-    half-turn, so the orbit has at most 3 elements."""
-    return _orbit(s, False)
+def _orbit(s: Optional[Slope]) -> Tuple[Slope, ...]:
+    """Sorted orbit of a slope under the rotations; () for an empty torus."""
+    return () if s is None else tuple(Slope(p, q) for p, q in sorted(set(_images(s, False))))
 
 
 def classify_slopes(max_len_sq: int):
@@ -207,13 +180,6 @@ def make_slope_set(k: int, entries) -> SlopeSet:
     return tuple(e if e is None or isinstance(e, Slope) else Slope.of(*e) for e in entries)
 
 
-def _inverse_perm(sigma):
-    inv = [0] * len(sigma)
-    for i, s in enumerate(sigma):
-        inv[s] = i
-    return tuple(inv)
-
-
 @dataclass(frozen=True)
 class SlopeSetIsometry:
     """perm[i] is the image torus of torus i; local[i] acts on torus i
@@ -233,10 +199,6 @@ class SlopeSetIsometry:
             if s is not None:
                 out[self.perm[i]] = d6_act(self.local[i], s)
         return tuple(out)
-
-    def inverse(self) -> "SlopeSetIsometry":
-        inv_perm = _inverse_perm(self.perm)
-        return SlopeSetIsometry(inv_perm, tuple(self.local[i].inverse() for i in inv_perm))
 
 
 def slope_sets_equivalent(
@@ -274,7 +236,7 @@ def enumerate_equivalent_sets(a: SlopeSet):
     every distinct arrangement of its per-torus rotation orbits over the
     tori, times every choice of a slope in each orbit; sorted for
     reproducibility."""
-    level = [((), Counter(_orbit(s, False) for s in a))]
+    level = [((), Counter(_orbit(s) for s in a))]
     for _ in a:
         # extend each prefix by a slope of each orbit it has not used up
         level = [

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 
 from mgk.deformation import GKSignature, solve_filling
@@ -16,6 +18,14 @@ def d6_matrix(e):
     if e.refl:
         m = m @ _S_MATRIX
     return m
+
+
+def delta0_trace_second_derivative(d):
+    """The delta = 0 closed form of `boundary_trace.trace_second_derivative`
+    (zeta'' = -eta''): tr'' = (eta''/2) (lam + 1/lam - 2) sin((zeta - eta)/2)."""
+    assert d.delta == 0
+    lam = d.lambda0
+    return 0.5 * d.eta_dd * (lam + 1.0 / lam - 2.0) * math.sin((d.zeta0 - d.eta0) / 2.0)
 
 
 def solved_point(sig: GKSignature, pairs):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from mgk import commensurability_xk as cx
 from mgk.deformation import (
     GKSignature,
+    cusp_angles,
     residuals,
     solve_complete,
     solve_filling,
@@ -27,22 +28,10 @@ def test_signature_validation():
         cx.XkSignature(-1)
 
 
-def test_edge_cycle_shape():
-    sig1 = cx.XkSignature(1)
-    cycle = cx.edge_angle_cycle(sig1)
-    assert len(cycle) == 12 == 6 * sig1.g
-    sig3 = cx.XkSignature(3)
-    assert len(cx.edge_angle_cycle(sig3)) == 24 == 6 * sig3.g
-    # one beta in the first run, two in the second, three in the third
-    b = 12 * sig3.k
-    assert cx.edge_angle_cycle(sig3).count(b) == 6
-
-
-def test_edge_cycle_sums_to_2pi():
-    sig = cx.XkSignature(3)
-    x = solve_filling(sig.gk, FillingSpec.from_pairs(3, [(7.0, 2.0), None, None]))
-    total = sum(x[i] for i in cx.edge_angle_cycle(sig))
-    assert abs(total - 2 * math.pi) < 1e-10
+def cusp_abc(x, cusp):
+    """One cusp's share of `abc`: per apex, the sum of the alpha angles of
+    its two tetrahedra."""
+    return cx.ABCInvariant(*cusp_angles(x, cusp)[:, 0].sum(axis=0).tolist())
 
 
 def test_abc_at_complete():
@@ -68,9 +57,9 @@ def test_theta_r_table_and_order():
     y = cx.theta_r(x, sig)
     yy = cx.theta_r(y, sig)
     for i in range(3):
-        base = cx.abc_per_cusp(x, sig, i)
-        once = cx.abc_per_cusp(y, sig, i)
-        twice = cx.abc_per_cusp(yy, sig, i)
+        base = cusp_abc(x, i)
+        once = cusp_abc(y, i)
+        twice = cusp_abc(yy, i)
         assert abs(once.a - base.c) < 1e-14 and abs(twice.a - base.b) < 1e-14
         assert abs(once.b - base.a) < 1e-14 and abs(twice.b - base.c) < 1e-14
         assert abs(once.c - base.b) < 1e-14 and abs(twice.c - base.a) < 1e-14
@@ -90,9 +79,9 @@ def test_tau_13():
     x = solve_filling(sig.gk, FillingSpec.from_pairs(3, [(7.0, 2.0), None, None]))
     t = cx.tau_13(x, sig)
     assert np.array_equal(cx.tau_13(t, sig), x)
-    assert abs(cx.abc_per_cusp(t, sig, 0).a - cx.abc_per_cusp(x, sig, 2).a) < 1e-15
-    assert abs(cx.abc_per_cusp(t, sig, 2).b - cx.abc_per_cusp(x, sig, 0).b) < 1e-15
-    assert abs(cx.abc_per_cusp(t, sig, 1).c - cx.abc_per_cusp(x, sig, 1).c) < 1e-15
+    assert abs(cusp_abc(t, 0).a - cusp_abc(x, 2).a) < 1e-15
+    assert abs(cusp_abc(t, 2).b - cusp_abc(x, 0).b) < 1e-15
+    assert abs(cusp_abc(t, 1).c - cusp_abc(x, 1).c) < 1e-15
     iv, it = cx.abc(x, sig), cx.abc(t, sig)
     assert abs(iv.a - it.a) < 1e-14 and abs(iv.b - it.b) < 1e-14 and abs(iv.c - it.c) < 1e-14
     with pytest.raises(DomainError):

@@ -1307,7 +1307,7 @@ def _grammar(parser):
 
 @pytest.mark.parametrize("name", sorted(_GRAMMAR))
 def test_cli_grammar(name):
-    ap, commands = cli.build_parser()
+    ap, commands, _ = cli._parsers()
     actions, defaults = _GRAMMAR[name]
     if name == "mgk":
         assert _grammar(ap) == (actions, defaults)
@@ -1356,7 +1356,7 @@ def _parsed(parse, argv):
     ],
 )
 def test_cli_parse_reads_what_the_full_parse_reads(argv):
-    ap, _ = cli.build_parser()
+    ap = cli._parsers()[0]
     assert _parsed(cli.parse, argv) == _parsed(ap.parse_args, argv)
 
 
@@ -1434,7 +1434,7 @@ def _argv(draw):
 @settings(max_examples=1000, deadline=None)
 @given(_argv())
 def test_cli_parse_is_the_full_parse(argv):
-    ap, _ = cli.build_parser()
+    ap = cli._parsers()[0]
     assert _parsed(cli.parse, argv) == _parsed(ap.parse_args, argv)
 
 
@@ -1451,7 +1451,7 @@ _WELL_FORMED = [
 
 @pytest.mark.parametrize("argv", _WELL_FORMED, ids=lambda argv: argv[0])
 def test_cli_reads_a_well_formed_argv_without_argparse(monkeypatch, argv):
-    ap, commands = cli.build_parser()
+    ap, commands, _ = cli._parsers()
     want = vars(ap.parse_args(argv))
 
     def refuse(*args, **kwargs):

@@ -54,44 +54,11 @@ def test_slope_canonicalization_and_primitivity():
         ss.Slope(-1, 0)
 
 
-def test_slope_lengths():
-    assert ss.slope_length(ss.Slope(1, 0)) == 1.0
-    assert abs(ss.slope_length(ss.Slope(2, 1)) - math.sqrt(3)) < 1e-15
-    assert abs(ss.slope_length(ss.Slope.of(19, 11)) - math.sqrt(273)) < 1e-13
-    assert abs(ss.slope_length(ss.Slope.of(16, -1)) - math.sqrt(273)) < 1e-13
-
-
 def test_d6_generator_formulas():
     r, s = ss.D6Element(1), ss.D6Element(0, True)
     assert ss.d6_act(r, ss.Slope(7, 2)) == ss.Slope(5, 7)
     assert ss.d6_act(r, ss.Slope.of(19, 11)) == ss.Slope(8, 19)
     assert ss.d6_act(s, ss.Slope(7, 2)) == ss.Slope.of(5, -2)
-
-
-def test_d6_group_law():
-    r, s = ss.D6Element(1), ss.D6Element(0, True)
-    assert s.compose(s) == ss.D6Element.identity()
-    e = ss.D6Element.identity()
-    for _ in range(6):
-        e = r.compose(e)
-    assert e == ss.D6Element.identity()
-    # s r s = r^-1
-    assert s.compose(r).compose(s) == r.inverse()
-    # matrix representation respects composition
-    for a, b in itertools.product(
-        [ss.D6Element(m, f) for m in range(6) for f in (False, True)], repeat=2
-    ):
-        assert np.array_equal(d6_matrix(a.compose(b)), d6_matrix(a) @ d6_matrix(b))
-
-
-@pytest.mark.parametrize("refl", [False, True])
-def test_d6_inverse(refl):
-    # a reflection is its own inverse; a rotation's is the opposite rotation
-    for rot in range(6):
-        e = ss.D6Element(rot, refl)
-        assert e.compose(e.inverse()) == ss.D6Element.identity()
-        assert e.inverse().compose(e) == ss.D6Element.identity()
-        assert (e.inverse() == e) == (refl or rot in (0, 3))
 
 
 def test_slope_set_and_symmetry_validation():
@@ -174,7 +141,7 @@ def test_orbit_sizes_up_to_400():
             else:
                 assert len(orb) == 6
             # rotation-only orbits have size 3 for generic slopes
-            c6 = ss.c6_orbit(orb[0])
+            c6 = d6_act_orbit(orb[0], ss._ROTATIONS)
             assert len(c6) == 3
 
 
@@ -242,16 +209,6 @@ def test_reflection_needs_reflection_witness():
     assert w is not None and not w.orientation_preserving
 
 
-def test_equivalence_witness_invertible():
-    a = ss.make_slope_set(3, {0: (3, 1), 1: (5, 1)})
-    b = ss.make_slope_set(3, {1: ss.d6_act(ss.D6Element(1), ss.Slope(3, 1)), 2: (5, 1)})
-    w = ss.slope_sets_equivalent(a, b)
-    assert w is not None and w.apply(a) == b
-    assert w.inverse().apply(b) == a
-    w_back = ss.slope_sets_equivalent(b, a)
-    assert w_back is not None and w_back.apply(b) == a
-
-
 def test_enumerate_matches_membership():
     a = ss.make_slope_set(2, {0: (3, 1), 1: (5, 1)})
     orbit = ss.enumerate_equivalent_sets(a)
@@ -279,6 +236,12 @@ def test_mismatched_tori_counts_raise():
 
 
 # --- the canonical form against the exhaustive search -----------------------
+
+
+def d6_act_orbit(s, group):
+    """Sorted orbit of a slope under `group`, one `d6_act` per element; ()
+    for an empty torus."""
+    return () if s is None else tuple(sorted({ss.d6_act(e, s) for e in group}))
 
 
 def _oracle_candidates(orientation_preserving):
@@ -333,7 +296,7 @@ def brute_force_orbit(a):
 # images of each other) and the two dihedral orbits of length sqrt(273), so
 # that draws repeat orbits and meet reflected and equal-length rivals
 _POOL = [None, None] + [
-    s for base in ((1, 0), (3, 1), (19, 11), (16, -1)) for s in ss.d6_orbit(ss.Slope.of(*base))
+    s for base in ((1, 0), (3, 1), (19, 11), (16, -1)) for s in d6_act_orbit(ss.Slope.of(*base), ss._ISOMETRIES)
 ]
 _ENTRY = st.sampled_from(_POOL)
 _D6 = st.builds(ss.D6Element, st.integers(0, 5), st.booleans())
@@ -377,7 +340,7 @@ def test_enumerate_matches_brute_force_orbit(a):
 @pytest.mark.parametrize("k,h", [(1, 1), (2, 1), (2, 2), (3, 2), (4, 2), (5, 3), (6, 6), (8, 4)])
 def test_enumerate_count_formula(k, h):
     # h filled tori carrying one rotation class, the rest empty
-    cls = ss.c6_orbit(ss.Slope(3, 1))
+    cls = d6_act_orbit(ss.Slope(3, 1), ss._ROTATIONS)
     a = ss.make_slope_set(k, {i: cls[i % 3] for i in range(h)})
     orbit = ss.enumerate_equivalent_sets(a)
     assert len(set(orbit)) == len(orbit)
@@ -397,12 +360,6 @@ def primitive_slopes(max_len_sq):
         for q in range(-bound, bound + 1)
         if (p > 0 or q == 1) and math.gcd(p, abs(q)) == 1 and p * p + q * q - p * q <= max_len_sq
     ]
-
-
-def d6_act_orbit(s, group):
-    """Sorted orbit of a slope under `group`, one `d6_act` per element; ()
-    for an empty torus."""
-    return () if s is None else tuple(sorted({ss.d6_act(e, s) for e in group}))
 
 
 def oracle_slope_sets_equivalent(a, b, orientation_preserving=True):
@@ -429,8 +386,6 @@ def test_images_are_d6_act_in_group_order():
     for s in primitive_slopes(1000):
         for refl, group in ((False, ss._ROTATIONS), (True, ss._ISOMETRIES)):
             assert ss._images(s, refl) == [(t.p, t.q) for t in (ss.d6_act(e, s) for e in group)]
-        assert ss.c6_orbit(s) == d6_act_orbit(s, ss._ROTATIONS)
-        assert ss.d6_orbit(s) == d6_act_orbit(s, ss._ISOMETRIES)
 
 
 @pytest.mark.parametrize("max_len_sq", [1, 7, 273, 1000])
