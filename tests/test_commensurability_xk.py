@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from mgk import commensurability_xk as cx
 from mgk.deformation import (
     GKSignature,
+    angle_blocks,
     cusp_angles,
     residuals,
     solve_complete,
@@ -26,6 +27,33 @@ def test_signature_validation():
         cx.XkSignature(2)
     with pytest.raises(DomainError):
         cx.XkSignature(-1)
+
+
+def edge_angle_cycle(sig):
+    """Coordinate indices (0-based) of the dihedral angles arranged
+    cyclically around the compact edge: three runs, the m-th opening with
+    m+1 copies of beta followed by the apex-m alpha of every tetrahedron."""
+    beta = sig.gk.n_coords - 1
+    alphas = angle_blocks(np.arange(beta + 1))[:, :, 0].reshape(-1, 3).T.tolist()
+    return [i for m in range(3) for i in [beta] * (m + 1) + alphas[m]]
+
+
+def test_edge_cycle_shape():
+    sig1 = cx.XkSignature(1)
+    cycle = edge_angle_cycle(sig1)
+    assert len(cycle) == 12 == 6 * sig1.g
+    sig3 = cx.XkSignature(3)
+    assert len(edge_angle_cycle(sig3)) == 24 == 6 * sig3.g
+    # one beta in the first run, two in the second, three in the third
+    b = 12 * sig3.k
+    assert edge_angle_cycle(sig3).count(b) == 6
+
+
+def test_edge_cycle_sums_to_2pi():
+    sig = cx.XkSignature(3)
+    x = solve_filling(sig.gk, FillingSpec.from_pairs(3, [(7.0, 2.0), None, None]))
+    total = sum(x[i] for i in edge_angle_cycle(sig))
+    assert abs(total - 2 * math.pi) < 1e-10
 
 
 def cusp_abc(x, cusp):

@@ -20,7 +20,7 @@ from mgk.deformation import (
     solve_filling,
     uv,
 )
-from mgk.hyptrig import DomainError, FillingSpec
+from mgk.hyptrig import DomainError, FillingSpec, slope_length_pair
 
 from conftest import d6_matrix, random_filled_points, solved_point
 
@@ -54,11 +54,67 @@ def test_slope_canonicalization_and_primitivity():
         ss.Slope(-1, 0)
 
 
+def test_slope_lengths():
+    # the length the short-slope gate uses, on canonical slopes
+    def length(s):
+        assert slope_length_pair(s.p, s.q) ** 2 == pytest.approx(s.length_sq, rel=1e-15)
+        return slope_length_pair(s.p, s.q)
+
+    assert length(ss.Slope(1, 0)) == 1.0
+    assert abs(length(ss.Slope(2, 1)) - math.sqrt(3)) < 1e-15
+    assert abs(length(ss.Slope.of(19, 11)) - math.sqrt(273)) < 1e-13
+    assert abs(length(ss.Slope.of(16, -1)) - math.sqrt(273)) < 1e-13
+
+
 def test_d6_generator_formulas():
     r, s = ss.D6Element(1), ss.D6Element(0, True)
     assert ss.d6_act(r, ss.Slope(7, 2)) == ss.Slope(5, 7)
     assert ss.d6_act(r, ss.Slope.of(19, 11)) == ss.Slope(8, 19)
     assert ss.d6_act(s, ss.Slope(7, 2)) == ss.Slope.of(5, -2)
+
+
+_D6_ALL = [ss.D6Element(m, f) for m in range(6) for f in (False, True)]
+
+
+def d6_product(a, b):
+    """The element a * b (b applied first), read off the integer matrices."""
+    m = d6_matrix(a) @ d6_matrix(b)
+    return next(e for e in _D6_ALL if np.array_equal(d6_matrix(e), m))
+
+
+def d6_inverse(e):
+    return next(f for f in _D6_ALL if d6_product(f, e) == ss.D6Element.identity())
+
+
+def test_d6_group_law():
+    r, s = ss.D6Element(1), ss.D6Element(0, True)
+    assert d6_product(s, s) == ss.D6Element.identity()
+    e = ss.D6Element.identity()
+    for _ in range(6):
+        e = d6_product(r, e)
+    assert e == ss.D6Element.identity()
+    # s r s = r^-1, and rot is read mod 6
+    assert d6_product(d6_product(s, r), s) == ss.D6Element(-1) == ss.D6Element(5)
+    # d6_act is an action: acting by b and then by a is acting by a * b
+    slopes = primitive_slopes(49)
+    for a, b in itertools.product(_D6_ALL, repeat=2):
+        ab = d6_product(a, b)
+        for x in slopes:
+            assert ss.d6_act(a, ss.d6_act(b, x)) == ss.d6_act(ab, x)
+
+
+@pytest.mark.parametrize("refl", [False, True])
+def test_d6_inverse(refl):
+    # a reflection is its own inverse; a rotation's is the opposite rotation
+    for rot in range(6):
+        e = ss.D6Element(rot, refl)
+        inv = d6_inverse(e)
+        assert inv == (e if refl else ss.D6Element(-rot))
+        assert d6_product(e, inv) == ss.D6Element.identity()
+        assert (inv == e) == (refl or rot in (0, 3))
+        for x in primitive_slopes(49):
+            assert ss.d6_act(inv, ss.d6_act(e, x)) == x
+            assert ss.d6_act(e, ss.d6_act(inv, x)) == x
 
 
 def test_slope_set_and_symmetry_validation():
@@ -207,6 +263,25 @@ def test_reflection_needs_reflection_witness():
     assert ss.slope_sets_equivalent(a, refl, orientation_preserving=True) is None
     w = ss.slope_sets_equivalent(a, refl, orientation_preserving=False)
     assert w is not None and not w.orientation_preserving
+
+
+def isometry_inverse(w):
+    """The witness that undoes w: torus perm[i] goes back to i under the
+    inverse of local[i]."""
+    perm = [0] * len(w.perm)
+    for i, j in enumerate(w.perm):
+        perm[j] = i
+    return ss.SlopeSetIsometry(tuple(perm), tuple(d6_inverse(w.local[i]) for i in perm))
+
+
+def test_equivalence_witness_invertible():
+    a = ss.make_slope_set(3, {0: (3, 1), 1: (5, 1)})
+    b = ss.make_slope_set(3, {1: ss.d6_act(ss.D6Element(1), ss.Slope(3, 1)), 2: (5, 1)})
+    w = ss.slope_sets_equivalent(a, b)
+    assert w is not None and w.apply(a) == b
+    assert isometry_inverse(w).apply(b) == a
+    w_back = ss.slope_sets_equivalent(b, a)
+    assert w_back is not None and w_back.apply(b) == a
 
 
 def test_enumerate_matches_membership():
