@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deformation import GKSignature, _varsigma_jet, edge_cosh, solve_complete
+from .deformation import GKSignature, edge_cosh, solve_complete, varsigma_derivatives
 from .hyptrig import DomainError
 
 
@@ -111,7 +111,7 @@ def varsigma_trace_family(sig: GKSignature, delta: int):
     # edge (return path) is the hexagon-rule composition of three of them
     lam = math.exp(math.acosh(edge_cosh(cs.beta_bar)))
     turning = 4.0 * a + delta * 2.0 * a
-    _, second = _varsigma_jet(cs)
+    _, second = varsigma_derivatives(sig)
     eta_dd = second[2] + second[8]
     zeta_dd = -eta_dd if delta == 0 else 0.0
     return lambda r0: TraceInput(lam, 2.0 * a, turning + r0, eta_dd, zeta_dd, delta)

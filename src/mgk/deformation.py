@@ -35,7 +35,9 @@ predictor-corrector continuation from the complete solution (`_path`)
 whose predictor is the Taylor polynomial of the closed-form jet,
 tangent and curvature (`_complete_jet`, with no linear solve).  Its
 first step is one Newton solve at s = 1 from x0 + x' + x''/2; the first
-steps of a batch are one stacked solve.
+steps of a batch are one stacked solve.  `solve_complete` solves each
+signature's complete solution once per process, and an LRU cache of 128
+signatures keeps it, with a read-only x0 and the jet's constants.
 
 Newton works on the square system: the structure rows plus two cusp
 rows per cusp (Re, Im of p*u + q*v - 2*pi*i filled, of u complete).
@@ -64,6 +66,7 @@ structure rows of a solver record's residual, and `correction` gives
 `commensurability_xk` the next Newton step at a point.
 """
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -96,7 +99,8 @@ class GKSignature:
     k: int
 
     def __post_init__(self):
-        if not (isinstance(self.g, int) and isinstance(self.k, int)):
+        # a bool would equal, and share the cached structure of, 0 or 1
+        if not all(isinstance(n, int) and not isinstance(n, bool) for n in (self.g, self.k)):
             raise DomainError("g, k must be integers")
         if not self.g > self.k >= 1:
             raise DomainError("signature requires g > k >= 1")
@@ -149,13 +153,25 @@ def check_coords(sig: GKSignature, x: np.ndarray) -> np.ndarray:
 # complete solution
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CompleteSolution:
+    """The complete structure that `solve_complete` certified, with the
+    jet's constants: cot_scale, t = sqrt(3) cot(alpha_bar) of
+    `_tangent_block`, and curvature, the `_curvature_blocks`.  One object
+    serves every caller, so its arrays are read-only."""
+
     alpha_bar: float
     beta_bar: float
     x0: np.ndarray
+    cot_scale: float
+    curvature: np.ndarray
 
 
+# more than fill_batch's 38 signatures; about 7 kB each at k = 64
+_COMPLETE_CACHE = 128
+
+
+@functools.lru_cache(maxsize=_COMPLETE_CACHE)
 def solve_complete(sig: GKSignature) -> CompleteSolution:
     """The unique symmetric solution of the structure plus completeness
     equations: every gamma = pi/3, every alpha equal.  The length row then
@@ -172,6 +188,11 @@ def solve_complete(sig: GKSignature) -> CompleteSolution:
     there.  The root of that linearization, 2 pi / (3 sqrt(3) k + 6(g-k)),
     thus has F >= 0: it lies right of the root, and a plain Newton loop
     from it falls onto the root from the right, with no safeguard.
+
+    Solved once per process per signature: an LRU cache of 128 signatures
+    (`_COMPLETE_CACHE`) keeps the result, whose x0 is read-only, and hands a
+    repeated call the same object, with no solve and no gate.  A gate's
+    ConvergenceError is not kept: each call raises it anew.
     """
     k, m = sig.k, sig.g - sig.k
     r3 = math.sqrt(3.0)
@@ -195,7 +216,9 @@ def solve_complete(sig: GKSignature) -> CompleteSolution:
         raise ConvergenceError("complete solution residual %g" % norm, norm)
     if not (a < b < 2.0 * a <= math.pi / 3.0 + 1e-15):
         raise ConvergenceError("complete solution violates the angle inequalities")
-    return CompleteSolution(alpha_bar=a, beta_bar=b, x0=x0)
+    curvature = _curvature_blocks(a)
+    x0.flags.writeable = curvature.flags.writeable = False
+    return CompleteSolution(a, b, x0, r3 * math.cos(a) / math.sin(a), curvature)
 
 
 # ---------------------------------------------------------------------------
@@ -323,9 +346,14 @@ def _dense(sig: GKSignature, A: np.ndarray, dbeta: float) -> np.ndarray:
 
 def residuals(sig: GKSignature, x) -> np.ndarray:
     """The 10k+1 structure residuals at x (layout in the module docstring),
-    or the (N, 10k+1) residuals of N >= 1 points x of shape (N, 12k+1),
-    each with the bits it gets alone."""
+    or the (N, 10k+1) residuals of N points x of shape (N, 12k+1), each
+    with the bits it gets alone.  An empty stack, of shape (0, 12k+1),
+    gives an empty (0, 10k+1) array."""
     x = np.asarray(x, dtype=float)
+    if x.ndim == 2 and not len(x):
+        if x.shape[1] != sig.n_coords:
+            raise DomainError("expected %d coordinates, got %r" % (sig.n_coords, x.shape[1:]))
+        return np.empty((0, sig.n_residuals))
     pts = np.array([check_coords(sig, p) for p in x]) if x.ndim == 2 else check_coords(sig, x)[None]
     r, _ = _evaluate(sig, pts, _linear_rows([None] * sig.k * len(pts)))
     return _structure_rows(r.T, sig.k).T.reshape(x.shape[:-1] + (sig.n_residuals,))
@@ -508,15 +536,11 @@ def solve_filling(sig: GKSignature, spec: FillingSpec) -> np.ndarray:
 
     A slope shorter than sqrt(7) is a DomainError.  Filled coefficients
     are continued (`_path`) in s = 1/t along the rows
-    p*u + q*v = 2*pi*i*s (the targets (t*p, t*q)) from the complete
-    structure x0 at s = 0, where the path's tangent x' and curvature x''
-    are in closed form (`_complete_jet`), with no linear solve.  The
-    path's first step is one Newton solve at s = 1 from the second-order
-    start x0 + x' + x''/2: 5 block solves at length sqrt(7), 4 at lengths
-    of about 3.6 to 5, and about 3 beyond 5.  A failed step halves the
-    step, and the path goes on by the jet's Taylor predictor and a
-    one-step Newton corrector.  Fails loudly (ConvergenceError) if the
-    path cannot reach s = 1.  This is `solve_fillings` on the one spec.
+    p*u + q*v = 2*pi*i*s from the complete structure x0 at s = 0.  The
+    path's first step, one Newton solve at s = 1 from x0 + x' + x''/2,
+    takes 5 block solves at length sqrt(7), 4 at lengths of about 3.6 to
+    5, and about 3 beyond 5.  Fails loudly (ConvergenceError) if the path
+    cannot reach s = 1.  This is `solve_fillings` on the one spec.
     """
     (x,) = solve_fillings(sig, [spec])
     if isinstance(x, Exception):
@@ -549,9 +573,10 @@ def solve_fillings(sig: GKSignature, specs: Sequence[FillingSpec], *, out: Optio
     bits and message: a spec that fails does not touch the others.  An
     entry of `specs` that is an error, such as that of parsing it, is its
     own result.  With `out`, a list, one `Solved` record per spec is
-    appended to it.  `solve_complete` and the jet's `_curvature_blocks`
-    run once.  A spec that the sqrt(7) gate `FillingSpec.is_hyperbolic`
-    refuses, and each filled spec whose rounding floor exceeds
+    appended to it.  `solve_complete` gives the complete structure and
+    the jet's constants, solved once per process per signature.  A spec
+    that the sqrt(7) gate `FillingSpec.is_hyperbolic` refuses, and each
+    filled spec whose rounding floor exceeds
     `_CUSP_FLOOR` or `_LENGTH_FLOOR` fill gates, is refused before any
     step.  Every other filled spec runs its `_path`, and the first steps
     of the paths are one stacked `_newton` from their second-order
@@ -665,19 +690,15 @@ def _tangent_block(t: float, x1, x2) -> np.ndarray:
     return (np.array([[1.0], [t], [-1.0], [-t]]) * xs[..., None, :]).reshape(np.shape(x1) + (2, 2, 3))
 
 
-def _cot_scale(alpha_bar: float) -> float:
-    """t = sqrt(3) cot(alpha_bar) of `_tangent_block`."""
-    return math.sqrt(3.0) * math.cos(alpha_bar) / math.sin(alpha_bar)
-
-
-def _curvature_blocks(cs: CompleteSolution) -> np.ndarray:
-    """The (3, 12) curvature blocks N at the complete solution cs, one row
-    per monomial x1^2, x1 x2, x2^2 of a `_tangent_block` of (x1, x2): the
-    solution of A0 N^T = [-kappa K; -mu M].  A0 is the block of a complete
-    cusp at x0; with a = alpha_bar, its length row of apex j reads c1
-    (y_alpha^{j+1} + y_alpha^{j+2}) + c2 y_gamma^j on its tetrahedron, and
-    its sine rows j = 0, 1 read c3 times the alphas and c4 times the
-    gammas of apex j minus those of apex j+1 on both tetrahedra:
+def _curvature_blocks(alpha_bar: float) -> np.ndarray:
+    """The (3, 12) curvature blocks N at the complete solution of
+    alpha_bar, one row per monomial x1^2, x1 x2, x2^2 of a `_tangent_block`
+    of (x1, x2): the solution of A0 N^T = [-kappa K; -mu M].  A0 is the
+    block of a complete cusp at x0; with a = alpha_bar, its length row of
+    apex j reads c1 (y_alpha^{j+1} + y_alpha^{j+2}) + c2 y_gamma^j on its
+    tetrahedron, and its sine rows j = 0, 1 read c3 times the alphas and
+    c4 times the gammas of apex j minus those of apex j+1 on both
+    tetrahedra:
 
         c1 = -(3/2) csc^2(a) cot(a),  c2 = -(sqrt(3)/2) csc^2(a),
         c3 = (3/4) sin(a) cos(a),     c4 = (sqrt(3)/4) sin^2(a),
@@ -697,7 +718,7 @@ def _curvature_blocks(cs: CompleteSolution) -> np.ndarray:
     sum(gamma) = 0, so beta'' = 0; each length row -c1 alpha_j + c2
     gamma_j = -kappa K_j then gives gamma_j, and the sine rows give
     alpha_j - alpha_{j+1}, with pivot 2 c3 + 2 c4 c1 / c2 = 3 sin a cos a."""
-    sa, ca = math.sin(cs.alpha_bar), math.cos(cs.alpha_bar)
+    sa, ca = math.sin(alpha_bar), math.cos(alpha_bar)
     c1, c2, c4 = -1.5 * ca / sa ** 3, -0.5 * math.sqrt(3.0) / (sa * sa), 0.25 * math.sqrt(3.0) * sa * sa
     kappa, mu = (1.0 - 4.0 * ca * ca) / (2.0 * sa ** 4), -1.5 * (1.0 + 4.0 * ca * ca)
     e, pivot = 2.0 * c4 * kappa / c2, 3.0 * sa * ca
@@ -731,7 +752,7 @@ def _complete_jet(sig: GKSignature, cs: CompleteSolution, specs) -> np.ndarray:
     and on beta.  All specs are computed at once, elementwise over their
     cusps and with one matmul per spec's (k, 3) monomials, so each spec
     has the bits it gets alone."""
-    t, N = _cot_scale(cs.alpha_bar), _curvature_blocks(cs)
+    t, N = cs.cot_scale, cs.curvature
     n, k = len(specs), sig.k
     pairs = [pq for spec in specs for pq in spec.pairs]
     filled = np.array([pq is not None for pq in pairs], dtype=bool)
@@ -756,7 +777,7 @@ def tangent_basis(sig: GKSignature) -> np.ndarray:
 
     and last coordinate zero: the `_tangent_block`s of (x1, x2) = (1, 0)
     and (0, 1)."""
-    t, k = _cot_scale(solve_complete(sig).alpha_bar), sig.k
+    t, k = solve_complete(sig).cot_scale, sig.k
     basis = np.zeros((2 * k, sig.n_coords))
     # [cusp c, vector 2c or 2c+1, block of cusp c], a view of the rows
     blocks = basis[:, :-1].reshape(k, 2, k, 12)
@@ -791,15 +812,11 @@ def varsigma_derivatives(sig: GKSignature) -> Tuple[np.ndarray, np.ndarray]:
     cusp block: the `_tangent_block` of (x1, x2) = (2 sin(alpha_bar),
     -sin(alpha_bar)) and its curvature (`_curvature_blocks`), which keeps
     x_2 = x_3 and x_1 = x_7 as the curve does."""
-    return _varsigma_jet(solve_complete(sig))
-
-
-def _varsigma_jet(cs: CompleteSolution) -> Tuple[np.ndarray, np.ndarray]:
-    """`varsigma_derivatives` at the complete solution cs."""
+    cs = solve_complete(sig)
     s = math.sin(cs.alpha_bar)
     first, second = np.zeros((2, len(cs.x0)))
-    first[:12] = _tangent_block(_cot_scale(cs.alpha_bar), 2.0 * s, -s).ravel()
-    second[:12] = np.array([4.0 * s * s, -2.0 * s * s, s * s]) @ _curvature_blocks(cs)
+    first[:12] = _tangent_block(cs.cot_scale, 2.0 * s, -s).ravel()
+    second[:12] = np.array([4.0 * s * s, -2.0 * s * s, s * s]) @ cs.curvature
     return first, second
 
 
@@ -816,7 +833,7 @@ def varsigma_point(sig: GKSignature, t: float) -> np.ndarray:
     cusp 0, x_2 - x_3 and the pin; on cusp c >= 1, alpha_0 - alpha_1 and
     alpha_1 - alpha_2 of its first tetrahedron."""
     cs = solve_complete(sig)
-    first, second = _varsigma_jet(cs)
+    first, second = varsigma_derivatives(sig)
     L, S, o = _linear_rows([None] * sig.k)
     L[:, 10:12], S[:, 10:12], o[:, 10:12] = 0.0, 0.0, 0.0
     L[0, 10, 1:3] = L[1:, 11, 1:3] = L[1:, 10, 0:2] = (1.0, -1.0)

@@ -58,6 +58,14 @@ def test_signature_validation():
     assert GKSignature(3, 2).n_residuals == 21
 
 
+@pytest.mark.parametrize("g, k", [(2, True), (True, 1), (3, np.int64(2)), (2.0, 1)])
+def test_signature_refuses_what_is_not_an_int(g, k):
+    # a bool is an int, but GKSignature(2, True) would equal GKSignature(2, 1),
+    # hash as it does and share its complete structure
+    with pytest.raises(DomainError, match="^g, k must be integers$"):
+        GKSignature(g, k)
+
+
 def test_signature_refuses_a_k_whose_point_numpy_cannot_size():
     # the largest k whose 12k+1 doubles fit numpy's sys.maxsize bytes, and
     # the next one, for which np.full raises ValueError instead of MemoryError
@@ -89,11 +97,23 @@ def test_solve_complete_wide_signatures(g, k):
     assert np.max(np.abs(residuals(sig, sol.x0))) < 1e-12
 
 
+@pytest.fixture
+def cold_cache():
+    """An empty cache of complete structures, before the test and after it,
+    so that the test's solve_complete runs its gate whatever ran before."""
+    solve_complete.cache_clear()
+    yield
+    solve_complete.cache_clear()
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
 @pytest.mark.parametrize("row, raises", [(9, True), (10, False), (11, False)])
-def test_solve_complete_gate_covers_the_structure_rows(monkeypatch, row, raises):
+def test_solve_complete_gate_covers_the_structure_rows(monkeypatch, cold_cache, row, raises, warm):
     # a structure row of the last cusp off by 1e-6 fails the certification
-    # gate with that row's residual; the cusp rows are not gated
+    # gate with that row's residual; the cusp rows are not gated.  A
+    # signature solved before is a cache hit: no evaluation, no gate
     sig = GKSignature(9, 3)
+    cached = solve_complete(sig) if warm else None
     evaluate, seen = deformation._evaluate, []
 
     def shifted(sig, x, rows):
@@ -103,6 +123,9 @@ def test_solve_complete_gate_covers_the_structure_rows(monkeypatch, row, raises)
         return r, blocks
 
     monkeypatch.setattr(deformation, "_evaluate", shifted)
+    if warm:
+        assert solve_complete(sig) is cached and seen == []
+        return
     if not raises:
         solve_complete(sig)
         return
@@ -116,6 +139,77 @@ def test_complete_21_value():
     sol = solve_complete(GKSignature(2, 1))
     assert abs(sol.alpha_bar - 0.493326681547299) < 1e-12
     assert abs(sol.beta_bar - (math.pi / 3 - sol.alpha_bar)) < 1e-12
+
+
+def test_solve_complete_is_solved_once_per_signature(cold_cache):
+    # an equal signature is a cache hit: the one certified object, whose
+    # arrays no caller can write into
+    cs = solve_complete(GKSignature(4, 2))
+    assert solve_complete(GKSignature(4, 2)) is cs
+    for a in (cs.x0, cs.curvature):
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+    assert solve_complete.cache_info().currsize == 1
+
+
+def test_solve_complete_cache_holds_at_most_its_bound(cold_cache):
+    bound = deformation._COMPLETE_CACHE
+    assert bound >= 64 and solve_complete.cache_info().maxsize == bound
+    sigs = [GKSignature(g, 1) for g in range(2, bound + 3)]
+    solved = [solve_complete(sig) for sig in sigs]
+    assert len(sigs) == bound + 1 and solve_complete.cache_info().currsize == bound
+    # the least recently used went out and is solved anew, to the same bits
+    again = solve_complete(sigs[0])
+    assert again is not solved[0] and again.x0.tobytes() == solved[0].x0.tobytes()
+    assert solve_complete(sigs[-1]) is solved[-1]
+    assert solve_complete.cache_info().currsize == bound
+
+
+def test_a_gate_failure_is_not_cached(monkeypatch, cold_cache):
+    # each call runs the gate again and raises again, and so does each
+    # filling of the signature; once the gate passes, the structure is kept
+    sig = GKSignature(9, 3)
+    evaluate, evals = deformation._evaluate, []
+
+    def shifted(sig, x, rows):
+        evals.append(1)
+        r, blocks = evaluate(sig, x, rows)
+        r[0, 0] += 1e-6
+        return r, blocks
+
+    monkeypatch.setattr(deformation, "_evaluate", shifted)
+    for calls in (1, 2, 3):
+        with pytest.raises(ConvergenceError, match="^complete solution residual"):
+            solve_complete(sig)
+        assert len(evals) == calls
+    (x,) = solve_fillings(sig, [FillingSpec.from_pairs(3, [(5.0, 1.0), None, None])])
+    assert isinstance(x, ConvergenceError) and len(evals) == 4
+    monkeypatch.undo()
+    assert solve_complete.cache_info().currsize == 0
+    assert solve_complete(sig) is solve_complete(sig)
+
+
+@pytest.mark.parametrize("g, k", [(2, 1), (3, 2), (9, 3), (17, 16)])
+def test_fills_are_the_same_with_a_cold_and_a_warm_cache(cold_cache, g, k):
+    # solution and residual record byte for byte, alone and stacked
+    rng = np.random.default_rng(3900 + k)
+    sig = GKSignature(g, k)
+    specs = [FillingSpec.from_pairs(k, random_pairs(rng, k, 2.7, 40.0)) for _ in range(3)]
+    specs.append(FillingSpec.from_pairs(k, [(3.0, 1.0)] + [None] * (k - 1)))
+
+    def solve(batch, cold):
+        if cold:
+            solve_complete.cache_clear()
+        records = []
+        solve_fillings(sig, batch, out=records)
+        return [(rec.x.tobytes(), rec.residual.tobytes()) for rec in records]
+
+    runs = [
+        solve(specs, cold) if stacked else [rec for spec in specs for rec in solve([spec], cold)]
+        for cold in (True, False)
+        for stacked in (False, True)
+    ]
+    assert all(run == runs[0] for run in runs)
 
 
 @pytest.mark.parametrize("k", [1, 3])
@@ -536,6 +630,16 @@ def test_residuals_of_a_stack_are_those_of_each_point(k):
         residuals(sig, x)
 
 
+def test_residuals_of_an_empty_stack_are_empty():
+    # as solve_fillings(sig, []) is []; an empty stack of the wrong width
+    # is refused as a point of that width is
+    sig = GKSignature(3, 2)
+    r = residuals(sig, np.zeros((0, sig.n_coords)))
+    assert r.shape == (0, sig.n_residuals) and r.dtype == float
+    with pytest.raises(DomainError, match="^expected 25 coordinates, got \\(13,\\)$"):
+        residuals(sig, np.zeros((0, 13)))
+
+
 @pytest.mark.parametrize("k", [1, 2, 5, 16])
 def test_block_step_matches_dense_solve(k):
     rng = np.random.default_rng(40 + k)
@@ -783,7 +887,7 @@ def test_first_tangent_in_closed_form(seed, g, k, integer):
 def jet_alone(sig, cs, spec):
     """The jet of one spec, cusp by cusp in Python floats: the oracle of
     `_complete_jet`."""
-    t, N = deformation._cot_scale(cs.alpha_bar), deformation._curvature_blocks(cs)
+    t, N = math.sqrt(3.0) * math.cos(cs.alpha_bar) / math.sin(cs.alpha_bar), cs.curvature
     x1, x2 = np.zeros((2, sig.k))
     for c, pq in enumerate(spec.pairs):
         if pq is not None:
@@ -864,7 +968,7 @@ def test_curvature_blocks_solve_the_kernel_block(g, k):
     R[0:3] = R[3:6] = -kappa * np.array(K)
     R[8:10] = -mu * np.array(M)
     want = np.linalg.solve(A, R).T
-    N = deformation._curvature_blocks(cs)
+    N = cs.curvature
     assert N.shape == (3, 12)
     assert np.max(np.abs(N - want)) <= 1e-13 * np.max(np.abs(want))
     # both tetrahedra of the cusp get the same values, whose alpha sum vanishes
@@ -1070,18 +1174,25 @@ def test_filling_every_cusp_up_to_3e5(g, k, seed):
             assert err <= 1e-10 * max(abs(p), abs(q)), (c, p, q, pc, qc)
 
 
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
 @pytest.mark.parametrize("g, slope", [(2, "9876543/1"), (1000, "5/1")])
-def test_filling_below_the_rounding_floor_is_refused_before_any_step(monkeypatch, g, slope):
+def test_filling_below_the_rounding_floor_is_refused_before_any_step(monkeypatch, cold_cache, g, slope, warm):
     # the cusp row of 9876543/1 rounds in steps of (|p| + |q|) eps = 21.9
     # fill gates, and at g = 1000 the length rows in steps of
     # edge_cosh(beta) eps = 4.05 gates: Newton would only grind there
+    if warm:
+        solve_complete(GKSignature(g, 1))
     evals, evaluate = [], deformation._evaluate
     monkeypatch.setattr(deformation, "_evaluate", lambda *a: evals.append(1) or evaluate(*a))
     monkeypatch.setattr(deformation, "_newton", None)
     with pytest.raises(DomainError, match=r"rounding floor .* eps = [^ ]+ is over [^ ]+ times the gate 1e-10$"):
         solve_filling(GKSignature(g, 1), FillingSpec.parse(slope, 1))
-    # the one evaluation is the gate of solve_complete
-    assert len(evals) == 1
+    if warm:
+        # the complete structure is a cache hit: no evaluation at all
+        assert evals == []
+    else:
+        # the one evaluation is the gate of solve_complete
+        assert len(evals) == 1
 
 
 @pytest.mark.parametrize(

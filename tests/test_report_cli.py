@@ -919,7 +919,7 @@ def dense_tangent_doc(g, k):
     `deformation.tangent_spectrum`."""
     sig = GKSignature(g, k)
     cs = deformation.solve_complete(sig)
-    t = deformation._cot_scale(cs.alpha_bar)
+    t = math.sqrt(3.0) * math.cos(cs.alpha_bar) / math.sin(cs.alpha_bar)
     basis = np.zeros((2 * k, sig.n_coords))
     for c in range(k):
         deformation.angle_blocks(basis[2 * c])[c] = deformation._tangent_block(t, 1.0, 0.0)
