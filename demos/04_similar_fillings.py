@@ -16,7 +16,6 @@ from mgk.slopes_symmetry import (
     Slope,
     classify_slopes,
     enumerate_equivalent_sets,
-    make_slope_set,
     slope_sets_equivalent,
 )
 
@@ -29,8 +28,8 @@ for lsq, orbits in classify_slopes(21):
         print("  L = %-7.4f size %d:  %s" % (math.sqrt(lsq), len(orb), reps))
 
 print()
-a = make_slope_set(1, {0: (19, 11)})
-b = make_slope_set(1, {0: (16, -1)})
+a = (Slope.of(19, 11),)
+b = (Slope.of(16, -1),)
 print("19/11 and 16/-1 both have length sqrt(273) = %.6f" % math.sqrt(273))
 print("equivalent (rotations only)?        %s" % (slope_sets_equivalent(a, b) is not None))
 print("equivalent (reflections allowed)?   %s"
@@ -47,8 +46,8 @@ print("  8/19 (rotated): %.15f   (same orbit: equal)" % ci.return_path_length(x2
 print("  16/-1:          %.15f   (inequivalent: close, not equal)" % ci.return_path_length(x3))
 
 print()
-same = make_slope_set(3, {0: (3, 1), 1: (3, 1)})
-distinct = make_slope_set(3, {0: (3, 1), 1: (5, 1)})
+same = (Slope.of(3, 1), Slope.of(3, 1), None)
+distinct = (Slope.of(3, 1), Slope.of(5, 1), None)
 print("k=3, h=2 equivalent-set counts:")
 print("  same slope class on both filled tori:  %d  (= 3! * 3^2 / (2! 1!))"
       % len(enumerate_equivalent_sets(same)))

@@ -94,24 +94,16 @@ def varsigma_trace_data(sig: GKSignature, delta: int, r0: float) -> TraceInput:
     the combinatorial angle sum r0 of the surrounding blocks (an input:
     it is constant to second order along the curve, so only its value at
     0 matters); eta'' is the sum of the two apex-2 second derivatives and
-    zeta'' follows the delta rule (-eta'' or 0).
+    zeta'' follows the delta rule (-eta'' or 0).  `TraceInput` raises the
+    DomainError of a delta other than 0 or 1 and of an r0 that puts zeta0
+    outside (0, 2*pi).
     """
-    return varsigma_trace_family(sig, delta)(r0)
-
-
-def varsigma_trace_family(sig: GKSignature, delta: int):
-    """The function r0 -> `varsigma_trace_data(sig, delta, r0)`, which
-    raises `TraceInput`'s DomainError for a delta other than 0 or 1 and
-    for an r0 that puts zeta0 outside (0, 2*pi).  Only zeta0 depends on
-    r0, so the complete structure and the curve's second derivative are
-    solved once, here, for every r0."""
     cs = solve_complete(sig)
     a = cs.alpha_bar
     # boundary edge length: arccosh(cos(beta)/(1-cos(beta))); the compact
     # edge (return path) is the hexagon-rule composition of three of them
     lam = math.exp(math.acosh(edge_cosh(cs.beta_bar)))
-    turning = 4.0 * a + delta * 2.0 * a
     _, second = varsigma_derivatives(sig)
     eta_dd = second[2] + second[8]
     zeta_dd = -eta_dd if delta == 0 else 0.0
-    return lambda r0: TraceInput(lam, 2.0 * a, turning + r0, eta_dd, zeta_dd, delta)
+    return TraceInput(lam, 2.0 * a, 4.0 * a + delta * 2.0 * a + r0, eta_dd, zeta_dd, delta)

@@ -33,8 +33,8 @@ errors that `main` maps to exit codes are those of `hyptrig` and
 MemoryError.  The commands do no linear algebra themselves: `tangent`
 writes what `deformation.tangent_spectrum` computes, `fill` hands the
 solver's records to the report, whose gate reads their structure rows
-through `deformation`, and `trace` reads every r0 of its grid from one
-`boundary_trace.varsigma_trace_family`.
+through `deformation`, and `trace` reads each r0 of its grid from
+`boundary_trace.varsigma_trace_data` on the cached complete structure.
 """
 
 import argparse
@@ -127,9 +127,11 @@ def _error_record(coeffs, exc, args):
     return code, "error           %s: %s" % (coeffs, message)
 
 
-def _parse_or_error(coeffs, k):
+def _spec_or_error(build, *args):
+    """`build(*args)`, a FillingSpec, or the DomainError it raises: a list
+    that does not parse is its error, which rides to its solve's place."""
     try:
-        return FillingSpec.parse(coeffs, k)
+        return build(*args)
     except DomainError as exc:
         return exc
 
@@ -142,8 +144,7 @@ def cmd_fill(args) -> int:
     # with --batch every entry is a list, an empty one too (an error record
     # like any other); without it the one list's error is the command's
     coeffs = [c.strip() for c in args.coeffs.split(";")] if args.batch else [args.coeffs]
-    # a list that does not parse is its error, which rides to its report's place
-    specs = [_parse_or_error(c, sig.k) for c in coeffs]
+    specs = [_spec_or_error(FillingSpec.parse, c, sig.k) for c in coeffs]
     records = []
     solved = solve_fillings(sig, specs, out=records)
     entries = []
@@ -234,14 +235,8 @@ def cmd_commensurable(args) -> int:
 
     sig = cx.XkSignature(args.k)
     gk = sig.gk
-
-    def spec_of(sset):
-        try:
-            return FillingSpec.from_pairs(gk.k, [None if s is None else (s.p, s.q) for s in sset])
-        except DomainError as exc:
-            return exc
-
-    points = solve_fillings(gk, [spec_of(_parse_slope_set(text, args.k)) for text in args.sets])
+    sets = [[None if s is None else (s.p, s.q) for s in _parse_slope_set(text, args.k)] for text in args.sets]
+    points = solve_fillings(gk, [_spec_or_error(FillingSpec.from_pairs, gk.k, pairs) for pairs in sets])
     # the first set that fails, in input order, fails the command
     for x in points:
         if isinstance(x, Exception):
@@ -305,12 +300,14 @@ def cmd_trace(args) -> int:
     # numpy's own limit, as in GKSignature: np.linspace raises ValueError above it
     if args.grid is not None and 8 * args.grid > sys.maxsize:
         raise DomainError("request too large for memory")
+    # np.linspace makes NaN r0 values of a non-finite end, and warns on an infinite one
+    if args.grid is not None and not math.isfinite(args.grid_max):
+        raise DomainError("--grid-max must be finite, got %r" % args.grid_max)
     rows = []
     r0_values = [args.r0] if args.grid is None else list(np.linspace(0.1, args.grid_max, args.grid))
-    trace_data = bt.varsigma_trace_family(sig, args.delta)
     for r0 in r0_values:
         try:
-            data = trace_data(r0)
+            data = bt.varsigma_trace_data(sig, args.delta, r0)
         except DomainError:
             continue
         rows.append(

@@ -84,10 +84,6 @@ class D6Element:
     def __post_init__(self):
         object.__setattr__(self, "rot", self.rot % 6)
 
-    @classmethod
-    def identity(cls) -> "D6Element":
-        return cls(0, False)
-
 
 def d6_act(e: D6Element, s: Slope) -> Slope:
     # r^3 = -1 fixes every unoriented slope
@@ -165,19 +161,6 @@ def hyperbolic_filling_check(spec: FillingSpec) -> bool:
 # slope sets on k marked tori
 
 SlopeSet = Tuple[Optional[Slope], ...]
-
-
-def make_slope_set(k: int, entries) -> SlopeSet:
-    """Slope set from {torus_index (0-based): (p, q)} or a k-sequence."""
-    if isinstance(entries, dict):
-        for i in entries:
-            if not 0 <= i < k:
-                raise DomainError("torus index %d out of range" % i)
-        entries = [entries.get(i) for i in range(k)]
-    entries = list(entries)
-    if len(entries) != k:
-        raise DomainError("expected %d entries" % k)
-    return tuple(e if e is None or isinstance(e, Slope) else Slope.of(*e) for e in entries)
 
 
 @dataclass(frozen=True)

@@ -133,8 +133,8 @@ def test_c07_slope_classification_oracle():
         for orb in orbits:
             expected = 3 if lsq in (1, 3) else 6
             assert len(orb) == expected
-    a = ss.make_slope_set(1, {0: (19, 11)})
-    b = ss.make_slope_set(1, {0: (16, -1)})
+    a = (ss.Slope.of(19, 11),)
+    b = (ss.Slope.of(16, -1),)
     assert ss.slope_sets_equivalent(a, b, orientation_preserving=True) is None
     assert ss.slope_sets_equivalent(a, b, orientation_preserving=False) is None
     done("[C07] orbit sizes 3/3/6 verified over L^2 <= 400; the sqrt(273) pair split")
@@ -144,12 +144,12 @@ def test_c08_similarity_count():
     # the count (k! 3^h)/(h! (k-h)!) = 27 is attained exactly when the
     # two filled tori carry the same slope class; for inequivalent generic
     # slopes it is a strict lower bound (the orbit doubles)
-    same = ss.make_slope_set(3, {0: (3, 1), 1: (3, 1)})
+    same = (ss.Slope.of(3, 1), ss.Slope.of(3, 1), None)
     orbit = ss.enumerate_equivalent_sets(same)
     assert len(orbit) == 27
     for member in orbit:
         assert ss.slope_sets_equivalent(same, member) is not None
-    distinct = ss.make_slope_set(3, {0: (3, 1), 1: (5, 1)})
+    distinct = (ss.Slope.of(3, 1), ss.Slope.of(5, 1), None)
     orbit2 = ss.enumerate_equivalent_sets(distinct)
     assert len(orbit2) >= 27
     for member in orbit2:

@@ -218,16 +218,30 @@ def test_cli_fill_refused_report_without_batch(monkeypatch, capsys):
 
 _INTS = st.integers(min_value=-(2**70), max_value=2**70)
 _FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+_TEXTS = st.text(alphabet=st.characters(codec="utf-8") | st.sampled_from('"\\\b\f\n\r\t\x00\x1f\x7f'), max_size=12)
+
+
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
 # leaves of a document: every kind that JSON writes, with the strings,
-# ints and floats at the edges of their encodings
+# ints and floats at the edges of their encodings, and subclasses of str,
+# int and float, which the writer tests after their exact types
 _LEAVES = st.one_of(
-    st.text(alphabet=st.characters(codec="utf-8") | st.sampled_from('"\\\b\f\n\r\t\x00\x1f\x7f'), max_size=12),
+    _TEXTS,
+    _TEXTS.map(_Str),
     st.booleans(),
     st.none(),
     _INTS,
     _FLOATS,
     st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1e16, 1e-7, 0.1]),
     _FLOATS.map(np.float64),
+    _INTS.map(_Int),
 )
 _DOCS = st.recursive(
     _LEAVES,
@@ -739,9 +753,8 @@ def _set_text(sset):
 @pytest.mark.parametrize("reflections", [False, True])
 def test_cli_similar_k12(capsys, reflections):
     # beyond any exhaustive search over 12! permutations
-    a = ss.make_slope_set(
-        12, [(3, 1), None, (19, 11), (3, 1), (16, -1), None, (5, 1), (1, 0), (3, 1), None, (7, 2), (8, 3)]
-    )
+    pairs = [(3, 1), None, (19, 11), (3, 1), (16, -1), None, (5, 1), (1, 0), (3, 1), None, (7, 2), (8, 3)]
+    a = tuple(None if pq is None else ss.Slope.of(*pq) for pq in pairs)
     perm = (4, 11, 0, 7, 2, 9, 1, 3, 10, 5, 8, 6)
     local = tuple(ss.D6Element(i, reflections and i % 2 == 1) for i in range(12))
     b = ss.SlopeSetIsometry(perm, local).apply(a)
@@ -1020,18 +1033,16 @@ def test_cli_trace_grid(capsys):
 
 
 @pytest.mark.parametrize("g, k, delta", [(2, 1, 0), (7, 3, 1)])
-def test_cli_trace_grid_rows_are_those_of_each_r0(capsys, monkeypatch, g, k, delta):
-    # the grid solves the complete structure once, and each row is the one
-    # that `varsigma_trace_data` gives at its r0 alone; an r0 whose zeta0
-    # leaves (0, 2 pi) has no row
+def test_cli_trace_grid_rows_are_those_of_each_r0(capsys, g, k, delta):
+    # the grid solves the complete structure once, a miss of the cache that
+    # every r0 then reads, and each row is the one that `varsigma_trace_data`
+    # gives at its r0 alone; an r0 whose zeta0 leaves (0, 2 pi) has no row
     from mgk import boundary_trace as bt
 
-    calls, solve = [], bt.solve_complete
-    monkeypatch.setattr(bt, "solve_complete", lambda sig: calls.append(sig) or solve(sig))
+    solve_complete.cache_clear()
     argv = ["--json", "trace", "--g", str(g), "--k", str(k), "--delta", str(delta), "--grid", "60", "--grid-max", "7"]
     code, out, _ = run(capsys, argv)
-    monkeypatch.undo()
-    assert code == 0 and calls == [GKSignature(g, k)]
+    assert code == 0 and solve_complete.cache_info().misses == 1
     want = []
     for r0 in np.linspace(0.1, 7.0, 60):
         try:
@@ -1077,6 +1088,15 @@ def test_cli_trace_grid_too_large_for_memory_is_an_input_error(capsys):
     code, out, err = run(capsys, ["trace", "--g", "2", "--k", "1", "--grid", str(2**62)])
     assert code == 2 and out == ""
     assert err == "input error: request too large for memory\n"
+
+
+@pytest.mark.parametrize("grid_max", ["inf", "-inf", "nan"])
+def test_cli_trace_grid_max_not_finite_is_an_input_error(capsys, grid_max):
+    # refused before np.linspace, which would warn on an infinite end; the
+    # "=" form, as argparse reads "-inf" alone as an option
+    code, out, err = run(capsys, ["trace", "--g", "2", "--k", "1", "--grid", "5", "--grid-max=" + grid_max])
+    assert code == 2 and out == ""
+    assert err == "input error: --grid-max must be finite, got %s\n" % grid_max
 
 
 def test_cli_trace_single_r0(capsys):

@@ -34,7 +34,7 @@ pkg.__path__ = [sys.argv[1]]
 sys.modules["mgk"] = pkg
 import mgk.hyptrig, mgk.slopes_symmetry as ss
 assert "mgk.deformation" not in sys.modules, sorted(sys.modules)
-a, b = ss.make_slope_set(2, [(3, 1), None]), ss.make_slope_set(2, [None, (1, 3)])
+a, b = (ss.Slope.of(3, 1), None), (None, ss.Slope.of(1, 3))
 assert ss.slope_sets_equivalent(a, b, orientation_preserving=False) is not None
 """
 
@@ -83,16 +83,16 @@ def d6_product(a, b):
 
 
 def d6_inverse(e):
-    return next(f for f in _D6_ALL if d6_product(f, e) == ss.D6Element.identity())
+    return next(f for f in _D6_ALL if d6_product(f, e) == ss.D6Element(0))
 
 
 def test_d6_group_law():
     r, s = ss.D6Element(1), ss.D6Element(0, True)
-    assert d6_product(s, s) == ss.D6Element.identity()
-    e = ss.D6Element.identity()
+    assert d6_product(s, s) == ss.D6Element(0)
+    e = ss.D6Element(0)
     for _ in range(6):
         e = d6_product(r, e)
-    assert e == ss.D6Element.identity()
+    assert e == ss.D6Element(0)
     # s r s = r^-1, and rot is read mod 6
     assert d6_product(d6_product(s, r), s) == ss.D6Element(-1) == ss.D6Element(5)
     # d6_act is an action: acting by b and then by a is acting by a * b
@@ -110,7 +110,7 @@ def test_d6_inverse(refl):
         e = ss.D6Element(rot, refl)
         inv = d6_inverse(e)
         assert inv == (e if refl else ss.D6Element(-rot))
-        assert d6_product(e, inv) == ss.D6Element.identity()
+        assert d6_product(e, inv) == ss.D6Element(0)
         assert (inv == e) == (refl or rot in (0, 3))
         for x in primitive_slopes(49):
             assert ss.d6_act(inv, ss.d6_act(e, x)) == x
@@ -118,14 +118,10 @@ def test_d6_inverse(refl):
 
 
 def test_slope_set_and_symmetry_validation():
-    with pytest.raises(DomainError, match="torus index 2 out of range"):
-        ss.make_slope_set(2, {2: (3, 1)})
-    with pytest.raises(DomainError, match="expected 2 entries"):
-        ss.make_slope_set(2, [(3, 1)])
     x = solve_complete(GKSignature(3, 2)).x0
     with pytest.raises(DomainError, match="not a permutation"):
         cx.cusp_permutation(x, [0, 0])
-    one = ss.SlopeSetIsometry((0,), (ss.D6Element.identity(),))
+    one = ss.SlopeSetIsometry((0,), (ss.D6Element(0),))
     with pytest.raises(DomainError, match="isometry is for 1 tori, point has 2 cusps"):
         cx.sym_act(one, x)
 
@@ -232,34 +228,34 @@ def test_hyperbolic_filling_check_agrees_with_solver(pq, hyperbolic):
 
 
 def test_slope_sets_equivalent_identity_and_rotation():
-    a = ss.make_slope_set(2, {0: (7, 2)})
+    a = (ss.Slope.of(7, 2), None)
     w = ss.slope_sets_equivalent(a, a)
     assert w is not None and w.apply(a) == a
-    b = ss.make_slope_set(2, {0: (5, 7)})
+    b = (ss.Slope.of(5, 7), None)
     w = ss.slope_sets_equivalent(a, b)
     assert w is not None and w.orientation_preserving
     assert w.apply(a) == b
 
 
 def test_slope_sets_respect_empty_tori():
-    a = ss.make_slope_set(2, {0: (3, 1)})
-    b = ss.make_slope_set(2, {1: (3, 1)})
+    a = (ss.Slope.of(3, 1), None)
+    b = (None, ss.Slope.of(3, 1))
     w = ss.slope_sets_equivalent(a, b)
     assert w is not None and w.perm[0] == 1
-    c = ss.make_slope_set(2, {0: (3, 1), 1: (3, 1)})
+    c = (ss.Slope.of(3, 1), ss.Slope.of(3, 1))
     assert ss.slope_sets_equivalent(a, c) is None
 
 
 def test_inequivalent_273_pair():
-    a = ss.make_slope_set(1, {0: (19, 11)})
-    b = ss.make_slope_set(1, {0: (16, -1)})
+    a = (ss.Slope.of(19, 11),)
+    b = (ss.Slope.of(16, -1),)
     assert ss.slope_sets_equivalent(a, b, orientation_preserving=True) is None
     assert ss.slope_sets_equivalent(a, b, orientation_preserving=False) is None
 
 
 def test_reflection_needs_reflection_witness():
-    a = ss.make_slope_set(1, {0: (7, 2)})
-    refl = ss.make_slope_set(1, {0: ss.d6_act(ss.D6Element(0, True), ss.Slope(7, 2))})
+    a = (ss.Slope.of(7, 2),)
+    refl = (ss.d6_act(ss.D6Element(0, True), ss.Slope(7, 2)),)
     assert ss.slope_sets_equivalent(a, refl, orientation_preserving=True) is None
     w = ss.slope_sets_equivalent(a, refl, orientation_preserving=False)
     assert w is not None and not w.orientation_preserving
@@ -275,8 +271,8 @@ def isometry_inverse(w):
 
 
 def test_equivalence_witness_invertible():
-    a = ss.make_slope_set(3, {0: (3, 1), 1: (5, 1)})
-    b = ss.make_slope_set(3, {1: ss.d6_act(ss.D6Element(1), ss.Slope(3, 1)), 2: (5, 1)})
+    a = (ss.Slope.of(3, 1), ss.Slope.of(5, 1), None)
+    b = (None, ss.d6_act(ss.D6Element(1), ss.Slope(3, 1)), ss.Slope.of(5, 1))
     w = ss.slope_sets_equivalent(a, b)
     assert w is not None and w.apply(a) == b
     assert isometry_inverse(w).apply(b) == a
@@ -285,29 +281,27 @@ def test_equivalence_witness_invertible():
 
 
 def test_enumerate_matches_membership():
-    a = ss.make_slope_set(2, {0: (3, 1), 1: (5, 1)})
+    a = (ss.Slope.of(3, 1), ss.Slope.of(5, 1))
     orbit = ss.enumerate_equivalent_sets(a)
     assert a in orbit
     for b in orbit:
         assert ss.slope_sets_equivalent(a, b) is not None
     # a reflected set lies outside the orientation-preserving orbit
-    refl = ss.make_slope_set(
-        2, {0: ss.d6_act(ss.D6Element(0, True), ss.Slope(3, 1)), 1: (5, 1)}
-    )
+    refl = (ss.d6_act(ss.D6Element(0, True), ss.Slope(3, 1)), ss.Slope.of(5, 1))
     assert refl not in orbit
 
 
 def test_enumerate_single_cusp_count():
-    a = ss.make_slope_set(1, {0: (3, 1)})
+    a = (ss.Slope.of(3, 1),)
     assert len(ss.enumerate_equivalent_sets(a)) == 3
-    empty = ss.make_slope_set(1, {})
+    empty = (None,)
     assert ss.enumerate_equivalent_sets(empty) == [empty]
 
 
 def test_mismatched_tori_counts_raise():
     # slope sets on different numbers of tori are an input error
     with pytest.raises(DomainError):
-        ss.slope_sets_equivalent(ss.make_slope_set(2, {}), ss.make_slope_set(3, {}))
+        ss.slope_sets_equivalent((None,) * 2, (None,) * 3)
 
 
 # --- the canonical form against the exhaustive search -----------------------
@@ -343,7 +337,7 @@ def brute_force_equivalent(a, b, orientation_preserving=True):
                 ok = False
                 break
             if src is None:
-                locals_per_torus.append(ss.D6Element.identity())
+                locals_per_torus.append(ss.D6Element(0))
                 continue
             match = next((e for e in cands if ss.d6_act(e, src) == dst), None)
             if match is None:
@@ -416,7 +410,7 @@ def test_enumerate_matches_brute_force_orbit(a):
 def test_enumerate_count_formula(k, h):
     # h filled tori carrying one rotation class, the rest empty
     cls = d6_act_orbit(ss.Slope(3, 1), ss._ROTATIONS)
-    a = ss.make_slope_set(k, {i: cls[i % 3] for i in range(h)})
+    a = tuple(cls[i % 3] if i < h else None for i in range(k))
     orbit = ss.enumerate_equivalent_sets(a)
     assert len(set(orbit)) == len(orbit)
     expected = math.factorial(k) * 3**h // (math.factorial(h) * math.factorial(k - h))
@@ -583,7 +577,7 @@ def test_sym_act_coefficient_equivariance():
 def test_sym_act_identity():
     sig = GKSignature(2, 1)
     x = solved_point(sig, [(5.0, 1.0)])
-    ident = ss.SlopeSetIsometry(perm=(0,), local=(ss.D6Element.identity(),))
+    ident = ss.SlopeSetIsometry(perm=(0,), local=(ss.D6Element(0),))
     assert np.array_equal(cx.sym_act(ident, x), x)
 
 
