@@ -14,8 +14,6 @@ covered here.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .deformation import GKSignature, edge_cosh, solve_complete, varsigma_derivatives
 from .hyptrig import DomainError
 
@@ -39,25 +37,23 @@ class TraceInput:
             raise DomainError("delta must be 0 or 1")
 
 
-def mobius_A(lam: float, theta: float) -> np.ndarray:
-    """The isometry taking the upward half-geodesic at i to the
-    half-geodesic leaving lambda*i at angle theta from the downward
-    return direction; determinant one by construction."""
+def trace_gamma(lam: float, eta: float, zeta: float) -> float:
+    """Trace of A(lam, eta) A(lam, zeta), where A(lam, theta) is the
+    isometry taking the upward half-geodesic at i to the half-geodesic
+    leaving lam*i at angle theta from the downward return direction:
+
+      (lam + 1/lam) sin(eta/2) sin(zeta/2) - 2 cos(eta/2) cos(zeta/2).
+
+    It equals +-2 cosh(L/2) for the boundary geodesic of length L it
+    represents, and is symmetric in the two angles.  Refuses what A does:
+    lam <= 1, or an angle outside (0, 2*pi)."""
     if not lam > 1.0:
         raise DomainError("lambda=%r must exceed 1" % lam)
-    if not 0.0 < theta < 2.0 * math.pi:
-        raise DomainError("theta=%r outside (0, 2*pi)" % theta)
-    rl = math.sqrt(lam)
-    s, c = math.sin(theta / 2.0), math.cos(theta / 2.0)
-    return np.array([[rl * s, -rl * c], [c / rl, s / rl]])
-
-
-def trace_gamma(lam: float, eta: float, zeta: float) -> float:
-    """Trace of A(lam, eta) A(lam, zeta); equals +-2 cosh(L/2) for the
-    boundary geodesic of length L it represents.  Symmetric in the two
-    angles."""
-    m = mobius_A(lam, eta) @ mobius_A(lam, zeta)
-    return float(m[0, 0] + m[1, 1])
+    for theta in (eta, zeta):
+        if not 0.0 < theta < 2.0 * math.pi:
+            raise DomainError("theta=%r outside (0, 2*pi)" % theta)
+    e, z = eta / 2.0, zeta / 2.0
+    return (lam + 1.0 / lam) * math.sin(e) * math.sin(z) - 2.0 * math.cos(e) * math.cos(z)
 
 
 def _eta_coefficient(lam: float, eta: float, zeta: float) -> float:

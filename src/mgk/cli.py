@@ -5,9 +5,11 @@ trace, each declared once in `_COMMANDS` (name, help, function and
 arguments), from which `_parsers` adds its subparser.  Human-readable
 tables by default, machine-readable JSON with --json, written to stdout
 or to the --out file; both flags go on either side of the subcommand.
-slopes, similar, commensurable, tangent and trace each build one mgk/1
-document and hand it to one writer, `_write`: its JSON under --json,
-else a text rendered from that document alone.  Slope entries share one
+Each command builds one mgk/1 document and hands it to one writer,
+`_write`: its JSON under --json, else a text rendered from that document
+alone.  `fill --batch` instead writes one array of entries, each list's
+`_entry`: its report, written by `report.report_to_json` or
+`report_to_text`, or its error record.  Slope entries share one
 syntax (`hyptrig.parse_slope`): `fill --coeffs` takes p/q or inf per
 cusp, `similar` and `commensurable` take p/q@i, with p and q coprime
 integers of either sign.  Exit codes: 0 success, 2 input error (a
@@ -34,7 +36,8 @@ MemoryError.  The commands do no linear algebra themselves: `tangent`
 writes what `deformation.tangent_spectrum` computes, `fill` hands the
 solver's records to the report, whose gate reads their structure rows
 through `deformation`, and `trace` reads each r0 of its grid from
-`boundary_trace.varsigma_trace_data` on the cached complete structure.
+`boundary_trace.varsigma_trace_data` on the complete structure and the
+curve's derivatives, both cached per signature.
 """
 
 import argparse
@@ -99,32 +102,17 @@ def _parse_slope_set(text: str, k: int) -> ss.SlopeSet:
     return tuple(slopes)
 
 
-def _report_text(rep, args) -> str:
-    """The text of the report `rep`.  When rep is instead the error that
-    parsing, solving or reporting its list raised, that error is raised,
-    as is the DomainError of a report that JSON cannot hold (a NaN)."""
-    from .report import report_to_json, report_to_text
-
-    if isinstance(rep, Exception):
-        raise rep
-    return report_to_json(rep) if args.json else report_to_text(rep)
+def _set_spec(text: str, k: int) -> FillingSpec:
+    """The filling of the slope set "p/q@torus,..." on k tori."""
+    return FillingSpec.from_pairs(k, [None if s is None else (s.p, s.q) for s in _parse_slope_set(text, k)])
 
 
 def cmd_complete(args) -> int:
     from .deformation import GKSignature, solve_complete
-    from .report import build_report
+    from .report import build_report, report_to_text
 
     sig = GKSignature(args.g, args.k)
-    _emit(args, _report_text(build_report(sig, FillingSpec.unfilled(sig.k), solve_complete(sig).x0), args))
-    return EXIT_OK
-
-
-def _error_record(coeffs, exc, args):
-    """The exit code and the text of a batch list that failed."""
-    code, message = _failure(exc)
-    if args.json:
-        return code, to_json({"schema": SCHEMA, "coeffs": coeffs, "error": {"exit": code, "message": message}})
-    return code, "error           %s: %s" % (coeffs, message)
+    return _write(args, build_report(sig, FillingSpec.unfilled(sig.k), solve_complete(sig).x0), report_to_text)
 
 
 def _spec_or_error(build, *args):
@@ -136,9 +124,29 @@ def _spec_or_error(build, *args):
         return exc
 
 
+def _entry(coeffs, rep, args):
+    """The exit code and the text of the batch list `coeffs`: its report
+    `rep`, written by `report_to_json` under --json else by
+    `report_to_text`, or the error record of what parsing, solving,
+    reporting or writing the list raised.  rep is the report or the error
+    of the first three; writing raises the DomainError of a report that
+    JSON cannot hold (a NaN)."""
+    from .report import report_to_json, report_to_text
+
+    try:
+        if isinstance(rep, Exception):
+            raise rep
+        return EXIT_OK, report_to_json(rep) if args.json else report_to_text(rep)
+    except _FAILURES as exc:
+        code, message = _failure(exc)
+    if args.json:
+        return code, to_json({"schema": SCHEMA, "coeffs": coeffs, "error": {"exit": code, "message": message}})
+    return code, "error           %s: %s" % (coeffs, message)
+
+
 def cmd_fill(args) -> int:
     from .deformation import GKSignature, solve_fillings
-    from .report import build_reports
+    from .report import build_reports, report_to_text
 
     sig = GKSignature(args.g, args.k)
     # with --batch every entry is a list, an empty one too (an error record
@@ -146,25 +154,18 @@ def cmd_fill(args) -> int:
     coeffs = [c.strip() for c in args.coeffs.split(";")] if args.batch else [args.coeffs]
     specs = [_spec_or_error(FillingSpec.parse, c, sig.k) for c in coeffs]
     records = []
-    solved = solve_fillings(sig, specs, out=records)
-    entries = []
-    for c, rep in zip(coeffs, build_reports(sig, specs, solved, records)):
-        try:
-            entries.append((EXIT_OK, _report_text(rep, args)))
-        except _FAILURES as exc:
-            if not args.batch:
-                raise
-            entries.append(_error_record(c, exc, args))
-    texts = [text for _, text in entries]
+    reports = build_reports(sig, specs, solve_fillings(sig, specs, out=records), records)
     if not args.batch:
-        _emit(args, texts[0])
-    elif args.json:
-        # the JSON array of the entries, as to_json would indent it (no
-        # entry holds a blank line)
-        _emit(args, "[\n%s\n]" % ",\n".join("  " + t.replace("\n", "\n  ") for t in texts))
-    else:
-        _emit(args, "\n\n".join(texts))
-    return max(code for code, _ in entries)
+        (rep,) = reports
+        if isinstance(rep, Exception):
+            raise rep
+        return _write(args, rep, report_to_text)
+    codes, texts = zip(*(_entry(c, rep, args) for c, rep in zip(coeffs, reports)))
+    # under --json the array of the entries, as to_json would indent it (no
+    # entry holds a blank line)
+    _emit(args, "[\n%s\n]" % ",\n".join("  " + t.replace("\n", "\n  ") for t in texts)
+          if args.json else "\n\n".join(texts))
+    return max(codes)
 
 
 def _write(args, doc, render) -> int:
@@ -234,9 +235,7 @@ def cmd_commensurable(args) -> int:
     from .deformation import solve_fillings
 
     sig = cx.XkSignature(args.k)
-    gk = sig.gk
-    sets = [[None if s is None else (s.p, s.q) for s in _parse_slope_set(text, args.k)] for text in args.sets]
-    points = solve_fillings(gk, [_spec_or_error(FillingSpec.from_pairs, gk.k, pairs) for pairs in sets])
+    points = solve_fillings(sig.gk, [_spec_or_error(_set_spec, text, args.k) for text in args.sets])
     # the first set that fails, in input order, fails the command
     for x in points:
         if isinstance(x, Exception):

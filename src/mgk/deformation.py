@@ -805,18 +805,21 @@ def tangent_spectrum(sig: GKSignature):
     return basis, jb, np.sort(np.concatenate([np.tile(sv[0], k - 1), sv[1], np.zeros(2 * k)]))[::-1]
 
 
+@functools.lru_cache(maxsize=_COMPLETE_CACHE)
 def varsigma_derivatives(sig: GKSignature) -> Tuple[np.ndarray, np.ndarray]:
     """First and second derivative vectors at t=0 of the distinguished
     curve through the complete solution (normalization: the second
     derivatives of coordinates 0 and 6 agree), supported on the first
     cusp block: the `_tangent_block` of (x1, x2) = (2 sin(alpha_bar),
     -sin(alpha_bar)) and its curvature (`_curvature_blocks`), which keeps
-    x_2 = x_3 and x_1 = x_7 as the curve does."""
+    x_2 = x_3 and x_1 = x_7 as the curve does.  Cached per signature as
+    `solve_complete` is, so both vectors are read-only."""
     cs = solve_complete(sig)
     s = math.sin(cs.alpha_bar)
     first, second = np.zeros((2, len(cs.x0)))
     first[:12] = _tangent_block(cs.cot_scale, 2.0 * s, -s).ravel()
     second[:12] = np.array([4.0 * s * s, -2.0 * s * s, s * s]) @ cs.curvature
+    first.flags.writeable = second.flags.writeable = False
     return first, second
 
 

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,16 +12,30 @@ from mgk.hyptrig import DomainError
 from conftest import delta0_trace_second_derivative
 
 
+def mobius_A(lam: float, theta: float) -> np.ndarray:
+    """The isometry A(lam, theta) of `bt.trace_gamma`, taking the upward
+    half-geodesic at i to the half-geodesic leaving lam*i at angle theta
+    from the downward return direction; determinant one by construction.
+    The oracle of the trace's closed form, with its refusals."""
+    if not lam > 1.0:
+        raise DomainError("lambda=%r must exceed 1" % lam)
+    if not 0.0 < theta < 2.0 * math.pi:
+        raise DomainError("theta=%r outside (0, 2*pi)" % theta)
+    rl = math.sqrt(lam)
+    s, c = math.sin(theta / 2.0), math.cos(theta / 2.0)
+    return np.array([[rl * s, -rl * c], [c / rl, s / rl]])
+
+
 def test_mobius_determinant_one():
     rng = np.random.default_rng(5)
     for _ in range(20):
         lam = 1.0 + rng.uniform(0.01, 30.0)
         th = rng.uniform(1e-3, 2 * math.pi - 1e-3)
-        assert abs(np.linalg.det(bt.mobius_A(lam, th)) - 1.0) < 1e-12
+        assert abs(np.linalg.det(mobius_A(lam, th)) - 1.0) < 1e-12
 
 
 def test_mobius_half_turn_is_diagonal():
-    m = bt.mobius_A(4.0, math.pi)
+    m = mobius_A(4.0, math.pi)
     assert np.allclose(m, [[2.0, 0.0], [0.0, 0.5]])
 
 
@@ -28,7 +43,7 @@ def test_mobius_geometric_action():
     # A(lam, theta) sends i to lam*i and turns by theta there, measured
     # from the return direction toward i
     lam, theta = 3.7, 2.2
-    m = bt.mobius_A(lam, theta)
+    m = mobius_A(lam, theta)
     z = complex(0.0, 1.0)
     image = (m[0, 0] * z + m[0, 1]) / (m[1, 0] * z + m[1, 1])
     assert abs(image - lam * 1j) < 1e-12
@@ -39,9 +54,36 @@ def test_mobius_geometric_action():
 
 def test_mobius_domain():
     with pytest.raises(DomainError):
-        bt.mobius_A(0.9, 1.0)
+        mobius_A(0.9, 1.0)
     with pytest.raises(DomainError):
-        bt.mobius_A(2.0, 0.0)
+        mobius_A(2.0, 0.0)
+
+
+def test_trace_gamma_is_the_trace_of_the_matrix_product():
+    # the closed form against tr(A(lam, eta) A(lam, zeta)) over a seeded
+    # grid, within 8 ulps of its two terms' magnitudes: where the terms
+    # cancel, no order of the same products keeps more
+    rng = np.random.default_rng(41)
+    for _ in range(2000):
+        lam = 1.0 + rng.uniform(1e-3, 50.0)
+        eta, zeta = rng.uniform(1e-3, 2 * math.pi - 1e-3, 2)
+        m = mobius_A(lam, eta) @ mobius_A(lam, zeta)
+        e, z = eta / 2.0, zeta / 2.0
+        scale = (lam + 1.0 / lam) * abs(math.sin(e) * math.sin(z)) + 2.0 * abs(math.cos(e) * math.cos(z))
+        assert abs(bt.trace_gamma(lam, eta, zeta) - (m[0, 0] + m[1, 1])) <= 8.0 * np.finfo(float).eps * scale
+
+
+@pytest.mark.parametrize(
+    "lam, eta, zeta",
+    [(0.9, 1.0, 2.0), (1.0, 1.0, 2.0), (math.nan, 1.0, 2.0), (2.0, 0.0, 2.0), (2.0, 1.0, 2.0 * math.pi),
+     (2.0, -1.0, 7.0), (2.0, math.nan, 2.0)],
+)
+def test_trace_gamma_refuses_what_mobius_refuses(lam, eta, zeta):
+    # the DomainError, and its message, of the first factor the oracle refuses
+    with pytest.raises(DomainError) as want:
+        mobius_A(lam, eta) @ mobius_A(lam, zeta)
+    with pytest.raises(DomainError, match="^%s$" % re.escape(str(want.value))):
+        bt.trace_gamma(lam, eta, zeta)
 
 
 def test_trace_symmetric_in_angles():

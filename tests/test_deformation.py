@@ -412,6 +412,17 @@ def test_varsigma_first_derivative_block_sums():
     assert np.linalg.norm(B.T @ coeffs - first) < 1e-12
 
 
+def test_varsigma_derivatives_are_kept_per_signature(cold_cache):
+    # one read-only pair per signature, the same bits as a fresh build
+    sig = GKSignature(3, 2)
+    pair = varsigma_derivatives(sig)
+    assert varsigma_derivatives(GKSignature(3, 2)) is pair
+    assert not any(v.flags.writeable for v in pair)
+    varsigma_derivatives.cache_clear()
+    fresh = varsigma_derivatives(sig)
+    assert fresh is not pair and all(a.tobytes() == b.tobytes() for a, b in zip(pair, fresh))
+
+
 def test_varsigma_numeric_second_derivative():
     sig = GKSignature(2, 1)
     first, second = varsigma_derivatives(sig)

@@ -606,6 +606,18 @@ def test_cli_commensurable_overflow_is_an_input_error(capsys):
     assert out == "" and err.startswith("input error") and "no finite slope length" in err
 
 
+@pytest.mark.parametrize(
+    "sets, reason",
+    [(["2/1@1", "5/x@2"], "threshold sqrt(7)"), (["5/x@2", "2/1@1"], "cannot parse slope '5/x'")],
+)
+def test_cli_commensurable_fails_with_the_first_failing_set(capsys, sets, reason):
+    # a set that does not parse keeps its place: the first failing set in
+    # input order fails the command, whether it fails to parse or to solve
+    code, out, err = run(capsys, ["commensurable", "--k", "3", *sets])
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("input error: ") and reason in err
+
+
 def test_cli_similar_takes_slopes_of_any_size(capsys):
     # similar compares exact integers and never needs a float
     code, out, _ = run(capsys, ["similar", "--k", "1", _HUGE, _HUGE])
