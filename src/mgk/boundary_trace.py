@@ -14,7 +14,7 @@ covered here.
 import math
 from dataclasses import dataclass
 
-from .deformation import GKSignature, edge_cosh, solve_complete, varsigma_derivatives
+from .deformation import GKSignature, edge_cosh, solve_complete
 from .hyptrig import DomainError
 
 
@@ -99,7 +99,7 @@ def varsigma_trace_data(sig: GKSignature, delta: int, r0: float) -> TraceInput:
     # boundary edge length: arccosh(cos(beta)/(1-cos(beta))); the compact
     # edge (return path) is the hexagon-rule composition of three of them
     lam = math.exp(math.acosh(edge_cosh(cs.beta_bar)))
-    _, second = varsigma_derivatives(sig)
+    _, second = cs.varsigma
     eta_dd = second[2] + second[8]
     zeta_dd = -eta_dd if delta == 0 else 0.0
     return TraceInput(lam, 2.0 * a, 4.0 * a + delta * 2.0 * a + r0, eta_dd, zeta_dd, delta)

@@ -303,7 +303,7 @@ def cmd_trace(args) -> int:
     if args.grid is not None and not math.isfinite(args.grid_max):
         raise DomainError("--grid-max must be finite, got %r" % args.grid_max)
     rows = []
-    r0_values = [args.r0] if args.grid is None else list(np.linspace(0.1, args.grid_max, args.grid))
+    r0_values = [args.r0] if args.grid is None else np.linspace(0.1, args.grid_max, args.grid).tolist()
     for r0 in r0_values:
         try:
             data = bt.varsigma_trace_data(sig, args.delta, r0)

@@ -37,7 +37,8 @@ tangent and curvature (`_complete_jet`, with no linear solve).  Its
 first step is one Newton solve at s = 1 from x0 + x' + x''/2; the first
 steps of a batch are one stacked solve.  `solve_complete` solves each
 signature's complete solution once per process, and an LRU cache of 128
-signatures keeps it, with a read-only x0 and the jet's constants.
+signatures keeps it, with a read-only x0, the jet's constants and the
+distinguished curve's derivative vectors: the one per-signature cache.
 
 Newton works on the square system: the structure rows plus two cusp
 rows per cusp (Re, Im of p*u + q*v - 2*pi*i filled, of u complete).
@@ -157,7 +158,8 @@ def check_coords(sig: GKSignature, x: np.ndarray) -> np.ndarray:
 class CompleteSolution:
     """The complete structure that `solve_complete` certified, with the
     jet's constants: cot_scale, t = sqrt(3) cot(alpha_bar) of
-    `_tangent_block`, and curvature, the `_curvature_blocks`.  One object
+    `_tangent_block`, and curvature, the `_curvature_blocks`; and varsigma,
+    the distinguished curve's pair of `varsigma_derivatives`.  One object
     serves every caller, so its arrays are read-only."""
 
     alpha_bar: float
@@ -165,9 +167,10 @@ class CompleteSolution:
     x0: np.ndarray
     cot_scale: float
     curvature: np.ndarray
+    varsigma: Tuple[np.ndarray, np.ndarray]
 
 
-# more than fill_batch's 38 signatures; about 7 kB each at k = 64
+# more than fill_batch's 38 signatures; about 19 kB each at k = 64
 _COMPLETE_CACHE = 128
 
 
@@ -190,9 +193,10 @@ def solve_complete(sig: GKSignature) -> CompleteSolution:
     from it falls onto the root from the right, with no safeguard.
 
     Solved once per process per signature: an LRU cache of 128 signatures
-    (`_COMPLETE_CACHE`) keeps the result, whose x0 is read-only, and hands a
-    repeated call the same object, with no solve and no gate.  A gate's
-    ConvergenceError is not kept: each call raises it anew.
+    (`_COMPLETE_CACHE`) keeps the result, whose arrays are read-only, and
+    hands a repeated call the same object, with no solve and no gate.  It
+    is the one per-signature cache: `cache_clear()` empties all of them.
+    A gate's ConvergenceError is not kept: each call raises it anew.
     """
     k, m = sig.k, sig.g - sig.k
     r3 = math.sqrt(3.0)
@@ -216,9 +220,13 @@ def solve_complete(sig: GKSignature) -> CompleteSolution:
         raise ConvergenceError("complete solution residual %g" % norm, norm)
     if not (a < b < 2.0 * a <= math.pi / 3.0 + 1e-15):
         raise ConvergenceError("complete solution violates the angle inequalities")
-    curvature = _curvature_blocks(a)
-    x0.flags.writeable = curvature.flags.writeable = False
-    return CompleteSolution(a, b, x0, r3 * math.cos(a) / math.sin(a), curvature)
+    t, s, curvature = r3 * math.cos(a) / math.sin(a), math.sin(a), _curvature_blocks(a)
+    # the distinguished curve, supported on the first cusp block
+    varsigma = np.zeros((2, sig.n_coords))
+    varsigma[0, :12] = _tangent_block(t, 2.0 * s, -s).ravel()
+    varsigma[1, :12] = np.array([4.0 * s * s, -2.0 * s * s, s * s]) @ curvature
+    x0.flags.writeable = curvature.flags.writeable = varsigma.flags.writeable = False
+    return CompleteSolution(a, b, x0, t, curvature, tuple(varsigma))
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +308,8 @@ def _evaluate(sig: GKSignature, x: np.ndarray, rows):
     R[:, :6] = (cl[:, 0] * cl[:, 1] + cl[:, 2]) / den
     R[:, 8:10] = prods[:, :2] - prods[:, 1:]
     r = np.empty((n_pts, 12 * k + 1))
+    # the gather is apex-major, strides (8, 8Nk, 8), so a.sum() adds apex by apex;
+    # a C-contiguous (N, 6k) row sum, as batch-invariant, gives other bits (ROADMAP)
     for i, (b, a) in enumerate(zip(beta, xb[:, _ALPHA_COLS].reshape(n_pts, k, 6, 1))):
         R[k * i:k * i + k, :6] -= edge_cosh(b)
         r[i, -1] = 6.0 * (sig.g - k) * b + a.sum() - 2.0 * math.pi
@@ -805,22 +815,15 @@ def tangent_spectrum(sig: GKSignature):
     return basis, jb, np.sort(np.concatenate([np.tile(sv[0], k - 1), sv[1], np.zeros(2 * k)]))[::-1]
 
 
-@functools.lru_cache(maxsize=_COMPLETE_CACHE)
 def varsigma_derivatives(sig: GKSignature) -> Tuple[np.ndarray, np.ndarray]:
     """First and second derivative vectors at t=0 of the distinguished
     curve through the complete solution (normalization: the second
     derivatives of coordinates 0 and 6 agree), supported on the first
     cusp block: the `_tangent_block` of (x1, x2) = (2 sin(alpha_bar),
     -sin(alpha_bar)) and its curvature (`_curvature_blocks`), which keeps
-    x_2 = x_3 and x_1 = x_7 as the curve does.  Cached per signature as
-    `solve_complete` is, so both vectors are read-only."""
-    cs = solve_complete(sig)
-    s = math.sin(cs.alpha_bar)
-    first, second = np.zeros((2, len(cs.x0)))
-    first[:12] = _tangent_block(cs.cot_scale, 2.0 * s, -s).ravel()
-    second[:12] = np.array([4.0 * s * s, -2.0 * s * s, s * s]) @ cs.curvature
-    first.flags.writeable = second.flags.writeable = False
-    return first, second
+    x_2 = x_3 and x_1 = x_7 as the curve does.  They are the read-only
+    pair `varsigma` of the signature's `solve_complete` record."""
+    return solve_complete(sig).varsigma
 
 
 def varsigma_point(sig: GKSignature, t: float) -> np.ndarray:
@@ -836,7 +839,7 @@ def varsigma_point(sig: GKSignature, t: float) -> np.ndarray:
     cusp 0, x_2 - x_3 and the pin; on cusp c >= 1, alpha_0 - alpha_1 and
     alpha_1 - alpha_2 of its first tetrahedron."""
     cs = solve_complete(sig)
-    first, second = varsigma_derivatives(sig)
+    first, second = cs.varsigma
     L, S, o = _linear_rows([None] * sig.k)
     L[:, 10:12], S[:, 10:12], o[:, 10:12] = 0.0, 0.0, 0.0
     L[0, 10, 1:3] = L[1:, 11, 1:3] = L[1:, 10, 0:2] = (1.0, -1.0)

@@ -8,7 +8,14 @@ cusp's slope within its `coefficients_error`.
 How often the one stacked Newton solve fails and the path goes on from
 s = 1/2 is set by rounding, not by the range: it is recorded per seed,
 not asserted, as the property `failed_first_steps` (written by
-`pytest --junitxml=FILE -o junit_family=xunit1`; CI prints its sum)."""
+`pytest --junitxml=FILE -o junit_family=xunit1`; CI prints its sum).
+
+Beside it, 60 seeded lists shaped as the benchmark's fill_batch (k <= 4,
+g <= 12, each cusp unfilled or on a slope of squared length 7-49) must
+solve, and how many stop with a final residual above 1e-12, well inside
+the 1e-10 gate, is recorded the same way as
+`batch_residuals_above_1e-12`: digits of u and v that the report prints
+in full rest on that residual (ROADMAP item 12)."""
 
 import math
 
@@ -59,3 +66,37 @@ def test_every_cusp_filling_in_the_declared_range(monkeypatch, record_property, 
                 off = min(max(abs(pc - p), abs(qc - q)), max(abs(pc + p), abs(qc + q)))
                 assert off <= err, (g, k, p, q, pc, qc, err)
     record_property("failed_first_steps", failed_first)
+
+
+
+# every primitive sign-form slope of squared length 7-49, the benchmark's
+# fill_batch slopes
+BATCH_SLOPES = [
+    (p, q) for p in range(12) for q in range(-11, 12)
+    if (p > 0 or q == 1) and math.gcd(p, q) == 1 and 7 <= p * p - p * q + q * q <= 49
+]
+BATCH_SIGNATURES = [(g, k) for k in range(1, 5) for g in range(k + 1, 13)]
+
+
+def draw_batch_list(rng, k):
+    """k cusps, each unfilled with probability 1/3 or on a random slope of
+    `BATCH_SLOPES`, at least one filled, as the benchmark draws them."""
+    pairs = [None if rng.random() < 1 / 3 else BATCH_SLOPES[rng.integers(len(BATCH_SLOPES))] for _ in range(k)]
+    if all(pq is None for pq in pairs):
+        pairs[rng.integers(k)] = BATCH_SLOPES[rng.integers(len(BATCH_SLOPES))]
+    return pairs
+
+
+def test_fill_batch_shaped_lists_and_their_final_residuals(record_property):
+    # 15 batches of 4 lists, one seeded generator
+    rng = np.random.default_rng(1)
+    above = 0
+    for _ in range(15):
+        g, k = BATCH_SIGNATURES[rng.integers(len(BATCH_SIGNATURES))]
+        lists = [draw_batch_list(rng, k) for _ in range(4)]
+        records = []
+        solve_fillings(GKSignature(g, k), [FillingSpec.from_pairs(k, pairs) for pairs in lists], out=records)
+        for pairs, rec in zip(lists, records):
+            assert not isinstance(rec.x, Exception), (g, k, pairs, rec.x)
+            above += float(np.abs(rec.residual).max()) > 1e-12
+    record_property("batch_residuals_above_1e-12", above)

@@ -413,12 +413,16 @@ def test_varsigma_first_derivative_block_sums():
 
 
 def test_varsigma_derivatives_are_kept_per_signature(cold_cache):
-    # one read-only pair per signature, the same bits as a fresh build
+    # the read-only pair of the signature's one cached record, with the
+    # same bits as a fresh build after that cache is emptied
     sig = GKSignature(3, 2)
     pair = varsigma_derivatives(sig)
+    assert pair is solve_complete(GKSignature(3, 2)).varsigma
     assert varsigma_derivatives(GKSignature(3, 2)) is pair
-    assert not any(v.flags.writeable for v in pair)
-    varsigma_derivatives.cache_clear()
+    for v in pair:
+        with pytest.raises(ValueError):
+            v[0] = 1.0
+    solve_complete.cache_clear()
     fresh = varsigma_derivatives(sig)
     assert fresh is not pair and all(a.tobytes() == b.tobytes() for a, b in zip(pair, fresh))
 
