@@ -195,7 +195,7 @@ def solve_complete(sig: GKSignature) -> CompleteSolution:
     Solved once per process per signature: an LRU cache of 128 signatures
     (`_COMPLETE_CACHE`) keeps the result, whose arrays are read-only, and
     hands a repeated call the same object, with no solve and no gate.  It
-    is the one per-signature cache: `cache_clear()` empties all of them.
+    is the process's one per-signature cache: `cache_clear()` empties it.
     A gate's ConvergenceError is not kept: each call raises it anew.
     """
     k, m = sig.k, sig.g - sig.k
@@ -309,7 +309,7 @@ def _evaluate(sig: GKSignature, x: np.ndarray, rows):
     R[:, 8:10] = prods[:, :2] - prods[:, 1:]
     r = np.empty((n_pts, 12 * k + 1))
     # the gather is apex-major, strides (8, 8Nk, 8), so a.sum() adds apex by apex;
-    # a C-contiguous (N, 6k) row sum, as batch-invariant, gives other bits (ROADMAP)
+    # a row sum of a C-contiguous (N, 6k) copy is batch-invariant but changes bits
     for i, (b, a) in enumerate(zip(beta, xb[:, _ALPHA_COLS].reshape(n_pts, k, 6, 1))):
         R[k * i:k * i + k, :6] -= edge_cosh(b)
         r[i, -1] = 6.0 * (sig.g - k) * b + a.sum() - 2.0 * math.pi

@@ -14,8 +14,8 @@ Beside it, 60 seeded lists shaped as the benchmark's fill_batch (k <= 4,
 g <= 12, each cusp unfilled or on a slope of squared length 7-49) must
 solve, and how many stop with a final residual above 1e-12, well inside
 the 1e-10 gate, is recorded the same way as
-`batch_residuals_above_1e-12`: digits of u and v that the report prints
-in full rest on that residual (ROADMAP item 12)."""
+`batch_residuals_above_1e-12`: the last digits of u and v that the JSON
+report prints rest on that residual."""
 
 import math
 
@@ -66,7 +66,6 @@ def test_every_cusp_filling_in_the_declared_range(monkeypatch, record_property, 
                 off = min(max(abs(pc - p), abs(qc - q)), max(abs(pc + p), abs(qc + q)))
                 assert off <= err, (g, k, p, q, pc, qc, err)
     record_property("failed_first_steps", failed_first)
-
 
 
 # every primitive sign-form slope of squared length 7-49, the benchmark's
