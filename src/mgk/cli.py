@@ -34,10 +34,12 @@ Each of the other commands imports the modules it uses (`deformation`,
 errors that `main` maps to exit codes are those of `hyptrig` and
 MemoryError.  The commands do no linear algebra themselves: `tangent`
 writes what `deformation.tangent_spectrum` computes, `fill` hands the
-solver's records to the report, whose gate reads their structure rows
-through `deformation`, and `trace` reads each r0 of its grid from
-`boundary_trace.varsigma_trace_data` on the complete structure and the
-curve's derivatives, both cached per signature.
+solver's records, all-unfilled lists' too, to `report.build_reports`,
+whose gate reads only their residual vectors, `complete` hands its point
+to `report.build_report`, the gate of a bare point, and `trace` reads
+each r0 of its grid from `boundary_trace.varsigma_trace_data` on the
+complete structure and the curve's derivatives, both cached per
+signature.
 """
 
 import argparse
@@ -154,7 +156,8 @@ def cmd_fill(args) -> int:
     coeffs = [c.strip() for c in args.coeffs.split(";")] if args.batch else [args.coeffs]
     specs = [_spec_or_error(FillingSpec.parse, c, sig.k) for c in coeffs]
     records = []
-    reports = build_reports(sig, specs, solve_fillings(sig, specs, out=records), records)
+    solve_fillings(sig, specs, out=records)
+    reports = build_reports(sig, specs, records)
     if not args.batch:
         (rep,) = reports
         if isinstance(rep, Exception):

@@ -58,13 +58,14 @@ at once, the fillings of a batch: a step is one batched solve of the
 N k 12x12 blocks with two right-hand sides (the residual and the border
 column) and then one scalar Schur complement for each point's beta,
 O(Nk) work instead of the O(k^3) of each dense (12k+1)^2 system.  Each
-point gets the same floating-point results as when it is solved alone;
-`residuals` takes such a stack of points too.  `jacobian` scatters the
-same entries into the dense (10k+1) x (12k+1) public form.  No other
-module reads this system: `tangent_spectrum` gives `mgk tangent` its
-numbers from one cusp's block, `_structure_rows` gives the report the
-structure rows of a solver record's residual, and `correction` gives
-`commensurability_xk` the next Newton step at a point.
+point gets the same floating-point results as when it is solved alone.
+`residuals` reads the structure rows of one point, and `jacobian`
+scatters the same entries into the dense (10k+1) x (12k+1) public form.
+No other module reads this system: `tangent_spectrum` gives `mgk
+tangent` its numbers from one cusp's block, `_structure_rows` gives the
+report the structure rows of a solver record's residual, and
+`correction` gives `commensurability_xk` the next Newton step at a
+point.
 """
 
 import functools
@@ -158,9 +159,11 @@ def check_coords(sig: GKSignature, x: np.ndarray) -> np.ndarray:
 class CompleteSolution:
     """The complete structure that `solve_complete` certified, with the
     jet's constants: cot_scale, t = sqrt(3) cot(alpha_bar) of
-    `_tangent_block`, and curvature, the `_curvature_blocks`; and varsigma,
-    the distinguished curve's pair of `varsigma_derivatives`.  One object
-    serves every caller, so its arrays are read-only."""
+    `_tangent_block`, and curvature, the `_curvature_blocks`; varsigma,
+    the distinguished curve's pair of `varsigma_derivatives`; and residual,
+    the 12k+1 residuals (block order, cusp rows of u = 0) at x0 that
+    certified it.  One object serves every caller, so its arrays are
+    read-only."""
 
     alpha_bar: float
     beta_bar: float
@@ -168,9 +171,10 @@ class CompleteSolution:
     cot_scale: float
     curvature: np.ndarray
     varsigma: Tuple[np.ndarray, np.ndarray]
+    residual: np.ndarray
 
 
-# more than fill_batch's 38 signatures; about 19 kB each at k = 64
+# more than fill_batch's 38 signatures; about 25 kB each at k = 64
 _COMPLETE_CACHE = 128
 
 
@@ -196,7 +200,8 @@ def solve_complete(sig: GKSignature) -> CompleteSolution:
     (`_COMPLETE_CACHE`) keeps the result, whose arrays are read-only, and
     hands a repeated call the same object, with no solve and no gate.  It
     is the process's one per-signature cache: `cache_clear()` empties it.
-    A gate's ConvergenceError is not kept: each call raises it anew.
+    The gate reads the structure rows of one kernel evaluation at x0, kept
+    as `residual`; its ConvergenceError is not kept: each call raises it anew.
     """
     k, m = sig.k, sig.g - sig.k
     r3 = math.sqrt(3.0)
@@ -211,10 +216,9 @@ def solve_complete(sig: GKSignature) -> CompleteSolution:
         b -= step
     x0 = np.full(sig.n_coords, b)
     angle_blocks(x0)[:] = [[a, a, a], [math.pi / 3.0] * 3]
-    # the structure rows: every cusp block of x0 is the same block, so rows
-    # 0-9 of the last one stand for all k, beside the total angle
-    r, _ = _evaluate(GKSignature(sig.g - k + 1, 1), x0[None, -13:], _COMPLETE_ROWS)
-    norm = max(float(np.abs(r[0, :10]).max()), abs(6.0 * k * a + 6.0 * m * b - 2.0 * math.pi))
+    # the structure rows are gated, the cusp rows of u = 0 are not
+    (r,), _ = _evaluate(sig, x0[None], _linear_rows([None] * k))
+    norm = float(np.abs(_structure_rows(r, k)).max())
     # the length rows cannot beat the evaluation noise of their own scale
     if norm > max(1e-12, 64.0 * _EPS * abs(edge_cosh(b))):
         raise ConvergenceError("complete solution residual %g" % norm, norm)
@@ -225,8 +229,8 @@ def solve_complete(sig: GKSignature) -> CompleteSolution:
     varsigma = np.zeros((2, sig.n_coords))
     varsigma[0, :12] = _tangent_block(t, 2.0 * s, -s).ravel()
     varsigma[1, :12] = np.array([4.0 * s * s, -2.0 * s * s, s * s]) @ curvature
-    x0.flags.writeable = curvature.flags.writeable = varsigma.flags.writeable = False
-    return CompleteSolution(a, b, x0, t, curvature, tuple(varsigma))
+    x0.flags.writeable = curvature.flags.writeable = varsigma.flags.writeable = r.flags.writeable = False
+    return CompleteSolution(a, b, x0, t, curvature, tuple(varsigma), r)
 
 
 # ---------------------------------------------------------------------------
@@ -281,9 +285,6 @@ def _linear_rows(targets):
     L[:, 11, 3:6], L[:, 11, 9:12] = lv, -lv
     o[:, 11] = 2.0 * math.pi * filled
     return L, S, o
-
-
-_COMPLETE_ROWS = _linear_rows([None])
 
 
 def _evaluate(sig: GKSignature, x: np.ndarray, rows):
@@ -355,18 +356,10 @@ def _dense(sig: GKSignature, A: np.ndarray, dbeta: float) -> np.ndarray:
 
 
 def residuals(sig: GKSignature, x) -> np.ndarray:
-    """The 10k+1 structure residuals at x (layout in the module docstring),
-    or the (N, 10k+1) residuals of N points x of shape (N, 12k+1), each
-    with the bits it gets alone.  An empty stack, of shape (0, 12k+1),
-    gives an empty (0, 10k+1) array."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 2 and not len(x):
-        if x.shape[1] != sig.n_coords:
-            raise DomainError("expected %d coordinates, got %r" % (sig.n_coords, x.shape[1:]))
-        return np.empty((0, sig.n_residuals))
-    pts = np.array([check_coords(sig, p) for p in x]) if x.ndim == 2 else check_coords(sig, x)[None]
-    r, _ = _evaluate(sig, pts, _linear_rows([None] * sig.k * len(pts)))
-    return _structure_rows(r.T, sig.k).T.reshape(x.shape[:-1] + (sig.n_residuals,))
+    """The 10k+1 structure residuals at the point x (layout in the module
+    docstring)."""
+    (r,), _ = _evaluate(sig, check_coords(sig, x)[None], _linear_rows([None] * sig.k))
+    return _structure_rows(r, sig.k)
 
 
 def jacobian(sig: GKSignature, x) -> np.ndarray:
@@ -569,8 +562,9 @@ def _cusp_count_error(sig: GKSignature, spec: FillingSpec) -> Optional[DomainErr
 @dataclass
 class Solved:
     """One spec's record from `solve_fillings`: x, the solution or error it
-    returns, and the residual vector (block order) of `_newton`'s evaluation
-    at x, None where no Newton ran (every cusp unfilled) or the spec failed."""
+    returns, and the residual vector (block order) at x: that of `_newton`'s
+    last evaluation, or for a spec with every cusp unfilled the read-only
+    `CompleteSolution.residual`.  It is None exactly when x is an error."""
 
     x: object
     residual: Optional[np.ndarray] = None
@@ -610,7 +604,7 @@ def solve_fillings(sig: GKSignature, specs: Sequence[FillingSpec], *, out: Optio
     filled = []
     for i, spec in todo:
         if not spec.filled_count:
-            records[i] = Solved(cs.x0.copy())
+            records[i] = Solved(cs.x0.copy(), cs.residual)
             continue
         pq = max(filter(None, spec.pairs), key=lambda s: abs(s[0]) + abs(s[1]))
         cusp_floor, length_floor = (abs(pq[0]) + abs(pq[1])) * _EPS, edge_cosh(cs.beta_bar) * _EPS

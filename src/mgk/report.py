@@ -3,10 +3,10 @@ a document of the stable versioned JSON schema `mgk/1`.  The document
 is the report's only model: `report_to_json` writes it as JSON and
 `report_to_text` as the text report.
 
-`build_reports` reports the solved points of one signature together, as
-`deformation.solve_fillings` solves them: the gate reads the solver's
-final residual of each point that has one, one stacked residual
-evaluation gates the others, and a refused point is its own error.
+`build_report` gates a bare point on its `residuals`.  `build_reports`
+reports the records of one signature that `deformation.solve_fillings`
+hands out, each gated on its own residual vector with no evaluation, and
+a refused record is its own error.
 `to_json` and `SCHEMA` are those of `jsontext`, the standard-library
 writer of every JSON document of the package, re-exported here."""
 
@@ -29,47 +29,32 @@ RESIDUAL_TOL = 1e-9
 
 
 def build_report(sig: GKSignature, spec: FillingSpec, x: np.ndarray) -> dict:
-    """The `mgk/1` document of a solved structure, its invariant panel.
-    Refuses to report anything whose residual norm is not below
-    RESIDUAL_TOL.  This is `build_reports` on the one structure."""
-    (rep,) = build_reports(sig, [spec], [x])
-    if isinstance(rep, Exception):
-        raise rep
-    return rep
-
-
-def build_reports(sig: GKSignature, specs: Sequence[FillingSpec], xs, records=None) -> list:
-    """`build_report` for each pair of `specs` and solved points `xs` of
-    one signature.  Returns, per pair, the document or the DomainError
-    that refuses it: a point that is not a coordinate vector, one whose
-    residual norm is not below RESIDUAL_TOL, a spec whose cusp count is
+    """The `mgk/1` document of the point x of `spec`, its invariant panel:
+    the one gate of a bare point.  Raises the DomainError of a point that
+    is not a coordinate vector, one whose residual norm, the max of
+    `residuals` at x, is not below RESIDUAL_TOL, a spec whose cusp count is
     not k, or a panel entry undefined at the point (such as the core
-    length of a filled cusp that is complete).  An entry of `xs` that is
-    an error, as `solve_fillings` returns for a spec it could not solve,
-    is its own result.  A point whose record in `records` (its
-    `deformation.Solved` from `solve_fillings`) has a residual is gated on
-    the max of its structure rows (`_structure_rows`), which is the max of
-    `residuals` at x, bit for bit.  One stacked `residuals` evaluation
-    gates the other points."""
-    norms = {i: float(np.abs(_structure_rows(rec.residual, sig.k)).max())
-             for i, rec in enumerate(records or ()) if rec.residual is not None}
+    length of a filled cusp that is complete)."""
+    x = check_coords(sig, x)
+    return _panel(sig, spec, x, float(np.abs(residuals(sig, x)).max()))
+
+
+def build_reports(sig: GKSignature, specs: Sequence[FillingSpec], records) -> list:
+    """`build_report` for each spec and its `deformation.Solved` record from
+    `solve_fillings`, of the same length.  Returns, per pair, the document
+    or the DomainError that refuses it.  A record whose x is an error is
+    its own result.  The others are gated on the max of the structure rows
+    (`_structure_rows`) of the record's residual, which is the max of
+    `residuals` at x, bit for bit."""
     out = []
-    for i, x in enumerate(xs):
-        try:
-            out.append(x if i in norms or isinstance(x, Exception) else check_coords(sig, x))
-        except DomainError as exc:
-            out.append(exc)
-    ok = [i for i, x in enumerate(out) if not (isinstance(x, Exception) or i in norms)]
-    if ok:
-        norms.update(zip(ok, np.abs(residuals(sig, np.array([out[i] for i in ok]))).max(axis=1).tolist()))
-    for i, res in norms.items():
-        if res < RESIDUAL_TOL:
+    for spec, rec in zip(specs, records, strict=True):
+        rep = rec.x
+        if not isinstance(rep, Exception):
             try:
-                out[i] = _panel(sig, specs[i], out[i], res)
+                rep = _panel(sig, spec, rep, float(np.abs(_structure_rows(rec.residual, sig.k)).max()))
             except DomainError as exc:
-                out[i] = exc
-        else:
-            out[i] = DomainError("residual norm %g above reporting tolerance %g" % (res, RESIDUAL_TOL))
+                rep = exc
+        out.append(rep)
     return out
 
 
@@ -79,7 +64,10 @@ def _c2j(z):
 
 def _panel(sig: GKSignature, spec: FillingSpec, x: np.ndarray, res: float) -> dict:
     """The document of the point x of `spec`, of residual norm `res`, with
-    its keys in the schema's order."""
+    its keys in the schema's order.  Refused (DomainError) unless `res` is
+    below RESIDUAL_TOL."""
+    if not res < RESIDUAL_TOL:
+        raise DomainError("residual norm %g above reporting tolerance %g" % (res, RESIDUAL_TOL))
     exc = _cusp_count_error(sig, spec)
     if exc is not None:
         raise exc

@@ -57,7 +57,7 @@ def test_every_cusp_filling_in_the_declared_range(monkeypatch, record_property, 
         xs = solve_fillings(sig, specs, out=records)
         # the first `_newton` call is the stacked first step of every list
         failed_first += sum(exc is not None for exc in calls[0][2])
-        for pairs, x, doc in zip(lists, xs, build_reports(sig, specs, xs, records)):
+        for pairs, x, doc in zip(lists, xs, build_reports(sig, specs, records)):
             assert not isinstance(x, Exception), (g, k, pairs, x)
             assert isinstance(doc, dict), (g, k, pairs, doc)
             for (p, q), cusp in zip(pairs, doc["cusps"]):

@@ -146,7 +146,7 @@ def test_solve_complete_is_solved_once_per_signature(cold_cache):
     # arrays no caller can write into
     cs = solve_complete(GKSignature(4, 2))
     assert solve_complete(GKSignature(4, 2)) is cs
-    for a in (cs.x0, cs.curvature):
+    for a in (cs.x0, cs.curvature, cs.residual):
         with pytest.raises(ValueError):
             a[0] = 1.0
     assert solve_complete.cache_info().currsize == 1
@@ -631,28 +631,28 @@ def near_complete(sig, rng, scale=1e-3):
 
 @pytest.mark.parametrize("k", [1, 3, 16])
 def test_residuals_of_a_stack_are_those_of_each_point(k):
-    # each row of a stacked evaluation has the bits of the point alone, and
-    # a point outside the box refuses the stack
+    # each row of a stacked evaluation of the kernel, the points with targets
+    # of their own, has the bits of the point evaluated alone: the stacked
+    # solver relies on it
     rng = np.random.default_rng(70 + k)
     sig = GKSignature(k + 3, k)
     x = np.array([near_complete(sig, rng) for _ in range(4)])
-    stacked = residuals(sig, x)
-    assert stacked.shape == (4, sig.n_residuals)
-    for row, point in zip(stacked, x):
-        assert row.tobytes() == residuals(sig, point).tobytes()
-    x[2, 0] = 4.0
-    with pytest.raises(DomainError):
-        residuals(sig, x)
+    targets = [mixed_targets(rng, k) for _ in x]
+    stacked, _ = deformation._evaluate(sig, x, deformation._linear_rows(sum(targets, [])))
+    assert stacked.shape == (4, sig.n_coords)
+    for row, point, ts in zip(stacked, x, targets):
+        (alone,), _ = deformation._evaluate(sig, point[None], deformation._linear_rows(ts))
+        assert row.tobytes() == alone.tobytes()
 
 
-def test_residuals_of_an_empty_stack_are_empty():
-    # as solve_fillings(sig, []) is []; an empty stack of the wrong width
-    # is refused as a point of that width is
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_residuals_refuse_a_stack_of_points(n):
+    # residuals takes one point: a stack of n points, an empty one too, is
+    # refused as a point of the wrong shape is
     sig = GKSignature(3, 2)
-    r = residuals(sig, np.zeros((0, sig.n_coords)))
-    assert r.shape == (0, sig.n_residuals) and r.dtype == float
-    with pytest.raises(DomainError, match="^expected 25 coordinates, got \\(13,\\)$"):
-        residuals(sig, np.zeros((0, 13)))
+    x = np.tile(solve_complete(sig).x0, (n, 1))
+    with pytest.raises(DomainError, match="^expected 25 coordinates, got \\(%d, 25\\)$" % n):
+        residuals(sig, x)
 
 
 @pytest.mark.parametrize("k", [1, 2, 5, 16])

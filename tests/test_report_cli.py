@@ -74,26 +74,45 @@ def test_report_refuses_bad_residual():
 def test_build_report_is_the_one_item_batch():
     sig = GKSignature(3, 2)
     spec = FillingSpec.from_pairs(2, [None, (5.0, 1.0)])
-    x = solve_filling(sig, spec)
-    assert build_report(sig, spec, x) == build_reports(sig, [spec], [x])[0]
+    records = []
+    (x,) = solve_fillings(sig, [spec], out=records)
+    assert build_report(sig, spec, x) == build_reports(sig, [spec], records)[0]
     assert build_reports(sig, [], []) == []
 
 
-def test_build_reports_refuse_per_item():
-    # a point out of the box or of the wrong length, or one off the variety,
-    # is its own error; the others report as they do alone
+def test_build_reports_refuse_specs_and_records_of_different_lengths():
+    # a plain zip would drop the unmatched specs or records without a word
+    sig = GKSignature(3, 2)
+    spec = FillingSpec.from_pairs(2, [None, (5.0, 1.0)])
+    records = []
+    solve_fillings(sig, [spec], out=records)
+    for specs, recs in (([spec] * 3, records), ([spec], records * 2), ([], records)):
+        with pytest.raises(ValueError):
+            build_reports(sig, specs, recs)
+
+
+def test_build_report_refuses_a_bare_point():
+    # a point off the variety, of the wrong length or out of the box is
+    # refused; in a batch a record above the gate is refused on its own,
+    # and the others report as they do alone
     sig = GKSignature(3, 2)
     specs = [FillingSpec.from_pairs(2, pairs) for pairs in ([None, (5.0, 1.0)], [(7.0, 2.0), None])]
-    xs = [solve_filling(sig, spec) for spec in specs]
-    bad = [xs[0] + 1e-3, np.append(xs[0], 0.5), np.full(sig.n_coords, 4.0)]
-    reps = build_reports(sig, specs + specs[:1] * 3 + specs, xs + bad + xs)
+    records = []
+    xs = solve_fillings(sig, specs * 2, out=records)
+    bad = {
+        "above reporting tolerance": xs[0] + 1e-3,
+        "expected 25 coordinates": np.append(xs[0], 0.5),
+        "(0, pi)": np.full(sig.n_coords, 4.0),
+    }
+    for text, x in bad.items():
+        with pytest.raises(DomainError) as info:
+            build_report(sig, specs[0], x)
+        assert text in str(info.value)
+    records[2] = deformation.Solved(xs[2], records[2].residual + 1e-3)
+    reps = build_reports(sig, specs * 2, records)
     assert reps[0] == build_report(sig, specs[0], xs[0])
-    assert reps[1] == build_report(sig, specs[1], xs[1])
-    assert "above reporting tolerance" in str(reps[2])
-    assert "expected 25 coordinates" in str(reps[3])
-    assert "(0, pi)" in str(reps[4])
-    assert all(isinstance(r, DomainError) for r in reps[2:5])
-    assert reps[5:] == reps[:2]
+    assert reps[1] == reps[3] == build_report(sig, specs[1], xs[1])
+    assert isinstance(reps[2], DomainError) and "above reporting tolerance" in str(reps[2])
 
 
 def test_build_reports_refuse_a_panel_or_a_spec_per_item():
@@ -103,10 +122,13 @@ def test_build_reports_refuse_a_panel_or_a_spec_per_item():
     # a truncated panel, 1 cusp and homology rank 4 at (3, 2)
     sig = GKSignature(2, 1)
     spec = FillingSpec.parse("5/1", 1)
-    x, x0 = solve_filling(sig, spec), solve_complete(sig).x0
-    reps = build_reports(sig, [spec, spec], [x, x0])
+    records = []
+    x, x0 = solve_fillings(sig, [spec, FillingSpec.unfilled(1)], out=records)
+    reps = build_reports(sig, [spec, spec], records)
     assert reps[0] == build_report(sig, spec, x)
     assert isinstance(reps[1], DomainError) and str(reps[1]).startswith("cusp 0 is unfilled")
+    with pytest.raises(DomainError, match="^cusp 0 is unfilled"):
+        build_report(sig, spec, x0)
     sig, one = GKSignature(3, 2), FillingSpec.parse("5/1", 1)
     x = solve_filling(sig, FillingSpec.parse("5/1,inf", 2))
     (solved,) = solve_fillings(sig, [one])
@@ -121,7 +143,7 @@ def test_build_reports_pass_an_error_entry_through():
     specs = [DomainError("cannot parse"), FillingSpec.parse("inf,5/1", 2)]
     records = []
     xs = solve_fillings(sig, specs, out=records)
-    reps = build_reports(sig, specs, xs, records)
+    reps = build_reports(sig, specs, records)
     assert reps[0] is specs[0] and xs[0] is specs[0]
     assert reps[1] == build_report(sig, specs[1], xs[1])
 
@@ -146,7 +168,8 @@ _LONG_SLOPES = [
 @given(data=st.data(), k=st.integers(1, 4))
 def test_solver_record_gates_the_report_as_residuals_would(data, k):
     # the gate that reads the solver's final residual is the max of
-    # `residuals` at x, bit for bit, and the documents are those without it
+    # `residuals` at x, bit for bit, and each document is that of the bare
+    # point, `build_report`
     g = data.draw(st.integers(k + 1, 12))
     pairs = st.lists(st.one_of(st.none(), st.sampled_from(_LONG_SLOPES)), min_size=k, max_size=k)
     lists = data.draw(st.lists(pairs.filter(any), min_size=1, max_size=4))
@@ -154,11 +177,11 @@ def test_solver_record_gates_the_report_as_residuals_would(data, k):
     specs = [FillingSpec.from_pairs(k, p) for p in lists]
     records = []
     xs = solve_fillings(sig, specs, out=records)
-    reps = build_reports(sig, specs, xs, records)
-    for x, rec, rep in zip(xs, records, reps):
+    reps = build_reports(sig, specs, records)
+    for spec, x, rec, rep in zip(specs, xs, records, reps):
         assert rec.x is x and rec.residual.shape == (sig.n_coords,)
         assert rep["residual_max"] == np.abs(residuals(sig, x)).max()
-    assert reps == build_reports(sig, specs, xs)
+        assert rep == build_report(sig, spec, x)
 
 
 def shift_first_record(mp, shift):
@@ -175,11 +198,12 @@ def shift_first_record(mp, shift):
 
 
 def test_cli_fill_batch_evaluates_residuals_once(monkeypatch, capsys):
-    # the reports of filled lists are gated on the solver's final residuals,
-    # with no evaluation; the points of lists with every cusp unfilled, which
-    # no Newton solved, by one stacked evaluation
+    # the reports are gated on the residuals of the solver's records, with
+    # no evaluation: a filled list's final Newton residual, and for a list
+    # with every cusp unfilled the residual that certified the complete
+    # structure
     calls, real = [], report.residuals
-    monkeypatch.setattr(report, "residuals", lambda sig, x: calls.append(len(x)) or real(sig, x))
+    monkeypatch.setattr(report, "residuals", lambda sig, x: calls.append(x) or real(sig, x))
     argv = ["--json", "fill", "--g", "5", "--k", "2", "--batch", "--coeffs", "5/1,inf;inf,3/1;7/2,2/3;3/1,8/1"]
     code, out, _ = run(capsys, argv)
     assert code == 0 and len(json.loads(out)) == 4
@@ -187,7 +211,25 @@ def test_cli_fill_batch_evaluates_residuals_once(monkeypatch, capsys):
     argv[-1] = "inf,inf;5/1,inf;inf,inf"
     code, out, _ = run(capsys, argv)
     assert code == 0 and len(json.loads(out)) == 3
-    assert calls == [2]
+    assert calls == []
+
+
+@pytest.mark.parametrize("g, k", [(2, 1), (3, 2), (9, 4), (17, 16), (200, 64)])
+def test_an_all_unfilled_list_is_the_complete_report(capsys, g, k):
+    # `fill` of a list with every cusp unfilled writes the bytes of
+    # `complete`, in text and JSON.  Its record holds the read-only residual
+    # that certified the complete structure, whose structure rows give the
+    # max of `residuals` at x0 bit for bit
+    sig, dims = GKSignature(g, k), ["--g", str(g), "--k", str(k)]
+    for fmt in ([], ["--json"]):
+        fill = run(capsys, fmt + ["fill"] + dims + ["--coeffs", ",".join(["inf"] * k)])
+        assert fill == run(capsys, fmt + ["complete"] + dims) and fill[0] == 0
+    cs, records = solve_complete(sig), []
+    (x,) = solve_fillings(sig, [FillingSpec.unfilled(k)], out=records)
+    assert x.tobytes() == cs.x0.tobytes()
+    assert records[0].residual is cs.residual and not cs.residual.flags.writeable
+    gate = np.abs(deformation._structure_rows(records[0].residual, k)).max()
+    assert gate.tobytes() == np.abs(residuals(sig, cs.x0)).max().tobytes()
 
 
 def test_cli_fill_batch_refused_report_fails_alone(monkeypatch, capsys):
