@@ -23,9 +23,10 @@ Tolerances are fixed: a report is refused above residual
 `report.RESIDUAL_TOL`, and invariants compare at
 `commensurability_xk.INVARIANT_TOL`.  `main(argv)` can be called
 repeatedly in-process; it builds its parser once per process, reads a
-well-formed argv that starts with the subcommand from the actions that
-subcommand declared (the `Action`s `add_argument` returned, by their
-public attributes), and leaves every other argv to argparse (`parse`).
+well-formed argv that starts with a subcommand whose positionals take one
+value each from the actions that subcommand declared (the `Action`s
+`add_argument` returned, by their public attributes), and leaves every
+other argv, `commensurable`'s too, to argparse (`parse`).
 
 `slopes` and `similar` answer in exact integer arithmetic
 (`slopes_symmetry`) and write with `jsontext`, so they load no numpy.
@@ -375,9 +376,11 @@ _COMMANDS = (
 @functools.cache
 def _parsers():
     """The `mgk` parser, the parsers of its subcommands by name, and per
-    subcommand what `_read_exact` reads: the actions of its option strings
-    by string, its positionals in order, and the namespace of an argv that
-    names it and sets nothing.  Built once and shared by every call:
+    subcommand whose positionals take one value each what `_read_exact`
+    reads: the actions of its option strings by string, its positionals in
+    order, and the namespace of an argv that names it and sets nothing.
+    There is no entry for `commensurable`, whose `sets` take one or more
+    values: argparse reads its argv.  Built once and shared by every call:
     callers must not mutate them."""
     ap = argparse.ArgumentParser(
         prog="mgk",
@@ -395,7 +398,8 @@ def _parsers():
         options = {opt: a for a in actions for opt in a.option_strings}
         positionals = [a for a in actions if not a.option_strings]
         defaults = {a.dest: a.default for a in top + actions if a.default != argparse.SUPPRESS}
-        tables[name] = options, positionals, {**defaults, "command": name, "func": func}
+        if all(a.nargs is None for a in positionals):
+            tables[name] = options, positionals, {**defaults, "command": name, "func": func}
     return ap, sub.choices, tables
 
 
@@ -423,46 +427,32 @@ def _read_exact(options, positionals, defaults, args):
     its entry in `_parsers` (`options`, `positionals` and `defaults`) when
     each argument after its name (`args`) is an exact option string, the
     value of one, or a positional.  A flag (nargs 0) stores its const, any
-    other option its one value.  Each run of positionals between two
-    options goes to the positionals as argparse assigns it, so an option
-    ends a `nargs="+"` one.  Raises _Unread for any other argv, and where
-    a positional or a required option is left without a value or a run
-    has more values than the positionals take."""
-    values, runs, it = {}, [[]], iter(args)
+    other option its one value, and the positionals take one value each,
+    in order, as argparse assigns them around the options.  Raises _Unread
+    for any other argv, and where a required option is left without a
+    value or the positionals are given too few or too many values."""
+    values, plain, it = {}, [], iter(args)
     for arg in it:
         if not arg.startswith("-"):
-            runs[-1].append(arg)
+            plain.append(arg)
             continue
-        runs.append([])
         action = options.get(arg)
         if action is None or action.nargs not in (0, None):
             raise _Unread
         values[action.dest] = action.const if action.nargs == 0 else _value(action, next(it, "-"))
-    unassigned = list(positionals)
-    for run in runs:
-        while run and unassigned:
-            action = unassigned.pop(0)
-            if action.nargs is None:
-                values[action.dest] = _value(action, run.pop(0))
-            elif action.nargs == "+":
-                values[action.dest] = [_value(action, arg) for arg in run]
-                run.clear()
-            else:
-                raise _Unread
-        # what no positional takes is argparse's "unrecognized arguments"
-        if run:
-            raise _Unread
-    # a missing positional is required too
-    if any(a.required and a.dest not in values for a in (*options.values(), *positionals)):
+    # a missing positional, or one too many, is argparse's error
+    if len(plain) != len(positionals) or any(a.required and a.dest not in values for a in options.values()):
         raise _Unread
+    values.update((a.dest, _value(a, text)) for a, text in zip(positionals, plain))
     return argparse.Namespace(**{**defaults, **values})
 
 
 def parse(argv) -> argparse.Namespace:
-    """`argv` as the `mgk` parser reads it.  When argv is a subcommand's
-    name followed only by that subcommand's exact option strings, their
-    values and its positionals, `_read_exact` reads it; argparse reads
-    every other argv, and reports its errors, in one full parse."""
+    """`argv` as the `mgk` parser reads it.  When argv is the name of a
+    subcommand with an entry in `_parsers` followed only by that
+    subcommand's exact option strings, their values and its positionals,
+    `_read_exact` reads it; argparse reads every other argv, and reports
+    its errors, in one full parse."""
     ap, _, tables = _parsers()
     argv = sys.argv[1:] if argv is None else list(argv)
     if argv and argv[0] in tables:

@@ -114,10 +114,6 @@ class GKSignature:
     def n_coords(self) -> int:
         return 12 * self.k + 1
 
-    @property
-    def n_residuals(self) -> int:
-        return 10 * self.k + 1
-
 
 def cusps_of(x: np.ndarray) -> int:
     k, rem = divmod(len(x) - 1, 12)

@@ -26,9 +26,10 @@ def to_json(doc) -> str:
 def _text(o, newline: str) -> str:
     """The JSON text of o, whose lines after the first start with
     `newline` (a newline and the indentation of o).  The exact types
-    float, str and int are tested first; containers, None, bool and
-    subclasses (np.float64, say) take the tests after them.  A list or
-    tuple of only floats, or of only ints, is written with one join."""
+    float, str and int are tested first; containers, None and bool take
+    the tests after them, and a subclass of str, int or float (np.float64,
+    say) is written as an exact copy of its base type.  A list or tuple of
+    only floats, or of only ints, is written with one join."""
     # the repr of a finite float has no "n"; those of nan, inf and -inf do
     t = type(o)
     if t is float:
@@ -65,13 +66,9 @@ def _text(o, newline: str) -> str:
         return "true"
     if o is False:
         return "false"
-    if isinstance(o, str):
-        return _quote(o)
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        text = float.__repr__(o)
-        if "n" in text:
-            raise DomainError(_NOT_FINITE)
-        return text
+    # a subclass as its base type, copied by the base's own slot, which
+    # ignores an override of __str__, __int__ or __float__ as json.dumps does
+    for base, copy in ((str, str.__str__), (int, int.__int__), (float, float.__float__)):
+        if isinstance(o, base):
+            return _text(copy(o), newline)
     raise TypeError("Object of type %s is not JSON serializable" % type(o).__name__)

@@ -51,7 +51,7 @@ def test_c02_dimension_of_variety():
         x0 = solve_complete(sig).x0
         n = sig.n_coords
         h = 1e-6
-        J = np.empty((sig.n_residuals, n))
+        J = np.empty((10 * k + 1, n))
         for j in range(n):
             xp, xm = x0.copy(), x0.copy()
             xp[j] += h

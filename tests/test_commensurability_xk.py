@@ -72,6 +72,18 @@ def test_abc_at_complete():
     assert abs(inv.c - expected) < 1e-12
 
 
+def test_abc_error_is_inf_where_the_correction_is_undefined(monkeypatch):
+    sig = cx.XkSignature(3)
+    x = solve_complete(sig.gk).x0
+    assert math.isfinite(cx.abc_error(x, sig))
+
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(cx, "correction", singular)
+    assert cx.abc_error(x, sig) == math.inf
+
+
 def test_abc_sum_identity():
     sig = cx.XkSignature(3)
     x = solve_filling(sig.gk, FillingSpec.from_pairs(3, [(5.0, 1.0), (8.0, 3.0), None]))

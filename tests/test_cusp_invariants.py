@@ -82,6 +82,10 @@ def test_canonicalize_modulus():
     z = complex(0.21, 1.37)
     assert abs(ci.canonicalize_modulus(z + 3) - ci.canonicalize_modulus(z)) < 1e-14
     assert abs(ci.canonicalize_modulus(-1 / z) - ci.canonicalize_modulus(z)) < 1e-14
+    # on |tau| = 1 left of the imaginary axis, -1/tau = -conj(tau) is the
+    # same lattice on the right half of the arc
+    r = math.sqrt(0.91)
+    assert abs(ci.canonicalize_modulus(complex(-0.3, r)) - complex(0.3, r)) < 1e-15
     with pytest.raises(DomainError):
         ci.canonicalize_modulus(complex(0.3, -1.0))
 

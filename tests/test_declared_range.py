@@ -10,6 +10,9 @@ s = 1/2 is set by rounding, not by the range: it is recorded per seed,
 not asserted, as the property `failed_first_steps` (written by
 `pytest --junitxml=FILE -o junit_family=xunit1`; CI prints its sum).
 
+On the same six signatures, 90 one-cusp fillings and a random witness
+each check that `sym_act` carries a solution onto its image filling's.
+
 Beside it, 60 seeded lists shaped as the benchmark's fill_batch (k <= 4,
 g <= 12, each cusp unfilled or on a slope of squared length 7-49) must
 solve, and how many stop with a final residual above 1e-12, well inside
@@ -22,10 +25,12 @@ import math
 import numpy as np
 import pytest
 
+from mgk import commensurability_xk as cx
 from mgk import deformation
 from mgk.deformation import GKSignature, solve_fillings
-from mgk.hyptrig import FillingSpec
+from mgk.hyptrig import FillingSpec, sign_form
 from mgk.report import build_reports
+from mgk.slopes_symmetry import D6Element, SlopeSetIsometry
 
 SIGNATURES = [(2, 1), (3, 2), (17, 16), (65, 64), (150, 1), (200, 64)]
 DRAWS = 10
@@ -66,6 +71,43 @@ def test_every_cusp_filling_in_the_declared_range(monkeypatch, record_property, 
                 off = min(max(abs(pc - p), abs(qc - q)), max(abs(pc + p), abs(qc + q)))
                 assert off <= err, (g, k, p, q, pc, qc, err)
     record_property("failed_first_steps", failed_first)
+
+
+def image_pair(e, p, q):
+    """(p, q) under e = r^rot s^refl on integer pairs, s first, with no
+    sign step: s: (p, q) -> (p - q, -q), r: (p, q) -> (p - q, p)."""
+    if e.refl:
+        p, q = p - q, -q
+    for _ in range(e.rot):
+        p, q = p - q, p
+    return p, q
+
+
+def test_sym_act_carries_a_filling_onto_its_image_filling():
+    # per signature 15 one-cusp fillings A, each with a random witness psi
+    # (a permutation and a D6 element per torus, reflections included): A
+    # and psi(A) are solved in one call, and sym_act(psi, x_A) is x_B once
+    # r^3 = -1 has taken each image slope that is not in sign form to the
+    # sign form that the solver fills
+    rng = np.random.default_rng(1)
+    for g, k in SIGNATURES:
+        sig = GKSignature(g, k)
+        for _ in range(15):
+            cusp = int(rng.integers(k))
+            p, q = sign_form(*draw_pairs(rng, 1)[0])
+            psi = SlopeSetIsometry(
+                tuple(rng.permutation(k).tolist()),
+                tuple(D6Element(int(rng.integers(6)), bool(rng.integers(2))) for _ in range(k)),
+            )
+            image = image_pair(psi.local[cusp], p, q)
+            a, b = [None] * k, [None] * k
+            a[cusp], b[psi.perm[cusp]] = (p, q), sign_form(*image)
+            x_a, x_b = solve_fillings(sig, [FillingSpec.from_pairs(k, a), FillingSpec.from_pairs(k, b)])
+            y = cx.sym_act(psi, x_a)
+            if sign_form(*image) != image:
+                for _ in range(3):
+                    y = cx.phi_r(y, psi.perm[cusp])
+            assert np.abs(y - x_b).max() <= 1e-13, (g, k, cusp, p, q, psi)
 
 
 # every primitive sign-form slope of squared length 7-49, the benchmark's

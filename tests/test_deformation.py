@@ -55,7 +55,8 @@ def test_signature_validation():
     with pytest.raises(DomainError):
         GKSignature(3, 0)
     assert GKSignature(2, 1).n_coords == 13
-    assert GKSignature(3, 2).n_residuals == 21
+    sig = GKSignature(3, 2)
+    assert residuals(sig, solve_complete(sig).x0).shape == (21,)
 
 
 @pytest.mark.parametrize("g, k", [(2, True), (True, 1), (3, np.int64(2)), (2.0, 1)])
@@ -73,6 +74,12 @@ def test_signature_refuses_a_k_whose_point_numpy_cannot_size():
     assert GKSignature(k + 1, k).n_coords == 12 * k + 1
     with pytest.raises(DomainError, match="^request too large for memory$"):
         GKSignature(k + 2, k + 1)
+
+
+@pytest.mark.parametrize("n", [12, 1])
+def test_cusps_of_refuses_a_length_that_is_not_12k_plus_1(n):
+    with pytest.raises(DomainError, match=r"^coordinate vector length %d is not 12k\+1$" % n):
+        deformation.cusps_of(np.zeros(n))
 
 
 @pytest.mark.parametrize("g,k", [(2, 1), (3, 1), (3, 2), (4, 3), (5, 3)])
@@ -474,6 +481,13 @@ def test_filling_spec_rejects_entries_that_are_not_pairs(entry):
         FillingSpec.from_pairs(1, [entry])
     with pytest.raises(DomainError, match="not a pair of real numbers"):
         FillingSpec((entry,))
+
+
+def test_filling_spec_refuses_a_zero_pair_and_a_wrong_count():
+    with pytest.raises(DomainError, match=r"\(0, 0\) is not a slope$"):
+        FillingSpec(((0.0, 0.0),))
+    with pytest.raises(DomainError, match="^expected 2 cusp entries, got 1$"):
+        FillingSpec.from_pairs(2, [(5, 1)])
 
 
 # ---------------------------------------------------------------------------

@@ -263,12 +263,26 @@ _FLOATS = st.floats(allow_nan=False, allow_infinity=False)
 _TEXTS = st.text(alphabet=st.characters(codec="utf-8") | st.sampled_from('"\\\b\f\n\r\t\x00\x1f\x7f'), max_size=12)
 
 
+# subclasses whose conversions and repr json.dumps ignores, as to_json must
 class _Str(str):
-    pass
+    def __str__(self):
+        return "masked"
 
 
 class _Int(int):
-    pass
+    def __int__(self):
+        return 7
+
+    def __repr__(self):
+        return "seven"
+
+
+class _Float(float):
+    def __float__(self):
+        return 0.5
+
+    def __repr__(self):
+        return "half"
 
 
 # leaves of a document: every kind that JSON writes, with the strings,
@@ -283,6 +297,7 @@ _LEAVES = st.one_of(
     _FLOATS,
     st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1e16, 1e-7, 0.1]),
     _FLOATS.map(np.float64),
+    _FLOATS.map(_Float),
     _INTS.map(_Int),
 )
 _DOCS = st.recursive(
@@ -338,6 +353,13 @@ def test_to_json_refuses_non_finite_floats_at_any_depth(doc, bad, where):
     with pytest.raises(ValueError):
         json.dumps(doc, indent=2, allow_nan=False)
     with pytest.raises(DomainError, match="cannot write JSON"):
+        to_json(doc)
+
+
+@pytest.mark.parametrize("doc", [object(), {1: 2}], ids=["object", "int-key"])
+def test_to_json_refuses_what_it_does_not_write(doc):
+    # json.dumps writes the key 1 as "1"; to_json takes str keys only
+    with pytest.raises(TypeError):
         to_json(doc)
 
 
@@ -1517,7 +1539,6 @@ _WELL_FORMED = [
     ["fill", "--g", "3", "--k", "2", "--coeffs", "inf,5/1", "--batch", "--json", "--out", "x"],
     ["slopes", "--max-len-sq", "30"],
     ["similar", "3/1@1", "--reflections", "5/1@2", "--k", "2", "--k", "3"],
-    ["commensurable", "--k", "3", "7/2@1", "5/1@1", "--rotated"],
     ["tangent", "--k", "3", "--g", "4", "--json", "--json"],
     ["trace", "--g", "2", "--k", "1", "--delta", "1", "--r0", "0.5", "--grid", "3", "--grid-max", "2.5"],
 ]
@@ -1540,6 +1561,20 @@ def test_cli_reads_a_well_formed_argv_without_argparse(monkeypatch, argv):
     for name in ("_StoreConstAction", "_StoreAction"):
         monkeypatch.setattr(argparse, name, type(name, (argparse.Action,), {}))
     assert vars(cli.parse(argv)) == want
+
+
+def test_cli_leaves_a_many_valued_positional_to_argparse(monkeypatch):
+    # `commensurable`'s sets take one or more values: the exact reader has no
+    # table for it, and a well-formed argv is argparse's full parse
+    ap, commands, tables = cli._parsers()
+    assert sorted(tables) == sorted(set(commands) - {"commensurable"})
+    argv = ["commensurable", "--k", "3", "7/2@1", "5/1@1", "--rotated"]
+    want, calls = vars(ap.parse_args(argv)), []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+    monkeypatch.setattr(
+        argparse.ArgumentParser, "parse_known_args", lambda *a, **kw: calls.append(1) or parse_known_args(*a, **kw)
+    )
+    assert vars(cli.parse(argv)) == want and calls
 
 
 @pytest.mark.parametrize("extra", [["--bogus"], ["extra"], ["--bogus", "--json"], ["--json", "x", "--bogus"]])

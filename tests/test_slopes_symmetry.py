@@ -173,6 +173,11 @@ def test_classify_short_slopes():
     assert set(table) == {1, 3, 7}
 
 
+def test_classify_slopes_refuses_a_bound_below_one():
+    with pytest.raises(DomainError, match="^max_len_sq must be >= 1$"):
+        ss.classify_slopes(0)
+
+
 def test_classify_273_two_orbits():
     table = dict(ss.classify_slopes(273))
     orbits = table[273]
