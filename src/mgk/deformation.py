@@ -32,13 +32,16 @@ complete solution, where its tangent space is in closed form
 log-holonomies (u, v) cut it down to isolated points.  Each filling,
 every slope of length >= sqrt(7), is reached by one route, a
 predictor-corrector continuation from the complete solution (`_path`)
-whose predictor is the Taylor polynomial of the closed-form jet,
-tangent and curvature (`_complete_jet`, with no linear solve).  Its
-first step is one Newton solve at s = 1 from x0 + x' + x''/2; the first
-steps of a batch are one stacked solve.  `solve_complete` solves each
-signature's complete solution once per process, and an LRU cache of 128
-signatures keeps it, with a read-only x0, the jet's constants and the
-distinguished curve's derivative vectors: the one per-signature cache.
+whose predictor is the Taylor polynomial of the closed-form jet, the
+path's Taylor coefficients to order 4 (`_complete_jet`, with no linear
+solve).  Its first step is one Newton solve at s = 1 from the
+fourth-order start x0 + x' + x''/2 + x'''/6 + x''''/24, with one step
+more where it stops short of the rounding floor (`_newton_at_one`); the
+first steps of a batch are one stacked solve.  `solve_complete` solves
+each signature's complete solution once per process, and an LRU cache
+of 128 signatures keeps it, with a read-only x0, the jet's constants
+(`_taylor_forms`) and the distinguished curve's derivative vectors: the
+one per-signature cache.
 
 Newton works on the square system: the structure rows plus two cusp
 rows per cusp (Re, Im of p*u + q*v - 2*pi*i filled, of u complete).
@@ -89,6 +92,11 @@ _FILL_TOL = 1e-10
 # length row, edge_cosh(beta) eps, may reach: most fillings beyond fail (CHANGES.md)
 _CUSP_FLOOR = 4.0
 _LENGTH_FLOOR = 1.05
+# a filling that meets the gate with a length row above this many times the
+# length rows' rounding floor takes one Newton step more (`_newton_at_one`):
+# on 544 seeded fill_ladder- and fill_batch-shaped fillings a point at its
+# floor stood at most 77 times it, and one short of it 210 times or more
+_POLISH = 256.0
 _EPS = float(np.finfo(float).eps)
 # |u| below which a cusp counts as complete (unfilled)
 COMPLETE_TOL = 1e-9
@@ -155,17 +163,20 @@ def check_coords(sig: GKSignature, x: np.ndarray) -> np.ndarray:
 class CompleteSolution:
     """The complete structure that `solve_complete` certified, with the
     jet's constants: cot_scale, t = sqrt(3) cot(alpha_bar) of
-    `_tangent_block`, and curvature, the `_curvature_blocks`; varsigma,
-    the distinguished curve's pair of `varsigma_derivatives`; and residual,
-    the 12k+1 residuals (block order, cusp rows of u = 0) at x0 that
-    certified it.  One object serves every caller, so its arrays are
-    read-only."""
+    `_tangent_block`; forms, the (6, 2) table of a filled cusp's own
+    Taylor forms, and beta_slope and beta_quartic, its coupling to beta
+    and so to every cusp (`_taylor_forms`); varsigma, the distinguished
+    curve's pair of `varsigma_derivatives`; and residual, the 12k+1
+    residuals (block order, cusp rows of u = 0) at x0 that certified it.
+    One object serves every caller, so its arrays are read-only."""
 
     alpha_bar: float
     beta_bar: float
     x0: np.ndarray
     cot_scale: float
-    curvature: np.ndarray
+    forms: np.ndarray
+    beta_slope: float
+    beta_quartic: float
     varsigma: Tuple[np.ndarray, np.ndarray]
     residual: np.ndarray
 
@@ -220,13 +231,16 @@ def solve_complete(sig: GKSignature) -> CompleteSolution:
         raise ConvergenceError("complete solution residual %g" % norm, norm)
     if not (a < b < 2.0 * a <= math.pi / 3.0 + 1e-15):
         raise ConvergenceError("complete solution violates the angle inequalities")
-    t, s, curvature = r3 * math.cos(a) / math.sin(a), math.sin(a), _curvature_blocks(a)
-    # the distinguished curve, supported on the first cusp block
+    t, s = r3 * math.cos(a) / math.sin(a), math.sin(a)
+    forms, beta_slope, beta_quartic = _taylor_forms(a, b, sig.g, k)
+    # the distinguished curve, supported on the first cusp block: the
+    # tangent (x1, x2) = (2s, -s), whose 3 x_j^2 - 2Q are (6, -3, -3) s^2, and
+    # x'' = 2 c2, the same on both tetrahedra
     varsigma = np.zeros((2, sig.n_coords))
     varsigma[0, :12] = _tangent_block(t, 2.0 * s, -s).ravel()
-    varsigma[1, :12] = np.array([4.0 * s * s, -2.0 * s * s, s * s]) @ curvature
-    x0.flags.writeable = curvature.flags.writeable = varsigma.flags.writeable = r.flags.writeable = False
-    return CompleteSolution(a, b, x0, t, curvature, tuple(varsigma), r)
+    varsigma[1, :12] = np.tile(np.outer(2.0 * forms[1], [6.0 * s * s, -3.0 * s * s, -3.0 * s * s]).ravel(), 2)
+    x0.flags.writeable = forms.flags.writeable = varsigma.flags.writeable = r.flags.writeable = False
+    return CompleteSolution(a, b, x0, t, forms, beta_slope, beta_quartic, tuple(varsigma), r)
 
 
 # ---------------------------------------------------------------------------
@@ -536,10 +550,12 @@ def solve_filling(sig: GKSignature, spec: FillingSpec) -> np.ndarray:
     A slope shorter than sqrt(7) is a DomainError.  Filled coefficients
     are continued (`_path`) in s = 1/t along the rows
     p*u + q*v = 2*pi*i*s from the complete structure x0 at s = 0.  The
-    path's first step, one Newton solve at s = 1 from x0 + x' + x''/2,
-    takes 5 block solves at length sqrt(7), 4 at lengths of about 3.6 to
-    5, and about 3 beyond 5.  Fails loudly (ConvergenceError) if the path
-    cannot reach s = 1.  This is `solve_fillings` on the one spec.
+    path's first step, one Newton solve at s = 1 from the fourth-order
+    start x0 + x' + x''/2 + x'''/6 + x''''/24 (`_newton_at_one`), takes
+    4 block solves at length sqrt(7) (5 near g = 200), 3 at lengths of
+    about 3.6 to 7, and about 2 beyond 7, the step to the rounding floor
+    included.  Fails loudly (ConvergenceError) if the path cannot reach
+    s = 1.  This is `solve_fillings` on the one spec.
     """
     (x,) = solve_fillings(sig, [spec])
     if isinstance(x, Exception):
@@ -579,7 +595,7 @@ def solve_fillings(sig: GKSignature, specs: Sequence[FillingSpec], *, out: Optio
     filled spec whose rounding floor exceeds
     `_CUSP_FLOOR` or `_LENGTH_FLOOR` fill gates, is refused before any
     step.  Every other filled spec runs its `_path`, and the first steps
-    of the paths are one stacked `_newton` from their second-order
+    of the paths are one stacked `_newton_at_one` from their fourth-order
     starts."""
     records, todo = [None] * len(specs), []
     for i, spec in enumerate(specs):
@@ -621,7 +637,7 @@ def solve_fillings(sig: GKSignature, specs: Sequence[FillingSpec], *, out: Optio
         jets = _complete_jet(sig, cs, [spec for _, spec in filled])
         rows = _linear_rows([pq for _, spec in filled for pq in spec.pairs])
         # every path's first step, to s = 1, as one stacked Newton solve
-        x, r, errors = _newton(sig, cs.x0 + jets[:, 0] + 0.5 * jets[:, 1], rows, _FILL_TOL)
+        x, r, errors = _newton_at_one(sig, _predict(cs.x0, jets, 0.0, 1.0), rows)
         for j, (i, spec) in enumerate(filled):
             spec_rows = [a[k * j:k * j + k] for a in rows]
             records[i] = Solved(*_path(sig, cs, spec, jets[j], spec_rows, (x[j], r[j], errors[j])))
@@ -630,10 +646,36 @@ def solve_fillings(sig: GKSignature, specs: Sequence[FillingSpec], *, out: Optio
     return [rec.x for rec in records]
 
 
+def _newton_at_one(sig: GKSignature, x0: np.ndarray, rows):
+    """`_newton` of the points x0, whose linear block rows are `rows`, to
+    `_FILL_TOL`, and then one step more for each point that met the gate
+    with a length row above `_POLISH` times their rounding floor,
+    edge_cosh(beta) eps.  Newton converges quadratically, so it can stop
+    just below the gate with the digits of the gate and not of the floor,
+    and the length rows, whose Jacobian entries are the largest, show it
+    first; the step takes the point to the floor.  It is kept where it
+    meets the gate too.  Each point gets the bits it gets alone."""
+    x, r, errors = _newton(sig, x0, rows, _FILL_TOL)
+    k = sig.k
+    length = np.abs(r[:, :-1].reshape(len(x), k, 12)[:, :, :6]).max(axis=(1, 2)).tolist()
+    above = [
+        i for i, (m, exc) in enumerate(zip(length, errors))
+        if exc is None and m > _POLISH * _EPS * edge_cosh(float(x[i, -1]))
+    ]
+    if above:
+        blocks = (np.array(above)[:, None] * k + np.arange(k)).ravel()
+        y, ry, ey = _newton(sig, x[above], [a[blocks] for a in rows], None)
+        for j, i in enumerate(above):
+            if ey[j] is None and np.abs(ry[j]).max() < _FILL_TOL:
+                x[i], r[i] = y[j], ry[j]
+    return x, r, errors
+
+
 def _path(sig: GKSignature, cs: CompleteSolution, spec: FillingSpec, jet, rows, first=None):
     """The continuation of the canonical spec alone, from the complete
-    solution cs at s = 0, where its jet is (dx/ds, d2x/ds2) and its linear
-    block rows at s = 1 are `rows` (`_linear_rows` of its pairs), up to
+    solution cs at s = 0, where its jet is the Taylor coefficients c1..c4
+    of `_complete_jet` and its linear block rows at s = 1 are `rows`
+    (`_linear_rows` of its pairs), up to
     s = 1: the solution and its last Newton residual vector, or the error
     that stopped it and None.  `first`, when given, is the Newton result
     (x, r, error) of the first step, taken from a stacked solve, and
@@ -641,26 +683,28 @@ def _path(sig: GKSignature, cs: CompleteSolution, spec: FillingSpec, jet, rows, 
 
     A plain predictor-corrector.  The first step goes to s = 1.  Each
     step predicts the next s from the last solved point (s, x) plus the
-    change of the jet's Taylor polynomial, x + (s' - s) x' + (s'^2 - s^2)
-    x''/2, which from s = 0 is the second-order start x0 + x' + x''/2,
-    and corrects it with `_newton`: one step short of s = 1, to
-    `_FILL_TOL` at s = 1.  A failed step halves the step; below 1e-4 the
+    change of the jet's Taylor polynomial, x + sum of (s'^n - s^n) c_n
+    (`_predict`), which from s = 0 is the fourth-order start
+    x0 + c1 + c2 + c3 + c4, and corrects it with `_newton`: one step
+    short of s = 1, `_newton_at_one` at s = 1.  A failed step halves the
+    step; below 1e-4 the
     path ends in a ConvergenceError that names the t of its last solved
     point and the last failure's residual.  Its fillings passed the
     sqrt(7) gate and the floor check of `solve_fillings`: a first step
     fails for a start too far out, or rarely for rounding near the
     floors."""
     L, S, o = rows
-    dx, ddx = jet
     s, ds, x = 0.0, 1.0, cs.x0
     while s < 1.0:
         s_next = min(1.0, s + ds)
         if first is None:
             o_s = o.copy()
             o_s[:, 11] *= s_next
-            guess = x + (s_next - s) * dx + (0.5 * (s_next * s_next - s * s)) * ddx
-            tol = _FILL_TOL if s_next == 1.0 else None
-            (x_next,), (r,), (exc,) = _newton(sig, guess[None], (L, S, o_s), tol)
+            guess = _predict(x, jet, s, s_next)[None]
+            if s_next == 1.0:
+                (x_next,), (r,), (exc,) = _newton_at_one(sig, guess, (L, S, o_s))
+            else:
+                (x_next,), (r,), (exc,) = _newton(sig, guess, (L, S, o_s), None)
         else:
             (x_next, r, exc), first = first, None
         if isinstance(exc, DomainError):
@@ -690,81 +734,120 @@ def _tangent_block(t: float, x1, x2) -> np.ndarray:
     return (np.array([[1.0], [t], [-1.0], [-t]]) * xs[..., None, :]).reshape(np.shape(x1) + (2, 2, 3))
 
 
-def _curvature_blocks(alpha_bar: float) -> np.ndarray:
-    """The (3, 12) curvature blocks N at the complete solution of
-    alpha_bar, one row per monomial x1^2, x1 x2, x2^2 of a `_tangent_block`
-    of (x1, x2): the solution of A0 N^T = [-kappa K; -mu M].  A0 is the
-    block of a complete cusp at x0; with a = alpha_bar, its length row of
-    apex j reads c1 (y_alpha^{j+1} + y_alpha^{j+2}) + c2 y_gamma^j on its
-    tetrahedron, and its sine rows j = 0, 1 read c3 times the alphas and
-    c4 times the gammas of apex j minus those of apex j+1 on both
-    tetrahedra:
+def _taylor_forms(alpha_bar: float, beta_bar: float, g: int, k: int):
+    """The per-signature constants of the Taylor coefficients c_n =
+    x^(n)/n! of every filling's path at s = 0, in closed form: the (6, 2)
+    table `forms`, beta_slope and beta_quartic, which `_complete_jet`
+    reads.
 
-        c1 = -(3/2) csc^2(a) cot(a),  c2 = -(sqrt(3)/2) csc^2(a),
-        c3 = (3/4) sin(a) cos(a),     c4 = (sqrt(3)/4) sin^2(a),
-        kappa = (1 - 4 cos^2 a) / (2 sin^4 a),  mu = -(3/2) (1 + 4 cos^2 a).
+    A cusp filled along the `_tangent_block` of (x1, x2) moves, at each
+    apex j of its tetrahedra, by forms in x = x_j (x3 = -x1 - x2) and
+    Q = x1^2 + x1 x2 + x2^2 = x_j^2 - x_{j+1} x_{j+2}, the same at every j.
+    Row n of `forms` holds the (alpha, gamma) scales of a basis form, and
+    with S, C = sin, cos of alpha_bar, t = sqrt(3) C / S and G = sqrt(3)
+    (2C^2 - 1) / 36 S^4:
 
-    The right-hand side is minus the second derivative of the rows along
-    the tangent: on the length rows of both tetrahedra kappa K_j, the
-    monomial coefficients of x_j^2 + 2 x_{j+1} x_{j+2}, on the sine rows
-    mu M_j, those of x_j^2 - x_{j+1}^2; the other rows are flat.
+        c1:  x                      (1, t)
+        c2:  K = 3x^2 - 2Q          (2C / 3S, sqrt(3) / 6S^2)
+        c3:  x^3                    ((4C^2 - 1) / 3S^2, 0)
+        c4:  x^4                    (2C^3 / S^3, -9G)
+             x^2 Q                  (-4C / 3S^3, 24G)
+             Q^2                    (2C (3 - 2C^2) / 9S^3, -10G)
 
-    Swapping the cusp's two tetrahedra maps the length, ideal-vertex and
-    sine rows of A0 to themselves and negates its cusp rows u' and v' and
-    the tangent block, so the right-hand side stays.  Both tetrahedra of N
-    thus get the same six values (alpha, gamma); u' and v' vanish on them,
-    so N also solves a filled cusp's block, whose rows are p u' + q v'.
-    Summing the length rows gives sum(alpha) = 0, as sum(K_j) = 0 and
-    sum(gamma) = 0, so beta'' = 0; each length row -c1 alpha_j + c2
-    gamma_j = -kappa K_j then gives gamma_j, and the sine rows give
-    alpha_j - alpha_{j+1}, with pivot 2 c3 + 2 c4 c1 / c2 = 3 sin a cos a."""
+    on tetrahedron 2c, and on 2c+1 the same at even orders and negated at
+    odd ones: swapping a cusp's tetrahedra negates u and v, so x(-s) is
+    the swap of x(s).  Each order solves the block of a complete cusp at
+    x0 against the order-n part of the length and sine rows along the
+    lower orders (derived with sympy from their truncated series).  The
+    apex rotation keeps the forms cyclic, the cusp rows add nothing to
+    them, so no form depends on (p, q) beyond (x1, x2), and c3 leaves the
+    gammas.  c2 also gives the curvature of `varsigma_derivatives`.
+
+    beta holds still to order 3.  At order 4 a cusp's own alphas sum to
+    2 (2C (4C^2 - 1) / 3S^3) Q^2, so the total angle moves beta by
+
+        c4(beta) = -beta_quartic * (sum of Q^2 over the filled cusps),
+        beta_quartic = 4C (4C^2 - 1) / (3S^3 (6k a' + 6(g - k))),
+
+    and every block follows beta as the complete block at its own beta
+    does, alpha = a(beta) = asin(sqrt(3) sin(beta/2)), gamma = pi/3: its
+    alphas move by beta_slope = a'(beta_bar) = sqrt(3) cos(beta_bar/2) / 2C
+    times c4(beta).  Up to order 4 that is the only coupling between the
+    cusps.  With one cusp filled, at s = 1, beta - beta_bar = -C(g, k) /
+    |p + q omega|^4 + ..., with C(g, k) = beta_quartic (9 pi^4 / 16 t^4):
+    the far fillings deform the geodesic boundary at fourth order."""
     sa, ca = math.sin(alpha_bar), math.cos(alpha_bar)
-    c1, c2, c4 = -1.5 * ca / sa ** 3, -0.5 * math.sqrt(3.0) / (sa * sa), 0.25 * math.sqrt(3.0) * sa * sa
-    kappa, mu = (1.0 - 4.0 * ca * ca) / (2.0 * sa ** 4), -1.5 * (1.0 + 4.0 * ca * ca)
-    e, pivot = 2.0 * c4 * kappa / c2, 3.0 * sa * ca
-    rows = []
-    # per monomial x1^2, x1 x2, x2^2, its coefficients K_j (j = 0..2) and M_j (j = 0, 1)
-    Ks = ((1.0, -2.0, 1.0), (-2.0, -2.0, 4.0), (-2.0, 1.0, 1.0))
-    Ms = ((1.0, -1.0), (0.0, -2.0), (-1.0, 0.0))
-    for K, M in zip(Ks, Ms):
-        # alpha_j - alpha_{j+1}, then the alphas, whose sum is zero
-        d0, d1 = [(e * (K[j] - K[j + 1]) - mu * M[j]) / pivot for j in (0, 1)]
-        alpha = [(2.0 * d0 + d1) / 3.0, (d1 - d0) / 3.0, (-d0 - 2.0 * d1) / 3.0]
-        gamma = [(c1 * a - kappa * k) / c2 for a, k in zip(alpha, K)]
-        rows.append((alpha + gamma) * 2)
-    return np.array(rows)
+    r3, c2, s3 = math.sqrt(3.0), ca * ca, sa ** 3
+    G = r3 * (2.0 * c2 - 1.0) / (36.0 * sa ** 4)
+    forms = np.array([
+        [1.0, r3 * ca / sa],
+        [2.0 * ca / (3.0 * sa), r3 / (6.0 * sa * sa)],
+        [(4.0 * c2 - 1.0) / (3.0 * sa * sa), 0.0],
+        [2.0 * c2 * ca / s3, -9.0 * G],
+        [-4.0 * ca / (3.0 * s3), 24.0 * G],
+        [2.0 * ca * (3.0 - 2.0 * c2) / (9.0 * s3), -10.0 * G],
+    ])
+    beta_slope = 0.5 * r3 * math.cos(0.5 * beta_bar) / ca
+    beta_quartic = 4.0 * ca * (4.0 * c2 - 1.0) / (3.0 * s3 * (6.0 * k * beta_slope + 6.0 * (g - k)))
+    return forms, beta_slope, beta_quartic
+
+
+# per order, the factor of tetrahedron 2c+1's block over 2c's: odd orders negate
+_SWAP = np.array([[1.0, -1.0], [1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])[:, :, None, None]
 
 
 def _complete_jet(sig: GKSignature, cs: CompleteSolution, specs) -> np.ndarray:
-    """The closed-form tangent dx/ds and curvature d2x/ds2 at s = 0 of the
-    continuation of each of `specs` to its filling, from the complete
-    solution cs: an array of shape (len(specs), 2, 12k+1).
+    """The closed-form Taylor coefficients c_n = x^(n)/n!, n = 1..4, at
+    s = 0 of the continuation of each of `specs` to its filling, from the
+    complete solution cs: an array of shape (len(specs), 4, 12k+1).
 
     There v = omega u, omega = exp(2 pi i / 3), so a filled cusp moves with
-    du/ds = 2 pi i / (p + q omega): its tangent block is the
-    `_tangent_block` of
+    du/ds = 2 pi i / (p + q omega): c1 is the `_tangent_block` of
 
         (x1, x2) = (2q - p, -(p + q)) pi / (2 t (p^2 - pq + q^2)),
 
-    and unfilled cusps and beta stay put.  The system is linear in s, so
-    J d2x/ds2 = -F_xx[dx, dx], and its solution is, per filled cusp,
-    [x1^2, x1 x2, x2^2] @ N (`_curvature_blocks`), zero on unfilled cusps
-    and on beta.  All specs are computed at once, elementwise over their
-    cusps and with one matmul per spec's (k, 3) monomials, so each spec
-    has the bits it gets alone."""
-    t, N = cs.cot_scale, cs.curvature
-    n, k = len(specs), sig.k
-    pairs = [pq for spec in specs for pq in spec.pairs]
-    filled = np.array([pq is not None for pq in pairs], dtype=bool)
-    p, q = np.array([pq or (1.0, 0.0) for pq in pairs], dtype=float).reshape(-1, 2).T
-    f = math.pi / (2.0 * t * (p * p - p * q + q * q))
-    x1, x2 = np.where(filled, (2.0 * q - p) * f, 0.0), np.where(filled, -(p + q) * f, 0.0)
-    jet = np.zeros((n, 2, sig.n_coords))
-    jet[:, 0, :-1] = _tangent_block(t, x1, x2).reshape(n, 12 * k)
-    # C order: each spec's (k, 3) slice is contiguous, as its array alone is, so
-    # its matmul takes the same BLAS path (a strided slice changed bits at k = 1)
-    jet[:, 1, :-1] = (np.stack([x1 * x1, x1 * x2, x2 * x2], axis=-1).reshape(n, k, 3) @ N).reshape(n, 12 * k)
+    and unfilled cusps stay put to order 3.  c2, c3 and c4 are the forms
+    of `_taylor_forms` in each filled cusp's (x1, x2), and beta's c4, with
+    the alphas of every block that follow it, sums Q^2 over the spec's
+    cusps.  All specs are computed at once, elementwise over their cusps,
+    and each spec's sum is its own `math.fsum`, so each spec has the bits
+    it gets alone."""
+    n, k, c = len(specs), sig.k, math.pi / (2.0 * cs.cot_scale)
+    # per cusp x1, x2, x3 = -x1 - x2 and Q = x1^2 + x1 x2 + x2^2 = 3 c f
+    tangents = []
+    for pq in (pq for spec in specs for pq in spec.pairs):
+        if pq is None:
+            tangents.append((0.0, 0.0, 0.0, 0.0))
+        else:
+            p, q = pq
+            f = c / (p * p - p * q + q * q)
+            tangents.append(((2.0 * q - p) * f, -(p + q) * f, (2.0 * p - q) * f, 3.0 * c * f))
+    tangents = np.array(tangents).reshape(n * k, 4)
+    x, Q = tangents[:, :3], tangents[:, 3:]
+    sq = x * x
+    beta = [-cs.beta_quartic * math.fsum(row) for row in (Q * Q).reshape(n, k).tolist()]
+    F = cs.forms[:, :, None]
+    # [cusp, order, alpha or gamma, apex] on tetrahedron 2c
+    own = np.empty((n * k, 4, 2, 3))
+    own[:, :3] = np.stack([x, 3.0 * sq - 2.0 * Q, x * sq], axis=1)[:, :, None] * F[:3]
+    own[:, 3] = (sq * sq)[:, None] * F[3] + (sq * Q)[:, None] * F[4] + (Q * Q)[:, None] * F[5]
+    own.reshape(n, k, 4, 2, 3)[:, :, 3, 0] += (cs.beta_slope * np.array(beta))[:, None, None]
+    jet = np.empty((n, 4, sig.n_coords))
+    jet[:, :, :-1] = (own[:, :, None] * _SWAP).reshape(n, k, 4, 12).transpose(0, 2, 1, 3).reshape(n, 4, 12 * k)
+    jet[:, :, -1] = 0.0
+    jet[:, 3, -1] = beta
     return jet
+
+
+def _predict(x: np.ndarray, jet: np.ndarray, s0: float, s1: float) -> np.ndarray:
+    """x plus the change of the Taylor polynomial of `jet` (c1..c4 along
+    its next-to-last axis) from s0 to s1, added term by term in order:
+    x + (s1 - s0) c1 + (s1^2 - s0^2) c2 + (s1^3 - s0^3) c3 + (s1^4 - s0^4) c4."""
+    for n in range(1, 5):
+        scale, c = s1 ** n - s0 ** n, jet[..., n - 1, :]
+        # from s = 0 to 1 every scale is 1, whose product changes no bit
+        x = x + (c if scale == 1.0 else scale * c)
+    return x
 
 
 def tangent_basis(sig: GKSignature) -> np.ndarray:
@@ -810,7 +893,7 @@ def varsigma_derivatives(sig: GKSignature) -> Tuple[np.ndarray, np.ndarray]:
     curve through the complete solution (normalization: the second
     derivatives of coordinates 0 and 6 agree), supported on the first
     cusp block: the `_tangent_block` of (x1, x2) = (2 sin(alpha_bar),
-    -sin(alpha_bar)) and its curvature (`_curvature_blocks`), which keeps
+    -sin(alpha_bar)) and its curvature (`_taylor_forms`), which keeps
     x_2 = x_3 and x_1 = x_7 as the curve does.  They are the read-only
     pair `varsigma` of the signature's `solve_complete` record."""
     return solve_complete(sig).varsigma

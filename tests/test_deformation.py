@@ -153,7 +153,7 @@ def test_solve_complete_is_solved_once_per_signature(cold_cache):
     # arrays no caller can write into
     cs = solve_complete(GKSignature(4, 2))
     assert solve_complete(GKSignature(4, 2)) is cs
-    for a in (cs.x0, cs.curvature, cs.residual):
+    for a in (cs.x0, cs.forms, *cs.varsigma, cs.residual):
         with pytest.raises(ValueError):
             a[0] = 1.0
     assert solve_complete.cache_info().currsize == 1
@@ -727,14 +727,15 @@ def test_filling_newton_steps_flat_in_k(monkeypatch, k):
     # every cusp on a threshold slope: warm-starting each step at the
     # previous point took 116, 312 and 846 steps, starting at t = 20/sqrt(7)
     # took 13-14, with the first tangent in closed form 9, with the point at
-    # s = sqrt(7)/5 corrected only to a merit of 1e-3, 7, and it takes 5-6 in one
-    # Newton solve from the second-order start at the complete structure
+    # s = sqrt(7)/5 corrected only to a merit of 1e-3, 7, 5-6 in one Newton
+    # solve from the second-order start at the complete structure, and 4, 4
+    # and 5 from the fourth-order start
     sig = GKSignature(k + 1, k)
     pairs = [SQRT7_SLOPES[c % 6] for c in range(k)]
     calls, step = [], deformation._block_step
     monkeypatch.setattr(deformation, "_block_step", lambda *a: calls.append(1) or step(*a))
     x = solve_filling(sig, FillingSpec.from_pairs(k, pairs))
-    assert len(calls) <= 8
+    assert len(calls) <= {16: 4, 32: 4, 64: 5}[k]
     assert np.max(np.abs(residuals(sig, x))) < 1e-10
     for c, (p, q) in enumerate(FillingSpec.from_pairs(k, pairs).canonicalized().pairs):
         pc, qc = dehn_coefficients(x, c)
@@ -747,12 +748,13 @@ def test_filling_block_steps_with_tangent_predictor(monkeypatch, k):
     # at ratio 1.5, and 13-14 from t = 20/sqrt(7); with the tangent at the
     # complete structure in closed form and the later one a block step, 9,
     # and 7 with the point at s < 1 corrected only to 1e-3; from the
-    # second-order start it is one Newton solve of 5
+    # second-order start it was one Newton solve of 5, and from the
+    # fourth-order start it is one of 4, 4 and 5
     sig = GKSignature(k + 1, k)
     calls, step = [], deformation._block_step
     monkeypatch.setattr(deformation, "_block_step", lambda *a: calls.append(1) or step(*a))
     x = solve_filling(sig, FillingSpec.from_pairs(k, [(3.0, 1.0)] + [None] * (k - 1)))
-    assert len(calls) <= 7
+    assert len(calls) <= {2: 4, 16: 4, 64: 5}[k]
     assert np.max(np.abs(residuals(sig, x))) < 1e-10
     pc, qc = dehn_coefficients(x, 0)
     assert abs(pc - 3.0) < 1e-9 and abs(qc - 1.0) < 1e-9
@@ -788,7 +790,7 @@ def test_path_predicts_with_the_jet_and_corrects_with_one_step(monkeypatch, g, p
     sig = GKSignature(g, len(pairs))
     spec = FillingSpec.from_pairs(sig.k, pairs).canonicalized()
     cs = solve_complete(sig)
-    ((dx, ddx),) = deformation._complete_jet(sig, cs, [spec])
+    ((c1, c2, c3, c4),) = deformation._complete_jet(sig, cs, [spec])
     fail_first_newton(monkeypatch)
     steps, newton, seen = count_block_steps(monkeypatch), deformation._newton, []
 
@@ -801,17 +803,19 @@ def test_path_predicts_with_the_jet_and_corrects_with_one_step(monkeypatch, g, p
     monkeypatch.setattr(deformation, "_newton", spy)
     x = solve_filling(sig, spec)
     first, (half, tol_half, steps_half, x_half), (one, tol_one, _, x_one) = seen
-    assert first[0].tobytes() == (cs.x0 + dx + 0.5 * ddx).tobytes()
-    assert half.tobytes() == (cs.x0 + 0.5 * dx + 0.125 * ddx).tobytes()
+    # the Taylor coefficients c_n = x^(n)/n!: x0 + c1 + c2 + c3 + c4 from s = 0
+    assert first[0].tobytes() == (cs.x0 + c1 + c2 + c3 + c4).tobytes()
+    assert half.tobytes() == (cs.x0 + 0.5 * c1 + 0.25 * c2 + 0.125 * c3 + 0.0625 * c4).tobytes()
     assert tol_half is None and steps_half == 1
-    assert one.tobytes() == (x_half + 0.5 * dx + 0.375 * ddx).tobytes()
+    assert one.tobytes() == (x_half + 0.5 * c1 + 0.75 * c2 + 0.875 * c3 + 0.9375 * c4).tobytes()
     assert tol_one == deformation._FILL_TOL and x_one.tobytes() == x.tobytes()
 
 
 def tangent_errors(monkeypatch, g, k, tight):
-    """The directions x' + s x'' that the path's predictor takes from each
-    solved point short of s = 1 of a sqrt(7) path whose first step is made
-    to fail, the derivative of the jet's Taylor polynomial at s, against
+    """The directions c1 + 2s c2 + 3s^2 c3 + 4s^3 c4 that the path's
+    predictor takes from each solved point short of s = 1 of a sqrt(7)
+    path whose first step is made to fail, the derivative of the jet's
+    Taylor polynomial at s, against
     the central difference of solves at s +- h from that point: per point,
     s and the error relative to the central difference.  With `tight` the
     point at s = 1/2 is solved to _FILL_TOL instead of corrected by one
@@ -819,7 +823,7 @@ def tangent_errors(monkeypatch, g, k, tight):
     sig = GKSignature(g, k)
     pairs = [(3.0, 1.0)] + [None] * (k - 1)
     cs = solve_complete(sig)
-    ((dx, ddx),) = deformation._complete_jet(sig, cs, [FillingSpec.from_pairs(k, pairs).canonicalized()])
+    ((c1, c2, c3, c4),) = deformation._complete_jet(sig, cs, [FillingSpec.from_pairs(k, pairs).canonicalized()])
     newton, solved = deformation._newton, []
 
     def spy(sig, x0, rows, tol):
@@ -846,7 +850,8 @@ def tangent_errors(monkeypatch, g, k, tight):
             assert exc is None, (s, sh)
             ends.append(end[0])
         fd = (ends[0] - ends[1]) / (2.0 * h)
-        errors.append((s, np.max(np.abs(dx + s * ddx - fd)) / np.max(np.abs(fd))))
+        direction = c1 + 2.0 * s * c2 + 3.0 * s * s * c3 + 4.0 * s ** 3 * c4
+        errors.append((s, np.max(np.abs(direction - fd)) / np.max(np.abs(fd))))
     return errors
 
 
@@ -862,12 +867,13 @@ def test_filling_tangent_matches_central_difference(monkeypatch, g, k):
 @pytest.mark.parametrize("g, k", [(3, 2), (17, 16)])
 def test_filling_tangent_at_loose_points(monkeypatch, g, k):
     # at the point s = 1/2 corrected by one Newton step, the predictor's
-    # direction x' + x''/2 is off the path's tangent by the jet's
-    # truncation alone, 8.4e-2 at (3, 2) and 2.4e-2 at (17, 16), and by
-    # the same to 1e-9 as at the point solved to _FILL_TOL
+    # direction c1 + c2 + 3/4 c3 + 1/2 c4 is off the path's tangent by the
+    # jet's truncation alone, 1.3e-2 at (3, 2) and 3.9e-3 at (17, 16) (with
+    # the second-order jet's x' + x''/2, 8.4e-2 and 2.4e-2), and by the same
+    # to 1e-9 as at the point solved to _FILL_TOL
     (_, (s, loose)) = tangent_errors(monkeypatch, g, k, tight=False)
     (_, (_, tight)) = tangent_errors(monkeypatch, g, k, tight=True)
-    assert s == 0.5 and loose <= 0.1 and abs(loose - tight) <= 1e-9
+    assert s == 0.5 and loose <= 0.02 and abs(loose - tight) <= 1e-9
 
 
 def jet_pairs(seed, k, integer):
@@ -900,7 +906,7 @@ def test_first_tangent_in_closed_form(seed, g, k, integer):
     rhs = np.zeros((1, sig.n_coords))
     rhs[0, :-1].reshape(k, 12)[:, 11] = rows[2][:, 11]
     solved = deformation._block_step(sig, rhs, *blocks())[0]
-    ((closed, _),) = deformation._complete_jet(sig, cs, [FillingSpec.from_pairs(k, pairs)])
+    closed = deformation._complete_jet(sig, cs, [FillingSpec.from_pairs(k, pairs)])[0, 0]
     assert np.max(np.abs(closed - solved)) <= 1e-13 * np.max(np.abs(solved))
     # each filled cusp moves with du/ds = 2 pi i / (p + q omega), v = omega u
     h = 1e-5
@@ -915,18 +921,32 @@ def test_first_tangent_in_closed_form(seed, g, k, integer):
 
 def jet_alone(sig, cs, spec):
     """The jet of one spec, cusp by cusp in Python floats: the oracle of
-    `_complete_jet`."""
-    t, N = math.sqrt(3.0) * math.cos(cs.alpha_bar) / math.sin(cs.alpha_bar), cs.curvature
-    x1, x2 = np.zeros((2, sig.k))
-    for c, pq in enumerate(spec.pairs):
+    `_complete_jet`, with its forms (`_taylor_forms`) in the same order of
+    operations."""
+    c, F = math.pi / (2.0 * cs.cot_scale), cs.forms.tolist()
+    cusps = []
+    for pq in spec.pairs:
+        x, Q = [0.0, 0.0, 0.0], 0.0
         if pq is not None:
             p, q = pq
-            f = math.pi / (2.0 * t * (p * p - p * q + q * q))
-            x1[c], x2[c] = (2.0 * q - p) * f, -(p + q) * f
-    jet = np.zeros((2, sig.n_coords))
-    xs = np.array([x1, x2, -x1 - x2]).T
-    jet[0, :-1] = (np.array([[1.0], [t], [-1.0], [-t]]) * xs[:, None, :]).ravel()
-    jet[1, :-1] = (np.array([x1 * x1, x1 * x2, x2 * x2]).T @ N).ravel()
+            f = c / (p * p - p * q + q * q)
+            x, Q = [(2.0 * q - p) * f, -(p + q) * f, (2.0 * p - q) * f], 3.0 * c * f
+        cusps.append((x, Q))
+    beta = -cs.beta_quartic * math.fsum(Q * Q for _, Q in cusps)
+    jet = np.zeros((4, sig.n_coords))
+    jet[3, -1] = beta
+    for c, (x, Q) in enumerate(cusps):
+        block = jet[:, 12 * c:12 * c + 12].reshape(4, 2, 2, 3)
+        for j, xj in enumerate(x):
+            sq = xj * xj
+            forms = [xj, 3.0 * sq - 2.0 * Q, xj * sq]
+            for n, form in enumerate(forms):
+                for m in range(2):
+                    block[n, 0, m, j] = form * F[n][m]
+                    block[n, 1, m, j] = block[n, 0, m, j] * (-1.0 if n % 2 == 0 else 1.0)
+            for m in range(2):
+                block[3, :, m, j] = (sq * sq) * F[3][m] + (sq * Q) * F[4][m] + (Q * Q) * F[5][m]
+            block[3, :, 0, j] += cs.beta_slope * beta
     return jet
 
 
@@ -944,10 +964,59 @@ def test_complete_jet_of_a_stack_is_that_of_each_spec(data, k, extra, n):
     specs = [FillingSpec.from_pairs(k, data.draw(st.lists(_JET_PAIR, min_size=k, max_size=k))) for _ in range(n)]
     specs = [spec.canonicalized() for spec in specs]
     jets = deformation._complete_jet(sig, cs, specs)
-    assert jets.shape == (n, 2, sig.n_coords)
+    assert jets.shape == (n, 4, sig.n_coords)
     for spec, jet in zip(specs, jets):
         alone = deformation._complete_jet(sig, cs, [spec])[0]
         assert jet.tobytes() == alone.tobytes() == jet_alone(sig, cs, spec).tobytes()
+
+
+def taylor_residual(sig, cs, jet, pairs, s):
+    """|r| of the square system of `pairs` at s (cusp rows p u + q v =
+    2 pi i s) at the jet's Taylor polynomial x0 + s c1 + ... + s^4 c4."""
+    L, S, o = deformation._linear_rows(pairs)
+    o[:, 11] *= s
+    x = cs.x0 + s * jet[0] + s ** 2 * jet[1] + s ** 3 * jet[2] + s ** 4 * jet[3]
+    (r,), _ = deformation._evaluate(sig, x[None], (L, S, o))
+    return np.abs(r)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), g=st.integers(2, 40), k=st.integers(1, 8))
+def test_the_start_is_fourth_order(seed, g, k):
+    # the path x(s) solves the square system at every s, so the residual
+    # of its Taylor polynomial to order 4 falls as s^5: by 32 from s = h to
+    # h/2, where a wrong term of order n <= 4 gives 2^n (32.00 to 32.05
+    # over 300 seeded draws)
+    sig = GKSignature(max(g, k + 1), k)
+    rng = np.random.default_rng(seed)
+    pairs = random_pairs(rng, k, math.sqrt(7.0), 40.0)
+    unfilled = rng.random(k) < 0.4
+    unfilled[rng.integers(k)] = False
+    spec = FillingSpec.from_pairs(k, [None if off else pq for pq, off in zip(pairs, unfilled)]).canonicalized()
+    cs = solve_complete(sig)
+    jet = deformation._complete_jet(sig, cs, [spec])[0]
+    h = 0.02 / np.abs(jet[0]).max()
+    r = taylor_residual(sig, cs, jet, spec.pairs, h)
+    assert 2.0 ** 4.5 < r.max() / taylor_residual(sig, cs, jet, spec.pairs, h / 2).max() < 2.0 ** 5.5
+    # the total angle is linear, so each order meets it, beta's c4 and the
+    # alphas that follow it too: to rounding (a beta_quartic 1 % off leaves
+    # 2e-10, below the sup-norm of the other rows)
+    assert r[-1] < 1e-13
+    # x''' moves only the alphas of the filled cusps: not beta, no gamma
+    c3 = angle_blocks(jet[2])
+    assert jet[2, -1] == 0.0 and not c3[:, :, 1].any()
+    # beta moves at order 4, and an unfilled cusp follows it as the complete
+    # block at its own beta does, alpha = asin(sqrt(3) sin(beta/2)), gamma = pi/3
+    step = 1e-6
+    alpha = [math.asin(math.sqrt(3.0) * math.sin(0.5 * (cs.beta_bar + d))) for d in (step, -step)]
+    slope = (alpha[0] - alpha[1]) / (2.0 * step)
+    beta4 = jet[3, -1]
+    assert beta4 < 0.0
+    for c, pq in enumerate(spec.pairs):
+        if pq is None:
+            assert not cusp_angles(jet[0], c).any() and not cusp_angles(jet[1], c).any()
+            assert not c3[c].any() and not cusp_angles(jet[3], c)[:, 1].any()
+            assert np.allclose(cusp_angles(jet[3], c)[:, 0], slope * beta4, rtol=1e-8, atol=0.0)
 
 
 @settings(max_examples=30, deadline=None)
@@ -963,7 +1032,7 @@ def test_jet_curvature_matches_central_difference(seed, g, k, integer):
     sig = GKSignature(max(g, k + 1), k)
     pairs = jet_pairs(seed, k, integer)
     cs = solve_complete(sig)
-    ((dx, ddx),) = deformation._complete_jet(sig, cs, [FillingSpec.from_pairs(k, pairs)])
+    dx, ddx = deformation._complete_jet(sig, cs, [FillingSpec.from_pairs(k, pairs)])[0, :2] * [[1.0], [2.0]]
     h, ends = 1e-3, []
     for sh in (h, -h):
         L, S, o = deformation._linear_rows(pairs)
@@ -997,8 +1066,9 @@ def test_curvature_blocks_solve_the_kernel_block(g, k):
     R[0:3] = R[3:6] = -kappa * np.array(K)
     R[8:10] = -mu * np.array(M)
     want = np.linalg.solve(A, R).T
-    N = cs.curvature
-    assert N.shape == (3, 12)
+    # x'' = 2 c2, whose (alpha, gamma) are 2 cs.forms[1] times 3 x_j^2 - 2Q = K_j
+    ca, cg = cs.forms[1]
+    N = np.tile(np.concatenate([2.0 * ca * np.array(K), 2.0 * cg * np.array(K)]), (2, 1)).T
     assert np.max(np.abs(N - want)) <= 1e-13 * np.max(np.abs(want))
     # both tetrahedra of the cusp get the same values, whose alpha sum vanishes
     assert np.array_equal(N[:, :6], N[:, 6:])
@@ -1024,12 +1094,17 @@ def test_loose_intermediate_points_give_the_same_filling(seed, g, k):
     with pytest.MonkeyPatch.context() as mp:
         fail_first_newton(mp)
         x = solve_filling(sig, spec)
+    newton = deformation._newton
+
+    def tight_short_of_one(sig, x0, rows, tol):
+        # the corrector of a point short of s = 1, whose cusp rows aim at
+        # 2 pi s < 2 pi, solved to the gate; the steps at s = 1 as they are
+        if tol is None and rows[2][:, 11].max() < 2.0 * math.pi:
+            tol = deformation._FILL_TOL
+        return newton(sig, x0, rows, tol)
+
     with pytest.MonkeyPatch.context() as mp:
-        newton = deformation._newton
-        mp.setattr(
-            deformation, "_newton",
-            lambda sig, x0, rows, tol: newton(sig, x0, rows, deformation._FILL_TOL if tol is None else tol),
-        )
+        mp.setattr(deformation, "_newton", tight_short_of_one)
         fail_first_newton(mp)
         tight = solve_filling(sig, spec)
     assert np.max(np.abs(x - tight)) < 1e-12
@@ -1095,7 +1170,7 @@ def test_filling_predictor_stays_on_the_warm_start_branch(seed, k, extra, thresh
 )
 def test_filling_long_slopes_take_one_newton_solve(monkeypatch, g, pairs):
     # every filled slope of length >= sqrt(7) is solved at s = 1 straight
-    # from the second-order start at the complete structure
+    # from the fourth-order start at the complete structure
     sig = GKSignature(g, len(pairs))
     calls, newton = [], deformation._newton
     monkeypatch.setattr(deformation, "_newton", lambda *a: calls.append(1) or newton(*a))
@@ -1280,8 +1355,8 @@ def test_filling_just_inside_the_rounding_floors_solves(g, slope):
 def test_filling_large_g_spot_checks(monkeypatch, g):
     # 5/1 first failed at g = 132; at g = 131 it took 38 Newton steps, 13
     # block steps from t = 20/sqrt(21), 8 with the first tangent in closed
-    # form, 6 with the point at s < 1 corrected only to 1e-3, and 4 in
-    # one Newton solve from the second-order start
+    # form, 6 with the point at s < 1 corrected only to 1e-3, 4 in one
+    # Newton solve from the second-order start, and 3 from the fourth-order
     sig = GKSignature(g, 1)
     calls, step = [], deformation._block_step
     monkeypatch.setattr(deformation, "_block_step", lambda *a: calls.append(1) or step(*a))
@@ -1302,12 +1377,12 @@ def test_filling_first_step_failure_is_a_continuation_error(monkeypatch):
         solve_filling(sig, spec)
     assert str(info.value).startswith("g=2 k=1 slopes 5/1: continuation step underflow at t=inf, residual ")
     # every Newton solve stopped at its singular first step, at the
-    # second-order predictor; the step halves from 1 until it is below
+    # fourth-order predictor; the step halves from 1 until it is below
     # 1e-4, so the last one was tried at s = 2^-13
     s = 2.0 ** -13
     cs = solve_complete(sig)
-    ((dx, ddx),) = deformation._complete_jet(sig, cs, [spec])
-    guess = deformation._clip(cs.x0 + s * dx + (0.5 * s ** 2) * ddx)
+    ((c1, c2, c3, c4),) = deformation._complete_jet(sig, cs, [spec])
+    guess = deformation._clip(cs.x0 + s * c1 + s ** 2 * c2 + s ** 3 * c3 + s ** 4 * c4)
     L, S, o = deformation._linear_rows(spec.pairs)
     o[:, 11] *= s
     r, _ = deformation._evaluate(sig, guess[None], (L, S, o))
@@ -1395,20 +1470,37 @@ def test_solve_fillings_when_the_complete_structure_fails(monkeypatch):
 
 
 def stacked_and_alone_block_steps(monkeypatch, g, lists):
-    """The block steps of `solve_fillings` on the lists, and of
-    `solve_filling` on each alone."""
+    """The block steps of each `_newton` call of `solve_fillings` on the
+    lists, and of `solve_filling` on each alone: the solve to the gate,
+    then the one step of `_newton_at_one` for a point that met the gate
+    far above its rounding floor."""
     sig = GKSignature(g, len(lists[0]))
     specs = [FillingSpec.from_pairs(sig.k, pairs) for pairs in lists]
-    calls, step = [], deformation._block_step
-    monkeypatch.setattr(deformation, "_block_step", lambda *a: calls.append(1) or step(*a))
+    calls, per_call = count_block_steps(monkeypatch), []
+    newton = deformation._newton
+
+    def counted(*args):
+        before = len(calls)
+        out = newton(*args)
+        per_call.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(deformation, "_newton", counted)
     alone = []
     for spec in specs:
-        calls.clear()
+        per_call.clear()
         solve_filling(sig, spec)
-        alone.append(len(calls))
-    calls.clear()
+        alone.append(list(per_call))
+    per_call.clear()
     solve_fillings(sig, specs)
-    return len(calls), alone
+    return per_call, alone
+
+
+def slowest_list_alone(alone):
+    """The `_newton` block steps a stack of lists makes when it makes the
+    steps of the slowest list alone to the gate, and one more step where
+    any list alone takes the step to its floor."""
+    return [max(steps[0] for steps in alone)] + [1] * any(len(steps) == 2 for steps in alone)
 
 
 @pytest.mark.parametrize(
@@ -1424,7 +1516,7 @@ def test_stacked_batch_block_steps(monkeypatch, g, lists):
     # every list is one step to s = 1, so the stacked Newton solve makes
     # exactly the block steps of the slowest list alone
     calls, alone = stacked_and_alone_block_steps(monkeypatch, g, lists)
-    assert calls == max(alone)
+    assert calls == slowest_list_alone(alone)
 
 
 @settings(max_examples=25, deadline=None)
@@ -1436,7 +1528,7 @@ def test_stacked_batch_block_steps(monkeypatch, g, lists):
 )
 def test_stacked_batch_block_steps_random(seed, g, k, n_lists):
     # slopes of length sqrt(7) to 8 make every list one Newton solve from
-    # its second-order start, and the points of a stacked solve ride along
+    # its fourth-order start, and the points of a stacked solve ride along
     # with zero steps once they are done, so the stack makes exactly the
     # block steps of the slowest list alone
     rng = np.random.default_rng(seed)
@@ -1447,7 +1539,7 @@ def test_stacked_batch_block_steps_random(seed, g, k, n_lists):
         lists.append([None if o else pq for pq, o in zip(random_pairs(rng, k, math.sqrt(7.0), 8.0), off)])
     with pytest.MonkeyPatch.context() as mp:
         calls, alone = stacked_and_alone_block_steps(mp, max(g, k + 1), lists)
-    assert calls == max(alone)
+    assert calls == slowest_list_alone(alone)
 
 
 def test_failed_stacked_step_runs_the_path_alone(monkeypatch):
@@ -1501,12 +1593,24 @@ def test_newton_refuses_only_the_point_that_is_not_a_number():
     assert x[0].tobytes() == alone[0].tobytes()
 
 
+# a solved point of (3, 2) with 5/1 on cusp 0, written out so that the stall
+# test does not depend on the start the solver takes to it
+STALL_POINT = np.array([float.fromhex(h) for h in (
+    "0x1.f5b29ec6c7a39p-3", "0x1.d5f7e324af16bp-3", "0x1.1979db2023dafp-1",
+    "0x1.8457c5e911eeep-1", "0x1.2d18c81aa9aebp-1", "0x1.cb872386a7d44p+0",
+    "0x1.57da478286a28p-2", "0x1.aef78766da696p-2", "0x1.e07e614138dfdp-3",
+    "0x1.34fa87dae927dp+0", "0x1.7c66d78ba3beap+0", "0x1.cb782c87e2f22p-2",
+    # the unfilled cusp's block: alpha, then gamma, on both tetrahedra
+    *(["0x1.544b031411d8bp-2"] * 3 + ["0x1.0c152382d7365p+0"] * 3) * 2,
+    "0x1.840fe1d74ae8dp-2",
+)])
+
+
 def test_newton_stalls_once_its_step_stops_moving_the_point(monkeypatch):
     # at a tolerance below the residual's rounding floor the full step of a
     # solved point comes to leave every bit of it as it was, and each later
     # step would be the same: the solve ends there, not after 25 iterations
-    sig, pairs = GKSignature(3, 2), [(5.0, 1.0), None]
-    x = solve_filling(sig, FillingSpec.from_pairs(2, pairs))
+    sig, pairs, x = GKSignature(3, 2), [(5.0, 1.0), None], STALL_POINT
     evals, evaluate = [], deformation._evaluate
     monkeypatch.setattr(deformation, "_evaluate", lambda *a: evals.append(1) or evaluate(*a))
     rows = deformation._linear_rows(pairs)
@@ -1586,13 +1690,13 @@ def test_an_answer_stops_on_the_sup_norm_alone(monkeypatch, g, pairs):
     sig = GKSignature(g, len(pairs))
     cs = solve_complete(sig)
     spec = FillingSpec.from_pairs(sig.k, pairs).canonicalized()
-    ((dx, ddx),) = deformation._complete_jet(sig, cs, [spec])
+    ((c1, c2, c3, c4),) = deformation._complete_jet(sig, cs, [spec])
     rows = deformation._linear_rows(spec.pairs)
     seen = set()
     for iterations in range(1, 8):
         monkeypatch.setattr(deformation, "_MAX_ITER", iterations)
         for tol in (1e-10, 1e-11, 1e-12, 1e-13, 1e-14, 1e-15):
-            _, (r,), (exc,) = deformation._newton(sig, (cs.x0 + dx + 0.5 * ddx)[None], rows, tol)
+            _, (r,), (exc,) = deformation._newton(sig, (cs.x0 + c1 + c2 + c3 + c4)[None], rows, tol)
             solved = float(np.abs(r).max()) < tol
             assert (exc is None) == solved, (iterations, tol, exc)
             seen.add(solved)

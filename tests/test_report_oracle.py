@@ -18,6 +18,7 @@ have, and the others to each digit they print.
 """
 
 import json
+import math
 import re
 
 import mpmath as mp
@@ -26,7 +27,8 @@ import pytest
 
 from mgk import cli
 from mgk.commensurability_xk import XkSignature, abc, abc_error, theta_r
-from mgk.deformation import GKSignature, solve_filling, uv
+from mgk import deformation
+from mgk.deformation import GKSignature, solve_complete, solve_filling, uv
 from mgk.hyptrig import FillingSpec
 from mgk.report import build_report, report_to_text
 
@@ -209,3 +211,60 @@ def test_rotated_fillings_differ_beyond_the_abc_bounds(capsys, k, slope):
             want = [sum(exact[6 * t + m] for t in range(2 * k)) for m in range(3)]
             assert max(abs(got - w) for got, w in zip(row["abc"], want)) <= abc_error(point, sig)
             exact = [exact[i] for i in perm]
+
+
+@pytest.mark.parametrize("g, k, constant", [(2, 1, 1.01344), (3, 2, 0.48205)])
+def test_the_boundary_moves_by_the_quartic_constant(g, k, constant):
+    """The paper's deformation of the geodesic boundary, to leading order:
+    with one cusp filled far out, beta - beta_bar = -C(g, k) / |p + q
+    omega|^4 + ..., where C(g, k) comes from the solver record's order-4
+    constants, beta_quartic (9 pi^4 / 16 t^4): the path's beta moves by
+    -beta_quartic Q^2 at s = 1, with Q = x1^2 + x1 x2 + x2^2 = 3 pi^2 / (4
+    t^2 |p + q omega|^2) of the tangent.  At 10007/13 the next term is
+    relative O(|p + q omega|^-2), and the doubles hold beta_bar bit for bit,
+    so the shift is read off the 50-digit root."""
+    sig = GKSignature(g, k)
+    cs = solve_complete(sig)
+    C = cs.beta_quartic * 9.0 * math.pi ** 4 / (16.0 * cs.cot_scale ** 4)
+    assert abs(C - constant) < 1e-5
+    p, q = 10007, 13
+    spec = FillingSpec.parse(",".join(["%d/%d" % (p, q)] + ["inf"] * (k - 1)), k)
+    x = solve_filling(sig, spec)
+    with mp.workdps(50):
+        xs = oracle_point(g, k, spec.canonicalized().pairs, x)
+        angle_sum = lambda b: 6 * k * symmetric_alpha(b) + 6 * (g - k) * b - 2 * mp.pi
+        beta_bar = mp.findroot(angle_sum, mp.mpf(cs.beta_bar))
+        shift = (xs[-1] - beta_bar) * (p * p - p * q + q * q) ** 2
+    assert abs(shift + C) <= 1e-4 * C
+
+
+@pytest.mark.parametrize("g, k, slope", [(2, 1, (7, 2)), (3, 2, (3, 1))])
+def test_the_jet_is_the_taylor_series_of_the_50_digit_path(g, k, slope):
+    """The jet's c1..c4, c_n = x^(n)/n! at s = 0, against central
+    differences of the path's points at s = 0, +-h, +-2h, each a 50-digit
+    root of the rows p u + q v = 2 pi i s, that is of the filling (p, q) / s:
+    to 1e-9 of each order's largest entry, where the differences are good
+    to about h^2.  With an unfilled cusp beside, the differences see beta's
+    c4 and the alphas that follow it."""
+    sig = GKSignature(g, k)
+    cs = solve_complete(sig)
+    spec = FillingSpec.from_pairs(k, [slope] + [None] * (k - 1))
+    (jet,) = deformation._complete_jet(sig, cs, [spec.canonicalized()])
+    h = mp.mpf(10) ** -6
+    with mp.workdps(50):
+        points = []
+        for m in (-2, -1, 0, 1, 2):
+            s = m * h
+            start = cs.x0 + sum(float(s) ** n * jet[n - 1] for n in range(1, 5))
+            pairs = [(slope[0] / s, slope[1] / s) if s else None] + [None] * (k - 1)
+            points.append(mp.matrix(oracle_point(g, k, pairs, start)))
+        xm2, xm1, x0, x1, x2 = points
+        fd = [
+            (-x2 + 8 * x1 - 8 * xm1 + xm2) / (12 * h),
+            (-x2 + 16 * x1 - 30 * x0 + 16 * xm1 - xm2) / (24 * h ** 2),
+            (x2 - 2 * x1 + 2 * xm1 - xm2) / (12 * h ** 3),
+            (x2 - 4 * x1 + 6 * x0 - 4 * xm1 + xm2) / (24 * h ** 4),
+        ]
+        for got, want in zip(jet, fd):
+            want = [float(v) for v in want]
+            assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
