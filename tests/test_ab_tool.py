@@ -14,8 +14,7 @@ RUNGS = ["ladder k=2", "ladder k=8", "ladder k=16", "batch"]
 
 def test_an_a_a_run_prints_and_writes_the_table(tmp_path):
     out = tmp_path / "ab.json"
-    argv = [sys.executable, "tools/ab.py", ".", ".", "--blocks", "2", "--fills", "1", "--lists", "1",
-            "--json", str(out)]
+    argv = [sys.executable, "tools/ab.py", ".", ".", "--blocks", "2", "--json", str(out)]
     run = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
     header, *rows = run.stdout.splitlines()

@@ -786,7 +786,9 @@ def fail_first_newton(mp, only=None):
 def test_path_predicts_with_the_jet_and_corrects_with_one_step(monkeypatch, g, pairs):
     # after a first step made to fail, the path solves s = 1/2 and then
     # s = 1, each from the last solved point plus the change of the jet's
-    # Taylor polynomial; the point at s = 1/2 is one Newton step
+    # Taylor polynomial; the point at s = 1/2 is one Newton step.  Both
+    # lists stop at s = 1 below _POLISH times their rounding floor, so no
+    # fourth `_newton` call, the step to the floor, follows
     sig = GKSignature(g, len(pairs))
     spec = FillingSpec.from_pairs(sig.k, pairs).canonicalized()
     cs = solve_complete(sig)
@@ -1170,18 +1172,23 @@ def test_filling_predictor_stays_on_the_warm_start_branch(seed, k, extra, thresh
 )
 def test_filling_long_slopes_take_one_newton_solve(monkeypatch, g, pairs):
     # every filled slope of length >= sqrt(7) is solved at s = 1 straight
-    # from the fourth-order start at the complete structure
+    # from the fourth-order start at the complete structure: one Newton
+    # solve to the gate, and then one step to the rounding floor only for
+    # 40/1, whose length row stops 135 (g = 2) and 196 (g = 3) times its
+    # floor, above _POLISH; the others stop at most 16 times it
     sig = GKSignature(g, len(pairs))
-    calls, newton = [], deformation._newton
-    monkeypatch.setattr(deformation, "_newton", lambda *a: calls.append(1) or newton(*a))
+    tols, newton = [], deformation._newton
+    monkeypatch.setattr(deformation, "_newton", lambda *a: tols.append(a[3]) or newton(*a))
     x = solve_filling(sig, FillingSpec.from_pairs(sig.k, pairs))
-    assert len(calls) == 1
+    assert tols == [deformation._FILL_TOL] + [None] * (pairs[0] == (40.0, 1.0))
     assert np.max(np.abs(x - warm_start_continuation(sig, pairs))) < 1e-9
 
 
 def test_filling_the_sqrt7_gate_admits_is_routed_by_the_gate(monkeypatch):
     # (3, 1 + 1e-12) has length sqrt(7) - 1.9e-13: admitted by the gate's
-    # sqrt(7) - 1e-12, so it is solved, in one Newton solve to s = 1
+    # sqrt(7) - 1e-12, so it is solved, in one Newton solve to s = 1; its
+    # length row stops 3.7 times its rounding floor, below _POLISH, so no
+    # step to the floor follows
     sig, spec = GKSignature(2, 1), FillingSpec.from_pairs(1, [(3.0, 1.0 + 1e-12)])
     assert spec.is_hyperbolic() and spec.min_filled_length() < math.sqrt(7.0)
     calls, newton = [], deformation._newton
@@ -1540,6 +1547,22 @@ def test_stacked_batch_block_steps_random(seed, g, k, n_lists):
     with pytest.MonkeyPatch.context() as mp:
         calls, alone = stacked_and_alone_block_steps(mp, max(g, k + 1), lists)
     assert calls == slowest_list_alone(alone)
+
+
+def test_a_filling_short_of_its_floor_takes_the_step_to_it():
+    # (2, 1) 4/3 meets the gate from its fourth-order start with a length
+    # row 209 times its rounding floor edge_cosh(beta) eps: above
+    # _POLISH, and short of the floor, since one Newton step more moves
+    # the point by 1.2e-14 and lands it there.  That point is the answer
+    sig, spec = GKSignature(2, 1), FillingSpec.from_pairs(1, [(4.0, 3.0)]).canonicalized()
+    cs, rows = solve_complete(sig), deformation._linear_rows(spec.pairs)
+    start = deformation._predict(cs.x0, deformation._complete_jet(sig, cs, [spec]), 0.0, 1.0)
+    x, r, _ = deformation._newton(sig, start, rows, deformation._FILL_TOL)
+    floor = deformation.edge_cosh(float(x[0, -1])) * deformation._EPS
+    assert deformation._POLISH < np.abs(r[0, :6]).max() / floor < 256.0
+    (y,), (ry,), _ = deformation._newton(sig, x, rows, None)
+    assert np.abs(ry[:6]).max() / floor < deformation._POLISH and np.abs(y - x[0]).max() > 1e-14
+    assert solve_filling(sig, spec).tobytes() == y.tobytes()
 
 
 def test_failed_stacked_step_runs_the_path_alone(monkeypatch):

@@ -1,7 +1,6 @@
 """In-process A/B timing of two revisions of mgk, in interleaved blocks.
 
-    python3 tools/ab.py PARENT CHANGE [--blocks N] [--fills M] [--lists L]
-                        [--seed S] [--json FILE]
+    python3 tools/ab.py PARENT CHANGE [--blocks N] [--json FILE]
 
 Run from the root of a checkout.  Each side is a directory that holds
 src/mgk (a checkout, or `.` for the working tree) or a git revision, which
@@ -12,10 +11,11 @@ import inside the package is relative.
 A block times one rung on both copies, one after the other, on the same
 seeded inputs, and alternates from block to block which copy runs first.
 The rungs are the benchmark's shapes: fill_ladder's `solve_filling` on
-g = k + 1 at k = 2, 8 and 16 (M fills a block, the first cusp on a slope
-of length sqrt(7), the others on slopes of squared length 7 to 49), and
-fill_batch's `cli.main(["fill", ..., "--batch", "--json"])` on L lists of
-k <= 4 cusps, g <= 12, each cusp unfilled with probability 1/3.  Before
+g = k + 1 at k = 2, 8 and 16 (FILLS fills a block, the first cusp on a
+slope of length sqrt(7), the others on slopes of squared length 7 to 49),
+and fill_batch's `cli.main(["fill", ..., "--batch", "--json"])`, three
+calls a block, on LISTS lists of k <= 4 cusps, g <= 12, each cusp unfilled
+with probability 1/3.  The inputs come from random.Random(SEED).  Before
 the first block each copy runs every rung once, untimed.
 
 It prints, per rung, the median time per operation of each side, CHANGE
@@ -49,6 +49,9 @@ SLOPES = [
     if (p > 0 or q == 1) and math.gcd(p, q) == 1 and 7 <= p * p - p * q + q * q <= 49
 ]
 SHORTEST = [s for s in SLOPES if s[0] * s[0] - s[0] * s[1] + s[1] * s[1] == 7]
+FILLS = 10
+LISTS = 4
+SEED = 1
 
 
 def source_root(side, scratch):
@@ -76,15 +79,15 @@ def load(name, root):
     return module, importlib.import_module(name + ".deformation"), importlib.import_module(name + ".cli")
 
 
-def ladder_inputs(rng, k, fills):
-    return [[rng.choice(SHORTEST)] + [rng.choice(SLOPES) for _ in range(k - 1)] for _ in range(fills)]
+def ladder_inputs(rng, k):
+    return [[rng.choice(SHORTEST)] + [rng.choice(SLOPES) for _ in range(k - 1)] for _ in range(FILLS)]
 
 
-def batch_argv(rng, lists):
+def batch_argv(rng):
     k = rng.randint(1, 4)
     g = rng.randint(k + 1, 12)
     texts = []
-    for _ in range(lists):
+    for _ in range(LISTS):
         pairs = [None if rng.random() < 1 / 3 else rng.choice(SLOPES) for _ in range(k)]
         if all(pq is None for pq in pairs):
             pairs[rng.randrange(k)] = rng.choice(SLOPES)
@@ -122,38 +125,35 @@ def main(argv=None):
     ap.add_argument("parent")
     ap.add_argument("change")
     ap.add_argument("--blocks", type=int, default=30, help="blocks per rung (default 30)")
-    ap.add_argument("--fills", type=int, default=10, help="fill_ladder solves per block (default 10)")
-    ap.add_argument("--lists", type=int, default=4, help="lists per fill_batch call (default 4)")
-    ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--json", metavar="FILE", help="also write the table as JSON")
     args = ap.parse_args(argv)
     # the exported sources stay until the end: the packages import lazily
     with tempfile.TemporaryDirectory() as scratch:
         copies = {side: load("mgk_ab_" + side, source_root(getattr(args, side), scratch))
                   for side in ("parent", "change")}
-        table = compare(args, copies)
+        table = compare(args.blocks, copies)
     if args.json:
         command = ["tools/ab.py"] + (sys.argv[1:] if argv is None else list(argv))
         doc = {"parent": args.parent, "change": args.change, "command": " ".join(command),
-               "fills": args.fills, "lists": args.lists, "seed": args.seed, "blocks": table}
+               "fills": FILLS, "lists": LISTS, "seed": SEED, "blocks": table}
         with open(args.json, "w") as fh:
             json.dump(doc, fh, indent=1)
             fh.write("\n")
     return 0
 
 
-def compare(args, copies):
+def compare(blocks, copies):
     """Time the blocks, print the table and return it by rung."""
-    rng = random.Random(args.seed)
+    rng = random.Random(SEED)
     rungs = ["ladder k=%d" % k for k in LADDER] + ["batch"]
 
     def block(rung):
         """The operation count and a function of a copy that runs the block."""
         if rung == "batch":
-            argvs = [batch_argv(rng, args.lists) for _ in range(3)]
+            argvs = [batch_argv(rng) for _ in range(3)]
             return len(argvs), lambda copy: run_batch(copy, argvs)
         k = int(rung.split("=")[1])
-        inputs = ladder_inputs(rng, k, args.fills)
+        inputs = ladder_inputs(rng, k)
         return len(inputs), lambda copy: run_ladder(copy, k, inputs)
 
     for rung in rungs:
@@ -161,7 +161,7 @@ def compare(args, copies):
         for copy in copies.values():
             run(copy)
     times = {rung: {"parent": [], "change": []} for rung in rungs}
-    for b in range(args.blocks):
+    for b in range(blocks):
         order = ("parent", "change") if b % 2 == 0 else ("change", "parent")
         for rung in rungs:
             ops, run = block(rung)
@@ -176,13 +176,13 @@ def compare(args, copies):
             "parent_median_us": 1e6 * statistics.median(parent),
             "change_median_us": 1e6 * statistics.median(change),
             "wins": wins,
-            "blocks": args.blocks,
-            "sign_test_p": sign_test(wins, args.blocks),
+            "blocks": blocks,
+            "sign_test_p": sign_test(wins, blocks),
         }
         row["ratio"] = row["change_median_us"] / row["parent_median_us"]
         table[rung] = row
         print("%-12s %12.1f %12.1f %8.3f %5d/%-3d %10.2g" % (
-            rung, row["parent_median_us"], row["change_median_us"], row["ratio"], wins, args.blocks,
+            rung, row["parent_median_us"], row["change_median_us"], row["ratio"], wins, blocks,
             row["sign_test_p"]))
     return table
 
