@@ -34,14 +34,19 @@ every slope of length >= sqrt(7), is reached by one route, a
 predictor-corrector continuation from the complete solution (`_path`)
 whose predictor is the Taylor polynomial of the closed-form jet, the
 path's Taylor coefficients to order 4 (`_complete_jet`, with no linear
-solve).  Its first step is one Newton solve at s = 1 from the
-fourth-order start x0 + x' + x''/2 + x'''/6 + x''''/24, with one step
-more where it stops short of the rounding floor (`_newton_at_one`); the
-first steps of a batch are one stacked solve.  `solve_complete` solves
-each signature's complete solution once per process, and an LRU cache
-of 128 signatures keeps it, with a read-only x0, the jet's constants
-(`_taylor_forms`) and the distinguished curve's derivative vectors: the
-one per-signature cache.
+solve).  Its first step is one Newton solve at s = 1, with one step more
+where it stops short of the rounding floor (`_newton_at_one`); the first
+steps of a batch are one stacked solve.  That step starts (`_starts`)
+from a closed-form point where every cusp's target is in the signature's
+table of solved cusp blocks (`_cusp_table`: the complete block and each
+integer slope of squared length 7 to 103, solved once at beta_bar, where
+the blocks do not couple), the first block-arrow Newton step from those
+blocks; from any other spec it starts at the fourth-order point
+x0 + x' + x''/2 + x'''/6 + x''''/24.  `solve_complete` solves each
+signature's complete solution once per process, and an LRU cache of 128
+signatures keeps it, with a read-only x0, the jet's constants
+(`_taylor_forms`), the table and the distinguished curve's derivative
+vectors: the one per-signature cache.
 
 Newton works on the square system: the structure rows plus two cusp
 rows per cusp (Re, Im of p*u + q*v - 2*pi*i filled, of u complete).
@@ -75,7 +80,8 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -94,10 +100,13 @@ _CUSP_FLOOR = 4.0
 _LENGTH_FLOOR = 1.05
 # a filling that meets the gate with a length row above this many times the
 # length rows' rounding floor takes one Newton step more (`_newton_at_one`):
-# on 544 seeded fill_ladder- and fill_batch-shaped fillings a point at its
-# floor stood at most 77 times it, and one short of it 208 times or more
-# (outside that sample, (2, 1) 40/1 stops short at 135 times); 128 is about
-# the geometric middle of 77 and 208
+# on 544 seeded fill_ladder- and fill_batch-shaped fillings from the
+# fourth-order start a point at its floor stood at most 77 times it, and one
+# short of it 208 times or more (outside that sample, (2, 1) 40/1 stops short
+# at 135 times); 128 is about the geometric middle of 77 and 208.  From the
+# table start, on 544 such fillings (CHANGES.md), a point at its floor (one
+# step more moves it by at most 1e-14) stood at most 214 times it and one
+# short of it 231 times or more; the step fires on 52, 4 of them at the floor
 _POLISH = 128.0
 _EPS = float(np.finfo(float).eps)
 # |u| below which a cusp counts as complete (unfilled)
@@ -168,9 +177,13 @@ class CompleteSolution:
     `_tangent_block`; forms, the (6, 2) table of a filled cusp's own
     Taylor forms, and beta_slope and beta_quartic, its coupling to beta
     and so to every cusp (`_taylor_forms`); varsigma, the distinguished
-    curve's pair of `varsigma_derivatives`; and residual, the 12k+1
-    residuals (block order, cusp rows of u = 0) at x0 that certified it.
-    One object serves every caller, so its arrays are read-only."""
+    curve's pair of `varsigma_derivatives`; residual, the 12k+1
+    residuals (block order, cusp rows of u = 0) at x0 that certified it;
+    and the table of solved cusp blocks at beta_bar (`_cusp_table`):
+    table, of shape (n, 2, 12), holds per entry the block and its beta
+    response, and table_rows maps each entry's target, a sign-form slope
+    (p, q) or None, to its row.  One object serves every caller, so its
+    arrays are read-only and table_rows is a read-only mapping."""
 
     alpha_bar: float
     beta_bar: float
@@ -181,9 +194,12 @@ class CompleteSolution:
     beta_quartic: float
     varsigma: Tuple[np.ndarray, np.ndarray]
     residual: np.ndarray
+    table: np.ndarray
+    table_rows: Mapping
 
 
-# more than fill_batch's 38 signatures; about 25 kB each at k = 64
+# more than fill_batch's 38 signatures; about 25 kB each at k = 64, and
+# 27 kB for the table of solved cusp blocks
 _COMPLETE_CACHE = 128
 
 
@@ -211,6 +227,9 @@ def solve_complete(sig: GKSignature) -> CompleteSolution:
     is the process's one per-signature cache: `cache_clear()` empties it.
     The gate reads the structure rows of one kernel evaluation at x0, kept
     as `residual`; its ConvergenceError is not kept: each call raises it anew.
+    A certified structure also gets its table of solved cusp blocks
+    (`_cusp_table`), 6 or 7 evaluations more and about 1 ms on a 2-core
+    x86-64 host, once per signature.
     """
     k, m = sig.k, sig.g - sig.k
     r3 = math.sqrt(3.0)
@@ -241,8 +260,126 @@ def solve_complete(sig: GKSignature) -> CompleteSolution:
     varsigma = np.zeros((2, sig.n_coords))
     varsigma[0, :12] = _tangent_block(t, 2.0 * s, -s).ravel()
     varsigma[1, :12] = np.tile(np.outer(2.0 * forms[1], [6.0 * s * s, -3.0 * s * s, -3.0 * s * s]).ravel(), 2)
-    x0.flags.writeable = forms.flags.writeable = varsigma.flags.writeable = r.flags.writeable = False
-    return CompleteSolution(a, b, x0, t, forms, beta_slope, beta_quartic, tuple(varsigma), r)
+    table, table_rows = _cusp_table(a, b, t, forms)
+    for array in (x0, forms, varsigma, r, table):
+        array.flags.writeable = False
+    return CompleteSolution(a, b, x0, t, forms, beta_slope, beta_quartic, tuple(varsigma), r, table, table_rows)
+
+
+# the table's cut on a slope's squared length p^2 - pq + q^2: from the
+# fourth-order start one filled cusp took 3 to 5 block solves up to 57 at
+# (2, 1), 73 at (17, 16) and (65, 64) and 103 at g = 200, and 2 above
+_TABLE_CUT = 104
+# p^2 - pq + q^2 >= 3 max(|p|, |q|)^2 / 4 bounds the search
+_TABLE_SLOPES = [
+    (p, q) for m in [math.isqrt(4 * _TABLE_CUT // 3)] for p in range(m + 1) for q in range(-m, m + 1)
+    if (p > 0 or q == 1) and math.gcd(p, q) == 1 and 7 <= p * p - p * q + q * q < _TABLE_CUT
+]
+
+
+# one cusp block under the torus isometries, as index maps (new angle j =
+# old angle m[j]) of its (2, 2, 3) layout: the rotation r, (p, q) ->
+# (p - q, p), swaps the tetrahedra and cycles the apices, and the
+# reflection s, (p, q) -> (p - q, -q), swaps apices 0 and 1
+# (`commensurability_xk.phi_r` and `phi_s` on a point)
+_ROTATE = np.arange(12).reshape(2, 2, 3)[::-1][..., [1, 2, 0]].ravel()
+_REFLECT = np.arange(12).reshape(2, 2, 3)[..., [1, 0, 2]].ravel()
+
+
+@functools.cache
+def _table_plan():
+    """How `_cusp_table` gets its entries from few solves, the same for
+    every signature: the targets it solves, None and the first slope of
+    each of the 19 orbits of `_TABLE_SLOPES` under r and s, with their
+    `_linear_rows`; per table target, None and then `_TABLE_SLOPES`, the
+    position of its solved target and the index map that carries that
+    block onto its own; and `_linear_rows` of the table targets, for the
+    gate.  A walk over the signed images of each solved slope reaches its
+    whole orbit: r^3 swaps the tetrahedra, which carries the block of
+    -(p, q) onto that of (p, q)."""
+    targets, slopes = [None] + _TABLE_SLOPES, set(_TABLE_SLOPES)
+    solved, found = [None], {None: (0, np.arange(12))}
+    for pq in _TABLE_SLOPES:
+        if pq in found:
+            continue
+        seen, todo = {pq: np.arange(12)}, [pq]
+        while todo:
+            p, q = todo.pop()
+            for image, step in (((p - q, p), _ROTATE), ((p - q, -q), _REFLECT)):
+                if image not in seen:
+                    seen[image] = seen[(p, q)][step]
+                    todo.append(image)
+        found.update((image, (len(solved), m)) for image, m in seen.items() if image in slopes)
+        solved.append(pq)
+    source = np.array([found[t][0] for t in targets])
+    maps = np.array([found[t][1] for t in targets])
+    return solved, _linear_rows(solved), source, maps, _linear_rows(targets)
+
+
+def _cusp_table(alpha_bar: float, beta_bar: float, t: float, forms: np.ndarray):
+    """The table of `CompleteSolution`: per target, None (a complete cusp)
+    or a sign-form slope of `_TABLE_SLOPES`, the cusp's block solved at
+    beta fixed to beta_bar, B, and its beta response y = A^-1 dbeta e, A the
+    block's Jacobian and e the marks of its length rows (as in
+    `_block_step`): an array of shape (n, 2, 12) [entry, B or y] and the
+    read-only mapping of each target to its row.  With beta fixed the
+    blocks do not couple, so they depend on the target and beta_bar alone,
+    not on k.
+
+    One Newton solve takes the blocks of the targets of `_table_plan`,
+    stacked as the cusps of one point whose total-angle row is not read,
+    each from its own fourth-order Taylor start (the `_own_forms`, which
+    leave beta out).  A block stops at its floor, below the gate and
+    `_POLISH` times the length rows' rounding floor edge_cosh(beta) eps
+    (the rule of `_newton_at_one`), and at the latest one step after it
+    meets the gate; y solves the blocks of the last evaluation.  The
+    torus isometries carry B and y onto every other slope of the orbit by
+    an index map, since they permute the block's angles and rows and keep
+    beta.  An entry whose 12 block rows at beta_bar miss the gate is left
+    out, and so is every entry where the length rows' rounding floor
+    edge_cosh(beta) eps is over the gate, or where a block is singular."""
+    none = np.empty((0, 2, 12)), MappingProxyType({})
+    if edge_cosh(beta_bar) * _EPS > _FILL_TOL:
+        return none
+    solved, rows, source, maps, gate_rows = _table_plan()
+    n = len(solved)
+    own, _ = _own_forms(t, forms, solved)
+    x = np.empty(12 * n + 1)
+    x[-1] = beta_bar
+    xb = x[:-1].reshape(n, 12)
+    xb.reshape(n, 2, 2, 3)[:] = [[alpha_bar] * 3, [math.pi / 3.0] * 3]
+    for order in range(4):
+        xb += (own[:, order, None] * _SWAP[order]).reshape(n, 12)
+    # the blocks as the n cusps of one point; g enters only the total angle
+    sig = GKSignature(n + 1, n)
+    (r,), blocks = _evaluate(sig, x[None], rows)
+    floor, stop = min(_FILL_TOL, _POLISH * _EPS * edge_cosh(beta_bar)), np.zeros(n, dtype=bool)
+    try:
+        for _ in range(_MAX_ITER):
+            R = r[:-1].reshape(n, 12)
+            norm = np.abs(R).max(axis=1)
+            # a block at its floor stops, and one below the gate takes this
+            # step, to its floor, and then stops
+            stop |= norm < floor
+            run = ~stop
+            if not run.any():
+                break
+            stop |= norm < _FILL_TOL
+            A, _ = blocks()
+            xb[run] = _clip(xb[run] - np.linalg.solve(A[run], R[run, :, None])[:, :, 0])
+            (r,), blocks = _evaluate(sig, x[None], rows)
+        A, (dbeta,) = blocks()
+        e = np.zeros((n, 12, 1))
+        e[:, :6] = dbeta
+        y = np.linalg.solve(A, e)[:, :, 0]
+    except np.linalg.LinAlgError:
+        return none
+    table = np.take_along_axis(np.stack([xb, y], axis=1)[source], maps[:, None], axis=2)
+    m = len(table)
+    (r,), _ = _evaluate(GKSignature(m + 1, m), np.append(table[:, 0], beta_bar)[None], gate_rows)
+    keep = (np.abs(r[:-1].reshape(m, 12)).max(axis=1) < _FILL_TOL) & np.isfinite(table[:, 1]).all(axis=1)
+    targets = [None] + _TABLE_SLOPES
+    return table[keep], MappingProxyType({targets[i]: j for j, i in enumerate(np.flatnonzero(keep).tolist())})
 
 
 # ---------------------------------------------------------------------------
@@ -552,12 +689,14 @@ def solve_filling(sig: GKSignature, spec: FillingSpec) -> np.ndarray:
     A slope shorter than sqrt(7) is a DomainError.  Filled coefficients
     are continued (`_path`) in s = 1/t along the rows
     p*u + q*v = 2*pi*i*s from the complete structure x0 at s = 0.  The
-    path's first step, one Newton solve at s = 1 from the fourth-order
-    start x0 + x' + x''/2 + x'''/6 + x''''/24 (`_newton_at_one`), takes
-    4 block solves at length sqrt(7) (5 near g = 200), 3 at lengths of
-    about 3.6 to 7, and about 2 beyond 7, the step to the rounding floor
-    included.  Fails loudly (ConvergenceError) if the path cannot reach
-    s = 1.  This is `solve_fillings` on the one spec.
+    path's first step is one Newton solve at s = 1 (`_newton_at_one`)
+    from the start of `_starts`.  From the table start, for integer slopes
+    of squared length below 104, every cusp filled takes 2 block solves
+    at k = 8 to 64 and 2 or 3 at k <= 2, and one filled cusp at most 2 and
+    the step to the floor; from the fourth-order start, the slopes beyond
+    take about 2, the step to the rounding floor included.  Fails loudly
+    (ConvergenceError) if the path cannot reach s = 1.  This is
+    `solve_fillings` on the one spec.
     """
     (x,) = solve_fillings(sig, [spec])
     if isinstance(x, Exception):
@@ -591,14 +730,14 @@ def solve_fillings(sig: GKSignature, specs: Sequence[FillingSpec], *, out: Optio
     bits and message: a spec that fails does not touch the others.  An
     entry of `specs` that is an error, such as that of parsing it, is its
     own result.  With `out`, a list, one `Solved` record per spec is
-    appended to it.  `solve_complete` gives the complete structure and
-    the jet's constants, solved once per process per signature.  A spec
-    that the sqrt(7) gate `FillingSpec.is_hyperbolic` refuses, and each
-    filled spec whose rounding floor exceeds
-    `_CUSP_FLOOR` or `_LENGTH_FLOOR` fill gates, is refused before any
-    step.  Every other filled spec runs its `_path`, and the first steps
-    of the paths are one stacked `_newton_at_one` from their fourth-order
-    starts."""
+    appended to it.  `solve_complete` gives the complete structure, the
+    jet's constants and the table of solved cusp blocks, solved once per
+    process per signature.  A spec that the sqrt(7) gate
+    `FillingSpec.is_hyperbolic` refuses, and each filled spec whose
+    rounding floor exceeds `_CUSP_FLOOR` or `_LENGTH_FLOOR` fill gates,
+    is refused before any step.  Every other filled spec runs its
+    `_path`, and the first steps of the paths are one stacked
+    `_newton_at_one` from their `_starts`."""
     records, todo = [None] * len(specs), []
     for i, spec in enumerate(specs):
         exc = spec if isinstance(spec, Exception) else _cusp_count_error(sig, spec)
@@ -636,13 +775,12 @@ def solve_fillings(sig: GKSignature, specs: Sequence[FillingSpec], *, out: Optio
             filled.append((i, spec))
     if filled:
         k = sig.k
-        jets = _complete_jet(sig, cs, [spec for _, spec in filled])
         rows = _linear_rows([pq for _, spec in filled for pq in spec.pairs])
         # every path's first step, to s = 1, as one stacked Newton solve
-        x, r, errors = _newton_at_one(sig, _predict(cs.x0, jets, 0.0, 1.0), rows)
+        x, r, errors = _newton_at_one(sig, _starts(sig, cs, [spec for _, spec in filled]), rows)
         for j, (i, spec) in enumerate(filled):
             spec_rows = [a[k * j:k * j + k] for a in rows]
-            records[i] = Solved(*_path(sig, cs, spec, jets[j], spec_rows, (x[j], r[j], errors[j])))
+            records[i] = Solved(*_path(sig, cs, spec, spec_rows, (x[j], r[j], errors[j])))
     if out is not None:
         out.extend(records)
     return [rec.x for rec in records]
@@ -673,33 +811,74 @@ def _newton_at_one(sig: GKSignature, x0: np.ndarray, rows):
     return x, r, errors
 
 
-def _path(sig: GKSignature, cs: CompleteSolution, spec: FillingSpec, jet, rows, first=None):
-    """The continuation of the canonical spec alone, from the complete
-    solution cs at s = 0, where its jet is the Taylor coefficients c1..c4
-    of `_complete_jet` and its linear block rows at s = 1 are `rows`
-    (`_linear_rows` of its pairs), up to
-    s = 1: the solution and its last Newton residual vector, or the error
-    that stopped it and None.  `first`, when given, is the Newton result
-    (x, r, error) of the first step, taken from a stacked solve, and
-    stands for that step's `_newton`.
+def _starts(sig: GKSignature, cs: CompleteSolution, specs) -> np.ndarray:
+    """The start at s = 1 of each of the canonical filled `specs`, shape
+    (N, 12k+1).  A spec whose every cusp target is in the table of cs
+    (`_cusp_table`) starts from the first block-arrow Newton step from its
+    tabulated blocks B_c at beta_bar, which meet their own rows and miss
+    only the total angle: with y_c their beta responses,
 
-    A plain predictor-corrector.  The first step goes to s = 1.  Each
-    step predicts the next s from the last solved point (s, x) plus the
-    change of the jet's Taylor polynomial, x + sum of (s'^n - s^n) c_n
-    (`_predict`), which from s = 0 is the fourth-order start
-    x0 + c1 + c2 + c3 + c4, and corrects it with `_newton`: one step
-    short of s = 1, `_newton_at_one` at s = 1.  A failed step halves the
-    step; below 1e-4 the
-    path ends in a ConvergenceError that names the t of its last solved
-    point and the last failure's residual.  Its fillings passed the
-    sqrt(7) gate and the floor check of `solve_fillings`: a first step
-    fails for a start too far out, or rarely for rounding near the
-    floors."""
+        s_beta = (6(g-k) beta_bar + sum of alphas - 2 pi) / (6(g-k) - sum of y_alpha),
+
+    each block is B_c + s_beta y_c and beta is beta_bar - s_beta, with no
+    linear solve.  Every other spec starts from the fourth-order Taylor
+    point x0 + c1 + c2 + c3 + c4 of its path (`_complete_jet`).  Each sum
+    is a `math.fsum` of the spec's own terms, so each spec has the bits it
+    gets alone."""
+    n, k = len(specs), sig.k
+    # per spec its rows of the table, with None for a target not in it
+    picks = [[cs.table_rows.get(pq) for pq in spec.pairs] for spec in specs]
+    tab = [i for i in range(n) if None not in picks[i]]
+    if not tab:
+        return _predict(cs.x0, _complete_jet(sig, cs, specs), 0.0, 1.0)
+    x = np.empty((n, sig.n_coords))
+    rest = [i for i in range(n) if None in picks[i]]
+    if rest:
+        x[rest] = _predict(cs.x0, _complete_jet(sig, cs, [specs[i] for i in rest]), 0.0, 1.0)
+    entries = cs.table[[row for i in tab for row in picks[i]]].reshape(len(tab), k, 2, 12)
+    B, y = entries[:, :, 0], entries[:, :, 1]
+    corner = 6.0 * (sig.g - k)
+    B_alpha = B[:, :, _ALPHA_COLS].reshape(len(tab), 6 * k).tolist()
+    y_alpha = (-y[:, :, _ALPHA_COLS]).reshape(len(tab), 6 * k).tolist()
+    s = np.array([
+        math.fsum([corner * cs.beta_bar, -2.0 * math.pi] + a) / math.fsum([corner] + b)
+        for a, b in zip(B_alpha, y_alpha)
+    ])
+    x[tab, :-1] = (B + s[:, None, None] * y).reshape(len(tab), 12 * k)
+    x[tab, -1] = cs.beta_bar - s
+    return x
+
+
+def _path(sig: GKSignature, cs: CompleteSolution, spec: FillingSpec, rows, first=None):
+    """The continuation of the canonical spec alone, from the complete
+    solution cs at s = 0, whose linear block rows at s = 1 are `rows`
+    (`_linear_rows` of its pairs), up to s = 1: the solution and its last
+    Newton residual vector, or the error that stopped it and None.
+    `first`, when given, is the Newton result (x, r, error) of the first
+    step, taken from a stacked solve, and stands for that step's
+    `_newton_at_one`.
+
+    A plain predictor-corrector.  The first step goes to s = 1, from the
+    spec's start of `_starts`.  After a failed step the step halves, and
+    each later step predicts the next s from the last solved point (s, x)
+    plus the change of the Taylor polynomial of the spec's jet c1..c4
+    (`_complete_jet`), x + sum of (s'^n - s^n) c_n (`_predict`), and
+    corrects it with `_newton`: one step short of s = 1,
+    `_newton_at_one` at s = 1.  Below 1e-4 the step ends the path in a
+    ConvergenceError that names the t of its last solved point and the
+    last failure's residual.  Its fillings passed the sqrt(7) gate and the
+    floor check of `solve_fillings`: a first step fails for a start too
+    far out, or rarely for rounding near the floors."""
     L, S, o = rows
-    s, ds, x = 0.0, 1.0, cs.x0
+    if first is None:
+        x, r, errors = _newton_at_one(sig, _starts(sig, cs, [spec]), rows)
+        first = x[0], r[0], errors[0]
+    s, ds, x, jet = 0.0, 1.0, cs.x0, None
     while s < 1.0:
         s_next = min(1.0, s + ds)
         if first is None:
+            if jet is None:
+                (jet,) = _complete_jet(sig, cs, [spec])
             o_s = o.copy()
             o_s[:, 11] *= s_next
             guess = _predict(x, jet, s, s_next)[None]
@@ -798,6 +977,31 @@ def _taylor_forms(alpha_bar: float, beta_bar: float, g: int, k: int):
 _SWAP = np.array([[1.0, -1.0], [1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])[:, :, None, None]
 
 
+def _own_forms(t: float, forms: np.ndarray, targets):
+    """The Taylor coefficients c1..c4 of each target's cusp block with beta
+    held at beta_bar, the `_taylor_forms` in its (x1, x2) of `_complete_jet`
+    (zero for None): an array of shape (m, 4, 2, 3) [target, order, alpha
+    or gamma, apex] on tetrahedron 2c, and the (m, 1) column of Q."""
+    c = math.pi / (2.0 * t)
+    # per cusp x1, x2, x3 = -x1 - x2 and Q = x1^2 + x1 x2 + x2^2 = 3 c f
+    tangents = []
+    for pq in targets:
+        if pq is None:
+            tangents.append((0.0, 0.0, 0.0, 0.0))
+        else:
+            p, q = pq
+            f = c / (p * p - p * q + q * q)
+            tangents.append(((2.0 * q - p) * f, -(p + q) * f, (2.0 * p - q) * f, 3.0 * c * f))
+    tangents = np.array(tangents).reshape(len(targets), 4)
+    x, Q = tangents[:, :3], tangents[:, 3:]
+    sq = x * x
+    F = forms[:, :, None]
+    own = np.empty((len(targets), 4, 2, 3))
+    own[:, :3] = np.stack([x, 3.0 * sq - 2.0 * Q, x * sq], axis=1)[:, :, None] * F[:3]
+    own[:, 3] = (sq * sq)[:, None] * F[3] + (sq * Q)[:, None] * F[4] + (Q * Q)[:, None] * F[5]
+    return own, Q
+
+
 def _complete_jet(sig: GKSignature, cs: CompleteSolution, specs) -> np.ndarray:
     """The closed-form Taylor coefficients c_n = x^(n)/n!, n = 1..4, at
     s = 0 of the continuation of each of `specs` to its filling, from the
@@ -814,25 +1018,9 @@ def _complete_jet(sig: GKSignature, cs: CompleteSolution, specs) -> np.ndarray:
     cusps.  All specs are computed at once, elementwise over their cusps,
     and each spec's sum is its own `math.fsum`, so each spec has the bits
     it gets alone."""
-    n, k, c = len(specs), sig.k, math.pi / (2.0 * cs.cot_scale)
-    # per cusp x1, x2, x3 = -x1 - x2 and Q = x1^2 + x1 x2 + x2^2 = 3 c f
-    tangents = []
-    for pq in (pq for spec in specs for pq in spec.pairs):
-        if pq is None:
-            tangents.append((0.0, 0.0, 0.0, 0.0))
-        else:
-            p, q = pq
-            f = c / (p * p - p * q + q * q)
-            tangents.append(((2.0 * q - p) * f, -(p + q) * f, (2.0 * p - q) * f, 3.0 * c * f))
-    tangents = np.array(tangents).reshape(n * k, 4)
-    x, Q = tangents[:, :3], tangents[:, 3:]
-    sq = x * x
+    n, k = len(specs), sig.k
+    own, Q = _own_forms(cs.cot_scale, cs.forms, [pq for spec in specs for pq in spec.pairs])
     beta = [-cs.beta_quartic * math.fsum(row) for row in (Q * Q).reshape(n, k).tolist()]
-    F = cs.forms[:, :, None]
-    # [cusp, order, alpha or gamma, apex] on tetrahedron 2c
-    own = np.empty((n * k, 4, 2, 3))
-    own[:, :3] = np.stack([x, 3.0 * sq - 2.0 * Q, x * sq], axis=1)[:, :, None] * F[:3]
-    own[:, 3] = (sq * sq)[:, None] * F[3] + (sq * Q)[:, None] * F[4] + (Q * Q)[:, None] * F[5]
     own.reshape(n, k, 4, 2, 3)[:, :, 3, 0] += (cs.beta_slope * np.array(beta))[:, None, None]
     jet = np.empty((n, 4, sig.n_coords))
     jet[:, :, :-1] = (own[:, :, None] * _SWAP).reshape(n, k, 4, 12).transpose(0, 2, 1, 3).reshape(n, 4, 12 * k)

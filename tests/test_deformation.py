@@ -22,8 +22,10 @@ from mgk.deformation import (
     varsigma_derivatives,
     varsigma_point,
 )
+from mgk import commensurability_xk as cx
 from mgk import deformation
 from mgk.hyptrig import DomainError, FillingSpec
+from mgk.slopes_symmetry import D6Element
 
 from conftest import random_pairs
 
@@ -198,11 +200,18 @@ def test_a_gate_failure_is_not_cached(monkeypatch, cold_cache):
 
 @pytest.mark.parametrize("g, k", [(2, 1), (3, 2), (9, 3), (17, 16)])
 def test_fills_are_the_same_with_a_cold_and_a_warm_cache(cold_cache, g, k):
-    # solution and residual record byte for byte, alone and stacked
+    # solution and residual record byte for byte, alone and stacked, in a
+    # stack that mixes real slopes, integer slopes of the table (of either
+    # sign) and a list with one slope beyond the table's cut
     rng = np.random.default_rng(3900 + k)
     sig = GKSignature(g, k)
     specs = [FillingSpec.from_pairs(k, random_pairs(rng, k, 2.7, 40.0)) for _ in range(3)]
     specs.append(FillingSpec.from_pairs(k, [(3.0, 1.0)] + [None] * (k - 1)))
+    table = [pq for pq in deformation._TABLE_SLOPES if rng.random() < 0.5]
+    signs, picks = rng.choice([-1, 1], size=2 * k).tolist(), rng.integers(len(table), size=2 * k).tolist()
+    short = [(sign * table[i][0], sign * table[i][1]) for sign, i in zip(signs, picks)]
+    specs.append(FillingSpec.from_pairs(k, short[:k]))
+    specs.append(FillingSpec.from_pairs(k, [(40, 1)] + short[k + 1:]))
 
     def solve(batch, cold):
         if cold:
@@ -728,14 +737,14 @@ def test_filling_newton_steps_flat_in_k(monkeypatch, k):
     # previous point took 116, 312 and 846 steps, starting at t = 20/sqrt(7)
     # took 13-14, with the first tangent in closed form 9, with the point at
     # s = sqrt(7)/5 corrected only to a merit of 1e-3, 7, 5-6 in one Newton
-    # solve from the second-order start at the complete structure, and 4, 4
-    # and 5 from the fourth-order start
+    # solve from the second-order start at the complete structure, 4, 4
+    # and 5 from the fourth-order start, and 2 from the table start
     sig = GKSignature(k + 1, k)
     pairs = [SQRT7_SLOPES[c % 6] for c in range(k)]
     calls, step = [], deformation._block_step
     monkeypatch.setattr(deformation, "_block_step", lambda *a: calls.append(1) or step(*a))
     x = solve_filling(sig, FillingSpec.from_pairs(k, pairs))
-    assert len(calls) <= {16: 4, 32: 4, 64: 5}[k]
+    assert len(calls) <= 2
     assert np.max(np.abs(residuals(sig, x))) < 1e-10
     for c, (p, q) in enumerate(FillingSpec.from_pairs(k, pairs).canonicalized().pairs):
         pc, qc = dehn_coefficients(x, c)
@@ -748,16 +757,30 @@ def test_filling_block_steps_with_tangent_predictor(monkeypatch, k):
     # at ratio 1.5, and 13-14 from t = 20/sqrt(7); with the tangent at the
     # complete structure in closed form and the later one a block step, 9,
     # and 7 with the point at s < 1 corrected only to 1e-3; from the
-    # second-order start it was one Newton solve of 5, and from the
-    # fourth-order start it is one of 4, 4 and 5
+    # second-order start it was one Newton solve of 5, from the
+    # fourth-order start one of 4, 4 and 5, and from the table start it is
+    # one of 2, 2 and 1, the step to the floor included
     sig = GKSignature(k + 1, k)
     calls, step = [], deformation._block_step
     monkeypatch.setattr(deformation, "_block_step", lambda *a: calls.append(1) or step(*a))
     x = solve_filling(sig, FillingSpec.from_pairs(k, [(3.0, 1.0)] + [None] * (k - 1)))
-    assert len(calls) <= {2: 4, 16: 4, 64: 5}[k]
+    assert len(calls) <= {2: 2, 16: 2, 64: 1}[k]
     assert np.max(np.abs(residuals(sig, x))) < 1e-10
     pc, qc = dehn_coefficients(x, 0)
     assert abs(pc - 3.0) < 1e-9 and abs(qc - 1.0) < 1e-9
+
+
+def table_start(sig, cs, spec):
+    """The start of `_starts` for the canonical spec whose every target is
+    in the table of cs, written out in plain floats: per cusp the
+    tabulated block B and beta response y, s_beta = (6(g-k) beta_bar +
+    sum of alphas - 2 pi) / (6(g-k) - sum of y_alpha), each sum a
+    `math.fsum`, and the point B + s_beta y, beta_bar - s_beta."""
+    corner, alphas = 6.0 * (sig.g - sig.k), [0, 1, 2, 6, 7, 8]
+    entries = [cs.table[cs.table_rows[pq]].tolist() for pq in spec.pairs]
+    top = math.fsum([corner * cs.beta_bar, -2.0 * math.pi] + [B[j] for B, _ in entries for j in alphas])
+    s = top / math.fsum([corner] + [-y[j] for _, y in entries for j in alphas])
+    return np.array([b + s * v for B, y in entries for b, v in zip(B, y)] + [cs.beta_bar - s])
 
 
 def fail_first_newton(mp, only=None):
@@ -784,11 +807,12 @@ def fail_first_newton(mp, only=None):
     "g, pairs", [(3, [(5.0, 1.0), None]), (17, [SQRT7_SLOPES[c % 6] for c in range(16)])]
 )
 def test_path_predicts_with_the_jet_and_corrects_with_one_step(monkeypatch, g, pairs):
-    # after a first step made to fail, the path solves s = 1/2 and then
-    # s = 1, each from the last solved point plus the change of the jet's
-    # Taylor polynomial; the point at s = 1/2 is one Newton step.  Both
-    # lists stop at s = 1 below _POLISH times their rounding floor, so no
-    # fourth `_newton` call, the step to the floor, follows
+    # after a first step made to fail, from the table start of `_starts`
+    # (both lists are tabulated), the path solves s = 1/2 and then s = 1,
+    # each from the last solved point plus the change of the jet's Taylor
+    # polynomial; the point at s = 1/2 is one Newton step.  Both lists stop
+    # at s = 1 below _POLISH times their rounding floor, so no fourth
+    # `_newton` call, the step to the floor, follows
     sig = GKSignature(g, len(pairs))
     spec = FillingSpec.from_pairs(sig.k, pairs).canonicalized()
     cs = solve_complete(sig)
@@ -805,8 +829,8 @@ def test_path_predicts_with_the_jet_and_corrects_with_one_step(monkeypatch, g, p
     monkeypatch.setattr(deformation, "_newton", spy)
     x = solve_filling(sig, spec)
     first, (half, tol_half, steps_half, x_half), (one, tol_one, _, x_one) = seen
-    # the Taylor coefficients c_n = x^(n)/n!: x0 + c1 + c2 + c3 + c4 from s = 0
-    assert first[0].tobytes() == (cs.x0 + c1 + c2 + c3 + c4).tobytes()
+    assert first[0].tobytes() == table_start(sig, cs, spec).tobytes()
+    # the Taylor coefficients c_n = x^(n)/n!, from s = 0 and then from s = 1/2
     assert half.tobytes() == (cs.x0 + 0.5 * c1 + 0.25 * c2 + 0.125 * c3 + 0.0625 * c4).tobytes()
     assert tol_half is None and steps_half == 1
     assert one.tobytes() == (x_half + 0.5 * c1 + 0.75 * c2 + 0.875 * c3 + 0.9375 * c4).tobytes()
@@ -1172,15 +1196,17 @@ def test_filling_predictor_stays_on_the_warm_start_branch(seed, k, extra, thresh
 )
 def test_filling_long_slopes_take_one_newton_solve(monkeypatch, g, pairs):
     # every filled slope of length >= sqrt(7) is solved at s = 1 straight
-    # from the fourth-order start at the complete structure: one Newton
-    # solve to the gate, and then one step to the rounding floor only for
-    # 40/1, whose length row stops 135 (g = 2) and 196 (g = 3) times its
-    # floor, above _POLISH; the others stop at most 16 times it
+    # from its start at the complete structure: one Newton solve to the
+    # gate, and then one step to the rounding floor where the length rows
+    # stop above _POLISH times it: for 40/1, from the fourth-order start,
+    # 135 (g = 2) and 196 (g = 3) times, and from the table start for 6/1
+    # and 3/1 at g = 2, 1869 and 3922 times; the two lists at g = 9 stop
+    # at most 2 times it
     sig = GKSignature(g, len(pairs))
     tols, newton = [], deformation._newton
     monkeypatch.setattr(deformation, "_newton", lambda *a: tols.append(a[3]) or newton(*a))
     x = solve_filling(sig, FillingSpec.from_pairs(sig.k, pairs))
-    assert tols == [deformation._FILL_TOL] + [None] * (pairs[0] == (40.0, 1.0))
+    assert tols == [deformation._FILL_TOL] + [None] * (g == 2 or pairs[0] == (40.0, 1.0))
     assert np.max(np.abs(x - warm_start_continuation(sig, pairs))) < 1e-9
 
 
@@ -1302,8 +1328,11 @@ def test_filling_below_the_rounding_floor_is_refused_before_any_step(monkeypatch
         # the complete structure is a cache hit: no evaluation at all
         assert evals == []
     else:
-        # the one evaluation is the gate of solve_complete
-        assert len(evals) == 1
+        # the gate of solve_complete, and at g = 2 the 6 of the build of the
+        # table of solved cusp blocks, 5 of its Newton solve and 1 of its
+        # gate; at g = 1000 the length rows' floor is over the fill gate, so
+        # no table is built
+        assert len(evals) == {2: 7, 1000: 1}[g]
 
 
 @pytest.mark.parametrize(
@@ -1363,7 +1392,8 @@ def test_filling_large_g_spot_checks(monkeypatch, g):
     # 5/1 first failed at g = 132; at g = 131 it took 38 Newton steps, 13
     # block steps from t = 20/sqrt(21), 8 with the first tangent in closed
     # form, 6 with the point at s < 1 corrected only to 1e-3, 4 in one
-    # Newton solve from the second-order start, and 3 from the fourth-order
+    # Newton solve from the second-order start, 3 from the fourth-order, and
+    # 1 from the table start
     sig = GKSignature(g, 1)
     calls, step = [], deformation._block_step
     monkeypatch.setattr(deformation, "_block_step", lambda *a: calls.append(1) or step(*a))
@@ -1534,35 +1564,185 @@ def test_stacked_batch_block_steps(monkeypatch, g, lists):
     n_lists=st.integers(2, 6),
 )
 def test_stacked_batch_block_steps_random(seed, g, k, n_lists):
-    # slopes of length sqrt(7) to 8 make every list one Newton solve from
-    # its fourth-order start, and the points of a stacked solve ride along
-    # with zero steps once they are done, so the stack makes exactly the
-    # block steps of the slowest list alone
+    # real slopes of length sqrt(7) to 8, each swapped for an integer slope
+    # of the table with probability 1/2, make every list one Newton solve,
+    # from the table start where all its slopes are integer and from the
+    # fourth-order start else, and the points of a stacked solve ride
+    # along with zero steps once they are done, so the stack makes exactly
+    # the block steps of the slowest list alone
     rng = np.random.default_rng(seed)
     lists = []
     for _ in range(n_lists):
         off = rng.random(k) < 0.3
         off[rng.integers(k)] = False
-        lists.append([None if o else pq for pq, o in zip(random_pairs(rng, k, math.sqrt(7.0), 8.0), off)])
+        table = (rng.random(k) < 0.5).tolist()
+        picks = [deformation._TABLE_SLOPES[i] for i in rng.integers(len(deformation._TABLE_SLOPES), size=k)]
+        pairs = [pick if t else pq for pq, t, pick in zip(random_pairs(rng, k, math.sqrt(7.0), 8.0), table, picks)]
+        lists.append([None if o else pq for pq, o in zip(pairs, off)])
     with pytest.MonkeyPatch.context() as mp:
         calls, alone = stacked_and_alone_block_steps(mp, max(g, k + 1), lists)
     assert calls == slowest_list_alone(alone)
 
 
 def test_a_filling_short_of_its_floor_takes_the_step_to_it():
-    # (2, 1) 4/3 meets the gate from its fourth-order start with a length
-    # row 209 times its rounding floor edge_cosh(beta) eps: above
-    # _POLISH, and short of the floor, since one Newton step more moves
-    # the point by 1.2e-14 and lands it there.  That point is the answer
-    sig, spec = GKSignature(2, 1), FillingSpec.from_pairs(1, [(4.0, 3.0)]).canonicalized()
-    cs, rows = solve_complete(sig), deformation._linear_rows(spec.pairs)
-    start = deformation._predict(cs.x0, deformation._complete_jet(sig, cs, [spec]), 0.0, 1.0)
-    x, r, _ = deformation._newton(sig, start, rows, deformation._FILL_TOL)
-    floor = deformation.edge_cosh(float(x[0, -1])) * deformation._EPS
-    assert deformation._POLISH < np.abs(r[0, :6]).max() / floor < 256.0
-    (y,), (ry,), _ = deformation._newton(sig, x, rows, None)
-    assert np.abs(ry[:6]).max() / floor < deformation._POLISH and np.abs(y - x[0]).max() > 1e-14
-    assert solve_filling(sig, spec).tobytes() == y.tobytes()
+    # 40/1 is not in the table, and from its fourth-order start it meets
+    # the gate with a length row 196 (g = 3) and 219 (g = 4) times its
+    # rounding floor edge_cosh(beta) eps: above _POLISH, and short of the
+    # floor, since one Newton step more moves the point by 1.1e-14 and
+    # 1.3e-14 and lands it there.  That point is the answer
+    for pairs in ([(40.0, 1.0), None], [(40.0, 1.0), None, None]):
+        sig = GKSignature(len(pairs) + 1, len(pairs))
+        spec = FillingSpec.from_pairs(sig.k, pairs).canonicalized()
+        cs, rows = solve_complete(sig), deformation._linear_rows(spec.pairs)
+        assert (40.0, 1.0) not in cs.table_rows
+        start = deformation._predict(cs.x0, deformation._complete_jet(sig, cs, [spec]), 0.0, 1.0)
+        assert deformation._starts(sig, cs, [spec]).tobytes() == start.tobytes()
+        x, r, _ = deformation._newton(sig, start, rows, deformation._FILL_TOL)
+        floor = deformation.edge_cosh(float(x[0, -1])) * deformation._EPS
+        assert deformation._POLISH < np.abs(r[0, :6]).max() / floor < 256.0
+        (y,), (ry,), _ = deformation._newton(sig, x, rows, None)
+        assert np.abs(ry[:6]).max() / floor < deformation._POLISH and np.abs(y - x[0]).max() > 1e-14
+        assert solve_filling(sig, spec).tobytes() == y.tobytes()
+
+
+# the table of solved cusp blocks (`_cusp_table`) and the start it gives
+
+TABLE_TARGETS = [None] + deformation._TABLE_SLOPES
+
+
+@pytest.mark.parametrize("g, k", [(2, 1), (3, 2), (17, 16), (200, 64)])
+def test_every_table_entry_meets_the_fill_gate_at_beta_bar(g, k):
+    # each entry's 12 block rows at beta_bar, its block alone, meet the
+    # fill gate; y is its beta response A^-1 dbeta e to rounding; and no
+    # caller can write into the table
+    cs = solve_complete(GKSignature(g, k))
+    assert set(cs.table_rows) == set(TABLE_TARGETS) and sorted(cs.table_rows.values()) == list(range(len(TABLE_TARGETS)))
+    B, y = cs.table[[cs.table_rows[t] for t in TABLE_TARGETS]].transpose(1, 0, 2)
+    x = np.concatenate([B, np.full((len(B), 1), cs.beta_bar)], axis=1)
+    r, blocks = deformation._evaluate(GKSignature(2, 1), x, deformation._linear_rows(TABLE_TARGETS))
+    assert np.abs(r[:, :12]).max() < deformation._FILL_TOL
+    A, dbeta = blocks()
+    e = np.zeros(12)
+    e[:6] = dbeta[0]
+    assert np.abs(A @ y[:, :, None] - e[:, None]).max() < 1e-9 * dbeta[0]
+    with pytest.raises(ValueError):
+        cs.table[0, 0, 0] = 1.0
+    with pytest.raises(TypeError):
+        cs.table_rows[(3, 1)] = 0
+
+
+def test_a_table_entry_that_misses_the_gate_is_absent(monkeypatch, cold_cache):
+    # 3/1's cusp row read 1e-6 off, with a sign that flips from one
+    # evaluation to the next, so that no Newton step can null it, whether
+    # the build solves 3/1's block or carries it from another slope of its
+    # orbit: the entry misses the gate and is left out, and a list with 3/1
+    # takes the fourth-order start, while a list of tabulated slopes takes
+    # the table's
+    sig, evaluate, sign = GKSignature(3, 2), deformation._evaluate, [1e-6]
+
+    def shifted(sig, x, rows):
+        r, blocks = evaluate(sig, x, rows)
+        # the log-sine coefficients of 3u + v on the gammas of tetrahedron 2c
+        hit = np.flatnonzero((rows[1][:, 10, 3:6] == (3.0, -2.0, -1.0)).all(axis=1))
+        r[0, 12 * hit + 10] += sign[0]
+        sign[0] = -sign[0]
+        return r, blocks
+
+    monkeypatch.setattr(deformation, "_evaluate", shifted)
+    cs = solve_complete(sig)
+    monkeypatch.undo()
+    assert set(cs.table_rows) == set(TABLE_TARGETS) - {(3, 1)} and len(cs.table) == len(TABLE_TARGETS) - 1
+    dropped, kept = (FillingSpec.from_pairs(2, pairs).canonicalized() for pairs in ([(3, 1), (5, 1)], [(5, 1), None]))
+    jet = deformation._complete_jet(sig, cs, [dropped])
+    starts = deformation._starts(sig, cs, [dropped, kept])
+    assert starts[0].tobytes() == deformation._predict(cs.x0, jet, 0.0, 1.0)[0].tobytes()
+    assert starts[1].tobytes() == table_start(sig, cs, kept).tobytes()
+    assert np.abs(residuals(sig, solve_filling(sig, dropped))).max() < deformation._FILL_TOL
+
+
+def test_the_table_block_maps_are_those_of_the_torus_isometries():
+    # r and s on one cusp block are `phi_r` and `phi_s` on a point
+    assert deformation._ROTATE.tolist() == cx._block_map(D6Element(1, False)).tolist()
+    assert deformation._REFLECT.tolist() == cx._block_map(D6Element(0, True)).tolist()
+
+
+@pytest.mark.parametrize("g, k", [(2, 1), (3, 2), (17, 16), (200, 64)])
+def test_the_table_start_is_the_first_block_arrow_step(g, k):
+    # from the tabulated blocks at beta_bar, which miss only the total
+    # angle, one block-arrow Newton step is the table start, to rounding
+    sig, rng = GKSignature(g, k), np.random.default_rng(g)
+    cs = solve_complete(sig)
+    for _ in range(3):
+        pairs = [TABLE_TARGETS[i] for i in rng.integers(len(TABLE_TARGETS), size=k)]
+        pairs[0] = deformation._TABLE_SLOPES[rng.integers(len(deformation._TABLE_SLOPES))]
+        spec = FillingSpec.from_pairs(k, pairs).canonicalized()
+        decoupled = np.append(cs.table[[cs.table_rows[pq] for pq in spec.pairs], 0].ravel(), cs.beta_bar)
+        r, blocks = deformation._evaluate(sig, decoupled[None], deformation._linear_rows(spec.pairs))
+        step = deformation._block_step(sig, r, *blocks())[0]
+        start = deformation._starts(sig, cs, [spec])[0]
+        assert start.tobytes() == table_start(sig, cs, spec).tobytes()
+        assert np.abs(decoupled - step - start).max() < 1e-13
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("k", [1, 2, 16, 64])
+def test_the_table_start_and_the_jet_start_agree(seed, k):
+    # on a tabulated list, slopes and inf mixed, the table start and the
+    # fourth-order start both meet the 1e-10 gate at s = 1 and agree to the
+    # rounding floor
+    rng = np.random.default_rng(4700 + 10 * seed + k)
+    sig = GKSignature(int(rng.integers(k + 1, 201)), k)
+    cs = solve_complete(sig)
+    pairs = [None if rng.random() < 0.3 else pq for pq in
+             (deformation._TABLE_SLOPES[i] for i in rng.integers(len(deformation._TABLE_SLOPES), size=k))]
+    pairs[rng.integers(k)] = deformation._TABLE_SLOPES[rng.integers(len(deformation._TABLE_SLOPES))]
+    spec = FillingSpec.from_pairs(k, pairs).canonicalized()
+    rows = deformation._linear_rows(spec.pairs)
+    jet_start = deformation._predict(cs.x0, deformation._complete_jet(sig, cs, [spec]), 0.0, 1.0)
+    (x, xj), (r, rj), errors = deformation._newton_at_one(
+        sig, np.concatenate([deformation._starts(sig, cs, [spec]), jet_start]), [np.concatenate([a, a]) for a in rows]
+    )
+    assert errors == [None, None] and max(np.abs(r).max(), np.abs(rj).max()) < deformation._FILL_TOL
+    assert np.abs(x - xj).max() < 1e-13
+    assert x.tobytes() == solve_filling(sig, spec).tobytes()
+
+
+@pytest.mark.parametrize("g, k", [(2, 1), (3, 2), (17, 16), (200, 64)])
+def test_each_tabulated_slope_alone_takes_two_block_solves(monkeypatch, g, k):
+    # from the table start, one filled cusp meets the gate in at most 2
+    # block solves, and then takes at most the step to the floor
+    sig = GKSignature(g, k)
+    steps, newton, per_call = count_block_steps(monkeypatch), deformation._newton, []
+
+    def counted(*args):
+        before = len(steps)
+        out = newton(*args)
+        per_call.append(len(steps) - before)
+        return out
+
+    monkeypatch.setattr(deformation, "_newton", counted)
+    specs = [FillingSpec.from_pairs(k, [pq] + [None] * (k - 1)) for pq in deformation._TABLE_SLOPES]
+    for spec, x in zip(specs, solve_fillings(sig, specs)):
+        assert np.abs(residuals(sig, x)).max() < deformation._FILL_TOL, spec
+    # one stacked solve to the gate and the stacked step to the floor
+    assert per_call[0] <= 2 and per_call[1:] in ([], [1])
+    for spec in specs:
+        per_call.clear()
+        solve_filling(sig, spec)
+        assert per_call[0] <= 2 and per_call[1:] in ([], [1]), spec
+
+
+def test_a_list_with_a_slope_beyond_the_table_keeps_the_fourth_order_route():
+    # one untabulated slope, here 40/1 beside tabulated ones, sends the list
+    # to the fourth-order start and the Newton solve it took before the
+    # table, bit for bit
+    sig = GKSignature(3, 2)
+    cs = solve_complete(sig)
+    for pairs in ([(40, 1), (3, 1)], [(40, 1), None], [(3.0, 1.0 + 1e-12), (5, 1)]):
+        spec = FillingSpec.from_pairs(2, pairs).canonicalized()
+        start = deformation._predict(cs.x0, deformation._complete_jet(sig, cs, [spec]), 0.0, 1.0)
+        (x,), _, _ = deformation._newton_at_one(sig, start, deformation._linear_rows(spec.pairs))
+        assert solve_filling(sig, spec).tobytes() == x.tobytes()
 
 
 def test_failed_stacked_step_runs_the_path_alone(monkeypatch):
@@ -1659,8 +1839,7 @@ def path_alone(sig, spec, mp):
     count of its block solves."""
     calls = count_block_steps(mp)
     cs, spec = solve_complete(sig), spec.canonicalized()
-    jet, rows = deformation._complete_jet(sig, cs, [spec])[0], deformation._linear_rows(spec.pairs)
-    x, r = deformation._path(sig, cs, spec, jet, rows)
+    x, r = deformation._path(sig, cs, spec, deformation._linear_rows(spec.pairs))
     return outcome(x), None if r is None else r.tobytes(), len(calls)
 
 
