@@ -100,6 +100,7 @@ def varsigma_trace_data(sig: GKSignature, delta: int, r0: float) -> TraceInput:
     # edge (return path) is the hexagon-rule composition of three of them
     lam = math.exp(math.acosh(edge_cosh(cs.beta_bar)))
     _, second = cs.varsigma
-    eta_dd = second[2] + second[8]
+    # a float, not the numpy scalar that indexing the read-only array gives
+    eta_dd = float(second[2] + second[8])
     zeta_dd = -eta_dd if delta == 0 else 0.0
     return TraceInput(lam, 2.0 * a, 4.0 * a + delta * 2.0 * a + r0, eta_dd, zeta_dd, delta)

@@ -34,10 +34,10 @@ every slope of length >= sqrt(7), is reached by one route, a
 predictor-corrector continuation from the complete solution (`_path`)
 whose predictor is the Taylor polynomial of the closed-form jet, the
 path's Taylor coefficients to order 4 (`_complete_jet`, with no linear
-solve).  Its first step is one Newton solve at s = 1, with one step more
-where it stops short of the rounding floor (`_newton_at_one`); the first
-steps of a batch are one stacked solve.  That step starts (`_starts`)
-from a closed-form point where every cusp's target is in the signature's
+solve).  Its first step is one Newton solve at s = 1, which ends with one
+step more where it stops short of the rounding floor (`_newton`); the
+first steps of a batch are one stacked solve.  That step starts
+(`_starts`) from a closed-form point where every cusp's target is in the signature's
 table of solved cusp blocks (`_cusp_table`: the complete block and each
 integer slope of squared length 7 to 103, solved once at beta_bar, where
 the blocks do not couple), the first block-arrow Newton step from those
@@ -99,7 +99,7 @@ _FILL_TOL = 1e-10
 _CUSP_FLOOR = 4.0
 _LENGTH_FLOOR = 1.05
 # a filling that meets the gate with a length row above this many times the
-# length rows' rounding floor takes one Newton step more (`_newton_at_one`):
+# length rows' rounding floor takes one Newton step more (the tail of `_newton`):
 # on 544 seeded fill_ladder- and fill_batch-shaped fillings from the
 # fourth-order start a point at its floor stood at most 77 times it, and one
 # short of it 208 times or more (outside that sample, (2, 1) 40/1 stops short
@@ -331,11 +331,11 @@ def _cusp_table(alpha_bar: float, beta_bar: float, t: float, forms: np.ndarray):
     each from its own fourth-order Taylor start (the `_own_forms`, which
     leave beta out).  A block stops at its floor, below the gate and
     `_POLISH` times the length rows' rounding floor edge_cosh(beta) eps
-    (the rule of `_newton_at_one`), and at the latest one step after it
-    meets the gate; y solves the blocks of the last evaluation.  The
-    torus isometries carry B and y onto every other slope of the orbit by
-    an index map, since they permute the block's angles and rows and keep
-    beta.  An entry whose 12 block rows at beta_bar miss the gate is left
+    (the rule of `_newton`'s step to the floor), and at the latest one
+    step after it meets the gate; y solves the blocks of the last
+    evaluation.  The torus isometries carry B and y onto every other
+    slope of the orbit by an index map, since they permute the block's
+    angles and rows and keep beta.  An entry whose 12 block rows at beta_bar miss the gate is left
     out, and so is every entry where the length rows' rounding floor
     edge_cosh(beta) eps is over the gate, or where a block is singular."""
     none = np.empty((0, 2, 12)), MappingProxyType({})
@@ -629,7 +629,7 @@ def _newton(sig: GKSignature, x0: np.ndarray, rows, tol: Optional[float]):
     solved until its sup-norm is below `tol`.  With `tol` None each point
     takes one step and no stop test, the corrector of a continuation
     point short of the filling.  Returns the points, their residuals (in
-    block order) of the last evaluation, and per point None or the error
+    block order) at the points returned, and per point None or the error
     that stopped it: a ConvergenceError, or `check_coords`'s DomainError
     for a point that is not a number.
 
@@ -637,7 +637,17 @@ def _newton(sig: GKSignature, x0: np.ndarray, rows, tol: Optional[float]):
     into the open angle box.  A point that has converged or stopped
     rides along with a zero step, so that every evaluation covers all N
     points.  A point whose step left its bits as they were has stalled:
-    every later step would be the same."""
+    every later step would be the same.
+
+    With `tol` given, a point that met it with a length row above
+    `_POLISH` times the length rows' rounding floor, edge_cosh(beta) eps,
+    takes one step more, from the blocks of its last evaluation.  Newton
+    converges quadratically, so it can stop just below `tol` with the
+    digits of `tol` and not of the floor, and the length rows, whose
+    Jacobian entries are the largest, show it first; the step takes the
+    point to the floor.  Those points are evaluated once more, and the
+    step is kept where it meets `tol`, not where it is singular or not a
+    number."""
     x = _clip(np.asarray(x0, dtype=float))
     n_pts, k = len(x), sig.k
     r, blocks = _evaluate(sig, x, rows)
@@ -673,6 +683,22 @@ def _newton(sig: GKSignature, x0: np.ndarray, rows, tol: Optional[float]):
         for i in running:
             text = "no convergence: residual %g after %d iterations" % (norm[i], _MAX_ITER)
             errors[i] = ConvergenceError(text, norm[i])
+    if tol is None:
+        return x, r, errors
+    length = np.abs(r[:, :-1].reshape(n_pts, k, 12)[:, :, :6]).max(axis=(1, 2)).tolist()
+    above = [
+        i for i, (m, exc) in enumerate(zip(length, errors))
+        if exc is None and m > _POLISH * _EPS * edge_cosh(float(x[i, -1]))
+    ]
+    if above:
+        A, dbeta = blocks()
+        cusps = (np.array(above)[:, None] * k + np.arange(k)).ravel()
+        step, failed = _block_steps(sig, r[above], A[cusps], [dbeta[i] for i in above])
+        y = _clip(x[above] - step)
+        ry, _ = _evaluate(sig, y, [a[cusps] for a in rows])
+        for j, i in enumerate(above):
+            if j not in failed and np.abs(ry[j]).max() < tol:
+                x[i], r[i] = y[j], ry[j]
     return x, r, errors
 
 
@@ -689,12 +715,13 @@ def solve_filling(sig: GKSignature, spec: FillingSpec) -> np.ndarray:
     A slope shorter than sqrt(7) is a DomainError.  Filled coefficients
     are continued (`_path`) in s = 1/t along the rows
     p*u + q*v = 2*pi*i*s from the complete structure x0 at s = 0.  The
-    path's first step is one Newton solve at s = 1 (`_newton_at_one`)
-    from the start of `_starts`.  From the table start, for integer slopes
-    of squared length below 104, every cusp filled takes 2 block solves
-    at k = 8 to 64 and 2 or 3 at k <= 2, and one filled cusp at most 2 and
-    the step to the floor; from the fourth-order start, the slopes beyond
-    take about 2, the step to the rounding floor included.  Fails loudly
+    path's first step is one Newton solve at s = 1 (`_newton`, to the
+    gate and then the rounding floor) from the start of `_starts`.  From
+    the table start, for integer slopes of squared length below 104,
+    every cusp filled takes 2 block solves at k = 8 to 64 and 2 or 3 at
+    k <= 2, and one filled cusp at most 2 and the step to the floor; from
+    the fourth-order start, the slopes beyond take about 2, the step to
+    the rounding floor included.  Fails loudly
     (ConvergenceError) if the path cannot reach s = 1.  This is
     `solve_fillings` on the one spec.
     """
@@ -736,8 +763,8 @@ def solve_fillings(sig: GKSignature, specs: Sequence[FillingSpec], *, out: Optio
     `FillingSpec.is_hyperbolic` refuses, and each filled spec whose
     rounding floor exceeds `_CUSP_FLOOR` or `_LENGTH_FLOOR` fill gates,
     is refused before any step.  Every other filled spec runs its
-    `_path`, and the first steps of the paths are one stacked
-    `_newton_at_one` from their `_starts`."""
+    `_path`, and the first steps of the paths are one stacked `_newton`
+    to `_FILL_TOL` from their `_starts`."""
     records, todo = [None] * len(specs), []
     for i, spec in enumerate(specs):
         exc = spec if isinstance(spec, Exception) else _cusp_count_error(sig, spec)
@@ -777,38 +804,13 @@ def solve_fillings(sig: GKSignature, specs: Sequence[FillingSpec], *, out: Optio
         k = sig.k
         rows = _linear_rows([pq for _, spec in filled for pq in spec.pairs])
         # every path's first step, to s = 1, as one stacked Newton solve
-        x, r, errors = _newton_at_one(sig, _starts(sig, cs, [spec for _, spec in filled]), rows)
+        x, r, errors = _newton(sig, _starts(sig, cs, [spec for _, spec in filled]), rows, _FILL_TOL)
         for j, (i, spec) in enumerate(filled):
             spec_rows = [a[k * j:k * j + k] for a in rows]
             records[i] = Solved(*_path(sig, cs, spec, spec_rows, (x[j], r[j], errors[j])))
     if out is not None:
         out.extend(records)
     return [rec.x for rec in records]
-
-
-def _newton_at_one(sig: GKSignature, x0: np.ndarray, rows):
-    """`_newton` of the points x0, whose linear block rows are `rows`, to
-    `_FILL_TOL`, and then one step more for each point that met the gate
-    with a length row above `_POLISH` times their rounding floor,
-    edge_cosh(beta) eps.  Newton converges quadratically, so it can stop
-    just below the gate with the digits of the gate and not of the floor,
-    and the length rows, whose Jacobian entries are the largest, show it
-    first; the step takes the point to the floor.  It is kept where it
-    meets the gate too.  Each point gets the bits it gets alone."""
-    x, r, errors = _newton(sig, x0, rows, _FILL_TOL)
-    k = sig.k
-    length = np.abs(r[:, :-1].reshape(len(x), k, 12)[:, :, :6]).max(axis=(1, 2)).tolist()
-    above = [
-        i for i, (m, exc) in enumerate(zip(length, errors))
-        if exc is None and m > _POLISH * _EPS * edge_cosh(float(x[i, -1]))
-    ]
-    if above:
-        blocks = (np.array(above)[:, None] * k + np.arange(k)).ravel()
-        y, ry, ey = _newton(sig, x[above], [a[blocks] for a in rows], None)
-        for j, i in enumerate(above):
-            if ey[j] is None and np.abs(ry[j]).max() < _FILL_TOL:
-                x[i], r[i] = y[j], ry[j]
-    return x, r, errors
 
 
 def _starts(sig: GKSignature, cs: CompleteSolution, specs) -> np.ndarray:
@@ -849,30 +851,26 @@ def _starts(sig: GKSignature, cs: CompleteSolution, specs) -> np.ndarray:
     return x
 
 
-def _path(sig: GKSignature, cs: CompleteSolution, spec: FillingSpec, rows, first=None):
+def _path(sig: GKSignature, cs: CompleteSolution, spec: FillingSpec, rows, first):
     """The continuation of the canonical spec alone, from the complete
     solution cs at s = 0, whose linear block rows at s = 1 are `rows`
     (`_linear_rows` of its pairs), up to s = 1: the solution and its last
     Newton residual vector, or the error that stopped it and None.
-    `first`, when given, is the Newton result (x, r, error) of the first
-    step, taken from a stacked solve, and stands for that step's
-    `_newton_at_one`.
+    `first` is the Newton result (x, r, error) of the first step, taken
+    from a stacked solve.
 
     A plain predictor-corrector.  The first step goes to s = 1, from the
     spec's start of `_starts`.  After a failed step the step halves, and
     each later step predicts the next s from the last solved point (s, x)
     plus the change of the Taylor polynomial of the spec's jet c1..c4
     (`_complete_jet`), x + sum of (s'^n - s^n) c_n (`_predict`), and
-    corrects it with `_newton`: one step short of s = 1,
-    `_newton_at_one` at s = 1.  Below 1e-4 the step ends the path in a
-    ConvergenceError that names the t of its last solved point and the
-    last failure's residual.  Its fillings passed the sqrt(7) gate and the
-    floor check of `solve_fillings`: a first step fails for a start too
-    far out, or rarely for rounding near the floors."""
+    corrects it with `_newton`: one step short of s = 1, to `_FILL_TOL`
+    and the rounding floor at s = 1.  Below 1e-4 the step ends the path
+    in a ConvergenceError that names the t of its last solved point and
+    the last failure's residual.  Its fillings passed the sqrt(7) gate
+    and the floor check of `solve_fillings`: a first step fails for a
+    start too far out, or rarely for rounding near the floors."""
     L, S, o = rows
-    if first is None:
-        x, r, errors = _newton_at_one(sig, _starts(sig, cs, [spec]), rows)
-        first = x[0], r[0], errors[0]
     s, ds, x, jet = 0.0, 1.0, cs.x0, None
     while s < 1.0:
         s_next = min(1.0, s + ds)
@@ -882,10 +880,7 @@ def _path(sig: GKSignature, cs: CompleteSolution, spec: FillingSpec, rows, first
             o_s = o.copy()
             o_s[:, 11] *= s_next
             guess = _predict(x, jet, s, s_next)[None]
-            if s_next == 1.0:
-                (x_next,), (r,), (exc,) = _newton_at_one(sig, guess, (L, S, o_s))
-            else:
-                (x_next,), (r,), (exc,) = _newton(sig, guess, (L, S, o_s), None)
+            (x_next,), (r,), (exc,) = _newton(sig, guess, (L, S, o_s), _FILL_TOL if s_next == 1.0 else None)
         else:
             (x_next, r, exc), first = first, None
         if isinstance(exc, DomainError):
@@ -1096,9 +1091,10 @@ def varsigma_point(sig: GKSignature, t: float) -> np.ndarray:
     reparameterization freedom so that the second derivative satisfies
     the x_1/x_7 normalization of `varsigma_derivatives`.  The constraints
     take the place of the cusp rows 10-11 of each block, so one `_newton`
-    from the second-order start solves the square system to 1e-12: on
-    cusp 0, x_2 - x_3 and the pin; on cusp c >= 1, alpha_0 - alpha_1 and
-    alpha_1 - alpha_2 of its first tetrahedron."""
+    from the second-order start solves the square system to 1e-12 and
+    then its rounding floor: on cusp 0, x_2 - x_3 and the pin; on cusp
+    c >= 1, alpha_0 - alpha_1 and alpha_1 - alpha_2 of its first
+    tetrahedron."""
     cs = solve_complete(sig)
     first, second = cs.varsigma
     L, S, o = _linear_rows([None] * sig.k)

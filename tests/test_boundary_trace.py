@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import re
 
@@ -185,6 +186,15 @@ def test_varsigma_trace_data_values():
         bt.varsigma_trace_data(sig, 0, 6.0)   # zeta0 beyond 2*pi
     with pytest.raises(DomainError):
         bt.varsigma_trace_data(sig, 2, 1.0)
+
+
+@pytest.mark.parametrize("g, k, delta", [(2, 1, 0), (2, 1, 1), (7, 3, 0)])
+def test_varsigma_trace_data_holds_the_types_it_declares(g, k, delta):
+    # floats, not numpy scalars read from the read-only `varsigma` array,
+    # and so is the second derivative of the trace that a row reports
+    d = bt.varsigma_trace_data(GKSignature(g, k), delta, 1.0)
+    assert [type(getattr(d, f.name)) for f in dataclasses.fields(d)] == [float] * 5 + [int]
+    assert type(bt.trace_second_derivative(d)) is float
 
 
 def test_stima_positive_on_admissible_range():

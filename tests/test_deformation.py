@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 
@@ -454,6 +455,18 @@ def test_varsigma_numeric_second_derivative():
     assert np.max(np.abs(fd2 - second)) < 1e-4
 
 
+@pytest.mark.parametrize("t", [-0.05, 0.05])
+def test_varsigma_point_ends_at_its_rounding_floor(t):
+    # one Newton solve to 1e-12 can stop just below it, its length rows 427
+    # times their rounding floor edge_cosh(beta) eps; the solve ends with
+    # the step to the floor, which lands them 2.1 times it
+    sig = GKSignature(2, 1)
+    x = varsigma_point(sig, t)
+    (r,), _ = deformation._evaluate(sig, x[None], deformation._linear_rows([None]))
+    floor = deformation.edge_cosh(float(x[-1])) * deformation._EPS
+    assert np.abs(r[:6]).max() < deformation._POLISH * floor
+
+
 def test_filling_spec_parsing():
     spec = FillingSpec.parse("inf,5/1", 2)
     assert spec.pairs == (None, (5.0, 1.0))
@@ -810,9 +823,7 @@ def test_path_predicts_with_the_jet_and_corrects_with_one_step(monkeypatch, g, p
     # after a first step made to fail, from the table start of `_starts`
     # (both lists are tabulated), the path solves s = 1/2 and then s = 1,
     # each from the last solved point plus the change of the jet's Taylor
-    # polynomial; the point at s = 1/2 is one Newton step.  Both lists stop
-    # at s = 1 below _POLISH times their rounding floor, so no fourth
-    # `_newton` call, the step to the floor, follows
+    # polynomial; the point at s = 1/2 is one Newton step
     sig = GKSignature(g, len(pairs))
     spec = FillingSpec.from_pairs(sig.k, pairs).canonicalized()
     cs = solve_complete(sig)
@@ -1197,17 +1208,20 @@ def test_filling_predictor_stays_on_the_warm_start_branch(seed, k, extra, thresh
 def test_filling_long_slopes_take_one_newton_solve(monkeypatch, g, pairs):
     # every filled slope of length >= sqrt(7) is solved at s = 1 straight
     # from its start at the complete structure: one Newton solve to the
-    # gate, and then one step to the rounding floor where the length rows
-    # stop above _POLISH times it: for 40/1, from the fourth-order start,
-    # 135 (g = 2) and 196 (g = 3) times, and from the table start for 6/1
-    # and 3/1 at g = 2, 1869 and 3922 times; the two lists at g = 9 stop
-    # at most 2 times it
-    sig = GKSignature(g, len(pairs))
+    # gate, which ends with one step to the rounding floor where the length
+    # rows stop above _POLISH times it: for 40/1, from the fourth-order
+    # start, 135 (g = 2) and 196 (g = 3) times, and from the table start
+    # for 6/1 and 3/1 at g = 2, 1869 and 3922 times; the two lists at g = 9
+    # stop at most 2 times it
+    sig, spec = GKSignature(g, len(pairs)), FillingSpec.from_pairs(len(pairs), pairs)
     tols, newton = [], deformation._newton
-    monkeypatch.setattr(deformation, "_newton", lambda *a: tols.append(a[3]) or newton(*a))
-    x = solve_filling(sig, FillingSpec.from_pairs(sig.k, pairs))
-    assert tols == [deformation._FILL_TOL] + [None] * (g == 2 or pairs[0] == (40.0, 1.0))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(deformation, "_newton", lambda *a: tols.append(a[3]) or newton(*a))
+        x = solve_filling(sig, spec)
+    assert tols == [deformation._FILL_TOL]
     assert np.max(np.abs(x - warm_start_continuation(sig, pairs))) < 1e-9
+    (((_, floor),),) = newton_block_steps(monkeypatch, lambda: solve_filling(sig, spec))
+    assert floor == (g == 2 or pairs[0] == (40.0, 1.0))
 
 
 def test_filling_the_sqrt7_gate_admits_is_routed_by_the_gate(monkeypatch):
@@ -1217,10 +1231,9 @@ def test_filling_the_sqrt7_gate_admits_is_routed_by_the_gate(monkeypatch):
     # step to the floor follows
     sig, spec = GKSignature(2, 1), FillingSpec.from_pairs(1, [(3.0, 1.0 + 1e-12)])
     assert spec.is_hyperbolic() and spec.min_filled_length() < math.sqrt(7.0)
-    calls, newton = [], deformation._newton
-    monkeypatch.setattr(deformation, "_newton", lambda *a: calls.append(1) or newton(*a))
     x = solve_filling(sig, spec)
-    assert len(calls) == 1
+    (((_, floor),),) = newton_block_steps(monkeypatch, lambda: solve_filling(sig, spec))
+    assert floor == 0
     assert np.max(np.abs(residuals(sig, x))) < 1e-10
     assert max(abs(a - b) for a, b in zip(dehn_coefficients(x, 0), (3.0, 1.0 + 1e-12))) < 1e-9
 
@@ -1508,36 +1521,21 @@ def test_solve_fillings_when_the_complete_structure_fails(monkeypatch):
 
 def stacked_and_alone_block_steps(monkeypatch, g, lists):
     """The block steps of each `_newton` call of `solve_fillings` on the
-    lists, and of `solve_filling` on each alone: the solve to the gate,
-    then the one step of `_newton_at_one` for a point that met the gate
-    far above its rounding floor."""
+    lists, and of `solve_filling` on each alone (`newton_block_steps`):
+    the solve to the gate, then the one step to the floor for a point
+    that met the gate far above its rounding floor."""
     sig = GKSignature(g, len(lists[0]))
     specs = [FillingSpec.from_pairs(sig.k, pairs) for pairs in lists]
-    calls, per_call = count_block_steps(monkeypatch), []
-    newton = deformation._newton
-
-    def counted(*args):
-        before = len(calls)
-        out = newton(*args)
-        per_call.append(len(calls) - before)
-        return out
-
-    monkeypatch.setattr(deformation, "_newton", counted)
-    alone = []
-    for spec in specs:
-        per_call.clear()
-        solve_filling(sig, spec)
-        alone.append(list(per_call))
-    per_call.clear()
-    solve_fillings(sig, specs)
-    return per_call, alone
+    alone = [functools.partial(solve_filling, sig, spec) for spec in specs]
+    *alone, stacked = newton_block_steps(monkeypatch, *alone, lambda: solve_fillings(sig, specs))
+    return stacked, alone
 
 
 def slowest_list_alone(alone):
     """The `_newton` block steps a stack of lists makes when it makes the
-    steps of the slowest list alone to the gate, and one more step where
-    any list alone takes the step to its floor."""
-    return [max(steps[0] for steps in alone)] + [1] * any(len(steps) == 2 for steps in alone)
+    steps of the slowest list alone to the gate, and one step to the
+    floor where any list alone takes the step to its floor."""
+    return [(max(steps[0][0] for steps in alone), int(any(steps[0][1] for steps in alone)))]
 
 
 @pytest.mark.parametrize(
@@ -1584,12 +1582,14 @@ def test_stacked_batch_block_steps_random(seed, g, k, n_lists):
     assert calls == slowest_list_alone(alone)
 
 
-def test_a_filling_short_of_its_floor_takes_the_step_to_it():
+def test_a_filling_short_of_its_floor_takes_the_step_to_it(monkeypatch):
     # 40/1 is not in the table, and from its fourth-order start it meets
-    # the gate with a length row 196 (g = 3) and 219 (g = 4) times its
+    # the gate, in a solve with `_POLISH` infinite, which takes no step to
+    # the floor, with a length row 196 (g = 3) and 219 (g = 4) times its
     # rounding floor edge_cosh(beta) eps: above _POLISH, and short of the
     # floor, since one Newton step more moves the point by 1.1e-14 and
-    # 1.3e-14 and lands it there.  That point is the answer
+    # 1.3e-14 and lands it there.  The solve to the gate ends with that
+    # step, and that point is the answer
     for pairs in ([(40.0, 1.0), None], [(40.0, 1.0), None, None]):
         sig = GKSignature(len(pairs) + 1, len(pairs))
         spec = FillingSpec.from_pairs(sig.k, pairs).canonicalized()
@@ -1597,12 +1597,34 @@ def test_a_filling_short_of_its_floor_takes_the_step_to_it():
         assert (40.0, 1.0) not in cs.table_rows
         start = deformation._predict(cs.x0, deformation._complete_jet(sig, cs, [spec]), 0.0, 1.0)
         assert deformation._starts(sig, cs, [spec]).tobytes() == start.tobytes()
-        x, r, _ = deformation._newton(sig, start, rows, deformation._FILL_TOL)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(deformation, "_POLISH", math.inf)
+            x, r, _ = deformation._newton(sig, start, rows, deformation._FILL_TOL)
         floor = deformation.edge_cosh(float(x[0, -1])) * deformation._EPS
         assert deformation._POLISH < np.abs(r[0, :6]).max() / floor < 256.0
         (y,), (ry,), _ = deformation._newton(sig, x, rows, None)
         assert np.abs(ry[:6]).max() / floor < deformation._POLISH and np.abs(y - x[0]).max() > 1e-14
+        (z,), (rz,), _ = deformation._newton(sig, start, rows, deformation._FILL_TOL)
+        assert z.tobytes() == y.tobytes() and rz.tobytes() == ry.tobytes()
         assert solve_filling(sig, spec).tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("g, pairs", [(2, [(6.0, 1.0)]), (3, [(40.0, 1.0), None])])
+def test_the_step_to_the_floor_evaluates_its_point_once(monkeypatch, g, pairs):
+    # a filling that takes the step to the floor is evaluated at its start
+    # and once after each block step: the step takes its blocks from the
+    # last evaluation of the solve to the gate
+    sig = GKSignature(g, len(pairs))
+    spec = FillingSpec.from_pairs(sig.k, pairs)
+    solve_complete(sig)
+    evals, evaluate = [], deformation._evaluate
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(deformation, "_evaluate", lambda *a: evals.append(1) or evaluate(*a))
+        steps = count_block_steps(mp)
+        solve_filling(sig, spec)
+    assert len(evals) == len(steps) + 1
+    (((_, floor),),) = newton_block_steps(monkeypatch, lambda: solve_filling(sig, spec))
+    assert floor == 1
 
 
 # the table of solved cusp blocks (`_cusp_table`) and the start it gives
@@ -1699,8 +1721,11 @@ def test_the_table_start_and_the_jet_start_agree(seed, k):
     spec = FillingSpec.from_pairs(k, pairs).canonicalized()
     rows = deformation._linear_rows(spec.pairs)
     jet_start = deformation._predict(cs.x0, deformation._complete_jet(sig, cs, [spec]), 0.0, 1.0)
-    (x, xj), (r, rj), errors = deformation._newton_at_one(
-        sig, np.concatenate([deformation._starts(sig, cs, [spec]), jet_start]), [np.concatenate([a, a]) for a in rows]
+    (x, xj), (r, rj), errors = deformation._newton(
+        sig,
+        np.concatenate([deformation._starts(sig, cs, [spec]), jet_start]),
+        [np.concatenate([a, a]) for a in rows],
+        deformation._FILL_TOL,
     )
     assert errors == [None, None] and max(np.abs(r).max(), np.abs(rj).max()) < deformation._FILL_TOL
     assert np.abs(x - xj).max() < 1e-13
@@ -1712,24 +1737,15 @@ def test_each_tabulated_slope_alone_takes_two_block_solves(monkeypatch, g, k):
     # from the table start, one filled cusp meets the gate in at most 2
     # block solves, and then takes at most the step to the floor
     sig = GKSignature(g, k)
-    steps, newton, per_call = count_block_steps(monkeypatch), deformation._newton, []
-
-    def counted(*args):
-        before = len(steps)
-        out = newton(*args)
-        per_call.append(len(steps) - before)
-        return out
-
-    monkeypatch.setattr(deformation, "_newton", counted)
     specs = [FillingSpec.from_pairs(k, [pq] + [None] * (k - 1)) for pq in deformation._TABLE_SLOPES]
     for spec, x in zip(specs, solve_fillings(sig, specs)):
         assert np.abs(residuals(sig, x)).max() < deformation._FILL_TOL, spec
+    alone = [functools.partial(solve_filling, sig, spec) for spec in specs]
+    stacked, *alone = newton_block_steps(monkeypatch, lambda: solve_fillings(sig, specs), *alone)
     # one stacked solve to the gate and the stacked step to the floor
-    assert per_call[0] <= 2 and per_call[1:] in ([], [1])
-    for spec in specs:
-        per_call.clear()
-        solve_filling(sig, spec)
-        assert per_call[0] <= 2 and per_call[1:] in ([], [1]), spec
+    for spec, calls in zip([None] + specs, [stacked] + alone):
+        ((gate, floor),) = calls
+        assert gate <= 2 and floor in (0, 1), spec
 
 
 def test_a_list_with_a_slope_beyond_the_table_keeps_the_fourth_order_route():
@@ -1741,7 +1757,7 @@ def test_a_list_with_a_slope_beyond_the_table_keeps_the_fourth_order_route():
     for pairs in ([(40, 1), (3, 1)], [(40, 1), None], [(3.0, 1.0 + 1e-12), (5, 1)]):
         spec = FillingSpec.from_pairs(2, pairs).canonicalized()
         start = deformation._predict(cs.x0, deformation._complete_jet(sig, cs, [spec]), 0.0, 1.0)
-        (x,), _, _ = deformation._newton_at_one(sig, start, deformation._linear_rows(spec.pairs))
+        (x,), _, _ = deformation._newton(sig, start, deformation._linear_rows(spec.pairs), deformation._FILL_TOL)
         assert solve_filling(sig, spec).tobytes() == x.tobytes()
 
 
@@ -1833,13 +1849,48 @@ def count_block_steps(mp):
     return calls
 
 
+def newton_block_steps(mp, *solves):
+    """Per call of each of `solves`, under the patches of `mp`, the list of
+    its `_newton` calls, each as the pair of its block steps to the gate
+    and its block steps to the rounding floor: the first counted in a run
+    of the call with `_POLISH` infinite, where no step to the floor fires,
+    the second the rest.  Each call runs with `_POLISH` as it is first, so
+    that the signature's table is built as it always is."""
+    steps, newton = count_block_steps(mp), deformation._newton
+    per_call = []
+
+    def counted(*args):
+        before = len(steps)
+        out = newton(*args)
+        per_call.append(len(steps) - before)
+        return out
+
+    def run(solve):
+        per_call.clear()
+        solve()
+        return list(per_call)
+
+    mp.setattr(deformation, "_newton", counted)
+    out = []
+    for solve in solves:
+        total = run(solve)
+        with pytest.MonkeyPatch.context() as inner:
+            inner.setattr(deformation, "_POLISH", math.inf)
+            gate = run(solve)
+        assert len(total) == len(gate)
+        out.append([(g, t - g) for t, g in zip(total, gate)])
+    return out
+
+
 def path_alone(sig, spec, mp):
     """What `_path` gives `spec` alone from s = 0, under the
     patches of `mp`: its solution or error, its final residual and the
     count of its block solves."""
     calls = count_block_steps(mp)
     cs, spec = solve_complete(sig), spec.canonicalized()
-    x, r = deformation._path(sig, cs, spec, deformation._linear_rows(spec.pairs))
+    rows = deformation._linear_rows(spec.pairs)
+    (x,), (r,), (exc,) = deformation._newton(sig, deformation._starts(sig, cs, [spec]), rows, deformation._FILL_TOL)
+    x, r = deformation._path(sig, cs, spec, rows, (x, r, exc))
     return outcome(x), None if r is None else r.tobytes(), len(calls)
 
 

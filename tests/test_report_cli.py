@@ -1082,6 +1082,33 @@ def test_cli_trace_text(capsys):
     assert abs(float(lines[2].split()[1]) - 5.58184) < 1e-5
 
 
+def test_cli_trace_prints_its_bytes(capsys):
+    # the rows of `mgk trace`, as text and under --json, to the last digit
+    code, out, _ = run(capsys, ["trace", "--g", "2", "--k", "1", "--grid", "5"])
+    assert code == 0 and out == (
+        "r0        trace       trace''     stima>0\n"
+        "0.1       3.74059     -8.0883     True\n"
+        "0.775     4.9399      -12.0665    True\n"
+        "1.45      5.58184     -14.6833    True\n"
+        "2.125     5.59399     -15.6433    True\n"
+        "2.8       4.97497     -14.8384    True\n"
+    )
+    code, out, _ = run(capsys, ["--json", "trace", "--g", "2", "--k", "1", "--grid", "5"])
+    rows = [
+        (0.1, 2.073306726189196, 3.7405930401183913, -8.088298895307574),
+        (0.7749999999999999, 2.748306726189196, 4.939898346688479, -12.06651429143755),
+        (1.45, 3.423306726189196, 5.581839233193468, -14.68327540890553),
+        (2.125, 4.098306726189196, 5.59398606954536, -15.643335374126716),
+        (2.8, 4.773306726189196, 4.9749683387975026, -14.838371458941758),
+    ]
+    doc = {"schema": "mgk/1", "delta": 0, "rows": [
+        {"r0": r0, "lambda0": 11.288886117561516, "eta0": 0.986653363094598, "zeta0": zeta0,
+         "trace": trace, "trace_dd": trace_dd, "stima_positive": True}
+        for r0, zeta0, trace, trace_dd in rows
+    ]}
+    assert code == 0 and out == json.dumps(doc, indent=2) + "\n"
+
+
 @pytest.mark.parametrize(
     "entries, message",
     [

@@ -10,17 +10,17 @@ import inside the package is relative.
 
 A block times one rung on both copies, one after the other, on the same
 seeded inputs, and alternates from block to block which copy runs first.
-The rungs are the benchmark's shapes: fill_ladder's `solve_filling` on
-g = k + 1 at k = 2, 8 and 16 (FILLS fills a block, the first cusp on a
-slope of length sqrt(7), the others on slopes of squared length 7 to 49),
-and fill_batch's `cli.main(["fill", ..., "--batch", "--json"])`, three
-calls a block, on LISTS lists of k <= 4 cusps, g <= 12, each cusp unfilled
-with probability 1/3.  The inputs come from random.Random(SEED).  Before
-the first block each copy solves `solve_complete` on every signature the
-rungs can draw (SIGNATURES: the 3 of the ladder and the 38 of the batch,
-k <= 4 and g <= 12, 40 in all), so that one-time per-signature work,
-such as the table of solved cusp blocks, lands in no timed block; then
-it runs every rung once, untimed.
+The rungs are the benchmark's shapes, read from perfbench/workloads.py:
+fill_ladder's `solve_filling` on g = k + 1 at each k of
+`FillLadder.RUNGS` (FILLS fills a block, the first cusp on a slope of
+`FillLadder.SHORTEST`, the others on `FILL_SLOPES`), and fill_batch's
+`cli.main(["fill", ..., "--batch", "--json"])`, three calls a block, each
+on a signature of `FillBatch.SIGNATURES` and `FillBatch.LISTS` lists,
+each cusp unfilled with probability 1/3.  The inputs come from
+random.Random(SEED).  Before the first block each copy solves
+`solve_complete` on every signature the rungs can draw, so that one-time
+per-signature work, such as the table of solved cusp blocks, lands in no
+timed block; then it runs every rung once, untimed.
 
 It prints, per rung, the median time per operation of each side, CHANGE
 over PARENT, the blocks in which CHANGE was faster, and the two-sided
@@ -46,17 +46,10 @@ import tarfile
 import tempfile
 import time
 
-LADDER = (2, 8, 16)
-# every signature a rung can draw: g = k + 1 on the ladder, k <= 4 and g <= 12 in the batch
-SIGNATURES = sorted({(k + 1, k) for k in LADDER} | {(g, k) for k in range(1, 5) for g in range(k + 1, 13)})
-# primitive slopes (p, q) in sign form of squared length p^2 - pq + q^2 in [7, 49]
-SLOPES = [
-    (p, q) for p in range(9) for q in range(-8, 9)
-    if (p > 0 or q == 1) and math.gcd(p, q) == 1 and 7 <= p * p - p * q + q * q <= 49
-]
-SHORTEST = [s for s in SLOPES if s[0] * s[0] - s[0] * s[1] + s[1] * s[1] == 7]
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench"))
+from workloads import FILL_SLOPES, FillBatch, FillLadder  # noqa: E402
+
 FILLS = 10
-LISTS = 4
 SEED = 1
 
 
@@ -86,17 +79,16 @@ def load(name, root):
 
 
 def ladder_inputs(rng, k):
-    return [[rng.choice(SHORTEST)] + [rng.choice(SLOPES) for _ in range(k - 1)] for _ in range(FILLS)]
+    return [[rng.choice(FillLadder.SHORTEST)] + [rng.choice(FILL_SLOPES) for _ in range(k - 1)] for _ in range(FILLS)]
 
 
 def batch_argv(rng):
-    k = rng.randint(1, 4)
-    g = rng.randint(k + 1, 12)
+    g, k = rng.choice(FillBatch.SIGNATURES)
     texts = []
-    for _ in range(LISTS):
-        pairs = [None if rng.random() < 1 / 3 else rng.choice(SLOPES) for _ in range(k)]
+    for _ in range(FillBatch.LISTS):
+        pairs = [None if rng.random() < 1 / 3 else rng.choice(FILL_SLOPES) for _ in range(k)]
         if all(pq is None for pq in pairs):
-            pairs[rng.randrange(k)] = rng.choice(SLOPES)
+            pairs[rng.randrange(k)] = rng.choice(FILL_SLOPES)
         texts.append(",".join("inf" if pq is None else "%d/%d" % pq for pq in pairs))
     return ["fill", "--g", str(g), "--k", str(k), "--batch", "--json", "--coeffs", ";".join(texts)]
 
@@ -141,7 +133,7 @@ def main(argv=None):
     if args.json:
         command = ["tools/ab.py"] + (sys.argv[1:] if argv is None else list(argv))
         doc = {"parent": args.parent, "change": args.change, "command": " ".join(command),
-               "fills": FILLS, "lists": LISTS, "seed": SEED, "blocks": table}
+               "fills": FILLS, "lists": FillBatch.LISTS, "seed": SEED, "blocks": table}
         with open(args.json, "w") as fh:
             json.dump(doc, fh, indent=1)
             fh.write("\n")
@@ -151,7 +143,7 @@ def main(argv=None):
 def compare(blocks, copies):
     """Time the blocks, print the table and return it by rung."""
     rng = random.Random(SEED)
-    rungs = ["ladder k=%d" % k for k in LADDER] + ["batch"]
+    rungs = ["ladder k=%d" % k for k in FillLadder.RUNGS] + ["batch"]
 
     def block(rung):
         """The operation count and a function of a copy that runs the block."""
@@ -162,8 +154,9 @@ def compare(blocks, copies):
         inputs = ladder_inputs(rng, k)
         return len(inputs), lambda copy: run_ladder(copy, k, inputs)
 
+    signatures = sorted({(k + 1, k) for k in FillLadder.RUNGS} | set(FillBatch.SIGNATURES))
     for _, deformation, _ in copies.values():
-        for g, k in SIGNATURES:
+        for g, k in signatures:
             deformation.solve_complete(deformation.GKSignature(g, k))
     for rung in rungs:
         _, run = block(rung)
