@@ -98,15 +98,12 @@ _FILL_TOL = 1e-10
 # length row, edge_cosh(beta) eps, may reach: most fillings beyond fail (CHANGES.md)
 _CUSP_FLOOR = 4.0
 _LENGTH_FLOOR = 1.05
-# a filling that meets the gate with a length row above this many times the
-# length rows' rounding floor takes one Newton step more (the tail of `_newton`):
-# on 544 seeded fill_ladder- and fill_batch-shaped fillings from the
-# fourth-order start a point at its floor stood at most 77 times it, and one
-# short of it 208 times or more (outside that sample, (2, 1) 40/1 stops short
-# at 135 times); 128 is about the geometric middle of 77 and 208.  From the
-# table start, on 544 such fillings (CHANGES.md), a point at its floor (one
-# step more moves it by at most 1e-14) stood at most 214 times it and one
-# short of it 231 times or more; the step fires on 52, 4 of them at the floor
+# a point whose length rows stand above this many times their rounding floor
+# edge_cosh(beta) eps is short of its floor (`_short_of_floor`).  From the table
+# start, on 544 seeded fill_ladder- and fill_batch-shaped fillings, a point at
+# its floor stood at most 214 times it and one short of it 231 times or more,
+# and 4 of the 52 floor steps landed on points already at their floor; the
+# table's entries stand at most 115.6 times it
 _POLISH = 128.0
 _EPS = float(np.finfo(float).eps)
 # |u| below which a cusp counts as complete (unfilled)
@@ -260,7 +257,7 @@ def solve_complete(sig: GKSignature) -> CompleteSolution:
     varsigma = np.zeros((2, sig.n_coords))
     varsigma[0, :12] = _tangent_block(t, 2.0 * s, -s).ravel()
     varsigma[1, :12] = np.tile(np.outer(2.0 * forms[1], [6.0 * s * s, -3.0 * s * s, -3.0 * s * s]).ravel(), 2)
-    table, table_rows = _cusp_table(a, b, t, forms)
+    table, table_rows = _cusp_table(x0[:12], b, t, forms)
     for array in (x0, forms, varsigma, r, table):
         array.flags.writeable = False
     return CompleteSolution(a, b, x0, t, forms, beta_slope, beta_quartic, tuple(varsigma), r, table, table_rows)
@@ -316,7 +313,7 @@ def _table_plan():
     return solved, _linear_rows(solved), source, maps, _linear_rows(targets)
 
 
-def _cusp_table(alpha_bar: float, beta_bar: float, t: float, forms: np.ndarray):
+def _cusp_table(block: np.ndarray, beta_bar: float, t: float, forms: np.ndarray):
     """The table of `CompleteSolution`: per target, None (a complete cusp)
     or a sign-form slope of `_TABLE_SLOPES`, the cusp's block solved at
     beta fixed to beta_bar, B, and its beta response y = A^-1 dbeta e, A the
@@ -328,14 +325,14 @@ def _cusp_table(alpha_bar: float, beta_bar: float, t: float, forms: np.ndarray):
 
     One Newton solve takes the blocks of the targets of `_table_plan`,
     stacked as the cusps of one point whose total-angle row is not read,
-    each from its own fourth-order Taylor start (the `_own_forms`, which
-    leave beta out).  A block stops at its floor, below the gate and
-    `_POLISH` times the length rows' rounding floor edge_cosh(beta) eps
-    (the rule of `_newton`'s step to the floor), and at the latest one
-    step after it meets the gate; y solves the blocks of the last
-    evaluation.  The torus isometries carry B and y onto every other
-    slope of the orbit by an index map, since they permute the block's
-    angles and rows and keep beta.  An entry whose 12 block rows at beta_bar miss the gate is left
+    each from its own fourth-order Taylor start, `_predict` from the
+    complete `block` along its `_own_forms`, which leave beta out.  A
+    block stops by the rule of a point of `_newton`: once it meets the
+    gate and is not `_short_of_floor`, else one step after it meets the
+    gate; y solves the blocks of the last evaluation.  The torus
+    isometries carry B and y onto every other slope of the orbit by an
+    index map, since they permute the block's angles and rows and keep
+    beta.  An entry whose 12 block rows at beta_bar miss the gate is left
     out, and so is every entry where the length rows' rounding floor
     edge_cosh(beta) eps is over the gate, or where a block is singular."""
     none = np.empty((0, 2, 12)), MappingProxyType({})
@@ -344,23 +341,19 @@ def _cusp_table(alpha_bar: float, beta_bar: float, t: float, forms: np.ndarray):
     solved, rows, source, maps, gate_rows = _table_plan()
     n = len(solved)
     own, _ = _own_forms(t, forms, solved)
-    x = np.empty(12 * n + 1)
-    x[-1] = beta_bar
+    x = np.append(_predict(block, own, 0.0, 1.0), beta_bar)
     xb = x[:-1].reshape(n, 12)
-    xb.reshape(n, 2, 2, 3)[:] = [[alpha_bar] * 3, [math.pi / 3.0] * 3]
-    for order in range(4):
-        xb += (own[:, order, None] * _SWAP[order]).reshape(n, 12)
     # the blocks as the n cusps of one point; g enters only the total angle
     sig = GKSignature(n + 1, n)
     (r,), blocks = _evaluate(sig, x[None], rows)
-    floor, stop = min(_FILL_TOL, _POLISH * _EPS * edge_cosh(beta_bar)), np.zeros(n, dtype=bool)
+    stop = np.zeros(n, dtype=bool)
     try:
         for _ in range(_MAX_ITER):
             R = r[:-1].reshape(n, 12)
             norm = np.abs(R).max(axis=1)
-            # a block at its floor stops, and one below the gate takes this
-            # step, to its floor, and then stops
-            stop |= norm < floor
+            # a block below the gate stops at its floor, and one short of it
+            # takes this step, to its floor, and then stops
+            stop |= (norm < _FILL_TOL) & ~_short_of_floor(R, [beta_bar] * n)
             run = ~stop
             if not run.any():
                 break
@@ -622,6 +615,15 @@ def correction(sig: GKSignature, x) -> np.ndarray:
     return _block_step(sig, r, *blocks())[0]
 
 
+def _short_of_floor(R: np.ndarray, betas: Sequence[float]) -> np.ndarray:
+    """Per point, whether Newton stopped it short of its rounding floor:
+    whether its length rows, rows 0-5 of each 12-row block of R (shape
+    (N, 12k), the block rows of N points), stand above `_POLISH` times
+    their rounding floor edge_cosh(beta) eps at the point's beta."""
+    length = np.abs(R.reshape(len(R), -1, 12)[:, :, :6]).max(axis=(1, 2)).tolist()
+    return np.array([m > _POLISH * _EPS * edge_cosh(b) for m, b in zip(length, betas)], dtype=bool)
+
+
 def _newton(sig: GKSignature, x0: np.ndarray, rows, tol: Optional[float]):
     """Newton with block-arrow steps on N square systems at once, from
     the points x0 of shape (N, 12k+1), whose linear block rows are `rows`
@@ -639,9 +641,8 @@ def _newton(sig: GKSignature, x0: np.ndarray, rows, tol: Optional[float]):
     points.  A point whose step left its bits as they were has stalled:
     every later step would be the same.
 
-    With `tol` given, a point that met it with a length row above
-    `_POLISH` times the length rows' rounding floor, edge_cosh(beta) eps,
-    takes one step more, from the blocks of its last evaluation.  Newton
+    With `tol` given, a point that met it `_short_of_floor` takes one
+    step more, from the blocks of its last evaluation.  Newton
     converges quadratically, so it can stop just below `tol` with the
     digits of `tol` and not of the floor, and the length rows, whose
     Jacobian entries are the largest, show it first; the step takes the
@@ -685,11 +686,8 @@ def _newton(sig: GKSignature, x0: np.ndarray, rows, tol: Optional[float]):
             errors[i] = ConvergenceError(text, norm[i])
     if tol is None:
         return x, r, errors
-    length = np.abs(r[:, :-1].reshape(n_pts, k, 12)[:, :, :6]).max(axis=(1, 2)).tolist()
-    above = [
-        i for i, (m, exc) in enumerate(zip(length, errors))
-        if exc is None and m > _POLISH * _EPS * edge_cosh(float(x[i, -1]))
-    ]
+    short = _short_of_floor(r[:, :-1], x[:, -1].tolist())
+    above = [i for i, s in enumerate(short.tolist()) if s and errors[i] is None]
     if above:
         A, dbeta = blocks()
         cusps = (np.array(above)[:, None] * k + np.arange(k)).ravel()
@@ -716,14 +714,9 @@ def solve_filling(sig: GKSignature, spec: FillingSpec) -> np.ndarray:
     are continued (`_path`) in s = 1/t along the rows
     p*u + q*v = 2*pi*i*s from the complete structure x0 at s = 0.  The
     path's first step is one Newton solve at s = 1 (`_newton`, to the
-    gate and then the rounding floor) from the start of `_starts`.  From
-    the table start, for integer slopes of squared length below 104,
-    every cusp filled takes 2 block solves at k = 8 to 64 and 2 or 3 at
-    k <= 2, and one filled cusp at most 2 and the step to the floor; from
-    the fourth-order start, the slopes beyond take about 2, the step to
-    the rounding floor included.  Fails loudly
-    (ConvergenceError) if the path cannot reach s = 1.  This is
-    `solve_fillings` on the one spec.
+    gate and then the rounding floor) from the start of `_starts` (README
+    gives its block solves).  Fails loudly (ConvergenceError) if the path
+    cannot reach s = 1.  This is `solve_fillings` on the one spec.
     """
     (x,) = solve_fillings(sig, [spec])
     if isinstance(x, Exception):
@@ -830,13 +823,11 @@ def _starts(sig: GKSignature, cs: CompleteSolution, specs) -> np.ndarray:
     n, k = len(specs), sig.k
     # per spec its rows of the table, with None for a target not in it
     picks = [[cs.table_rows.get(pq) for pq in spec.pairs] for spec in specs]
-    tab = [i for i in range(n) if None not in picks[i]]
-    if not tab:
-        return _predict(cs.x0, _complete_jet(sig, cs, specs), 0.0, 1.0)
     x = np.empty((n, sig.n_coords))
     rest = [i for i in range(n) if None in picks[i]]
     if rest:
         x[rest] = _predict(cs.x0, _complete_jet(sig, cs, [specs[i] for i in rest]), 0.0, 1.0)
+    tab = [i for i in range(n) if None not in picks[i]]
     entries = cs.table[[row for i in tab for row in picks[i]]].reshape(len(tab), k, 2, 12)
     B, y = entries[:, :, 0], entries[:, :, 1]
     corner = 6.0 * (sig.g - k)
@@ -975,8 +966,9 @@ _SWAP = np.array([[1.0, -1.0], [1.0, 1.0], [1.0, -1.0], [1.0, 1.0]])[:, :, None,
 def _own_forms(t: float, forms: np.ndarray, targets):
     """The Taylor coefficients c1..c4 of each target's cusp block with beta
     held at beta_bar, the `_taylor_forms` in its (x1, x2) of `_complete_jet`
-    (zero for None): an array of shape (m, 4, 2, 3) [target, order, alpha
-    or gamma, apex] on tetrahedron 2c, and the (m, 1) column of Q."""
+    (zero for None) on tetrahedron 2c, and on 2c+1 the same at even orders
+    and negated at odd ones (`_SWAP`): an array of shape (m, 4, 12)
+    [target, order, block coordinate], and the (m, 1) column of Q."""
     c = math.pi / (2.0 * t)
     # per cusp x1, x2, x3 = -x1 - x2 and Q = x1^2 + x1 x2 + x2^2 = 3 c f
     tangents = []
@@ -994,7 +986,7 @@ def _own_forms(t: float, forms: np.ndarray, targets):
     own = np.empty((len(targets), 4, 2, 3))
     own[:, :3] = np.stack([x, 3.0 * sq - 2.0 * Q, x * sq], axis=1)[:, :, None] * F[:3]
     own[:, 3] = (sq * sq)[:, None] * F[3] + (sq * Q)[:, None] * F[4] + (Q * Q)[:, None] * F[5]
-    return own, Q
+    return (own[:, :, None] * _SWAP).reshape(len(targets), 4, 12), Q
 
 
 def _complete_jet(sig: GKSignature, cs: CompleteSolution, specs) -> np.ndarray:
@@ -1016,9 +1008,9 @@ def _complete_jet(sig: GKSignature, cs: CompleteSolution, specs) -> np.ndarray:
     n, k = len(specs), sig.k
     own, Q = _own_forms(cs.cot_scale, cs.forms, [pq for spec in specs for pq in spec.pairs])
     beta = [-cs.beta_quartic * math.fsum(row) for row in (Q * Q).reshape(n, k).tolist()]
-    own.reshape(n, k, 4, 2, 3)[:, :, 3, 0] += (cs.beta_slope * np.array(beta))[:, None, None]
+    own.reshape(n, k, 4, 12)[:, :, 3, _ALPHA_COLS] += (cs.beta_slope * np.array(beta))[:, None, None]
     jet = np.empty((n, 4, sig.n_coords))
-    jet[:, :, :-1] = (own[:, :, None] * _SWAP).reshape(n, k, 4, 12).transpose(0, 2, 1, 3).reshape(n, 4, 12 * k)
+    jet[:, :, :-1] = own.reshape(n, k, 4, 12).transpose(0, 2, 1, 3).reshape(n, 4, 12 * k)
     jet[:, :, -1] = 0.0
     jet[:, 3, -1] = beta
     return jet

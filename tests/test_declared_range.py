@@ -18,9 +18,11 @@ g <= 12, each cusp unfilled or on a slope of squared length 7-49) must
 solve, and how many stop with a final residual above 1e-12, well inside
 the 1e-10 gate, is recorded the same way as
 `batch_residuals_above_1e-12`: the last digits of u and v that the JSON
-report prints rest on that residual.  So is `table_entries_dropped`, the
-entries of the table of solved cusp blocks that missed their gate, summed
-over the signatures of both sweeps."""
+report prints rest on that residual.  So are `table_entries_dropped`, the
+entries of the table of solved cusp blocks that missed their gate, and
+`table_entries_short_of_floor`, the kept entries whose length rows stand
+short of their rounding floor (`_short_of_floor`), summed over the
+signatures of both sweeps."""
 
 import math
 
@@ -147,9 +149,15 @@ def test_fill_batch_shaped_lists_and_their_final_residuals(record_property):
 
 def test_the_tables_of_the_swept_signatures(record_property):
     # the table of solved cusp blocks of each signature swept here: how many
-    # entries missed their gate and were left out is recorded, not asserted
-    dropped = 0
+    # entries missed their gate and were left out, and how many kept ones
+    # stand short of their rounding floor, is recorded, not asserted
+    dropped = short = 0
     for g, k in SIGNATURES + BATCH_SIGNATURES:
         cs = deformation.solve_complete(GKSignature(g, k))
         dropped += len(deformation._TABLE_SLOPES) + 1 - len(cs.table_rows)
+        targets = sorted(cs.table_rows, key=cs.table_rows.get)
+        x = np.concatenate([cs.table[:, 0], np.full((len(targets), 1), cs.beta_bar)], axis=1)
+        r, _ = deformation._evaluate(GKSignature(2, 1), x, deformation._linear_rows(targets))
+        short += int(deformation._short_of_floor(r[:, :12], [cs.beta_bar] * len(r)).sum())
     record_property("table_entries_dropped", dropped)
+    record_property("table_entries_short_of_floor", short)

@@ -1635,14 +1635,17 @@ TABLE_TARGETS = [None] + deformation._TABLE_SLOPES
 @pytest.mark.parametrize("g, k", [(2, 1), (3, 2), (17, 16), (200, 64)])
 def test_every_table_entry_meets_the_fill_gate_at_beta_bar(g, k):
     # each entry's 12 block rows at beta_bar, its block alone, meet the
-    # fill gate; y is its beta response A^-1 dbeta e to rounding; and no
-    # caller can write into the table
+    # fill gate, and its length rows stand at their rounding floor, not
+    # short of it as a Newton point that takes the step to the floor; y is
+    # its beta response A^-1 dbeta e to rounding; and no caller can write
+    # into the table
     cs = solve_complete(GKSignature(g, k))
     assert set(cs.table_rows) == set(TABLE_TARGETS) and sorted(cs.table_rows.values()) == list(range(len(TABLE_TARGETS)))
     B, y = cs.table[[cs.table_rows[t] for t in TABLE_TARGETS]].transpose(1, 0, 2)
     x = np.concatenate([B, np.full((len(B), 1), cs.beta_bar)], axis=1)
     r, blocks = deformation._evaluate(GKSignature(2, 1), x, deformation._linear_rows(TABLE_TARGETS))
     assert np.abs(r[:, :12]).max() < deformation._FILL_TOL
+    assert not deformation._short_of_floor(r[:, :12], [cs.beta_bar] * len(r)).any()
     A, dbeta = blocks()
     e = np.zeros(12)
     e[:6] = dbeta[0]
