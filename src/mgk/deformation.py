@@ -34,19 +34,21 @@ every slope of length >= sqrt(7), is reached by one route, a
 predictor-corrector continuation from the complete solution (`_path`)
 whose predictor is the Taylor polynomial of the closed-form jet, the
 path's Taylor coefficients to order 4 (`_complete_jet`, with no linear
-solve).  Its first step is one Newton solve at s = 1, which ends with one
-step more where it stops short of the rounding floor (`_newton`); the
-first steps of a batch are one stacked solve.  That step starts
-(`_starts`) from a closed-form point where every cusp's target is in the signature's
-table of solved cusp blocks (`_cusp_table`: the complete block and each
-integer slope of squared length 7 to 103, solved once at beta_bar, where
-the blocks do not couple), the first block-arrow Newton step from those
-blocks; from any other spec it starts at the fourth-order point
-x0 + x' + x''/2 + x'''/6 + x''''/24.  `solve_complete` solves each
-signature's complete solution once per process, and an LRU cache of 128
-signatures keeps it, with a read-only x0, the jet's constants
-(`_taylor_forms`), the table and the distinguished curve's derivative
-vectors: the one per-signature cache.
+solve).  Its first step is one Newton solve at s = 1, of at least one
+block step, which ends with one step more where it stops short of the
+rounding floor (`_newton`); the first steps of a batch are one stacked
+solve.  That step starts (`_starts`) where every cusp's target is in the
+signature's table (`_cusp_table`: for the complete block and each
+integer slope of squared length 7 to 103, the block solved with beta
+held fixed, where the blocks do not couple, as a quintic in beta) at the
+beta where the tabulated blocks close the total angle: a filling reaches
+the geodesic boundary only through beta, and that point is about 1e-11
+from the solution, one block step; from any other spec it starts at the
+fourth-order point x0 + x' + x''/2 + x'''/6 + x''''/24.  `solve_complete`
+solves each signature's complete solution once per process, and an LRU
+cache of 128 signatures keeps it, with a read-only x0, the jet's
+constants (`_taylor_forms`), the table and the distinguished curve's
+derivative vectors: the one per-signature cache.
 
 Newton works on the square system: the structure rows plus two cusp
 rows per cusp (Re, Im of p*u + q*v - 2*pi*i filled, of u complete).
@@ -76,6 +78,7 @@ report the structure rows of a solver record's residual, and
 point.
 """
 
+import contextlib
 import functools
 import math
 import sys
@@ -99,11 +102,12 @@ _FILL_TOL = 1e-10
 _CUSP_FLOOR = 4.0
 _LENGTH_FLOOR = 1.05
 # a point whose length rows stand above this many times their rounding floor
-# edge_cosh(beta) eps is short of its floor (`_short_of_floor`).  From the table
-# start, on 544 seeded fill_ladder- and fill_batch-shaped fillings, a point at
-# its floor stood at most 214 times it and one short of it 231 times or more,
-# and 4 of the 52 floor steps landed on points already at their floor; the
-# table's entries stand at most 115.6 times it
+# edge_cosh(beta) eps is short of its floor (`_short_of_floor`).  After the one
+# block step from the table start, 680 seeded fill_ladder- and fill_batch-
+# shaped fillings stood at most 7.0 times it; from the fourth-order start, of
+# 360 seeded lists with a slope beyond the table, those at their floor stood at
+# most 60 times it and those short of it 820 times or more; the table's
+# entries stand at most 115.6 times it
 _POLISH = 128.0
 _EPS = float(np.finfo(float).eps)
 # |u| below which a cusp counts as complete (unfilled)
@@ -176,11 +180,12 @@ class CompleteSolution:
     and so to every cusp (`_taylor_forms`); varsigma, the distinguished
     curve's pair of `varsigma_derivatives`; residual, the 12k+1
     residuals (block order, cusp rows of u = 0) at x0 that certified it;
-    and the table of solved cusp blocks at beta_bar (`_cusp_table`):
-    table, of shape (n, 2, 12), holds per entry the block and its beta
-    response, and table_rows maps each entry's target, a sign-form slope
-    (p, q) or None, to its row.  One object serves every caller, so its
-    arrays are read-only and table_rows is a read-only mapping."""
+    and the table of the cusp blocks' paths in beta (`_cusp_table`):
+    table, of shape (6, n, 12), holds per orbit of `_table_plan` the
+    coefficients of its block's path, and table_rows maps each entry's
+    target, a sign-form slope (p, q) or None, to its position among the
+    plan's targets.  One object serves every caller, so its arrays are
+    read-only and table_rows is a read-only mapping."""
 
     alpha_bar: float
     beta_bar: float
@@ -196,7 +201,7 @@ class CompleteSolution:
 
 
 # more than fill_batch's 38 signatures; about 25 kB each at k = 64, and
-# 27 kB for the table of solved cusp blocks
+# 11.5 kB for the table of the cusp blocks' paths
 _COMPLETE_CACHE = 128
 
 
@@ -224,9 +229,9 @@ def solve_complete(sig: GKSignature) -> CompleteSolution:
     is the process's one per-signature cache: `cache_clear()` empties it.
     The gate reads the structure rows of one kernel evaluation at x0, kept
     as `residual`; its ConvergenceError is not kept: each call raises it anew.
-    A certified structure also gets its table of solved cusp blocks
-    (`_cusp_table`), 6 or 7 evaluations more and about 1 ms on a 2-core
-    x86-64 host, once per signature.
+    A certified structure also gets its table of the cusp blocks' paths
+    in beta (`_cusp_table`), 9 or 10 evaluations more and about 1.7 ms
+    on a 2-core x86-64 host, once per signature.
     """
     k, m = sig.k, sig.g - sig.k
     r3 = math.sqrt(3.0)
@@ -257,7 +262,7 @@ def solve_complete(sig: GKSignature) -> CompleteSolution:
     varsigma = np.zeros((2, sig.n_coords))
     varsigma[0, :12] = _tangent_block(t, 2.0 * s, -s).ravel()
     varsigma[1, :12] = np.tile(np.outer(2.0 * forms[1], [6.0 * s * s, -3.0 * s * s, -3.0 * s * s]).ravel(), 2)
-    table, table_rows = _cusp_table(x0[:12], b, t, forms)
+    table, table_rows = _cusp_table(x0[:12], b, t, forms, 6.0 * m, k)
     for array in (x0, forms, varsigma, r, table):
         array.flags.writeable = False
     return CompleteSolution(a, b, x0, t, forms, beta_slope, beta_quartic, tuple(varsigma), r, table, table_rows)
@@ -313,66 +318,117 @@ def _table_plan():
     return solved, _linear_rows(solved), source, maps, _linear_rows(targets)
 
 
-def _cusp_table(block: np.ndarray, beta_bar: float, t: float, forms: np.ndarray):
-    """The table of `CompleteSolution`: per target, None (a complete cusp)
-    or a sign-form slope of `_TABLE_SLOPES`, the cusp's block solved at
-    beta fixed to beta_bar, B, and its beta response y = A^-1 dbeta e, A the
-    block's Jacobian and e the marks of its length rows (as in
-    `_block_step`): an array of shape (n, 2, 12) [entry, B or y] and the
-    read-only mapping of each target to its row.  With beta fixed the
-    blocks do not couple, so they depend on the target and beta_bar alone,
-    not on k.
+# the quintic Hermite interpolant p(tau) = sum of a_n tau^n through tau = 0,
+# 1/2, 1, with a_0, a_1 its value and slope at 0: (a_2, .., a_5) is this matrix
+# times (f(1/2) - f(0) - f'(0)/2, f'(1/2) - f'(0), f(1) - f(0) - f'(0), f'(1) - f'(0))
+_HERMITE = np.array([[16.0, -8.0, 7.0, -1.0], [-32.0, 32.0, -34.0, 5.0], [16.0, -40.0, 52.0, -8.0], [0.0, 16.0, -24.0, 4.0]])
 
-    One Newton solve takes the blocks of the targets of `_table_plan`,
-    stacked as the cusps of one point whose total-angle row is not read,
-    each from its own fourth-order Taylor start, `_predict` from the
-    complete `block` along its `_own_forms`, which leave beta out.  A
-    block stops by the rule of a point of `_newton`: once it meets the
-    gate and is not `_short_of_floor`, else one step after it meets the
-    gate; y solves the blocks of the last evaluation.  The torus
-    isometries carry B and y onto every other slope of the orbit by an
-    index map, since they permute the block's angles and rows and keep
-    beta.  An entry whose 12 block rows at beta_bar miss the gate is left
-    out, and so is every entry where the length rows' rounding floor
-    edge_cosh(beta) eps is over the gate, or where a block is singular."""
-    none = np.empty((0, 2, 12)), MappingProxyType({})
+
+def _cusp_table(block: np.ndarray, beta_bar: float, t: float, forms: np.ndarray, corner: float, k: int):
+    """The table of `CompleteSolution`: per orbit of `_table_plan`, the
+    path B(beta) of its solved cusp block with beta held fixed, as the
+    coefficients c_0..c_5 of a polynomial in delta = beta - beta_bar, an
+    array of shape (6, n, 12) [power, orbit, block coordinate]; and the
+    read-only mapping of each table target, None (a complete cusp) or a
+    sign-form slope of `_TABLE_SLOPES`, to its position in the plan's
+    targets, whose `source` and `maps` carry its orbit's path onto its
+    own.  With beta fixed the blocks do not couple, so a path depends on
+    the target and beta alone, not on k.
+
+    The polynomial is the quintic Hermite interpolant through the nodes
+    delta = 0, lo/2 and lo: at each node it meets the block B solved
+    there and its beta-derivative -y, with y = A^-1 dbeta e the beta
+    response, A the block's Jacobian and e the marks of its length rows
+    (as in `_block_step`).  lo is 1.02 times the first-order beta shift
+    of every one of the k cusps on a slope of length sqrt(7), whose blocks
+    move beta the most, so every tabulated filling's beta lies inside.
+    `_table_blocks` solves the blocks at beta_bar from their own
+    fourth-order Taylor starts, `_predict` from the complete `block` along
+    its `_own_forms`, which leave beta out, and then those at the two
+    other nodes in one stacked solve from B - delta y.  The torus
+    isometries permute the block's angles and rows and keep beta, so an
+    index map carries each path onto every other slope of its orbit.  An
+    entry whose 12 block rows at beta_bar miss the gate is left out, and
+    so is every entry of an orbit whose block missed the gate or was
+    singular at a node, and every entry where the length rows' rounding
+    floor edge_cosh(beta) eps is over the gate."""
+    none = np.empty((6, 0, 12)), MappingProxyType({})
     if edge_cosh(beta_bar) * _EPS > _FILL_TOL:
         return none
     solved, rows, source, maps, gate_rows = _table_plan()
-    n = len(solved)
     own, _ = _own_forms(t, forms, solved)
-    x = np.append(_predict(block, own, 0.0, 1.0), beta_bar)
-    xb = x[:-1].reshape(n, 12)
-    # the blocks as the n cusps of one point; g enters only the total angle
-    sig = GKSignature(n + 1, n)
-    (r,), blocks = _evaluate(sig, x[None], rows)
-    stop = np.zeros(n, dtype=bool)
-    try:
-        for _ in range(_MAX_ITER):
-            R = r[:-1].reshape(n, 12)
-            norm = np.abs(R).max(axis=1)
-            # a block below the gate stops at its floor, and one short of it
-            # takes this step, to its floor, and then stops
-            stop |= (norm < _FILL_TOL) & ~_short_of_floor(R, [beta_bar] * n)
-            run = ~stop
-            if not run.any():
-                break
-            stop |= norm < _FILL_TOL
-            A, _ = blocks()
-            xb[run] = _clip(xb[run] - np.linalg.solve(A[run], R[run, :, None])[:, :, 0])
-            (r,), blocks = _evaluate(sig, x[None], rows)
-        A, (dbeta,) = blocks()
-        e = np.zeros((n, 12, 1))
-        e[:, :6] = dbeta
-        y = np.linalg.solve(A, e)[:, :, 0]
-    except np.linalg.LinAlgError:
-        return none
-    table = np.take_along_axis(np.stack([xb, y], axis=1)[source], maps[:, None], axis=2)
-    m = len(table)
-    (r,), _ = _evaluate(GKSignature(m + 1, m), np.append(table[:, 0], beta_bar)[None], gate_rows)
-    keep = (np.abs(r[:-1].reshape(m, 12)).max(axis=1) < _FILL_TOL) & np.isfinite(table[:, 1]).all(axis=1)
+    (B0,), (y0,), (good,) = _table_blocks(_predict(block, own, 0.0, 1.0)[None], [beta_bar], rows)
+    sqrt7 = source[1 + _TABLE_SLOPES.index((3, 1))]
+    alphas, slopes = B0[sqrt7, _ALPHA_COLS].tolist(), (-y0[sqrt7, _ALPHA_COLS]).tolist()
+    lo = -1.02 * math.fsum([corner * beta_bar, -2.0 * math.pi] + alphas * k) / math.fsum([corner] + slopes * k)
+    nodes = np.array([0.5 * lo, lo])[:, None, None]
+    B, y, met = _table_blocks(B0 - nodes * y0, (beta_bar + nodes[:, 0, 0]).tolist(), rows)
+    # the Hermite data in tau = delta / lo, on [0, 1]: values f and slopes -lo y
+    f0, f1, f2 = B0, B[0], B[1]
+    d0, d1, d2 = -lo * y0, -lo * y[0], -lo * y[1]
+    a = np.tensordot(_HERMITE, np.stack([f1 - f0 - 0.5 * d0, d1 - d0, f2 - f0 - d0, d2 - d0]), axes=1)
+    table = np.stack([B0, -y0] + [a[n] / lo ** (n + 2) for n in range(4)])
+    good &= met.all(axis=0)
+    m = len(source)
+    entries = np.take_along_axis(B0[source], maps, axis=1)
+    (r,), _ = _evaluate(GKSignature(m + 1, m), np.append(entries, beta_bar)[None], gate_rows)
+    keep = (np.abs(r[:-1].reshape(m, 12)).max(axis=1) < _FILL_TOL) & good[source]
     targets = [None] + _TABLE_SLOPES
-    return table[keep], MappingProxyType({targets[i]: j for j, i in enumerate(np.flatnonzero(keep).tolist())})
+    return table, MappingProxyType({targets[i]: i for i in np.flatnonzero(keep).tolist()})
+
+
+def _solve_each(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.solve of the stacked systems A x = b.  numpy fails a whole
+    stacked solve for one singular matrix, so then each is solved alone,
+    and a singular one gets NaN."""
+    try:
+        return np.linalg.solve(A, b)
+    except np.linalg.LinAlgError:
+        out = np.full_like(b, math.nan)
+    for i in range(len(A)):
+        with contextlib.suppress(np.linalg.LinAlgError):
+            out[i] = np.linalg.solve(A[i], b[i])
+    return out
+
+
+def _table_blocks(blocks: np.ndarray, betas: Sequence[float], rows):
+    """The cusp blocks `blocks`, shape (N, n, 12), each solved alone with
+    beta held at betas[i] for row i, whose linear rows are `rows` (the
+    `_linear_rows` of n targets), by Newton on the blocks as the cusps of
+    N points whose total-angle rows are not read: the solved blocks, their
+    beta responses y = A^-1 dbeta e from the blocks of the last
+    evaluation, both of shape (N, n, 12), and per block whether it met the
+    gate with a finite y.  A block stops by the rule of a point of
+    `_newton`: once it meets the gate and is not `_short_of_floor`, else
+    one step after it meets the gate.  A singular block's step is NaN,
+    and so is the block from then on: it stops and misses the gate."""
+    N, n = blocks.shape[:2]
+    sig = GKSignature(n + 1, n)
+    x = np.concatenate([blocks.reshape(N, 12 * n), np.array(betas)[:, None]], axis=1)
+    xb = blocks.reshape(N * n, 12).copy()
+    rows = [np.concatenate([a] * N) for a in rows]
+    r, jacobians = _evaluate(sig, x, rows)
+    stop = np.zeros(N * n, dtype=bool)
+    for _ in range(_MAX_ITER):
+        R = r[:, :-1].reshape(N * n, 12)
+        norm = np.abs(R).max(axis=1)
+        # a block below the gate stops at its floor, and one short of it
+        # takes this step, to its floor, and then stops
+        stop |= (norm != norm) | (norm < _FILL_TOL) & ~_short_of_floor(r[:, :-1], betas).ravel()
+        run = np.flatnonzero(~stop)
+        if not len(run):
+            break
+        stop |= norm < _FILL_TOL
+        A, _ = jacobians()
+        xb[run] = _clip(xb[run] - _solve_each(A[run], R[run, :, None])[:, :, 0])
+        x[:, :-1] = xb.reshape(N, 12 * n)
+        r, jacobians = _evaluate(sig, x, rows)
+    A, dbeta = jacobians()
+    e = np.zeros((N * n, 12, 1))
+    e[:, :6] = np.repeat(dbeta, n)[:, None, None]
+    y = _solve_each(A, e)[:, :, 0]
+    met = (np.abs(r[:, :-1].reshape(N * n, 12)).max(axis=1) < _FILL_TOL) & np.isfinite(y).all(axis=1)
+    return xb.reshape(N, n, 12), y.reshape(N, n, 12), met.reshape(N, n)
 
 
 # ---------------------------------------------------------------------------
@@ -616,21 +672,24 @@ def correction(sig: GKSignature, x) -> np.ndarray:
 
 
 def _short_of_floor(R: np.ndarray, betas: Sequence[float]) -> np.ndarray:
-    """Per point, whether Newton stopped it short of its rounding floor:
-    whether its length rows, rows 0-5 of each 12-row block of R (shape
-    (N, 12k), the block rows of N points), stand above `_POLISH` times
-    their rounding floor edge_cosh(beta) eps at the point's beta."""
-    length = np.abs(R.reshape(len(R), -1, 12)[:, :, :6]).max(axis=(1, 2)).tolist()
-    return np.array([m > _POLISH * _EPS * edge_cosh(b) for m, b in zip(length, betas)], dtype=bool)
+    """Per block of each point, whether Newton stopped it short of its
+    rounding floor: whether the block's length rows, rows 0-5 of each
+    12-row block of R (shape (N, 12k), the block rows of N points), stand
+    above `_POLISH` times their rounding floor edge_cosh(beta) eps at the
+    point's beta; shape (N, k)."""
+    length = np.abs(R.reshape(len(R), -1, 12)[:, :, :6]).max(axis=2)
+    return length > _POLISH * _EPS * np.array([edge_cosh(b) for b in betas])[:, None]
 
 
 def _newton(sig: GKSignature, x0: np.ndarray, rows, tol: Optional[float]):
     """Newton with block-arrow steps on N square systems at once, from
     the points x0 of shape (N, 12k+1), whose linear block rows are `rows`
-    (as for `_evaluate`), to the residual sup-norm `tol`: each point is
-    solved until its sup-norm is below `tol`.  With `tol` None each point
-    takes one step and no stop test, the corrector of a continuation
-    point short of the filling.  Returns the points, their residuals (in
+    (as for `_evaluate`), to the residual sup-norm `tol`: each point takes
+    at least one step and is solved until its sup-norm is below `tol`.  A
+    start may meet `tol` already, as the table start of `_starts` does at
+    g of about 10 and more: it is not a solved point, and its step takes it
+    to the floor.  With `tol` None each point takes one step and no stop
+    test, the corrector of a continuation point short of the filling.  Returns the points, their residuals (in
     block order) at the points returned, and per point None or the error
     that stopped it: a ConvergenceError, or `check_coords`'s DomainError
     for a point that is not a number.
@@ -638,8 +697,9 @@ def _newton(sig: GKSignature, x0: np.ndarray, rows, tol: Optional[float]):
     Each point takes the steps it takes alone, every full step, clipped
     into the open angle box.  A point that has converged or stopped
     rides along with a zero step, so that every evaluation covers all N
-    points.  A point whose step left its bits as they were has stalled:
-    every later step would be the same.
+    points.  A point whose step left its bits as they were has stalled,
+    since every later step would be the same, unless it meets `tol`: then
+    it has converged.
 
     With `tol` given, a point that met it `_short_of_floor` takes one
     step more, from the blocks of its last evaluation.  Newton
@@ -655,7 +715,7 @@ def _newton(sig: GKSignature, x0: np.ndarray, rows, tol: Optional[float]):
     norm = np.abs(r).max(axis=1).tolist()
     # after `_clip` a point has a finite norm, or a NaN norm and a NaN angle
     errors = [DomainError(_OUTSIDE_BOX) if m != m else None for m in norm]
-    running = [i for i in range(n_pts) if errors[i] is None and (tol is None or not norm[i] < tol)]
+    running = [i for i in range(n_pts) if errors[i] is None]
     for _ in range(_MAX_ITER):
         if not running:
             break
@@ -677,7 +737,7 @@ def _newton(sig: GKSignature, x0: np.ndarray, rows, tol: Optional[float]):
         for i in [i for i in running if errors[i] is None]:
             if norm[i] != norm[i]:
                 errors[i] = DomainError(_OUTSIDE_BOX)
-            elif stalled[i]:
+            elif stalled[i] and (tol is None or not norm[i] < tol):
                 errors[i] = ConvergenceError("Newton stalled at residual %g" % norm[i], norm[i])
         running = [i for i in running if errors[i] is None and tol is not None and not norm[i] < tol]
     else:
@@ -686,7 +746,7 @@ def _newton(sig: GKSignature, x0: np.ndarray, rows, tol: Optional[float]):
             errors[i] = ConvergenceError(text, norm[i])
     if tol is None:
         return x, r, errors
-    short = _short_of_floor(r[:, :-1], x[:, -1].tolist())
+    short = _short_of_floor(r[:, :-1], x[:, -1].tolist()).any(axis=1)
     above = [i for i, s in enumerate(short.tolist()) if s and errors[i] is None]
     if above:
         A, dbeta = blocks()
@@ -751,7 +811,7 @@ def solve_fillings(sig: GKSignature, specs: Sequence[FillingSpec], *, out: Optio
     entry of `specs` that is an error, such as that of parsing it, is its
     own result.  With `out`, a list, one `Solved` record per spec is
     appended to it.  `solve_complete` gives the complete structure, the
-    jet's constants and the table of solved cusp blocks, solved once per
+    jet's constants and the table of the cusp blocks' paths, solved once per
     process per signature.  A spec that the sqrt(7) gate
     `FillingSpec.is_hyperbolic` refuses, and each filled spec whose
     rounding floor exceeds `_CUSP_FLOOR` or `_LENGTH_FLOOR` fill gates,
@@ -809,37 +869,63 @@ def solve_fillings(sig: GKSignature, specs: Sequence[FillingSpec], *, out: Optio
 def _starts(sig: GKSignature, cs: CompleteSolution, specs) -> np.ndarray:
     """The start at s = 1 of each of the canonical filled `specs`, shape
     (N, 12k+1).  A spec whose every cusp target is in the table of cs
-    (`_cusp_table`) starts from the first block-arrow Newton step from its
-    tabulated blocks B_c at beta_bar, which meet their own rows and miss
-    only the total angle: with y_c their beta responses,
+    (`_cusp_table`) starts on its tabulated paths B_c(delta), delta = beta -
+    beta_bar, which meet the blocks' own rows at every beta, at the delta
+    where they also close the total angle:
 
-        s_beta = (6(g-k) beta_bar + sum of alphas - 2 pi) / (6(g-k) - sum of y_alpha),
+        6(g-k) (beta_bar + delta) - 2 pi + sum over c of the alphas of B_c(delta) = 0,
 
-    each block is B_c + s_beta y_c and beta is beta_bar - s_beta, with no
-    linear solve.  Every other spec starts from the fourth-order Taylor
-    point x0 + c1 + c2 + c3 + c4 of its path (`_complete_jet`).  Each sum
-    is a `math.fsum` of the spec's own terms, so each spec has the bits it
-    gets alone."""
+    a polynomial of degree 5 in delta, solved by scalar Newton (`_root`);
+    each block is B_c(delta), by Horner, and beta is beta_bar + delta, with
+    no linear solve.  Every other spec starts from the fourth-order Taylor
+    point x0 + c1 + c2 + c3 + c4 of its path (`_complete_jet`).  Each
+    coefficient and sum is a `math.fsum` of the spec's own terms, and the
+    rest is elementwise, so each spec has the bits it gets alone."""
     n, k = len(specs), sig.k
-    # per spec its rows of the table, with None for a target not in it
+    # per spec the positions of its targets in the table, None where not in it
     picks = [[cs.table_rows.get(pq) for pq in spec.pairs] for spec in specs]
     x = np.empty((n, sig.n_coords))
     rest = [i for i in range(n) if None in picks[i]]
     if rest:
         x[rest] = _predict(cs.x0, _complete_jet(sig, cs, [specs[i] for i in rest]), 0.0, 1.0)
     tab = [i for i in range(n) if None not in picks[i]]
-    entries = cs.table[[row for i in tab for row in picks[i]]].reshape(len(tab), k, 2, 12)
-    B, y = entries[:, :, 0], entries[:, :, 1]
+    if not tab:
+        return x
+    _, _, source, maps, _ = _table_plan()
+    at = np.array([row for i in tab for row in picks[i]])
+    # per cusp its path's coefficients, carried from its orbit's onto its target
+    C = np.take(cs.table.reshape(6, -1), (12 * source[at, None] + maps[at]).ravel(), axis=1).reshape(6, len(tab), 12 * k)
+    # the maps keep the alphas among the alphas, so each power's alpha terms
+    # are those of the cusps' orbits
+    alphas = np.take(cs.table[:, :, _ALPHA_COLS], source[at], axis=1).reshape(6, len(tab), 6 * k)
     corner = 6.0 * (sig.g - k)
-    B_alpha = B[:, :, _ALPHA_COLS].reshape(len(tab), 6 * k).tolist()
-    y_alpha = (-y[:, :, _ALPHA_COLS]).reshape(len(tab), 6 * k).tolist()
-    s = np.array([
-        math.fsum([corner * cs.beta_bar, -2.0 * math.pi] + a) / math.fsum([corner] + b)
-        for a, b in zip(B_alpha, y_alpha)
-    ])
-    x[tab, :-1] = (B + s[:, None, None] * y).reshape(len(tab), 12 * k)
-    x[tab, -1] = cs.beta_bar - s
+    deltas = []
+    for terms in alphas.transpose(1, 0, 2).tolist():
+        p = [math.fsum([corner * cs.beta_bar, -2.0 * math.pi] + terms[0]), math.fsum([corner] + terms[1])]
+        deltas.append(_root(p + [math.fsum(a) for a in terms[2:]]))
+    d = np.array(deltas)[:, None]
+    B = C[5]
+    for power in range(4, -1, -1):
+        B = B * d + C[power]
+    x[tab, :-1] = B
+    x[tab, -1] = cs.beta_bar + d[:, 0]
     return x
+
+
+def _root(p: Sequence[float]) -> float:
+    """The root near 0 of the polynomial sum of p[n] d^n, by scalar Newton
+    from the root of its linear part, to rounding."""
+    d = -p[0] / p[1]
+    for _ in range(_MAX_ITER):
+        value = slope = 0.0
+        for c in reversed(p):
+            slope = slope * d + value
+            value = value * d + c
+        step = value / slope
+        d -= step
+        if not abs(step) > _EPS * abs(d):
+            break
+    return d
 
 
 def _path(sig: GKSignature, cs: CompleteSolution, spec: FillingSpec, rows, first):

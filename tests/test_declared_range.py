@@ -22,7 +22,9 @@ report prints rest on that residual.  So are `table_entries_dropped`, the
 entries of the table of solved cusp blocks that missed their gate, and
 `table_entries_short_of_floor`, the kept entries whose length rows stand
 short of their rounding floor (`_short_of_floor`), summed over the
-signatures of both sweeps."""
+signatures of both sweeps, and `table_start_residual_max`, the largest
+residual of the table start (`_starts`) of seeded fill_batch-shaped lists
+on those signatures."""
 
 import math
 
@@ -149,15 +151,27 @@ def test_fill_batch_shaped_lists_and_their_final_residuals(record_property):
 
 def test_the_tables_of_the_swept_signatures(record_property):
     # the table of solved cusp blocks of each signature swept here: how many
-    # entries missed their gate and were left out, and how many kept ones
-    # stand short of their rounding floor, is recorded, not asserted
+    # entries missed their gate and were left out, how many kept ones stand
+    # short of their rounding floor at beta_bar, and the largest residual of
+    # the table start of 5 seeded fill_batch-shaped lists per signature, is
+    # recorded, not asserted
+    _, _, source, maps, _ = deformation._table_plan()
+    rng = np.random.default_rng(1)
     dropped = short = 0
+    start_max = 0.0
     for g, k in SIGNATURES + BATCH_SIGNATURES:
-        cs = deformation.solve_complete(GKSignature(g, k))
+        sig = GKSignature(g, k)
+        cs = deformation.solve_complete(sig)
         dropped += len(deformation._TABLE_SLOPES) + 1 - len(cs.table_rows)
-        targets = sorted(cs.table_rows, key=cs.table_rows.get)
-        x = np.concatenate([cs.table[:, 0], np.full((len(targets), 1), cs.beta_bar)], axis=1)
+        targets, at = list(cs.table_rows), list(cs.table_rows.values())
+        blocks = np.take_along_axis(cs.table[0, source[at]], maps[at], axis=1)
+        x = np.concatenate([blocks, np.full((len(targets), 1), cs.beta_bar)], axis=1)
         r, _ = deformation._evaluate(GKSignature(2, 1), x, deformation._linear_rows(targets))
         short += int(deformation._short_of_floor(r[:, :12], [cs.beta_bar] * len(r)).sum())
+        specs = [FillingSpec.from_pairs(k, draw_batch_list(rng, k)).canonicalized() for _ in range(5)]
+        starts = deformation._starts(sig, cs, specs)
+        r, _ = deformation._evaluate(sig, starts, deformation._linear_rows([pq for spec in specs for pq in spec.pairs]))
+        start_max = max(start_max, float(np.abs(r).max()))
     record_property("table_entries_dropped", dropped)
     record_property("table_entries_short_of_floor", short)
+    record_property("table_start_residual_max", "%.3g" % start_max)

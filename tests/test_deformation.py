@@ -751,13 +751,14 @@ def test_filling_newton_steps_flat_in_k(monkeypatch, k):
     # took 13-14, with the first tangent in closed form 9, with the point at
     # s = sqrt(7)/5 corrected only to a merit of 1e-3, 7, 5-6 in one Newton
     # solve from the second-order start at the complete structure, 4, 4
-    # and 5 from the fourth-order start, and 2 from the table start
+    # and 5 from the fourth-order start, 2 from the first block-arrow step
+    # of the table, and 1 from the table's paths in beta
     sig = GKSignature(k + 1, k)
     pairs = [SQRT7_SLOPES[c % 6] for c in range(k)]
     calls, step = [], deformation._block_step
     monkeypatch.setattr(deformation, "_block_step", lambda *a: calls.append(1) or step(*a))
     x = solve_filling(sig, FillingSpec.from_pairs(k, pairs))
-    assert len(calls) <= 2
+    assert len(calls) == 1
     assert np.max(np.abs(residuals(sig, x))) < 1e-10
     for c, (p, q) in enumerate(FillingSpec.from_pairs(k, pairs).canonicalized().pairs):
         pc, qc = dehn_coefficients(x, c)
@@ -771,29 +772,58 @@ def test_filling_block_steps_with_tangent_predictor(monkeypatch, k):
     # complete structure in closed form and the later one a block step, 9,
     # and 7 with the point at s < 1 corrected only to 1e-3; from the
     # second-order start it was one Newton solve of 5, from the
-    # fourth-order start one of 4, 4 and 5, and from the table start it is
-    # one of 2, 2 and 1, the step to the floor included
+    # fourth-order start one of 4, 4 and 5, from the first block-arrow step
+    # of the table one of 2, 2 and 1, the step to the floor included, and
+    # from the table's paths in beta it is one block solve
     sig = GKSignature(k + 1, k)
     calls, step = [], deformation._block_step
     monkeypatch.setattr(deformation, "_block_step", lambda *a: calls.append(1) or step(*a))
     x = solve_filling(sig, FillingSpec.from_pairs(k, [(3.0, 1.0)] + [None] * (k - 1)))
-    assert len(calls) <= {2: 2, 16: 2, 64: 1}[k]
+    assert len(calls) == 1
     assert np.max(np.abs(residuals(sig, x))) < 1e-10
     pc, qc = dehn_coefficients(x, 0)
     assert abs(pc - 3.0) < 1e-9 and abs(qc - 1.0) < 1e-9
 
 
+def table_path(cs, pq):
+    """The coefficients c_0..c_5 of the path in delta = beta - beta_bar of
+    the tabulated block of target pq, as a (6, 12) list: its orbit's path
+    carried onto pq by the plan's index map."""
+    _, _, source, maps, _ = deformation._table_plan()
+    row = cs.table_rows[pq]
+    return cs.table[:, source[row]][:, maps[row]].tolist()
+
+
 def table_start(sig, cs, spec):
     """The start of `_starts` for the canonical spec whose every target is
-    in the table of cs, written out in plain floats: per cusp the
-    tabulated block B and beta response y, s_beta = (6(g-k) beta_bar +
-    sum of alphas - 2 pi) / (6(g-k) - sum of y_alpha), each sum a
-    `math.fsum`, and the point B + s_beta y, beta_bar - s_beta."""
+    in the table of cs, written out in plain floats: per cusp its
+    `table_path`; the total-angle polynomial 6(g-k)(beta_bar + delta) - 2 pi
+    + the sum of the alphas of every path, each coefficient a `math.fsum`;
+    its root delta by scalar Newton from the root of its linear part; and
+    the point of the paths at delta, by Horner, with beta_bar + delta."""
     corner, alphas = 6.0 * (sig.g - sig.k), [0, 1, 2, 6, 7, 8]
-    entries = [cs.table[cs.table_rows[pq]].tolist() for pq in spec.pairs]
-    top = math.fsum([corner * cs.beta_bar, -2.0 * math.pi] + [B[j] for B, _ in entries for j in alphas])
-    s = top / math.fsum([corner] + [-y[j] for _, y in entries for j in alphas])
-    return np.array([b + s * v for B, y in entries for b, v in zip(B, y)] + [cs.beta_bar - s])
+    paths = [table_path(cs, pq) for pq in spec.pairs]
+    p = [math.fsum([c[n][j] for c in paths for j in alphas]) for n in range(6)]
+    p[0] = math.fsum([corner * cs.beta_bar, -2.0 * math.pi] + [c[0][j] for c in paths for j in alphas])
+    p[1] = math.fsum([corner] + [c[1][j] for c in paths for j in alphas])
+    d = -p[0] / p[1]
+    for _ in range(deformation._MAX_ITER):
+        value = slope = 0.0
+        for c in reversed(p):
+            slope = slope * d + value
+            value = value * d + c
+        step = value / slope
+        d -= step
+        if not abs(step) > deformation._EPS * abs(d):
+            break
+    point = []
+    for c in paths:
+        for i in range(12):
+            b = c[5][i]
+            for n in range(4, -1, -1):
+                b = b * d + c[n][i]
+            point.append(b)
+    return np.array(point + [cs.beta_bar + d])
 
 
 def fail_first_newton(mp, only=None):
@@ -1210,9 +1240,9 @@ def test_filling_long_slopes_take_one_newton_solve(monkeypatch, g, pairs):
     # from its start at the complete structure: one Newton solve to the
     # gate, which ends with one step to the rounding floor where the length
     # rows stop above _POLISH times it: for 40/1, from the fourth-order
-    # start, 135 (g = 2) and 196 (g = 3) times, and from the table start
-    # for 6/1 and 3/1 at g = 2, 1869 and 3922 times; the two lists at g = 9
-    # stop at most 2 times it
+    # start, 135 (g = 2) and 196 (g = 3) times; from the table start 6/1
+    # and 3/1 at g = 2 stop 2.1 and 1.9 times it after their one block
+    # step, and the two lists at g = 9 at most 2.8 times
     sig, spec = GKSignature(g, len(pairs)), FillingSpec.from_pairs(len(pairs), pairs)
     tols, newton = [], deformation._newton
     with pytest.MonkeyPatch.context() as mp:
@@ -1221,7 +1251,7 @@ def test_filling_long_slopes_take_one_newton_solve(monkeypatch, g, pairs):
     assert tols == [deformation._FILL_TOL]
     assert np.max(np.abs(x - warm_start_continuation(sig, pairs))) < 1e-9
     (((_, floor),),) = newton_block_steps(monkeypatch, lambda: solve_filling(sig, spec))
-    assert floor == (g == 2 or pairs[0] == (40.0, 1.0))
+    assert floor == (pairs[0] == (40.0, 1.0))
 
 
 def test_filling_the_sqrt7_gate_admits_is_routed_by_the_gate(monkeypatch):
@@ -1341,11 +1371,12 @@ def test_filling_below_the_rounding_floor_is_refused_before_any_step(monkeypatch
         # the complete structure is a cache hit: no evaluation at all
         assert evals == []
     else:
-        # the gate of solve_complete, and at g = 2 the 6 of the build of the
-        # table of solved cusp blocks, 5 of its Newton solve and 1 of its
-        # gate; at g = 1000 the length rows' floor is over the fill gate, so
-        # no table is built
-        assert len(evals) == {2: 7, 1000: 1}[g]
+        # the gate of solve_complete, and at g = 2 the 10 of the build of the
+        # table of solved cusp blocks: 5 of its Newton solve at beta_bar, 4
+        # of the stacked one at its two other nodes and 1 of its gate; at
+        # g = 1000 the length rows' floor is over the fill gate, so no table
+        # is built
+        assert len(evals) == {2: 11, 1000: 1}[g]
 
 
 @pytest.mark.parametrize(
@@ -1609,11 +1640,13 @@ def test_a_filling_short_of_its_floor_takes_the_step_to_it(monkeypatch):
         assert solve_filling(sig, spec).tobytes() == y.tobytes()
 
 
-@pytest.mark.parametrize("g, pairs", [(2, [(6.0, 1.0)]), (3, [(40.0, 1.0), None])])
+@pytest.mark.parametrize("g, pairs", [(2, [(40.0, 1.0)]), (3, [(40.0, 1.0), None])])
 def test_the_step_to_the_floor_evaluates_its_point_once(monkeypatch, g, pairs):
     # a filling that takes the step to the floor is evaluated at its start
     # and once after each block step: the step takes its blocks from the
-    # last evaluation of the solve to the gate
+    # last evaluation of the solve to the gate.  Both lists take the
+    # fourth-order start: from the table start none of 680 seeded fill_ladder-
+    # and fill_batch-shaped fillings takes the step to the floor
     sig = GKSignature(g, len(pairs))
     spec = FillingSpec.from_pairs(sig.k, pairs)
     solve_complete(sig)
@@ -1634,14 +1667,18 @@ TABLE_TARGETS = [None] + deformation._TABLE_SLOPES
 
 @pytest.mark.parametrize("g, k", [(2, 1), (3, 2), (17, 16), (200, 64)])
 def test_every_table_entry_meets_the_fill_gate_at_beta_bar(g, k):
-    # each entry's 12 block rows at beta_bar, its block alone, meet the
-    # fill gate, and its length rows stand at their rounding floor, not
-    # short of it as a Newton point that takes the step to the floor; y is
-    # its beta response A^-1 dbeta e to rounding; and no caller can write
-    # into the table
+    # each entry's path at delta = 0, its block alone at beta_bar, meets
+    # the fill gate, and its length rows stand at their rounding floor, not
+    # short of it as a Newton point that takes the step to the floor; the
+    # path's slope there is -y, y its beta response A^-1 dbeta e, to
+    # rounding; the table holds one path per orbit of the plan, and each
+    # target maps to its position among the plan's targets; and no caller
+    # can write into the table
     cs = solve_complete(GKSignature(g, k))
-    assert set(cs.table_rows) == set(TABLE_TARGETS) and sorted(cs.table_rows.values()) == list(range(len(TABLE_TARGETS)))
-    B, y = cs.table[[cs.table_rows[t] for t in TABLE_TARGETS]].transpose(1, 0, 2)
+    assert cs.table.shape == (6, len(deformation._table_plan()[0]), 12)
+    assert [cs.table_rows[t] for t in TABLE_TARGETS] == list(range(len(TABLE_TARGETS)))
+    paths = np.array([table_path(cs, t) for t in TABLE_TARGETS])
+    B, y = paths[:, 0], -paths[:, 1]
     x = np.concatenate([B, np.full((len(B), 1), cs.beta_bar)], axis=1)
     r, blocks = deformation._evaluate(GKSignature(2, 1), x, deformation._linear_rows(TABLE_TARGETS))
     assert np.abs(r[:, :12]).max() < deformation._FILL_TOL
@@ -1654,6 +1691,33 @@ def test_every_table_entry_meets_the_fill_gate_at_beta_bar(g, k):
         cs.table[0, 0, 0] = 1.0
     with pytest.raises(TypeError):
         cs.table_rows[(3, 1)] = 0
+
+
+@pytest.mark.parametrize("g, k", [(2, 1), (3, 2), (12, 4), (17, 16), (200, 64)])
+def test_each_table_path_meets_its_block_rows_across_its_nodes(g, k):
+    # the path of each entry, a quintic in delta = beta - beta_bar, meets
+    # its 12 block rows at beta_bar + delta to the fill gate from delta = 0
+    # to lo, 1.02 times the first-order beta shift of every cusp on a
+    # sqrt(7) slope, and a little beyond: at 6 points between the nodes 0,
+    # lo/2 and lo, at lo and at 1.05 lo.  The worst reads 3.7e-11 at g <= 17,
+    # and 8.7e-11, 6 times the length rows' rounding floor, at (200, 64)
+    sig = GKSignature(g, k)
+    cs = solve_complete(sig)
+    paths = np.array([table_path(cs, t) for t in TABLE_TARGETS])
+    corner, alphas = 6.0 * (g - k), [0, 1, 2, 6, 7, 8]
+    sqrt7 = table_path(cs, (3, 1))
+    lo = -1.02 * math.fsum([corner * cs.beta_bar, -2.0 * math.pi] + [sqrt7[0][j] for j in alphas] * k) / math.fsum(
+        [corner] + [sqrt7[1][j] for j in alphas] * k)
+    rows = deformation._linear_rows(TABLE_TARGETS)
+    worst = 0.0
+    for delta in lo * np.array([0.125, 0.25, 0.375, 0.625, 0.75, 0.875, 1.0, 1.05]):
+        B = paths[:, 5]
+        for n in range(4, -1, -1):
+            B = B * delta + paths[:, n]
+        x = np.concatenate([B, np.full((len(B), 1), cs.beta_bar + delta)], axis=1)
+        r, _ = deformation._evaluate(GKSignature(2, 1), x, rows)
+        worst = max(worst, np.abs(r[:, :12]).max())
+    assert worst < 1e-10
 
 
 def test_a_table_entry_that_misses_the_gate_is_absent(monkeypatch, cold_cache):
@@ -1676,7 +1740,8 @@ def test_a_table_entry_that_misses_the_gate_is_absent(monkeypatch, cold_cache):
     monkeypatch.setattr(deformation, "_evaluate", shifted)
     cs = solve_complete(sig)
     monkeypatch.undo()
-    assert set(cs.table_rows) == set(TABLE_TARGETS) - {(3, 1)} and len(cs.table) == len(TABLE_TARGETS) - 1
+    assert set(cs.table_rows) == set(TABLE_TARGETS) - {(3, 1)}
+    assert cs.table.shape == (6, len(deformation._table_plan()[0]), 12)
     dropped, kept = (FillingSpec.from_pairs(2, pairs).canonicalized() for pairs in ([(3, 1), (5, 1)], [(5, 1), None]))
     jet = deformation._complete_jet(sig, cs, [dropped])
     starts = deformation._starts(sig, cs, [dropped, kept])
@@ -1691,22 +1756,85 @@ def test_the_table_block_maps_are_those_of_the_torus_isometries():
     assert deformation._REFLECT.tolist() == cx._block_map(D6Element(0, True)).tolist()
 
 
-@pytest.mark.parametrize("g, k", [(2, 1), (3, 2), (17, 16), (200, 64)])
-def test_the_table_start_is_the_first_block_arrow_step(g, k):
-    # from the tabulated blocks at beta_bar, which miss only the total
-    # angle, one block-arrow Newton step is the table start, to rounding
-    sig, rng = GKSignature(g, k), np.random.default_rng(g)
+def test_a_singular_block_at_a_node_drops_only_its_orbit(monkeypatch, cold_cache):
+    # the block of 5/1's orbit made singular in the stacked solve at the two
+    # nodes other than beta_bar, at lo: that orbit's entries are left out,
+    # every other path has the bits it has when no block is singular, and a
+    # list with 5/1 takes the fourth-order start
+    sig = GKSignature(3, 2)
+    clean = solve_complete(sig)
+    solve_complete.cache_clear()
+    solved, _, source, _, _ = deformation._table_plan()
+    orbit, evaluate = source[TABLE_TARGETS.index((5, 1))], deformation._evaluate
+
+    def singular(sig, x, rows):
+        r, blocks = evaluate(sig, x, rows)
+        if len(x) != 2:
+            return r, blocks
+
+        def zeroed():
+            A, dbeta = blocks()
+            A[len(solved) + orbit] = 0.0
+            return A, dbeta
+
+        return r, zeroed
+
+    monkeypatch.setattr(deformation, "_evaluate", singular)
     cs = solve_complete(sig)
-    for _ in range(3):
-        pairs = [TABLE_TARGETS[i] for i in rng.integers(len(TABLE_TARGETS), size=k)]
-        pairs[0] = deformation._TABLE_SLOPES[rng.integers(len(deformation._TABLE_SLOPES))]
+    monkeypatch.undo()
+    lost = {t for t, s in zip(TABLE_TARGETS, source.tolist()) if s == orbit}
+    assert (5, 1) in lost and set(cs.table_rows) == set(TABLE_TARGETS) - lost
+    kept = np.arange(len(solved)) != orbit
+    assert cs.table[:, kept].tobytes() == clean.table[:, kept].tobytes()
+    spec = FillingSpec.from_pairs(2, [(5, 1), None]).canonicalized()
+    start = deformation._predict(cs.x0, deformation._complete_jet(sig, cs, [spec]), 0.0, 1.0)
+    assert deformation._starts(sig, cs, [spec]).tobytes() == start.tobytes()
+    assert np.abs(residuals(sig, solve_filling(sig, spec))).max() < deformation._FILL_TOL
+
+
+# every primitive sign-form slope of squared length 7-49, the benchmark's
+SHORT_SLOPES = [(p, q) for p, q in deformation._TABLE_SLOPES if p * p - p * q + q * q <= 49]
+
+
+def tabulated_lists(rng):
+    """Seeded lists of tabulated targets, as (g, k, pairs): one
+    fill_ladder-shaped list at each of k = 2, 8 and 16 (g = k + 1, the first
+    cusp on a sqrt(7) slope, the others on `SHORT_SLOPES`), and four
+    fill_batch-shaped ones (k <= 4, g <= 12, each cusp unfilled with
+    probability 1/3, at least one filled)."""
+    lists = []
+    for k in (2, 8, 16):
+        pairs = [SQRT7_SLOPES[rng.integers(6)]] + [SHORT_SLOPES[i] for i in rng.integers(len(SHORT_SLOPES), size=k - 1)]
+        lists.append((k + 1, k, pairs))
+    while len(lists) < 7:
+        k = int(rng.integers(1, 5))
+        g = int(rng.integers(k + 1, 13))
+        pairs = [None if rng.random() < 1 / 3 else SHORT_SLOPES[rng.integers(len(SHORT_SLOPES))] for _ in range(k)]
+        if all(pq is None for pq in pairs):
+            pairs[rng.integers(k)] = SHORT_SLOPES[rng.integers(len(SHORT_SLOPES))]
+        # (10, 3) is refused by the complete structure's gate
+        if (g, k) != (10, 3):
+            lists.append((g, k, pairs))
+    return lists
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_the_table_start_is_one_block_step_from_the_gate(seed):
+    # the table start is the paths' point where the total angle closes: it
+    # meets its filling's rows to 1e-9 (at most 2.1e-11 on these lists), and
+    # one block-arrow step from it meets the fill gate
+    for g, k, pairs in tabulated_lists(np.random.default_rng(4900 + seed)):
+        sig = GKSignature(g, k)
+        cs = solve_complete(sig)
         spec = FillingSpec.from_pairs(k, pairs).canonicalized()
-        decoupled = np.append(cs.table[[cs.table_rows[pq] for pq in spec.pairs], 0].ravel(), cs.beta_bar)
-        r, blocks = deformation._evaluate(sig, decoupled[None], deformation._linear_rows(spec.pairs))
-        step = deformation._block_step(sig, r, *blocks())[0]
-        start = deformation._starts(sig, cs, [spec])[0]
-        assert start.tobytes() == table_start(sig, cs, spec).tobytes()
-        assert np.abs(decoupled - step - start).max() < 1e-13
+        rows = deformation._linear_rows(spec.pairs)
+        start = deformation._starts(sig, cs, [spec])
+        assert start[0].tobytes() == table_start(sig, cs, spec).tobytes()
+        r, blocks = deformation._evaluate(sig, start, rows)
+        assert np.abs(r).max() <= 1e-9, (g, k, pairs)
+        step = deformation._block_step(sig, r, *blocks())
+        r, _ = deformation._evaluate(sig, start - step, rows)
+        assert np.abs(r).max() < deformation._FILL_TOL, (g, k, pairs)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -1736,9 +1864,10 @@ def test_the_table_start_and_the_jet_start_agree(seed, k):
 
 
 @pytest.mark.parametrize("g, k", [(2, 1), (3, 2), (17, 16), (200, 64)])
-def test_each_tabulated_slope_alone_takes_two_block_solves(monkeypatch, g, k):
-    # from the table start, one filled cusp meets the gate in at most 2
-    # block solves, and then takes at most the step to the floor
+def test_each_tabulated_slope_alone_takes_one_block_solve(monkeypatch, g, k):
+    # from the table start, one filled cusp meets the gate in one block
+    # solve (in two from the table's first block-arrow step), and then
+    # takes no step to the floor
     sig = GKSignature(g, k)
     specs = [FillingSpec.from_pairs(k, [pq] + [None] * (k - 1)) for pq in deformation._TABLE_SLOPES]
     for spec, x in zip(specs, solve_fillings(sig, specs)):
@@ -1748,7 +1877,7 @@ def test_each_tabulated_slope_alone_takes_two_block_solves(monkeypatch, g, k):
     # one stacked solve to the gate and the stacked step to the floor
     for spec, calls in zip([None] + specs, [stacked] + alone):
         ((gate, floor),) = calls
-        assert gate <= 2 and floor in (0, 1), spec
+        assert (gate, floor) == (1, 0), spec
 
 
 def test_a_list_with_a_slope_beyond_the_table_keeps_the_fourth_order_route():
@@ -1843,6 +1972,23 @@ def test_newton_stalls_once_its_step_stops_moving_the_point(monkeypatch):
     # the start and 10 steps; the same call at (2, 1) with 3/1 and at
     # (17, 16) never stalls and ends in "no convergence" after 25
     assert len(evals) == 11
+
+
+def test_a_start_that_meets_tol_takes_one_step_and_has_converged(monkeypatch):
+    # the point where Newton stalls at tol 1e-20, whose full step leaves
+    # every bit of it as it was: from there, with tol 1e-10, which it
+    # meets, Newton still takes one block step, and the point has
+    # converged, with no stall error; with tol 1e-20 the same one step is
+    # the stall
+    sig, rows = GKSignature(3, 2), deformation._linear_rows([(5.0, 1.0), None])
+    (fixed,), _, (exc,) = deformation._newton(sig, STALL_POINT[None], rows, 1e-20)
+    assert str(exc).startswith("Newton stalled")
+    steps = count_block_steps(monkeypatch)
+    (x,), (r,), (exc,) = deformation._newton(sig, fixed[None], rows, 1e-10)
+    assert exc is None and len(steps) == 1 and x.tobytes() == fixed.tobytes()
+    steps.clear()
+    _, _, (exc,) = deformation._newton(sig, fixed[None], rows, 1e-20)
+    assert str(exc).startswith("Newton stalled") and len(steps) == 1
 
 
 def count_block_steps(mp):

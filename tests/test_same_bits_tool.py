@@ -1,7 +1,8 @@
 """Smoke runs of tools/same_bits.py on a tiny corpus: the working tree
 against itself prints one hash twice and exits 0, and against a copy
 whose Newton never takes the step to the rounding floor it prints two
-hashes and exits 1."""
+hashes, the largest |dx| between the two sides' solutions and its record,
+and exits 1."""
 
 import re
 import shutil
@@ -27,12 +28,12 @@ def run_small(parent, change):
         match = re.match(r"%s\s+([0-9a-f]{64})  records (\d+) " % side, line)
         assert match and int(match[2]) > 0, line
         digests.append(match[1])
-    return run.returncode, digests, verdict
+    return run.returncode, digests, sides[2:], verdict
 
 
 def test_the_working_tree_has_its_own_bits():
-    code, (parent, change), verdict = run_small(".", ".")
-    assert (code, verdict) == (0, "same bits") and parent == change
+    code, (parent, change), rest, verdict = run_small(".", ".")
+    assert (code, verdict, rest) == (0, "same bits", []) and parent == change
 
 
 def test_a_change_of_bits_is_seen(tmp_path):
@@ -41,5 +42,9 @@ def test_a_change_of_bits_is_seen(tmp_path):
     text = source.read_text()
     assert text.count("\n_POLISH = 128.0\n") == 1
     source.write_text(text.replace("\n_POLISH = 128.0\n", "\n_POLISH = math.inf\n"))
-    code, (parent, change), verdict = run_small(".", tmp_path)
+    code, (parent, change), rest, verdict = run_small(".", tmp_path)
     assert (code, verdict) == (1, "bits differ") and parent != change
+    # 40/1 at (2, 1) takes the step to the floor, which moves it by 1e-14 or so
+    (line,) = rest
+    match = re.fullmatch(r"max \|dx\| (\S+) at record (\d+): g=(\d+) k=(\d+) (\S+)", line)
+    assert match and 0.0 < float(match[1]) < 1e-12, line

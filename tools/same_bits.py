@@ -24,8 +24,9 @@ over every field of the `CompleteSolution` of each corpus signature, of
 every signature with g < TABLE_G and of those of TABLE_FAR (array bytes,
 float bits, the table's rows).  It prints per side the hash and the kernel evaluations
 (`_evaluate`) and block solves (`_block_step`) that the corpus took, and
-those of a cold `solve_complete` at (2, 1); it exits 1 when the hashes
-differ.
+those of a cold `solve_complete` at (2, 1).  When the hashes differ it
+prints the largest |dx| between the two sides' solutions, over the records
+where both sides solved, and the record where it occurs, and exits 1.
 """
 
 import dataclasses
@@ -109,12 +110,13 @@ def field_bytes(value):
 
 
 def side_hash(copy, calls):
-    """The hash of one side and its counts: records, cold (2, 1) and total."""
+    """The hash of one side, its counts (records, cold (2, 1) and total)
+    and its solutions per record (None for an error)."""
     package, deformation, _ = copy
     counts = counted(deformation, ["_evaluate", "_block_step"])
     deformation.solve_complete(deformation.GKSignature(2, 1))
     cold = dict(counts)
-    h, n_records = hashlib.sha256(), 0
+    h, points = hashlib.sha256(), []
     for (g, k), lists in calls:
         records = []
         deformation.solve_fillings(deformation.GKSignature(g, k),
@@ -122,9 +124,10 @@ def side_hash(copy, calls):
         for rec in records:
             if isinstance(rec.x, Exception):
                 h.update(repr(rec.x).encode())
+                points.append(None)
             else:
                 h.update(rec.x.tobytes() + rec.residual.tobytes())
-        n_records += len(records)
+                points.append(rec.x)
     solved = dict(counts)
     sweep = [(g, k) for g in range(2, TABLE_G) for k in range(1, g)] + TABLE_FAR
     signatures = list(dict.fromkeys([sig for sig, _ in calls] + sweep))
@@ -136,7 +139,20 @@ def side_hash(copy, calls):
             continue
         for field in dataclasses.fields(cs):
             h.update(field_bytes(getattr(cs, field.name)))
-    return h.hexdigest(), n_records, len(signatures), cold, solved
+    return h.hexdigest(), len(points), len(signatures), cold, solved, points
+
+
+def largest_dx(calls, parent, change):
+    """The text of the largest |dx| between the solutions of the two
+    sides, over the records where both solved, and of its record."""
+    labels = [(g, k, pairs) for (g, k), lists in calls for pairs in lists]
+    dx, at = max(((float(np.abs(a - b).max()), i) for i, (a, b) in enumerate(zip(parent, change))
+                  if a is not None and b is not None), default=(0.0, None))
+    if not dx:
+        return "max |dx| 0: every record that both sides solved has the same x"
+    g, k, pairs = labels[at]
+    slopes = ",".join("inf" if pq is None else "%d/%d" % pq for pq in pairs)
+    return "max |dx| %.3g at record %d: g=%d k=%d %s" % (dx, at, g, k, slopes)
 
 
 def main(argv=None):
@@ -144,17 +160,20 @@ def main(argv=None):
     if len(argv) != 2:
         raise SystemExit("usage: python3 tools/same_bits.py PARENT CHANGE")
     calls = corpus()
-    digests = []
+    digests, points = [], []
     with tempfile.TemporaryDirectory() as scratch:
         for side, rev in zip(("parent", "change"), argv):
             copy = load("mgk_same_bits_" + side, source_root(rev, scratch))
-            digest, n_records, n_sigs, cold, solved = side_hash(copy, calls)
+            digest, n_records, n_sigs, cold, solved, xs = side_hash(copy, calls)
             digests.append(digest)
+            points.append(xs)
             print("%-7s %s  records %d  signatures %d  cold (2, 1) evaluations %d block solves %d  "
                   "corpus evaluations %d block solves %d" % (
                       side, digest, n_records, n_sigs, cold["_evaluate"], cold["_block_step"],
                       solved["_evaluate"] - cold["_evaluate"], solved["_block_step"] - cold["_block_step"]))
     same = digests[0] == digests[1]
+    if not same:
+        print(largest_dx(calls, *points))
     print("same bits" if same else "bits differ")
     return 0 if same else 1
 
