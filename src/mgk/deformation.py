@@ -182,10 +182,13 @@ class CompleteSolution:
     residuals (block order, cusp rows of u = 0) at x0 that certified it;
     and the table of the cusp blocks' paths in beta (`_cusp_table`):
     table, of shape (6, n, 12), holds per orbit of `_table_plan` the
-    coefficients of its block's path, and table_rows maps each entry's
-    target, a sign-form slope (p, q) or None, to its position among the
-    plan's targets.  One object serves every caller, so its arrays are
-    read-only and table_rows is a read-only mapping."""
+    coefficients of its block's path, table_sums, of shape (6, n, w),
+    per power and orbit the exact sum of the path's six alpha
+    coefficients as w doubles (`_alpha_sums`, w = 2 on every signature
+    tried), and table_rows maps each entry's target, a sign-form slope
+    (p, q) or None, to its position among the plan's targets.  One object
+    serves every caller, so its arrays are read-only and table_rows is a
+    read-only mapping."""
 
     alpha_bar: float
     beta_bar: float
@@ -197,11 +200,12 @@ class CompleteSolution:
     varsigma: Tuple[np.ndarray, np.ndarray]
     residual: np.ndarray
     table: np.ndarray
+    table_sums: np.ndarray
     table_rows: Mapping
 
 
 # more than fill_batch's 38 signatures; about 25 kB each at k = 64, and
-# 11.5 kB for the table of the cusp blocks' paths
+# 13.4 kB for the table of the cusp blocks' paths and their alpha sums
 _COMPLETE_CACHE = 128
 
 
@@ -262,10 +266,11 @@ def solve_complete(sig: GKSignature) -> CompleteSolution:
     varsigma = np.zeros((2, sig.n_coords))
     varsigma[0, :12] = _tangent_block(t, 2.0 * s, -s).ravel()
     varsigma[1, :12] = np.tile(np.outer(2.0 * forms[1], [6.0 * s * s, -3.0 * s * s, -3.0 * s * s]).ravel(), 2)
-    table, table_rows = _cusp_table(x0[:12], b, t, forms, 6.0 * m, k)
-    for array in (x0, forms, varsigma, r, table):
+    table, table_sums, table_rows = _cusp_table(x0[:12], b, t, forms, 6.0 * m, k)
+    for array in (x0, forms, varsigma, r, table, table_sums):
         array.flags.writeable = False
-    return CompleteSolution(a, b, x0, t, forms, beta_slope, beta_quartic, tuple(varsigma), r, table, table_rows)
+    return CompleteSolution(a, b, x0, t, forms, beta_slope, beta_quartic, tuple(varsigma), r, table, table_sums,
+                            table_rows)
 
 
 # the table's cut on a slope's squared length p^2 - pq + q^2: from the
@@ -294,11 +299,13 @@ def _table_plan():
     every signature: the targets it solves, None and the first slope of
     each of the 19 orbits of `_TABLE_SLOPES` under r and s, with their
     `_linear_rows`; per table target, None and then `_TABLE_SLOPES`, the
-    position of its solved target and the index map that carries that
-    block onto its own; and `_linear_rows` of the table targets, for the
-    gate.  A walk over the signed images of each solved slope reaches its
-    whole orbit: r^3 swaps the tetrahedra, which carries the block of
-    -(p, q) onto that of (p, q)."""
+    position `source` of its solved target and the flat indices 12 source
+    + m[j] that gather its block from an (n, 12) array of the solved ones,
+    m the index map that carries that block onto its own; and
+    `_linear_rows` of the table targets, for the gate and for the rows of
+    a tabulated list (`_starts`).  A walk over the signed images of each
+    solved slope reaches its whole orbit: r^3 swaps the tetrahedra, which
+    carries the block of -(p, q) onto that of (p, q)."""
     targets, slopes = [None] + _TABLE_SLOPES, set(_TABLE_SLOPES)
     solved, found = [None], {None: (0, np.arange(12))}
     for pq in _TABLE_SLOPES:
@@ -314,8 +321,8 @@ def _table_plan():
         found.update((image, (len(solved), m)) for image, m in seen.items() if image in slopes)
         solved.append(pq)
     source = np.array([found[t][0] for t in targets])
-    maps = np.array([found[t][1] for t in targets])
-    return solved, _linear_rows(solved), source, maps, _linear_rows(targets)
+    flat = np.array([12 * found[t][0] + found[t][1] for t in targets])
+    return solved, _linear_rows(solved), source, flat, _linear_rows(targets)
 
 
 # the quintic Hermite interpolant p(tau) = sum of a_n tau^n through tau = 0,
@@ -328,12 +335,13 @@ def _cusp_table(block: np.ndarray, beta_bar: float, t: float, forms: np.ndarray,
     """The table of `CompleteSolution`: per orbit of `_table_plan`, the
     path B(beta) of its solved cusp block with beta held fixed, as the
     coefficients c_0..c_5 of a polynomial in delta = beta - beta_bar, an
-    array of shape (6, n, 12) [power, orbit, block coordinate]; and the
-    read-only mapping of each table target, None (a complete cusp) or a
-    sign-form slope of `_TABLE_SLOPES`, to its position in the plan's
-    targets, whose `source` and `maps` carry its orbit's path onto its
-    own.  With beta fixed the blocks do not couple, so a path depends on
-    the target and beta alone, not on k.
+    array of shape (6, n, 12) [power, orbit, block coordinate]; the
+    exact sums of each path's six alphas per power (`_alpha_sums`), which
+    `_total_angle` adds; and the read-only mapping of each table target,
+    None (a complete cusp) or a sign-form slope of `_TABLE_SLOPES`, to its
+    position in the plan's targets, whose `source` and flat indices carry
+    its orbit's path onto its own.  With beta fixed the blocks do not
+    couple, so a path depends on the target and beta alone, not on k.
 
     The polynomial is the quintic Hermite interpolant through the nodes
     delta = 0, lo/2 and lo: at each node it meets the block B solved
@@ -352,10 +360,10 @@ def _cusp_table(block: np.ndarray, beta_bar: float, t: float, forms: np.ndarray,
     so is every entry of an orbit whose block missed the gate or was
     singular at a node, and every entry where the length rows' rounding
     floor edge_cosh(beta) eps is over the gate."""
-    none = np.empty((6, 0, 12)), MappingProxyType({})
+    none = np.empty((6, 0, 12)), np.empty((6, 0, 0)), MappingProxyType({})
     if edge_cosh(beta_bar) * _EPS > _FILL_TOL:
         return none
-    solved, rows, source, maps, gate_rows = _table_plan()
+    solved, rows, source, flat, gate_rows = _table_plan()
     own, _ = _own_forms(t, forms, solved)
     (B0,), (y0,), (good,) = _table_blocks(_predict(block, own, 0.0, 1.0)[None], [beta_bar], rows)
     sqrt7 = source[1 + _TABLE_SLOPES.index((3, 1))]
@@ -370,11 +378,32 @@ def _cusp_table(block: np.ndarray, beta_bar: float, t: float, forms: np.ndarray,
     table = np.stack([B0, -y0] + [a[n] / lo ** (n + 2) for n in range(4)])
     good &= met.all(axis=0)
     m = len(source)
-    entries = np.take_along_axis(B0[source], maps, axis=1)
-    (r,), _ = _evaluate(GKSignature(m + 1, m), np.append(entries, beta_bar)[None], gate_rows)
+    (r,), _ = _evaluate(GKSignature(m + 1, m), np.append(B0.ravel()[flat], beta_bar)[None], gate_rows)
     keep = (np.abs(r[:-1].reshape(m, 12)).max(axis=1) < _FILL_TOL) & good[source]
     targets = [None] + _TABLE_SLOPES
-    return table, MappingProxyType({targets[i]: i for i in np.flatnonzero(keep).tolist()})
+    return table, _alpha_sums(table), MappingProxyType({targets[i]: i for i in np.flatnonzero(keep).tolist()})
+
+
+def _alpha_sums(table: np.ndarray) -> np.ndarray:
+    """Per power and orbit of `table`, the sum of its path's six alpha
+    coefficients as an exact expansion: doubles whose exact sum is that of
+    the six, an array of shape (6, n, w), zero-padded.  Two passes of
+    error-free Two-Sums down the six (J. R. Shewchuk, "Adaptive Precision
+    Floating-Point Arithmetic", DCG 18, 1997) keep their exact sum and
+    gather it, as the errors of the errors vanish, into few of them; only
+    the columns that are not zero everywhere are kept: w = 2 on every
+    signature tried.  `math.fsum` is correctly
+    rounded, so an fsum over such expansions is that over their terms.  An
+    orbit whose terms are not all finite, as a block singular at a node
+    leaves them, has none: its terms are zeroed first."""
+    p = table[:, :, _ALPHA_COLS].reshape(-1, 6).T.copy()
+    p[:, ~np.isfinite(p).all(axis=0)] = 0.0
+    for _ in range(2):
+        for i in range(1, 6):
+            s = p[i] + p[i - 1]
+            v = s - p[i]
+            p[i], p[i - 1] = s, (p[i] - (s - v)) + (p[i - 1] - v)
+    return p[p.any(axis=1)].T.reshape(table.shape[:2] + (-1,))
 
 
 def _solve_each(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -855,9 +884,9 @@ def solve_fillings(sig: GKSignature, specs: Sequence[FillingSpec], *, out: Optio
             filled.append((i, spec))
     if filled:
         k = sig.k
-        rows = _linear_rows([pq for _, spec in filled for pq in spec.pairs])
+        starts, rows = _starts(sig, cs, [spec for _, spec in filled])
         # every path's first step, to s = 1, as one stacked Newton solve
-        x, r, errors = _newton(sig, _starts(sig, cs, [spec for _, spec in filled]), rows, _FILL_TOL)
+        x, r, errors = _newton(sig, starts, rows, _FILL_TOL)
         for j, (i, spec) in enumerate(filled):
             spec_rows = [a[k * j:k * j + k] for a in rows]
             records[i] = Solved(*_path(sig, cs, spec, spec_rows, (x[j], r[j], errors[j])))
@@ -866,21 +895,27 @@ def solve_fillings(sig: GKSignature, specs: Sequence[FillingSpec], *, out: Optio
     return [rec.x for rec in records]
 
 
-def _starts(sig: GKSignature, cs: CompleteSolution, specs) -> np.ndarray:
+def _starts(sig: GKSignature, cs: CompleteSolution, specs):
     """The start at s = 1 of each of the canonical filled `specs`, shape
-    (N, 12k+1).  A spec whose every cusp target is in the table of cs
-    (`_cusp_table`) starts on its tabulated paths B_c(delta), delta = beta -
-    beta_bar, which meet the blocks' own rows at every beta, at the delta
-    where they also close the total angle:
+    (N, 12k+1), and the linear block rows of all of them (`_linear_rows`
+    of their targets, as `_evaluate` takes them).  A spec whose every cusp
+    target is in the table of cs (`_cusp_table`) starts on its tabulated
+    paths B_c(delta), delta = beta - beta_bar, which meet the blocks' own
+    rows at every beta, at the delta where they also close the total angle:
 
         6(g-k) (beta_bar + delta) - 2 pi + sum over c of the alphas of B_c(delta) = 0,
 
-    a polynomial of degree 5 in delta, solved by scalar Newton (`_root`);
-    each block is B_c(delta), by Horner, and beta is beta_bar + delta, with
-    no linear solve.  Every other spec starts from the fourth-order Taylor
-    point x0 + c1 + c2 + c3 + c4 of its path (`_complete_jet`).  Each
-    coefficient and sum is a `math.fsum` of the spec's own terms, and the
-    rest is elementwise, so each spec has the bits it gets alone."""
+    a polynomial of degree 5 in delta (`_total_angle`), solved by scalar
+    Newton (`_root`); each block is B_c(delta), by Horner, and beta is
+    beta_bar + delta, with no linear solve.  Each cusp's position among the
+    plan's targets (`_table_plan`) is looked up once: it gathers the
+    block's path coefficients, its orbit's alpha sums and, where every spec
+    is tabulated, its rows from those of the plan's targets.  Every other
+    spec starts from the fourth-order Taylor point x0 + c1 + c2 + c3 + c4
+    of its path (`_complete_jet`), and with one such spec the rows are
+    `_linear_rows` of every target.  Each coefficient and sum is a
+    `math.fsum` of the spec's own terms, and the rest is elementwise, so
+    each spec has the bits it gets alone."""
     n, k = len(specs), sig.k
     # per spec the positions of its targets in the table, None where not in it
     picks = [[cs.table_rows.get(pq) for pq in spec.pairs] for spec in specs]
@@ -888,28 +923,37 @@ def _starts(sig: GKSignature, cs: CompleteSolution, specs) -> np.ndarray:
     rest = [i for i in range(n) if None in picks[i]]
     if rest:
         x[rest] = _predict(cs.x0, _complete_jet(sig, cs, [specs[i] for i in rest]), 0.0, 1.0)
+        rows = _linear_rows([pq for spec in specs for pq in spec.pairs])
     tab = [i for i in range(n) if None not in picks[i]]
     if not tab:
-        return x
-    _, _, source, maps, _ = _table_plan()
+        return x, rows
+    _, _, source, flat, plan_rows = _table_plan()
     at = np.array([row for i in tab for row in picks[i]])
+    if not rest:
+        rows = tuple(a[at] for a in plan_rows)
     # per cusp its path's coefficients, carried from its orbit's onto its target
-    C = np.take(cs.table.reshape(6, -1), (12 * source[at, None] + maps[at]).ravel(), axis=1).reshape(6, len(tab), 12 * k)
-    # the maps keep the alphas among the alphas, so each power's alpha terms
-    # are those of the cusps' orbits
-    alphas = np.take(cs.table[:, :, _ALPHA_COLS], source[at], axis=1).reshape(6, len(tab), 6 * k)
-    corner = 6.0 * (sig.g - k)
-    deltas = []
-    for terms in alphas.transpose(1, 0, 2).tolist():
-        p = [math.fsum([corner * cs.beta_bar, -2.0 * math.pi] + terms[0]), math.fsum([corner] + terms[1])]
-        deltas.append(_root(p + [math.fsum(a) for a in terms[2:]]))
-    d = np.array(deltas)[:, None]
+    C = np.take(cs.table.reshape(6, -1), flat[at], axis=1).reshape(6, len(tab), 12 * k)
+    d = np.array([_root(p) for p in _total_angle(cs, 6.0 * (sig.g - k), source[at].reshape(len(tab), k))])[:, None]
     B = C[5]
     for power in range(4, -1, -1):
-        B = B * d + C[power]
+        B *= d
+        B += C[power]
     x[tab, :-1] = B
     x[tab, -1] = cs.beta_bar + d[:, 0]
-    return x
+    return x, rows
+
+
+def _total_angle(cs: CompleteSolution, corner: float, orbits: np.ndarray) -> list:
+    """Per row of `orbits`, the table positions of one list's paths, the
+    coefficients p_0..p_5 of its total angle in delta, corner (beta_bar +
+    delta) - 2 pi + the sum of the alphas of the paths, corner = 6(g-k).
+    The maps keep the alphas among the alphas, so each power's alpha terms
+    are those of the cusps' orbits, and each p_n is one `math.fsum` over
+    the orbits' exact alpha sums (`CompleteSolution.table_sums`): the
+    correctly rounded sum of the 6k alpha terms, as their own fsum is."""
+    terms = cs.table_sums[:, orbits].reshape(6, len(orbits), -1).transpose(1, 0, 2).tolist()
+    return [[math.fsum([corner * cs.beta_bar, -2.0 * math.pi] + t[0]), math.fsum([corner] + t[1])]
+            + [math.fsum(a) for a in t[2:]] for t in terms]
 
 
 def _root(p: Sequence[float]) -> float:

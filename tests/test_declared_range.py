@@ -155,7 +155,7 @@ def test_the_tables_of_the_swept_signatures(record_property):
     # short of their rounding floor at beta_bar, and the largest residual of
     # the table start of 5 seeded fill_batch-shaped lists per signature, is
     # recorded, not asserted
-    _, _, source, maps, _ = deformation._table_plan()
+    flat = deformation._table_plan()[3]
     rng = np.random.default_rng(1)
     dropped = short = 0
     start_max = 0.0
@@ -164,12 +164,12 @@ def test_the_tables_of_the_swept_signatures(record_property):
         cs = deformation.solve_complete(sig)
         dropped += len(deformation._TABLE_SLOPES) + 1 - len(cs.table_rows)
         targets, at = list(cs.table_rows), list(cs.table_rows.values())
-        blocks = np.take_along_axis(cs.table[0, source[at]], maps[at], axis=1)
+        blocks = cs.table[0].ravel()[flat[at]]
         x = np.concatenate([blocks, np.full((len(targets), 1), cs.beta_bar)], axis=1)
         r, _ = deformation._evaluate(GKSignature(2, 1), x, deformation._linear_rows(targets))
         short += int(deformation._short_of_floor(r[:, :12], [cs.beta_bar] * len(r)).sum())
         specs = [FillingSpec.from_pairs(k, draw_batch_list(rng, k)).canonicalized() for _ in range(5)]
-        starts = deformation._starts(sig, cs, specs)
+        starts, _ = deformation._starts(sig, cs, specs)
         r, _ = deformation._evaluate(sig, starts, deformation._linear_rows([pq for spec in specs for pq in spec.pairs]))
         start_max = max(start_max, float(np.abs(r).max()))
     record_property("table_entries_dropped", dropped)

@@ -789,9 +789,8 @@ def table_path(cs, pq):
     """The coefficients c_0..c_5 of the path in delta = beta - beta_bar of
     the tabulated block of target pq, as a (6, 12) list: its orbit's path
     carried onto pq by the plan's index map."""
-    _, _, source, maps, _ = deformation._table_plan()
-    row = cs.table_rows[pq]
-    return cs.table[:, source[row]][:, maps[row]].tolist()
+    flat = deformation._table_plan()[3]
+    return cs.table.reshape(6, -1)[:, flat[cs.table_rows[pq]]].tolist()
 
 
 def table_start(sig, cs, spec):
@@ -1627,7 +1626,7 @@ def test_a_filling_short_of_its_floor_takes_the_step_to_it(monkeypatch):
         cs, rows = solve_complete(sig), deformation._linear_rows(spec.pairs)
         assert (40.0, 1.0) not in cs.table_rows
         start = deformation._predict(cs.x0, deformation._complete_jet(sig, cs, [spec]), 0.0, 1.0)
-        assert deformation._starts(sig, cs, [spec]).tobytes() == start.tobytes()
+        assert deformation._starts(sig, cs, [spec])[0].tobytes() == start.tobytes()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(deformation, "_POLISH", math.inf)
             x, r, _ = deformation._newton(sig, start, rows, deformation._FILL_TOL)
@@ -1744,7 +1743,7 @@ def test_a_table_entry_that_misses_the_gate_is_absent(monkeypatch, cold_cache):
     assert cs.table.shape == (6, len(deformation._table_plan()[0]), 12)
     dropped, kept = (FillingSpec.from_pairs(2, pairs).canonicalized() for pairs in ([(3, 1), (5, 1)], [(5, 1), None]))
     jet = deformation._complete_jet(sig, cs, [dropped])
-    starts = deformation._starts(sig, cs, [dropped, kept])
+    starts, _ = deformation._starts(sig, cs, [dropped, kept])
     assert starts[0].tobytes() == deformation._predict(cs.x0, jet, 0.0, 1.0)[0].tobytes()
     assert starts[1].tobytes() == table_start(sig, cs, kept).tobytes()
     assert np.abs(residuals(sig, solve_filling(sig, dropped))).max() < deformation._FILL_TOL
@@ -1760,7 +1759,10 @@ def test_a_singular_block_at_a_node_drops_only_its_orbit(monkeypatch, cold_cache
     # the block of 5/1's orbit made singular in the stacked solve at the two
     # nodes other than beta_bar, at lo: that orbit's entries are left out,
     # every other path has the bits it has when no block is singular, and a
-    # list with 5/1 takes the fourth-order start
+    # list with 5/1 takes the fourth-order start.  The build completes,
+    # though the orbit's path holds NaN, which has no exact alpha sum: every
+    # other orbit keeps its sums, and every list of the kept targets its
+    # start bits
     sig = GKSignature(3, 2)
     clean = solve_complete(sig)
     solve_complete.cache_clear()
@@ -1786,10 +1788,54 @@ def test_a_singular_block_at_a_node_drops_only_its_orbit(monkeypatch, cold_cache
     assert (5, 1) in lost and set(cs.table_rows) == set(TABLE_TARGETS) - lost
     kept = np.arange(len(solved)) != orbit
     assert cs.table[:, kept].tobytes() == clean.table[:, kept].tobytes()
+    nan = np.isnan(cs.table[:, orbit]).any(axis=1)
+    assert nan.any() and not cs.table_sums[:, orbit][nan].any()
+    assert cs.table_sums[:, kept].tobytes() == clean.table_sums[:, kept].tobytes()
+    specs = [FillingSpec.from_pairs(2, [t, (3, 1)]).canonicalized() for t in TABLE_TARGETS if t not in lost]
+    assert deformation._starts(sig, cs, specs)[0].tobytes() == deformation._starts(sig, clean, specs)[0].tobytes()
     spec = FillingSpec.from_pairs(2, [(5, 1), None]).canonicalized()
     start = deformation._predict(cs.x0, deformation._complete_jet(sig, cs, [spec]), 0.0, 1.0)
-    assert deformation._starts(sig, cs, [spec]).tobytes() == start.tobytes()
+    assert deformation._starts(sig, cs, [spec])[0].tobytes() == start.tobytes()
     assert np.abs(residuals(sig, solve_filling(sig, spec))).max() < deformation._FILL_TOL
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), sig=st.sampled_from([GKSignature(2, 1), GKSignature(17, 16), GKSignature(200, 64)]),
+       n=st.integers(1, 64))
+def test_tabulated_lists_gather_their_angle_sums_and_rows_bit_for_bit(data, sig, n):
+    # the total angle's coefficients of any n <= 64 tabulated paths, from
+    # their orbits' exact alpha sums, are the fsums of their 6n alpha terms;
+    # a batch of tabulated lists, here beside lists that hold every one of
+    # the plan's 115 targets, gathers the rows that `_linear_rows` gives; and
+    # one target beyond the table sends its list to the fourth-order start
+    # and the whole batch to `_linear_rows`, each tabulated list keeping its
+    # start bits.  Each orbit's sums take 2 doubles, not 6
+    cs, k = solve_complete(sig), sig.k
+    solved, _, source, flat, _ = deformation._table_plan()
+    assert cs.table_sums.shape == (6, len(solved), 2)
+    target = st.integers(0, len(TABLE_TARGETS) - 1)
+    picks = data.draw(st.lists(target, min_size=n, max_size=n))
+    corner = 6.0 * (sig.g - k)
+    (got,) = deformation._total_angle(cs, corner, source[picks][None])
+    alphas = cs.table.reshape(6, -1)[:, flat[picks]][:, :, deformation._ALPHA_COLS].reshape(6, -1).tolist()
+    want = [math.fsum([corner * cs.beta_bar, -2.0 * math.pi] + alphas[0]), math.fsum([corner] + alphas[1])]
+    want += [math.fsum(terms) for terms in alphas[2:]]
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+    every = TABLE_TARGETS + [None] * (-len(TABLE_TARGETS) % k)
+    lists = [every[i:i + k] for i in range(0, len(every), k)]
+    lists.append([TABLE_TARGETS[i] for i in data.draw(st.lists(target, min_size=k, max_size=k))])
+    specs = [FillingSpec.from_pairs(k, pairs).canonicalized() for pairs in lists]
+    starts, rows = deformation._starts(sig, cs, specs)
+    linear = deformation._linear_rows([pq for spec in specs for pq in spec.pairs])
+    assert [a.tobytes() for a in rows] == [a.tobytes() for a in linear]
+    far = list(lists[-1])
+    far[data.draw(st.integers(0, k - 1))] = (40, 1)
+    specs.append(FillingSpec.from_pairs(k, far).canonicalized())
+    mixed, rows = deformation._starts(sig, cs, specs)
+    linear = deformation._linear_rows([pq for spec in specs for pq in spec.pairs])
+    assert [a.tobytes() for a in rows] == [a.tobytes() for a in linear]
+    jet_start = deformation._predict(cs.x0, deformation._complete_jet(sig, cs, specs[-1:]), 0.0, 1.0)
+    assert mixed[:-1].tobytes() == starts.tobytes() and mixed[-1:].tobytes() == jet_start.tobytes()
 
 
 # every primitive sign-form slope of squared length 7-49, the benchmark's
@@ -1828,7 +1874,7 @@ def test_the_table_start_is_one_block_step_from_the_gate(seed):
         cs = solve_complete(sig)
         spec = FillingSpec.from_pairs(k, pairs).canonicalized()
         rows = deformation._linear_rows(spec.pairs)
-        start = deformation._starts(sig, cs, [spec])
+        start, _ = deformation._starts(sig, cs, [spec])
         assert start[0].tobytes() == table_start(sig, cs, spec).tobytes()
         r, blocks = deformation._evaluate(sig, start, rows)
         assert np.abs(r).max() <= 1e-9, (g, k, pairs)
@@ -1854,7 +1900,7 @@ def test_the_table_start_and_the_jet_start_agree(seed, k):
     jet_start = deformation._predict(cs.x0, deformation._complete_jet(sig, cs, [spec]), 0.0, 1.0)
     (x, xj), (r, rj), errors = deformation._newton(
         sig,
-        np.concatenate([deformation._starts(sig, cs, [spec]), jet_start]),
+        np.concatenate([deformation._starts(sig, cs, [spec])[0], jet_start]),
         [np.concatenate([a, a]) for a in rows],
         deformation._FILL_TOL,
     )
@@ -2038,7 +2084,7 @@ def path_alone(sig, spec, mp):
     calls = count_block_steps(mp)
     cs, spec = solve_complete(sig), spec.canonicalized()
     rows = deformation._linear_rows(spec.pairs)
-    (x,), (r,), (exc,) = deformation._newton(sig, deformation._starts(sig, cs, [spec]), rows, deformation._FILL_TOL)
+    (x,), (r,), (exc,) = deformation._newton(sig, deformation._starts(sig, cs, [spec])[0], rows, deformation._FILL_TOL)
     x, r = deformation._path(sig, cs, spec, rows, (x, r, exc))
     return outcome(x), None if r is None else r.tobytes(), len(calls)
 

@@ -13,7 +13,10 @@ seeded inputs, and alternates from block to block which copy runs first.
 The rungs are the benchmark's shapes, read from perfbench/workloads.py:
 fill_ladder's `solve_filling` on g = k + 1 at each k of
 `FillLadder.RUNGS` (FILLS fills a block, the first cusp on a slope of
-`FillLadder.SHORTEST`, the others on `FILL_SLOPES`), and fill_batch's
+`FillLadder.SHORTEST`, the others on `FILL_SLOPES`); far, the same at
+k = 2 with the first cusp on a slope of FAR_SLOPES, beyond the table of
+solved cusp blocks, which takes the fourth-order start that no benchmark
+workload times; and fill_batch's
 `cli.main(["fill", ..., "--batch", "--json"])`, three calls a block, each
 on a signature of `FillBatch.SIGNATURES` and `FillBatch.LISTS` lists,
 each cusp unfilled with probability 1/3.  The inputs come from
@@ -47,10 +50,14 @@ import tempfile
 import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench"))
+from checks import length_sq, primitive_slopes  # noqa: E402
 from workloads import FILL_SLOPES, FillBatch, FillLadder  # noqa: E402
 
 FILLS = 10
 SEED = 1
+# the primitive slopes of squared length 104 to 300: the table of solved
+# cusp blocks holds those below 104
+FAR_SLOPES = [s for s in primitive_slopes(300) if length_sq(s) >= 104]
 
 
 def source_root(side, scratch):
@@ -78,8 +85,8 @@ def load(name, root):
     return module, importlib.import_module(name + ".deformation"), importlib.import_module(name + ".cli")
 
 
-def ladder_inputs(rng, k):
-    return [[rng.choice(FillLadder.SHORTEST)] + [rng.choice(FILL_SLOPES) for _ in range(k - 1)] for _ in range(FILLS)]
+def ladder_inputs(rng, k, first=FillLadder.SHORTEST):
+    return [[rng.choice(first)] + [rng.choice(FILL_SLOPES) for _ in range(k - 1)] for _ in range(FILLS)]
 
 
 def batch_argv(rng):
@@ -143,15 +150,18 @@ def main(argv=None):
 def compare(blocks, copies):
     """Time the blocks, print the table and return it by rung."""
     rng = random.Random(SEED)
-    rungs = ["ladder k=%d" % k for k in FillLadder.RUNGS] + ["batch"]
+    rungs = ["ladder k=%d" % k for k in FillLadder.RUNGS] + ["far", "batch"]
 
     def block(rung):
         """The operation count and a function of a copy that runs the block."""
         if rung == "batch":
             argvs = [batch_argv(rng) for _ in range(3)]
             return len(argvs), lambda copy: run_batch(copy, argvs)
-        k = int(rung.split("=")[1])
-        inputs = ladder_inputs(rng, k)
+        if rung == "far":
+            k, inputs = 2, ladder_inputs(rng, 2, FAR_SLOPES)
+        else:
+            k = int(rung.split("=")[1])
+            inputs = ladder_inputs(rng, k)
         return len(inputs), lambda copy: run_ladder(copy, k, inputs)
 
     signatures = sorted({(k + 1, k) for k in FillLadder.RUNGS} | set(FillBatch.SIGNATURES))

@@ -18,15 +18,18 @@ with the benchmark's shapes read from perfbench/workloads.py:
     cusp unfilled, on `FILL_SLOPES` or on a coprime slope with |p|, |q|
     up to MAX_PQ;
 
-and, once, the lists of FIXED.  Each side's hash is one sha256 over the
-records in order (x and residual bytes, or the error's repr) and then
-over every field of the `CompleteSolution` of each corpus signature, of
-every signature with g < TABLE_G and of those of TABLE_FAR (array bytes,
-float bits, the table's rows).  It prints per side the hash and the kernel evaluations
-(`_evaluate`) and block solves (`_block_step`) that the corpus took, and
-those of a cold `solve_complete` at (2, 1).  When the hashes differ it
-prints the largest |dx| between the two sides' solutions, over the records
-where both sides solved, and the record where it occurs, and exits 1.
+and, once, the lists of FIXED.  Each side has two sha256 hashes: that of
+the records in order (x and residual bytes, or the error's repr), and that
+of the complete structures, over the `CompleteSolution` of each corpus
+signature, of every signature with g < TABLE_G and of those of TABLE_FAR,
+field by field (array bytes, float bits, the table's rows) over the fields
+that both sides' `CompleteSolution` has.  It prints per side both hashes
+and the kernel evaluations (`_evaluate`) and block solves (`_block_step`)
+that the corpus took, and those of a cold `solve_complete` at (2, 1), and
+then by name each field that only one side has, which no hash covers.
+When a hash differs it prints the largest |dx| between the two sides'
+solutions, over the records where both sides solved, and the record where
+it occurs, and exits 1.
 """
 
 import dataclasses
@@ -56,6 +59,7 @@ FIXED = [
 ]
 TABLE_G = 80
 TABLE_FAR = [(g, k) for g in range(100, 499) for k in (1, 2, 16, 64)]
+SIDES = ("parent", "change")
 
 
 def far_slope(rng):
@@ -109,9 +113,10 @@ def field_bytes(value):
     return repr(sorted(value.items(), key=repr)).encode()
 
 
-def side_hash(copy, calls):
-    """The hash of one side, its counts (records, cold (2, 1) and total)
-    and its solutions per record (None for an error)."""
+def side_hash(copy, calls, fields):
+    """The hashes of one side's records and of its complete structures
+    over `fields`, its counts (records, cold (2, 1) and total) and its
+    solutions per record (None for an error)."""
     package, deformation, _ = copy
     counts = counted(deformation, ["_evaluate", "_block_step"])
     deformation.solve_complete(deformation.GKSignature(2, 1))
@@ -131,15 +136,16 @@ def side_hash(copy, calls):
     solved = dict(counts)
     sweep = [(g, k) for g in range(2, TABLE_G) for k in range(1, g)] + TABLE_FAR
     signatures = list(dict.fromkeys([sig for sig, _ in calls] + sweep))
+    hc = hashlib.sha256()
     for g, k in signatures:
         try:
             cs = deformation.solve_complete(deformation.GKSignature(g, k))
         except deformation.ConvergenceError as exc:
-            h.update(repr(exc).encode())
+            hc.update(repr(exc).encode())
             continue
-        for field in dataclasses.fields(cs):
-            h.update(field_bytes(getattr(cs, field.name)))
-    return h.hexdigest(), len(points), len(signatures), cold, solved, points
+        for name in fields:
+            hc.update(field_bytes(getattr(cs, name)))
+    return (h.hexdigest(), hc.hexdigest()), len(points), len(signatures), cold, solved, points
 
 
 def largest_dx(calls, parent, change):
@@ -162,15 +168,21 @@ def main(argv=None):
     calls = corpus()
     digests, points = [], []
     with tempfile.TemporaryDirectory() as scratch:
-        for side, rev in zip(("parent", "change"), argv):
-            copy = load("mgk_same_bits_" + side, source_root(rev, scratch))
-            digest, n_records, n_sigs, cold, solved, xs = side_hash(copy, calls)
+        copies = [load("mgk_same_bits_" + side, source_root(rev, scratch)) for side, rev in zip(SIDES, argv)]
+        names = [[field.name for field in dataclasses.fields(copy[1].CompleteSolution)] for copy in copies]
+        shared = [name for name in names[0] if name in names[1]]
+        for side, copy in zip(SIDES, copies):
+            digest, n_records, n_sigs, cold, solved, xs = side_hash(copy, calls, shared)
             digests.append(digest)
             points.append(xs)
-            print("%-7s %s  records %d  signatures %d  cold (2, 1) evaluations %d block solves %d  "
-                  "corpus evaluations %d block solves %d" % (
-                      side, digest, n_records, n_sigs, cold["_evaluate"], cold["_block_step"],
+            print("%-7s records %s  structures %s  %d records  %d signatures  cold (2, 1) evaluations %d "
+                  "block solves %d  corpus evaluations %d block solves %d" % (
+                      side, digest[0], digest[1], n_records, n_sigs, cold["_evaluate"], cold["_block_step"],
                       solved["_evaluate"] - cold["_evaluate"], solved["_block_step"] - cold["_block_step"]))
+    for side, own in zip(SIDES, names):
+        for name in own:
+            if name not in shared:
+                print("field only in %s: %s" % (side, name))
     same = digests[0] == digests[1]
     if not same:
         print(largest_dx(calls, *points))
