@@ -47,8 +47,9 @@ from the solution, one block step; from any other spec it starts at the
 fourth-order point x0 + x' + x''/2 + x'''/6 + x''''/24.  `solve_complete`
 solves each signature's complete solution once per process, and an LRU
 cache of 128 signatures keeps it, with a read-only x0, the jet's
-constants (`_taylor_forms`), the table and the distinguished curve's
-derivative vectors: the one per-signature cache.
+constants (`_taylor_forms`) and the distinguished curve's derivative
+vectors, and the table once the signature's first filled spec has built
+it: the one per-signature cache.
 
 Newton works on the square system: the structure rows plus two cusp
 rows per cusp (Re, Im of p*u + q*v - 2*pi*i filled, of u complete).
@@ -82,9 +83,9 @@ import contextlib
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -178,17 +179,11 @@ class CompleteSolution:
     `_tangent_block`; forms, the (6, 2) table of a filled cusp's own
     Taylor forms, and beta_slope and beta_quartic, its coupling to beta
     and so to every cusp (`_taylor_forms`); varsigma, the distinguished
-    curve's pair of `varsigma_derivatives`; residual, the 12k+1
-    residuals (block order, cusp rows of u = 0) at x0 that certified it;
-    and the table of the cusp blocks' paths in beta (`_cusp_table`):
-    table, of shape (6, n, 12), holds per orbit of `_table_plan` the
-    coefficients of its block's path, table_sums, of shape (6, n, w),
-    per power and orbit the exact sum of the path's six alpha
-    coefficients as w doubles (`_alpha_sums`, w = 2 on every signature
-    tried), and table_rows maps each entry's target, a sign-form slope
-    (p, q) or None, to its position among the plan's targets.  One object
-    serves every caller, so its arrays are read-only and table_rows is a
-    read-only mapping."""
+    curve's pair of `varsigma_derivatives`; and residual, the 12k+1
+    residuals (block order, cusp rows of u = 0) at x0 that certified it.
+    One object serves every caller, so its arrays are read-only.  Its slot
+    _table keeps the signature's table of solved cusp blocks once a filling
+    has built it (`_cusp_table`): the table leaves the cache with it."""
 
     alpha_bar: float
     beta_bar: float
@@ -199,13 +194,11 @@ class CompleteSolution:
     beta_quartic: float
     varsigma: Tuple[np.ndarray, np.ndarray]
     residual: np.ndarray
-    table: np.ndarray
-    table_sums: np.ndarray
-    table_rows: Mapping
+    _table: list = field(default_factory=list, init=False, repr=False, compare=False)
 
 
 # more than fill_batch's 38 signatures; about 25 kB each at k = 64, and
-# 13.4 kB for the table of the cusp blocks' paths and their alpha sums
+# 13.4 kB more once a filling has built its table (`_cusp_table`)
 _COMPLETE_CACHE = 128
 
 
@@ -233,9 +226,9 @@ def solve_complete(sig: GKSignature) -> CompleteSolution:
     is the process's one per-signature cache: `cache_clear()` empties it.
     The gate reads the structure rows of one kernel evaluation at x0, kept
     as `residual`; its ConvergenceError is not kept: each call raises it anew.
-    A certified structure also gets its table of the cusp blocks' paths
-    in beta (`_cusp_table`), 9 or 10 evaluations more and about 1.7 ms
-    on a 2-core x86-64 host, once per signature.
+    The table of the cusp blocks' paths in beta is not built here but by
+    the signature's first filled spec (`_cusp_table`), and kept in the
+    record, so that `cache_clear()` empties it too.
     """
     k, m = sig.k, sig.g - sig.k
     r3 = math.sqrt(3.0)
@@ -266,11 +259,9 @@ def solve_complete(sig: GKSignature) -> CompleteSolution:
     varsigma = np.zeros((2, sig.n_coords))
     varsigma[0, :12] = _tangent_block(t, 2.0 * s, -s).ravel()
     varsigma[1, :12] = np.tile(np.outer(2.0 * forms[1], [6.0 * s * s, -3.0 * s * s, -3.0 * s * s]).ravel(), 2)
-    table, table_sums, table_rows = _cusp_table(x0[:12], b, t, forms, 6.0 * m, k)
-    for array in (x0, forms, varsigma, r, table, table_sums):
+    for array in (x0, forms, varsigma, r):
         array.flags.writeable = False
-    return CompleteSolution(a, b, x0, t, forms, beta_slope, beta_quartic, tuple(varsigma), r, table, table_sums,
-                            table_rows)
+    return CompleteSolution(a, b, x0, t, forms, beta_slope, beta_quartic, tuple(varsigma), r)
 
 
 # the table's cut on a slope's squared length p^2 - pq + q^2: from the
@@ -331,17 +322,20 @@ def _table_plan():
 _HERMITE = np.array([[16.0, -8.0, 7.0, -1.0], [-32.0, 32.0, -34.0, 5.0], [16.0, -40.0, 52.0, -8.0], [0.0, 16.0, -24.0, 4.0]])
 
 
-def _cusp_table(block: np.ndarray, beta_bar: float, t: float, forms: np.ndarray, corner: float, k: int):
-    """The table of `CompleteSolution`: per orbit of `_table_plan`, the
-    path B(beta) of its solved cusp block with beta held fixed, as the
-    coefficients c_0..c_5 of a polynomial in delta = beta - beta_bar, an
-    array of shape (6, n, 12) [power, orbit, block coordinate]; the
-    exact sums of each path's six alphas per power (`_alpha_sums`), which
-    `_total_angle` adds; and the read-only mapping of each table target,
-    None (a complete cusp) or a sign-form slope of `_TABLE_SLOPES`, to its
-    position in the plan's targets, whose `source` and flat indices carry
-    its orbit's path onto its own.  With beta fixed the blocks do not
-    couple, so a path depends on the target and beta alone, not on k.
+def _cusp_table(sig: GKSignature, cs: CompleteSolution):
+    """The table of solved cusp blocks of sig, whose complete structure
+    `solve_complete` gives as cs, all read-only: per orbit of
+    `_table_plan`, the path B(beta) of its solved cusp block with beta held
+    fixed, as the coefficients c_0..c_5 of a polynomial in delta = beta -
+    beta_bar, an array of shape (6, n, 12) [power, orbit, block coordinate];
+    the exact sums of each path's six alphas per power (`_alpha_sums`), of
+    shape (6, n, w), which `_total_angle` adds; and the mapping of each
+    table target, None (a complete cusp) or a sign-form slope of
+    `_TABLE_SLOPES`, to its position in the plan's targets, whose `source`
+    and flat indices carry its orbit's path onto its own.  With beta fixed
+    the blocks do not couple, so a path depends on the target and beta
+    alone, not on k.  The signature's first filled spec (`_starts`) builds
+    it, in 9 or 10 kernel evaluations, and cs keeps it for later calls.
 
     The polynomial is the quintic Hermite interpolant through the nodes
     delta = 0, lo/2 and lo: at each node it meets the block B solved
@@ -351,7 +345,7 @@ def _cusp_table(block: np.ndarray, beta_bar: float, t: float, forms: np.ndarray,
     of every one of the k cusps on a slope of length sqrt(7), whose blocks
     move beta the most, so every tabulated filling's beta lies inside.
     `_table_blocks` solves the blocks at beta_bar from their own
-    fourth-order Taylor starts, `_predict` from the complete `block` along
+    fourth-order Taylor starts, `_predict` from the complete block along
     its `_own_forms`, which leave beta out, and then those at the two
     other nodes in one stacked solve from B - delta y.  The torus
     isometries permute the block's angles and rows and keep beta, so an
@@ -360,28 +354,30 @@ def _cusp_table(block: np.ndarray, beta_bar: float, t: float, forms: np.ndarray,
     so is every entry of an orbit whose block missed the gate or was
     singular at a node, and every entry where the length rows' rounding
     floor edge_cosh(beta) eps is over the gate."""
-    none = np.empty((6, 0, 12)), np.empty((6, 0, 0)), MappingProxyType({})
-    if edge_cosh(beta_bar) * _EPS > _FILL_TOL:
-        return none
-    solved, rows, source, flat, gate_rows = _table_plan()
-    own, _ = _own_forms(t, forms, solved)
-    (B0,), (y0,), (good,) = _table_blocks(_predict(block, own, 0.0, 1.0)[None], [beta_bar], rows)
-    sqrt7 = source[1 + _TABLE_SLOPES.index((3, 1))]
-    alphas, slopes = B0[sqrt7, _ALPHA_COLS].tolist(), (-y0[sqrt7, _ALPHA_COLS]).tolist()
-    lo = -1.02 * math.fsum([corner * beta_bar, -2.0 * math.pi] + alphas * k) / math.fsum([corner] + slopes * k)
-    nodes = np.array([0.5 * lo, lo])[:, None, None]
-    B, y, met = _table_blocks(B0 - nodes * y0, (beta_bar + nodes[:, 0, 0]).tolist(), rows)
-    # the Hermite data in tau = delta / lo, on [0, 1]: values f and slopes -lo y
-    f0, f1, f2 = B0, B[0], B[1]
-    d0, d1, d2 = -lo * y0, -lo * y[0], -lo * y[1]
-    a = np.tensordot(_HERMITE, np.stack([f1 - f0 - 0.5 * d0, d1 - d0, f2 - f0 - d0, d2 - d0]), axes=1)
-    table = np.stack([B0, -y0] + [a[n] / lo ** (n + 2) for n in range(4)])
-    good &= met.all(axis=0)
-    m = len(source)
-    (r,), _ = _evaluate(GKSignature(m + 1, m), np.append(B0.ravel()[flat], beta_bar)[None], gate_rows)
-    keep = (np.abs(r[:-1].reshape(m, 12)).max(axis=1) < _FILL_TOL) & good[source]
-    targets = [None] + _TABLE_SLOPES
-    return table, _alpha_sums(table), MappingProxyType({targets[i]: i for i in np.flatnonzero(keep).tolist()})
+    if not cs._table:
+        table, sums, keep = np.empty((6, 0, 12)), np.empty((6, 0, 0)), ()
+        if edge_cosh(cs.beta_bar) * _EPS <= _FILL_TOL:
+            solved, rows, source, flat, gate_rows = _table_plan()
+            own, _ = _own_forms(cs.cot_scale, cs.forms, solved)
+            (B0,), (y0,), (good,) = _table_blocks(_predict(cs.x0[:12], own, 0.0, 1.0)[None], [cs.beta_bar], rows)
+            sqrt7, corner = source[1 + _TABLE_SLOPES.index((3, 1))], 6.0 * (sig.g - sig.k)
+            alphas, slopes = B0[sqrt7, _ALPHA_COLS].tolist() * sig.k, (-y0[sqrt7, _ALPHA_COLS]).tolist() * sig.k
+            lo = -1.02 * math.fsum([corner * cs.beta_bar, -2.0 * math.pi] + alphas) / math.fsum([corner] + slopes)
+            nodes = np.array([0.5 * lo, lo])[:, None, None]
+            B, y, met = _table_blocks(B0 - nodes * y0, (cs.beta_bar + nodes[:, 0, 0]).tolist(), rows)
+            # the Hermite data in tau = delta / lo, on [0, 1]: values f and slopes -lo y
+            f0, f1, f2 = B0, B[0], B[1]
+            d0, d1, d2 = -lo * y0, -lo * y[0], -lo * y[1]
+            a = np.tensordot(_HERMITE, np.stack([f1 - f0 - 0.5 * d0, d1 - d0, f2 - f0 - d0, d2 - d0]), axes=1)
+            table = np.stack([B0, -y0] + [a[n] / lo ** (n + 2) for n in range(4)])
+            sums = _alpha_sums(table)
+            good &= met.all(axis=0)
+            m = len(source)
+            (r,), _ = _evaluate(GKSignature(m + 1, m), np.append(B0.ravel()[flat], cs.beta_bar)[None], gate_rows)
+            keep = np.flatnonzero((np.abs(r[:-1].reshape(m, 12)).max(axis=1) < _FILL_TOL) & good[source]).tolist()
+        table.flags.writeable = sums.flags.writeable = False
+        cs._table.append((table, sums, MappingProxyType({_TABLE_SLOPES[i - 1] if i else None: i for i in keep})))
+    return cs._table[0]
 
 
 def _alpha_sums(table: np.ndarray) -> np.ndarray:
@@ -839,9 +835,10 @@ def solve_fillings(sig: GKSignature, specs: Sequence[FillingSpec], *, out: Optio
     bits and message: a spec that fails does not touch the others.  An
     entry of `specs` that is an error, such as that of parsing it, is its
     own result.  With `out`, a list, one `Solved` record per spec is
-    appended to it.  `solve_complete` gives the complete structure, the
-    jet's constants and the table of the cusp blocks' paths, solved once per
-    process per signature.  A spec that the sqrt(7) gate
+    appended to it.  `solve_complete` gives the complete structure and the
+    jet's constants, and the signature's first filled spec builds its
+    table of the cusp blocks' paths (`_cusp_table`), each once per process
+    per signature.  A spec that the sqrt(7) gate
     `FillingSpec.is_hyperbolic` refuses, and each filled spec whose
     rounding floor exceeds `_CUSP_FLOOR` or `_LENGTH_FLOOR` fill gates,
     is refused before any step.  Every other filled spec runs its
@@ -899,9 +896,10 @@ def _starts(sig: GKSignature, cs: CompleteSolution, specs):
     """The start at s = 1 of each of the canonical filled `specs`, shape
     (N, 12k+1), and the linear block rows of all of them (`_linear_rows`
     of their targets, as `_evaluate` takes them).  A spec whose every cusp
-    target is in the table of cs (`_cusp_table`) starts on its tabulated
-    paths B_c(delta), delta = beta - beta_bar, which meet the blocks' own
-    rows at every beta, at the delta where they also close the total angle:
+    target is in the table of sig (`_cusp_table`, built by the first call)
+    starts on its tabulated paths B_c(delta), delta = beta - beta_bar,
+    which meet the blocks' own rows at every beta, at the delta where
+    they also close the total angle:
 
         6(g-k) (beta_bar + delta) - 2 pi + sum over c of the alphas of B_c(delta) = 0,
 
@@ -917,8 +915,9 @@ def _starts(sig: GKSignature, cs: CompleteSolution, specs):
     `math.fsum` of the spec's own terms, and the rest is elementwise, so
     each spec has the bits it gets alone."""
     n, k = len(specs), sig.k
+    table, sums, positions = _cusp_table(sig, cs)
     # per spec the positions of its targets in the table, None where not in it
-    picks = [[cs.table_rows.get(pq) for pq in spec.pairs] for spec in specs]
+    picks = [[positions.get(pq) for pq in spec.pairs] for spec in specs]
     x = np.empty((n, sig.n_coords))
     rest = [i for i in range(n) if None in picks[i]]
     if rest:
@@ -932,8 +931,8 @@ def _starts(sig: GKSignature, cs: CompleteSolution, specs):
     if not rest:
         rows = tuple(a[at] for a in plan_rows)
     # per cusp its path's coefficients, carried from its orbit's onto its target
-    C = np.take(cs.table.reshape(6, -1), flat[at], axis=1).reshape(6, len(tab), 12 * k)
-    d = np.array([_root(p) for p in _total_angle(cs, 6.0 * (sig.g - k), source[at].reshape(len(tab), k))])[:, None]
+    C = np.take(table.reshape(6, -1), flat[at], axis=1).reshape(6, len(tab), 12 * k)
+    d = np.array([_root(p) for p in _total_angle(cs, sums, 6.0 * (sig.g - k), source[at].reshape(-1, k))])[:, None]
     B = C[5]
     for power in range(4, -1, -1):
         B *= d
@@ -943,15 +942,15 @@ def _starts(sig: GKSignature, cs: CompleteSolution, specs):
     return x, rows
 
 
-def _total_angle(cs: CompleteSolution, corner: float, orbits: np.ndarray) -> list:
+def _total_angle(cs: CompleteSolution, sums: np.ndarray, corner: float, orbits: np.ndarray) -> list:
     """Per row of `orbits`, the table positions of one list's paths, the
     coefficients p_0..p_5 of its total angle in delta, corner (beta_bar +
     delta) - 2 pi + the sum of the alphas of the paths, corner = 6(g-k).
     The maps keep the alphas among the alphas, so each power's alpha terms
     are those of the cusps' orbits, and each p_n is one `math.fsum` over
-    the orbits' exact alpha sums (`CompleteSolution.table_sums`): the
-    correctly rounded sum of the 6k alpha terms, as their own fsum is."""
-    terms = cs.table_sums[:, orbits].reshape(6, len(orbits), -1).transpose(1, 0, 2).tolist()
+    the orbits' exact alpha sums (`sums` of `_cusp_table`): the correctly
+    rounded sum of the 6k alpha terms, as their own fsum is."""
+    terms = sums[:, orbits].reshape(6, len(orbits), -1).transpose(1, 0, 2).tolist()
     return [[math.fsum([corner * cs.beta_bar, -2.0 * math.pi] + t[0]), math.fsum([corner] + t[1])]
             + [math.fsum(a) for a in t[2:]] for t in terms]
 

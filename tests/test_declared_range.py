@@ -162,9 +162,10 @@ def test_the_tables_of_the_swept_signatures(record_property):
     for g, k in SIGNATURES + BATCH_SIGNATURES:
         sig = GKSignature(g, k)
         cs = deformation.solve_complete(sig)
-        dropped += len(deformation._TABLE_SLOPES) + 1 - len(cs.table_rows)
-        targets, at = list(cs.table_rows), list(cs.table_rows.values())
-        blocks = cs.table[0].ravel()[flat[at]]
+        table, _, positions = deformation._cusp_table(sig, cs)
+        dropped += len(deformation._TABLE_SLOPES) + 1 - len(positions)
+        targets, at = list(positions), list(positions.values())
+        blocks = table[0].ravel()[flat[at]]
         x = np.concatenate([blocks, np.full((len(targets), 1), cs.beta_bar)], axis=1)
         r, _ = deformation._evaluate(GKSignature(2, 1), x, deformation._linear_rows(targets))
         short += int(deformation._short_of_floor(r[:, :12], [cs.beta_bar] * len(r)).sum())

@@ -199,6 +199,30 @@ def test_a_gate_failure_is_not_cached(monkeypatch, cold_cache):
     assert solve_complete(sig) is solve_complete(sig)
 
 
+def test_the_table_is_built_by_the_first_filled_spec_alone(monkeypatch, cold_cache):
+    # a cold solve_complete is the one kernel evaluation of its gate and
+    # builds no table of solved cusp blocks (whose build is two
+    # `_table_blocks` solves), nor does a call whose every list leaves every
+    # cusp unfilled; the first filled list builds it, once, and a second
+    # call builds none.  An emptied cache empties the table too
+    sig, evaluate, evals, builds = GKSignature(3, 2), deformation._evaluate, [], []
+    table_blocks = deformation._table_blocks
+    monkeypatch.setattr(deformation, "_evaluate", lambda *a: evals.append(1) or evaluate(*a))
+    monkeypatch.setattr(deformation, "_table_blocks", lambda *a: builds.append(1) or table_blocks(*a))
+    cs = solve_complete(sig)
+    assert (len(evals), builds) == (1, [])
+    solve_fillings(sig, [FillingSpec.unfilled(2)])
+    assert (len(evals), builds) == (1, [])
+    solve_fillings(sig, [FillingSpec.from_pairs(2, [(3, 1), None])])
+    table = deformation._cusp_table(sig, cs)
+    assert len(builds) == 2
+    solve_fillings(sig, [FillingSpec.from_pairs(2, [(5, 1), (3, 1)]), FillingSpec.from_pairs(2, [(40, 1), None])])
+    assert len(builds) == 2 and deformation._cusp_table(sig, cs) is table
+    solve_complete.cache_clear()
+    solve_fillings(sig, [FillingSpec.from_pairs(2, [(3, 1), None])])
+    assert len(builds) == 4 and deformation._cusp_table(sig, solve_complete(sig)) is not table
+
+
 @pytest.mark.parametrize("g, k", [(2, 1), (3, 2), (9, 3), (17, 16)])
 def test_fills_are_the_same_with_a_cold_and_a_warm_cache(cold_cache, g, k):
     # solution and residual record byte for byte, alone and stacked, in a
@@ -785,23 +809,25 @@ def test_filling_block_steps_with_tangent_predictor(monkeypatch, k):
     assert abs(pc - 3.0) < 1e-9 and abs(qc - 1.0) < 1e-9
 
 
-def table_path(cs, pq):
+def table_path(sig, cs, pq):
     """The coefficients c_0..c_5 of the path in delta = beta - beta_bar of
-    the tabulated block of target pq, as a (6, 12) list: its orbit's path
-    carried onto pq by the plan's index map."""
+    the tabulated block of target pq in the table of sig, whose complete
+    structure is cs, as a (6, 12) list: its orbit's path carried onto pq by
+    the plan's index map."""
     flat = deformation._table_plan()[3]
-    return cs.table.reshape(6, -1)[:, flat[cs.table_rows[pq]]].tolist()
+    table, _, positions = deformation._cusp_table(sig, cs)
+    return table.reshape(6, -1)[:, flat[positions[pq]]].tolist()
 
 
 def table_start(sig, cs, spec):
     """The start of `_starts` for the canonical spec whose every target is
-    in the table of cs, written out in plain floats: per cusp its
+    in the table of sig, written out in plain floats: per cusp its
     `table_path`; the total-angle polynomial 6(g-k)(beta_bar + delta) - 2 pi
     + the sum of the alphas of every path, each coefficient a `math.fsum`;
     its root delta by scalar Newton from the root of its linear part; and
     the point of the paths at delta, by Horner, with beta_bar + delta."""
     corner, alphas = 6.0 * (sig.g - sig.k), [0, 1, 2, 6, 7, 8]
-    paths = [table_path(cs, pq) for pq in spec.pairs]
+    paths = [table_path(sig, cs, pq) for pq in spec.pairs]
     p = [math.fsum([c[n][j] for c in paths for j in alphas]) for n in range(6)]
     p[0] = math.fsum([corner * cs.beta_bar, -2.0 * math.pi] + [c[0][j] for c in paths for j in alphas])
     p[1] = math.fsum([corner] + [c[1][j] for c in paths for j in alphas])
@@ -1370,12 +1396,9 @@ def test_filling_below_the_rounding_floor_is_refused_before_any_step(monkeypatch
         # the complete structure is a cache hit: no evaluation at all
         assert evals == []
     else:
-        # the gate of solve_complete, and at g = 2 the 10 of the build of the
-        # table of solved cusp blocks: 5 of its Newton solve at beta_bar, 4
-        # of the stacked one at its two other nodes and 1 of its gate; at
-        # g = 1000 the length rows' floor is over the fill gate, so no table
-        # is built
-        assert len(evals) == {2: 11, 1000: 1}[g]
+        # the gate of solve_complete alone: a refused filling builds no
+        # table of solved cusp blocks
+        assert len(evals) == 1
 
 
 @pytest.mark.parametrize(
@@ -1624,7 +1647,7 @@ def test_a_filling_short_of_its_floor_takes_the_step_to_it(monkeypatch):
         sig = GKSignature(len(pairs) + 1, len(pairs))
         spec = FillingSpec.from_pairs(sig.k, pairs).canonicalized()
         cs, rows = solve_complete(sig), deformation._linear_rows(spec.pairs)
-        assert (40.0, 1.0) not in cs.table_rows
+        assert (40.0, 1.0) not in deformation._cusp_table(sig, cs)[2]
         start = deformation._predict(cs.x0, deformation._complete_jet(sig, cs, [spec]), 0.0, 1.0)
         assert deformation._starts(sig, cs, [spec])[0].tobytes() == start.tobytes()
         with pytest.MonkeyPatch.context() as mp:
@@ -1648,7 +1671,8 @@ def test_the_step_to_the_floor_evaluates_its_point_once(monkeypatch, g, pairs):
     # and fill_batch-shaped fillings takes the step to the floor
     sig = GKSignature(g, len(pairs))
     spec = FillingSpec.from_pairs(sig.k, pairs)
-    solve_complete(sig)
+    # the signature's complete structure and table, built by its first filling
+    solve_filling(sig, spec)
     evals, evaluate = [], deformation._evaluate
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(deformation, "_evaluate", lambda *a: evals.append(1) or evaluate(*a))
@@ -1673,10 +1697,12 @@ def test_every_table_entry_meets_the_fill_gate_at_beta_bar(g, k):
     # rounding; the table holds one path per orbit of the plan, and each
     # target maps to its position among the plan's targets; and no caller
     # can write into the table
-    cs = solve_complete(GKSignature(g, k))
-    assert cs.table.shape == (6, len(deformation._table_plan()[0]), 12)
-    assert [cs.table_rows[t] for t in TABLE_TARGETS] == list(range(len(TABLE_TARGETS)))
-    paths = np.array([table_path(cs, t) for t in TABLE_TARGETS])
+    sig = GKSignature(g, k)
+    cs = solve_complete(sig)
+    table, _, positions = deformation._cusp_table(sig, cs)
+    assert table.shape == (6, len(deformation._table_plan()[0]), 12)
+    assert [positions[t] for t in TABLE_TARGETS] == list(range(len(TABLE_TARGETS)))
+    paths = np.array([table_path(sig, cs, t) for t in TABLE_TARGETS])
     B, y = paths[:, 0], -paths[:, 1]
     x = np.concatenate([B, np.full((len(B), 1), cs.beta_bar)], axis=1)
     r, blocks = deformation._evaluate(GKSignature(2, 1), x, deformation._linear_rows(TABLE_TARGETS))
@@ -1687,9 +1713,9 @@ def test_every_table_entry_meets_the_fill_gate_at_beta_bar(g, k):
     e[:6] = dbeta[0]
     assert np.abs(A @ y[:, :, None] - e[:, None]).max() < 1e-9 * dbeta[0]
     with pytest.raises(ValueError):
-        cs.table[0, 0, 0] = 1.0
+        table[0, 0, 0] = 1.0
     with pytest.raises(TypeError):
-        cs.table_rows[(3, 1)] = 0
+        positions[(3, 1)] = 0
 
 
 @pytest.mark.parametrize("g, k", [(2, 1), (3, 2), (12, 4), (17, 16), (200, 64)])
@@ -1702,9 +1728,9 @@ def test_each_table_path_meets_its_block_rows_across_its_nodes(g, k):
     # and 8.7e-11, 6 times the length rows' rounding floor, at (200, 64)
     sig = GKSignature(g, k)
     cs = solve_complete(sig)
-    paths = np.array([table_path(cs, t) for t in TABLE_TARGETS])
+    paths = np.array([table_path(sig, cs, t) for t in TABLE_TARGETS])
     corner, alphas = 6.0 * (g - k), [0, 1, 2, 6, 7, 8]
-    sqrt7 = table_path(cs, (3, 1))
+    sqrt7 = table_path(sig, cs, (3, 1))
     lo = -1.02 * math.fsum([corner * cs.beta_bar, -2.0 * math.pi] + [sqrt7[0][j] for j in alphas] * k) / math.fsum(
         [corner] + [sqrt7[1][j] for j in alphas] * k)
     rows = deformation._linear_rows(TABLE_TARGETS)
@@ -1738,9 +1764,10 @@ def test_a_table_entry_that_misses_the_gate_is_absent(monkeypatch, cold_cache):
 
     monkeypatch.setattr(deformation, "_evaluate", shifted)
     cs = solve_complete(sig)
+    table, _, positions = deformation._cusp_table(sig, cs)
     monkeypatch.undo()
-    assert set(cs.table_rows) == set(TABLE_TARGETS) - {(3, 1)}
-    assert cs.table.shape == (6, len(deformation._table_plan()[0]), 12)
+    assert set(positions) == set(TABLE_TARGETS) - {(3, 1)}
+    assert table.shape == (6, len(deformation._table_plan()[0]), 12)
     dropped, kept = (FillingSpec.from_pairs(2, pairs).canonicalized() for pairs in ([(3, 1), (5, 1)], [(5, 1), None]))
     jet = deformation._complete_jet(sig, cs, [dropped])
     starts, _ = deformation._starts(sig, cs, [dropped, kept])
@@ -1765,6 +1792,7 @@ def test_a_singular_block_at_a_node_drops_only_its_orbit(monkeypatch, cold_cache
     # start bits
     sig = GKSignature(3, 2)
     clean = solve_complete(sig)
+    clean_table, clean_sums, _ = deformation._cusp_table(sig, clean)
     solve_complete.cache_clear()
     solved, _, source, _, _ = deformation._table_plan()
     orbit, evaluate = source[TABLE_TARGETS.index((5, 1))], deformation._evaluate
@@ -1783,14 +1811,15 @@ def test_a_singular_block_at_a_node_drops_only_its_orbit(monkeypatch, cold_cache
 
     monkeypatch.setattr(deformation, "_evaluate", singular)
     cs = solve_complete(sig)
+    table, sums, positions = deformation._cusp_table(sig, cs)
     monkeypatch.undo()
     lost = {t for t, s in zip(TABLE_TARGETS, source.tolist()) if s == orbit}
-    assert (5, 1) in lost and set(cs.table_rows) == set(TABLE_TARGETS) - lost
+    assert (5, 1) in lost and set(positions) == set(TABLE_TARGETS) - lost
     kept = np.arange(len(solved)) != orbit
-    assert cs.table[:, kept].tobytes() == clean.table[:, kept].tobytes()
-    nan = np.isnan(cs.table[:, orbit]).any(axis=1)
-    assert nan.any() and not cs.table_sums[:, orbit][nan].any()
-    assert cs.table_sums[:, kept].tobytes() == clean.table_sums[:, kept].tobytes()
+    assert table[:, kept].tobytes() == clean_table[:, kept].tobytes()
+    nan = np.isnan(table[:, orbit]).any(axis=1)
+    assert nan.any() and not sums[:, orbit][nan].any()
+    assert sums[:, kept].tobytes() == clean_sums[:, kept].tobytes()
     specs = [FillingSpec.from_pairs(2, [t, (3, 1)]).canonicalized() for t in TABLE_TARGETS if t not in lost]
     assert deformation._starts(sig, cs, specs)[0].tobytes() == deformation._starts(sig, clean, specs)[0].tobytes()
     spec = FillingSpec.from_pairs(2, [(5, 1), None]).canonicalized()
@@ -1812,12 +1841,13 @@ def test_tabulated_lists_gather_their_angle_sums_and_rows_bit_for_bit(data, sig,
     # start bits.  Each orbit's sums take 2 doubles, not 6
     cs, k = solve_complete(sig), sig.k
     solved, _, source, flat, _ = deformation._table_plan()
-    assert cs.table_sums.shape == (6, len(solved), 2)
+    table, sums, _ = deformation._cusp_table(sig, cs)
+    assert sums.shape == (6, len(solved), 2)
     target = st.integers(0, len(TABLE_TARGETS) - 1)
     picks = data.draw(st.lists(target, min_size=n, max_size=n))
     corner = 6.0 * (sig.g - k)
-    (got,) = deformation._total_angle(cs, corner, source[picks][None])
-    alphas = cs.table.reshape(6, -1)[:, flat[picks]][:, :, deformation._ALPHA_COLS].reshape(6, -1).tolist()
+    (got,) = deformation._total_angle(cs, sums, corner, source[picks][None])
+    alphas = table.reshape(6, -1)[:, flat[picks]][:, :, deformation._ALPHA_COLS].reshape(6, -1).tolist()
     want = [math.fsum([corner * cs.beta_bar, -2.0 * math.pi] + alphas[0]), math.fsum([corner] + alphas[1])]
     want += [math.fsum(terms) for terms in alphas[2:]]
     assert [v.hex() for v in got] == [v.hex() for v in want]

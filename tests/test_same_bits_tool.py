@@ -2,9 +2,10 @@
 against itself prints the same records and structures hashes twice and
 exits 0; against a copy whose Newton never takes the step to the rounding
 floor it prints two records hashes, the largest |dx| between the two
-sides' solutions and its record, and exits 1; and against a copy whose
+sides' solutions and its record, and exits 1; against a copy whose
 `CompleteSolution` gains a field it names that field and, with the same
-bits in every shared one, exits 0."""
+bits in every shared one, exits 0; and against a copy whose table of
+solved cusp blocks has other bits it prints two structures hashes."""
 
 import re
 import shutil
@@ -63,6 +64,15 @@ def test_a_change_of_bits_is_seen(tmp_path):
 def test_a_field_only_one_side_has_is_named_and_not_hashed(tmp_path):
     # the complete structures hash over the fields both sides have, so a
     # new field alone leaves both hashes as they are, and is named
-    copy = patched_copy(tmp_path, "\n    table_rows: Mapping\n", "\n    table_rows: Mapping\n    extra: float = 1.0\n")
+    copy = patched_copy(tmp_path, "\n    residual: np.ndarray\n", "\n    residual: np.ndarray\n    extra: float = 1.0\n")
     code, (parent, change), rest, verdict = run_small(".", copy)
     assert (code, verdict, rest) == (0, "same bits", ["field only in change: extra"]) and parent == change
+
+
+def test_the_table_is_in_the_structures_hash(tmp_path):
+    # the table of solved cusp blocks is hashed with the complete
+    # structures: a copy whose table nodes sit at 1.03 times the first-order
+    # shift, not 1.02, has other table bits and so another structures hash
+    copy = patched_copy(tmp_path, "lo = -1.02 *", "lo = -1.03 *")
+    code, (parent, change), _, verdict = run_small(".", copy)
+    assert (code, verdict) == (1, "bits differ") and parent[1] != change[1]

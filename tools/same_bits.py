@@ -22,11 +22,14 @@ and, once, the lists of FIXED.  Each side has two sha256 hashes: that of
 the records in order (x and residual bytes, or the error's repr), and that
 of the complete structures, over the `CompleteSolution` of each corpus
 signature, of every signature with g < TABLE_G and of those of TABLE_FAR,
-field by field (array bytes, float bits, the table's rows) over the fields
-that both sides' `CompleteSolution` has.  It prints per side both hashes
-and the kernel evaluations (`_evaluate`) and block solves (`_block_step`)
-that the corpus took, and those of a cold `solve_complete` at (2, 1), and
-then by name each field that only one side has, which no hash covers.
+field by field (array bytes, float bits) over the public fields that both
+sides' `CompleteSolution` has, and then the signature's table of solved
+cusp blocks (its arrays and its rows), wherever the side keeps it: in
+the fields TABLE of the record, or from `_cusp_table`.  It prints per
+side both hashes and the kernel evaluations (`_evaluate`) and block
+solves (`_block_step`) that the corpus took, and those of a cold
+`solve_complete` at (2, 1), and then by name each other field that only
+one side has, which no hash covers.
 When a hash differs it prints the largest |dx| between the two sides'
 solutions, over the records where both sides solved, and the record where
 it occurs, and exits 1.
@@ -59,6 +62,8 @@ FIXED = [
 ]
 TABLE_G = 80
 TABLE_FAR = [(g, k) for g in range(100, 499) for k in (1, 2, 16, 64)]
+# the fields that kept the table in `CompleteSolution` before `_cusp_table` did
+TABLE = ("table", "table_sums", "table_rows")
 SIDES = ("parent", "change")
 
 
@@ -113,6 +118,15 @@ def field_bytes(value):
     return repr(sorted(value.items(), key=repr)).encode()
 
 
+def table_of(deformation, sig, cs):
+    """The table of solved cusp blocks of cs, the complete structure of
+    sig: its arrays and rows, from the record's fields TABLE or from
+    `_cusp_table`."""
+    if hasattr(cs, TABLE[0]):
+        return tuple(getattr(cs, name) for name in TABLE)
+    return deformation._cusp_table(sig, cs)
+
+
 def side_hash(copy, calls, fields):
     """The hashes of one side's records and of its complete structures
     over `fields`, its counts (records, cold (2, 1) and total) and its
@@ -138,13 +152,14 @@ def side_hash(copy, calls, fields):
     signatures = list(dict.fromkeys([sig for sig, _ in calls] + sweep))
     hc = hashlib.sha256()
     for g, k in signatures:
+        sig = deformation.GKSignature(g, k)
         try:
-            cs = deformation.solve_complete(deformation.GKSignature(g, k))
+            cs = deformation.solve_complete(sig)
         except deformation.ConvergenceError as exc:
             hc.update(repr(exc).encode())
             continue
-        for name in fields:
-            hc.update(field_bytes(getattr(cs, name)))
+        for value in [getattr(cs, name) for name in fields] + list(table_of(deformation, sig, cs)):
+            hc.update(field_bytes(value))
     return (h.hexdigest(), hc.hexdigest()), len(points), len(signatures), cold, solved, points
 
 
@@ -169,7 +184,8 @@ def main(argv=None):
     digests, points = [], []
     with tempfile.TemporaryDirectory() as scratch:
         copies = [load("mgk_same_bits_" + side, source_root(rev, scratch)) for side, rev in zip(SIDES, argv)]
-        names = [[field.name for field in dataclasses.fields(copy[1].CompleteSolution)] for copy in copies]
+        names = [[field.name for field in dataclasses.fields(copy[1].CompleteSolution)
+                  if not field.name.startswith("_") and field.name not in TABLE] for copy in copies]
         shared = [name for name in names[0] if name in names[1]]
         for side, copy in zip(SIDES, copies):
             digest, n_records, n_sigs, cold, solved, xs = side_hash(copy, calls, shared)
