@@ -4,8 +4,9 @@ A filling imposes p*u + q*v = 2*pi*i on the cusp's log-holonomies.  It
 is reached by a continuation path from the complete structure, whose
 Taylor coefficients to order 4 there are in closed form; a slope of
 length >= sqrt(7) takes the path in one step, one Newton solve from the
-table start (a short integer slope) or the fourth-order start (any
-other), and a shorter slope is refused.  Below: coefficient
+start where the cusp block's path in beta closes the total angle (the
+table's path for a short integer slope, its own block moved along the
+complete block's path for any other), and a shorter slope is refused.  Below: coefficient
 round trips, the refusal below the hyperbolicity threshold at slope
 length sqrt(7), the core geodesic shrinking along a ray of fillings,
 and the universal limit of v/u forced by the hexagonal cusp.

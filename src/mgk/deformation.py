@@ -37,19 +37,19 @@ path's Taylor coefficients to order 4 (`_complete_jet`, with no linear
 solve).  Its first step is one Newton solve at s = 1, of at least one
 block step, which ends with one step more where it stops short of the
 rounding floor (`_newton`); the first steps of a batch are one stacked
-solve.  That step starts (`_starts`) where every cusp's target is in the
-signature's table (`_cusp_table`: for the complete block and each
-integer slope of squared length 7 to 103, the block solved with beta
-held fixed, where the blocks do not couple, as a quintic in beta) at the
-beta where the tabulated blocks close the total angle: a filling reaches
-the geodesic boundary only through beta, and that point is about 1e-11
-from the solution, one block step; from any other spec it starts at the
-fourth-order point x0 + x' + x''/2 + x'''/6 + x''''/24.  `solve_complete`
-solves each signature's complete solution once per process, and an LRU
-cache of 128 signatures keeps it, with a read-only x0, the jet's
-constants (`_taylor_forms`) and the distinguished curve's derivative
-vectors, and the table once the signature's first filled spec has built
-it: the one per-signature cache.
+solve.  That step starts (`_starts`) where the cusps' blocks, each on
+its path in beta, close the total angle: a filling reaches the geodesic
+boundary only through beta, and with beta held the blocks do not couple.
+A target of the signature's table (`_cusp_table`: for the complete block
+and each integer slope of squared length 7 to 103, the block solved with
+beta held, as a quintic in beta) takes its tabulated path, any other its
+own fourth-order block moved along the complete block's path; a list of
+tabulated targets starts about 1e-11 from the solution, one block step.
+`solve_complete` solves each signature's complete solution once per
+process, and an LRU cache of 128 signatures keeps it, with a read-only
+x0, the jet's constants (`_taylor_forms`) and the distinguished curve's
+derivative vectors, and the table once the signature's first filled spec
+has built it: the one per-signature cache.
 
 Newton works on the square system: the structure rows plus two cusp
 rows per cusp (Re, Im of p*u + q*v - 2*pi*i filled, of u complete).
@@ -105,10 +105,10 @@ _LENGTH_FLOOR = 1.05
 # a point whose length rows stand above this many times their rounding floor
 # edge_cosh(beta) eps is short of its floor (`_short_of_floor`).  After the one
 # block step from the table start, 680 seeded fill_ladder- and fill_batch-
-# shaped fillings stood at most 7.0 times it; from the fourth-order start, of
-# 360 seeded lists with a slope beyond the table, those at their floor stood at
-# most 60 times it and those short of it 820 times or more; the table's
-# entries stand at most 115.6 times it
+# shaped fillings stood at most 7.0 times it.  Of 360 seeded lists with cusp 1
+# beyond the table (CHANGES.md), 313 met the gate at most 128 times it and 47 at
+# 134 or more, 36 of them below 1,000: no gap parts them (from the fourth-order
+# start, 38 and 805).  The table's entries stand at most 115.6 times it
 _POLISH = 128.0
 _EPS = float(np.finfo(float).eps)
 # |u| below which a cusp counts as complete (unfilled)
@@ -335,7 +335,8 @@ def _cusp_table(sig: GKSignature, cs: CompleteSolution):
     and flat indices carry its orbit's path onto its own.  With beta fixed
     the blocks do not couple, so a path depends on the target and beta
     alone, not on k.  The signature's first filled spec (`_starts`) builds
-    it, in 9 or 10 kernel evaluations, and cs keeps it for later calls.
+    it, in 9 or 10 kernel evaluations (up to 53 from g of about 400 on),
+    and cs keeps it for later calls.
 
     The polynomial is the quintic Hermite interpolant through the nodes
     delta = 0, lo/2 and lo: at each node it meets the block B solved
@@ -352,29 +353,26 @@ def _cusp_table(sig: GKSignature, cs: CompleteSolution):
     index map carries each path onto every other slope of its orbit.  An
     entry whose 12 block rows at beta_bar miss the gate is left out, and
     so is every entry of an orbit whose block missed the gate or was
-    singular at a node, and every entry where the length rows' rounding
-    floor edge_cosh(beta) eps is over the gate."""
+    singular at a node: `_starts` starts its target off the table."""
     if not cs._table:
-        table, sums, keep = np.empty((6, 0, 12)), np.empty((6, 0, 0)), ()
-        if edge_cosh(cs.beta_bar) * _EPS <= _FILL_TOL:
-            solved, rows, source, flat, gate_rows = _table_plan()
-            own, _ = _own_forms(cs.cot_scale, cs.forms, solved)
-            (B0,), (y0,), (good,) = _table_blocks(_predict(cs.x0[:12], own, 0.0, 1.0)[None], [cs.beta_bar], rows)
-            sqrt7, corner = source[1 + _TABLE_SLOPES.index((3, 1))], 6.0 * (sig.g - sig.k)
-            alphas, slopes = B0[sqrt7, _ALPHA_COLS].tolist() * sig.k, (-y0[sqrt7, _ALPHA_COLS]).tolist() * sig.k
-            lo = -1.02 * math.fsum([corner * cs.beta_bar, -2.0 * math.pi] + alphas) / math.fsum([corner] + slopes)
-            nodes = np.array([0.5 * lo, lo])[:, None, None]
-            B, y, met = _table_blocks(B0 - nodes * y0, (cs.beta_bar + nodes[:, 0, 0]).tolist(), rows)
-            # the Hermite data in tau = delta / lo, on [0, 1]: values f and slopes -lo y
-            f0, f1, f2 = B0, B[0], B[1]
-            d0, d1, d2 = -lo * y0, -lo * y[0], -lo * y[1]
-            a = np.tensordot(_HERMITE, np.stack([f1 - f0 - 0.5 * d0, d1 - d0, f2 - f0 - d0, d2 - d0]), axes=1)
-            table = np.stack([B0, -y0] + [a[n] / lo ** (n + 2) for n in range(4)])
-            sums = _alpha_sums(table)
-            good &= met.all(axis=0)
-            m = len(source)
-            (r,), _ = _evaluate(GKSignature(m + 1, m), np.append(B0.ravel()[flat], cs.beta_bar)[None], gate_rows)
-            keep = np.flatnonzero((np.abs(r[:-1].reshape(m, 12)).max(axis=1) < _FILL_TOL) & good[source]).tolist()
+        solved, rows, source, flat, gate_rows = _table_plan()
+        own, _ = _own_forms(cs.cot_scale, cs.forms, solved)
+        (B0,), (y0,), (good,) = _table_blocks(_predict(cs.x0[:12], own, 0.0, 1.0)[None], [cs.beta_bar], rows)
+        sqrt7, corner = source[1 + _TABLE_SLOPES.index((3, 1))], 6.0 * (sig.g - sig.k)
+        alphas, slopes = B0[sqrt7, _ALPHA_COLS].tolist() * sig.k, (-y0[sqrt7, _ALPHA_COLS]).tolist() * sig.k
+        lo = -1.02 * math.fsum([corner * cs.beta_bar, -2.0 * math.pi] + alphas) / math.fsum([corner] + slopes)
+        nodes = np.array([0.5 * lo, lo])[:, None, None]
+        B, y, met = _table_blocks(B0 - nodes * y0, (cs.beta_bar + nodes[:, 0, 0]).tolist(), rows)
+        # the Hermite data in tau = delta / lo, on [0, 1]: values f and slopes -lo y
+        f0, f1, f2 = B0, B[0], B[1]
+        d0, d1, d2 = -lo * y0, -lo * y[0], -lo * y[1]
+        a = np.tensordot(_HERMITE, np.stack([f1 - f0 - 0.5 * d0, d1 - d0, f2 - f0 - d0, d2 - d0]), axes=1)
+        table = np.stack([B0, -y0] + [a[n] / lo ** (n + 2) for n in range(4)])
+        sums = _alpha_sums(table)
+        good &= met.all(axis=0)
+        m = len(source)
+        (r,), _ = _evaluate(GKSignature(m + 1, m), np.append(B0.ravel()[flat], cs.beta_bar)[None], gate_rows)
+        keep = np.flatnonzero((np.abs(r[:-1].reshape(m, 12)).max(axis=1) < _FILL_TOL) & good[source]).tolist()
         table.flags.writeable = sums.flags.writeable = False
         cs._table.append((table, sums, MappingProxyType({_TABLE_SLOPES[i - 1] if i else None: i for i in keep})))
     return cs._table[0]
@@ -843,7 +841,7 @@ def solve_fillings(sig: GKSignature, specs: Sequence[FillingSpec], *, out: Optio
     rounding floor exceeds `_CUSP_FLOOR` or `_LENGTH_FLOOR` fill gates,
     is refused before any step.  Every other filled spec runs its
     `_path`, and the first steps of the paths are one stacked `_newton`
-    to `_FILL_TOL` from their `_starts`."""
+    to `_FILL_TOL` from their `_starts`, which read the table."""
     records, todo = [None] * len(specs), []
     for i, spec in enumerate(specs):
         exc = spec if isinstance(spec, Exception) else _cusp_count_error(sig, spec)
@@ -895,64 +893,64 @@ def solve_fillings(sig: GKSignature, specs: Sequence[FillingSpec], *, out: Optio
 def _starts(sig: GKSignature, cs: CompleteSolution, specs):
     """The start at s = 1 of each of the canonical filled `specs`, shape
     (N, 12k+1), and the linear block rows of all of them (`_linear_rows`
-    of their targets, as `_evaluate` takes them).  A spec whose every cusp
-    target is in the table of sig (`_cusp_table`, built by the first call)
-    starts on its tabulated paths B_c(delta), delta = beta - beta_bar,
-    which meet the blocks' own rows at every beta, at the delta where
-    they also close the total angle:
+    of their targets, as `_evaluate` takes them).  Each cusp follows a path
+    C(delta) of its block in delta = beta - beta_bar: a target of the
+    table of sig (`_cusp_table`, built by the first call) its tabulated
+    path, and any other its own fourth-order block with beta held (the
+    start of the table's blocks) moved along the complete block's path.
+    Each spec starts where its paths close the total angle,
 
-        6(g-k) (beta_bar + delta) - 2 pi + sum over c of the alphas of B_c(delta) = 0,
+        6(g-k) (beta_bar + delta) - 2 pi + sum over c of the alphas of C_c(delta) = 0,
 
-    a polynomial of degree 5 in delta (`_total_angle`), solved by scalar
-    Newton (`_root`); each block is B_c(delta), by Horner, and beta is
-    beta_bar + delta, with no linear solve.  Each cusp's position among the
-    plan's targets (`_table_plan`) is looked up once: it gathers the
-    block's path coefficients, its orbit's alpha sums and, where every spec
-    is tabulated, its rows from those of the plan's targets.  Every other
-    spec starts from the fourth-order Taylor point x0 + c1 + c2 + c3 + c4
-    of its path (`_complete_jet`), and with one such spec the rows are
-    `_linear_rows` of every target.  Each coefficient and sum is a
-    `math.fsum` of the spec's own terms, and the rest is elementwise, so
-    each spec has the bits it gets alone."""
+    a quintic in delta (`_total_angle`) solved by scalar Newton (`_root`),
+    at the blocks C_c(delta), by Horner, and beta_bar + delta.  Each cusp's
+    path, orbit's alpha sums and rows are gathered from the plan's targets
+    (`_table_plan`), and an off-table cusp's own block and rows written in
+    their places.  Each coefficient is a `math.fsum` of the spec's own terms
+    and the rest is elementwise, so each spec has the bits it gets alone."""
     n, k = len(specs), sig.k
     table, sums, positions = _cusp_table(sig, cs)
-    # per spec the positions of its targets in the table, None where not in it
-    picks = [[positions.get(pq) for pq in spec.pairs] for spec in specs]
-    x = np.empty((n, sig.n_coords))
-    rest = [i for i in range(n) if None in picks[i]]
-    if rest:
-        x[rest] = _predict(cs.x0, _complete_jet(sig, cs, [specs[i] for i in rest]), 0.0, 1.0)
-        rows = _linear_rows([pq for spec in specs for pq in spec.pairs])
-    tab = [i for i in range(n) if None not in picks[i]]
-    if not tab:
-        return x, rows
     _, _, source, flat, plan_rows = _table_plan()
-    at = np.array([row for i in tab for row in picks[i]])
-    if not rest:
-        rows = tuple(a[at] for a in plan_rows)
+    targets = [pq for spec in specs for pq in spec.pairs]
+    # per cusp its position among the plan's targets, None's (0) where it is off the table
+    picks = [positions.get(pq) for pq in targets]
+    off = [i for i, pos in enumerate(picks) if pos is None]
+    at = np.array([pos or 0 for pos in picks])
+    rows = tuple(a[at] for a in plan_rows)
     # per cusp its path's coefficients, carried from its orbit's onto its target
-    C = np.take(table.reshape(6, -1), flat[at], axis=1).reshape(6, len(tab), 12 * k)
-    d = np.array([_root(p) for p in _total_angle(cs, sums, 6.0 * (sig.g - k), source[at].reshape(-1, k))])[:, None]
+    C = np.take(table.reshape(6, -1), flat[at], axis=1)
+    # per spec the terms of p_0 by which its off-table blocks stand in for the complete one
+    own = [[] for _ in range(n)]
+    if off:
+        far = [targets[i] for i in off]
+        for a, b in zip(rows, _linear_rows(far)):
+            a[off] = b
+        C[0, off] = _predict(cs.x0[:12], _own_forms(cs.cot_scale, cs.forms, far)[0], 0.0, 1.0)
+        complete = (-sums[0, 0]).tolist()
+        for i, alphas in zip(off, C[0, off][:, _ALPHA_COLS].tolist()):
+            own[i // k] += alphas + complete
+    d = np.array([_root(p) for p in _total_angle(cs, sums, 6.0 * (sig.g - k), source[at].reshape(n, k), own)])
+    C, d = C.reshape(6, n, 12 * k), d[:, None]
     B = C[5]
     for power in range(4, -1, -1):
         B *= d
         B += C[power]
-    x[tab, :-1] = B
-    x[tab, -1] = cs.beta_bar + d[:, 0]
-    return x, rows
+    return np.concatenate([B, cs.beta_bar + d], axis=1), rows
 
 
-def _total_angle(cs: CompleteSolution, sums: np.ndarray, corner: float, orbits: np.ndarray) -> list:
+def _total_angle(cs: CompleteSolution, sums: np.ndarray, corner: float, orbits: np.ndarray, own) -> list:
     """Per row of `orbits`, the table positions of one list's paths, the
     coefficients p_0..p_5 of its total angle in delta, corner (beta_bar +
     delta) - 2 pi + the sum of the alphas of the paths, corner = 6(g-k).
     The maps keep the alphas among the alphas, so each power's alpha terms
     are those of the cusps' orbits, and each p_n is one `math.fsum` over
     the orbits' exact alpha sums (`sums` of `_cusp_table`): the correctly
-    rounded sum of the 6k alpha terms, as their own fsum is."""
+    rounded sum of the 6k alpha terms, as their own fsum is.  Per list,
+    `own` holds more terms of p_0, each off-table cusp's six alphas and the
+    negated sum of the complete block's, which that fsum cancels exactly."""
     terms = sums[:, orbits].reshape(6, len(orbits), -1).transpose(1, 0, 2).tolist()
-    return [[math.fsum([corner * cs.beta_bar, -2.0 * math.pi] + t[0]), math.fsum([corner] + t[1])]
-            + [math.fsum(a) for a in t[2:]] for t in terms]
+    return [[math.fsum([corner * cs.beta_bar, -2.0 * math.pi] + t[0] + extra), math.fsum([corner] + t[1])]
+            + [math.fsum(a) for a in t[2:]] for t, extra in zip(terms, own)]
 
 
 def _root(p: Sequence[float]) -> float:

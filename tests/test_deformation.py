@@ -820,14 +820,27 @@ def table_path(sig, cs, pq):
 
 
 def table_start(sig, cs, spec):
-    """The start of `_starts` for the canonical spec whose every target is
-    in the table of sig, written out in plain floats: per cusp its
-    `table_path`; the total-angle polynomial 6(g-k)(beta_bar + delta) - 2 pi
-    + the sum of the alphas of every path, each coefficient a `math.fsum`;
-    its root delta by scalar Newton from the root of its linear part; and
-    the point of the paths at delta, by Horner, with beta_bar + delta."""
+    """The start of `_starts` for the canonical spec, written out in plain
+    floats: per cusp its `table_path` where its target is in the table of
+    sig, else the complete block's path with c_0 the target's own
+    fourth-order block with beta held, the complete block plus the orders
+    of `_own_forms`; the total-angle polynomial 6(g-k)(beta_bar + delta)
+    - 2 pi + the sum of the alphas of every path, each coefficient a
+    `math.fsum`; its root delta by scalar Newton from the root of its
+    linear part; and the point of the paths at delta, by Horner, with
+    beta_bar + delta."""
     corner, alphas = 6.0 * (sig.g - sig.k), [0, 1, 2, 6, 7, 8]
-    paths = [table_path(sig, cs, pq) for pq in spec.pairs]
+    positions = deformation._cusp_table(sig, cs)[2]
+    paths = []
+    for pq in spec.pairs:
+        if pq in positions:
+            paths.append(table_path(sig, cs, pq))
+            continue
+        (own,), _ = deformation._own_forms(cs.cot_scale, cs.forms, [pq])
+        block = cs.x0[:12].tolist()
+        for order in own.tolist():
+            block = [b + c for b, c in zip(block, order)]
+        paths.append([block] + table_path(sig, cs, None)[1:])
     p = [math.fsum([c[n][j] for c in paths for j in alphas]) for n in range(6)]
     p[0] = math.fsum([corner * cs.beta_bar, -2.0 * math.pi] + [c[0][j] for c in paths for j in alphas])
     p[1] = math.fsum([corner] + [c[1][j] for c in paths for j in alphas])
@@ -1204,11 +1217,15 @@ def test_loose_intermediate_points_give_the_same_filling(seed, g, k):
 
 def warm_start_continuation(sig, pairs, l_safe=20.0, tol=1e-10):
     """Oracle: a continuation over the schedule of ratio 1.5 in t, each
-    Newton started at the previous point of the path."""
+    Newton started at the previous point of the path, on the slopes
+    shorter than l_safe scaled by t.  A slope of length l_safe or more is
+    held at its target, where scaled by t its cusp row's rounding floor,
+    about (|t p| + |t q|) eps, would stand over the gate."""
     spec = FillingSpec.from_pairs(sig.k, pairs).canonicalized()
 
     def rows_at(t):
-        targets = [None if pq is None else (t * pq[0], t * pq[1]) for pq in spec.pairs]
+        targets = [pq if pq is None or math.sqrt(pq[0] * pq[0] - pq[0] * pq[1] + pq[1] * pq[1]) >= l_safe
+                   else (t * pq[0], t * pq[1]) for pq in spec.pairs]
         return deformation._linear_rows(targets)
 
     def newton(x, t):
@@ -1264,8 +1281,8 @@ def test_filling_long_slopes_take_one_newton_solve(monkeypatch, g, pairs):
     # every filled slope of length >= sqrt(7) is solved at s = 1 straight
     # from its start at the complete structure: one Newton solve to the
     # gate, which ends with one step to the rounding floor where the length
-    # rows stop above _POLISH times it: for 40/1, from the fourth-order
-    # start, 135 (g = 2) and 196 (g = 3) times; from the table start 6/1
+    # rows stop above _POLISH times it: for 40/1, from its start off the
+    # table, 136 (g = 2) and 197 (g = 3) times; from the table start 6/1
     # and 3/1 at g = 2 stop 2.1 and 1.9 times it after their one block
     # step, and the two lists at g = 9 at most 2.8 times
     sig, spec = GKSignature(g, len(pairs)), FillingSpec.from_pairs(len(pairs), pairs)
@@ -1617,8 +1634,8 @@ def test_stacked_batch_block_steps(monkeypatch, g, lists):
 def test_stacked_batch_block_steps_random(seed, g, k, n_lists):
     # real slopes of length sqrt(7) to 8, each swapped for an integer slope
     # of the table with probability 1/2, make every list one Newton solve,
-    # from the table start where all its slopes are integer and from the
-    # fourth-order start else, and the points of a stacked solve ride
+    # from the paths in beta of the table and, for a real slope, of the
+    # complete block, and the points of a stacked solve ride
     # along with zero steps once they are done, so the stack makes exactly
     # the block steps of the slowest list alone
     rng = np.random.default_rng(seed)
@@ -1636,9 +1653,10 @@ def test_stacked_batch_block_steps_random(seed, g, k, n_lists):
 
 
 def test_a_filling_short_of_its_floor_takes_the_step_to_it(monkeypatch):
-    # 40/1 is not in the table, and from its fourth-order start it meets
-    # the gate, in a solve with `_POLISH` infinite, which takes no step to
-    # the floor, with a length row 196 (g = 3) and 219 (g = 4) times its
+    # 40/1 is not in the table, and from its start, its own fourth-order
+    # block moved in beta along the complete block's path, it meets the
+    # gate, in a solve with `_POLISH` infinite, which takes no step to the
+    # floor, with a length row 197 (g = 3) and 219 (g = 4) times its
     # rounding floor edge_cosh(beta) eps: above _POLISH, and short of the
     # floor, since one Newton step more moves the point by 1.1e-14 and
     # 1.3e-14 and lands it there.  The solve to the gate ends with that
@@ -1648,7 +1666,7 @@ def test_a_filling_short_of_its_floor_takes_the_step_to_it(monkeypatch):
         spec = FillingSpec.from_pairs(sig.k, pairs).canonicalized()
         cs, rows = solve_complete(sig), deformation._linear_rows(spec.pairs)
         assert (40.0, 1.0) not in deformation._cusp_table(sig, cs)[2]
-        start = deformation._predict(cs.x0, deformation._complete_jet(sig, cs, [spec]), 0.0, 1.0)
+        start = table_start(sig, cs, spec)[None]
         assert deformation._starts(sig, cs, [spec])[0].tobytes() == start.tobytes()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(deformation, "_POLISH", math.inf)
@@ -1666,9 +1684,9 @@ def test_a_filling_short_of_its_floor_takes_the_step_to_it(monkeypatch):
 def test_the_step_to_the_floor_evaluates_its_point_once(monkeypatch, g, pairs):
     # a filling that takes the step to the floor is evaluated at its start
     # and once after each block step: the step takes its blocks from the
-    # last evaluation of the solve to the gate.  Both lists take the
-    # fourth-order start: from the table start none of 680 seeded fill_ladder-
-    # and fill_batch-shaped fillings takes the step to the floor
+    # last evaluation of the solve to the gate.  Both lists start 40/1 off
+    # the table: from the table start none of 680 seeded fill_ladder- and
+    # fill_batch-shaped fillings takes the step to the floor
     sig = GKSignature(g, len(pairs))
     spec = FillingSpec.from_pairs(sig.k, pairs)
     # the signature's complete structure and table, built by its first filling
@@ -1750,8 +1768,9 @@ def test_a_table_entry_that_misses_the_gate_is_absent(monkeypatch, cold_cache):
     # evaluation to the next, so that no Newton step can null it, whether
     # the build solves 3/1's block or carries it from another slope of its
     # orbit: the entry misses the gate and is left out, and a list with 3/1
-    # takes the fourth-order start, while a list of tabulated slopes takes
-    # the table's
+    # starts its 3/1 cusp off the table, on its own block moved along the
+    # complete block's path, while a list of tabulated slopes takes the
+    # table's paths alone
     sig, evaluate, sign = GKSignature(3, 2), deformation._evaluate, [1e-6]
 
     def shifted(sig, x, rows):
@@ -1769,9 +1788,8 @@ def test_a_table_entry_that_misses_the_gate_is_absent(monkeypatch, cold_cache):
     assert set(positions) == set(TABLE_TARGETS) - {(3, 1)}
     assert table.shape == (6, len(deformation._table_plan()[0]), 12)
     dropped, kept = (FillingSpec.from_pairs(2, pairs).canonicalized() for pairs in ([(3, 1), (5, 1)], [(5, 1), None]))
-    jet = deformation._complete_jet(sig, cs, [dropped])
     starts, _ = deformation._starts(sig, cs, [dropped, kept])
-    assert starts[0].tobytes() == deformation._predict(cs.x0, jet, 0.0, 1.0)[0].tobytes()
+    assert starts[0].tobytes() == table_start(sig, cs, dropped).tobytes()
     assert starts[1].tobytes() == table_start(sig, cs, kept).tobytes()
     assert np.abs(residuals(sig, solve_filling(sig, dropped))).max() < deformation._FILL_TOL
 
@@ -1786,7 +1804,7 @@ def test_a_singular_block_at_a_node_drops_only_its_orbit(monkeypatch, cold_cache
     # the block of 5/1's orbit made singular in the stacked solve at the two
     # nodes other than beta_bar, at lo: that orbit's entries are left out,
     # every other path has the bits it has when no block is singular, and a
-    # list with 5/1 takes the fourth-order start.  The build completes,
+    # list with 5/1 starts that cusp off the table.  The build completes,
     # though the orbit's path holds NaN, which has no exact alpha sum: every
     # other orbit keeps its sums, and every list of the kept targets its
     # start bits
@@ -1823,8 +1841,7 @@ def test_a_singular_block_at_a_node_drops_only_its_orbit(monkeypatch, cold_cache
     specs = [FillingSpec.from_pairs(2, [t, (3, 1)]).canonicalized() for t in TABLE_TARGETS if t not in lost]
     assert deformation._starts(sig, cs, specs)[0].tobytes() == deformation._starts(sig, clean, specs)[0].tobytes()
     spec = FillingSpec.from_pairs(2, [(5, 1), None]).canonicalized()
-    start = deformation._predict(cs.x0, deformation._complete_jet(sig, cs, [spec]), 0.0, 1.0)
-    assert deformation._starts(sig, cs, [spec])[0].tobytes() == start.tobytes()
+    assert deformation._starts(sig, cs, [spec])[0][0].tobytes() == table_start(sig, cs, spec).tobytes()
     assert np.abs(residuals(sig, solve_filling(sig, spec))).max() < deformation._FILL_TOL
 
 
@@ -1836,9 +1853,9 @@ def test_tabulated_lists_gather_their_angle_sums_and_rows_bit_for_bit(data, sig,
     # their orbits' exact alpha sums, are the fsums of their 6n alpha terms;
     # a batch of tabulated lists, here beside lists that hold every one of
     # the plan's 115 targets, gathers the rows that `_linear_rows` gives; and
-    # one target beyond the table sends its list to the fourth-order start
-    # and the whole batch to `_linear_rows`, each tabulated list keeping its
-    # start bits.  Each orbit's sums take 2 doubles, not 6
+    # a list with one target beyond the table takes `table_start`, its own
+    # rows written into the gathered ones, while each tabulated list keeps
+    # its start bits.  Each orbit's sums take 2 doubles, not 6
     cs, k = solve_complete(sig), sig.k
     solved, _, source, flat, _ = deformation._table_plan()
     table, sums, _ = deformation._cusp_table(sig, cs)
@@ -1846,7 +1863,7 @@ def test_tabulated_lists_gather_their_angle_sums_and_rows_bit_for_bit(data, sig,
     target = st.integers(0, len(TABLE_TARGETS) - 1)
     picks = data.draw(st.lists(target, min_size=n, max_size=n))
     corner = 6.0 * (sig.g - k)
-    (got,) = deformation._total_angle(cs, sums, corner, source[picks][None])
+    (got,) = deformation._total_angle(cs, sums, corner, source[picks][None], [[]])
     alphas = table.reshape(6, -1)[:, flat[picks]][:, :, deformation._ALPHA_COLS].reshape(6, -1).tolist()
     want = [math.fsum([corner * cs.beta_bar, -2.0 * math.pi] + alphas[0]), math.fsum([corner] + alphas[1])]
     want += [math.fsum(terms) for terms in alphas[2:]]
@@ -1864,8 +1881,7 @@ def test_tabulated_lists_gather_their_angle_sums_and_rows_bit_for_bit(data, sig,
     mixed, rows = deformation._starts(sig, cs, specs)
     linear = deformation._linear_rows([pq for spec in specs for pq in spec.pairs])
     assert [a.tobytes() for a in rows] == [a.tobytes() for a in linear]
-    jet_start = deformation._predict(cs.x0, deformation._complete_jet(sig, cs, specs[-1:]), 0.0, 1.0)
-    assert mixed[:-1].tobytes() == starts.tobytes() and mixed[-1:].tobytes() == jet_start.tobytes()
+    assert mixed[:-1].tobytes() == starts.tobytes() and mixed[-1].tobytes() == table_start(sig, cs, specs[-1]).tobytes()
 
 
 # every primitive sign-form slope of squared length 7-49, the benchmark's
@@ -1956,17 +1972,74 @@ def test_each_tabulated_slope_alone_takes_one_block_solve(monkeypatch, g, k):
         assert (gate, floor) == (1, 0), spec
 
 
-def test_a_list_with_a_slope_beyond_the_table_keeps_the_fourth_order_route():
-    # one untabulated slope, here 40/1 beside tabulated ones, sends the list
-    # to the fourth-order start and the Newton solve it took before the
-    # table, bit for bit
+def test_a_list_with_a_slope_beyond_the_table_starts_on_the_paths_in_beta():
+    # one untabulated slope, here 40/1 beside tabulated ones or a real slope
+    # just off 3/1, starts on its own fourth-order block with beta held,
+    # moved along the complete block's path, and every other cusp on its
+    # tabulated path: the list starts at `table_start`, and the filling is
+    # the one Newton solve from it, bit for bit
     sig = GKSignature(3, 2)
     cs = solve_complete(sig)
     for pairs in ([(40, 1), (3, 1)], [(40, 1), None], [(3.0, 1.0 + 1e-12), (5, 1)]):
         spec = FillingSpec.from_pairs(2, pairs).canonicalized()
-        start = deformation._predict(cs.x0, deformation._complete_jet(sig, cs, [spec]), 0.0, 1.0)
+        start = table_start(sig, cs, spec)[None]
+        assert deformation._starts(sig, cs, [spec])[0].tobytes() == start.tobytes()
         (x,), _, _ = deformation._newton(sig, start, deformation._linear_rows(spec.pairs), deformation._FILL_TOL)
         assert solve_filling(sig, spec).tobytes() == x.tobytes()
+
+
+# the primitive sign-form slopes of squared length 104 to 300, beyond the table's cut
+FAR_SLOPES = [(p, q) for p in range(21) for q in range(-20, 21)
+              if (p > 0 or q == 1) and math.gcd(p, q) == 1 and 104 <= p * p - p * q + q * q <= 300]
+
+
+@pytest.mark.parametrize("g, k", [(9, 8), (17, 16), (200, 64)])
+def test_a_list_with_one_slope_beyond_the_table_takes_three_block_solves(monkeypatch, g, k):
+    # cusp 1 beyond the table and the others tabulated or unfilled: from
+    # the fourth-order start of every cusp such a list took 4 (k = 8, 16)
+    # and 5 (k = 64) block solves; with its tabulated cusps on their paths
+    # in beta it takes 3, the step to the floor included
+    sig, rng = GKSignature(g, k), np.random.default_rng(5200 + k)
+    rest = [None, (3, 1), (5, 1), (2, 3), (7, 2)]
+    steps = count_block_steps(monkeypatch)
+    for _ in range(10):
+        pairs = [FAR_SLOPES[rng.integers(len(FAR_SLOPES))]] + [rest[i] for i in rng.integers(len(rest), size=k - 1)]
+        steps.clear()
+        x = solve_filling(sig, FillingSpec.from_pairs(k, pairs))
+        assert len(steps) == 3, pairs
+        assert np.abs(residuals(sig, x)).max() < deformation._FILL_TOL
+
+
+def mixed_lists(draw, k, n):
+    """n lists of k targets, each a target of the table or a slope off it,
+    |p|, |q| <= 3e5 of either sign and squared length 104 or more, with at
+    least one cusp filled."""
+    far = st.tuples(st.integers(-300000, 300000), st.integers(-300000, 300000)).filter(
+        lambda pq: pq[0] * pq[0] - pq[0] * pq[1] + pq[1] * pq[1] >= 104)
+    target = st.sampled_from(TABLE_TARGETS) | far
+    lists = draw(st.lists(st.lists(target, min_size=k, max_size=k), min_size=n, max_size=n))
+    return [pairs if any(pairs) else [(40, 1)] + pairs[1:] for pairs in lists]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data(), sig=st.sampled_from([GKSignature(2, 1), GKSignature(3, 2), GKSignature(17, 16),
+                                            GKSignature(200, 64)]), n=st.integers(1, 3))
+def test_lists_off_the_table_start_on_the_paths_in_beta(data, sig, n):
+    # lists that mix tabulated targets and slopes off the table: each list
+    # of a batch starts at `table_start`, is solved to the bits it gets
+    # alone, and lies within 1e-9 of the warm-start continuation, solved
+    # to the 4 gates that a cusp row's rounding floor may reach: at k = 64
+    # a few such rows keep the sup-norm of its first point at 1.06e-10
+    cs, k = solve_complete(sig), sig.k
+    specs = [FillingSpec.from_pairs(k, pairs).canonicalized() for pairs in mixed_lists(data.draw, k, n)]
+    starts, _ = deformation._starts(sig, cs, specs)
+    for start, spec in zip(starts, specs):
+        assert start.tobytes() == table_start(sig, cs, spec).tobytes(), spec.pairs
+    batch = solve_fillings(sig, specs)
+    for x, spec in zip(batch, specs):
+        assert x.tobytes() == solve_filling(sig, spec).tobytes(), spec.pairs
+        oracle = warm_start_continuation(sig, spec.pairs, tol=deformation._CUSP_FLOOR * deformation._FILL_TOL)
+        assert np.abs(x - oracle).max() < 1e-9, spec.pairs
 
 
 def test_failed_stacked_step_runs_the_path_alone(monkeypatch):

@@ -1,7 +1,7 @@
 """Smoke runs of tools/same_bits.py on a tiny corpus: the working tree
 against itself prints the same records and structures hashes twice and
-exits 0; against a copy whose Newton never takes the step to the rounding
-floor it prints two records hashes, the largest |dx| between the two
+exits 0; against a copy whose Newton takes the step to the rounding floor
+from every point that meets its gate it prints two records hashes, the largest |dx| between the two
 sides' solutions and its record, and exits 1; against a copy whose
 `CompleteSolution` gains a field it names that field and, with the same
 bits in every shared one, exits 0; and against a copy whose table of
@@ -52,10 +52,11 @@ def test_the_working_tree_has_its_own_bits():
 
 
 def test_a_change_of_bits_is_seen(tmp_path):
-    copy = patched_copy(tmp_path, "\n_POLISH = 128.0\n", "\n_POLISH = math.inf\n")
+    copy = patched_copy(tmp_path, "\n_POLISH = 128.0\n", "\n_POLISH = 0.0\n")
     code, (parent, change), rest, verdict = run_small(".", copy)
     assert (code, verdict) == (1, "bits differ") and parent[0] != change[0]
-    # 40/1 at (2, 1) takes the step to the floor, which moves it by 1e-14 or so
+    # every filling that stops at its floor takes one step more there,
+    # which moves it by a few ulps
     (line,) = rest
     match = re.fullmatch(r"max \|dx\| (\S+) at record (\d+): g=(\d+) k=(\d+) (\S+)", line)
     assert match and 0.0 < float(match[1]) < 1e-12, line
