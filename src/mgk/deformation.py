@@ -69,7 +69,9 @@ at once, the fillings of a batch: a step is one batched solve of the
 N k 12x12 blocks with two right-hand sides (the residual and the border
 column) and then one scalar Schur complement for each point's beta,
 O(Nk) work instead of the O(k^3) of each dense (12k+1)^2 system.  Each
-point gets the same floating-point results as when it is solved alone.
+point gets the same floating-point results as when it is solved alone,
+and a point whose system is singular gets NaN (`_solve_each`, as in the
+table's stacked solves), which fails that point alone.
 `residuals` reads the structure rows of one point, and `jacobian`
 scatters the same entries into the dense (10k+1) x (12k+1) public form.
 No other module reads this system: `tangent_spectrum` gives `mgk
@@ -401,9 +403,11 @@ def _alpha_sums(table: np.ndarray) -> np.ndarray:
 
 
 def _solve_each(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.linalg.solve of the stacked systems A x = b.  numpy fails a whole
-    stacked solve for one singular matrix, so then each is solved alone,
-    and a singular one gets NaN."""
+    """np.linalg.solve of the stacked systems A x = b, the solver's one
+    rule for a singular system: numpy fails a whole stacked solve for one
+    singular matrix, so then each is solved alone, and a singular one gets
+    NaN, which fails its own point of `_newton` or block of `_table_blocks`
+    and no other."""
     try:
         return np.linalg.solve(A, b)
     except np.linalg.LinAlgError:
@@ -645,42 +649,25 @@ def _block_step(sig: GKSignature, r: np.ndarray, A: np.ndarray, dbeta: Sequence[
     (N, 12k+1) and A of shape (Nk, 12, 12): per cusp A_c s_c + dbeta e
     s_beta = r_c (e marks the length rows) and sum(alpha steps) + 6(g-k)
     s_beta = r_total.  One batched solve of the N k blocks for the two
-    right-hand sides r_c and dbeta e, then the scalar Schur complement for
-    each s_beta: O(Nk) work.  Raises LinAlgError if any of the N systems
-    is singular."""
+    right-hand sides r_c and dbeta e (`_solve_each`), then the scalar Schur
+    complement for each s_beta: O(Nk) work.  A point whose system is
+    singular, a block or its Schur scalar, gets a step of NaN, and every
+    other point the bits of its step alone."""
     n_pts, k = len(r), sig.k
     rhs = np.zeros((n_pts * k, 12, 2))
     rhs[:, :, 0] = r[:, :-1].reshape(-1, 12)
     for i, d in enumerate(dbeta):
         rhs[k * i:k * i + k, :6, 1] = d
-    y = np.linalg.solve(A, rhs)
+    y = _solve_each(A, rhs)
     # one Schur scalar per point, in the arithmetic of a single point
     corner = 6.0 * (sig.g - k)
     step = np.empty_like(r)
     ya = y.reshape(n_pts, k, 12, 2)[:, :, _ALPHA_COLS].sum(axis=(1, 2)).tolist()
     for i, ((a0, a1), total) in enumerate(zip(ya, r[:, -1].tolist())):
-        if corner - a1 == 0.0:
-            raise np.linalg.LinAlgError("Singular matrix")
-        step[i, -1] = (total - a0) / (corner - a1)
+        step[i, -1] = (total - a0) / (corner - a1) if corner - a1 != 0.0 else math.nan
     y = y.reshape(n_pts, 12 * k, 2)
     step[:, :-1] = y[..., 0] - step[:, -1:] * y[..., 1]
     return step
-
-
-def _block_steps(sig: GKSignature, r: np.ndarray, A: np.ndarray, dbeta: Sequence[float]):
-    """`_block_step`, and by position the LinAlgError of each system that is
-    singular.  numpy fails a whole stacked solve for one singular block, so
-    then each system is solved alone; a singular one gets a zero step."""
-    try:
-        return _block_step(sig, r, A, dbeta), {}
-    except np.linalg.LinAlgError:
-        k, step, failed = sig.k, np.zeros_like(r), {}
-    for i in range(len(r)):
-        try:
-            step[i] = _block_step(sig, r[i:i + 1], A[k * i:k * i + k], dbeta[i:i + 1])[0]
-        except np.linalg.LinAlgError as exc:
-            failed[i] = exc
-    return step, failed
 
 
 def correction(sig: GKSignature, x) -> np.ndarray:
@@ -688,10 +675,14 @@ def correction(sig: GKSignature, x) -> np.ndarray:
     system whose cusp rows fill each cusp's own recovered coefficients
     (`dehn_coefficients`; u = 0 on a complete cusp): to first order, x
     minus the exact structure of those coefficients.  Raises DomainError
-    where they are undefined, LinAlgError where J is singular."""
+    where they are undefined, LinAlgError where J is singular: where
+    `_block_step` gives a step that is not finite."""
     x = check_coords(sig, x)
     r, blocks = _evaluate(sig, x[None], _linear_rows([dehn_coefficients(x, c) for c in range(sig.k)]))
-    return _block_step(sig, r, *blocks())[0]
+    step = _block_step(sig, r, *blocks())[0]
+    if not np.isfinite(step).all():
+        raise np.linalg.LinAlgError("Singular matrix")
+    return step
 
 
 def _short_of_floor(R: np.ndarray, betas: Sequence[float]) -> np.ndarray:
@@ -712,17 +703,21 @@ def _newton(sig: GKSignature, x0: np.ndarray, rows, tol: Optional[float]):
     start may meet `tol` already, as the table start of `_starts` does at
     g of about 10 and more: it is not a solved point, and its step takes it
     to the floor.  With `tol` None each point takes one step and no stop
-    test, the corrector of a continuation point short of the filling.  Returns the points, their residuals (in
-    block order) at the points returned, and per point None or the error
-    that stopped it: a ConvergenceError, or `check_coords`'s DomainError
-    for a point that is not a number.
+    test, the corrector of a continuation point short of the filling.
+    Returns the points, their residuals (in block order) at the points
+    returned, and per point None or the error that stopped it: a
+    ConvergenceError, or the DomainError `_OUTSIDE_BOX` for a point that
+    is not a number.
 
     Each point takes the steps it takes alone, every full step, clipped
     into the open angle box.  A point that has converged or stopped
     rides along with a zero step, so that every evaluation covers all N
     points.  A point whose step left its bits as they were has stalled,
     since every later step would be the same, unless it meets `tol`: then
-    it has converged.
+    it has converged.  A point whose system is singular gets a NaN step
+    (`_block_step`) and fails with "singular Jacobian" and its residual
+    before that step; it is returned as NaN, which no caller reads (`_path`
+    keeps its last solved point, `varsigma_point` raises).
 
     With `tol` given, a point that met it `_short_of_floor` takes one
     step more, from the blocks of its last evaluation.  Newton
@@ -730,8 +725,7 @@ def _newton(sig: GKSignature, x0: np.ndarray, rows, tol: Optional[float]):
     digits of `tol` and not of the floor, and the length rows, whose
     Jacobian entries are the largest, show it first; the step takes the
     point to the floor.  Those points are evaluated once more, and the
-    step is kept where it meets `tol`, not where it is singular or not a
-    number."""
+    step is kept where it meets `tol`, which a NaN step never does."""
     x = _clip(np.asarray(x0, dtype=float))
     n_pts, k = len(x), sig.k
     r, blocks = _evaluate(sig, x, rows)
@@ -744,22 +738,22 @@ def _newton(sig: GKSignature, x0: np.ndarray, rows, tol: Optional[float]):
             break
         A, dbeta = blocks()
         if len(running) == n_pts:
-            step, failed = _block_steps(sig, r, A, dbeta)
+            step = _block_step(sig, r, A, dbeta)
         else:
             step = np.zeros_like(x)
             A = A.reshape(n_pts, k, 12, 12)[running].reshape(-1, 12, 12)
-            step[running], failed = _block_steps(sig, r[running], A, [dbeta[i] for i in running])
-        for pos, exc in failed.items():
-            i = running[pos]
-            errors[i] = ConvergenceError("singular Jacobian: %s" % exc, norm[i])
+            step[running] = _block_step(sig, r[running], A, [dbeta[i] for i in running])
         xn = _clip(x - step)
         r, blocks = _evaluate(sig, xn, rows)
-        norm = np.abs(r).max(axis=1).tolist()
+        before, norm = norm, np.abs(r).max(axis=1).tolist()
         stalled = (xn == x).all(axis=1).tolist()
         x = xn
-        for i in [i for i in running if errors[i] is None]:
+        for i in running:
             if norm[i] != norm[i]:
-                errors[i] = DomainError(_OUTSIDE_BOX)
+                # a singular system's step is NaN (`_block_step`)
+                singular = not np.isfinite(step[i]).all()
+                errors[i] = (ConvergenceError("singular Jacobian: Singular matrix", before[i]) if singular
+                             else DomainError(_OUTSIDE_BOX))
             elif stalled[i] and (tol is None or not norm[i] < tol):
                 errors[i] = ConvergenceError("Newton stalled at residual %g" % norm[i], norm[i])
         running = [i for i in running if errors[i] is None and tol is not None and not norm[i] < tol]
@@ -774,11 +768,10 @@ def _newton(sig: GKSignature, x0: np.ndarray, rows, tol: Optional[float]):
     if above:
         A, dbeta = blocks()
         cusps = (np.array(above)[:, None] * k + np.arange(k)).ravel()
-        step, failed = _block_steps(sig, r[above], A[cusps], [dbeta[i] for i in above])
-        y = _clip(x[above] - step)
+        y = _clip(x[above] - _block_step(sig, r[above], A[cusps], [dbeta[i] for i in above]))
         ry, _ = _evaluate(sig, y, [a[cusps] for a in rows])
         for j, i in enumerate(above):
-            if j not in failed and np.abs(ry[j]).max() < tol:
+            if np.abs(ry[j]).max() < tol:
                 x[i], r[i] = y[j], ry[j]
     return x, r, errors
 

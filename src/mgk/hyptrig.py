@@ -128,8 +128,11 @@ class FillingSpec:
         return cls.from_pairs(k, [None if it.lower() in unfilled else parse_slope(it) for it in items])
 
     def canonicalized(self) -> "FillingSpec":
-        """Each pair in `sign_form`."""
-        return FillingSpec(tuple(None if pq is None else sign_form(*pq) for pq in self.pairs))
+        """Each pair in `sign_form`.  The sign form of a pair that
+        `__post_init__` accepted passes it too, so it is not checked again."""
+        spec = object.__new__(FillingSpec)
+        object.__setattr__(spec, "pairs", tuple(None if pq is None else sign_form(*pq) for pq in self.pairs))
+        return spec
 
     @property
     def filled_count(self) -> int:

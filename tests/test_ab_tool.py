@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-RUNGS = ["ladder k=2", "ladder k=8", "ladder k=16", "far", "mixed k=16", "batch"]
+RUNGS = ["ladder k=2", "ladder k=8", "ladder k=16", "far", "mixed k=16", "mixed batch", "batch"]
 
 
 def test_an_a_a_run_prints_and_writes_the_table(tmp_path):

@@ -25,7 +25,7 @@ from mgk.deformation import (
 )
 from mgk import commensurability_xk as cx
 from mgk import deformation
-from mgk.hyptrig import DomainError, FillingSpec
+from mgk.hyptrig import DomainError, FillingSpec, sign_form
 from mgk.slopes_symmetry import D6Element
 
 from conftest import random_pairs
@@ -534,6 +534,29 @@ def test_filling_spec_refuses_a_zero_pair_and_a_wrong_count():
         FillingSpec(((0.0, 0.0),))
     with pytest.raises(DomainError, match="^expected 2 cusp entries, got 1$"):
         FillingSpec.from_pairs(2, [(5, 1)])
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_canonicalized_is_the_checked_spec_of_the_sign_forms(seed):
+    # integer and real pairs of either sign, with (0, q) and unfilled cusps
+    # among them: the spec built without a second check is the checked one
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 9))
+    pairs = []
+    for c, (p, q) in enumerate(random_pairs(rng, k, 2.0, 1e5)):
+        kind = int(rng.integers(4))
+        if kind == 0:
+            pairs.append(None)
+        elif kind == 1:
+            pairs.append((int(round(p)) or 1, int(round(q))))
+        elif kind == 2:
+            pairs.append((0, int(rng.choice([-1, 1])) * (c + 1)))
+        else:
+            pairs.append((p, q))
+    spec = FillingSpec(tuple(pairs)).canonicalized()
+    checked = FillingSpec(tuple(None if pq is None else sign_form(*pq) for pq in pairs))
+    assert type(spec) is FillingSpec and spec == checked and hash(spec) == hash(checked)
+    assert [type(v) for pq in spec.pairs if pq for v in pq] == [type(v) for pq in checked.pairs if pq for v in pq]
 
 
 # ---------------------------------------------------------------------------
@@ -1488,8 +1511,8 @@ def test_filling_large_g_spot_checks(monkeypatch, g):
 
 
 def test_filling_first_step_failure_is_a_continuation_error(monkeypatch):
-    def singular(*args):
-        raise np.linalg.LinAlgError("Singular matrix")
+    def singular(sig, r, *args):
+        return np.full_like(r, np.nan)
 
     sig, spec = GKSignature(2, 1), FillingSpec.from_pairs(1, [(5.0, 1.0)])
     monkeypatch.setattr(deformation, "_block_step", singular)
@@ -2064,20 +2087,98 @@ def test_failed_stacked_step_runs_the_path_alone(monkeypatch):
     assert len(calls) == 3
 
 
-def test_block_steps_fail_only_the_singular_member():
-    # numpy fails a whole stacked solve for one singular block
-    sig, k = GKSignature(5, 3), 3
-    rng = np.random.default_rng(5)
-    x = np.array([near_complete(sig, rng) for _ in range(3)])
-    targets = [pq for _ in range(3) for pq in mixed_targets(rng, k)]
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data(), n=st.integers(1, 4), k=st.integers(1, 4))
+def test_block_step_fails_only_the_singular_points(data, n, k):
+    # numpy fails a whole stacked solve for one singular block: a point
+    # whose system is singular, by a zeroed block or a zero Schur scalar,
+    # gets a step of NaN, and every other point the bytes of its step
+    # alone.  At (2k, k) the corner 6(g-k) is 6k, so blocks A = I and
+    # dbeta = 2 make it minus the alphas' beta response exactly 0
+    sig = GKSignature(2 * k, k)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    x = np.array([near_complete(sig, rng) for _ in range(n)])
+    targets = [pq for _ in range(n) for pq in mixed_targets(rng, k)]
     r, blocks = deformation._evaluate(sig, x, deformation._linear_rows(targets))
     A, dbeta = blocks()
-    A[k] = 0.0
-    step, failed = deformation._block_steps(sig, r, A, dbeta)
-    assert list(failed) == [1] and isinstance(failed[1], np.linalg.LinAlgError)
-    for i in (0, 2):
+    singular = set()
+    schur = data.draw(st.none() | st.integers(0, n - 1))
+    if schur is not None:
+        A[k * schur:k * schur + k], dbeta[schur] = np.eye(12), 2.0
+        singular.add(schur)
+    zeroed = data.draw(st.sets(st.integers(0, n * k - 1), min_size=1))
+    A[sorted(zeroed)] = 0.0
+    singular |= {b // k for b in zeroed}
+    step = deformation._block_step(sig, r, A, dbeta)
+    assert [i for i in range(n) if not np.isfinite(step[i]).all()] == sorted(singular)
+    for i in range(n):
         alone = deformation._block_step(sig, r[i:i + 1], A[k * i:k * i + k], dbeta[i:i + 1])
-        assert step[i].tobytes() == alone[0].tobytes()
+        if i in singular:
+            assert np.isnan(step[i]).all() and np.isnan(alone).all()
+        else:
+            assert step[i].tobytes() == alone[0].tobytes()
+
+
+def test_a_singular_jacobian_fails_only_its_point_of_newton(monkeypatch):
+    # one block of the middle point zeroed at the first evaluation of a
+    # stacked Newton solve: that point alone fails, with the singular
+    # Jacobian's error and its start's norm, and the others keep the bytes
+    # they get alone
+    sig = GKSignature(5, 3)
+    cs, k = solve_complete(sig), sig.k
+    specs = [FillingSpec.from_pairs(k, pairs).canonicalized()
+             for pairs in ([(7, 2), (3, 1), None], [(5, 1), None, (8, 3)], [(7, 1), (7, 2), (8, 3)])]
+    starts, rows = deformation._starts(sig, cs, specs)
+    alone = [deformation._newton(sig, starts[i:i + 1], [a[k * i:k * i + k] for a in rows], deformation._FILL_TOL)
+             for i in range(3)]
+    evaluate, calls = deformation._evaluate, []
+
+    def singular(sig, x, rows):
+        r, blocks = evaluate(sig, x, rows)
+        calls.append(len(x))
+        if len(calls) > 1:
+            return r, blocks
+
+        def zeroed():
+            A, dbeta = blocks()
+            A[k + 1] = 0.0
+            return A, dbeta
+
+        return r, zeroed
+
+    monkeypatch.setattr(deformation, "_evaluate", singular)
+    x, r, errors = deformation._newton(sig, starts, rows, deformation._FILL_TOL)
+    monkeypatch.undo()
+    r0, _ = evaluate(sig, deformation._clip(starts), rows)
+    assert isinstance(errors[1], ConvergenceError) and str(errors[1]) == "singular Jacobian: Singular matrix"
+    assert errors[1].residual == float(np.abs(r0[1]).max())
+    assert np.isnan(x[1]).all()
+    for i in (0, 2):
+        (xi,), (ri,), (exc,) = alone[i]
+        assert errors[i] is exc is None
+        assert x[i].tobytes() == xi.tobytes() and r[i].tobytes() == ri.tobytes()
+
+
+def test_correction_raises_where_a_block_is_singular(monkeypatch):
+    # abc_error reads a LinAlgError as a correction that is undefined
+    sig = GKSignature(5, 3)
+    x = solve_filling(sig, FillingSpec.from_pairs(3, [(7, 2), None, (8, 3)]))
+    assert np.isfinite(deformation.correction(sig, x)).all()
+    evaluate = deformation._evaluate
+
+    def singular(sig, x, rows):
+        r, blocks = evaluate(sig, x, rows)
+
+        def zeroed():
+            A, dbeta = blocks()
+            A[2] = 0.0
+            return A, dbeta
+
+        return r, zeroed
+
+    monkeypatch.setattr(deformation, "_evaluate", singular)
+    with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+        deformation.correction(sig, x)
 
 
 def test_newton_refuses_only_the_point_that_is_not_a_number():

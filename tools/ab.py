@@ -16,7 +16,12 @@ fill_ladder's `solve_filling` on g = k + 1 at each k of
 `FillLadder.SHORTEST`, the others on `FILL_SLOPES`); far and mixed
 k=16, the same at k = 2 and k = 16 with the first cusp on a slope of
 FAR_SLOPES, beyond the table of solved cusp blocks, lists that no
-benchmark workload times; and fill_batch's
+benchmark workload times; mixed batch, one `solve_fillings` call a block
+at (9, 8) of four such lists, two with the first cusp on a slope of
+`FillLadder.SHORTEST` and two on FAR_SLOPES, timed per list: the
+tabulated lists stop after one block step and the far ones step on, so
+the stacked Newton solve steps a subset of its points, which no
+benchmark workload times either; and fill_batch's
 `cli.main(["fill", ..., "--batch", "--json"])`, three calls a block, each
 on a signature of `FillBatch.SIGNATURES` and `FillBatch.LISTS` lists,
 each cusp unfilled with probability 1/3.  The inputs come from
@@ -87,8 +92,8 @@ def load(name, root):
     return module, importlib.import_module(name + ".deformation"), importlib.import_module(name + ".cli")
 
 
-def ladder_inputs(rng, k, first):
-    return [[rng.choice(first)] + [rng.choice(FILL_SLOPES) for _ in range(k - 1)] for _ in range(FILLS)]
+def ladder_inputs(rng, k, first, n=FILLS):
+    return [[rng.choice(first)] + [rng.choice(FILL_SLOPES) for _ in range(k - 1)] for _ in range(n)]
 
 
 def batch_argv(rng):
@@ -107,6 +112,12 @@ def run_ladder(copy, k, inputs):
     sig = deformation.GKSignature(k + 1, k)
     for pairs in inputs:
         deformation.solve_filling(sig, package.FillingSpec.from_pairs(k, pairs))
+
+
+def run_fillings(copy, k, inputs):
+    package, deformation, _ = copy
+    deformation.solve_fillings(deformation.GKSignature(k + 1, k),
+                               [package.FillingSpec.from_pairs(k, pairs) for pairs in inputs])
 
 
 def run_batch(copy, argvs):
@@ -152,13 +163,16 @@ def main(argv=None):
 def compare(blocks, copies):
     """Time the blocks, print the table and return it by rung."""
     rng = random.Random(SEED)
-    rungs = ["ladder k=%d" % k for k in FillLadder.RUNGS] + ["far", "mixed k=16", "batch"]
+    rungs = ["ladder k=%d" % k for k in FillLadder.RUNGS] + ["far", "mixed k=16", "mixed batch", "batch"]
 
     def block(rung):
         """The operation count and a function of a copy that runs the block."""
         if rung == "batch":
             argvs = [batch_argv(rng) for _ in range(3)]
             return len(argvs), lambda copy: run_batch(copy, argvs)
+        if rung == "mixed batch":
+            inputs = ladder_inputs(rng, 8, FillLadder.SHORTEST, 2) + ladder_inputs(rng, 8, FAR_SLOPES, 2)
+            return len(inputs), lambda copy: run_fillings(copy, 8, inputs)
         k = 2 if rung == "far" else int(rung.split("=")[1])
         inputs = ladder_inputs(rng, k, FillLadder.SHORTEST if rung.startswith("ladder") else FAR_SLOPES)
         return len(inputs), lambda copy: run_ladder(copy, k, inputs)
