@@ -70,8 +70,9 @@ N k 12x12 blocks with two right-hand sides (the residual and the border
 column) and then one scalar Schur complement for each point's beta,
 O(Nk) work instead of the O(k^3) of each dense (12k+1)^2 system.  Each
 point gets the same floating-point results as when it is solved alone,
-and a point whose system is singular gets NaN (`_solve_each`, as in the
-table's stacked solves), which fails that point alone.
+and a point whose system is singular gets a NaN step (`_solve_each`),
+which fails that point alone: its record (`Solved`, one per point from
+Newton to the report) holds the error.
 `residuals` reads the structure rows of one point, and `jacobian`
 scatters the same entries into the dense (10k+1) x (12k+1) public form.
 No other module reads this system: `tangent_spectrum` gives `mgk
@@ -695,7 +696,19 @@ def _short_of_floor(R: np.ndarray, betas: Sequence[float]) -> np.ndarray:
     return length > _POLISH * _EPS * np.array([edge_cosh(b) for b in betas])[:, None]
 
 
-def _newton(sig: GKSignature, x0: np.ndarray, rows, tol: Optional[float]):
+@dataclass
+class Solved:
+    """The one record of a solve, from `_newton`, one per point, through
+    `_path` to `solve_fillings`, one per spec: x, the solution or the error
+    that stopped it, and the residual vector (block order) at x, that of
+    `_newton`'s last evaluation or for a spec with every cusp unfilled the
+    read-only `CompleteSolution.residual`; None exactly when x is an error."""
+
+    x: object
+    residual: Optional[np.ndarray] = None
+
+
+def _newton(sig: GKSignature, x0: np.ndarray, rows, tol: Optional[float]) -> list:
     """Newton with block-arrow steps on N square systems at once, from
     the points x0 of shape (N, 12k+1), whose linear block rows are `rows`
     (as for `_evaluate`), to the residual sup-norm `tol`: each point takes
@@ -704,10 +717,9 @@ def _newton(sig: GKSignature, x0: np.ndarray, rows, tol: Optional[float]):
     g of about 10 and more: it is not a solved point, and its step takes it
     to the floor.  With `tol` None each point takes one step and no stop
     test, the corrector of a continuation point short of the filling.
-    Returns the points, their residuals (in block order) at the points
-    returned, and per point None or the error that stopped it: a
-    ConvergenceError, or the DomainError `_OUTSIDE_BOX` for a point that
-    is not a number.
+    Returns one `Solved` per point: its point and residual vector (block
+    order) there, or the error that stopped it, a ConvergenceError, or the
+    DomainError `_OUTSIDE_BOX` for a start that is not a number.
 
     Each point takes the steps it takes alone, every full step, clipped
     into the open angle box.  A point that has converged or stopped
@@ -716,8 +728,7 @@ def _newton(sig: GKSignature, x0: np.ndarray, rows, tol: Optional[float]):
     since every later step would be the same, unless it meets `tol`: then
     it has converged.  A point whose system is singular gets a NaN step
     (`_block_step`) and fails with "singular Jacobian" and its residual
-    before that step; it is returned as NaN, which no caller reads (`_path`
-    keeps its last solved point, `varsigma_point` raises).
+    before that step.
 
     With `tol` given, a point that met it `_short_of_floor` takes one
     step more, from the blocks of its last evaluation.  Newton
@@ -749,11 +760,9 @@ def _newton(sig: GKSignature, x0: np.ndarray, rows, tol: Optional[float]):
         stalled = (xn == x).all(axis=1).tolist()
         x = xn
         for i in running:
+            # a running point, `_evaluate` in the box and `_clip` of +-inf are finite: a NaN norm is a singular step
             if norm[i] != norm[i]:
-                # a singular system's step is NaN (`_block_step`)
-                singular = not np.isfinite(step[i]).all()
-                errors[i] = (ConvergenceError("singular Jacobian: Singular matrix", before[i]) if singular
-                             else DomainError(_OUTSIDE_BOX))
+                errors[i] = ConvergenceError("singular Jacobian: Singular matrix", before[i])
             elif stalled[i] and (tol is None or not norm[i] < tol):
                 errors[i] = ConvergenceError("Newton stalled at residual %g" % norm[i], norm[i])
         running = [i for i in running if errors[i] is None and tol is not None and not norm[i] < tol]
@@ -761,19 +770,18 @@ def _newton(sig: GKSignature, x0: np.ndarray, rows, tol: Optional[float]):
         for i in running:
             text = "no convergence: residual %g after %d iterations" % (norm[i], _MAX_ITER)
             errors[i] = ConvergenceError(text, norm[i])
-    if tol is None:
-        return x, r, errors
-    short = _short_of_floor(r[:, :-1], x[:, -1].tolist()).any(axis=1)
-    above = [i for i, s in enumerate(short.tolist()) if s and errors[i] is None]
-    if above:
-        A, dbeta = blocks()
-        cusps = (np.array(above)[:, None] * k + np.arange(k)).ravel()
-        y = _clip(x[above] - _block_step(sig, r[above], A[cusps], [dbeta[i] for i in above]))
-        ry, _ = _evaluate(sig, y, [a[cusps] for a in rows])
-        for j, i in enumerate(above):
-            if np.abs(ry[j]).max() < tol:
-                x[i], r[i] = y[j], ry[j]
-    return x, r, errors
+    if tol is not None:
+        short = _short_of_floor(r[:, :-1], x[:, -1].tolist()).any(axis=1)
+        above = [i for i, s in enumerate(short.tolist()) if s and errors[i] is None]
+        if above:
+            A, dbeta = blocks()
+            cusps = (np.array(above)[:, None] * k + np.arange(k)).ravel()
+            y = _clip(x[above] - _block_step(sig, r[above], A[cusps], [dbeta[i] for i in above]))
+            ry, _ = _evaluate(sig, y, [a[cusps] for a in rows])
+            for j, i in enumerate(above):
+                if np.abs(ry[j]).max() < tol:
+                    x[i], r[i] = y[j], ry[j]
+    return [Solved(x[i], r[i]) if exc is None else Solved(exc) for i, exc in enumerate(errors)]
 
 
 def solve_filling(sig: GKSignature, spec: FillingSpec) -> np.ndarray:
@@ -808,17 +816,6 @@ def _cusp_count_error(sig: GKSignature, spec: FillingSpec) -> Optional[DomainErr
     return None
 
 
-@dataclass
-class Solved:
-    """One spec's record from `solve_fillings`: x, the solution or error it
-    returns, and the residual vector (block order) at x: that of `_newton`'s
-    last evaluation, or for a spec with every cusp unfilled the read-only
-    `CompleteSolution.residual`.  It is None exactly when x is an error."""
-
-    x: object
-    residual: Optional[np.ndarray] = None
-
-
 def solve_fillings(sig: GKSignature, specs: Sequence[FillingSpec], *, out: Optional[list] = None) -> list:
     """`solve_filling` for each of `specs` of one signature, solved
     together.  Returns, per spec, the solution or the DomainError or
@@ -829,12 +826,12 @@ def solve_fillings(sig: GKSignature, specs: Sequence[FillingSpec], *, out: Optio
     appended to it.  `solve_complete` gives the complete structure and the
     jet's constants, and the signature's first filled spec builds its
     table of the cusp blocks' paths (`_cusp_table`), each once per process
-    per signature.  A spec that the sqrt(7) gate
-    `FillingSpec.is_hyperbolic` refuses, and each filled spec whose
-    rounding floor exceeds `_CUSP_FLOOR` or `_LENGTH_FLOOR` fill gates,
-    is refused before any step.  Every other filled spec runs its
-    `_path`, and the first steps of the paths are one stacked `_newton`
-    to `_FILL_TOL` from their `_starts`, which read the table."""
+    per signature.  A spec that the sqrt(7) gate `FillingSpec.is_hyperbolic`
+    refuses, and each filled spec whose rounding floor exceeds `_CUSP_FLOOR`
+    or `_LENGTH_FLOOR` fill gates, is refused before any step.  Every other
+    filled spec's record is that of its `_path`, whose first steps are one
+    stacked `_newton` to `_FILL_TOL` from their `_starts`, which read the
+    table, each path taking its own point's record of that solve."""
     records, todo = [None] * len(specs), []
     for i, spec in enumerate(specs):
         exc = spec if isinstance(spec, Exception) else _cusp_count_error(sig, spec)
@@ -874,10 +871,9 @@ def solve_fillings(sig: GKSignature, specs: Sequence[FillingSpec], *, out: Optio
         k = sig.k
         starts, rows = _starts(sig, cs, [spec for _, spec in filled])
         # every path's first step, to s = 1, as one stacked Newton solve
-        x, r, errors = _newton(sig, starts, rows, _FILL_TOL)
+        firsts = _newton(sig, starts, rows, _FILL_TOL)
         for j, (i, spec) in enumerate(filled):
-            spec_rows = [a[k * j:k * j + k] for a in rows]
-            records[i] = Solved(*_path(sig, cs, spec, spec_rows, (x[j], r[j], errors[j])))
+            records[i] = _path(sig, cs, spec, [a[k * j:k * j + k] for a in rows], firsts[j])
     if out is not None:
         out.extend(records)
     return [rec.x for rec in records]
@@ -962,13 +958,13 @@ def _root(p: Sequence[float]) -> float:
     return d
 
 
-def _path(sig: GKSignature, cs: CompleteSolution, spec: FillingSpec, rows, first):
+def _path(sig: GKSignature, cs: CompleteSolution, spec: FillingSpec, rows, first: Solved) -> Solved:
     """The continuation of the canonical spec alone, from the complete
     solution cs at s = 0, whose linear block rows at s = 1 are `rows`
-    (`_linear_rows` of its pairs), up to s = 1: the solution and its last
-    Newton residual vector, or the error that stopped it and None.
-    `first` is the Newton result (x, r, error) of the first step, taken
-    from a stacked solve.
+    (`_linear_rows` of its pairs), up to s = 1: the `Solved` record of its
+    solution and last Newton residual vector, or of the error that stopped
+    it.  `first` is the `_newton` record of the first step, from a stacked
+    solve, and a DomainError there (a start not a number) ends the path.
 
     A plain predictor-corrector.  The first step goes to s = 1, from the
     spec's start of `_starts`.  After a failed step the step halves, and
@@ -991,21 +987,21 @@ def _path(sig: GKSignature, cs: CompleteSolution, spec: FillingSpec, rows, first
             o_s = o.copy()
             o_s[:, 11] *= s_next
             guess = _predict(x, jet, s, s_next)[None]
-            (x_next,), (r,), (exc,) = _newton(sig, guess, (L, S, o_s), _FILL_TOL if s_next == 1.0 else None)
+            (rec,) = _newton(sig, guess, (L, S, o_s), _FILL_TOL if s_next == 1.0 else None)
         else:
-            (x_next, r, exc), first = first, None
-        if isinstance(exc, DomainError):
-            return exc, None
-        if exc is not None:
+            rec, first = first, None
+        if isinstance(rec.x, DomainError):
+            return rec
+        if isinstance(rec.x, Exception):
             ds /= 2.0
             if ds < 1e-4:
                 text = "g=%d k=%d slopes %s: continuation step underflow at t=%g, residual %g" % (
-                    sig.g, sig.k, ",".join(map(slope_text, spec.pairs)), 1.0 / s if s else math.inf, exc.residual
+                    sig.g, sig.k, ",".join(map(slope_text, spec.pairs)), 1.0 / s if s else math.inf, rec.x.residual
                 )
-                return ConvergenceError(text, exc.residual), None
+                return Solved(ConvergenceError(text, rec.x.residual))
             continue
-        x, s = x_next, s_next
-    return x, r
+        x, s = rec.x, s_next
+    return rec
 
 
 # ---------------------------------------------------------------------------
@@ -1206,7 +1202,7 @@ def varsigma_point(sig: GKSignature, t: float) -> np.ndarray:
     from the second-order start solves the square system to 1e-12 and
     then its rounding floor: on cusp 0, x_2 - x_3 and the pin; on cusp
     c >= 1, alpha_0 - alpha_1 and alpha_1 - alpha_2 of its first
-    tetrahedron."""
+    tetrahedron.  Raises the error of the solve's one record, if any."""
     cs = solve_complete(sig)
     first, second = cs.varsigma
     L, S, o = _linear_rows([None] * sig.k)
@@ -1214,7 +1210,7 @@ def varsigma_point(sig: GKSignature, t: float) -> np.ndarray:
     L[0, 10, 1:3] = L[1:, 11, 1:3] = L[1:, 10, 0:2] = (1.0, -1.0)
     L[0, 11, 0], L[0, 11, 6] = 1.0, -1.0
     o[0, 11] = 4.0 * math.sin(cs.alpha_bar) * t
-    x, _, (exc,) = _newton(sig, (cs.x0 + t * first + 0.5 * t * t * second)[None], (L, S, o), 1e-12)
-    if exc is not None:
-        raise exc
-    return x[0]
+    (rec,) = _newton(sig, (cs.x0 + t * first + 0.5 * t * t * second)[None], (L, S, o), 1e-12)
+    if isinstance(rec.x, Exception):
+        raise rec.x
+    return rec.x

@@ -491,6 +491,17 @@ def test_varsigma_point_ends_at_its_rounding_floor(t):
     assert np.abs(r[:6]).max() < deformation._POLISH * floor
 
 
+def test_varsigma_point_raises_where_its_solve_fails():
+    # at t = 1 on (3, 2) the second-order start lies far outside the angle
+    # box, and Newton meets a singular Jacobian at a residual of 2.0e16:
+    # the error of its one record is raised; t = 1/2 still solves
+    sig = GKSignature(3, 2)
+    with pytest.raises(ConvergenceError) as info:
+        varsigma_point(sig, 1.0)
+    assert math.isfinite(info.value.residual)
+    assert np.isfinite(varsigma_point(sig, 0.5)).all()
+
+
 def test_filling_spec_parsing():
     spec = FillingSpec.parse("inf,5/1", 2)
     assert spec.pairs == (None, (5.0, 1.0))
@@ -895,14 +906,14 @@ def fail_first_newton(mp, only=None):
     newton, calls = deformation._newton, []
 
     def once(*args):
-        x, r, errors = newton(*args)
+        records = newton(*args)
         if not calls:
             calls.append(1)
-            errors = [
-                ConvergenceError("forced failure", 1.0) if only in (None, i) else exc
-                for i, exc in enumerate(errors)
+            records = [
+                deformation.Solved(ConvergenceError("forced failure", 1.0)) if only in (None, i) else rec
+                for i, rec in enumerate(records)
             ]
-        return x, r, errors
+        return records
 
     mp.setattr(deformation, "_newton", once)
 
@@ -924,9 +935,9 @@ def test_path_predicts_with_the_jet_and_corrects_with_one_step(monkeypatch, g, p
 
     def spy(sig, x0, rows, tol):
         before = len(steps)
-        x, r, errors = newton(sig, x0, rows, tol)
-        seen.append((x0[0].copy(), tol, len(steps) - before, x[0].copy()))
-        return x, r, errors
+        records = newton(sig, x0, rows, tol)
+        seen.append((x0[0].copy(), tol, len(steps) - before, records[0].x))
+        return records
 
     monkeypatch.setattr(deformation, "_newton", spy)
     x = solve_filling(sig, spec)
@@ -957,9 +968,9 @@ def tangent_errors(monkeypatch, g, k, tight):
     def spy(sig, x0, rows, tol):
         if tight and tol is None:
             tol = deformation._FILL_TOL
-        x, r, errors = newton(sig, x0, rows, tol)
-        solved.append((tol, x[0].copy()))
-        return x, r, errors
+        records = newton(sig, x0, rows, tol)
+        solved.append((tol, records[0].x))
+        return records
 
     monkeypatch.setattr(deformation, "_newton", spy)
     fail_first_newton(monkeypatch)
@@ -974,9 +985,9 @@ def tangent_errors(monkeypatch, g, k, tight):
             # p u + q v = 2 pi i s, which at s = -h is the filling -(p, q) / h
             L, S, o = deformation._linear_rows(pairs)
             o[:, 11] *= sh
-            end, _, (exc,) = deformation._newton(sig, x[None], (L, S, o), 1e-12)
-            assert exc is None, (s, sh)
-            ends.append(end[0])
+            (end,) = deformation._newton(sig, x[None], (L, S, o), 1e-12)
+            assert not isinstance(end.x, Exception), (s, sh)
+            ends.append(end.x)
         fd = (ends[0] - ends[1]) / (2.0 * h)
         direction = c1 + 2.0 * s * c2 + 3.0 * s * s * c3 + 4.0 * s ** 3 * c4
         errors.append((s, np.max(np.abs(direction - fd)) / np.max(np.abs(fd))))
@@ -1165,9 +1176,9 @@ def test_jet_curvature_matches_central_difference(seed, g, k, integer):
     for sh in (h, -h):
         L, S, o = deformation._linear_rows(pairs)
         o[:, 11] *= sh
-        end, _, (exc,) = deformation._newton(sig, (cs.x0 + sh * dx)[None], (L, S, o), 1e-10)
-        assert exc is None, sh
-        ends.append(end[0])
+        (end,) = deformation._newton(sig, (cs.x0 + sh * dx)[None], (L, S, o), 1e-10)
+        assert not isinstance(end.x, Exception), sh
+        ends.append(end.x)
     fd = (ends[0] + ends[1] - 2.0 * cs.x0) / h ** 2
     assert np.max(np.abs(ddx - fd)) <= 1e-5 * np.max(np.abs(fd))
     assert ddx[-1] == 0.0
@@ -1252,10 +1263,10 @@ def warm_start_continuation(sig, pairs, l_safe=20.0, tol=1e-10):
         return deformation._linear_rows(targets)
 
     def newton(x, t):
-        x, _, (exc,) = deformation._newton(sig, x[None], rows_at(t), tol)
-        if exc is not None:
-            raise exc
-        return x[0]
+        (rec,) = deformation._newton(sig, x[None], rows_at(t), tol)
+        if isinstance(rec.x, Exception):
+            raise rec.x
+        return rec.x
 
     t = max(1.0, l_safe / spec.min_filled_length())
     x = newton(solve_complete(sig).x0, t)
@@ -1693,14 +1704,14 @@ def test_a_filling_short_of_its_floor_takes_the_step_to_it(monkeypatch):
         assert deformation._starts(sig, cs, [spec])[0].tobytes() == start.tobytes()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(deformation, "_POLISH", math.inf)
-            x, r, _ = deformation._newton(sig, start, rows, deformation._FILL_TOL)
-        floor = deformation.edge_cosh(float(x[0, -1])) * deformation._EPS
-        assert deformation._POLISH < np.abs(r[0, :6]).max() / floor < 256.0
-        (y,), (ry,), _ = deformation._newton(sig, x, rows, None)
-        assert np.abs(ry[:6]).max() / floor < deformation._POLISH and np.abs(y - x[0]).max() > 1e-14
-        (z,), (rz,), _ = deformation._newton(sig, start, rows, deformation._FILL_TOL)
-        assert z.tobytes() == y.tobytes() and rz.tobytes() == ry.tobytes()
-        assert solve_filling(sig, spec).tobytes() == y.tobytes()
+            (gate,) = deformation._newton(sig, start, rows, deformation._FILL_TOL)
+        floor = deformation.edge_cosh(float(gate.x[-1])) * deformation._EPS
+        assert deformation._POLISH < np.abs(gate.residual[:6]).max() / floor < 256.0
+        (y,) = deformation._newton(sig, gate.x[None], rows, None)
+        assert np.abs(y.residual[:6]).max() / floor < deformation._POLISH and np.abs(y.x - gate.x).max() > 1e-14
+        (z,) = deformation._newton(sig, start, rows, deformation._FILL_TOL)
+        assert z.x.tobytes() == y.x.tobytes() and z.residual.tobytes() == y.residual.tobytes()
+        assert solve_filling(sig, spec).tobytes() == y.x.tobytes()
 
 
 @pytest.mark.parametrize("g, pairs", [(2, [(40.0, 1.0)]), (3, [(40.0, 1.0), None])])
@@ -1967,15 +1978,16 @@ def test_the_table_start_and_the_jet_start_agree(seed, k):
     spec = FillingSpec.from_pairs(k, pairs).canonicalized()
     rows = deformation._linear_rows(spec.pairs)
     jet_start = deformation._predict(cs.x0, deformation._complete_jet(sig, cs, [spec]), 0.0, 1.0)
-    (x, xj), (r, rj), errors = deformation._newton(
+    table, jet = deformation._newton(
         sig,
         np.concatenate([deformation._starts(sig, cs, [spec])[0], jet_start]),
         [np.concatenate([a, a]) for a in rows],
         deformation._FILL_TOL,
     )
-    assert errors == [None, None] and max(np.abs(r).max(), np.abs(rj).max()) < deformation._FILL_TOL
-    assert np.abs(x - xj).max() < 1e-13
-    assert x.tobytes() == solve_filling(sig, spec).tobytes()
+    assert not isinstance(table.x, Exception) and not isinstance(jet.x, Exception)
+    assert max(np.abs(table.residual).max(), np.abs(jet.residual).max()) < deformation._FILL_TOL
+    assert np.abs(table.x - jet.x).max() < 1e-13
+    assert table.x.tobytes() == solve_filling(sig, spec).tobytes()
 
 
 @pytest.mark.parametrize("g, k", [(2, 1), (3, 2), (17, 16), (200, 64)])
@@ -2007,8 +2019,8 @@ def test_a_list_with_a_slope_beyond_the_table_starts_on_the_paths_in_beta():
         spec = FillingSpec.from_pairs(2, pairs).canonicalized()
         start = table_start(sig, cs, spec)[None]
         assert deformation._starts(sig, cs, [spec])[0].tobytes() == start.tobytes()
-        (x,), _, _ = deformation._newton(sig, start, deformation._linear_rows(spec.pairs), deformation._FILL_TOL)
-        assert solve_filling(sig, spec).tobytes() == x.tobytes()
+        (rec,) = deformation._newton(sig, start, deformation._linear_rows(spec.pairs), deformation._FILL_TOL)
+        assert solve_filling(sig, spec).tobytes() == rec.x.tobytes()
 
 
 # the primitive sign-form slopes of squared length 104 to 300, beyond the table's cut
@@ -2147,16 +2159,41 @@ def test_a_singular_jacobian_fails_only_its_point_of_newton(monkeypatch):
         return r, zeroed
 
     monkeypatch.setattr(deformation, "_evaluate", singular)
-    x, r, errors = deformation._newton(sig, starts, rows, deformation._FILL_TOL)
+    records = deformation._newton(sig, starts, rows, deformation._FILL_TOL)
     monkeypatch.undo()
     r0, _ = evaluate(sig, deformation._clip(starts), rows)
-    assert isinstance(errors[1], ConvergenceError) and str(errors[1]) == "singular Jacobian: Singular matrix"
-    assert errors[1].residual == float(np.abs(r0[1]).max())
-    assert np.isnan(x[1]).all()
+    exc = records[1].x
+    assert isinstance(exc, ConvergenceError) and str(exc) == "singular Jacobian: Singular matrix"
+    assert exc.residual == float(np.abs(r0[1]).max())
+    # a failed point's record holds its error and no point
+    assert records[1].residual is None
     for i in (0, 2):
-        (xi,), (ri,), (exc,) = alone[i]
-        assert errors[i] is exc is None
-        assert x[i].tobytes() == xi.tobytes() and r[i].tobytes() == ri.tobytes()
+        (own,) = alone[i]
+        assert not isinstance(records[i].x, Exception) and not isinstance(own.x, Exception)
+        assert records[i].x.tobytes() == own.x.tobytes() and records[i].residual.tobytes() == own.residual.tobytes()
+
+
+def test_a_start_that_is_not_a_number_fails_only_its_list(monkeypatch):
+    # a NaN in the middle list's start: the stacked Newton solve refuses
+    # that point, its path hands the record on as it is, and the other
+    # lists keep the bytes they get alone
+    sig = GKSignature(5, 3)
+    specs = [FillingSpec.from_pairs(3, pairs)
+             for pairs in ([(7, 2), (3, 1), None], [(5, 1), None, (8, 3)], [(7, 1), (7, 2), (8, 3)])]
+    alone = [solve_filling(sig, spec).tobytes() for spec in specs]
+    starts = deformation._starts
+
+    def nan_middle(sig, cs, specs):
+        x, rows = starts(sig, cs, specs)
+        x[1, 3] = math.nan
+        return x, rows
+
+    monkeypatch.setattr(deformation, "_starts", nan_middle)
+    records = []
+    xs = solve_fillings(sig, specs, out=records)
+    assert isinstance(xs[1], DomainError) and str(xs[1]) == "coordinates must lie in (0, pi)"
+    assert records[1].x is xs[1] and records[1].residual is None
+    assert [xs[0].tobytes(), xs[2].tobytes()] == [alone[0], alone[2]]
 
 
 def test_correction_raises_where_a_block_is_singular(monkeypatch):
@@ -2187,11 +2224,11 @@ def test_newton_refuses_only_the_point_that_is_not_a_number():
     x0 = np.array([solve_complete(sig).x0] * 2)
     x0[1, 3] = np.nan
     rows = deformation._linear_rows([(30.0, 10.0), None] * 2)
-    x, _, errors = deformation._newton(sig, x0, rows, 1e-10)
-    assert errors[0] is None and np.max(np.abs(residuals(sig, x[0]))) < 1e-10
-    assert isinstance(errors[1], DomainError) and "(0, pi)" in str(errors[1])
-    alone, _, _ = deformation._newton(sig, x0[:1], deformation._linear_rows([(30.0, 10.0), None]), 1e-10)
-    assert x[0].tobytes() == alone[0].tobytes()
+    solved, nan = deformation._newton(sig, x0, rows, 1e-10)
+    assert not isinstance(solved.x, Exception) and np.max(np.abs(residuals(sig, solved.x))) < 1e-10
+    assert isinstance(nan.x, DomainError) and "(0, pi)" in str(nan.x)
+    (alone,) = deformation._newton(sig, x0[:1], deformation._linear_rows([(30.0, 10.0), None]), 1e-10)
+    assert solved.x.tobytes() == alone.x.tobytes()
 
 
 # a solved point of (3, 2) with 5/1 on cusp 0, written out so that the stall
@@ -2213,9 +2250,11 @@ def test_newton_stalls_once_its_step_stops_moving_the_point(monkeypatch):
     # step would be the same: the solve ends there, not after 25 iterations
     sig, pairs, x = GKSignature(3, 2), [(5.0, 1.0), None], STALL_POINT
     evals, evaluate = [], deformation._evaluate
-    monkeypatch.setattr(deformation, "_evaluate", lambda *a: evals.append(1) or evaluate(*a))
+    monkeypatch.setattr(deformation, "_evaluate", lambda *a: evals.append(a[1].copy()) or evaluate(*a))
     rows = deformation._linear_rows(pairs)
-    (y,), _, (exc,) = deformation._newton(sig, x[None], rows, 1e-20)
+    (rec,) = deformation._newton(sig, x[None], rows, 1e-20)
+    # the record of a failed point holds no point: the stall is where Newton last evaluated
+    exc, y = rec.x, evals[-1][0]
     r, _ = evaluate(sig, y[None], rows)
     assert str(exc) == "Newton stalled at residual %g" % exc.residual
     assert exc.residual == float(np.abs(r).max())
@@ -2231,14 +2270,19 @@ def test_a_start_that_meets_tol_takes_one_step_and_has_converged(monkeypatch):
     # converged, with no stall error; with tol 1e-20 the same one step is
     # the stall
     sig, rows = GKSignature(3, 2), deformation._linear_rows([(5.0, 1.0), None])
-    (fixed,), _, (exc,) = deformation._newton(sig, STALL_POINT[None], rows, 1e-20)
-    assert str(exc).startswith("Newton stalled")
+    evals, evaluate = [], deformation._evaluate
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(deformation, "_evaluate", lambda *a: evals.append(a[1].copy()) or evaluate(*a))
+        (stall,) = deformation._newton(sig, STALL_POINT[None], rows, 1e-20)
+    # the record of a failed point holds no point: the stall is where Newton last evaluated
+    fixed = evals[-1][0]
+    assert str(stall.x).startswith("Newton stalled")
     steps = count_block_steps(monkeypatch)
-    (x,), (r,), (exc,) = deformation._newton(sig, fixed[None], rows, 1e-10)
-    assert exc is None and len(steps) == 1 and x.tobytes() == fixed.tobytes()
+    (rec,) = deformation._newton(sig, fixed[None], rows, 1e-10)
+    assert rec.residual is not None and len(steps) == 1 and rec.x.tobytes() == fixed.tobytes()
     steps.clear()
-    _, _, (exc,) = deformation._newton(sig, fixed[None], rows, 1e-20)
-    assert str(exc).startswith("Newton stalled") and len(steps) == 1
+    (rec,) = deformation._newton(sig, fixed[None], rows, 1e-20)
+    assert str(rec.x).startswith("Newton stalled") and len(steps) == 1
 
 
 def count_block_steps(mp):
@@ -2288,9 +2332,9 @@ def path_alone(sig, spec, mp):
     calls = count_block_steps(mp)
     cs, spec = solve_complete(sig), spec.canonicalized()
     rows = deformation._linear_rows(spec.pairs)
-    (x,), (r,), (exc,) = deformation._newton(sig, deformation._starts(sig, cs, [spec])[0], rows, deformation._FILL_TOL)
-    x, r = deformation._path(sig, cs, spec, rows, (x, r, exc))
-    return outcome(x), None if r is None else r.tobytes(), len(calls)
+    (first,) = deformation._newton(sig, deformation._starts(sig, cs, [spec])[0], rows, deformation._FILL_TOL)
+    rec = deformation._path(sig, cs, spec, rows, first)
+    return outcome(rec.x), None if rec.residual is None else rec.residual.tobytes(), len(calls)
 
 
 @pytest.mark.parametrize(
@@ -2348,9 +2392,11 @@ def test_an_answer_stops_on_the_sup_norm_alone(monkeypatch, g, pairs):
     for iterations in range(1, 8):
         monkeypatch.setattr(deformation, "_MAX_ITER", iterations)
         for tol in (1e-10, 1e-11, 1e-12, 1e-13, 1e-14, 1e-15):
-            _, (r,), (exc,) = deformation._newton(sig, (cs.x0 + c1 + c2 + c3 + c4)[None], rows, tol)
-            solved = float(np.abs(r).max()) < tol
-            assert (exc is None) == solved, (iterations, tol, exc)
+            (rec,) = deformation._newton(sig, (cs.x0 + c1 + c2 + c3 + c4)[None], rows, tol)
+            # a failed point's error carries the sup-norm of its last evaluation
+            norm = rec.x.residual if rec.residual is None else float(np.abs(rec.residual).max())
+            solved = norm < tol
+            assert (rec.residual is not None) == solved, (iterations, tol, rec.x)
             seen.add(solved)
     # answers and failures
     assert seen == {True, False}

@@ -440,10 +440,10 @@ def test_cli_fill_continuation_failure_exit_3(monkeypatch, capsys):
     newton = deformation._newton
 
     def fail_answers(sig, x0, rows, tol):
-        x, r, errors = newton(sig, x0, rows, tol)
+        records = newton(sig, x0, rows, tol)
         if tol == deformation._FILL_TOL:
-            errors = [deformation.ConvergenceError("forced failure", 0.5)] * len(x)
-        return x, r, errors
+            records = [deformation.Solved(deformation.ConvergenceError("forced failure", 0.5))] * len(records)
+        return records
 
     monkeypatch.setattr(deformation, "_newton", fail_answers)
     code, _, err = run(capsys, ["fill", "--g", "2", "--k", "1", "--coeffs", "5/1"])
@@ -512,7 +512,7 @@ def test_cli_fill_batch_errors_per_entry(monkeypatch, capsys):
 
     def fail_5_1(sig, cs, spec, *rest):
         if spec.pairs == ((5.0, 1.0),):
-            return deformation.ConvergenceError("forced failure", 1.0), None
+            return deformation.Solved(deformation.ConvergenceError("forced failure", 1.0))
         return path(sig, cs, spec, *rest)
 
     monkeypatch.setattr(deformation, "_path", fail_5_1)

@@ -21,7 +21,11 @@ at (9, 8) of four such lists, two with the first cusp on a slope of
 `FillLadder.SHORTEST` and two on FAR_SLOPES, timed per list: the
 tabulated lists stop after one block step and the far ones step on, so
 the stacked Newton solve steps a subset of its points, which no
-benchmark workload times either; and fill_batch's
+benchmark workload times either; every cusp, one `solve_fillings` call
+a block at (65, 64) of four lists, every cusp on a coprime slope with
+|p|, |q| up to MAX_PQ (`far_slope`), timed per list: about one such list
+in ten fails its stacked first step and goes on by the continuation
+path (`_path`), which no benchmark workload times; and fill_batch's
 `cli.main(["fill", ..., "--batch", "--json"])`, three calls a block, each
 on a signature of `FillBatch.SIGNATURES` and `FillBatch.LISTS` lists,
 each cusp unfilled with probability 1/3.  The inputs come from
@@ -65,6 +69,8 @@ SEED = 1
 # the primitive slopes of squared length 104 to 300: the table of solved
 # cusp blocks holds those below 104
 FAR_SLOPES = [s for s in primitive_slopes(300) if length_sq(s) >= 104]
+# the declared range's bound on |p| and |q|
+MAX_PQ = 300000
 
 
 def source_root(side, scratch):
@@ -90,6 +96,14 @@ def load(name, root):
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return module, importlib.import_module(name + ".deformation"), importlib.import_module(name + ".cli")
+
+
+def far_slope(rng):
+    """A coprime slope with 1 <= p <= MAX_PQ, |q| <= MAX_PQ and length >= sqrt(7)."""
+    while True:
+        p, q = rng.randint(1, MAX_PQ), rng.randint(-MAX_PQ, MAX_PQ)
+        if math.gcd(p, q) == 1 and p * p - p * q + q * q >= 7:
+            return p, q
 
 
 def ladder_inputs(rng, k, first, n=FILLS):
@@ -163,7 +177,7 @@ def main(argv=None):
 def compare(blocks, copies):
     """Time the blocks, print the table and return it by rung."""
     rng = random.Random(SEED)
-    rungs = ["ladder k=%d" % k for k in FillLadder.RUNGS] + ["far", "mixed k=16", "mixed batch", "batch"]
+    rungs = ["ladder k=%d" % k for k in FillLadder.RUNGS] + ["far", "mixed k=16", "mixed batch", "every cusp", "batch"]
 
     def block(rung):
         """The operation count and a function of a copy that runs the block."""
@@ -173,11 +187,14 @@ def compare(blocks, copies):
         if rung == "mixed batch":
             inputs = ladder_inputs(rng, 8, FillLadder.SHORTEST, 2) + ladder_inputs(rng, 8, FAR_SLOPES, 2)
             return len(inputs), lambda copy: run_fillings(copy, 8, inputs)
+        if rung == "every cusp":
+            inputs = [[far_slope(rng) for _ in range(64)] for _ in range(4)]
+            return len(inputs), lambda copy: run_fillings(copy, 64, inputs)
         k = 2 if rung == "far" else int(rung.split("=")[1])
         inputs = ladder_inputs(rng, k, FillLadder.SHORTEST if rung.startswith("ladder") else FAR_SLOPES)
         return len(inputs), lambda copy: run_ladder(copy, k, inputs)
 
-    signatures = sorted({(k + 1, k) for k in FillLadder.RUNGS} | set(FillBatch.SIGNATURES))
+    signatures = sorted({(k + 1, k) for k in FillLadder.RUNGS} | {(65, 64)} | set(FillBatch.SIGNATURES))
     for package, deformation, _ in copies.values():
         for g, k in signatures:
             deformation.solve_fillings(deformation.GKSignature(g, k),

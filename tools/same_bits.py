@@ -16,7 +16,7 @@ with the benchmark's shapes read from perfbench/workloads.py:
     else on `FILL_SLOPES`;
   * far slopes: per signature of FAR, one call of FAR_LISTS lists, each
     cusp unfilled, on `FILL_SLOPES` or on a coprime slope with |p|, |q|
-    up to MAX_PQ;
+    up to `ab.MAX_PQ` (`ab.far_slope`);
 
 and, once, the lists of FIXED.  Each side has two sha256 hashes: that of
 the records in order (x and residual bytes, or the error's repr), and that
@@ -24,12 +24,13 @@ of the complete structures, over the `CompleteSolution` of each corpus
 signature, of every signature with g < TABLE_G and of those of TABLE_FAR,
 field by field (array bytes, float bits) over the public fields that both
 sides' `CompleteSolution` has, and then the signature's table of solved
-cusp blocks (its arrays and its rows), wherever the side keeps it: in
-the fields TABLE of the record, or from `_cusp_table`.  It prints per
+cusp blocks from `_cusp_table` (its arrays and its rows).  It prints per
 side both hashes and the kernel evaluations (`_evaluate`) and block
 solves (`_block_step`) that the corpus took, and those of a cold
-`solve_complete` at (2, 1), and then by name each other field that only
-one side has, which no hash covers.
+`solve_complete` at (2, 1), then the corpus's closed-form jets
+(`_complete_jet`, which only a continuation path takes, after a failed
+stacked first step), and then by name each other field that only one
+side has, which no hash covers.
 When a hash differs it prints the largest |dx| between the two sides'
 solutions, over the records where both sides solved, and the record where
 it occurs, and exits 1.
@@ -37,7 +38,6 @@ it occurs, and exits 1.
 
 import dataclasses
 import hashlib
-import math
 import os
 import random
 import sys
@@ -46,7 +46,7 @@ import tempfile
 import numpy as np
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from ab import load, source_root  # noqa: E402
+from ab import far_slope, load, source_root  # noqa: E402
 from workloads import FILL_SLOPES, FillBatch, FillLadder  # noqa: E402
 
 SEED = 4801
@@ -54,7 +54,6 @@ ROUNDS = 5
 FILLS = 10
 FAR = [(2, 1), (3, 2), (9, 4), (17, 16), (50, 8), (100, 3), (150, 1), (200, 64), (400, 1), (498, 1), (500, 16)]
 FAR_LISTS = 2
-MAX_PQ = 300000
 FIXED = [
     ((2, 1), [[(40, 1)]]),
     ((3, 2), [[(40, 1), None], [(40, 1), (3, 1)]]),
@@ -62,16 +61,7 @@ FIXED = [
 ]
 TABLE_G = 80
 TABLE_FAR = [(g, k) for g in range(100, 499) for k in (1, 2, 16, 64)]
-# the fields that kept the table in `CompleteSolution` before `_cusp_table` did
-TABLE = ("table", "table_sums", "table_rows")
 SIDES = ("parent", "change")
-
-
-def far_slope(rng):
-    while True:
-        p, q = rng.randint(1, MAX_PQ), rng.randint(-MAX_PQ, MAX_PQ)
-        if math.gcd(p, q) == 1 and p * p - p * q + q * q >= 7:
-            return p, q
 
 
 def corpus():
@@ -118,21 +108,12 @@ def field_bytes(value):
     return repr(sorted(value.items(), key=repr)).encode()
 
 
-def table_of(deformation, sig, cs):
-    """The table of solved cusp blocks of cs, the complete structure of
-    sig: its arrays and rows, from the record's fields TABLE or from
-    `_cusp_table`."""
-    if hasattr(cs, TABLE[0]):
-        return tuple(getattr(cs, name) for name in TABLE)
-    return deformation._cusp_table(sig, cs)
-
-
 def side_hash(copy, calls, fields):
     """The hashes of one side's records and of its complete structures
     over `fields`, its counts (records, cold (2, 1) and total) and its
     solutions per record (None for an error)."""
     package, deformation, _ = copy
-    counts = counted(deformation, ["_evaluate", "_block_step"])
+    counts = counted(deformation, ["_evaluate", "_block_step", "_complete_jet"])
     deformation.solve_complete(deformation.GKSignature(2, 1))
     cold = dict(counts)
     h, points = hashlib.sha256(), []
@@ -158,7 +139,7 @@ def side_hash(copy, calls, fields):
         except deformation.ConvergenceError as exc:
             hc.update(repr(exc).encode())
             continue
-        for value in [getattr(cs, name) for name in fields] + list(table_of(deformation, sig, cs)):
+        for value in [getattr(cs, name) for name in fields] + list(deformation._cusp_table(sig, cs)):
             hc.update(field_bytes(value))
     return (h.hexdigest(), hc.hexdigest()), len(points), len(signatures), cold, solved, points
 
@@ -185,16 +166,17 @@ def main(argv=None):
     with tempfile.TemporaryDirectory() as scratch:
         copies = [load("mgk_same_bits_" + side, source_root(rev, scratch)) for side, rev in zip(SIDES, argv)]
         names = [[field.name for field in dataclasses.fields(copy[1].CompleteSolution)
-                  if not field.name.startswith("_") and field.name not in TABLE] for copy in copies]
+                  if not field.name.startswith("_")] for copy in copies]
         shared = [name for name in names[0] if name in names[1]]
         for side, copy in zip(SIDES, copies):
             digest, n_records, n_sigs, cold, solved, xs = side_hash(copy, calls, shared)
             digests.append(digest)
             points.append(xs)
             print("%-7s records %s  structures %s  %d records  %d signatures  cold (2, 1) evaluations %d "
-                  "block solves %d  corpus evaluations %d block solves %d" % (
+                  "block solves %d  corpus evaluations %d block solves %d jets %d" % (
                       side, digest[0], digest[1], n_records, n_sigs, cold["_evaluate"], cold["_block_step"],
-                      solved["_evaluate"] - cold["_evaluate"], solved["_block_step"] - cold["_block_step"]))
+                      solved["_evaluate"] - cold["_evaluate"], solved["_block_step"] - cold["_block_step"],
+                      solved["_complete_jet"] - cold["_complete_jet"]))
     for side, own in zip(SIDES, names):
         for name in own:
             if name not in shared:
