@@ -7,8 +7,11 @@ tables by default, machine-readable JSON with --json, written to stdout
 or to the --out file; both flags go on either side of the subcommand.
 Each command builds one mgk/1 document and hands it to one writer,
 `_write`: its JSON under --json, else a text rendered from that document
-alone.  `fill --batch` instead writes one array of entries, each list's
-`_entry`: its report, written by `report.report_to_json` or
+alone.  The JSON of a report (`complete`, `fill`) is written by
+`report.report_to_json`, that of `trace` by `_trace_json`, which fills
+each row into the format of its kind, and every other by `to_json`.
+`fill --batch` instead writes one array of entries, each list's
+`_entry`: its report, written 2 spaces in by `report_to_json`, or by
 `report_to_text`, or its error record.  Slope entries share one
 syntax (`hyptrig.parse_slope`): `fill --coeffs` takes p/q or inf per
 cusp, `similar` and `commensurable` take p/q@i, with p and q coprime
@@ -52,7 +55,7 @@ import sys
 
 from . import slopes_symmetry as ss
 from .hyptrig import ConvergenceError, DomainError, FillingSpec, parse_slope
-from .jsontext import SCHEMA, to_json
+from .jsontext import SCHEMA, SLOT, entries_text, template, to_json
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -112,10 +115,11 @@ def _set_spec(text: str, k: int) -> FillingSpec:
 
 def cmd_complete(args) -> int:
     from .deformation import GKSignature, solve_complete
-    from .report import build_report, report_to_text
+    from .report import build_report, report_to_json, report_to_text
 
     sig = GKSignature(args.g, args.k)
-    return _write(args, build_report(sig, FillingSpec.unfilled(sig.k), solve_complete(sig).x0), report_to_text)
+    rep = build_report(sig, FillingSpec.unfilled(sig.k), solve_complete(sig).x0)
+    return _write(args, rep, report_to_text, report_to_json)
 
 
 def _spec_or_error(build, *args):
@@ -129,27 +133,27 @@ def _spec_or_error(build, *args):
 
 def _entry(coeffs, rep, args):
     """The exit code and the text of the batch list `coeffs`: its report
-    `rep`, written by `report_to_json` under --json else by
-    `report_to_text`, or the error record of what parsing, solving,
-    reporting or writing the list raised.  rep is the report or the error
-    of the first three; writing raises the DomainError of a report that
-    JSON cannot hold (a NaN)."""
+    `rep`, written by `report_to_json` under --json, as an entry of the
+    batch's array, else by `report_to_text`, or the error record of what
+    parsing, solving, reporting or writing the list raised.  rep is the
+    report or the error of the first three; writing raises the DomainError
+    of a report that JSON cannot hold (a NaN)."""
     from .report import report_to_json, report_to_text
 
     try:
         if isinstance(rep, Exception):
             raise rep
-        return EXIT_OK, report_to_json(rep) if args.json else report_to_text(rep)
+        return EXIT_OK, report_to_json(rep, 2) if args.json else report_to_text(rep)
     except _FAILURES as exc:
         code, message = _failure(exc)
     if args.json:
-        return code, to_json({"schema": SCHEMA, "coeffs": coeffs, "error": {"exit": code, "message": message}})
+        return code, to_json({"schema": SCHEMA, "coeffs": coeffs, "error": {"exit": code, "message": message}}, 2)
     return code, "error           %s: %s" % (coeffs, message)
 
 
 def cmd_fill(args) -> int:
     from .deformation import GKSignature, solve_fillings
-    from .report import build_reports, report_to_text
+    from .report import build_reports, report_to_json, report_to_text
 
     sig = GKSignature(args.g, args.k)
     # with --batch every entry is a list, an empty one too (an error record
@@ -163,19 +167,18 @@ def cmd_fill(args) -> int:
         (rep,) = reports
         if isinstance(rep, Exception):
             raise rep
-        return _write(args, rep, report_to_text)
+        return _write(args, rep, report_to_text, report_to_json)
     codes, texts = zip(*(_entry(c, rep, args) for c, rep in zip(coeffs, reports)))
-    # under --json the array of the entries, as to_json would indent it (no
-    # entry holds a blank line)
-    _emit(args, "[\n%s\n]" % ",\n".join("  " + t.replace("\n", "\n  ") for t in texts)
-          if args.json else "\n\n".join(texts))
+    # under --json the array of the entries, each written 2 spaces in
+    _emit(args, "[\n  %s\n]" % ",\n  ".join(texts) if args.json else "\n\n".join(texts))
     return max(codes)
 
 
-def _write(args, doc, render) -> int:
-    """Write `doc`, a command's mgk/1 document: its JSON under --json, else
+def _write(args, doc, render, write_json=to_json) -> int:
+    """Write `doc`, a command's mgk/1 document: `write_json(doc)` under
+    --json, its JSON text (`report.report_to_json` for a report), else
     `render(doc)`, a text that reads only the document."""
-    _emit(args, to_json(doc) if args.json else render(doc))
+    _emit(args, write_json(doc) if args.json else render(doc))
     return EXIT_OK
 
 
@@ -284,6 +287,17 @@ def cmd_tangent(args) -> int:
     return _write(args, doc, _tangent_text)
 
 
+def _trace_json(doc) -> str:
+    """The JSON text of a trace document, that of `to_json(doc)`, byte for
+    byte, with its rows filled into the format of their kind
+    (`jsontext.entries_text`): to_json writes, or refuses, a document
+    whose rows do not fit."""
+    try:
+        return template({**doc, "rows": [SLOT]}) % entries_text(doc["rows"], 4)
+    except (TypeError, ValueError):
+        return to_json(doc)
+
+
 def _trace_text(doc) -> str:
     lines = ["r0        trace       trace''     stima>0"]
     for r in doc["rows"]:
@@ -326,7 +340,7 @@ def cmd_trace(args) -> int:
         )
     if not rows:
         raise DomainError("no admissible r0 values in the requested range")
-    return _write(args, {"schema": SCHEMA, "delta": args.delta, "rows": rows}, _trace_text)
+    return _write(args, {"schema": SCHEMA, "delta": args.delta, "rows": rows}, _trace_text, _trace_json)
 
 
 # --json and --out: on the top parser with argparse's defaults, and on

@@ -1,7 +1,11 @@
 """Structure reports: one solved structure with its invariant panel, as
 a document of the stable versioned JSON schema `mgk/1`.  The document
 is the report's only model: `report_to_json` writes it as JSON and
-`report_to_text` as the text report.
+`report_to_text` as the text report.  report_to_json writes `to_json`'s
+bytes, at any starting indent, from cached formats: one for the head,
+cut by `jsontext.template` from the text of a document of the report's
+keys, and one per kind of cusp and of filling entry
+(`jsontext.entries_text`), with the coords in one join of float reprs.
 
 `build_report` gates a bare point on its `residuals`.  `build_reports`
 reports the records of one signature that `deformation.solve_fillings`
@@ -19,10 +23,10 @@ import numpy as np
 from . import cusp_invariants as ci
 from .commensurability_xk import XkSignature, abc
 from .deformation import (
-    GKSignature, _coefficients, _cusp_count_error, _structure_rows, _uv, angle_blocks, check_coords, residuals
+    GKSignature, _coefficients, _cusp_count_error, _uv, angle_blocks, check_coords, residuals
 )
 from .hyptrig import DomainError, FillingSpec, slope_text
-from .jsontext import SCHEMA, to_json
+from .jsontext import SCHEMA, SLOT, entries_text, float_texts, separator, template, to_json
 
 # residual sup-norm above which a structure is not reported
 RESIDUAL_TOL = 1e-9
@@ -44,14 +48,16 @@ def build_reports(sig: GKSignature, specs: Sequence[FillingSpec], records) -> li
     `solve_fillings`, of the same length.  Returns, per pair, the document
     or the DomainError that refuses it.  A record whose x is an error is
     its own result.  The others are gated on the max of the structure rows
-    (`_structure_rows`) of the record's residual, which is the max of
-    `residuals` at x, bit for bit."""
+    of the record's residual vector r, rows 0-9 of each 12-row block and
+    the total angle r[-1], which is the max of `residuals` at x, bit for
+    bit.  The max stays in numpy, which keeps a NaN in any row."""
     out = []
     for spec, rec in zip(specs, records, strict=True):
         rep = rec.x
         if not isinstance(rep, Exception):
+            r = rec.residual
             try:
-                rep = _panel(sig, spec, rep, float(np.abs(_structure_rows(rec.residual, sig.k)).max()))
+                rep = _panel(sig, spec, rep, float(np.abs(r[:-1].reshape(sig.k, 12)[:, :10]).max(initial=abs(r[-1]))))
             except DomainError as exc:
                 rep = exc
         out.append(rep)
@@ -171,7 +177,49 @@ def report_to_text(doc: dict) -> str:
     return "\n".join(lines)
 
 
-def report_to_json(doc: dict) -> str:
-    """The JSON text of the report `doc`: `to_json`, under the name that
-    perfbench's traced runs time as the report's writer."""
-    return to_json(doc)
+def report_to_json(doc: dict, indent: int = 0) -> str:
+    """The JSON text of the report `doc`, `indent` spaces in: that of
+    `to_json(doc, indent)`, byte for byte, filled into cached formats.
+    The head's is cut from the text of a document of doc's keys
+    (`jsontext.template`); the coords are one join of float reprs; and
+    each entry of "filling" and "cusps", and the abc value, is filled into
+    the format of its kind (`jsontext.entries_text`), so that the formats
+    grow with the kinds of cusp, not with the 2^k filled masks of a list.
+    A document these formats do not fit, such as one with a non-finite
+    float, is written by `to_json`, which raises its DomainError or
+    TypeError.  perfbench's traced runs time this name as the report's
+    writer."""
+    try:
+        return _report_text(doc, indent)
+    # to_json writes, or refuses as json.dumps would, what the formats do not fit
+    except (TypeError, ValueError, AttributeError):
+        return to_json(doc, indent)
+
+
+# report_to_json's head formats, by indent and keys
+_HEADS = {}
+
+
+def _report_text(doc: dict, indent: int) -> str:
+    """report_to_json's text of doc, or the TypeError, ValueError or
+    AttributeError of a document its formats do not fit, such as one
+    whose values are not of the kinds of `_panel`'s, in its order."""
+    schema, signature, filling, coords, res, cusps, path, rank, genus, inv = doc.values()
+    g, k = signature.values()
+    *numbers, res, path = float_texts([*coords, res, path])
+    if not numbers:
+        raise ValueError("to_json writes an empty list as []")
+    key = (indent, tuple(doc), tuple(signature))
+    head = _HEADS.get(key)
+    if head is None:
+        # every value a slot; the lists one slot each, for their entries
+        sample = dict.fromkeys(doc, SLOT)
+        sample[key[1][1]] = dict.fromkeys(signature, SLOT)
+        for i in (2, 3, 5):
+            sample[key[1][i]] = [SLOT]
+        head = _HEADS[key] = template(sample, indent)
+    # doc's values start 2 spaces in, the signature's and the lists' entries 4
+    at2, at4 = indent + 2, indent + 4
+    return head % (to_json(schema, at2), to_json(g, at4), to_json(k, at4), entries_text(filling, at4),
+                   separator(at4).join(numbers), res, entries_text(cusps, at4), path, to_json(rank, at2),
+                   to_json(genus, at2), entries_text([inv], at2))

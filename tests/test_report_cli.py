@@ -1,9 +1,11 @@
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -361,6 +363,142 @@ def test_to_json_refuses_what_it_does_not_write(doc):
     # json.dumps writes the key 1 as "1"; to_json takes str keys only
     with pytest.raises(TypeError):
         to_json(doc)
+
+
+# the floats of a report document: any finite float, those at the edges of
+# the repr (signed zero, subnormals, the largest), and np.float64 and a
+# float subclass, which to_json writes as their base type
+_REPORT_FLOATS = st.one_of(
+    _FLOATS,
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.5e-310, 2.2250738585072014e-308, 1e308, -1e308, 1e16, 0.1]),
+    _FLOATS.map(np.float64),
+    _FLOATS.map(_Float),
+)
+# the ints of the head, their subclasses, and bool, which JSON writes as true or false
+_REPORT_INTS = st.one_of(_INTS, _INTS.map(_Int), st.booleans())
+
+
+def _report_doc(k, filled, floats, inf="inf", ints=(3, 2, 5, 4), schema="mgk/1", parts=None):
+    """A document of `_panel`'s layout with k cusps, cusp c filled where
+    filled[c], each float the next of the iterator `floats`.  `parts(c)`
+    gives a filled cusp's coefficients (a list or "inf"), whether it has a
+    coefficients error and a complex length; by default all three."""
+    f = lambda n: [next(floats) for _ in range(n)]
+    cusps = []
+    for c in range(k):
+        cusp = {"u": f(2), "v": f(2), "coefficients": inf, "coefficients_error": None,
+                "complex_length": None, "modulus": None}
+        if filled[c]:
+            coeffs, err, cl = parts(c) if parts else (True, True, True)
+            cusp.update(coefficients=f(2) if coeffs else inf, coefficients_error=next(floats) if err else None,
+                        complex_length=f(2) if cl else None)
+        else:
+            cusp["modulus"] = f(2)
+        cusps.append(cusp)
+    g, k_, rank, genus = ints
+    return {
+        "schema": schema,
+        "signature": {"g": g, "k": k_},
+        "filling": [f(2) if on else inf for on in filled],
+        "coords": f(12 * k + 1),
+        "residual_max": next(floats),
+        "cusps": cusps,
+        "return_path_length": next(floats),
+        "homology_rank": rank,
+        "heegaard_genus": genus,
+        "abc": None,
+    }
+
+
+@st.composite
+def _report_docs(draw):
+    k = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 64]))
+    filled = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    parts = draw(st.lists(st.tuples(st.booleans(), st.booleans(), st.booleans()), min_size=k, max_size=k))
+    pool = draw(st.lists(_REPORT_FLOATS, min_size=1, max_size=12))
+    doc = _report_doc(
+        k, filled, itertools.cycle(pool),
+        inf=draw(st.sampled_from(["inf", _Str("inf")])),
+        ints=draw(st.tuples(*[_REPORT_INTS] * 4)),
+        schema=draw(st.sampled_from(["mgk/1", _Str("mgk/1")]) | _TEXTS),
+        parts=parts.__getitem__,
+    )
+    if draw(st.booleans()):
+        doc["abc"] = draw(st.lists(_REPORT_FLOATS, min_size=3, max_size=3))
+    return doc
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(doc=_report_docs())
+def test_report_writer_is_to_json(doc):
+    # the writer of reports fills cached templates, at the top level and
+    # as an entry of a batch's array, and writes to_json's bytes
+    for indent in (0, 2):
+        assert report_to_json(doc, indent) == to_json(doc, indent)
+    assert report_to_json(doc) == json.dumps(doc, indent=2, allow_nan=False)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(doc=_report_docs(), bad=st.sampled_from([math.nan, math.inf, -math.inf, np.float64("nan")]), data=st.data())
+def test_report_writer_refuses_non_finite_floats_at_any_place(doc, bad, data):
+    places = []
+
+    def walk(o):
+        for key, v in (o.items() if isinstance(o, dict) else enumerate(o)):
+            if isinstance(v, float):
+                places.append((o, key))
+            elif isinstance(v, (dict, list)):
+                walk(v)
+
+    walk(doc)
+    box, key = data.draw(st.sampled_from(places))
+    box[key] = bad
+    for indent in (0, 2):
+        with pytest.raises(DomainError, match="^cannot write JSON: Out of range float values are not JSON compliant$"):
+            report_to_json(doc, indent)
+
+
+def test_report_writer_fits_every_report_and_its_formats_stay_few(monkeypatch):
+    # a report of _panel's layout is written from the formats alone, with
+    # no to_json of the document, and 1,000 random masks of 64 cusps,
+    # with and without abc, make a fixed handful of formats, not 2^64
+    from mgk import jsontext
+
+    def no_document(o, indent=0):
+        assert not isinstance(o, (dict, list)), "to_json wrote the document"
+        return to_json(o, indent)
+
+    monkeypatch.setattr(report, "to_json", no_document)
+    sig, spec = GKSignature(9, 4), FillingSpec.parse("7/2,inf,3/1,inf", 4)
+    rep = build_report(sig, spec, solve_filling(sig, spec))
+    assert report_to_json(rep, 2) == to_json(rep, 2)
+    rng = random.Random(5)
+    for i in range(1000):
+        doc = _report_doc(64, [rng.random() < 0.5 for _ in range(64)], itertools.repeat(0.5),
+                          parts=lambda c: (rng.random() < 0.9, rng.random() < 0.9, rng.random() < 0.9))
+        if i % 2:
+            doc["abc"] = [1.0, 2.0, 3.0]
+        assert report_to_json(doc, 2 * (i % 2)) == to_json(doc, 2 * (i % 2))
+        if i == 499:
+            sizes = len(jsontext._FORMATS), len(report._HEADS)
+    assert (len(jsontext._FORMATS), len(report._HEADS)) == sizes
+    assert len(jsontext._FORMATS) < 40
+
+
+@pytest.mark.parametrize("row", [0, 5, 9, 12, 21, 24])
+def test_report_gate_refuses_a_nan_in_any_structure_row(row):
+    # the gate reads rows 0-9 of each 12-row block and the total angle (24
+    # at k = 2); a NaN in any of them refuses the report as a residual
+    # above the tolerance would
+    sig, spec = GKSignature(3, 2), FillingSpec.parse("5/1,inf", 2)
+    records = []
+    solve_fillings(sig, [spec], out=records)
+    (good,) = build_reports(sig, [spec], records)
+    records[0].residual = records[0].residual.copy()
+    records[0].residual[row] = np.nan
+    (bad,) = build_reports(sig, [spec], records)
+    assert isinstance(bad, DomainError) and "above reporting tolerance" in str(bad)
+    assert good["residual_max"] < RESIDUAL_TOL
 
 
 def test_cli_complete_human(capsys):
@@ -1165,6 +1303,24 @@ def test_cli_trace_grid_rows_are_those_of_each_r0(capsys, g, k, delta):
         )
     assert 0 < len(want) < 60
     assert out == to_json({"schema": "mgk/1", "delta": delta, "rows": want}) + "\n"
+
+
+@pytest.mark.parametrize("bad", [None, math.nan, -math.inf])
+def test_trace_rows_writer_is_to_json(bad):
+    # rows of two kinds (stima true and false), np.float64 and a float
+    # subclass among them, write to_json's bytes; a NaN or an infinity is
+    # to_json's DomainError
+    rows = [
+        {"r0": r0, "lambda0": 1.5, "eta0": np.float64(r0), "zeta0": _Float(2.0), "trace": -0.0,
+         "trace_dd": 5e-324, "stima_positive": r0 < 1}
+        for r0 in (0.1, 0.5, 1.0, 2.75)
+    ]
+    doc = {"schema": "mgk/1", "delta": 1, "rows": rows}
+    assert cli._trace_json(doc) == to_json(doc) == json.dumps(doc, indent=2)
+    if bad is not None:
+        rows[2]["trace_dd"] = bad
+        with pytest.raises(DomainError, match="cannot write JSON"):
+            cli._trace_json(doc)
 
 
 def test_cli_out_file(tmp_path, capsys):

@@ -37,11 +37,15 @@ the first filled spec builds, lands in no timed block; then it runs
 every rung once, untimed.
 
 It prints, per rung, the median time per operation of each side, CHANGE
-over PARENT, the blocks in which CHANGE was faster, and the two-sided
-sign-test p of that count.  Both copies share one interpreter, numpy,
-BLAS and the allocator; each keeps its own module state, such as its own
-`solve_complete` cache.  Cold start, imports and peak memory need fresh
-processes: `perfbench/run.py` measures those.
+over PARENT, the blocks in which CHANGE was faster, the two-sided
+sign-test p of that count, and the Holm step-down verdict over all the
+rungs at family level HOLM_LEVEL: "faster" or "slower" where it rejects
+the rung's p, else "-".  With 8 rungs, reading each p at 0.05 alone
+calls some rung of an unchanged program different in about a third of
+runs; Holm's verdict keeps that chance at HOLM_LEVEL.  Both copies share
+one interpreter, numpy, BLAS and the allocator; each keeps its own module
+state, such as its own `solve_complete` cache.  Cold start, imports and
+peak memory need fresh processes: `perfbench/run.py` measures those.
 """
 
 import argparse
@@ -71,6 +75,8 @@ SEED = 1
 FAR_SLOPES = [s for s in primitive_slopes(300) if length_sq(s) >= 104]
 # the declared range's bound on |p| and |q|
 MAX_PQ = 300000
+# the family-wise error rate of the Holm verdict over the rungs
+HOLM_LEVEL = 0.05
 
 
 def source_root(side, scratch):
@@ -152,6 +158,19 @@ def sign_test(wins, n):
     return min(1.0, 2.0 * tail)
 
 
+def holm(pvalues, level=HOLM_LEVEL):
+    """The keys of `pvalues` (key -> p) that Holm's step-down procedure
+    rejects at family-wise level `level`: in increasing order of p, the
+    i-th of m is rejected while p <= level / (m - i), counting i from 0,
+    and the first that is not stops the procedure."""
+    rejected = set()
+    for i, (key, p) in enumerate(sorted(pvalues.items(), key=lambda item: item[1])):
+        if p > level / (len(pvalues) - i):
+            break
+        rejected.add(key)
+    return rejected
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent")
@@ -167,7 +186,7 @@ def main(argv=None):
     if args.json:
         command = ["tools/ab.py"] + (sys.argv[1:] if argv is None else list(argv))
         doc = {"parent": args.parent, "change": args.change, "command": " ".join(command),
-               "fills": FILLS, "lists": FillBatch.LISTS, "seed": SEED, "blocks": table}
+               "fills": FILLS, "lists": FillBatch.LISTS, "seed": SEED, "holm_level": HOLM_LEVEL, "blocks": table}
         with open(args.json, "w") as fh:
             json.dump(doc, fh, indent=1)
             fh.write("\n")
@@ -210,23 +229,32 @@ def compare(blocks, copies):
             ops, run = block(rung)
             for side in order:
                 times[rung][side].append(timed(run, copies[side]) / ops)
+    return summarize(times)
+
+
+def summarize(times):
+    """Print the table of the block times `times` (rung -> side -> one
+    time per operation per block) and return it by rung."""
     table = {}
-    print("%-12s %12s %12s %8s %8s %10s" % ("rung", "parent_us", "change_us", "ratio", "wins", "sign_p"))
-    for rung in rungs:
-        parent, change = times[rung]["parent"], times[rung]["change"]
+    for rung, sides in times.items():
+        parent, change = sides["parent"], sides["change"]
         wins = sum(c < p for p, c in zip(parent, change))
         row = {
             "parent_median_us": 1e6 * statistics.median(parent),
             "change_median_us": 1e6 * statistics.median(change),
             "wins": wins,
-            "blocks": blocks,
-            "sign_test_p": sign_test(wins, blocks),
+            "blocks": len(parent),
+            "sign_test_p": sign_test(wins, len(parent)),
         }
         row["ratio"] = row["change_median_us"] / row["parent_median_us"]
         table[rung] = row
-        print("%-12s %12.1f %12.1f %8.3f %5d/%-3d %10.2g" % (
-            rung, row["parent_median_us"], row["change_median_us"], row["ratio"], wins, blocks,
-            row["sign_test_p"]))
+    rejected = holm({rung: row["sign_test_p"] for rung, row in table.items()})
+    print("%-12s %12s %12s %8s %8s %10s %7s" % ("rung", "parent_us", "change_us", "ratio", "wins", "sign_p", "holm"))
+    for rung, row in table.items():
+        row["holm"] = "-" if rung not in rejected else "faster" if 2 * row["wins"] > row["blocks"] else "slower"
+        print("%-12s %12.1f %12.1f %8.3f %5d/%-3d %10.2g %7s" % (
+            rung, row["parent_median_us"], row["change_median_us"], row["ratio"], row["wins"], row["blocks"],
+            row["sign_test_p"], row["holm"]))
     return table
 
 
